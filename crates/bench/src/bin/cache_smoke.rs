@@ -26,8 +26,9 @@ use std::time::Instant;
 
 use mss_core::flow::{MagpieFlow, MagpieInputs, MagpieReport};
 use mss_core::scenario::Scenario;
+use mss_exec::ParallelConfig;
 use mss_gemsim::reference;
-use mss_gemsim::system::{EpochSkipConfig, Placement, System, SystemConfig};
+use mss_gemsim::system::{Placement, System, SystemConfig};
 use mss_gemsim::workload::Kernel;
 use mss_pdk::tech::TechNode;
 use mss_pipe::{PipeCache, Stage};
@@ -62,7 +63,7 @@ fn inputs(sample_cap: u64) -> MagpieInputs {
 fn run(cache: &Arc<PipeCache>, sample_cap: u64) -> MagpieReport {
     MagpieFlow::new_with_cache(inputs(sample_cap), Arc::clone(cache))
         .expect("flow setup")
-        .run()
+        .run_with(&ParallelConfig::from_env())
         .expect("flow run")
 }
 
@@ -194,25 +195,6 @@ fn gemsim_speed_leg(sample_cap: u64) {
         );
         std::process::exit(1);
     }
-
-    // Diagnostic (non-gating): the opt-in epoch-skip fast path on the
-    // steady-state streaming kernel — shows how much of the tail it
-    // extrapolates (2048-reference windows, 10 % tolerance: the profile of
-    // a streaming kernel is flat after warm-up at that granularity).
-    let mut skip_cfg = config;
-    skip_cfg.epoch_skip = Some(EpochSkipConfig {
-        window: 2048,
-        converge_windows: 3,
-        tolerance: 0.10,
-    });
-    let skip = System::new(skip_cfg)
-        .expect("epoch-skip platform")
-        .run(&Kernel::streamcluster(), 2024)
-        .expect("epoch-skip run");
-    println!(
-        "epoch    : streamcluster extrapolated {} references (opt-in; default reports stay exact)",
-        skip.extrapolated_accesses
-    );
 }
 
 fn main() {

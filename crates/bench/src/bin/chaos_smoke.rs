@@ -63,7 +63,7 @@ fn chaotic_sweep(
 ) -> PartialSweep<SimReport> {
     mss_exec::supervised_map(exec, sup, kernels, |ctx, kernel| {
         plan.injure(ctx.index as u64, ctx.attempt)?;
-        sys.run_cancellable(kernel, seed, &Placement::AllClusters, ctx.token())
+        sys.run_placed(kernel, seed, &Placement::AllClusters, Some(ctx.token()))
             .map_err(|e| e.to_string())
     })
 }
@@ -222,7 +222,9 @@ fn poison_leg(sample_cap: u64, chaos_seed: u64) {
     let cold_flow =
         MagpieFlow::new_with_cache(inputs.clone(), Arc::new(PipeCache::with_disk(&dir)))
             .expect("cold flow");
-    let cold = cold_flow.run().expect("cold run");
+    let cold = cold_flow
+        .run_with(&ParallelConfig::from_env())
+        .expect("cold run");
 
     let poisoned = poison_cache_dir(&dir, chaos_seed, 0.6).expect("poison cache dir");
     assert!(poisoned > 0, "poisoning selected no cache entries");
@@ -230,7 +232,9 @@ fn poison_leg(sample_cap: u64, chaos_seed: u64) {
     let warm_cache = Arc::new(PipeCache::with_disk(&dir));
     let warm_flow =
         MagpieFlow::new_with_cache(inputs, warm_cache.clone()).expect("poisoned-cache flow");
-    let warm = warm_flow.run().expect("poisoned-cache run");
+    let warm = warm_flow
+        .run_with(&ParallelConfig::from_env())
+        .expect("poisoned-cache run");
     assert_eq!(
         warm.fig12_csv(),
         cold.fig12_csv(),
@@ -282,7 +286,11 @@ fn resume_leg(sample_cap: u64) {
     let digest_a = flow_a.sweep_digest();
     let mut journal_a = SweepJournal::open(&journal_path, &digest_a).expect("open journal");
     let partial = flow_a
-        .run_supervised_journaled(&threads(4), &SupervisorConfig::disabled(), &mut journal_a)
+        .run_supervised(
+            &threads(4),
+            &SupervisorConfig::disabled(),
+            Some(&mut journal_a),
+        )
         .expect("pre-kill sweep");
     assert!(partial.is_complete());
     let done_before = journal_a.done().count();
@@ -302,7 +310,11 @@ fn resume_leg(sample_cap: u64) {
         "the full sweep's journal view aliased the half sweep's records"
     );
     let resumed = flow_b
-        .run_supervised_journaled(&threads(4), &SupervisorConfig::disabled(), &mut journal_b)
+        .run_supervised(
+            &threads(4),
+            &SupervisorConfig::disabled(),
+            Some(&mut journal_b),
+        )
         .expect("resumed sweep");
     assert!(resumed.is_complete(), "{}", resumed.failure_manifest());
     assert_eq!(resumed.report.results.len(), 8);

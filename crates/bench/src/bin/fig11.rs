@@ -11,6 +11,7 @@
 
 use mss_core::flow::{MagpieFlow, MagpieInputs};
 use mss_core::scenario::Scenario;
+use mss_exec::ParallelConfig;
 use mss_gemsim::workload::Kernel;
 use mss_pdk::tech::TechNode;
 
@@ -24,7 +25,9 @@ fn main() {
         ..MagpieInputs::defaults()
     };
     let flow = MagpieFlow::new(inputs.clone()).expect("flow setup");
-    let report = flow.run().expect("flow run");
+    let report = flow
+        .run_with(&ParallelConfig::from_env())
+        .expect("flow run");
     println!("{}", report.fig11_table("bodytrack"));
     println!("{}", report.fig10_summary("bodytrack"));
     std::fs::create_dir_all("results").ok();
@@ -50,7 +53,9 @@ fn main() {
         ..inputs
     })
     .expect("SOT flow setup");
-    let sot_report = sot_flow.run().expect("SOT flow run");
+    let sot_report = sot_flow
+        .run_with(&ParallelConfig::from_env())
+        .expect("SOT flow run");
     println!("{}", sot_report.fig11_table("bodytrack"));
     println!("{}", sot_report.mechanism_comparison_table());
     if std::fs::write("results/fig11_sot.csv", sot_report.fig11_csv("bodytrack")).is_ok() {

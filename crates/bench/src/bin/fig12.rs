@@ -10,6 +10,7 @@
 
 use mss_core::flow::{MagpieFlow, MagpieInputs};
 use mss_core::scenario::Scenario;
+use mss_exec::ParallelConfig;
 use mss_gemsim::workload::Kernel;
 use mss_pdk::tech::TechNode;
 
@@ -23,7 +24,9 @@ fn main() {
         ..MagpieInputs::defaults()
     };
     let flow = MagpieFlow::new(inputs.clone()).expect("flow setup");
-    let report = flow.run().expect("flow run");
+    let report = flow
+        .run_with(&ParallelConfig::from_env())
+        .expect("flow run");
     println!("{}", report.fig12_table());
     std::fs::create_dir_all("results").ok();
     if std::fs::write("results/fig12.csv", report.fig12_csv()).is_ok() {
@@ -61,7 +64,9 @@ fn main() {
         ..inputs
     })
     .expect("SOT flow setup");
-    let sot_report = sot_flow.run().expect("SOT flow run");
+    let sot_report = sot_flow
+        .run_with(&ParallelConfig::from_env())
+        .expect("SOT flow run");
     println!("{}", sot_report.mechanism_comparison_table());
     if std::fs::write(
         "results/fig12_sot.csv",

@@ -4,11 +4,14 @@
 //! memory-configuration optimum.
 
 use mss_bench::standard_context;
+use mss_exec::ParallelConfig;
 use mss_mtj::astroid;
 use mss_pdk::tech::TechNode;
 use mss_units::consts::am_to_oe;
 use mss_units::fmt::Eng;
-use mss_vaet::optimize::{explore_variation_aware, ReliabilityRequirements, VariationAwareTarget};
+use mss_vaet::optimize::{
+    explore_variation_aware_with, ReliabilityRequirements, VariationAwareTarget,
+};
 use mss_vaet::temperature::{iot_corners, temperature_sweep};
 
 fn main() {
@@ -47,10 +50,11 @@ fn main() {
 
     // --- Variation-aware configuration optimisation ---
     println!("\nvariation-aware organisation search (WER/RER targets 1e-15):");
-    let exp = explore_variation_aware(
+    let exp = explore_variation_aware_with(
         &ctx,
         VariationAwareTarget::WriteLatency,
         &ReliabilityRequirements::default(),
+        &ParallelConfig::from_env(),
     )
     .expect("exploration");
     let b = &exp.best;

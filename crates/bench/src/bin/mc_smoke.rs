@@ -39,7 +39,7 @@ fn vaet_smoke(samples: usize) {
 
     let serial_cfg = ParallelConfig::serial();
     let (serial_report, serial_stats) =
-        run_with_stats(&ctx, &opts, &serial_cfg).expect("serial Monte Carlo");
+        run_with_stats(&ctx, &opts, &serial_cfg, None).expect("serial Monte Carlo");
     println!(
         "serial   : {}",
         serial_stats.to_table().lines().next().unwrap_or("")
@@ -47,7 +47,7 @@ fn vaet_smoke(samples: usize) {
 
     let par_cfg = ParallelConfig::from_env();
     let (par_report, par_stats) =
-        run_with_stats(&ctx, &opts, &par_cfg).expect("parallel Monte Carlo");
+        run_with_stats(&ctx, &opts, &par_cfg, None).expect("parallel Monte Carlo");
     print!("parallel : {}", par_stats.to_table());
 
     assert_eq!(

@@ -5,8 +5,9 @@
 //! (the channel write removes the damping limit from the write tail).
 
 use mss_bench::{standard_context, standard_sot_context};
+use mss_exec::ParallelConfig;
 use mss_pdk::tech::TechNode;
-use mss_vaet::montecarlo::{run, MonteCarloOptions};
+use mss_vaet::montecarlo::{run_with, MonteCarloOptions};
 
 fn main() {
     println!("Table 1: overall latency and energy values for 45 nm and 65 nm");
@@ -16,9 +17,10 @@ fn main() {
         seed: 0x007A_B1E1,
         word_bits: None,
     };
+    let exec = ParallelConfig::from_env();
     for node in TechNode::ALL {
         let ctx = standard_context(node);
-        let report = run(&ctx, &opts).expect("monte carlo");
+        let report = run_with(&ctx, &opts, &exec).expect("monte carlo");
         println!("{}", report.to_table());
     }
 
@@ -26,7 +28,7 @@ fn main() {
     println!("(channel write — no damping limit in the write tail)\n");
     for node in TechNode::ALL {
         let sot_ctx = standard_sot_context(node);
-        let sot_report = run(&sot_ctx, &opts).expect("SOT monte carlo");
+        let sot_report = run_with(&sot_ctx, &opts, &exec).expect("SOT monte carlo");
         println!("{}", sot_report.to_table());
     }
 }

@@ -63,7 +63,7 @@ fn child_workload() {
         seed: 0x5EED_C0DE,
         word_bits: Some(64),
     };
-    let (report, _) = run_with_stats(&ctx, &opts, &exec).expect("Monte Carlo");
+    let (report, _) = run_with_stats(&ctx, &opts, &exec, None).expect("Monte Carlo");
     println!("vaet {report:?}");
 }
 

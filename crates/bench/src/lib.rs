@@ -1,15 +1,13 @@
-//! Experiment harnesses for every data-bearing table and figure of the
-//! paper, plus shared helpers for the bench targets.
+//! Experiment binaries for every data-bearing table and figure of the
+//! paper, plus shared helpers for them and the smoke gates.
 //!
 //! Each experiment has a binary (`cargo run -p mss-bench --release --bin
-//! <id>`) that prints the paper-style rows, and a bench group (in-tree
-//! [`harness`], no Criterion) measuring the cost of regenerating it. The
-//! mapping to the paper lives in `DESIGN.md` §4; measured-vs-paper numbers
-//! are recorded in `EXPERIMENTS.md`.
+//! <id>`) that prints the paper-style rows; the cost of regenerating them
+//! is timed by the separate `perfbench/` benchmark. The mapping to the
+//! paper lives in `DESIGN.md` §4; measured-vs-paper numbers are recorded
+//! in `EXPERIMENTS.md`.
 
 #![deny(missing_docs)]
-
-pub mod harness;
 
 use mss_mtj::{MssStack, SotParams};
 use mss_nvsim::config::MemoryConfig;

@@ -13,14 +13,14 @@ use mss_exec::supervise::{CancelToken, SupervisorConfig};
 use mss_exec::{par_map, ParallelConfig, TaskFailure};
 use mss_gemsim::cache::CacheConfig;
 use mss_gemsim::stats::SimReport;
-use mss_gemsim::system::{EpochSkipConfig, Placement, System, SystemConfig};
+use mss_gemsim::system::{Placement, System, SystemConfig};
 use mss_gemsim::workload::Kernel;
 use mss_mcpat::{evaluate as mcpat_evaluate, McpatConfig, PowerReport};
 use mss_mtj::{MechanismConfig, MssStack, SotParams};
 use mss_nvsim::config::MemoryConfig;
 use mss_nvsim::model::{estimate_cached, ArrayMetrics, MemoryTechnology};
 use mss_pdk::charlib::{
-    characterize_sot_with_cached, characterize_with_cached, CellLibrary, SotCellLibrary,
+    characterize_sot_cached, characterize_with_cached, CellLibrary, SotCellLibrary,
 };
 use mss_pdk::tech::{TechNode, TechParams};
 use mss_pipe::checkpoint::{SweepJournal, TaskState};
@@ -63,19 +63,12 @@ pub struct MagpieInputs {
     /// scenarios are characterised with (SOT scenarios run with
     /// [`SotParams::default`] otherwise).
     pub mechanism: MechanismConfig,
-    /// Opt-in steady-state extrapolation for the gemsim hot loop (the
-    /// epoch-skip knob). `None` — the default — simulates every sampled
-    /// access exactly, keeping reports and digests byte-identical to the
-    /// historic flow; `Some` trades tail accuracy for speed and reports
-    /// the skipped references per result via
-    /// [`SimReport::extrapolated_accesses`].
-    pub epoch_skip: Option<EpochSkipConfig>,
 }
 
 impl MagpieInputs {
-    /// The paper-default knobs for the fields beyond the sweep grid:
-    /// STT mechanism, exact (no epoch-skip) simulation. Construction sites
-    /// that only care about the grid spread this.
+    /// The paper-default knobs for the fields beyond the sweep grid (the
+    /// STT mechanism). Construction sites that only care about the grid
+    /// spread this.
     pub fn defaults() -> Self {
         Self {
             node: TechNode::N45,
@@ -84,7 +77,6 @@ impl MagpieInputs {
             seed: 0,
             sample_cap: 50_000,
             mechanism: MechanismConfig::Stt,
-            epoch_skip: None,
         }
     }
 
@@ -103,8 +95,8 @@ impl MagpieInputs {
     ///
     /// [`MagpieError::InvalidInputs`] with a distinct reason per defect:
     /// empty kernel list, empty scenario list, zero sampling cap, a kernel
-    /// whose own [`Kernel::validate`] rejects it, out-of-range SOT channel
-    /// parameters, or an invalid epoch-skip configuration.
+    /// whose own [`Kernel::validate`] rejects it, or out-of-range SOT
+    /// channel parameters.
     pub fn validate(&self) -> Result<(), MagpieError> {
         if self.kernels.is_empty() {
             return Err(MagpieError::InvalidInputs {
@@ -129,11 +121,6 @@ impl MagpieInputs {
         if let MechanismConfig::Sot(p) = &self.mechanism {
             p.validate().map_err(|e| MagpieError::InvalidInputs {
                 reason: format!("SOT mechanism: {e}"),
-            })?;
-        }
-        if let Some(es) = &self.epoch_skip {
-            es.validate().map_err(|e| MagpieError::InvalidInputs {
-                reason: format!("epoch-skip: {e}"),
             })?;
         }
         Ok(())
@@ -236,7 +223,7 @@ impl MagpieFlow {
         let sot_lib = if inputs.scenarios.iter().any(|s| s.uses_sot()) {
             let _span = mss_obs::span("flow.characterize_sot");
             let params = inputs.sot_params();
-            Some((*characterize_sot_with_cached(&tech, &stack, &params, &cache)?).clone())
+            Some((*characterize_sot_cached(inputs.node, &stack, &params, &cache)?).clone())
         } else {
             None
         };
@@ -327,7 +314,6 @@ impl MagpieFlow {
     pub fn system_config(&self, scenario: Scenario) -> Result<SystemConfig, MagpieError> {
         let mut base = SystemConfig::big_little_default();
         base.sample_accesses_per_thread = self.inputs.sample_cap;
-        base.epoch_skip = self.inputs.epoch_skip;
 
         // L1s: always SRAM, re-estimated from the node for consistency.
         for cluster in &mut base.clusters {
@@ -378,52 +364,20 @@ impl MagpieFlow {
         })
     }
 
-    /// Runs every (kernel, scenario) pair.
-    ///
-    /// Parallelism policy comes from the environment (`MSS_THREADS` or all
-    /// cores); use [`run_with`](Self::run_with) for explicit control. The
-    /// report is independent of the thread count.
+    /// Runs every (kernel, scenario) pair under an explicit thread policy:
+    /// scenarios are prepared in parallel, then every (scenario, kernel)
+    /// simulation fans out as its own task; results are reduced in
+    /// scenario-major order. The report is independent of the thread count.
     ///
     /// # Errors
     ///
     /// Propagates configuration and simulation failures.
-    pub fn run(&self) -> Result<MagpieReport, MagpieError> {
-        self.run_with(&ParallelConfig::from_env())
-    }
-
-    /// [`run`](Self::run) with an explicit thread policy: scenarios are
-    /// prepared in parallel, then every (scenario, kernel) simulation fans
-    /// out as its own task; results are reduced in scenario-major order.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`run`](Self::run).
     pub fn run_with(&self, exec: &ParallelConfig) -> Result<MagpieReport, MagpieError> {
         let _flow_span = mss_obs::span("flow.run");
         let mcpat_cfg = McpatConfig::default();
-        let prepare_span = mss_obs::span("flow.prepare");
-        // Stage 1: per-scenario estimation (NVSim/McPAT) and platform build.
-        let prepared = par_map(exec, &self.inputs.scenarios, |_, &scenario| {
-            let area = self.scenario_area(scenario)?;
-            let system = System::new(self.system_config(scenario)?)?;
-            Ok::<_, MagpieError>((area, system))
-        });
-        let mut areas = Vec::new();
-        let mut systems = Vec::new();
-        for item in prepared {
-            let (area, system) = item?;
-            areas.push(area);
-            systems.push(system);
-        }
-        drop(prepare_span);
+        let (areas, systems) = self.prepare(exec)?;
         let simulate_span = mss_obs::span("flow.simulate");
-
-        // Stage 2: one task per (scenario, kernel) pair, scenario-major so
-        // the report order matches the sequential flow.
-        let pairs: Vec<(usize, usize)> = (0..self.inputs.scenarios.len())
-            .flat_map(|s| (0..self.inputs.kernels.len()).map(move |k| (s, k)))
-            .collect();
-        let evaluated = par_map(exec, &pairs, |_, &(s, k)| {
+        let evaluated = par_map(exec, &self.pairs(), |_, &(s, k)| {
             self.evaluate_pair(&systems, &mcpat_cfg, s, k, None)
         });
         let results = evaluated.into_iter().collect::<Result<Vec<_>, _>>()?;
@@ -436,6 +390,13 @@ impl MagpieFlow {
     /// and retried per `sup`, and a failure removes only its own pair from
     /// the report instead of aborting the sweep.
     ///
+    /// With a `journal`, every terminal task outcome (done with its stage
+    /// digest, or failed with its cause) is durably appended as it
+    /// happens, so a killed process leaves an accurate manifest behind and
+    /// a resumed run finds every completed pair's artifacts in the disk
+    /// cache. Open the journal against [`sweep_digest`](Self::sweep_digest)
+    /// so manifests from different sweep configurations never alias.
+    ///
     /// Completed pairs are bit-identical to the corresponding
     /// [`run_with`](Self::run_with) results at any thread count.
     ///
@@ -443,39 +404,9 @@ impl MagpieFlow {
     ///
     /// Only preparation failures (characterisation/estimation/platform
     /// build) are hard errors; simulation failures are returned in the
-    /// partial report's failure manifest.
+    /// partial report's failure manifest, and journal append failures are
+    /// non-fatal.
     pub fn run_supervised(
-        &self,
-        exec: &ParallelConfig,
-        sup: &SupervisorConfig,
-    ) -> Result<PartialMagpieReport, MagpieError> {
-        self.run_supervised_inner(exec, sup, None)
-    }
-
-    /// [`run_supervised`](Self::run_supervised) with a checkpoint journal:
-    /// every terminal task outcome (done with its stage digest, or failed
-    /// with its cause) is durably appended to `journal` as it happens, so a
-    /// killed process leaves an accurate manifest behind and a resumed run
-    /// finds every completed pair's artifacts in the disk cache.
-    ///
-    /// The journal should be opened against
-    /// [`sweep_digest`](Self::sweep_digest) so manifests from different
-    /// sweep configurations never alias.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`run_supervised`](Self::run_supervised); journal append
-    /// failures are non-fatal (the sweep's results are still returned).
-    pub fn run_supervised_journaled(
-        &self,
-        exec: &ParallelConfig,
-        sup: &SupervisorConfig,
-        journal: &mut SweepJournal,
-    ) -> Result<PartialMagpieReport, MagpieError> {
-        self.run_supervised_inner(exec, sup, Some(journal))
-    }
-
-    fn run_supervised_inner(
         &self,
         exec: &ParallelConfig,
         sup: &SupervisorConfig,
@@ -483,25 +414,9 @@ impl MagpieFlow {
     ) -> Result<PartialMagpieReport, MagpieError> {
         let _flow_span = mss_obs::span("flow.run");
         let mcpat_cfg = McpatConfig::default();
-        let prepare_span = mss_obs::span("flow.prepare");
-        let prepared = par_map(exec, &self.inputs.scenarios, |_, &scenario| {
-            let area = self.scenario_area(scenario)?;
-            let system = System::new(self.system_config(scenario)?)?;
-            Ok::<_, MagpieError>((area, system))
-        });
-        let mut areas = Vec::new();
-        let mut systems = Vec::new();
-        for item in prepared {
-            let (area, system) = item?;
-            areas.push(area);
-            systems.push(system);
-        }
-        drop(prepare_span);
+        let (areas, systems) = self.prepare(exec)?;
         let simulate_span = mss_obs::span("flow.simulate");
-
-        let pairs: Vec<(usize, usize)> = (0..self.inputs.scenarios.len())
-            .flat_map(|s| (0..self.inputs.kernels.len()).map(move |k| (s, k)))
-            .collect();
+        let pairs = self.pairs();
         let journal = journal.map(Mutex::new);
         let sup = if sup.label.is_empty() {
             sup.with_label("flow.sweep")
@@ -542,12 +457,35 @@ impl MagpieFlow {
         })
     }
 
+    /// Stage 1 of a run: per-scenario estimation (NVSim/McPAT) and platform
+    /// build, in parallel, returned in scenario order.
+    fn prepare(
+        &self,
+        exec: &ParallelConfig,
+    ) -> Result<(Vec<ScenarioArea>, Vec<System>), MagpieError> {
+        let _span = mss_obs::span("flow.prepare");
+        let prepared = par_map(exec, &self.inputs.scenarios, |_, &scenario| {
+            let area = self.scenario_area(scenario)?;
+            let system = System::new(self.system_config(scenario)?)?;
+            Ok::<_, MagpieError>((area, system))
+        });
+        prepared.into_iter().collect()
+    }
+
+    /// Every (scenario, kernel) index pair, scenario-major so the report
+    /// order matches the sequential flow.
+    fn pairs(&self) -> Vec<(usize, usize)> {
+        (0..self.inputs.scenarios.len())
+            .flat_map(|s| (0..self.inputs.kernels.len()).map(move |k| (s, k)))
+            .collect()
+    }
+
     /// The structural digest identifying this flow's sweep: open checkpoint
     /// journals against it so manifests from different inputs never alias.
     ///
-    /// The mechanism and epoch-skip knobs are folded in **only when set**:
-    /// a default-STT exact sweep hashes exactly as it did before those
-    /// knobs existed, so historic journals and disk caches stay valid.
+    /// The mechanism is folded in **only when it is not the default**: a
+    /// default-STT sweep hashes exactly as it did before the mechanism knob
+    /// existed, so historic journals and disk caches stay valid.
     pub fn sweep_digest(&self) -> String {
         let kernels: Vec<&str> = self
             .inputs
@@ -567,10 +505,12 @@ impl MagpieFlow {
             scenarios.join(","),
             (self.inputs.seed, self.inputs.sample_cap),
         );
-        if self.inputs.mechanism.is_default() && self.inputs.epoch_skip.is_none() {
+        if self.inputs.mechanism.is_default() {
             digest_of(&base)
         } else {
-            digest_of(&(base, self.inputs.mechanism.clone(), self.inputs.epoch_skip))
+            // The trailing 0 is the "absent" tag of a since-removed
+            // optional knob, kept so SOT sweep digests do not move.
+            digest_of(&(base, self.inputs.mechanism.clone(), 0u8))
         }
     }
 
@@ -615,16 +555,9 @@ impl MagpieFlow {
         let activity =
             self.cache
                 .get_or_compute_artifact(Stage::SimulateKernel, &sim_key, || {
-                    match token {
-                        Some(token) => systems[s].run_cancellable(
-                            kernel,
-                            self.inputs.seed,
-                            &Placement::AllClusters,
-                            token,
-                        ),
-                        None => systems[s].run(kernel, self.inputs.seed),
-                    }
-                    .map_err(MagpieError::from)
+                    systems[s]
+                        .run_placed(kernel, self.inputs.seed, &Placement::AllClusters, token)
+                        .map_err(MagpieError::from)
                 })?;
         let label = format!("{} / {}", kernel.name, scenario);
         // The label is part of the key: a shared activity report must not
@@ -884,8 +817,8 @@ impl MagpieReport {
     }
 
     /// Total gemsim references that were extrapolated (not simulated)
-    /// across every completed pair — 0 unless the flow opted into
-    /// [`MagpieInputs::epoch_skip`].
+    /// across every completed pair (see
+    /// [`SimReport::extrapolated_accesses`]).
     pub fn total_extrapolated_accesses(&self) -> u64 {
         self.results
             .iter()
@@ -893,10 +826,8 @@ impl MagpieReport {
             .sum()
     }
 
-    /// Figure metadata as `key,value` CSV: grid shape, the simulation
-    /// fidelity knobs, and the extrapolated-access count — written next to
-    /// the figure CSVs so a consumer can tell an exact report from an
-    /// epoch-skip-accelerated one without re-running the flow.
+    /// Figure metadata as `key,value` CSV: grid shape and the
+    /// extrapolated-access count, written next to the figure CSVs.
     pub fn metadata_csv(&self, figure: &str) -> String {
         let mut out = String::from("key,value\n");
         out.push_str(&format!("figure,{figure}\n"));
@@ -1043,7 +974,7 @@ mod tests {
                 ..MagpieInputs::defaults()
             })
             .unwrap();
-            let report = flow.run().unwrap();
+            let report = flow.run_with(&ParallelConfig::from_env()).unwrap();
             (flow, report)
         })
     }
@@ -1104,15 +1035,6 @@ mod tests {
         let r = reason(inputs);
         assert!(r.starts_with("SOT mechanism:"), "{r}");
 
-        // So is a broken epoch-skip configuration.
-        let mut inputs = base.clone();
-        inputs.epoch_skip = Some(EpochSkipConfig {
-            window: 0,
-            ..EpochSkipConfig::steady_default()
-        });
-        let r = reason(inputs);
-        assert!(r.starts_with("epoch-skip:"), "{r}");
-
         assert!(base.validate().is_ok());
     }
 
@@ -1141,7 +1063,7 @@ mod tests {
             std::sync::Arc::new(mss_pipe::PipeCache::memory_only()),
         )
         .unwrap();
-        let cold = cold_flow.run().unwrap();
+        let cold = cold_flow.run_with(&ParallelConfig::from_env()).unwrap();
         assert_eq!(cold.fig11_csv("bodytrack"), fig11);
         assert_eq!(cold.fig12_csv(), fig12);
     }
@@ -1321,10 +1243,10 @@ mod tests {
 
         let mut journal = SweepJournal::open(&path, &digest).unwrap();
         let partial = flow
-            .run_supervised_journaled(
+            .run_supervised(
                 &ParallelConfig::serial().with_threads(3),
                 &SupervisorConfig::disabled(),
-                &mut journal,
+                Some(&mut journal),
             )
             .unwrap();
         assert!(partial.is_complete());
@@ -1360,7 +1282,7 @@ mod tests {
                 ..MagpieInputs::defaults()
             })
             .unwrap();
-            let report = flow.run().unwrap();
+            let report = flow.run_with(&ParallelConfig::from_env()).unwrap();
             (flow, report)
         })
     }
@@ -1453,10 +1375,9 @@ mod tests {
     }
 
     #[test]
-    fn sweep_digest_gates_the_new_knobs() {
-        // Default mechanism + exact simulation hash exactly as the
-        // pre-mechanism flow did: the digest is reproducible from the old
-        // four-field shape.
+    fn sweep_digest_gates_the_mechanism_knob() {
+        // The default mechanism hashes exactly as the pre-mechanism flow
+        // did: the digest is reproducible from the old four-field shape.
         let (flow, _) = flow_report();
         let kernels = "bodytrack,streamcluster";
         let scenarios = Scenario::ALL.map(|s| s.to_string()).join(",");
@@ -1468,55 +1389,20 @@ mod tests {
         ));
         assert_eq!(flow.sweep_digest(), old_shape);
 
-        // Setting either knob forks the digest.
+        // Setting the mechanism forks the digest.
         let mut inputs = flow.inputs.clone();
         inputs.mechanism = MechanismConfig::Sot(SotParams::default());
         let sot_flow = MagpieFlow::new(inputs).unwrap();
         assert_ne!(sot_flow.sweep_digest(), old_shape);
-
-        let mut inputs = flow.inputs.clone();
-        inputs.epoch_skip = Some(EpochSkipConfig::steady_default());
-        let skip_flow = MagpieFlow::new(inputs).unwrap();
-        assert_ne!(skip_flow.sweep_digest(), old_shape);
-        assert_ne!(skip_flow.sweep_digest(), sot_flow.sweep_digest());
     }
 
     #[test]
-    fn epoch_skip_knob_reaches_gemsim_and_the_metadata() {
-        // Exact default: the shared report extrapolated nothing and says so.
-        let (_, exact) = flow_report();
-        assert_eq!(exact.total_extrapolated_accesses(), 0);
-        assert!(exact
+    fn metadata_reports_no_extrapolated_accesses() {
+        let (_, report) = flow_report();
+        assert_eq!(report.total_extrapolated_accesses(), 0);
+        assert!(report
             .metadata_csv("fig12")
             .contains("extrapolated_accesses,0\n"));
-
-        // Opt-in epoch skip on a steady streaming kernel: the knob reaches
-        // the simulator and the skipped references surface in the metadata.
-        let flow = MagpieFlow::new_with_cache(
-            MagpieInputs {
-                node: TechNode::N45,
-                kernels: vec![Kernel::streamcluster()],
-                scenarios: vec![Scenario::FullSram],
-                seed: 7,
-                sample_cap: 150_000,
-                epoch_skip: Some(EpochSkipConfig {
-                    window: 2048,
-                    converge_windows: 3,
-                    tolerance: 0.10,
-                }),
-                ..MagpieInputs::defaults()
-            },
-            Arc::new(PipeCache::memory_only()),
-        )
-        .unwrap();
-        let report = flow.run().unwrap();
-        let skipped = report.total_extrapolated_accesses();
-        assert!(skipped > 0, "steady kernel extrapolated nothing");
-        let meta = report.metadata_csv("fig12");
-        assert!(
-            meta.contains(&format!("extrapolated_accesses,{skipped}\n")),
-            "{meta}"
-        );
     }
 
     #[test]

@@ -20,6 +20,7 @@
 //! ```no_run
 //! use mss_core::flow::{MagpieFlow, MagpieInputs};
 //! use mss_core::scenario::Scenario;
+//! use mss_exec::ParallelConfig;
 //! use mss_gemsim::workload::Kernel;
 //! use mss_pdk::tech::TechNode;
 //!
@@ -30,10 +31,10 @@
 //!     scenarios: Scenario::ALL.to_vec(),
 //!     seed: 42,
 //!     sample_cap: 50_000,
-//!     // STT mechanism, exact simulation — the paper defaults.
+//!     // STT mechanism — the paper default.
 //!     ..MagpieInputs::defaults()
 //! })?;
-//! let report = flow.run()?;
+//! let report = flow.run_with(&ParallelConfig::from_env())?;
 //! println!("{}", report.fig12_table());
 //! # Ok(())
 //! # }

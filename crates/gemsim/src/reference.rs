@@ -259,10 +259,8 @@ fn scale_stats(s: &CacheStats, scale: f64) -> CacheStats {
 
 /// Runs one kernel with the naive data structures, one access at a time —
 /// the reference semantics of
-/// [`crate::system::System::run_placed`]. Always exact:
-/// [`SystemConfig::epoch_skip`] is ignored (reported
-/// [`SimReport::extrapolated_accesses`] is 0), and no observability spans
-/// or counters are emitted.
+/// [`crate::system::System::run_placed`]. No observability spans or
+/// counters are emitted.
 ///
 /// # Errors
 ///

@@ -51,9 +51,9 @@ pub struct SimReport {
     pub dram_row_hits: u64,
     /// Fraction of memory accesses actually simulated (sampling factor).
     pub simulated_fraction: f64,
-    /// Sampled references extrapolated (not simulated) by the opt-in
-    /// epoch-skip fast path; always 0 when
-    /// [`crate::system::SystemConfig::epoch_skip`] is `None`.
+    /// Sampled references extrapolated rather than simulated. The
+    /// simulator runs every sampled reference, so this is always 0; the
+    /// field stays so serialized reports keep their shape.
     pub extrapolated_accesses: u64,
     /// Fault/ECC activity of the memory array (unscaled simulated counts),
     /// `None` when the run modelled a perfect array.

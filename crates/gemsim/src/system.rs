@@ -33,146 +33,11 @@ pub const FILL_WRITE_EXPOSURE: f64 = 0.35;
 /// Fraction of an L1→L2 write-back latency exposed to the core.
 pub const WRITEBACK_EXPOSURE: f64 = 0.15;
 
-/// Accesses synthesized per [`AccessStream::fill`] batch when the
-/// epoch-skip fast path is off (with it on, the window size is the batch).
-/// Batching amortizes the generator call and keeps the per-access state in
+/// Accesses synthesized per [`AccessStream::fill`] batch. Batching
+/// amortizes the generator call and keeps the per-access state in
 /// registers; it does not change the consumption order, so reports are
 /// bit-identical to the one-at-a-time loop.
 const DEFAULT_CHUNK: usize = 1024;
-
-/// Opt-in steady-state extrapolation for the simulate-kernel hot loop.
-///
-/// The per-thread access stream is simulated in windows of
-/// [`EpochSkipConfig::window`] references. After each full window the
-/// counter deltas (cache misses/write-backs, DRAM traffic, row hits, stall
-/// time) are compared against the previous window's; once
-/// [`EpochSkipConfig::converge_windows`] consecutive windows agree within
-/// [`EpochSkipConfig::tolerance`] (relative), the phase is declared steady
-/// and the thread's **remaining accesses are extrapolated** — every counter
-/// is charged `remaining / window` times the last window's delta instead of
-/// being simulated.
-///
-/// Approximations (the reason this is opt-in and off by default):
-/// counters become window-rate estimates rather than exact simulation, and
-/// the fault-aware memory array ([`SystemConfig::fault`]) sees no
-/// transactions for the extrapolated tail, so fault/ECC statistics cover
-/// only the simulated prefix. [`SimReport::extrapolated_accesses`] reports
-/// how many references were skipped; it is 0 when this feature is off, and
-/// default reports stay exact.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EpochSkipConfig {
-    /// References per profiling window (also the hot-loop batch size).
-    pub window: u64,
-    /// Consecutive windows that must match their predecessor before the
-    /// remaining tail is extrapolated.
-    pub converge_windows: u32,
-    /// Relative tolerance when comparing consecutive window profiles.
-    pub tolerance: f64,
-}
-
-impl mss_pipe::StableHash for EpochSkipConfig {
-    fn stable_hash(&self, h: &mut mss_pipe::StableHasher) {
-        h.write_u64(self.window);
-        h.write_u32(self.converge_windows);
-        h.write_f64(self.tolerance);
-    }
-}
-
-impl EpochSkipConfig {
-    /// A conservative default: 4096-reference windows, four consecutive
-    /// agreeing windows within 2 % before skipping.
-    pub fn steady_default() -> Self {
-        Self {
-            window: 4096,
-            converge_windows: 4,
-            tolerance: 0.02,
-        }
-    }
-
-    /// Validates the configuration.
-    ///
-    /// # Errors
-    ///
-    /// [`GemsimError::InvalidSystem`] on out-of-range parameters.
-    pub fn validate(&self) -> Result<(), GemsimError> {
-        let fail = |reason: String| Err(GemsimError::InvalidSystem { reason });
-        if self.window == 0 || self.window > (1 << 20) {
-            return fail(format!(
-                "epoch-skip window {} outside [1, 2^20]",
-                self.window
-            ));
-        }
-        if self.converge_windows == 0 {
-            return fail("epoch-skip needs at least one converged window".into());
-        }
-        if !self.tolerance.is_finite() || self.tolerance < 0.0 {
-            return fail(format!(
-                "epoch-skip tolerance {} must be finite and >= 0",
-                self.tolerance
-            ));
-        }
-        Ok(())
-    }
-}
-
-/// Counter snapshot bracketing one epoch-skip window; consecutive window
-/// deltas decide convergence and supply the extrapolation rates.
-#[derive(Debug, Clone, Copy, Default)]
-struct EpochSnap {
-    l1: CacheStats,
-    l2: CacheStats,
-    dram_reads: u64,
-    dram_writes: u64,
-    row_hits: u64,
-    stall: f64,
-}
-
-impl EpochSnap {
-    fn delta(&self, before: &EpochSnap) -> EpochSnap {
-        let sub = |a: &CacheStats, b: &CacheStats| CacheStats {
-            reads: a.reads - b.reads,
-            writes: a.writes - b.writes,
-            read_hits: a.read_hits - b.read_hits,
-            write_hits: a.write_hits - b.write_hits,
-            writebacks: a.writebacks - b.writebacks,
-        };
-        EpochSnap {
-            l1: sub(&self.l1, &before.l1),
-            l2: sub(&self.l2, &before.l2),
-            dram_reads: self.dram_reads - before.dram_reads,
-            dram_writes: self.dram_writes - before.dram_writes,
-            row_hits: self.row_hits - before.row_hits,
-            stall: self.stall - before.stall,
-        }
-    }
-
-    /// Do two window deltas agree within `tol` on every rate that feeds the
-    /// report? (Counts compare relatively with a floor of 1, so an
-    /// all-quiet counter pair trivially agrees.)
-    fn matches(&self, other: &EpochSnap, tol: f64) -> bool {
-        let close = |a: f64, b: f64| (a - b).abs() <= tol * a.abs().max(b.abs()).max(1.0);
-        let count = |a: u64, b: u64| close(a as f64, b as f64);
-        count(self.l1.misses(), other.l1.misses())
-            && count(self.l1.writebacks, other.l1.writebacks)
-            && count(self.l2.misses(), other.l2.misses())
-            && count(self.l2.writebacks, other.l2.writebacks)
-            && count(self.dram_reads, other.dram_reads)
-            && count(self.dram_writes, other.dram_writes)
-            && count(self.row_hits, other.row_hits)
-            && close(self.stall * 1e9, other.stall * 1e9)
-    }
-}
-
-/// Adds `f` times the window delta `d` into `dst` (extrapolated counters
-/// are rate estimates; `.round()` keeps them unbiased).
-fn add_scaled(dst: &mut CacheStats, d: &CacheStats, f: f64) {
-    let s = |v: u64| (v as f64 * f).round() as u64;
-    dst.reads += s(d.reads);
-    dst.writes += s(d.writes);
-    dst.read_hits += s(d.read_hits);
-    dst.write_hits += s(d.write_hits);
-    dst.writebacks += s(d.writebacks);
-}
 
 /// One cluster: homogeneous cores + private L1Ds + a shared L2.
 #[derive(Debug, Clone, PartialEq)]
@@ -224,11 +89,6 @@ pub struct SystemConfig {
     /// runs through a seeded fault injector and an ECC controller (see
     /// [`crate::faultmem`]). `None` models a perfect array.
     pub fault: Option<FaultMemConfig>,
-    /// Opt-in epoch-skipping fast path: extrapolate a thread's remaining
-    /// references once its per-window miss profile has converged (see
-    /// [`EpochSkipConfig`]). `None` (the default) simulates every sampled
-    /// reference exactly.
-    pub epoch_skip: Option<EpochSkipConfig>,
 }
 
 fn sram_l1(name: &str) -> CacheConfig {
@@ -267,13 +127,9 @@ impl mss_pipe::StableHash for SystemConfig {
                 f.stable_hash(h);
             }
         }
-        match &self.epoch_skip {
-            None => h.write_u8(0),
-            Some(es) => {
-                h.write_u8(1);
-                es.stable_hash(h);
-            }
-        }
+        // Tag of a since-removed optional field, always absent: kept so
+        // every simulate-stage cache key stays what it was.
+        h.write_u8(0);
     }
 }
 
@@ -325,7 +181,6 @@ impl SystemConfig {
             l2_next_line_prefetch: false,
             sample_accesses_per_thread: 150_000,
             fault: None,
-            epoch_skip: None,
         }
     }
 
@@ -359,9 +214,6 @@ impl SystemConfig {
         }
         if let Some(fault) = &self.fault {
             fault.validate()?;
-        }
-        if let Some(es) = &self.epoch_skip {
-            es.validate()?;
         }
         Ok(())
     }
@@ -410,7 +262,7 @@ impl System {
     ///
     /// [`GemsimError::InvalidWorkload`] for malformed kernels.
     pub fn run(&self, kernel: &Kernel, seed: u64) -> Result<SimReport, GemsimError> {
-        self.run_placed(kernel, seed, &Placement::AllClusters)
+        self.run_placed(kernel, seed, &Placement::AllClusters, None)
     }
 
     /// Runs a batch of kernels in parallel (one task per kernel), returning
@@ -457,45 +309,20 @@ impl System {
             *sup
         };
         mss_exec::supervised_map(exec, &sup, kernels, |ctx, kernel| {
-            self.run_cancellable(kernel, seed, &Placement::AllClusters, ctx.token())
+            self.run_placed(kernel, seed, &Placement::AllClusters, Some(ctx.token()))
         })
     }
 
-    /// [`System::run_placed`] with a cooperative cancellation token checked
-    /// at every access-chunk boundary.
-    ///
-    /// # Errors
-    ///
-    /// [`GemsimError::Cancelled`] when the token trips mid-run, plus every
-    /// [`System::run_placed`] error.
-    pub fn run_cancellable(
-        &self,
-        kernel: &Kernel,
-        seed: u64,
-        placement: &Placement,
-        token: &CancelToken,
-    ) -> Result<SimReport, GemsimError> {
-        self.run_inner(kernel, seed, placement, Some(token))
-    }
-
     /// Runs one kernel with an explicit thread placement and reports system
-    /// activity.
+    /// activity. A `token`, when given, is polled at every access-chunk
+    /// boundary so a supervisor can cancel the run.
     ///
     /// # Errors
     ///
-    /// [`GemsimError::InvalidWorkload`] for malformed kernels, and
+    /// [`GemsimError::InvalidWorkload`] for malformed kernels,
     /// [`GemsimError::InvalidSystem`] when a pinned cluster name does not
-    /// exist.
+    /// exist, and [`GemsimError::Cancelled`] when the token trips mid-run.
     pub fn run_placed(
-        &self,
-        kernel: &Kernel,
-        seed: u64,
-        placement: &Placement,
-    ) -> Result<SimReport, GemsimError> {
-        self.run_inner(kernel, seed, placement, None)
-    }
-
-    fn run_inner(
         &self,
         kernel: &Kernel,
         seed: u64,
@@ -562,20 +389,15 @@ impl System {
         let mut runtime: f64 = 0.0;
 
         // One reusable synthesis buffer for the whole run: streams are
-        // drained in chunks (the epoch window when skipping is on) so the
-        // generator and the consuming loop each stay tight. Chunking does
-        // not reorder consumption, so default reports are bit-identical to
-        // the historic one-access-at-a-time loop.
-        let epoch = self.config.epoch_skip;
-        let chunk = epoch.map_or(DEFAULT_CHUNK, |es| es.window as usize);
+        // drained in chunks so the generator and the consuming loop each
+        // stay tight.
         let mut buf = vec![
             MemoryAccess {
                 address: 0,
                 write: false
             };
-            chunk
+            DEFAULT_CHUNK
         ];
-        let mut extrapolated_accesses = 0u64;
 
         let mut global_core_index = 0u32;
         for cluster in &self.config.clusters {
@@ -613,10 +435,6 @@ impl System {
             };
             let mut l2 = Cache::new(cluster.l2.clone())?;
             let mut l1_total = CacheStats::default();
-            // Extrapolated tails (epoch skip only; all-zero otherwise).
-            let mut l1_extra = CacheStats::default();
-            let mut l2_extra = CacheStats::default();
-            let mut row_hits_extra = 0u64;
             let mut dram_reads_sim = 0u64;
             let mut dram_writes_sim = 0u64;
             let line_bytes = cluster.l2.line_bytes as u64;
@@ -632,8 +450,6 @@ impl System {
                 for &t in &owned {
                     let mut stream = AccessStream::new(kernel, t as u32, seed);
                     let mut done = 0u64;
-                    let mut prev_delta: Option<EpochSnap> = None;
-                    let mut streak = 0u32;
                     while done < sim_per_thread {
                         // Cancellation checkpoint: one poll per synthesis
                         // chunk keeps the hot loop tight while bounding the
@@ -641,16 +457,8 @@ impl System {
                         if token.is_some_and(|t| t.is_cancelled()) {
                             return Err(GemsimError::Cancelled);
                         }
-                        let n = chunk.min((sim_per_thread - done) as usize);
+                        let n = DEFAULT_CHUNK.min((sim_per_thread - done) as usize);
                         stream.fill(&mut buf[..n]);
-                        let before = epoch.map(|_| EpochSnap {
-                            l1: *l1.stats(),
-                            l2: *l2.stats(),
-                            dram_reads: dram_reads_sim,
-                            dram_writes: dram_writes_sim,
-                            row_hits: dram.as_ref().map_or(0, |d| d.hits()),
-                            stall: stall_seconds_sim,
-                        });
                         for acc in &buf[..n] {
                             let l1_out = l1.access(acc.address, acc.write);
                             if l1_out.hit {
@@ -722,41 +530,6 @@ impl System {
                             }
                         }
                         done += n as u64;
-                        let (Some(es), Some(before)) = (epoch, before) else {
-                            continue;
-                        };
-                        if n as u64 != es.window || done >= sim_per_thread {
-                            continue;
-                        }
-                        let after = EpochSnap {
-                            l1: *l1.stats(),
-                            l2: *l2.stats(),
-                            dram_reads: dram_reads_sim,
-                            dram_writes: dram_writes_sim,
-                            row_hits: dram.as_ref().map_or(0, |d| d.hits()),
-                            stall: stall_seconds_sim,
-                        };
-                        let delta = after.delta(&before);
-                        match prev_delta {
-                            Some(prev) if delta.matches(&prev, es.tolerance) => streak += 1,
-                            _ => streak = 0,
-                        }
-                        prev_delta = Some(delta);
-                        if streak >= es.converge_windows {
-                            // Steady state: charge the remaining tail at the
-                            // last window's rates and stop simulating this
-                            // thread.
-                            let remaining = sim_per_thread - done;
-                            let f = remaining as f64 / es.window as f64;
-                            add_scaled(&mut l1_extra, &delta.l1, f);
-                            add_scaled(&mut l2_extra, &delta.l2, f);
-                            dram_reads_sim += (delta.dram_reads as f64 * f).round() as u64;
-                            dram_writes_sim += (delta.dram_writes as f64 * f).round() as u64;
-                            row_hits_extra += (delta.row_hits as f64 * f).round() as u64;
-                            stall_seconds_sim += delta.stall * f;
-                            extrapolated_accesses += remaining;
-                            break;
-                        }
                     }
                 }
                 let instructions = instr_per_thread * owned.len() as u64;
@@ -776,9 +549,6 @@ impl System {
                 });
                 l1_total.merge(l1.stats());
             }
-            l1_total.merge(&l1_extra);
-            let mut l2_stats = *l2.stats();
-            l2_stats.merge(&l2_extra);
             caches_out.push(CacheActivity {
                 name: cluster.l1d.name.clone(),
                 config: cluster.l1d.clone(),
@@ -787,7 +557,7 @@ impl System {
             caches_out.push(CacheActivity {
                 name: cluster.l2.name.clone(),
                 config: cluster.l2.clone(),
-                stats: scale_stats(&l2_stats, scale),
+                stats: scale_stats(l2.stats(), scale),
             });
             dram_reads_scaled += (dram_reads_sim as f64 * scale) as u64;
             dram_writes_scaled += (dram_writes_sim as f64 * scale) as u64;
@@ -795,7 +565,7 @@ impl System {
                 // The DramSim hit counter is cumulative across clusters:
                 // accumulate this cluster's own delta scaled by this
                 // cluster's factor.
-                let cluster_hits = d.hits() - row_hits_before_cluster + row_hits_extra;
+                let cluster_hits = d.hits() - row_hits_before_cluster;
                 dram_row_hits_scaled += (cluster_hits as f64 * scale) as u64;
             }
             global_core_index += cluster.cores;
@@ -829,24 +599,11 @@ impl System {
             dram_writes: dram_writes_scaled,
             dram_row_hits: dram_row_hits_scaled,
             simulated_fraction: sampled_fraction,
-            extrapolated_accesses,
+            extrapolated_accesses: 0,
             fault: fault_mem.map(|fm| *fm.stats()),
         };
         if mss_obs::enabled() {
             mss_obs::counter_add("gemsim.runs", 1);
-            if report.extrapolated_accesses > 0 {
-                mss_obs::counter_add("gemsim.extrapolated_accesses", report.extrapolated_accesses);
-                // Epoch-skip engaged: surface how much of the run was
-                // extrapolated as gauges (mirrored onto the event bus by
-                // the global gauge hook). Exact-mode runs emit none of
-                // these — extrapolated_accesses is identically zero there.
-                mss_obs::counter_add("gemsim.epoch_skip.engaged", 1);
-                mss_obs::gauge_set(
-                    "gemsim.extrapolated_accesses",
-                    report.extrapolated_accesses as f64,
-                );
-                mss_obs::gauge_set("gemsim.simulated_fraction", report.simulated_fraction);
-            }
             mss_obs::counter_add("gemsim.instructions", report.total_instructions());
             mss_obs::counter_add("gemsim.dram.reads", report.dram_reads);
             mss_obs::counter_add("gemsim.dram.writes", report.dram_writes);
@@ -1019,7 +776,7 @@ mod tests {
         let sys = System::new(quick_config()).unwrap();
         let k = Kernel::bodytrack();
         let little = sys
-            .run_placed(&k, 3, &Placement::Cluster("LITTLE".into()))
+            .run_placed(&k, 3, &Placement::Cluster("LITTLE".into()), None)
             .unwrap();
         // Only LITTLE cores retire instructions.
         for c in &little.cores {
@@ -1040,7 +797,12 @@ mod tests {
     fn pinning_to_unknown_cluster_errors() {
         let sys = System::new(quick_config()).unwrap();
         assert!(sys
-            .run_placed(&Kernel::bodytrack(), 1, &Placement::Cluster("mid".into()))
+            .run_placed(
+                &Kernel::bodytrack(),
+                1,
+                &Placement::Cluster("mid".into()),
+                None
+            )
             .is_err());
     }
 
@@ -1156,13 +918,23 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         assert_eq!(
-            sys.run_cancellable(&Kernel::bodytrack(), 1, &Placement::AllClusters, &token),
+            sys.run_placed(
+                &Kernel::bodytrack(),
+                1,
+                &Placement::AllClusters,
+                Some(&token)
+            ),
             Err(GemsimError::Cancelled)
         );
         // A live token changes nothing: the run equals the plain path.
         let live = CancelToken::new();
         let r = sys
-            .run_cancellable(&Kernel::bodytrack(), 1, &Placement::AllClusters, &live)
+            .run_placed(
+                &Kernel::bodytrack(),
+                1,
+                &Placement::AllClusters,
+                Some(&live),
+            )
             .unwrap();
         assert_eq!(r, sys.run(&Kernel::bodytrack(), 1).unwrap());
     }
@@ -1229,79 +1001,9 @@ mod tests {
     }
 
     #[test]
-    fn epoch_skip_config_is_validated() {
-        let mut c = quick_config();
-        c.epoch_skip = Some(EpochSkipConfig {
-            window: 0,
-            ..EpochSkipConfig::steady_default()
-        });
-        assert!(System::new(c).is_err());
-        let mut c = quick_config();
-        c.epoch_skip = Some(EpochSkipConfig {
-            converge_windows: 0,
-            ..EpochSkipConfig::steady_default()
-        });
-        assert!(System::new(c).is_err());
-        let mut c = quick_config();
-        c.epoch_skip = Some(EpochSkipConfig {
-            tolerance: f64::NAN,
-            ..EpochSkipConfig::steady_default()
-        });
-        assert!(System::new(c).is_err());
-        let mut c = quick_config();
-        c.epoch_skip = Some(EpochSkipConfig::steady_default());
-        assert!(System::new(c).is_ok());
-    }
-
-    #[test]
     fn default_reports_never_extrapolate() {
         let sys = System::new(quick_config()).unwrap();
         let r = sys.run(&Kernel::swaptions(), 2).unwrap();
         assert_eq!(r.extrapolated_accesses, 0);
-    }
-
-    #[test]
-    fn epoch_skip_extrapolates_steady_state() {
-        let mut exact_cfg = SystemConfig::big_little_default();
-        exact_cfg.sample_accesses_per_thread = 60_000;
-        let mut skip_cfg = exact_cfg.clone();
-        skip_cfg.epoch_skip = Some(EpochSkipConfig {
-            window: 2048,
-            converge_windows: 3,
-            tolerance: 0.10,
-        });
-        // Epoch skip targets steady phases: streamcluster's streaming miss
-        // profile is flat after the first few windows (a warm-up-dominated
-        // kernel like swaptions would rightly be extrapolated poorly — or
-        // not at all under a tight tolerance).
-        let k = Kernel::streamcluster();
-        let exact = System::new(exact_cfg).unwrap().run(&k, 2).unwrap();
-        let fast = System::new(skip_cfg).unwrap().run(&k, 2).unwrap();
-        assert!(
-            fast.extrapolated_accesses > 0,
-            "steady-state streamcluster must converge"
-        );
-        // The extrapolated report stays a faithful estimate of the exact
-        // one.
-        let rel = |a: u64, b: u64| ((a as f64) - (b as f64)).abs() / (b.max(1) as f64);
-        assert!(
-            rel(fast.dram_reads, exact.dram_reads) < 0.15,
-            "dram reads {} vs {}",
-            fast.dram_reads,
-            exact.dram_reads
-        );
-        // Per-cache counters are window-rate estimates; a slowly-warming L2
-        // keeps drifting inside the tolerance, so allow ~15 % there.
-        for (cf, ce) in fast.caches.iter().zip(&exact.caches) {
-            assert!(
-                rel(cf.stats.hits(), ce.stats.hits()) < 0.15,
-                "{}: hits {} vs {}",
-                cf.name,
-                cf.stats.hits(),
-                ce.stats.hits()
-            );
-        }
-        let dt = ((fast.runtime_seconds - exact.runtime_seconds) / exact.runtime_seconds).abs();
-        assert!(dt < 0.10, "runtime drift {dt}");
     }
 }

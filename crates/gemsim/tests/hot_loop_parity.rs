@@ -1,8 +1,7 @@
 //! Hot-loop parity: the optimized simulator (struct-of-arrays cache,
 //! ring-buffer stream, chunked system loop) must be **bit-for-bit
 //! identical** to the naive executable specification in
-//! `mss_gemsim::reference` whenever the epoch-skip fast path is off (the
-//! default). Any drift — a reordered RNG draw, a different f64 accumulation
+//! `mss_gemsim::reference`. Any drift — a reordered RNG draw, a different f64 accumulation
 //! order, an off-by-one in LRU rank math — fails these tests.
 
 use mss_exec::ParallelConfig;
@@ -54,7 +53,7 @@ fn every_kernel_and_placement_matches_the_reference() {
     ];
     for (i, kernel) in Kernel::parsec_extended().iter().enumerate() {
         let placement = &placements[i % placements.len()];
-        let fast = sys.run_placed(kernel, 2024, placement).unwrap();
+        let fast = sys.run_placed(kernel, 2024, placement, None).unwrap();
         let naive = reference::run_placed(&config, kernel, 2024, placement).unwrap();
         assert_eq!(fast, naive, "{} @ {placement:?}", kernel.name);
     }

@@ -93,36 +93,13 @@ pub struct Exploration {
 }
 
 /// Sweeps subarray tilings (powers of two, 64–2048 per side) and returns the
-/// constrained optimum.
+/// constrained optimum. Candidate tilings are estimated in parallel and
+/// reduced in grid order, so the result is identical at any thread count.
 ///
 /// # Errors
 ///
 /// [`NvsimError::NoFeasibleDesign`] when no tiling satisfies the
 /// constraints; estimation errors propagate.
-pub fn explore(
-    tech: &TechParams,
-    base: &MemoryConfig,
-    technology: &MemoryTechnology,
-    target: OptimizationTarget,
-    constraints: &DesignConstraints,
-) -> Result<Exploration, NvsimError> {
-    explore_with(
-        tech,
-        base,
-        technology,
-        target,
-        constraints,
-        &ParallelConfig::from_env(),
-    )
-}
-
-/// [`explore`] with an explicit thread policy: candidate tilings are
-/// estimated in parallel and reduced in grid order, so the result is
-/// identical at any thread count.
-///
-/// # Errors
-///
-/// Same as [`explore`].
 pub fn explore_with(
     tech: &TechParams,
     base: &MemoryConfig,
@@ -131,26 +108,40 @@ pub fn explore_with(
     constraints: &DesignConstraints,
     exec: &ParallelConfig,
 ) -> Result<Exploration, NvsimError> {
-    let sizes = [64u32, 128, 256, 512, 1024, 2048];
-    // Tilings larger than the bank are skipped up front; the survivors are
-    // the parallel work list.
-    let grid: Vec<MemoryConfig> = sizes
-        .iter()
-        .flat_map(|&rows| sizes.iter().map(move |&cols| (rows, cols)))
-        .filter_map(|(rows, cols)| base.with_subarray(rows, cols).ok())
-        .collect();
+    let grid = subarray_grid(base);
     let _span = mss_obs::span("nvsim.explore");
     // Estimation runs through the stage pipeline: re-exploring the same
     // technology (across targets, constraint sets or flow scenarios) hits
     // the cache instead of re-running the RC models.
     let cache = mss_pipe::global();
     let estimated = par_map(exec, &grid, |_, cfg| {
-        estimate_cached(tech, cfg, technology, &cache)
+        estimate_cached(tech, cfg, technology, &cache).map(|m| (*m).clone())
     });
     mss_obs::counter_add("nvsim.explore.candidates", estimated.len() as u64);
+    let metrics = estimated.into_iter().collect::<Result<Vec<_>, _>>()?;
+    rank(grid.into_iter().zip(metrics), target, constraints)
+}
+
+/// Every subarray tiling of `base` the sweep evaluates, in grid order.
+/// Tilings larger than the bank are skipped up front.
+fn subarray_grid(base: &MemoryConfig) -> Vec<MemoryConfig> {
+    let sizes = [64u32, 128, 256, 512, 1024, 2048];
+    sizes
+        .iter()
+        .flat_map(|&rows| sizes.iter().map(move |&cols| (rows, cols)))
+        .filter_map(|(rows, cols)| base.with_subarray(rows, cols).ok())
+        .collect()
+}
+
+/// Scores the estimated tilings, drops the infeasible ones and sorts the
+/// rest by ascending score.
+fn rank(
+    estimated: impl IntoIterator<Item = (MemoryConfig, ArrayMetrics)>,
+    target: OptimizationTarget,
+    constraints: &DesignConstraints,
+) -> Result<Exploration, NvsimError> {
     let mut candidates = Vec::new();
-    for (cfg, metrics) in grid.into_iter().zip(estimated) {
-        let metrics = (*metrics?).clone();
+    for (config, metrics) in estimated {
         if !constraints.accepts(&metrics) {
             continue;
         }
@@ -162,7 +153,7 @@ pub fn explore_with(
             continue;
         }
         candidates.push(Candidate {
-            config: cfg,
+            config,
             metrics,
             score,
         });
@@ -208,12 +199,7 @@ pub fn explore_supervised(
     exec: &ParallelConfig,
     sup: &SupervisorConfig,
 ) -> Result<SupervisedExploration, NvsimError> {
-    let sizes = [64u32, 128, 256, 512, 1024, 2048];
-    let grid: Vec<MemoryConfig> = sizes
-        .iter()
-        .flat_map(|&rows| sizes.iter().map(move |&cols| (rows, cols)))
-        .filter_map(|(rows, cols)| base.with_subarray(rows, cols).ok())
-        .collect();
+    let grid = subarray_grid(base);
     let _span = mss_obs::span("nvsim.explore");
     let cache = mss_pipe::global();
     let sup = if sup.label.is_empty() {
@@ -225,57 +211,44 @@ pub fn explore_supervised(
         estimate_cached(tech, cfg, technology, &cache).map(|m| (*m).clone())
     });
     mss_obs::counter_add("nvsim.explore.candidates", grid.len() as u64);
-    let mut candidates = Vec::new();
-    for (cfg, metrics) in grid.iter().zip(&sweep.results) {
-        let Some(metrics) = metrics else { continue };
-        if !constraints.accepts(metrics) {
-            continue;
-        }
-        let score = target.score(metrics);
-        if !score.is_finite() {
-            mss_obs::counter_add("nvsim.explore.nonfinite_scores", 1);
-            continue;
-        }
-        candidates.push(Candidate {
-            config: *cfg,
-            metrics: metrics.clone(),
-            score,
-        });
-    }
-    mss_obs::counter_add("nvsim.explore.feasible", candidates.len() as u64);
-    candidates.sort_by(|a, b| a.score.total_cmp(&b.score));
-    match candidates.first().cloned() {
-        Some(best) => Ok(SupervisedExploration {
-            exploration: Exploration { best, candidates },
-            failures: sweep.failures,
-        }),
-        None => Err(NvsimError::NoFeasibleDesign),
-    }
+    let completed = grid
+        .into_iter()
+        .zip(sweep.results)
+        .filter_map(|(config, metrics)| Some((config, metrics?)));
+    Ok(SupervisedExploration {
+        exploration: rank(completed, target, constraints)?,
+        failures: sweep.failures,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use mss_mtj::MssStack;
-    use mss_pdk::charlib::characterize;
+    use mss_pdk::charlib::characterize_with;
     use mss_pdk::tech::TechNode;
 
     fn setup() -> (TechParams, MemoryConfig, MemoryTechnology) {
         let tech = TechParams::node(TechNode::N45);
         let cfg = MemoryConfig::ram(1 << 20, 64).unwrap();
-        let lib = characterize(TechNode::N45, &MssStack::builder().build().unwrap()).unwrap();
+        let lib = characterize_with(
+            &TechParams::node(TechNode::N45),
+            &MssStack::builder().build().unwrap(),
+        )
+        .unwrap();
         (tech, cfg, MemoryTechnology::SttMram(lib))
     }
 
     #[test]
     fn exploration_finds_a_best() {
         let (tech, cfg, technology) = setup();
-        let exp = explore(
+        let exp = explore_with(
             &tech,
             &cfg,
             &technology,
             OptimizationTarget::ReadLatency,
             &DesignConstraints::default(),
+            &ParallelConfig::serial(),
         )
         .unwrap();
         assert!(!exp.candidates.is_empty());
@@ -289,20 +262,22 @@ mod tests {
     #[test]
     fn different_targets_can_pick_different_designs() {
         let (tech, cfg, technology) = setup();
-        let lat = explore(
+        let lat = explore_with(
             &tech,
             &cfg,
             &technology,
             OptimizationTarget::ReadLatency,
             &DesignConstraints::default(),
+            &ParallelConfig::serial(),
         )
         .unwrap();
-        let area = explore(
+        let area = explore_with(
             &tech,
             &cfg,
             &technology,
             OptimizationTarget::Area,
             &DesignConstraints::default(),
+            &ParallelConfig::serial(),
         )
         .unwrap();
         // Area optimum cannot beat the latency optimum at latency.
@@ -313,24 +288,26 @@ mod tests {
     #[test]
     fn constraints_filter_candidates() {
         let (tech, cfg, technology) = setup();
-        let unconstrained = explore(
+        let unconstrained = explore_with(
             &tech,
             &cfg,
             &technology,
             OptimizationTarget::ReadEnergy,
             &DesignConstraints::default(),
+            &ParallelConfig::serial(),
         )
         .unwrap();
         let tight = DesignConstraints {
             max_read_latency: Some(unconstrained.best.metrics.read_latency * 1.01),
             ..Default::default()
         };
-        let constrained = explore(
+        let constrained = explore_with(
             &tech,
             &cfg,
             &technology,
             OptimizationTarget::ReadEnergy,
             &tight,
+            &ParallelConfig::serial(),
         )
         .unwrap();
         assert!(constrained.candidates.len() <= unconstrained.candidates.len());
@@ -391,7 +368,15 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(
-            explore(&tech, &cfg, &technology, OptimizationTarget::Area, &absurd).unwrap_err(),
+            explore_with(
+                &tech,
+                &cfg,
+                &technology,
+                OptimizationTarget::Area,
+                &absurd,
+                &ParallelConfig::serial()
+            )
+            .unwrap_err(),
             NvsimError::NoFeasibleDesign
         );
     }

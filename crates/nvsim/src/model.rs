@@ -496,11 +496,15 @@ fn estimate_with_cell(
 mod tests {
     use super::*;
     use mss_mtj::MssStack;
-    use mss_pdk::charlib::characterize;
+    use mss_pdk::charlib::characterize_with;
     use mss_pdk::tech::TechNode;
 
     fn stt_lib() -> CellLibrary {
-        characterize(TechNode::N45, &MssStack::builder().build().unwrap()).unwrap()
+        characterize_with(
+            &TechParams::node(TechNode::N45),
+            &MssStack::builder().build().unwrap(),
+        )
+        .unwrap()
     }
 
     fn tech() -> TechParams {
@@ -603,8 +607,8 @@ mod tests {
     }
 
     fn sot_lib() -> SotCellLibrary {
-        mss_pdk::charlib::characterize_sot(
-            TechNode::N45,
+        mss_pdk::charlib::characterize_sot_with(
+            &tech(),
             &MssStack::builder().build().unwrap(),
             &mss_mtj::SotParams::default(),
         )

@@ -4,7 +4,7 @@
 //! output measurement file that is then parsed to extract the required cell
 //! level parameters such as switching current, delay and energy values.
 //! These values are updated into the cell configuration file of the VAET-STT
-//! tool."* [`characterize`] produces a [`CellLibrary`]; its
+//! tool."* [`characterize_with`] produces a [`CellLibrary`]; its
 //! [`CellLibrary::to_report`]/[`CellLibrary::from_report`] pair is the
 //! measurement-file round trip.
 
@@ -244,26 +244,15 @@ impl mss_pipe::Artifact for SotCellLibrary {
     }
 }
 
-/// Runs the full characterisation flow for a node + stack pair.
+/// [`characterize_with`] at a node's nominal CMOS card, through the stage
+/// pipeline: the result is memoized in `cache` under
+/// [`Stage::CharacterizeCells`](mss_pipe::Stage) keyed by the structural
+/// hash of the full `(tech, stack)` input, so repeated node sweeps and
+/// multi-scenario flows characterise each distinct input once.
 ///
 /// # Errors
 ///
-/// - [`PdkError::Characterization`] when the access device cannot reach the
-///   write overdrive or a junction never flips within the pulse,
-/// - circuit/device errors from the underlying layers.
-pub fn characterize(node: TechNode, stack: &MssStack) -> Result<CellLibrary, PdkError> {
-    let tech = TechParams::node(node);
-    characterize_with(&tech, stack)
-}
-
-/// [`characterize`] through the stage pipeline: the result is memoized in
-/// `cache` under [`Stage::CharacterizeCells`](mss_pipe::Stage) keyed by the
-/// structural hash of the full `(tech, stack)` input, so repeated node
-/// sweeps and multi-scenario flows characterise each distinct input once.
-///
-/// # Errors
-///
-/// See [`characterize`]; cache problems are never errors.
+/// See [`characterize_with`]; cache problems are never errors.
 pub fn characterize_cached(
     node: TechNode,
     stack: &MssStack,
@@ -278,7 +267,7 @@ pub fn characterize_cached(
 ///
 /// # Errors
 ///
-/// See [`characterize`]; cache problems are never errors.
+/// See [`characterize_with`]; cache problems are never errors.
 pub fn characterize_with_cached(
     tech: &TechParams,
     stack: &MssStack,
@@ -290,11 +279,15 @@ pub fn characterize_with_cached(
     })
 }
 
-/// [`characterize`] with an explicit (possibly variation-sampled) CMOS card.
+/// Runs the full characterisation flow for a stack on an explicit
+/// (possibly variation-sampled) CMOS card; `TechParams::node` gives a
+/// node's nominal card.
 ///
 /// # Errors
 ///
-/// See [`characterize`].
+/// - [`PdkError::Characterization`] when the access device cannot reach the
+///   write overdrive or a junction never flips within the pulse,
+/// - circuit/device errors from the underlying layers.
 pub fn characterize_with(tech: &TechParams, stack: &MssStack) -> Result<CellLibrary, PdkError> {
     let access_width = size_access_width(tech, stack)?;
     let write = characterize_write(tech, stack, access_width)?;
@@ -313,21 +306,6 @@ pub fn characterize_with(tech: &TechParams, stack: &MssStack) -> Result<CellLibr
     })
 }
 
-/// Runs the full three-terminal SOT characterisation flow.
-///
-/// # Errors
-///
-/// Same surface as [`characterize`], plus [`mss_mtj::MtjError`]-backed
-/// failures for invalid SOT parameters.
-pub fn characterize_sot(
-    node: TechNode,
-    stack: &MssStack,
-    params: &SotParams,
-) -> Result<SotCellLibrary, PdkError> {
-    let tech = TechParams::node(node);
-    characterize_sot_with(&tech, stack, params)
-}
-
 /// The pipe-cache key for a SOT characterisation.
 ///
 /// Deliberately a different shape from the STT key (`digest_of(&(tech,
@@ -338,12 +316,13 @@ pub fn sot_cache_key(tech: &TechParams, stack: &MssStack, params: &SotParams) ->
     mss_pipe::digest_of(&(tech, stack, params, MechanismKind::Sot))
 }
 
-/// [`characterize_sot`] through the stage pipeline, memoized under
+/// [`characterize_sot_with`] at a node's nominal CMOS card, through the
+/// stage pipeline: memoized under
 /// [`Stage::CharacterizeCells`](mss_pipe::Stage) with [`sot_cache_key`].
 ///
 /// # Errors
 ///
-/// See [`characterize_sot`]; cache problems are never errors.
+/// See [`characterize_sot_with`]; cache problems are never errors.
 pub fn characterize_sot_cached(
     node: TechNode,
     stack: &MssStack,
@@ -351,33 +330,19 @@ pub fn characterize_sot_cached(
     cache: &mss_pipe::PipeCache,
 ) -> Result<std::sync::Arc<SotCellLibrary>, PdkError> {
     let tech = TechParams::node(node);
-    characterize_sot_with_cached(&tech, stack, params, cache)
-}
-
-/// [`characterize_sot_with`] through the stage pipeline (see
-/// [`characterize_sot_cached`]).
-///
-/// # Errors
-///
-/// See [`characterize_sot`]; cache problems are never errors.
-pub fn characterize_sot_with_cached(
-    tech: &TechParams,
-    stack: &MssStack,
-    params: &SotParams,
-    cache: &mss_pipe::PipeCache,
-) -> Result<std::sync::Arc<SotCellLibrary>, PdkError> {
-    let key = sot_cache_key(tech, stack, params);
+    let key = sot_cache_key(&tech, stack, params);
     cache.get_or_compute_artifact(mss_pipe::Stage::CharacterizeCells, &key, || {
-        characterize_sot_with(tech, stack, params)
+        characterize_sot_with(&tech, stack, params)
     })
 }
 
-/// [`characterize_sot`] with an explicit (possibly variation-sampled) CMOS
-/// card.
+/// Runs the full three-terminal SOT characterisation flow on an explicit
+/// (possibly variation-sampled) CMOS card.
 ///
 /// # Errors
 ///
-/// See [`characterize_sot`].
+/// Same surface as [`characterize_with`], plus [`mss_mtj::MtjError`]-backed
+/// failures for invalid SOT parameters.
 pub fn characterize_sot_with(
     tech: &TechParams,
     stack: &MssStack,
@@ -1041,7 +1006,7 @@ mod tests {
 
     #[test]
     fn characterization_produces_sane_metrics_45nm() {
-        let lib = characterize(TechNode::N45, &stack()).unwrap();
+        let lib = characterize_with(&TechParams::node(TechNode::N45), &stack()).unwrap();
         // Write: a few ns, read: sub-2ns (paper Table 1 nominal shapes).
         assert!(
             lib.write.latency > 1e-9 && lib.write.latency < 12e-9,
@@ -1065,8 +1030,8 @@ mod tests {
     #[test]
     fn both_nodes_characterize() {
         let s = stack();
-        let l45 = characterize(TechNode::N45, &s).unwrap();
-        let l65 = characterize(TechNode::N65, &s).unwrap();
+        let l45 = characterize_with(&TechParams::node(TechNode::N45), &s).unwrap();
+        let l65 = characterize_with(&TechParams::node(TechNode::N65), &s).unwrap();
         // The same junction needs a similar write current; both nodes must
         // deliver it.
         assert!(l45.write.current > 0.0 && l65.write.current > 0.0);
@@ -1114,8 +1079,10 @@ mod tests {
     #[test]
     fn sot_characterization_beats_stt_on_write() {
         let s = stack();
-        let stt = characterize(TechNode::N45, &s).unwrap();
-        let sot = characterize_sot(TechNode::N45, &s, &SotParams::default()).unwrap();
+        let stt = characterize_with(&TechParams::node(TechNode::N45), &s).unwrap();
+        let sot =
+            characterize_sot_with(&TechParams::node(TechNode::N45), &s, &SotParams::default())
+                .unwrap();
         // The channel write dodges the damping limit: much faster...
         assert!(
             sot.base.write.latency < 0.25 * stt.write.latency,
@@ -1169,14 +1136,19 @@ mod tests {
     #[test]
     fn sot_artifact_round_trip() {
         use mss_pipe::Artifact;
-        let lib = characterize_sot(TechNode::N45, &stack(), &SotParams::default()).unwrap();
+        let lib = characterize_sot_with(
+            &TechParams::node(TechNode::N45),
+            &stack(),
+            &SotParams::default(),
+        )
+        .unwrap();
         let back = SotCellLibrary::decode(&lib.encode()).unwrap();
         assert_eq!(lib, back);
     }
 
     #[test]
     fn report_round_trip() {
-        let lib = characterize(TechNode::N45, &stack()).unwrap();
+        let lib = characterize_with(&TechParams::node(TechNode::N45), &stack()).unwrap();
         let text = lib.to_report().to_text();
         let back = CellLibrary::from_report(&Report::parse(&text).unwrap()).unwrap();
         assert_eq!(lib.node, back.node);

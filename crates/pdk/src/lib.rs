@@ -20,13 +20,13 @@
 //! # Example
 //!
 //! ```
-//! use mss_pdk::tech::TechNode;
-//! use mss_pdk::charlib::characterize;
+//! use mss_pdk::tech::{TechNode, TechParams};
+//! use mss_pdk::charlib::characterize_with;
 //! use mss_mtj::MssStack;
 //!
 //! # fn main() -> Result<(), mss_pdk::PdkError> {
 //! let stack = MssStack::builder().build().map_err(mss_pdk::PdkError::from)?;
-//! let lib = characterize(TechNode::N45, &stack)?;
+//! let lib = characterize_with(&TechParams::node(TechNode::N45), &stack)?;
 //! assert!(lib.write.latency > 0.0);
 //! assert!(lib.read.latency < lib.write.latency);
 //! # Ok(())

@@ -10,7 +10,7 @@
 //! * **symbolic once** — [`DcBatch::new`] computes the MNA index structure
 //!   (node→row map, voltage-source rows, nonlinearity flag) a single time
 //!   per netlist topology;
-//! * **numeric many** — [`DcBatch::run`] applies a caller-supplied value
+//! * **numeric many** — [`DcBatch::run_with`] applies a caller-supplied value
 //!   edit per sample and re-solves against the shared structure, with one
 //!   reusable [`Workspace`] per worker and
 //!   solutions written to a flat, SoA sample-major buffer.
@@ -35,6 +35,7 @@ use crate::SpiceError;
 /// A reusable batched DC solver for one netlist topology.
 ///
 /// ```
+/// use mss_exec::ParallelConfig;
 /// use mss_spice::batch::DcBatch;
 /// use mss_spice::netlist::Netlist;
 /// use mss_spice::waveform::Waveform;
@@ -47,7 +48,9 @@ use crate::SpiceError;
 /// let r2 = nl.element_index("r2")?;
 /// let batch = DcBatch::new(&nl);
 /// // 4 samples sweeping the lower divider resistor.
-/// let result = batch.run(4, |i, nl| nl.set_resistance(r2, 1e3 * (i + 1) as f64));
+/// let result = batch.run_with(4, &ParallelConfig::serial(), None, |i, nl| {
+///     nl.set_resistance(r2, 1e3 * (i + 1) as f64)
+/// });
 /// assert_eq!(result.failure_count(), 0);
 /// assert!((result.node_voltage(0, "mid")? - 0.5).abs() < 1e-9);
 /// assert!((result.node_voltage(3, "mid")? - 0.8).abs() < 1e-9);
@@ -103,8 +106,8 @@ impl DcBatch {
         self.dim
     }
 
-    /// Solves `samples` parameter vectors with the environment thread
-    /// policy (`MSS_THREADS`).
+    /// Solves `samples` parameter vectors under an explicit thread/chunk
+    /// policy. Results are bit-identical for any policy.
     ///
     /// `edit(i, netlist)` mutates element *values* for sample `i` (via
     /// [`Netlist::set_resistance`], [`Netlist::set_source_wave`],
@@ -116,40 +119,12 @@ impl DcBatch {
     /// * the edit must set **every** varying value each sample — workers
     ///   reuse one netlist clone across their chunk, so an unset value
     ///   carries over from the previous sample of that chunk.
-    pub fn run<F>(&self, samples: usize, edit: F) -> BatchDcResult
-    where
-        F: Fn(usize, &mut Netlist) -> Result<(), SpiceError> + Sync,
-    {
-        self.run_with(samples, &ParallelConfig::from_env(), edit)
-    }
-
-    /// [`run`](Self::run) with an explicit thread/chunk policy. Results are
-    /// bit-identical for any policy.
-    pub fn run_with<F>(&self, samples: usize, cfg: &ParallelConfig, edit: F) -> BatchDcResult
-    where
-        F: Fn(usize, &mut Netlist) -> Result<(), SpiceError> + Sync,
-    {
-        self.run_inner(samples, cfg, None, edit)
-    }
-
-    /// [`run_with`](Self::run_with) with a cooperative cancellation token
-    /// checked at every chunk boundary. A tripped token marks the remaining
-    /// samples of each chunk as failed with [`SpiceError::Cancelled`]; the
-    /// samples already solved keep their (bit-exact) solutions.
-    pub fn run_cancellable<F>(
-        &self,
-        samples: usize,
-        cfg: &ParallelConfig,
-        token: &CancelToken,
-        edit: F,
-    ) -> BatchDcResult
-    where
-        F: Fn(usize, &mut Netlist) -> Result<(), SpiceError> + Sync,
-    {
-        self.run_inner(samples, cfg, Some(token), edit)
-    }
-
-    fn run_inner<F>(
+    ///
+    /// A `token`, when given, is checked at every chunk boundary. A tripped
+    /// token marks the remaining samples of each chunk as failed with
+    /// [`SpiceError::Cancelled`]; the samples already solved keep their
+    /// (bit-exact) solutions.
+    pub fn run_with<F>(
         &self,
         samples: usize,
         cfg: &ParallelConfig,
@@ -257,7 +232,7 @@ impl DcBatch {
     }
 }
 
-/// Solutions of a [`DcBatch::run`]: a flat sample-major SoA buffer plus a
+/// Solutions of a [`DcBatch::run_with`]: a flat sample-major SoA buffer plus a
 /// sparse failure list (the common case is zero failures, so per-sample
 /// `Result` packaging is avoided).
 #[derive(Debug, Clone)]
@@ -373,7 +348,7 @@ mod tests {
         let batch = DcBatch::new(&nl);
         let n = 37; // not a multiple of any chunk size
         let ohms = |i: usize| 500.0 + 250.0 * i as f64;
-        let result = batch.run_with(n, &ParallelConfig::serial(), |i, nl| {
+        let result = batch.run_with(n, &ParallelConfig::serial(), None, |i, nl| {
             nl.set_resistance(r2, ohms(i))
         });
         assert_eq!(result.failure_count(), 0);
@@ -404,7 +379,9 @@ mod tests {
             let cfg = ParallelConfig::serial()
                 .with_threads(threads)
                 .with_chunk(chunk);
-            batch.run_with(100, &cfg, |i, nl| nl.set_resistance(r2, 100.0 + i as f64))
+            batch.run_with(100, &cfg, None, |i, nl| {
+                nl.set_resistance(r2, 100.0 + i as f64)
+            })
         };
         let base = run(1, 256);
         for (threads, chunk) in [(2, 7), (4, 16), (8, 3)] {
@@ -447,7 +424,7 @@ mod tests {
         let ohms = |i: usize| 2.0e3 + 500.0 * i as f64;
         let batch = DcBatch::new(&nl);
         let cfg = ParallelConfig::serial().with_threads(2).with_chunk(3);
-        let result = batch.run_with(8, &cfg, |i, nl| {
+        let result = batch.run_with(8, &cfg, None, |i, nl| {
             nl.set_mtj_state(x1, state(i))?;
             nl.set_resistance(rs, ohms(i))
         });
@@ -474,7 +451,7 @@ mod tests {
         let batch = DcBatch::new(&nl);
         let token = CancelToken::new();
         token.cancel();
-        let result = batch.run_cancellable(10, &ParallelConfig::serial(), &token, |i, nl| {
+        let result = batch.run_with(10, &ParallelConfig::serial(), Some(&token), |i, nl| {
             nl.set_resistance(r2, 100.0 + i as f64)
         });
         assert_eq!(result.failure_count(), 10);
@@ -483,10 +460,10 @@ mod tests {
         }
         // A live token is transparent: same bits as the plain path.
         let live = CancelToken::new();
-        let a = batch.run_cancellable(10, &ParallelConfig::serial(), &live, |i, nl| {
+        let a = batch.run_with(10, &ParallelConfig::serial(), Some(&live), |i, nl| {
             nl.set_resistance(r2, 100.0 + i as f64)
         });
-        let b = batch.run_with(10, &ParallelConfig::serial(), |i, nl| {
+        let b = batch.run_with(10, &ParallelConfig::serial(), None, |i, nl| {
             nl.set_resistance(r2, 100.0 + i as f64)
         });
         assert_eq!(a.solutions, b.solutions);
@@ -498,7 +475,7 @@ mod tests {
         let nl = divider();
         let r2 = nl.element_index("r2").unwrap();
         let batch = DcBatch::new(&nl);
-        let result = batch.run_with(5, &ParallelConfig::serial(), |i, nl| {
+        let result = batch.run_with(5, &ParallelConfig::serial(), None, |i, nl| {
             if i == 2 {
                 nl.add_resistor("intruder", "mid", "0", 50.0)?;
             }
@@ -522,7 +499,7 @@ mod tests {
         let nl = divider();
         let r2 = nl.element_index("r2").unwrap();
         let batch = DcBatch::new(&nl);
-        let result = batch.run_with(3, &ParallelConfig::serial(), |i, nl| {
+        let result = batch.run_with(3, &ParallelConfig::serial(), None, |i, nl| {
             nl.set_resistance(r2, if i == 1 { f64::NAN } else { 1e3 })
         });
         assert_eq!(result.failure_count(), 1);
@@ -535,7 +512,7 @@ mod tests {
     #[test]
     fn empty_batch_is_fine() {
         let batch = DcBatch::new(&divider());
-        let result = batch.run_with(0, &ParallelConfig::serial(), |_, _| Ok(()));
+        let result = batch.run_with(0, &ParallelConfig::serial(), None, |_, _| Ok(()));
         assert_eq!(result.samples(), 0);
         assert_eq!(result.failure_count(), 0);
     }
@@ -543,7 +520,7 @@ mod tests {
     #[test]
     fn unknown_probe_names_error() {
         let batch = DcBatch::new(&divider());
-        let result = batch.run_with(1, &ParallelConfig::serial(), |_, _| Ok(()));
+        let result = batch.run_with(1, &ParallelConfig::serial(), None, |_, _| Ok(()));
         assert!(matches!(
             result.node_voltage(0, "zz"),
             Err(SpiceError::UnknownNode(_))

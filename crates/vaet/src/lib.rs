@@ -31,13 +31,15 @@
 //! # Example
 //!
 //! ```no_run
+//! use mss_exec::ParallelConfig;
 //! use mss_vaet::context::VaetContext;
-//! use mss_vaet::montecarlo::{run, MonteCarloOptions};
+//! use mss_vaet::montecarlo::{run_with, MonteCarloOptions};
 //! use mss_pdk::tech::TechNode;
 //!
 //! # fn main() -> Result<(), mss_vaet::VaetError> {
 //! let ctx = VaetContext::standard(TechNode::N45)?;
-//! let report = run(&ctx, &MonteCarloOptions { samples: 500, seed: 1, ..Default::default() })?;
+//! let opts = MonteCarloOptions { samples: 500, seed: 1, ..Default::default() };
+//! let report = run_with(&ctx, &opts, &ParallelConfig::from_env())?;
 //! // Variation-aware mean far exceeds the nominal value (paper Table 1).
 //! assert!(report.write_latency.mean > ctx.nominal.write_latency);
 //! # Ok(())

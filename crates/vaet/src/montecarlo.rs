@@ -170,69 +170,35 @@ fn sample_access<R: Rng + ?Sized>(
     Ok(())
 }
 
-/// Runs the Monte Carlo and returns the Table-1-shaped report.
-///
-/// Parallelism policy comes from the environment
-/// ([`ParallelConfig::from_env`], i.e. `MSS_THREADS` or all cores); use
-/// [`run_with`] for explicit control. The result is a pure function of
-/// `(ctx, opts)` — thread count never changes the report.
+/// Runs the Monte Carlo under an explicit thread/chunk policy and returns
+/// the Table-1-shaped report. The result is a pure function of
+/// `(ctx, opts)`: thread count never changes the report.
 ///
 /// # Errors
 ///
 /// [`VaetError::InvalidOptions`] on zero samples; device sampling errors
 /// propagate.
-pub fn run(ctx: &VaetContext, opts: &MonteCarloOptions) -> Result<VaetReport, VaetError> {
-    run_with(ctx, opts, &ParallelConfig::from_env())
-}
-
-/// [`run`] with an explicit thread/chunk policy.
-///
-/// # Errors
-///
-/// Same as [`run`].
 pub fn run_with(
     ctx: &VaetContext,
     opts: &MonteCarloOptions,
     cfg: &ParallelConfig,
 ) -> Result<VaetReport, VaetError> {
-    run_with_stats(ctx, opts, cfg).map(|(report, _)| report)
+    run_with_stats(ctx, opts, cfg, None).map(|(report, _)| report)
 }
 
 /// [`run_with`] plus the runtime's [`RunStats`] (throughput, utilization).
 ///
 /// Samples are fanned out in fixed-size batches; batch `i` draws from RNG
 /// stream `(opts.seed, i)` and the per-batch accumulators are merged in
-/// batch order, so the report is bit-identical at any thread count.
-///
-/// # Errors
-///
-/// Same as [`run`].
-pub fn run_with_stats(
-    ctx: &VaetContext,
-    opts: &MonteCarloOptions,
-    cfg: &ParallelConfig,
-) -> Result<(VaetReport, RunStats), VaetError> {
-    run_with_stats_inner(ctx, opts, cfg, None)
-}
-
-/// [`run_with_stats`] with a cooperative cancellation token checked at
-/// every sample-batch boundary — the hook the sweep supervisor's per-task
-/// deadline uses to bound a Monte Carlo run.
+/// batch order, so the report is bit-identical at any thread count. A
+/// `token`, when given, is checked at every sample-batch boundary: the
+/// hook the sweep supervisor's per-task deadline uses to bound a run.
 ///
 /// # Errors
 ///
 /// [`VaetError::Cancelled`] when the token trips mid-run, plus every
-/// [`run`] error.
-pub fn run_with_stats_cancellable(
-    ctx: &VaetContext,
-    opts: &MonteCarloOptions,
-    cfg: &ParallelConfig,
-    token: &CancelToken,
-) -> Result<(VaetReport, RunStats), VaetError> {
-    run_with_stats_inner(ctx, opts, cfg, Some(token))
-}
-
-fn run_with_stats_inner(
+/// [`run_with`] error.
+pub fn run_with_stats(
     ctx: &VaetContext,
     opts: &MonteCarloOptions,
     cfg: &ParallelConfig,
@@ -400,31 +366,20 @@ fn sense_netlist(ctx: &VaetContext, v_read: f64) -> Result<Netlist, VaetError> {
     Ok(nl)
 }
 
-/// Circuit-level read-margin Monte Carlo through the batched SPICE solver:
-/// the netlist topology is analysed once ([`DcBatch`]), then each sample
-/// re-solves it with a freshly sampled MTJ stack (RNG stream split by
-/// *sample index*, so the report is bit-identical at any thread count).
+/// Circuit-level read-margin Monte Carlo through the batched SPICE solver,
+/// under an explicit thread/chunk policy: the netlist topology is analysed
+/// once ([`DcBatch`]), then each sample re-solves it with a freshly sampled
+/// MTJ stack (RNG stream split by *sample index*, so the report is
+/// bit-identical at any thread count).
 ///
 /// This is the paper's sense-margin distribution computed by actual MNA
-/// solves rather than the analytical divider of [`run`] — and the workload
-/// the `spice_batch_smoke` perf gate times.
+/// solves rather than the analytical divider of [`run_with`] — and the
+/// workload the `spice_batch_smoke` perf gate times.
 ///
 /// # Errors
 ///
 /// [`VaetError::InvalidOptions`] on zero samples or when every solve
 /// fails; device-sampling errors propagate.
-pub fn sense_margin_batch(
-    ctx: &VaetContext,
-    opts: &SenseBatchOptions,
-) -> Result<SenseBatchReport, VaetError> {
-    sense_margin_batch_with(ctx, opts, &ParallelConfig::from_env())
-}
-
-/// [`sense_margin_batch`] with an explicit thread/chunk policy.
-///
-/// # Errors
-///
-/// Same as [`sense_margin_batch`].
 pub fn sense_margin_batch_with(
     ctx: &VaetContext,
     opts: &SenseBatchOptions,
@@ -454,7 +409,7 @@ pub fn sense_margin_batch_with(
     }
 
     let batch = DcBatch::new(&nl);
-    let result = batch.run_with(opts.samples, cfg, |i, nl| {
+    let result = batch.run_with(opts.samples, cfg, None, |i, nl| {
         let (r_p, r_ap) = cells[i];
         nl.set_resistance(rp, r_p)?;
         nl.set_resistance(rap, r_ap)
@@ -511,7 +466,7 @@ mod tests {
 
     #[test]
     fn variation_aware_mean_exceeds_nominal() {
-        let report = run(ctx45(), &small_opts(1)).unwrap();
+        let report = run_with(ctx45(), &small_opts(1), &ParallelConfig::serial()).unwrap();
         // The paper's headline: mu >> nominal for write latency & energy.
         assert!(
             report.write_latency.mean > 1.3 * report.nominal_write_latency,
@@ -524,7 +479,7 @@ mod tests {
 
     #[test]
     fn distributions_have_positive_spread() {
-        let report = run(ctx45(), &small_opts(2)).unwrap();
+        let report = run_with(ctx45(), &small_opts(2), &ParallelConfig::serial()).unwrap();
         assert!(report.write_latency.std_dev > 0.0);
         assert!(report.read_latency.std_dev > 0.0);
         assert!(report.write_energy.std_dev > 0.0);
@@ -556,8 +511,13 @@ mod tests {
     #[test]
     fn run_with_stats_reports_throughput() {
         let opts = small_opts(4);
-        let (report, stats) =
-            run_with_stats(ctx45(), &opts, &ParallelConfig::serial().with_threads(2)).unwrap();
+        let (report, stats) = run_with_stats(
+            ctx45(),
+            &opts,
+            &ParallelConfig::serial().with_threads(2),
+            None,
+        )
+        .unwrap();
         assert_eq!(report.samples, opts.samples as u64);
         assert_eq!(stats.samples, opts.samples as u64);
         assert!(stats.tasks >= 1);
@@ -566,31 +526,33 @@ mod tests {
 
     #[test]
     fn deterministic_per_seed() {
-        let a = run(ctx45(), &small_opts(7)).unwrap();
-        let b = run(ctx45(), &small_opts(7)).unwrap();
+        let a = run_with(ctx45(), &small_opts(7), &ParallelConfig::serial()).unwrap();
+        let b = run_with(ctx45(), &small_opts(7), &ParallelConfig::serial()).unwrap();
         assert_eq!(a.write_latency.mean, b.write_latency.mean);
-        let c = run(ctx45(), &small_opts(8)).unwrap();
+        let c = run_with(ctx45(), &small_opts(8), &ParallelConfig::serial()).unwrap();
         assert_ne!(a.write_latency.mean, c.write_latency.mean);
     }
 
     #[test]
     fn wider_words_have_larger_completion_latency() {
-        let narrow = run(
+        let narrow = run_with(
             ctx45(),
             &MonteCarloOptions {
                 samples: 120,
                 seed: 3,
                 word_bits: Some(16),
             },
+            &ParallelConfig::serial(),
         )
         .unwrap();
-        let wide = run(
+        let wide = run_with(
             ctx45(),
             &MonteCarloOptions {
                 samples: 120,
                 seed: 3,
                 word_bits: Some(256),
             },
+            &ParallelConfig::serial(),
         )
         .unwrap();
         assert!(wide.write_latency.mean > narrow.write_latency.mean);
@@ -598,13 +560,14 @@ mod tests {
 
     #[test]
     fn zero_samples_rejected() {
-        let err = run(
+        let err = run_with(
             ctx45(),
             &MonteCarloOptions {
                 samples: 0,
                 seed: 0,
                 word_bits: None,
             },
+            &ParallelConfig::serial(),
         )
         .unwrap_err();
         assert!(matches!(err, VaetError::InvalidOptions { .. }));
@@ -704,15 +667,26 @@ mod tests {
     fn cancelled_token_aborts_and_live_token_is_transparent() {
         let token = CancelToken::new();
         token.cancel();
-        let err =
-            run_with_stats_cancellable(ctx45(), &small_opts(1), &ParallelConfig::serial(), &token)
-                .unwrap_err();
+        let err = run_with_stats(
+            ctx45(),
+            &small_opts(1),
+            &ParallelConfig::serial(),
+            Some(&token),
+        )
+        .unwrap_err();
         assert!(matches!(err, VaetError::Cancelled));
         let live = CancelToken::new();
-        let (report, _) =
-            run_with_stats_cancellable(ctx45(), &small_opts(1), &ParallelConfig::serial(), &live)
-                .unwrap();
-        assert_eq!(report, run(ctx45(), &small_opts(1)).unwrap());
+        let (report, _) = run_with_stats(
+            ctx45(),
+            &small_opts(1),
+            &ParallelConfig::serial(),
+            Some(&live),
+        )
+        .unwrap();
+        assert_eq!(
+            report,
+            run_with(ctx45(), &small_opts(1), &ParallelConfig::serial()).unwrap()
+        );
     }
 
     #[test]

@@ -138,7 +138,9 @@ pub fn evaluate_candidate_cached(
         .map(|arc| (*arc).clone())
 }
 
-/// Sweeps subarray tilings and ranks them by the margined metric.
+/// Sweeps subarray tilings and ranks them by the margined metric. The
+/// margin solvers for each organisation run in parallel and results are
+/// reduced in grid order, so the ranking is identical at any thread count.
 ///
 /// Organisations whose requirements are unreachable are skipped (not
 /// errors); if *no* organisation is feasible the last solver error is
@@ -148,21 +150,6 @@ pub fn evaluate_candidate_cached(
 ///
 /// [`VaetError::UnreachableTarget`] when no organisation meets the
 /// requirements; estimation failures propagate.
-pub fn explore_variation_aware(
-    base: &VaetContext,
-    target: VariationAwareTarget,
-    requirements: &ReliabilityRequirements,
-) -> Result<VariationAwareExploration, VaetError> {
-    explore_variation_aware_with(base, target, requirements, &ParallelConfig::from_env())
-}
-
-/// [`explore_variation_aware`] with an explicit thread policy: the margin
-/// solvers for each organisation run in parallel and results are reduced in
-/// grid order, so the ranking is identical at any thread count.
-///
-/// # Errors
-///
-/// Same as [`explore_variation_aware`].
 pub fn explore_variation_aware_with(
     base: &VaetContext,
     target: VariationAwareTarget,
@@ -200,27 +187,15 @@ pub fn explore_variation_aware_with(
 
 /// Cross-checks the exploration winner with batched SPICE solves: the
 /// context is re-targeted at the winning organisation and its read path is
-/// Monte-Carlo-solved through [`crate::montecarlo::sense_margin_batch`]
-/// (the symbolic-once/numeric-many `DcBatch` route). The analytical margin
-/// model picked the design; the circuit level verifies it still senses.
+/// Monte-Carlo-solved through
+/// [`crate::montecarlo::sense_margin_batch_with`] (the
+/// symbolic-once/numeric-many `DcBatch` route). The analytical margin model
+/// picked the design; the circuit level verifies it still senses.
 ///
 /// # Errors
 ///
 /// Array-estimation failures from re-targeting and sense-batch failures
 /// propagate.
-pub fn verify_best_with_spice(
-    base: &VaetContext,
-    exploration: &VariationAwareExploration,
-    opts: &SenseBatchOptions,
-) -> Result<SenseBatchReport, VaetError> {
-    verify_best_with_spice_with(base, exploration, opts, &ParallelConfig::from_env())
-}
-
-/// [`verify_best_with_spice`] with an explicit thread/chunk policy.
-///
-/// # Errors
-///
-/// Same as [`verify_best_with_spice`].
 pub fn verify_best_with_spice_with(
     base: &VaetContext,
     exploration: &VariationAwareExploration,
@@ -256,10 +231,11 @@ mod tests {
 
     #[test]
     fn exploration_finds_feasible_best() {
-        let exp = explore_variation_aware(
+        let exp = explore_variation_aware_with(
             ctx(),
             VariationAwareTarget::WriteLatency,
             &ReliabilityRequirements::default(),
+            &ParallelConfig::serial(),
         )
         .unwrap();
         assert!(!exp.candidates.is_empty());
@@ -310,10 +286,11 @@ mod tests {
 
     #[test]
     fn winner_passes_spice_verification() {
-        let exp = explore_variation_aware(
+        let exp = explore_variation_aware_with(
             ctx(),
             VariationAwareTarget::WriteLatency,
             &ReliabilityRequirements::default(),
+            &ParallelConfig::serial(),
         )
         .unwrap();
         let opts = SenseBatchOptions {
@@ -337,8 +314,20 @@ mod tests {
     #[test]
     fn different_targets_rank_differently_or_equal() {
         let reqs = ReliabilityRequirements::default();
-        let wl = explore_variation_aware(ctx(), VariationAwareTarget::WriteLatency, &reqs).unwrap();
-        let rl = explore_variation_aware(ctx(), VariationAwareTarget::ReadLatency, &reqs).unwrap();
+        let wl = explore_variation_aware_with(
+            ctx(),
+            VariationAwareTarget::WriteLatency,
+            &reqs,
+            &ParallelConfig::serial(),
+        )
+        .unwrap();
+        let rl = explore_variation_aware_with(
+            ctx(),
+            VariationAwareTarget::ReadLatency,
+            &reqs,
+            &ParallelConfig::serial(),
+        )
+        .unwrap();
         // The read-latency optimum cannot beat the write-latency optimum at
         // its own game.
         assert!(rl.best.margined_write_latency + 1e-18 >= wl.best.margined_write_latency);

@@ -7,8 +7,8 @@
 //! ```
 
 use great_mss::mtj::MssStack;
-use great_mss::pdk::charlib::{characterize, CellLibrary};
-use great_mss::pdk::tech::TechNode;
+use great_mss::pdk::charlib::{characterize_with, CellLibrary};
+use great_mss::pdk::tech::{TechNode, TechParams};
 use great_mss::spice::mdl::Report;
 use great_mss::units::fmt::Eng;
 
@@ -16,7 +16,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let stack = MssStack::builder().build()?;
     for node in TechNode::ALL {
         println!("characterising the 1T-1MTJ cell at {node} ...");
-        let lib = characterize(node, &stack)?;
+        let lib = characterize_with(&TechParams::node(node), &stack)?;
         println!(
             "  access device width: {:.0} nm ({:.1} F)",
             lib.access_width * 1e9,

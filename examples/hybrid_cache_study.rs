@@ -8,6 +8,7 @@
 
 use great_mss::core::flow::{MagpieFlow, MagpieInputs};
 use great_mss::core::scenario::Scenario;
+use great_mss::exec::ParallelConfig;
 use great_mss::gemsim::workload::Kernel;
 use great_mss::pdk::tech::TechNode;
 
@@ -26,7 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         flow.cell_library().write.latency * 1e9,
         flow.cell_library().read.latency * 1e9
     );
-    let report = flow.run()?;
+    let report = flow.run_with(&ParallelConfig::from_env())?;
     println!("{}", report.fig11_table("bodytrack"));
     println!("{}", report.fig12_table());
     Ok(())

@@ -5,7 +5,7 @@ use great_mss::mtj::MssStack;
 use great_mss::pdk::cells::{
     bitcell_write_deck, nvff_backup_deck, pcsa_read_deck, write_driver_deck, WriteDirection,
 };
-use great_mss::pdk::charlib::{characterize, CellLibrary};
+use great_mss::pdk::charlib::{characterize_with, CellLibrary};
 use great_mss::pdk::tech::{TechNode, TechParams};
 use great_mss::spice::analysis::{Transient, TransientOptions};
 use great_mss::spice::mdl::Report;
@@ -74,7 +74,7 @@ fn write_driver_drives_realistic_bitline() {
 #[test]
 fn characterisation_round_trips_through_the_report_file() {
     let stack = MssStack::builder().build().expect("stack");
-    let lib = characterize(TechNode::N45, &stack).expect("characterise");
+    let lib = characterize_with(&TechParams::node(TechNode::N45), &stack).expect("characterise");
     let text = lib.to_report().to_text();
     let parsed = CellLibrary::from_report(&Report::parse(&text).expect("parse")).expect("decode");
     assert_eq!(parsed.node, lib.node);
@@ -87,7 +87,7 @@ fn characterised_write_latency_matches_analytic_model() {
     // The SPICE-level flip time and the behavioural compact model must agree
     // on the cell switching time scale (compact-model consistency).
     let stack = MssStack::builder().build().expect("stack");
-    let lib = characterize(TechNode::N45, &stack).expect("characterise");
+    let lib = characterize_with(&TechParams::node(TechNode::N45), &stack).expect("characterise");
     let sw = great_mss::mtj::switching::SwitchingModel::new(&stack);
     let analytic = sw
         .mean_switching_time(lib.write.current)

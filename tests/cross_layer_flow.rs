@@ -4,6 +4,7 @@
 
 use great_mss::core::flow::{MagpieFlow, MagpieInputs};
 use great_mss::core::scenario::Scenario;
+use great_mss::exec::ParallelConfig;
 use great_mss::gemsim::workload::Kernel;
 use great_mss::pdk::tech::TechNode;
 use std::sync::OnceLock;
@@ -20,7 +21,7 @@ fn report() -> &'static great_mss::core::flow::MagpieReport {
             ..MagpieInputs::defaults()
         })
         .expect("flow setup")
-        .run()
+        .run_with(&ParallelConfig::from_env())
         .expect("flow run")
     })
 }
@@ -36,8 +37,8 @@ fn flow_is_deterministic() {
         ..MagpieInputs::defaults()
     })
     .expect("setup");
-    let a = flow.run().expect("run a");
-    let b = flow.run().expect("run b");
+    let a = flow.run_with(&ParallelConfig::from_env()).expect("run a");
+    let b = flow.run_with(&ParallelConfig::from_env()).expect("run b");
     assert_eq!(a.results[0].runtime, b.results[0].runtime);
     assert_eq!(a.results[0].energy, b.results[0].energy);
 }

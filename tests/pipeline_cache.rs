@@ -13,6 +13,7 @@ use std::sync::{Arc, Mutex};
 
 use great_mss::core::flow::{MagpieFlow, MagpieInputs, MagpieReport};
 use great_mss::core::scenario::Scenario;
+use great_mss::exec::ParallelConfig;
 use great_mss::gemsim::workload::Kernel;
 use great_mss::obs;
 use great_mss::pdk::tech::TechNode;
@@ -37,7 +38,7 @@ fn run_sweep(cache: &Arc<PipeCache>) -> Vec<MagpieReport> {
         .map(|node| {
             MagpieFlow::new_with_cache(sweep_inputs(node), Arc::clone(cache))
                 .expect("flow setup")
-                .run()
+                .run_with(&ParallelConfig::from_env())
                 .expect("flow run")
         })
         .collect()
@@ -114,7 +115,7 @@ fn disk_tier_carries_artifacts_across_cache_instances() {
     let cold_cache = Arc::new(PipeCache::with_disk(&dir));
     let cold = MagpieFlow::new_with_cache(sweep_inputs(TechNode::N45), Arc::clone(&cold_cache))
         .expect("cold setup")
-        .run()
+        .run_with(&ParallelConfig::from_env())
         .expect("cold run");
     assert!(
         cold_cache.stats(Stage::CharacterizeCells).stores > 0,
@@ -127,7 +128,7 @@ fn disk_tier_carries_artifacts_across_cache_instances() {
     let warm_cache = Arc::new(PipeCache::with_disk(&dir));
     let warm = MagpieFlow::new_with_cache(sweep_inputs(TechNode::N45), Arc::clone(&warm_cache))
         .expect("warm setup")
-        .run()
+        .run_with(&ParallelConfig::from_env())
         .expect("warm run");
     assert_eq!(warm, cold, "disk-warmed report must be bit-identical");
     assert_eq!(warm.fig12_csv(), cold.fig12_csv());

@@ -1,11 +1,12 @@
 //! Integration: the VAET-STT analyses reproduce the paper's Table 1 and
 //! Fig. 7–9 qualitative shapes on both technology nodes.
 
+use great_mss::exec::ParallelConfig;
 use great_mss::pdk::tech::TechNode;
 use great_mss::vaet::context::VaetContext;
 use great_mss::vaet::ecc::figure8;
 use great_mss::vaet::margins::figure7;
-use great_mss::vaet::montecarlo::{run, MonteCarloOptions};
+use great_mss::vaet::montecarlo::{run_with, MonteCarloOptions};
 use great_mss::vaet::read::figure9;
 use great_mss::vaet::report::VaetReport;
 use std::sync::OnceLock;
@@ -20,13 +21,14 @@ fn ctx(node: TechNode) -> &'static VaetContext {
 }
 
 fn mc(node: TechNode) -> VaetReport {
-    run(
+    run_with(
         ctx(node),
         &MonteCarloOptions {
             samples: 300,
             seed: 0x7AB1E,
             word_bits: Some(256),
         },
+        &ParallelConfig::from_env(),
     )
     .expect("monte carlo")
 }
