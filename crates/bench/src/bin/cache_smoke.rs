@@ -7,9 +7,9 @@
 //! asserting **bit-identical** [`mss_gemsim::stats::SimReport`]s and a
 //! ≥ 5× throughput win. The win is algorithmic (struct-of-arrays LRU vs
 //! `Vec` shifting, O(1) ring-buffer history vs `remove(0)`), so it must
-//! hold even on a noisy shared runner. When `MSS_METRICS=1` or
-//! `MSS_TRACE=1` the observability registry (including the `pipe.*` cache
-//! counters) is written as an NDJSON run report CI archives.
+//! hold even on a noisy shared runner. When `MSS_METRICS=1` the
+//! observability registry (including the `pipe.*` cache counters) is
+//! written as an NDJSON run report CI archives.
 //!
 //! ```text
 //! cargo run --release -p mss-bench --bin cache_smoke

@@ -1,8 +1,8 @@
 //! CI smoke benchmark for the fault-injection plane: a seeded ECC campaign
 //! cross-validated against the analytical binomial model, a solver retry
 //! ladder exercise, and a fault-aware gemsim run — printing a summary and,
-//! when `MSS_METRICS=1` or `MSS_TRACE=1`, writing the observability
-//! registry as an NDJSON run report CI archives.
+//! when `MSS_METRICS=1`, writing the observability registry as an NDJSON
+//! run report CI archives.
 //!
 //! ```text
 //! cargo run --release -p mss-bench --bin fault_smoke

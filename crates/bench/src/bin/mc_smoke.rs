@@ -1,7 +1,7 @@
 //! CI smoke benchmark: small workloads through every instrumented layer of
 //! the flow (vaet Monte Carlo, mtj LLG, spice transient, gemsim kernel),
-//! printing sample throughput and — when `MSS_METRICS=1` or `MSS_TRACE=1` —
-//! writing the observability registry as an NDJSON run report CI archives.
+//! printing sample throughput and — when `MSS_METRICS=1` — writing the
+//! observability registry as an NDJSON run report CI archives.
 //!
 //! ```text
 //! cargo run --release -p mss-bench --bin mc_smoke

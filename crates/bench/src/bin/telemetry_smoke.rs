@@ -105,7 +105,6 @@ fn spawn_child(mode: &str, threads: usize, events_path: Option<&str>) -> String 
     cmd.arg(mode)
         .env("MSS_THREADS", threads.to_string())
         .env_remove("MSS_METRICS")
-        .env_remove("MSS_TRACE")
         .env_remove("MSS_DEADLINE_MS")
         .env_remove("MSS_RETRY_MAX");
     match events_path {

@@ -69,9 +69,10 @@ pub fn fig9_periods() -> Vec<f64> {
 ///   trusted — an emitter regression fails the smoke run, not a later
 ///   consumer,
 /// - the structural `BENCH_<name>.json` baseline (`MSS_BENCH_BASELINE_OUT`,
-///   default `target/BENCH_<name>.json`) for `mss_report check`,
-/// - in trace mode, the Chrome trace (`target/<name>.trace.json`) loadable
-///   in Perfetto / `chrome://tracing`.
+///   default `target/BENCH_<name>.json`) for `mss_report check`.
+///
+/// Span timelines are not written here: run with `MSS_EVENTS_PATH=<file>`
+/// as well and export that stream with `mss_report chrome-trace`.
 ///
 /// No-op (with a hint) when observability is disabled.
 ///
@@ -113,17 +114,6 @@ pub fn write_obs_artifacts(name: &str) {
         baseline.counters.len(),
         baseline.spans.len()
     );
-
-    if !report.events.is_empty() {
-        let trace_path = format!("target/{name}.trace.json");
-        let trace = mss_prof::chrome_trace(&report).expect("events present, export must succeed");
-        write(&trace_path, &trace);
-        println!(
-            "trace    : {} events ({} dropped) -> {trace_path} (load in Perfetto)",
-            report.events.len(),
-            report.meta.dropped_events
-        );
-    }
 
     run_watchdog(name, &report);
 }

@@ -293,18 +293,22 @@ where
     let slots: Vec<Mutex<Option<U>>> = (0..tasks).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
     let mut busy_seconds = vec![0.0; threads];
+    let parent_spans = mss_obs::SpanContext::capture();
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|worker| {
                 let slots = &slots;
                 let next = &next;
                 let f = &f;
+                let parent_spans = &parent_spans;
                 scope.spawn(move || {
                     // Pin the observability thread ordinal to `1 + worker`
                     // so span ownership and Chrome-trace timelines name
                     // workers stably across parallel regions (0 stays the
-                    // main thread).
-                    mss_obs::set_thread_ordinal(1 + worker as u32);
+                    // main thread), and nest the worker's spans under the
+                    // caller's so span paths do not depend on the thread
+                    // count.
+                    parent_spans.enter_worker(1 + worker as u32);
                     let mut busy = 0.0;
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);

@@ -724,6 +724,7 @@ where
     let failures = Mutex::new(Vec::new());
     let next = AtomicUsize::new(0);
     let mut busy_seconds = vec![0.0; threads];
+    let parent_spans = mss_obs::SpanContext::capture();
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|worker| {
@@ -734,8 +735,9 @@ where
                 let skip_task = &skip_task;
                 let note_settled = &note_settled;
                 let heartbeat = &heartbeat;
+                let parent_spans = &parent_spans;
                 scope.spawn(move || {
-                    mss_obs::set_thread_ordinal(1 + worker as u32);
+                    parent_spans.enter_worker(1 + worker as u32);
                     let mut busy = 0.0;
                     let mut tasks_done = 0u64;
                     loop {

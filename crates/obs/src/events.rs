@@ -39,8 +39,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
-use crate::ndjson::{json_num, json_str};
-use crate::SCHEMA_VERSION;
+use crate::ndjson::{json_num, json_str, meta_line};
 
 /// Events kept per thread in the flight-recorder ring; older events are
 /// evicted (and tallied) once a thread's ring is full.
@@ -397,11 +396,7 @@ impl EventBus {
         }
         let events = self.snapshot();
         let evictions = self.ring_evictions();
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{{\"type\":\"meta\",\"schema\":{SCHEMA_VERSION},\"mode\":\"events\",\"dropped_events\":{evictions},\"reason\":{}}}\n",
-            json_str(reason)
-        ));
+        let mut out = meta_line("events", evictions, Some(reason));
         for event in &events {
             out.push_str(&event.to_json_line());
             out.push('\n');
@@ -446,10 +441,7 @@ fn open_sink(path: &Path) -> std::io::Result<std::fs::File> {
         }
     }
     let mut file = std::fs::File::create(path)?;
-    file.write_all(
-        format!("{{\"type\":\"meta\",\"schema\":{SCHEMA_VERSION},\"mode\":\"events\",\"dropped_events\":0}}\n")
-            .as_bytes(),
-    )?;
+    file.write_all(meta_line("events", 0, None).as_bytes())?;
     Ok(file)
 }
 

@@ -7,7 +7,8 @@
 //! - **counters** — monotonically increasing named `u64`s,
 //! - **histograms** — fixed-bucket (half-decade log₁₀) value distributions,
 //! - **spans** — hierarchical RAII timers aggregated by path
-//!   (`parent/child`), with optional per-event tracing,
+//!   (`parent/child`); individual closings reach the [event bus](events),
+//!   the one source of span timelines,
 //! - **run records** — `mss-exec` `RunStats`-shaped entries (tasks, samples,
 //!   wall time, per-thread utilization) folded into counters + histograms.
 //!
@@ -22,11 +23,11 @@
 //!
 //! - `MSS_METRICS=1` — counters, gauges, histograms and span aggregates are
 //!   live;
-//! - `MSS_TRACE=1` — additionally records individual span events (bounded
-//!   buffer) and implies `MSS_METRICS`;
 //! - `MSS_EVENTS=1` / `MSS_EVENTS_PATH=<file>` — enables the live
 //!   [event bus](events) (typed progress/heartbeat/failure/gauge events,
-//!   per-thread flight-recorder rings, NDJSON event stream).
+//!   per-thread flight-recorder rings, NDJSON event stream). Together with
+//!   `MSS_METRICS=1` the stream carries every span closing, which is what
+//!   `mss_report chrome-trace` turns into a timeline.
 //!
 //! With none set the global API is a no-op behind a single relaxed atomic
 //! load — instrumentation can stay in hot paths permanently. The disabled
@@ -59,17 +60,11 @@ use std::time::Instant;
 
 /// Environment variable enabling metrics (counters/histograms/spans).
 pub const METRICS_ENV: &str = "MSS_METRICS";
-/// Environment variable enabling per-event span tracing (implies metrics).
-pub const TRACE_ENV: &str = "MSS_TRACE";
 /// Environment variable enabling the live [event bus](events).
 pub const EVENTS_ENV: &str = "MSS_EVENTS";
 /// Environment variable overriding the event-stream sink path (setting it
 /// implies [`EVENTS_ENV`]).
 pub const EVENTS_PATH_ENV: &str = "MSS_EVENTS_PATH";
-
-/// Cap on buffered trace events; recording stops (and a drop counter runs)
-/// once the buffer is full, bounding memory for long runs.
-pub const TRACE_EVENT_CAP: usize = 8192;
 
 /// Number of histogram buckets (half-decade log₁₀ spacing).
 pub const HIST_BUCKETS: usize = 64;
@@ -92,15 +87,16 @@ pub const HIST_BUCKETS: usize = 64;
 ///   (`{"type":"bus","kind":"progress",...}`; see [`events::EventPayload`]),
 /// - meta mode `"events"` — marks a pure event-stream file (live stream or
 ///   flight-recorder dump) rather than an aggregate run report.
+///
+/// The writer emits a strict subset of v3: run reports carry no `event`
+/// lines and never mode `"trace"` (span timelines are the bus's
+/// `span_close` lines), and their `dropped_events` is always 0. Readers
+/// accept both in files from older writers, so the version stays 3.
 pub const SCHEMA_VERSION: u32 = 3;
 
-/// Counter bumped when `MSS_METRICS`/`MSS_TRACE` hold a garbled value (the
+/// Counter bumped when `MSS_METRICS`/`MSS_EVENTS` hold a garbled value (the
 /// value is warned about once on stderr and otherwise ignored).
 pub const BAD_ENV_COUNTER: &str = "obs.bad_env";
-
-/// Counter holding the number of trace events dropped on buffer overflow;
-/// also surfaced as `dropped_events` in the NDJSON `meta` line.
-pub const DROPPED_EVENTS_COUNTER: &str = "obs.trace.dropped_events";
 
 /// What the registry records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -109,12 +105,10 @@ pub enum Mode {
     Off,
     /// Record counters, histograms and span aggregates.
     Metrics,
-    /// [`Mode::Metrics`] plus individual span events (bounded buffer).
-    Trace,
 }
 
 impl Mode {
-    /// Reads the mode from `MSS_TRACE` / `MSS_METRICS` via the process-wide
+    /// Reads the mode from `MSS_METRICS` via the process-wide
     /// cached [`env_config`] (parsed once, warned about once).
     ///
     /// Accepted spellings (after trimming, case-insensitive): `1`/`true`/`on`
@@ -131,13 +125,13 @@ impl Mode {
 
 /// The observability environment, parsed once per process.
 ///
-/// Every consumer of `MSS_METRICS` / `MSS_TRACE` / `MSS_EVENTS` /
+/// Every consumer of `MSS_METRICS` / `MSS_EVENTS` /
 /// `MSS_EVENTS_PATH` goes through this single cached snapshot, so garbled
 /// values warn exactly once no matter how many registries, buses or call
 /// sites consult the environment.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EnvConfig {
-    /// Recording mode from `MSS_TRACE` / `MSS_METRICS`.
+    /// Recording mode from `MSS_METRICS`.
     pub mode: Mode,
     /// Whether the live event bus is enabled (`MSS_EVENTS`, or implied by a
     /// non-empty `MSS_EVENTS_PATH`).
@@ -171,9 +165,7 @@ impl EnvConfig {
                 }
             },
         };
-        let mode = if flag(TRACE_ENV) {
-            Mode::Trace
-        } else if flag(METRICS_ENV) {
+        let mode = if flag(METRICS_ENV) {
             Mode::Metrics
         } else {
             Mode::Off
@@ -348,15 +340,6 @@ struct ThreadSlice {
     total_seconds: f64,
 }
 
-/// One recorded span event (trace mode only).
-#[derive(Debug, Clone)]
-struct TraceEvent {
-    path: String,
-    tid: u32,
-    start_seconds: f64,
-    duration_seconds: f64,
-}
-
 /// One open span on a thread's stack: its name plus the time already
 /// attributed to completed child spans (used for self-time on close).
 #[derive(Debug)]
@@ -377,16 +360,45 @@ thread_local! {
 
 /// Next lazily-assigned thread ordinal. The first recording thread —
 /// normally the main thread — gets 0; `mss-exec` workers pin `1 + worker`
-/// via [`set_thread_ordinal`] before pulling tasks.
+/// via [`SpanContext::enter_worker`] before pulling tasks.
 static NEXT_ORDINAL: std::sync::atomic::AtomicU32 = std::sync::atomic::AtomicU32::new(0);
 
-/// Pins the calling thread's ordinal for span ownership and trace-event
-/// timelines. `mss-exec` calls this with `1 + worker_index` in every spawned
-/// worker so profiles and Chrome traces name workers stably across parallel
-/// regions; threads that never pin one get the next free ordinal on first
-/// use.
+/// Pins the calling thread's ordinal for span ownership and event-bus
+/// timelines, so profiles and Chrome traces name workers stably across
+/// parallel regions; threads that never pin one get the next free ordinal
+/// on first use.
 pub fn set_thread_ordinal(ordinal: u32) {
     THREAD_ORDINAL.with(|cell| cell.set(Some(ordinal)));
+}
+
+/// The spans open on one thread, captured so worker threads nest their own
+/// spans under them: a span path then names the same chain of parents at
+/// any thread count.
+#[derive(Debug)]
+pub struct SpanContext(Vec<&'static str>);
+
+impl SpanContext {
+    /// Captures the calling thread's open spans. Allocates nothing when no
+    /// span is open, which is always the case with every registry off.
+    pub fn capture() -> Self {
+        Self(SPAN_STACK.with(|stack| stack.borrow().iter().map(|f| f.name).collect()))
+    }
+
+    /// Prepares a freshly spawned worker thread: pins its ordinal (see
+    /// [`set_thread_ordinal`]) and seeds its span stack with inert copies of
+    /// the captured frames. The copies never record and are never popped —
+    /// the worker's own guards pop only the frames they pushed.
+    pub fn enter_worker(&self, ordinal: u32) {
+        set_thread_ordinal(ordinal);
+        if !self.0.is_empty() {
+            SPAN_STACK.with(|stack| {
+                stack.borrow_mut().extend(self.0.iter().map(|&name| Frame {
+                    name,
+                    child_seconds: 0.0,
+                }));
+            });
+        }
+    }
 }
 
 /// The calling thread's ordinal, assigning one if needed.
@@ -406,12 +418,10 @@ pub fn thread_ordinal() -> u32 {
 #[derive(Debug)]
 pub struct Registry {
     mode: Mode,
-    epoch: Instant,
     counters: Mutex<BTreeMap<String, u64>>,
     gauges: Mutex<BTreeMap<String, f64>>,
     histograms: Mutex<BTreeMap<String, Histogram>>,
     spans: Mutex<BTreeMap<String, SpanAgg>>,
-    events: Mutex<Vec<TraceEvent>>,
 }
 
 impl Registry {
@@ -419,17 +429,15 @@ impl Registry {
     pub fn new(mode: Mode) -> Self {
         Self {
             mode,
-            epoch: Instant::now(),
             counters: Mutex::new(BTreeMap::new()),
             gauges: Mutex::new(BTreeMap::new()),
             histograms: Mutex::new(BTreeMap::new()),
             spans: Mutex::new(BTreeMap::new()),
-            events: Mutex::new(Vec::new()),
         }
     }
 
     /// Creates a registry with the mode from the cached [`env_config`];
-    /// garbled `MSS_METRICS`/`MSS_TRACE`/`MSS_EVENTS` values are warned about
+    /// garbled `MSS_METRICS`/`MSS_EVENTS` values are warned about
     /// once (at env parse) and seed the [`BAD_ENV_COUNTER`] so a
     /// misconfigured run stays diagnosable from its own report.
     pub fn from_env() -> Self {
@@ -585,43 +593,26 @@ impl Registry {
         });
         let self_seconds = (duration - child_seconds).max(0.0);
         let tid = thread_ordinal();
-        {
-            let mut spans = self.spans.lock().expect("obs spans poisoned");
-            let agg = spans.entry_or_insert(path);
-            if agg.count == 0 {
-                agg.min_seconds = duration;
-                agg.max_seconds = duration;
-            } else {
-                agg.min_seconds = agg.min_seconds.min(duration);
-                agg.max_seconds = agg.max_seconds.max(duration);
-            }
-            agg.count += 1;
-            agg.total_seconds += duration;
-            agg.self_seconds += self_seconds;
-            let slice = agg.by_thread.entry(tid).or_default();
-            slice.count += 1;
-            slice.total_seconds += duration;
+        let mut spans = self.spans.lock().expect("obs spans poisoned");
+        let agg = spans.entry_or_insert(path);
+        if agg.count == 0 {
+            agg.min_seconds = duration;
+            agg.max_seconds = duration;
+        } else {
+            agg.min_seconds = agg.min_seconds.min(duration);
+            agg.max_seconds = agg.max_seconds.max(duration);
         }
-        if self.mode == Mode::Trace {
-            let start = self.epoch.elapsed().as_secs_f64() - duration;
-            let mut events = self.events.lock().expect("obs events poisoned");
-            if events.len() < TRACE_EVENT_CAP {
-                events.push(TraceEvent {
-                    path: path.to_string(),
-                    tid,
-                    start_seconds: start.max(0.0),
-                    duration_seconds: duration,
-                });
-            } else {
-                drop(events);
-                self.counter_add(DROPPED_EVENTS_COUNTER, 1);
-            }
-        }
+        agg.count += 1;
+        agg.total_seconds += duration;
+        agg.self_seconds += self_seconds;
+        let slice = agg.by_thread.entry(tid).or_default();
+        slice.count += 1;
+        slice.total_seconds += duration;
     }
 
     /// Renders the whole registry as NDJSON — one self-describing JSON
     /// object per line, deterministically ordered (`meta`, then counters,
-    /// gauges, histograms, spans and events, each alphabetical):
+    /// gauges, histograms and spans, each alphabetical):
     ///
     /// ```text
     /// {"type":"meta","schema":3,"mode":"metrics","dropped_events":0}
@@ -629,22 +620,16 @@ impl Registry {
     /// {"type":"gauge","name":"pipe.mem.occupancy","value":1.2e1}
     /// {"type":"histogram","name":"vaet.mc.wall_seconds","count":2,...,"p50":...,"p90":...,"p99":...}
     /// {"type":"span","path":"mc_smoke/vaet.mc.run","count":2,...,"self_seconds":...,"by_thread":[[0,2,1.5e-3]]}
-    /// {"type":"event","path":"...","tid":0,"start_seconds":...,"duration_seconds":...}
     /// ```
     ///
     /// See [`SCHEMA_VERSION`] for the v1→v2→v3 field additions; `mss-prof`
     /// parses, validates, diffs and exports this format.
     pub fn to_ndjson(&self) -> String {
-        let mut out = String::new();
         let mode = match self.mode {
             Mode::Off => "off",
             Mode::Metrics => "metrics",
-            Mode::Trace => "trace",
         };
-        let dropped = self.counter(DROPPED_EVENTS_COUNTER);
-        out.push_str(&format!(
-            "{{\"type\":\"meta\",\"schema\":{SCHEMA_VERSION},\"mode\":\"{mode}\",\"dropped_events\":{dropped}}}\n"
-        ));
+        let mut out = ndjson::meta_line(mode, 0, None);
         for (name, value) in self.counters.lock().expect("obs counters poisoned").iter() {
             out.push_str(&format!(
                 "{{\"type\":\"counter\",\"name\":{},\"value\":{value}}}\n",
@@ -701,15 +686,6 @@ impl Registry {
                 json_num(s.min_seconds),
                 json_num(s.max_seconds),
                 by_thread.join(",")
-            ));
-        }
-        for e in self.events.lock().expect("obs events poisoned").iter() {
-            out.push_str(&format!(
-                "{{\"type\":\"event\",\"path\":{},\"tid\":{},\"start_seconds\":{},\"duration_seconds\":{}}}\n",
-                json_str(&e.path),
-                e.tid,
-                json_num(e.start_seconds),
-                json_num(e.duration_seconds)
             ));
         }
         out
@@ -788,6 +764,17 @@ pub mod ndjson {
         } else {
             "null".to_string()
         }
+    }
+
+    /// The `meta` line that opens every NDJSON file (run report, event
+    /// stream, flight dump), newline included. `reason` is set only on
+    /// flight dumps.
+    pub fn meta_line(mode: &str, dropped_events: u64, reason: Option<&str>) -> String {
+        let reason = reason.map_or_else(String::new, |r| format!(",\"reason\":{}", json_str(r)));
+        format!(
+            "{{\"type\":\"meta\",\"schema\":{},\"mode\":\"{mode}\",\"dropped_events\":{dropped_events}{reason}}}\n",
+            super::SCHEMA_VERSION
+        )
     }
 }
 
@@ -898,147 +885,11 @@ pub fn report_ndjson() -> String {
 mod tests {
     use super::*;
 
-    /// Minimal recursive-descent JSON validator — enough to prove every
-    /// emitted line is standalone valid JSON without external crates.
-    mod json {
-        pub fn validate(s: &str) -> Result<(), String> {
-            let b = s.as_bytes();
-            let mut i = 0usize;
-            value(b, &mut i)?;
-            skip_ws(b, &mut i);
-            if i != b.len() {
-                return Err(format!("trailing data at byte {i}"));
-            }
-            Ok(())
-        }
-
-        fn skip_ws(b: &[u8], i: &mut usize) {
-            while *i < b.len() && matches!(b[*i], b' ' | b'\t' | b'\n' | b'\r') {
-                *i += 1;
-            }
-        }
-
-        fn value(b: &[u8], i: &mut usize) -> Result<(), String> {
-            skip_ws(b, i);
-            match b.get(*i) {
-                Some(b'{') => object(b, i),
-                Some(b'[') => array(b, i),
-                Some(b'"') => string(b, i),
-                Some(b't') => literal(b, i, b"true"),
-                Some(b'f') => literal(b, i, b"false"),
-                Some(b'n') => literal(b, i, b"null"),
-                Some(c) if c.is_ascii_digit() || *c == b'-' => number(b, i),
-                other => Err(format!("unexpected {other:?} at byte {i}")),
-            }
-        }
-
-        fn literal(b: &[u8], i: &mut usize, lit: &[u8]) -> Result<(), String> {
-            if b[*i..].starts_with(lit) {
-                *i += lit.len();
-                Ok(())
-            } else {
-                Err(format!("bad literal at byte {i}"))
-            }
-        }
-
-        fn object(b: &[u8], i: &mut usize) -> Result<(), String> {
-            *i += 1; // {
-            skip_ws(b, i);
-            if b.get(*i) == Some(&b'}') {
-                *i += 1;
-                return Ok(());
-            }
-            loop {
-                skip_ws(b, i);
-                string(b, i)?;
-                skip_ws(b, i);
-                if b.get(*i) != Some(&b':') {
-                    return Err(format!("expected ':' at byte {i}"));
-                }
-                *i += 1;
-                value(b, i)?;
-                skip_ws(b, i);
-                match b.get(*i) {
-                    Some(b',') => *i += 1,
-                    Some(b'}') => {
-                        *i += 1;
-                        return Ok(());
-                    }
-                    other => return Err(format!("expected ',' or '}}', got {other:?}")),
-                }
-            }
-        }
-
-        fn array(b: &[u8], i: &mut usize) -> Result<(), String> {
-            *i += 1; // [
-            skip_ws(b, i);
-            if b.get(*i) == Some(&b']') {
-                *i += 1;
-                return Ok(());
-            }
-            loop {
-                value(b, i)?;
-                skip_ws(b, i);
-                match b.get(*i) {
-                    Some(b',') => *i += 1,
-                    Some(b']') => {
-                        *i += 1;
-                        return Ok(());
-                    }
-                    other => return Err(format!("expected ',' or ']', got {other:?}")),
-                }
-            }
-        }
-
-        fn string(b: &[u8], i: &mut usize) -> Result<(), String> {
-            if b.get(*i) != Some(&b'"') {
-                return Err(format!("expected string at byte {i}"));
-            }
-            *i += 1;
-            while let Some(&c) = b.get(*i) {
-                match c {
-                    b'"' => {
-                        *i += 1;
-                        return Ok(());
-                    }
-                    b'\\' => *i += 2,
-                    _ => *i += 1,
-                }
-            }
-            Err("unterminated string".into())
-        }
-
-        fn number(b: &[u8], i: &mut usize) -> Result<(), String> {
-            let start = *i;
-            if b.get(*i) == Some(&b'-') {
-                *i += 1;
-            }
-            let digits = |b: &[u8], i: &mut usize| {
-                let s = *i;
-                while *i < b.len() && b[*i].is_ascii_digit() {
-                    *i += 1;
-                }
-                *i > s
-            };
-            if !digits(b, i) {
-                return Err(format!("bad number at byte {start}"));
-            }
-            if b.get(*i) == Some(&b'.') {
-                *i += 1;
-                if !digits(b, i) {
-                    return Err(format!("bad fraction at byte {start}"));
-                }
-            }
-            if matches!(b.get(*i), Some(b'e') | Some(b'E')) {
-                *i += 1;
-                if matches!(b.get(*i), Some(b'+') | Some(b'-')) {
-                    *i += 1;
-                }
-                if !digits(b, i) {
-                    return Err(format!("bad exponent at byte {start}"));
-                }
-            }
-            Ok(())
+    /// Every emitted line must be standalone valid JSON under the
+    /// workspace's strict parser.
+    fn assert_json(line: &str) {
+        if let Err(e) = mss_prof::json::Value::parse(line) {
+            panic!("invalid JSON: {e}\nline: {line}");
         }
     }
 
@@ -1146,21 +997,6 @@ mod tests {
     }
 
     #[test]
-    fn trace_mode_records_events() {
-        let reg = Registry::new(Mode::Trace);
-        {
-            let _g = reg.span("traced");
-        }
-        let report = reg.to_ndjson();
-        assert!(
-            report
-                .lines()
-                .any(|l| l.contains("\"type\":\"event\"") && l.contains("traced")),
-            "{report}"
-        );
-    }
-
-    #[test]
     fn run_records_become_counters_and_histograms() {
         let reg = Registry::new(Mode::Metrics);
         reg.record_run("mc", 10, 4000, 0.5, &[0.4, 0.45]);
@@ -1175,7 +1011,7 @@ mod tests {
 
     #[test]
     fn every_ndjson_line_is_valid_json() {
-        let reg = Registry::new(Mode::Trace);
+        let reg = Registry::new(Mode::Metrics);
         reg.counter_add("weird \"name\"\\path", 1);
         reg.gauge_set("gauge \"weird\"", 1.25);
         reg.gauge_set("gauge.nan", f64::NAN);
@@ -1189,10 +1025,10 @@ mod tests {
         let report = reg.to_ndjson();
         assert!(report.lines().count() >= 7, "{report}");
         for line in report.lines() {
-            json::validate(line).unwrap_or_else(|e| panic!("invalid JSON: {e}\nline: {line}"));
+            assert_json(line);
         }
         // Types all present.
-        for ty in ["meta", "counter", "gauge", "histogram", "span", "event"] {
+        for ty in ["meta", "counter", "gauge", "histogram", "span"] {
             assert!(
                 report.contains(&format!("\"type\":\"{ty}\"")),
                 "missing {ty}: {report}"
@@ -1205,47 +1041,28 @@ mod tests {
         assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
         assert_eq!(json_num(f64::NAN), "null");
         assert_eq!(json_num(f64::INFINITY), "null");
-        json::validate(&json_str("ctrl\u{1}char")).unwrap();
+        assert_json(&json_str("ctrl\u{1}char"));
     }
 
     #[test]
-    fn trace_event_buffer_is_bounded() {
-        let reg = Registry::new(Mode::Trace);
-        for _ in 0..(TRACE_EVENT_CAP + 10) {
-            let _g = reg.span("spin");
-        }
-        let events = reg.events.lock().unwrap().len();
-        assert_eq!(events, TRACE_EVENT_CAP);
-        assert_eq!(reg.counter(DROPPED_EVENTS_COUNTER), 10);
+    fn meta_lines_have_one_shape_for_every_writer() {
+        assert_eq!(
+            ndjson::meta_line("metrics", 0, None),
+            "{\"type\":\"meta\",\"schema\":3,\"mode\":\"metrics\",\"dropped_events\":0}\n"
+        );
+        assert_eq!(
+            ndjson::meta_line("events", 7, Some("sweep \"x\" failed")),
+            "{\"type\":\"meta\",\"schema\":3,\"mode\":\"events\",\"dropped_events\":7,\"reason\":\"sweep \\\"x\\\" failed\"}\n"
+        );
+        let report = Registry::new(Mode::Off).to_ndjson();
+        assert_eq!(report, ndjson::meta_line("off", 0, None));
     }
 
     #[test]
-    fn trace_overflow_is_surfaced_in_meta_not_silent() {
-        // A truncated timeline must announce itself: overflow the bounded
-        // buffer and assert the meta line carries the exact drop count.
-        let reg = Registry::new(Mode::Trace);
-        for _ in 0..(TRACE_EVENT_CAP + 25) {
-            let _g = reg.span("spin");
-        }
-        let report = reg.to_ndjson();
-        let meta = report.lines().next().expect("meta line");
-        assert!(
-            meta.contains("\"dropped_events\":25"),
-            "meta must report drops: {meta}"
-        );
-        // And an un-overflowed registry reports zero, not a missing field.
-        let quiet = Registry::new(Mode::Trace);
-        {
-            let _g = quiet.span("one");
-        }
-        let meta = quiet.to_ndjson();
-        assert!(
-            meta.lines()
-                .next()
-                .unwrap()
-                .contains("\"dropped_events\":0"),
-            "{meta}"
-        );
+    fn span_context_capture_allocates_nothing_when_off() {
+        let reg = Registry::new(Mode::Off);
+        let _g = reg.span("ignored");
+        assert_eq!(SpanContext::capture().0.capacity(), 0);
     }
 
     #[test]
@@ -1392,18 +1209,18 @@ mod tests {
     #[test]
     fn env_config_parses_and_warns_once_per_variable() {
         let vars = |key: &str| match key {
-            TRACE_ENV => Some("banana".to_string()),
-            METRICS_ENV => Some("1".to_string()),
+            METRICS_ENV => Some("banana".to_string()),
             EVENTS_ENV => Some("maybe".to_string()),
+            EVENTS_PATH_ENV => Some("target/custom.ndjson".to_string()),
             _ => None,
         };
         let (config, warnings) = EnvConfig::parse_from(vars);
-        // Garbled MSS_TRACE counts as unset; MSS_METRICS=1 still applies.
-        assert_eq!(config.mode, Mode::Metrics);
-        assert!(!config.events);
+        // Garbled flags count as unset; MSS_EVENTS_PATH still enables the bus.
+        assert_eq!(config.mode, Mode::Off);
+        assert!(config.events);
         assert_eq!(config.bad_env, 2);
         assert_eq!(warnings.len(), 2, "exactly one warning per garbled var");
-        assert!(warnings[0].contains(TRACE_ENV), "{warnings:?}");
+        assert!(warnings[0].contains(METRICS_ENV), "{warnings:?}");
         assert!(warnings[1].contains(EVENTS_ENV), "{warnings:?}");
 
         // Clean environment: no warnings at all.
@@ -1427,10 +1244,7 @@ mod tests {
         // Whatever the ambient environment, construction must not panic and
         // the mode must be valid (garbled values are ignored, not fatal).
         let reg = Registry::from_env();
-        assert!(matches!(
-            reg.mode(),
-            Mode::Off | Mode::Metrics | Mode::Trace
-        ));
+        assert!(matches!(reg.mode(), Mode::Off | Mode::Metrics));
     }
 
     #[test]
@@ -1438,7 +1252,7 @@ mod tests {
         // The test environment does not set the variables; whatever the
         // ambient state, the parse must produce a valid mode.
         let m = Mode::from_env();
-        assert!(matches!(m, Mode::Off | Mode::Metrics | Mode::Trace));
+        assert!(matches!(m, Mode::Off | Mode::Metrics));
     }
 
     #[test]
@@ -1475,7 +1289,7 @@ mod tests {
         record_run("obs.test.run", 1, 1, 1e-6, &[1e-6]);
         let report = report_ndjson();
         for line in report.lines() {
-            json::validate(line).unwrap_or_else(|e| panic!("invalid JSON: {e}\nline: {line}"));
+            assert_json(line);
         }
         assert!(!init_with_mode(Mode::Off), "global already initialised");
     }

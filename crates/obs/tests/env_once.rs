@@ -1,15 +1,15 @@
 //! Regression test for the consolidated, cached observability env parsing.
 //!
 //! Before the `env_config` consolidation, `Mode::from_env` re-parsed
-//! `MSS_METRICS`/`MSS_TRACE` on every call site (global registry init,
+//! `MSS_METRICS` on every call site (global registry init,
 //! explicit `Registry::from_env`, diagnostics), each with its own warn-once
 //! `Once` — so a garbled value was re-validated repeatedly and the
 //! bad-env tally differed between consumers. This test runs in its own
-//! process (integration tests are separate binaries), poisons all three
-//! flag variables *before* anything consults them, and asserts every entry
-//! point observes one identical cached parse.
+//! process (integration tests are separate binaries), sets the flag
+//! variables — one of them garbled — *before* anything consults them, and
+//! asserts every entry point observes one identical cached parse.
 
-use mss_obs::{Mode, Registry, BAD_ENV_COUNTER, EVENTS_ENV, METRICS_ENV, TRACE_ENV};
+use mss_obs::{Mode, Registry, BAD_ENV_COUNTER, EVENTS_ENV, METRICS_ENV};
 
 #[test]
 fn garbled_flags_are_parsed_once_and_consistently() {
@@ -18,13 +18,12 @@ fn garbled_flags_are_parsed_once_and_consistently() {
     // MSS_METRICS stays valid so the registries below are live enough to
     // record the bad-env tally.
     std::env::set_var(METRICS_ENV, "1");
-    std::env::set_var(TRACE_ENV, "nope");
     std::env::set_var(EVENTS_ENV, "2");
 
     let config = mss_obs::env_config();
-    assert_eq!(config.mode, Mode::Metrics, "garbled MSS_TRACE counts unset");
+    assert_eq!(config.mode, Mode::Metrics);
     assert!(!config.events, "garbled MSS_EVENTS counts unset");
-    assert_eq!(config.bad_env, 2, "both garbled vars tallied");
+    assert_eq!(config.bad_env, 1, "the garbled var is tallied once");
 
     // Every consumer sees the same cached parse — no re-reads, no drift.
     assert_eq!(Mode::from_env(), Mode::Metrics);
@@ -34,12 +33,12 @@ fn garbled_flags_are_parsed_once_and_consistently() {
     // Each registry built from the env seeds the same diagnosable tally.
     let first = Registry::from_env();
     let second = Registry::from_env();
-    assert_eq!(first.counter(BAD_ENV_COUNTER), 2);
-    assert_eq!(second.counter(BAD_ENV_COUNTER), 2);
+    assert_eq!(first.counter(BAD_ENV_COUNTER), 1);
+    assert_eq!(second.counter(BAD_ENV_COUNTER), 1);
 
     // Changing the environment after the first parse is deliberately
     // ignored: the snapshot is per-process, so warnings cannot repeat.
-    std::env::set_var(TRACE_ENV, "1");
+    std::env::set_var(METRICS_ENV, "0");
     assert_eq!(
         Mode::from_env(),
         Mode::Metrics,

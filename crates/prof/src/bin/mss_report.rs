@@ -4,7 +4,7 @@
 //! mss_report summary <report.ndjson> [--top N]
 //! mss_report diff <base.ndjson> <new.ndjson> [--max-span-ratio R]
 //!                 [--min-span-seconds S] [--ignore-counter PREFIX]...
-//! mss_report chrome-trace <report.ndjson> [--out FILE]
+//! mss_report chrome-trace <events.ndjson> [--out FILE]
 //! mss_report validate <report.ndjson>...
 //! mss_report baseline <report.ndjson> --name NAME [--out FILE]
 //! mss_report check <BENCH_name.json> <report.ndjson> [--max-span-ratio R]
@@ -37,9 +37,11 @@ commands:
       Compare two runs. Counter or span-structure drift always gates
       (deterministic); span times gate when > R x slower (default 2.0)
       above the S-second noise floor (default 0.05). Exit 1 on regression.
-  chrome-trace <report.ndjson> [--out FILE]
-      Export an MSS_TRACE=1 run as Chrome trace-event JSON (stdout or
-      FILE); load it in https://ui.perfetto.dev or chrome://tracing.
+  chrome-trace <events.ndjson> [--out FILE]
+      Export the span_close events of an event stream (a run under
+      MSS_METRICS=1 MSS_EVENTS_PATH=<file>, or a flight dump) as Chrome
+      trace-event JSON (stdout or FILE), one X event per span closing;
+      load it in https://ui.perfetto.dev or chrome://tracing.
   validate <report.ndjson>...
       Strict schema validation of each report; exit 1 on the first
       invalid file.
@@ -219,7 +221,7 @@ fn diff_cmd(rest: &[String]) -> Result<bool, String> {
 fn chrome_cmd(rest: &[String]) -> Result<bool, String> {
     let (pos, flags) = parse_flags(rest, &["out"])?;
     let [path] = pos.as_slice() else {
-        return Err("chrome-trace expects exactly one report".to_string());
+        return Err("chrome-trace expects exactly one event stream".to_string());
     };
     let report = load_report(path)?;
     let trace = chrome_trace(&report)?;
@@ -235,12 +237,12 @@ fn validate(rest: &[String]) -> Result<bool, String> {
         let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
         match Report::parse_ndjson(&text) {
             Ok(r) => println!(
-                "{path}: valid schema v{} ({} counters, {} histograms, {} spans, {} events)",
+                "{path}: valid schema v{} ({} counters, {} histograms, {} spans, {} bus)",
                 r.meta.schema,
                 r.counters.len(),
                 r.histograms.len(),
                 r.spans.len(),
-                r.events.len()
+                r.bus.len()
             ),
             Err(e) => {
                 eprintln!("{path}: INVALID: {e}");

@@ -265,11 +265,19 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(&c) if c < 0x20 => return Err(format!("raw control byte at {}", self.pos)),
-                Some(_) => {
+                Some(&lead) => {
                     // Advance one UTF-8 character (input is a &str, so the
-                    // byte stream is valid UTF-8 by construction).
-                    let rest = &self.bytes[self.pos..];
-                    let step = std::str::from_utf8(rest)
+                    // byte stream is valid UTF-8 by construction). Decode
+                    // only that character's bytes: validating the whole
+                    // remainder made long documents quadratic.
+                    let width = match lead {
+                        0x00..=0x7F => 1,
+                        0xC0..=0xDF => 2,
+                        0xE0..=0xEF => 3,
+                        _ => 4,
+                    };
+                    let end = (self.pos + width).min(self.bytes.len());
+                    let step = std::str::from_utf8(&self.bytes[self.pos..end])
                         .ok()
                         .and_then(|s| s.chars().next())
                         .map_or(1, |c| {

@@ -4,12 +4,13 @@
 //! `mss-obs` (PR 2) made every layer of the device→PDK→memory→system flow
 //! *emit* NDJSON run reports; this crate makes them *actionable*:
 //!
-//! - [`report`] — strict parsing/validation of the NDJSON schema (v1 and
-//!   the v2 profiling extensions: self time, per-thread ownership,
-//!   quantiles, drop counts) plus top-N hot-path attribution,
+//! - [`report`] — strict parsing/validation of the NDJSON schema (v1, the
+//!   v2 profiling extensions — self time, per-thread ownership, quantiles,
+//!   drop counts — and the v3 gauges and event-bus streams) plus top-N
+//!   hot-path attribution,
 //! - [`chrome`] — Chrome trace-event export (loadable in Perfetto /
-//!   `chrome://tracing`) with per-thread timelines named after `mss-exec`
-//!   workers,
+//!   `chrome://tracing`) of an event-bus stream's `span_close` lines, with
+//!   per-thread timelines named after `mss-exec` workers,
 //! - [`diff()`] — run-to-run comparison separating deterministic counter or
 //!   span-structure regressions (always gate) from wall-clock noise
 //!   (ratio-over-noise-floor policy),
@@ -22,7 +23,7 @@
 //! ```text
 //! mss_report summary  target/cache_smoke.ndjson
 //! mss_report diff     base.ndjson new.ndjson --max-span-ratio 2.0
-//! mss_report chrome-trace target/cache_smoke.ndjson --out trace.json
+//! mss_report chrome-trace target/cache_smoke_events.ndjson --out trace.json
 //! mss_report validate target/*.ndjson
 //! mss_report baseline target/cache_smoke.ndjson --name cache_smoke
 //! mss_report check    results/BENCH_cache_smoke.json target/cache_smoke.ndjson
@@ -50,19 +51,28 @@ pub use watchdog::{Watchdog, WatchdogMode, WatchdogRegression};
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chrome::tests::{events_file, publish_span};
+    use mss_obs::events::EventBus;
     use mss_obs::{Mode, Registry};
 
     /// End-to-end: a live registry report survives the full pipeline —
-    /// parse → summarize → baseline → self-check → diff-clean.
+    /// parse → summarize → baseline → self-check → diff-clean — and the
+    /// bus snapshot of the same spans exports one timeline event per
+    /// closing the report counts.
     #[test]
     fn full_pipeline_round_trip() {
-        let reg = Registry::new(Mode::Trace);
+        let reg = Registry::new(Mode::Metrics);
+        let bus = EventBus::new(true, None);
         reg.counter_add("e2e.items", 5);
         reg.record_value("e2e.latency", 1e-6);
         {
             let _g = reg.span("e2e");
-            let _h = reg.span("leg");
+            {
+                let _h = reg.span("leg");
+            }
+            publish_span(&bus, "e2e/leg", 1e-6);
         }
+        publish_span(&bus, "e2e", 2e-6);
         let text = reg.to_ndjson();
 
         let report = Report::parse_ndjson(&text).expect("parse");
@@ -77,7 +87,10 @@ mod tests {
         let d = diff(&report, &report, &DiffOptions::default());
         assert!(d.is_clean());
 
-        let trace = chrome_trace(&report).expect("trace export");
+        let stream = Report::parse_ndjson(&events_file(&bus)).expect("parse stream");
+        let trace = chrome_trace(&stream).expect("trace export");
         json::Value::parse(&trace).expect("trace is valid JSON");
+        let closings: u64 = report.spans.values().map(|s| s.count).sum();
+        assert_eq!(trace.matches("\"ph\":\"X\"").count() as u64, closings);
     }
 }

@@ -6,7 +6,10 @@
 //! the v2 profiling extensions, and the v3 telemetry extensions — gauges
 //! plus event-bus streams/flight dumps) and rejects everything else with a
 //! line-numbered error. CI round-trips every archived report through it, so
-//! a writer regression can never ship silently.
+//! a writer regression can never ship silently. Older files may still carry
+//! mode `trace` and per-closing `event` lines, which today's writer no
+//! longer emits; they are validated and otherwise ignored — span timelines
+//! come from the event bus's `span_close` lines.
 
 use std::collections::BTreeMap;
 
@@ -17,11 +20,11 @@ use crate::json::Value;
 pub struct Meta {
     /// NDJSON schema version (1, 2 or 3).
     pub schema: u32,
-    /// Recording mode (`off`, `metrics`, `trace`, or `events` for v3
-    /// event streams and flight-recorder dumps).
+    /// Recording mode (`off`, `metrics`, `events` for v3 event streams and
+    /// flight-recorder dumps, or `trace` in older files).
     pub mode: String,
-    /// Trace events dropped on buffer overflow (0 for v1 reports); for
-    /// `events` files, flight-ring evictions.
+    /// Flight-ring evictions in `events` files; trace events dropped on
+    /// buffer overflow in older `trace` files; 0 otherwise.
     pub dropped_events: u64,
 }
 
@@ -93,19 +96,6 @@ pub struct ThreadSlice {
     pub total_seconds: f64,
 }
 
-/// One trace event (a single span closing, trace mode only).
-#[derive(Debug, Clone, PartialEq)]
-pub struct EventRecord {
-    /// Span path.
-    pub path: String,
-    /// Recording thread's ordinal (v2; 0 for v1 reports).
-    pub tid: u32,
-    /// Start offset from the registry epoch, seconds.
-    pub start_seconds: f64,
-    /// Duration, seconds.
-    pub duration_seconds: f64,
-}
-
 /// One validated event-bus line from a v3 event stream or flight dump.
 ///
 /// The common envelope (`kind`, `seq`, `tid`, `t_seconds`) is typed; the
@@ -158,8 +148,6 @@ pub struct Report {
     pub histograms: BTreeMap<String, HistogramSummary>,
     /// Span path → aggregate.
     pub spans: BTreeMap<String, SpanSummary>,
-    /// Individual trace events, in emission order.
-    pub events: Vec<EventRecord>,
     /// Event-bus lines (v3 `events` files), in stream order.
     pub bus: Vec<BusRecord>,
 }
@@ -177,7 +165,7 @@ impl Report {
     /// optional on v1 reports and mandatory on v2+. `gauge` and `bus` lines
     /// require schema ≥ 3; `bus` lines are only valid in mode `events`
     /// files (live streams / flight dumps), which in turn carry nothing
-    /// else.
+    /// else. Legacy `event` lines are validated but not kept.
     ///
     /// # Errors
     ///
@@ -188,7 +176,7 @@ impl Report {
         let mut gauges = BTreeMap::new();
         let mut histograms = BTreeMap::new();
         let mut spans = BTreeMap::new();
-        let mut events = Vec::new();
+        let mut legacy_events = false;
         let mut bus = Vec::new();
 
         for (idx, line) in text.lines().enumerate() {
@@ -239,8 +227,8 @@ impl Report {
                     }
                 }
                 "event" => {
-                    events
-                        .push(parse_event(&v, schema).map_err(|e| format!("line {lineno}: {e}"))?);
+                    check_legacy_event(&v, schema).map_err(|e| format!("line {lineno}: {e}"))?;
+                    legacy_events = true;
                 }
                 "gauge" => {
                     if schema < 3 {
@@ -281,7 +269,7 @@ impl Report {
                 && gauges.is_empty()
                 && histograms.is_empty()
                 && spans.is_empty()
-                && events.is_empty())
+                && !legacy_events)
         {
             return Err("mode \"events\" file carries aggregate report lines".to_string());
         }
@@ -291,7 +279,6 @@ impl Report {
             gauges,
             histograms,
             spans,
-            events,
             bus,
         })
     }
@@ -315,14 +302,13 @@ impl Report {
     /// self/total attribution and ownership, and headline counters.
     pub fn render_summary(&self, top: usize) -> String {
         let mut out = format!(
-            "schema v{} | mode {} | {} counters | {} gauges | {} histograms | {} spans | {} events | {} bus",
+            "schema v{} | mode {} | {} counters | {} gauges | {} histograms | {} spans | {} bus",
             self.meta.schema,
             self.meta.mode,
             self.counters.len(),
             self.gauges.len(),
             self.histograms.len(),
             self.spans.len(),
-            self.events.len(),
             self.bus.len(),
         );
         if self.meta.dropped_events > 0 {
@@ -515,18 +501,15 @@ fn parse_span(v: &Value, schema: u32) -> Result<SpanSummary, String> {
     })
 }
 
-fn parse_event(v: &Value, schema: u32) -> Result<EventRecord, String> {
-    let tid = if schema >= 2 {
-        u32::try_from(req_u64(v, "tid")?).map_err(|_| "tid out of range".to_string())?
-    } else {
-        0
-    };
-    Ok(EventRecord {
-        path: req_str(v, "path")?,
-        tid,
-        start_seconds: req_num(v, "start_seconds")?,
-        duration_seconds: req_num(v, "duration_seconds")?,
-    })
+/// Validates one legacy trace-mode `event` line (a single span closing).
+fn check_legacy_event(v: &Value, schema: u32) -> Result<(), String> {
+    if schema >= 2 {
+        u32::try_from(req_u64(v, "tid")?).map_err(|_| "tid out of range".to_string())?;
+    }
+    req_str(v, "path")?;
+    req_num(v, "start_seconds")?;
+    req_num(v, "duration_seconds")?;
+    Ok(())
 }
 
 /// Validates one event-bus line: the common envelope plus the fields each
@@ -626,15 +609,29 @@ mod tests {
         assert!(outer.self_seconds.is_some());
         assert!(!outer.by_thread.is_empty());
         assert!(r.spans.contains_key("outer/inner"));
-        assert!(r.events.is_empty());
+        assert!(!text.contains("\"type\":\"event\""), "{text}");
     }
 
+    /// A schema-v3 trace-mode report from before span timelines moved to the
+    /// event bus: still valid, its `event` lines checked and dropped.
+    const LEGACY_V3_TRACE: &str = include_str!("../tests/data/legacy_v3_trace.ndjson");
+
     #[test]
-    fn parses_a_live_trace_report_with_events() {
-        let text = live_report(Mode::Trace);
-        let r = Report::parse_ndjson(&text).expect("valid report");
-        assert_eq!(r.events.len(), 2);
-        assert!(r.events.iter().any(|e| e.path == "outer/inner"));
+    fn accepts_legacy_trace_reports_and_validates_their_event_lines() {
+        let r = Report::parse_ndjson(LEGACY_V3_TRACE).expect("legacy trace report");
+        assert_eq!(r.meta.mode, "trace");
+        assert_eq!(r.meta.dropped_events, 4);
+        assert_eq!(r.spans.len(), 2);
+        // Event lines are still checked field by field.
+        let broken = LEGACY_V3_TRACE.replace("\"tid\":1,", "");
+        let err = Report::parse_ndjson(&broken).expect_err("event without tid");
+        assert!(err.starts_with("line 5:"), "{err}");
+        // And still do not belong in an event stream.
+        let stream = concat!(
+            "{\"type\":\"meta\",\"schema\":3,\"mode\":\"events\",\"dropped_events\":0}\n",
+            "{\"type\":\"event\",\"path\":\"p\",\"tid\":0,\"start_seconds\":0e0,\"duration_seconds\":1e-3}\n",
+        );
+        assert!(Report::parse_ndjson(stream).is_err());
     }
 
     #[test]
