@@ -261,9 +261,13 @@ pub fn run_ecc_campaign(
         let mut t = Tally::default();
         for block in range {
             let site = block as u64;
+            let stuck = injector.stuck_word(site);
+            let write = injector.write_word(site, 0);
+            let disturb = injector.read_disturb_word(site, 0);
+            let transient = injector.transient_word(site, 0);
             let mut raw_errors = 0u32;
             for bit in 0..bits as u64 {
-                let error = match injector.stuck_at(site, bit) {
+                let error = match stuck.stuck_at(bit) {
                     Some(stuck_value) => {
                         // The stuck value is an independent fair hash bit, so
                         // it doubles as the "written data mismatches the
@@ -275,9 +279,9 @@ pub fn run_ecc_campaign(
                         stuck_value
                     }
                     None => {
-                        let w = injector.write_fails(site, 0, bit);
-                        let r = injector.read_disturbs(site, 0, bit);
-                        let f = injector.transient_flips(site, 0, bit);
+                        let w = write.fires(bit);
+                        let r = disturb.fires(bit);
+                        let f = transient.fires(bit);
                         t.write_errors += w as u64;
                         t.read_disturbs += r as u64;
                         t.transients += f as u64;

@@ -6,8 +6,13 @@
 //! parallelism: the same access produces the same fault no matter which
 //! thread evaluates it, how work is chunked, or in which order sites are
 //! visited.
+//!
+//! Decisions are made a word at a time. The hash is a chain of SplitMix64
+//! finalizers, and only its last link depends on the bit, so a [`WordDraw`]
+//! hashes `(seed, kind, site, epoch)` once and each bit costs one finalizer
+//! and an integer compare against the rate's [`coin_threshold`].
 
-use mss_units::rng::{Rng, SplitMix64};
+use mss_units::rng::{coin_threshold, Rng, SplitMix64};
 
 use crate::plan::{FaultModel, FaultPlan};
 
@@ -25,26 +30,65 @@ fn mix(x: u64) -> u64 {
     SplitMix64::new(x).next_u64()
 }
 
-/// Chained hash of the full decision coordinate.
-#[inline]
-fn hash_decision(seed: u64, kind: u64, site: u64, epoch: u64, bit: u64) -> u64 {
-    let mut h = mix(seed ^ kind);
-    h = mix(h ^ site);
-    h = mix(h ^ epoch);
-    mix(h ^ bit)
+/// One fault kind's Bernoulli draws over the bits of one word.
+///
+/// Holds the hash prefix `mix(mix(mix(seed ^ kind) ^ site) ^ epoch)` and the
+/// integer threshold `⌈p·2⁵³⌉`; bit `b` fires iff
+/// `mix(prefix ^ b) >> 11 < threshold`, which is exactly the uniform test
+/// `u < p` on the 53-bit dyadic grid of [`Rng::next_f64`].
+#[derive(Debug, Clone, Copy)]
+pub struct WordDraw {
+    prefix: u64,
+    threshold: u64,
 }
 
-/// Uniform `[0, 1)` from a hash, 53-bit precision (same dyadic grid as
-/// [`Rng::next_f64`]).
-#[inline]
-fn uniform(h: u64) -> f64 {
-    (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+impl WordDraw {
+    #[inline]
+    fn new(plan: &FaultPlan, kind: u64, site: u64, epoch: u64, p: f64) -> Self {
+        Self {
+            prefix: mix(mix(mix(plan.seed ^ kind) ^ site) ^ epoch),
+            threshold: coin_threshold(p),
+        }
+    }
+
+    /// The full decision hash of `bit`, if the rate is not zero.
+    #[inline]
+    fn hash(&self, bit: u64) -> Option<u64> {
+        (self.threshold != 0).then(|| mix(self.prefix ^ bit))
+    }
+
+    /// Does the draw fire at `bit`?
+    #[inline]
+    pub fn fires(&self, bit: u64) -> bool {
+        self.hash(bit).is_some_and(|h| (h >> 11) < self.threshold)
+    }
+
+    /// The bits in `0..bits` where the draw fires, in ascending order. A
+    /// zero-rate draw yields nothing without hashing.
+    pub fn hits(self, bits: u32) -> impl Iterator<Item = u32> {
+        let end = if self.threshold == 0 { 0 } else { bits };
+        (0..end).filter(move |&bit| self.fires(bit as u64))
+    }
+
+    /// For a stuck-at draw ([`FaultInjector::stuck_word`]): `Some(value)`
+    /// when the cell for `bit` is stuck, with the frozen value taken from
+    /// an independent hash bit so it does not correlate with selection.
+    #[inline]
+    pub fn stuck_at(&self, bit: u64) -> Option<bool> {
+        self.hash(bit)
+            .filter(|&h| (h >> 11) < self.threshold)
+            .map(|h| mix(h) & 1 == 1)
+    }
 }
 
 /// The stateless fault oracle derived from a [`FaultPlan`].
 ///
-/// All queries are `&self`, cheap (a handful of integer multiplies), and
-/// reproducible: a fixed plan answers every question identically forever.
+/// All queries are `&self` and reproducible: a fixed plan answers every
+/// question identically forever. The per-word draws ([`Self::write_word`],
+/// [`Self::read_disturb_word`], [`Self::transient_word`],
+/// [`Self::stuck_word`]) are the decision path: each hashes its coordinate
+/// prefix once, then costs one 64-bit finalizer and an integer compare per
+/// bit. The per-bit queries are one-line conveniences over them.
 /// Sites are caller-defined identifiers (an array base address, a bank
 /// index, a block index in a campaign); epochs distinguish repeated touches
 /// of the same bit (a write attempt counter, an access sequence number).
@@ -62,6 +106,9 @@ fn uniform(h: u64) -> f64 {
 ///     inj.write_fails(3, 0, 12),
 ///     inj.write_fails(3, 0, 12),
 /// );
+/// // A word's draw decides every bit the same way.
+/// let word = inj.write_word(3, 0);
+/// assert_eq!(word.fires(12), inj.write_fails(3, 0, 12));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultInjector {
@@ -90,78 +137,61 @@ impl FaultInjector {
         self.plan.is_active()
     }
 
-    /// Bernoulli draw at probability `p` for one decision coordinate.
-    #[inline]
-    fn draw(&self, kind: u64, site: u64, epoch: u64, bit: u64, p: f64) -> bool {
-        if p <= 0.0 {
-            return false;
-        }
-        if p >= 1.0 {
-            return true;
-        }
-        uniform(hash_decision(self.plan.seed, kind, site, epoch, bit)) < p
-    }
-
-    /// Does the write of `bit` at `site` fail on attempt `epoch`?
+    /// Write failures of the word at `site` on attempt `epoch`.
     ///
     /// Distinct epochs are independent draws, so a bounded retry loop sees
     /// fresh (but reproducible) outcomes on each attempt.
     #[inline]
+    pub fn write_word(&self, site: u64, epoch: u64) -> WordDraw {
+        let p = self.plan.model.write_fail_rate;
+        WordDraw::new(&self.plan, KIND_WRITE_FAIL, site, epoch, p)
+    }
+
+    /// Read disturbs (flips of the stored state) of the word at `site`
+    /// during access `epoch`.
+    #[inline]
+    pub fn read_disturb_word(&self, site: u64, epoch: u64) -> WordDraw {
+        let p = self.plan.model.read_disturb_rate;
+        WordDraw::new(&self.plan, KIND_READ_DISTURB, site, epoch, p)
+    }
+
+    /// Transient flips (retention loss / soft upset since the previous
+    /// touch) of the word at `site` in access epoch `epoch`.
+    #[inline]
+    pub fn transient_word(&self, site: u64, epoch: u64) -> WordDraw {
+        let p = self.plan.model.transient_flip_rate;
+        WordDraw::new(&self.plan, KIND_TRANSIENT, site, epoch, p)
+    }
+
+    /// Fabrication-time stuck-at defects of the word at `site`; read them
+    /// with [`WordDraw::stuck_at`]. Stuck-at state is a property of the
+    /// cell, not of an access: it has no epoch.
+    #[inline]
+    pub fn stuck_word(&self, site: u64) -> WordDraw {
+        let p = self.plan.model.stuck_at_rate;
+        WordDraw::new(&self.plan, KIND_STUCK_AT, site, 0, p)
+    }
+
+    /// Does the write of `bit` at `site` fail on attempt `epoch`?
     pub fn write_fails(&self, site: u64, epoch: u64, bit: u64) -> bool {
-        self.draw(
-            KIND_WRITE_FAIL,
-            site,
-            epoch,
-            bit,
-            self.plan.model.write_fail_rate,
-        )
+        self.write_word(site, epoch).fires(bit)
     }
 
     /// Does reading `bit` at `site` during access `epoch` disturb (flip) the
     /// stored state?
-    #[inline]
     pub fn read_disturbs(&self, site: u64, epoch: u64, bit: u64) -> bool {
-        self.draw(
-            KIND_READ_DISTURB,
-            site,
-            epoch,
-            bit,
-            self.plan.model.read_disturb_rate,
-        )
+        self.read_disturb_word(site, epoch).fires(bit)
     }
 
-    /// Does `bit` at `site` suffer a transient flip in access epoch `epoch`
-    /// (retention loss / soft upset since the previous touch)?
-    #[inline]
+    /// Does `bit` at `site` suffer a transient flip in access epoch `epoch`?
     pub fn transient_flips(&self, site: u64, epoch: u64, bit: u64) -> bool {
-        self.draw(
-            KIND_TRANSIENT,
-            site,
-            epoch,
-            bit,
-            self.plan.model.transient_flip_rate,
-        )
+        self.transient_word(site, epoch).fires(bit)
     }
 
-    /// Is the cell for `bit` at `site` a fabrication-time stuck-at defect,
-    /// and if so, which value is it stuck at?
-    ///
-    /// Stuck-at state is a property of the cell, not of an access: it has no
-    /// epoch. Returns `Some(stuck_value)` for defective cells.
-    #[inline]
+    /// Is the cell for `bit` at `site` a stuck-at defect, and if so, which
+    /// value is it stuck at?
     pub fn stuck_at(&self, site: u64, bit: u64) -> Option<bool> {
-        let p = self.plan.model.stuck_at_rate;
-        if p <= 0.0 {
-            return None;
-        }
-        let h = hash_decision(self.plan.seed, KIND_STUCK_AT, site, 0, bit);
-        if uniform(h) < p {
-            // Derive the stuck value from an independent hash bit so it does
-            // not correlate with the selection threshold.
-            Some(mix(h) & 1 == 1)
-        } else {
-            None
-        }
+        self.stuck_word(site).stuck_at(bit)
     }
 }
 
@@ -169,10 +199,104 @@ impl FaultInjector {
 mod tests {
     use super::*;
 
-    fn injector(f: impl FnOnce(&mut FaultModel)) -> FaultInjector {
+    fn injector_with_seed(seed: u64, f: impl FnOnce(&mut FaultModel)) -> FaultInjector {
         let mut m = FaultModel::none();
         f(&mut m);
-        FaultInjector::new(FaultPlan::new(0xDEAD_BEEF, m).expect("valid model"))
+        FaultInjector::new(FaultPlan::new(seed, m).expect("valid model"))
+    }
+
+    fn injector(f: impl FnOnce(&mut FaultModel)) -> FaultInjector {
+        injector_with_seed(0xDEAD_BEEF, f)
+    }
+
+    /// Executable spec: the original per-coordinate decision, kept as the
+    /// reference the per-word draws must reproduce bit for bit — four
+    /// chained finalizers, then an f64 uniform compared with the rate.
+    mod reference {
+        use super::super::mix;
+
+        fn hash_decision(seed: u64, kind: u64, site: u64, epoch: u64, bit: u64) -> u64 {
+            let mut h = mix(seed ^ kind);
+            h = mix(h ^ site);
+            h = mix(h ^ epoch);
+            mix(h ^ bit)
+        }
+
+        fn uniform(h: u64) -> f64 {
+            (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        }
+
+        pub fn draw(seed: u64, kind: u64, site: u64, epoch: u64, bit: u64, p: f64) -> bool {
+            if p <= 0.0 {
+                return false;
+            }
+            if p >= 1.0 {
+                return true;
+            }
+            uniform(hash_decision(seed, kind, site, epoch, bit)) < p
+        }
+
+        pub fn stuck_at(seed: u64, site: u64, bit: u64, p: f64) -> Option<bool> {
+            if p <= 0.0 {
+                return None;
+            }
+            let h = hash_decision(seed, super::super::KIND_STUCK_AT, site, 0, bit);
+            (uniform(h) < p).then(|| mix(h) & 1 == 1)
+        }
+    }
+
+    #[test]
+    fn word_draws_match_the_reference_chain() {
+        let two53 = (1u64 << 53) as f64;
+        let rates = [
+            0.0,
+            f64::from_bits(1), // 5e-324, the smallest positive f64
+            1.0 / two53,
+            1e-3,
+            0.5,
+            1.0 - 1.0 / two53,
+            1.0,
+        ];
+        for seed in [0u64, 0xDEAD_BEEF, u64::MAX] {
+            for &p in &rates {
+                let inj = injector_with_seed(seed, |m| {
+                    m.write_fail_rate = p;
+                    m.read_disturb_rate = p;
+                    m.transient_flip_rate = p;
+                    m.stuck_at_rate = p;
+                });
+                for site in [0u64, 7, 0x1_0000_0040, u64::MAX] {
+                    let stuck = inj.stuck_word(site);
+                    for bit in 0..600u64 {
+                        assert_eq!(
+                            stuck.stuck_at(bit),
+                            reference::stuck_at(seed, site, bit, p),
+                            "stuck-at seed={seed} site={site} bit={bit} p={p:e}"
+                        );
+                    }
+                    for epoch in [0u64, 1, 12_345, u64::MAX] {
+                        let words = [
+                            (KIND_WRITE_FAIL, inj.write_word(site, epoch)),
+                            (KIND_READ_DISTURB, inj.read_disturb_word(site, epoch)),
+                            (KIND_TRANSIENT, inj.transient_word(site, epoch)),
+                        ];
+                        for (kind, word) in words {
+                            for bit in 0..600u64 {
+                                assert_eq!(
+                                    word.fires(bit),
+                                    reference::draw(seed, kind, site, epoch, bit, p),
+                                    "kind={kind:#x} seed={seed} site={site} epoch={epoch} bit={bit} p={p:e}"
+                                );
+                            }
+                            let hits: Vec<u32> = word.hits(600).collect();
+                            let expect: Vec<u32> =
+                                (0..600).filter(|&b| word.fires(b as u64)).collect();
+                            assert_eq!(hits, expect);
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

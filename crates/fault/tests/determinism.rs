@@ -43,6 +43,41 @@ fn campaign_reports_are_bit_identical_across_thread_counts() {
     }
 }
 
+/// Golden counters of the `0xF00D` campaign above, captured from the
+/// per-bit decision chain the per-word draws replaced: a change that moves
+/// any single fault draw fails here, even if it stays deterministic.
+#[test]
+fn campaign_counters_match_pinned_golden() {
+    let p = plan(0xF00D, |m| {
+        m.write_fail_rate = 0.015;
+        m.read_disturb_rate = 0.003;
+        m.transient_flip_rate = 0.001;
+        m.stuck_at_rate = 0.0005;
+    });
+    let r = run_ecc_campaign(
+        &p,
+        &CampaignOptions::new(6_000, EccScheme::bch(2, 256))
+            .with_parallel(ParallelConfig::serial()),
+    )
+    .expect("campaign");
+    let counters = [
+        r.write_errors,
+        r.read_disturbs,
+        r.transients,
+        r.stuck_cells,
+        r.stuck_errors,
+        r.bit_errors,
+        r.blocks_clean,
+        r.blocks_corrected,
+        r.blocks_detected,
+        r.blocks_uncorrectable,
+    ];
+    assert_eq!(
+        counters,
+        [24_803, 4_913, 1_636, 844, 395, 31_653, 31, 545, 742, 4_682]
+    );
+}
+
 /// Property sweep: `uncorrectable_probability` is monotone non-decreasing in
 /// `p` for every scheme strength, and the empirical small-block injection
 /// rate lands within 3σ of it across a grid of rates.

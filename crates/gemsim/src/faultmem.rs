@@ -125,6 +125,17 @@ pub struct ReadOutcome {
     pub transient_bits: u32,
 }
 
+/// What one background scrub pass found among the corrupted words.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ScrubOutcome {
+    /// Words repaired in place.
+    pub repaired: u64,
+    /// Words left with a detected-but-uncorrectable pattern.
+    pub detected: u64,
+    /// Words left with a potentially silent error pattern.
+    pub uncorrectable: u64,
+}
+
 /// Cumulative activity of a fault-aware array (unscaled simulated counts).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultMemStats {
@@ -250,27 +261,26 @@ impl FaultMemory {
         // Partition the word: stuck cells err iff their frozen value
         // mismatches the data (an independent fair hash bit, as in
         // `mss-fault` campaigns); healthy cells err per write attempt.
-        let mut residual: Vec<u32> = Vec::new();
-        let mut failing: Vec<u32> = Vec::new();
-        for bit in 0..bits {
-            match self.injector.stuck_at(addr, bit as u64) {
-                Some(true) => residual.push(bit),
-                Some(false) => {}
-                None => {
-                    if self.injector.write_fails(addr, epoch, bit as u64) {
-                        failing.push(bit);
-                    }
-                }
-            }
-        }
+        let stuck = self.injector.stuck_word(addr);
+        let mut residual: Vec<u32> = stuck
+            .hits(bits)
+            .filter(|&bit| stuck.stuck_at(bit as u64) == Some(true))
+            .collect();
+        let mut failing: Vec<u32> = self
+            .injector
+            .write_word(addr, epoch)
+            .hits(bits)
+            .filter(|&bit| stuck.stuck_at(bit as u64).is_none())
+            .collect();
         let injected = (residual.len() + failing.len()) as u64;
         self.stats.injected_bits += injected;
         let mut attempts = 1u32;
         while !failing.is_empty() && attempts <= self.max_write_retries {
             let epoch = self.next_epoch();
+            let retry = self.injector.write_word(addr, epoch);
             attempts += 1;
             self.stats.write_retries += 1;
-            failing.retain(|&bit| self.injector.write_fails(addr, epoch, bit as u64));
+            failing.retain(|&bit| retry.fires(bit as u64));
         }
         residual.extend_from_slice(&failing);
         residual.sort_unstable();
@@ -301,18 +311,17 @@ impl FaultMemory {
         let epoch = self.next_epoch();
         let mut stored = self.errors.remove(&addr).unwrap_or_default();
         let mut disturbed_bits = 0u32;
-        let mut transient_bits = 0u32;
-        let mut observed = Vec::new();
-        for bit in 0..bits {
-            if self.injector.read_disturbs(addr, epoch, bit as u64) {
-                toggle(&mut stored, bit);
-                disturbed_bits += 1;
-            }
-            if self.injector.transient_flips(addr, epoch, bit as u64) {
-                toggle(&mut observed, bit);
-                transient_bits += 1;
-            }
+        for bit in self.injector.read_disturb_word(addr, epoch).hits(bits) {
+            toggle(&mut stored, bit);
+            disturbed_bits += 1;
         }
+        // Transients corrupt only this observation, never the stored state.
+        let mut observed: Vec<u32> = self
+            .injector
+            .transient_word(addr, epoch)
+            .hits(bits)
+            .collect();
+        let transient_bits = observed.len() as u32;
         // The sensed word differs from the truth where the stored state is
         // wrong XOR the sense amp glitched.
         for &bit in &stored {
@@ -360,15 +369,14 @@ impl FaultMemory {
         }
     }
 
-    /// Background scrub: walks every corrupted word, repairs those the code
-    /// can correct (except stuck-at cells, which survive any rewrite), and
-    /// returns the number of words repaired. Words beyond the correction
-    /// strength are left in place and tallied as detected/uncorrectable.
-    pub fn scrub(&mut self) -> u64 {
+    /// Background scrub: walks every corrupted word and repairs those the
+    /// code can correct (except stuck-at cells, which survive any rewrite).
+    /// Words beyond the correction strength are left in place and counted
+    /// in the returned [`ScrubOutcome`]; a scrub issues no reads, so the
+    /// read counters in [`FaultMemStats`] do not move.
+    pub fn scrub(&mut self) -> ScrubOutcome {
         self.stats.scrubs += 1;
-        let mut repaired = 0u64;
-        let mut detected = 0u64;
-        let mut uncorrectable = 0u64;
+        let mut out = ScrubOutcome::default();
         let addrs: Vec<u64> = self.errors.keys().copied().collect();
         for addr in addrs {
             let Some(mut bits) = self.errors.remove(&addr) else {
@@ -380,31 +388,30 @@ impl FaultMemory {
                     let before = bits.len();
                     self.repair(addr, &mut bits);
                     if bits.len() < before {
-                        repaired += 1;
+                        out.repaired += 1;
                     }
                 }
-                EccOutcome::Detected => detected += 1,
-                EccOutcome::Uncorrectable => uncorrectable += 1,
+                EccOutcome::Detected => out.detected += 1,
+                EccOutcome::Uncorrectable => out.uncorrectable += 1,
             }
             if !bits.is_empty() {
                 self.errors.insert(addr, bits);
             }
         }
-        self.stats.scrubbed_words += repaired;
-        self.stats.reads_detected += detected;
-        self.stats.reads_uncorrectable += uncorrectable;
+        self.stats.scrubbed_words += out.repaired;
         if mss_obs::enabled() {
-            mss_obs::counter_add("gemsim.fault.corrected", repaired);
-            mss_obs::counter_add("gemsim.fault.detected", detected);
-            mss_obs::counter_add("gemsim.fault.uncorrectable", uncorrectable);
+            mss_obs::counter_add("gemsim.fault.corrected", out.repaired);
+            mss_obs::counter_add("gemsim.fault.detected", out.detected);
+            mss_obs::counter_add("gemsim.fault.uncorrectable", out.uncorrectable);
         }
-        repaired
+        out
     }
 
     /// Rewrites a corrected word: every wrong bit is fixed except cells
     /// whose stuck value mismatches the data (rewriting cannot move them).
     fn repair(&self, addr: u64, bits: &mut Vec<u32>) {
-        bits.retain(|&bit| self.injector.stuck_at(addr, bit as u64) == Some(true));
+        let stuck = self.injector.stuck_word(addr);
+        bits.retain(|&bit| stuck.stuck_at(bit as u64) == Some(true));
     }
 }
 
@@ -545,13 +552,46 @@ mod tests {
         }
         let corrupted = m.corrupted_words();
         assert!(corrupted > 0);
-        let repaired = m.scrub();
-        assert!(repaired > 0);
-        assert_eq!(m.corrupted_words(), corrupted - repaired);
+        let scrub = m.scrub();
+        assert!(scrub.repaired > 0);
+        assert_eq!(m.corrupted_words(), corrupted - scrub.repaired);
+        assert_eq!(
+            m.corrupted_words(),
+            scrub.detected + scrub.uncorrectable,
+            "every survivor is beyond the correction strength"
+        );
         // Whatever survived the scrub is beyond the correction strength.
         for bits in m.errors.values() {
             assert!(bits.len() as u32 > m.scheme().correctable);
         }
+    }
+
+    #[test]
+    fn scrub_leaves_the_read_counters_alone() {
+        // A scrub issues no reads: the words it cannot fix must not show up
+        // as failed reads, or the read verdicts stop summing to `reads`.
+        let p = plan(13, |m| m.write_fail_rate = 0.02);
+        let mut m = mem(FaultMemConfig::new(p, EccScheme::bch(2, 64))
+            .with_max_write_retries(0)
+            .with_demand_scrub(false));
+        for addr in 0..2_000 {
+            m.write(addr);
+        }
+        let scrub = m.scrub();
+        assert!(
+            scrub.detected + scrub.uncorrectable > 0,
+            "test has no power"
+        );
+        m.read(0);
+        let s = *m.stats();
+        assert_eq!(s.reads, 1);
+        assert_eq!(
+            s.reads_clean + s.reads_corrected + s.reads_detected + s.reads_uncorrectable,
+            s.reads
+        );
+        assert!(s.read_failure_rate() <= 1.0);
+        assert_eq!(s.scrubs, 1);
+        assert_eq!(s.scrubbed_words, scrub.repaired);
     }
 
     #[test]
@@ -591,6 +631,55 @@ mod tests {
             (log, *m.stats(), m.residual_bit_errors())
         };
         assert_eq!(run(cfg), run(cfg));
+    }
+
+    /// Golden values captured from the per-bit decision chain the per-word
+    /// draws replaced: all four fault kinds through writes, retries, reads,
+    /// demand and background scrub. Unlike the replay test above, a change
+    /// that moves any single fault draw fails here.
+    #[test]
+    fn mixed_plan_matches_pinned_golden() {
+        let p = plan(33, |m| {
+            m.write_fail_rate = 0.05;
+            m.read_disturb_rate = 0.01;
+            m.transient_flip_rate = 0.005;
+            m.stuck_at_rate = 0.001;
+        });
+        let mut m = mem(FaultMemConfig::new(p, EccScheme::bch(2, 128)));
+        let mut log = 0u64;
+        let mut fold = |v: u32| log = (log ^ v as u64).wrapping_mul(0x0100_0000_01B3);
+        for addr in 0..300 {
+            let w = m.write(addr);
+            fold(w.attempts);
+            fold(w.residual_bits);
+        }
+        for addr in (0..300).rev() {
+            let r = m.read(addr);
+            fold(r.raw_errors);
+            fold(r.disturbed_bits);
+            fold(r.transient_bits);
+        }
+        assert_eq!(log, 0x1f0e_4c82_287a_903d);
+        assert_eq!(
+            *m.stats(),
+            FaultMemStats {
+                writes: 300,
+                reads: 300,
+                scrubs: 0,
+                injected_bits: 2779,
+                write_retries: 379,
+                write_residual_bits: 22,
+                reads_clean: 26,
+                reads_corrected: 153,
+                reads_detected: 66,
+                reads_uncorrectable: 55,
+                scrubbed_words: 109,
+            }
+        );
+        assert_eq!(m.residual_bit_errors(), 306);
+        assert_eq!(m.scrub().repaired, 67);
+        assert_eq!(m.residual_bit_errors(), 191);
+        assert_eq!(m.corrupted_words(), 62);
     }
 
     #[test]

@@ -885,6 +885,30 @@ mod tests {
         assert_eq!(r.dram_reads, clean.dram_reads);
     }
 
+    /// Golden fault counters of the bodytrack run above, captured from the
+    /// per-bit decision chain the per-word draws replaced.
+    #[test]
+    fn faulty_run_matches_pinned_golden() {
+        let sys = System::new(faulty_config()).unwrap();
+        let r = sys.run(&Kernel::bodytrack(), 1).unwrap();
+        assert_eq!(
+            r.fault.expect("fault stats present"),
+            crate::faultmem::FaultMemStats {
+                writes: 331,
+                reads: 15868,
+                scrubs: 0,
+                injected_bits: 4591,
+                write_retries: 224,
+                write_residual_bits: 0,
+                reads_clean: 12140,
+                reads_corrected: 3694,
+                reads_detected: 31,
+                reads_uncorrectable: 3,
+                scrubbed_words: 3694,
+            }
+        );
+    }
+
     #[test]
     fn faulty_runs_are_deterministic() {
         let sys = System::new(faulty_config()).unwrap();

@@ -8,7 +8,7 @@
 //! class of the original (compute-bound vs memory-bound, streaming vs
 //! reuse-heavy).
 
-use mss_units::rng::{Rng, Xoshiro256PlusPlus};
+use mss_units::rng::{coin_threshold, Rng, Xoshiro256PlusPlus};
 
 use crate::GemsimError;
 
@@ -312,15 +312,6 @@ pub struct MemoryAccess {
 const LINE: u64 = 64;
 const HISTORY: usize = 4096;
 const HISTORY_MASK: u32 = HISTORY as u32 - 1;
-
-/// Integer image of [`Rng::gen_bool`]\(p\): with `u53 = next_u64() >> 11`,
-/// `next_f64() < p` ⟺ `u53 < ⌈p·2⁵³⌉`. Exact — `u53` has 53 bits, so its
-/// f64 image and the 2⁻⁵³ scaling are lossless — which keeps the draw
-/// sequence bit-identical to calling `gen_bool` while the hot loop compares
-/// integers.
-fn coin_threshold(p: f64) -> u64 {
-    (p * (1u64 << 53) as f64).ceil() as u64
-}
 
 impl AccessStream {
     /// Creates a stream for `kernel`, thread `tid`, with a global seed.

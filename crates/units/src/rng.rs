@@ -85,6 +85,19 @@ pub trait Rng {
     }
 }
 
+/// Integer image of [`Rng::gen_bool`]\(p\): with `u53 = next_u64() >> 11`,
+/// `next_f64() < p` ⟺ `u53 < coin_threshold(p)` = `⌈p·2⁵³⌉`.
+///
+/// Exact — `u53` has 53 bits, so its f64 image and the 2⁻⁵³ scaling are
+/// lossless — which keeps a draw sequence bit-identical to calling
+/// `gen_bool` while a hot loop compares integers. The saturating cast
+/// covers the edges without branches: `p ≤ 0` and NaN give 0 (never),
+/// `p ≥ 1` gives at least 2⁵³ (always).
+#[inline]
+pub fn coin_threshold(p: f64) -> u64 {
+    (p * (1u64 << 53) as f64).ceil() as u64
+}
+
 impl<R: Rng + ?Sized> Rng for &mut R {
     fn next_u64(&mut self) -> u64 {
         (**self).next_u64()
@@ -450,6 +463,36 @@ mod tests {
         let hits = (0..50_000).filter(|_| r.gen_bool(0.3)).count();
         let ratio = hits as f64 / 50_000.0;
         assert!((ratio - 0.3).abs() < 0.01, "ratio {ratio}");
+    }
+
+    #[test]
+    fn coin_threshold_edges() {
+        let two53 = 1u64 << 53;
+        assert_eq!(coin_threshold(0.0), 0);
+        assert_eq!(coin_threshold(-0.0), 0);
+        assert_eq!(coin_threshold(-0.5), 0);
+        assert_eq!(coin_threshold(f64::NAN), 0);
+        assert_eq!(coin_threshold(f64::NEG_INFINITY), 0);
+        // The smallest positive rate still fires on exactly one u53.
+        assert_eq!(coin_threshold(f64::from_bits(1)), 1);
+        assert_eq!(coin_threshold(1.0 / two53 as f64), 1);
+        assert_eq!(coin_threshold(0.5), two53 / 2);
+        assert_eq!(coin_threshold(1.0 - 1.0 / two53 as f64), two53 - 1);
+        assert_eq!(coin_threshold(1.0), two53);
+        assert!(coin_threshold(1.5) >= two53);
+        assert_eq!(coin_threshold(f64::INFINITY), u64::MAX);
+    }
+
+    #[test]
+    fn coin_threshold_matches_gen_bool() {
+        for p in [0.0, 1e-9, 0.15, 0.3, 0.5, 0.999, 1.0] {
+            let t = coin_threshold(p);
+            let mut a = Xoshiro256PlusPlus::seed_from_u64(9);
+            let mut b = a.clone();
+            for _ in 0..10_000 {
+                assert_eq!(a.gen_bool(p), (b.next_u64() >> 11) < t, "p = {p}");
+            }
+        }
     }
 
     #[test]
