@@ -11,8 +11,10 @@
 //!
 //! The optional argument overrides the campaign block count (default 8000).
 //! `MSS_OBS_OUT` overrides the report path (default
-//! `target/fault_smoke.ndjson`). Exits non-zero if the empirical rates land
-//! outside 4σ of the analytical model or determinism is violated.
+//! `target/fault_smoke.ndjson`). The first line after the banner names the
+//! fault-mask kernel the host selected (`avx512`, `avx2` or `portable`).
+//! Exits non-zero if the empirical rates land outside 4σ of the analytical
+//! model or determinism is violated.
 
 use mss_exec::ParallelConfig;
 use mss_fault::{run_ecc_campaign, CampaignOptions, FaultModel, FaultPlan, MtjOperatingPoint};
@@ -150,6 +152,7 @@ fn main() {
         .and_then(|v| v.parse().ok())
         .unwrap_or(8_000);
     println!("== fault_smoke: seeded fault plane, ECC cross-validation, retry ladder ==");
+    println!("kernel   : {} fault-mask kernel", mss_fault::mask_kernel());
     campaign_smoke(blocks);
     ladder_smoke();
     gemsim_smoke();

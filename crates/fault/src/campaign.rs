@@ -14,7 +14,7 @@
 use mss_exec::{par_chunks, ParallelConfig};
 use mss_vaet::ecc::{EccOutcome, EccScheme};
 
-use crate::inject::FaultInjector;
+use crate::inject::{set_bits, FaultInjector};
 use crate::plan::FaultPlan;
 use crate::FaultError;
 
@@ -266,33 +266,29 @@ pub fn run_ecc_campaign(
             let disturb = injector.read_disturb_word(site, 0);
             let transient = injector.transient_word(site, 0);
             let mut raw_errors = 0u32;
-            for bit in 0..bits as u64 {
-                let error = match stuck.stuck_at(bit) {
-                    Some(stuck_value) => {
-                        // The stuck value is an independent fair hash bit, so
-                        // it doubles as the "written data mismatches the
-                        // frozen cell" coin: P(mismatch) = 1/2.
-                        t.stuck_cells += 1;
-                        if stuck_value {
-                            t.stuck_errors += 1;
-                        }
-                        stuck_value
-                    }
-                    None => {
-                        let w = write.fires(bit);
-                        let r = disturb.fires(bit);
-                        let f = transient.fires(bit);
-                        t.write_errors += w as u64;
-                        t.read_disturbs += r as u64;
-                        t.transients += f as u64;
-                        w || r || f
-                    }
-                };
-                if error {
-                    raw_errors += 1;
-                    t.bit_errors += 1;
-                }
+            for base in (0..bits).step_by(64) {
+                let n = (bits - base).min(64);
+                let base = u64::from(base);
+                let stuck_cells = stuck.mask_first(base, n);
+                // The stuck value is an independent fair hash bit, so it
+                // doubles as the "written data mismatches the frozen cell"
+                // coin: P(mismatch) = 1/2.
+                let stuck_errors = set_bits(stuck_cells)
+                    .filter(|&i| stuck.stuck_at(base + u64::from(i)) == Some(true))
+                    .fold(0u64, |m, i| m | 1 << i);
+                let healthy = !stuck_cells;
+                let w = write.mask_first(base, n) & healthy;
+                let r = disturb.mask_first(base, n) & healthy;
+                let f = transient.mask_first(base, n) & healthy;
+                let errors = stuck_errors | w | r | f;
+                t.stuck_cells += u64::from(stuck_cells.count_ones());
+                t.stuck_errors += u64::from(stuck_errors.count_ones());
+                t.write_errors += u64::from(w.count_ones());
+                t.read_disturbs += u64::from(r.count_ones());
+                t.transients += u64::from(f.count_ones());
+                raw_errors += errors.count_ones();
             }
+            t.bit_errors += u64::from(raw_errors);
             match scheme.classify(raw_errors) {
                 EccOutcome::Clean => t.clean += 1,
                 EccOutcome::Corrected => t.corrected += 1,

@@ -11,6 +11,9 @@
 //! finalizers, and only its last link depends on the bit, so a [`WordDraw`]
 //! hashes `(seed, kind, site, epoch)` once and each bit costs one finalizer
 //! and an integer compare against the rate's [`coin_threshold`].
+//! [`WordDraw::mask`] makes those decisions 64 bits at a time with an
+//! AVX-512 or AVX2 kernel picked at run time ([`mask_kernel`]); CPUs with
+//! neither decide bit by bit. Every kernel decides every bit alike.
 
 use mss_units::rng::{coin_threshold, Rng, SplitMix64};
 
@@ -25,9 +28,92 @@ const KIND_TRANSIENT: u64 = 0x54_52_4E_53; // "TRNS"
 const KIND_STUCK_AT: u64 = 0x53_54_55_4B; // "STUK"
 
 /// One SplitMix64 finalizer step: a high-quality 64-bit mixer.
-#[inline]
+#[inline(always)]
 fn mix(x: u64) -> u64 {
     SplitMix64::new(x).next_u64()
+}
+
+/// The mask kernel this host runs: an AVX-512 or AVX2 build of the
+/// branch-free block body, or the per-bit [`WordDraw::fires`] loop on CPUs
+/// with neither. Only [`Kernel::detect`] makes a value, which is what the
+/// `unsafe` calls in [`WordDraw::block`] rely on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kernel {
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+    Portable,
+}
+
+impl Kernel {
+    /// Runtime selection; each variant is chosen only when the CPU has
+    /// every feature its build enables.
+    #[inline]
+    fn detect() -> Self {
+        #[cfg(target_arch = "x86_64")]
+        {
+            if is_x86_feature_detected!("avx512f")
+                && is_x86_feature_detected!("avx512dq")
+                && is_x86_feature_detected!("avx512vl")
+                && is_x86_feature_detected!("avx512bw")
+            {
+                return Kernel::Avx512;
+            }
+            if is_x86_feature_detected!("avx2") {
+                return Kernel::Avx2;
+            }
+        }
+        Kernel::Portable
+    }
+}
+
+/// The name of the mask kernel this host runs: `"avx512"`, `"avx2"` or
+/// `"portable"` (the per-bit loop). Every variant decides every bit alike.
+pub fn mask_kernel() -> &'static str {
+    match Kernel::detect() {
+        #[cfg(target_arch = "x86_64")]
+        Kernel::Avx512 => "avx512",
+        #[cfg(target_arch = "x86_64")]
+        Kernel::Avx2 => "avx2",
+        Kernel::Portable => "portable",
+    }
+}
+
+/// The branch-free block body: hash bits `base..base + 64`, then set bit
+/// `i` of the mask iff `mix(prefix ^ (base + i)) >> 11 < threshold`.
+///
+/// The compare shifts the hash, never the threshold: `threshold << 11`
+/// wraps to 0 at `threshold = 2⁵³` (p = 1).
+#[inline(always)]
+fn block_body(prefix: u64, threshold: u64, base: u64) -> u64 {
+    let mut h = [0u64; 64];
+    for (i, h) in h.iter_mut().enumerate() {
+        *h = mix(prefix ^ base.wrapping_add(i as u64));
+    }
+    let mut mask = 0u64;
+    for (i, &h) in h.iter().enumerate() {
+        mask |= u64::from((h >> 11) < threshold) << i;
+    }
+    mask
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq,avx512vl,avx512bw")]
+fn block_avx512(prefix: u64, threshold: u64, base: u64) -> u64 {
+    block_body(prefix, threshold, base)
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn block_avx2(prefix: u64, threshold: u64, base: u64) -> u64 {
+    block_body(prefix, threshold, base)
+}
+
+/// Bits `0..n` set, for `n ≤ 64`.
+#[inline]
+fn low_bits(n: u32) -> u64 {
+    u64::MAX.checked_shr(64 - n).unwrap_or(0)
 }
 
 /// One fault kind's Bernoulli draws over the bits of one word.
@@ -35,7 +121,8 @@ fn mix(x: u64) -> u64 {
 /// Holds the hash prefix `mix(mix(mix(seed ^ kind) ^ site) ^ epoch)` and the
 /// integer threshold `⌈p·2⁵³⌉`; bit `b` fires iff
 /// `mix(prefix ^ b) >> 11 < threshold`, which is exactly the uniform test
-/// `u < p` on the 53-bit dyadic grid of [`Rng::next_f64`].
+/// `u < p` on the 53-bit dyadic grid of [`Rng::next_f64`]. [`Self::mask`]
+/// decides 64 bits per call with the same test.
 #[derive(Debug, Clone, Copy)]
 pub struct WordDraw {
     prefix: u64,
@@ -44,10 +131,10 @@ pub struct WordDraw {
 
 impl WordDraw {
     #[inline]
-    fn new(plan: &FaultPlan, kind: u64, site: u64, epoch: u64, p: f64) -> Self {
+    fn new(kind: KindKey, site: u64, epoch: u64) -> Self {
         Self {
-            prefix: mix(mix(mix(plan.seed ^ kind) ^ site) ^ epoch),
-            threshold: coin_threshold(p),
+            prefix: mix(mix(kind.key ^ site) ^ epoch),
+            threshold: kind.threshold,
         }
     }
 
@@ -63,11 +150,81 @@ impl WordDraw {
         self.hash(bit).is_some_and(|h| (h >> 11) < self.threshold)
     }
 
-    /// The bits in `0..bits` where the draw fires, in ascending order. A
-    /// zero-rate draw yields nothing without hashing.
+    /// The hit mask of bits `base..base + 64`: bit `i` is set iff the draw
+    /// fires at `base + i`. A zero-rate draw returns 0 without hashing.
+    #[inline]
+    pub fn mask(&self, base: u64) -> u64 {
+        self.mask_first(base, 64)
+    }
+
+    /// The hit mask of bits `base..base + n`, `n ≤ 64`; bits `n..` are
+    /// clear.
+    #[inline]
+    pub(crate) fn mask_first(&self, base: u64, n: u32) -> u64 {
+        self.block(Kernel::detect(), base, n)
+    }
+
+    /// [`Self::mask_first`] on a given kernel.
+    #[inline]
+    fn block(&self, kernel: Kernel, base: u64, n: u32) -> u64 {
+        if self.threshold == 0 {
+            return 0;
+        }
+        let full = match kernel {
+            // SAFETY: `kernel` came from `Kernel::detect`, which returns
+            // `Avx512` only after `is_x86_feature_detected!` confirmed
+            // avx512f, avx512dq, avx512vl and avx512bw, the features
+            // `block_avx512` enables.
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Avx512 => unsafe { block_avx512(self.prefix, self.threshold, base) },
+            // SAFETY: `kernel` came from `Kernel::detect`, which returns
+            // `Avx2` only after `is_x86_feature_detected!("avx2")`, the
+            // feature `block_avx2` enables.
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Avx2 => unsafe { block_avx2(self.prefix, self.threshold, base) },
+            Kernel::Portable => return self.mask_per_bit(base, n),
+        };
+        full & low_bits(n)
+    }
+
+    /// The per-bit path: [`Self::fires`] on each of bits `base..base + n`.
+    ///
+    /// It searches for one hit at a time, so the compiler keeps the scan
+    /// scalar: a branch-free loop here would be vectorized for the
+    /// baseline target, which has no 64-bit lane multiply and runs slower
+    /// than one finalizer per bit.
+    #[inline]
+    fn mask_per_bit(&self, base: u64, n: u32) -> u64 {
+        let (mut mask, mut next) = (0, 0);
+        while let Some(i) = (next..n).find(|&i| self.fires(base.wrapping_add(u64::from(i)))) {
+            mask |= 1 << i;
+            next = i + 1;
+        }
+        mask
+    }
+
+    /// The bits in `0..bits` where the draw fires, in ascending order: the
+    /// set bits of one mask per 64 bits. A zero-rate draw yields nothing
+    /// without hashing.
     pub fn hits(self, bits: u32) -> impl Iterator<Item = u32> {
         let end = if self.threshold == 0 { 0 } else { bits };
-        (0..end).filter(move |&bit| self.fires(bit as u64))
+        let kernel = Kernel::detect();
+        // `next` is the first bit not yet decided; `pending` holds the
+        // undelivered hits of the block that starts at `base`.
+        let (mut next, mut base, mut pending) = (0u32, 0u32, 0u64);
+        std::iter::from_fn(move || {
+            while pending == 0 && next < end {
+                base = next;
+                let n = (end - next).min(64);
+                next += n;
+                pending = self.block(kernel, u64::from(base), n);
+            }
+            (pending != 0).then(|| {
+                let i = pending.trailing_zeros();
+                pending &= pending - 1;
+                base + i
+            })
+        })
     }
 
     /// For a stuck-at draw ([`FaultInjector::stuck_word`]): `Some(value)`
@@ -81,6 +238,35 @@ impl WordDraw {
     }
 }
 
+/// The indices of the set bits of `mask`, in ascending order.
+#[inline]
+pub(crate) fn set_bits(mut mask: u64) -> impl Iterator<Item = u32> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let bit = mask.trailing_zeros();
+            mask &= mask - 1;
+            bit
+        })
+    })
+}
+
+/// A fault kind's per-injector constants: the first hash link
+/// `mix(seed ^ kind)` and the rate's [`coin_threshold`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct KindKey {
+    key: u64,
+    threshold: u64,
+}
+
+impl KindKey {
+    fn new(seed: u64, kind: u64, p: f64) -> Self {
+        Self {
+            key: mix(seed ^ kind),
+            threshold: coin_threshold(p),
+        }
+    }
+}
+
 /// The stateless fault oracle derived from a [`FaultPlan`].
 ///
 /// All queries are `&self` and reproducible: a fixed plan answers every
@@ -88,7 +274,8 @@ impl WordDraw {
 /// [`Self::read_disturb_word`], [`Self::transient_word`],
 /// [`Self::stuck_word`]) are the decision path: each hashes its coordinate
 /// prefix once, then costs one 64-bit finalizer and an integer compare per
-/// bit. The per-bit queries are one-line conveniences over them.
+/// bit, made 64 bits at a time by [`WordDraw::mask`]. The per-bit queries
+/// are one-line conveniences over them.
 /// Sites are caller-defined identifiers (an array base address, a bank
 /// index, a block index in a campaign); epochs distinguish repeated touches
 /// of the same bit (a write attempt counter, an access sequence number).
@@ -113,13 +300,26 @@ impl WordDraw {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultInjector {
     plan: FaultPlan,
+    write_fail: KindKey,
+    read_disturb: KindKey,
+    transient: KindKey,
+    stuck: KindKey,
 }
 
 impl FaultInjector {
-    /// Wraps a plan. A [`FaultPlan::disabled`] plan yields an injector that
-    /// never injects.
-    pub const fn new(plan: FaultPlan) -> Self {
-        Self { plan }
+    /// Wraps a plan, deriving each fault kind's hash key and rate threshold
+    /// once. A [`FaultPlan::disabled`] plan yields an injector that never
+    /// injects.
+    pub fn new(plan: FaultPlan) -> Self {
+        let m = &plan.model;
+        let seed = plan.seed;
+        Self {
+            write_fail: KindKey::new(seed, KIND_WRITE_FAIL, m.write_fail_rate),
+            read_disturb: KindKey::new(seed, KIND_READ_DISTURB, m.read_disturb_rate),
+            transient: KindKey::new(seed, KIND_TRANSIENT, m.transient_flip_rate),
+            stuck: KindKey::new(seed, KIND_STUCK_AT, m.stuck_at_rate),
+            plan,
+        }
     }
 
     /// The plan this injector draws from.
@@ -143,24 +343,21 @@ impl FaultInjector {
     /// fresh (but reproducible) outcomes on each attempt.
     #[inline]
     pub fn write_word(&self, site: u64, epoch: u64) -> WordDraw {
-        let p = self.plan.model.write_fail_rate;
-        WordDraw::new(&self.plan, KIND_WRITE_FAIL, site, epoch, p)
+        WordDraw::new(self.write_fail, site, epoch)
     }
 
     /// Read disturbs (flips of the stored state) of the word at `site`
     /// during access `epoch`.
     #[inline]
     pub fn read_disturb_word(&self, site: u64, epoch: u64) -> WordDraw {
-        let p = self.plan.model.read_disturb_rate;
-        WordDraw::new(&self.plan, KIND_READ_DISTURB, site, epoch, p)
+        WordDraw::new(self.read_disturb, site, epoch)
     }
 
     /// Transient flips (retention loss / soft upset since the previous
     /// touch) of the word at `site` in access epoch `epoch`.
     #[inline]
     pub fn transient_word(&self, site: u64, epoch: u64) -> WordDraw {
-        let p = self.plan.model.transient_flip_rate;
-        WordDraw::new(&self.plan, KIND_TRANSIENT, site, epoch, p)
+        WordDraw::new(self.transient, site, epoch)
     }
 
     /// Fabrication-time stuck-at defects of the word at `site`; read them
@@ -168,8 +365,7 @@ impl FaultInjector {
     /// cell, not of an access: it has no epoch.
     #[inline]
     pub fn stuck_word(&self, site: u64) -> WordDraw {
-        let p = self.plan.model.stuck_at_rate;
-        WordDraw::new(&self.plan, KIND_STUCK_AT, site, 0, p)
+        WordDraw::new(self.stuck, site, 0)
     }
 
     /// Does the write of `bit` at `site` fail on attempt `epoch`?
@@ -294,6 +490,81 @@ mod tests {
                             assert_eq!(hits, expect);
                         }
                     }
+                }
+            }
+        }
+    }
+
+    /// The mask of bits `base..base + 64` from the per-bit path and from
+    /// every vectorized kernel this host can run, each called directly.
+    fn masks_by_kernel(draw: &WordDraw, base: u64) -> Vec<(&'static str, u64)> {
+        #[allow(unused_mut)]
+        let mut masks = vec![("per-bit", draw.mask_per_bit(base, 64))];
+        #[cfg(target_arch = "x86_64")]
+        {
+            let (prefix, threshold) = (draw.prefix, draw.threshold);
+            if is_x86_feature_detected!("avx512f")
+                && is_x86_feature_detected!("avx512dq")
+                && is_x86_feature_detected!("avx512vl")
+                && is_x86_feature_detected!("avx512bw")
+            {
+                // SAFETY: the four features `block_avx512` enables were
+                // detected just above.
+                masks.push(("avx512", unsafe { block_avx512(prefix, threshold, base) }));
+            }
+            if is_x86_feature_detected!("avx2") {
+                // SAFETY: avx2, the feature `block_avx2` enables, was
+                // detected just above.
+                masks.push(("avx2", unsafe { block_avx2(prefix, threshold, base) }));
+            }
+        }
+        masks
+    }
+
+    #[test]
+    fn every_mask_kernel_matches_the_per_bit_path() {
+        let two53 = 1u64 << 53;
+        let thresholds = [0, 1, 2, 1 << 43, 1 << 52, two53 - 1, two53];
+        let lengths = [1u32, 63, 64, 65, 532, 600];
+        let mut rng = SplitMix64::new(0x5EED_F4A5);
+        for _ in 0..24 {
+            let prefix = rng.next_u64();
+            // Bit 5's own hash as the threshold puts one draw exactly on
+            // the boundary, where `<` and `<=` disagree.
+            let edge = mix(prefix ^ 5) >> 11;
+            for threshold in thresholds.into_iter().chain([edge, edge + 1]) {
+                let draw = WordDraw { prefix, threshold };
+                for base in [0, rng.next_u64(), u64::MAX - 31] {
+                    let masks = masks_by_kernel(&draw, base);
+                    for &(kernel, mask) in &masks[1..] {
+                        assert_eq!(
+                            mask, masks[0].1,
+                            "{kernel} prefix={prefix:#x} threshold={threshold} base={base:#x}"
+                        );
+                    }
+                    assert_eq!(draw.mask(base), masks[0].1);
+                }
+                for bits in lengths {
+                    let hits: Vec<u32> = draw.hits(bits).collect();
+                    let expect: Vec<u32> = (0..bits).filter(|&b| draw.fires(b as u64)).collect();
+                    assert_eq!(
+                        hits, expect,
+                        "prefix={prefix:#x} threshold={threshold} bits={bits}"
+                    );
+                    for base in (0..bits).step_by(64) {
+                        let n = (bits - base).min(64);
+                        assert_eq!(
+                            draw.mask_first(u64::from(base), n),
+                            draw.mask_per_bit(u64::from(base), n),
+                            "prefix={prefix:#x} threshold={threshold} base={base} n={n}"
+                        );
+                    }
+                    if threshold == 0 {
+                        assert!(hits.is_empty());
+                    }
+                }
+                if threshold == 0 {
+                    assert_eq!(draw.mask(0), 0);
                 }
             }
         }

@@ -50,5 +50,5 @@ mod error;
 pub use campaign::{run_ecc_campaign, CampaignOptions, CampaignReport};
 pub use chaos::{poison_cache_dir, ChaosPlan};
 pub use error::FaultError;
-pub use inject::{FaultInjector, WordDraw};
+pub use inject::{mask_kernel, FaultInjector, WordDraw};
 pub use plan::{FaultModel, FaultPlan, MtjOperatingPoint};

@@ -195,6 +195,8 @@ impl FaultMemStats {
 pub struct FaultMemory {
     injector: FaultInjector,
     scheme: EccScheme,
+    /// `scheme.block_bits()`, cached: every access decides this many bits.
+    bits: u32,
     max_write_retries: u32,
     demand_scrub: bool,
     /// Wrong stored bits per word address (sorted bit indices).
@@ -216,6 +218,7 @@ impl FaultMemory {
         Ok(Self {
             injector: FaultInjector::new(config.plan),
             scheme: config.scheme,
+            bits: config.scheme.block_bits(),
             max_write_retries: config.max_write_retries,
             demand_scrub: config.demand_scrub,
             errors: BTreeMap::new(),
@@ -256,7 +259,7 @@ impl FaultMemory {
     /// Mismatched stuck-at cells can never be repaired by rewriting.
     pub fn write(&mut self, addr: u64) -> WriteOutcome {
         self.stats.writes += 1;
-        let bits = self.scheme.block_bits();
+        let bits = self.bits;
         let epoch = self.next_epoch();
         // Partition the word: stuck cells err iff their frozen value
         // mismatches the data (an independent fair hash bit, as in
@@ -307,7 +310,7 @@ impl FaultMemory {
     /// degradation is graceful by construction.
     pub fn read(&mut self, addr: u64) -> ReadOutcome {
         self.stats.reads += 1;
-        let bits = self.scheme.block_bits();
+        let bits = self.bits;
         let epoch = self.next_epoch();
         let mut stored = self.errors.remove(&addr).unwrap_or_default();
         let mut disturbed_bits = 0u32;
