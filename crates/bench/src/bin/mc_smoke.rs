@@ -12,6 +12,8 @@
 //! 4000). `MSS_OBS_OUT` overrides the report path (default
 //! `target/mc_smoke.ndjson`).
 
+use std::time::Instant;
+
 use mss_bench::standard_context;
 use mss_exec::ParallelConfig;
 use mss_gemsim::system::{System, SystemConfig};
@@ -25,7 +27,30 @@ use mss_spice::analysis::{Transient, TransientOptions};
 use mss_spice::netlist::Netlist;
 use mss_spice::waveform::Waveform;
 use mss_units::Vec3;
-use mss_vaet::montecarlo::{run_with_stats, MonteCarloOptions};
+use mss_vaet::context::VaetContext;
+use mss_vaet::montecarlo::{run_with, MonteCarloOptions};
+use mss_vaet::report::VaetReport;
+
+/// Times one Monte Carlo run under `cfg` and prints its throughput line;
+/// returns the report and the samples per second.
+fn timed_run(
+    label: &str,
+    ctx: &VaetContext,
+    opts: &MonteCarloOptions,
+    cfg: &ParallelConfig,
+) -> (VaetReport, f64) {
+    let t0 = Instant::now();
+    let report = run_with(ctx, opts, cfg).expect("Monte Carlo");
+    let wall = t0.elapsed().as_secs_f64();
+    let rate = opts.samples as f64 / wall.max(1e-9);
+    println!(
+        "{label}: samples {} | threads {} | wall {:.3} ms | {rate:.0} samples/s",
+        opts.samples,
+        cfg.threads,
+        wall * 1e3
+    );
+    (report, rate)
+}
 
 /// The vaet Monte Carlo leg: serial vs parallel, asserting bit-identity.
 fn vaet_smoke(samples: usize) {
@@ -37,27 +62,19 @@ fn vaet_smoke(samples: usize) {
         word_bits: Some(64),
     };
 
-    let serial_cfg = ParallelConfig::serial();
-    let (serial_report, serial_stats) =
-        run_with_stats(&ctx, &opts, &serial_cfg, None).expect("serial Monte Carlo");
-    println!(
-        "serial   : {}",
-        serial_stats.to_table().lines().next().unwrap_or("")
-    );
-
+    let (serial_report, serial_rate) =
+        timed_run("serial   ", &ctx, &opts, &ParallelConfig::serial());
     let par_cfg = ParallelConfig::from_env();
-    let (par_report, par_stats) =
-        run_with_stats(&ctx, &opts, &par_cfg, None).expect("parallel Monte Carlo");
-    print!("parallel : {}", par_stats.to_table());
+    let (par_report, par_rate) = timed_run("parallel ", &ctx, &opts, &par_cfg);
 
     assert_eq!(
         serial_report, par_report,
         "determinism violation: parallel report diverged from serial"
     );
-    let speedup = par_stats.samples_per_second() / serial_stats.samples_per_second().max(1e-9);
     println!(
-        "speedup {speedup:.2}x at {} threads | reports bit-identical: yes",
-        par_stats.threads
+        "speedup {:.2}x at {} threads | reports bit-identical: yes",
+        par_rate / serial_rate.max(1e-9),
+        par_cfg.threads
     );
 }
 

@@ -116,7 +116,7 @@ fn batched_leg(samples: usize, threads: usize) -> (Vec<f64>, f64) {
     for _ in 0..REPS {
         let _span = mss_obs::span("spice_batch_smoke.batched");
         let t0 = Instant::now();
-        let run = batch.run_with(samples, &cfg, None, |i, nl| {
+        let run = batch.run(samples, &cfg, |i, nl| {
             let (r_p, r_ap) = cell(i);
             nl.set_resistance(rp, r_p)?;
             nl.set_resistance(rap, r_ap)
@@ -148,7 +148,7 @@ fn singular_leg() {
     let v2 = nl.element_index("v2").unwrap();
     let batch = DcBatch::new(&nl);
     let cfg = ParallelConfig::serial().with_threads(2).with_chunk(3);
-    let run = batch.run_with(8, &cfg, None, |i, nl| {
+    let run = batch.run(8, &cfg, |i, nl| {
         nl.set_source_wave(v2, Waveform::dc(2.0 + i as f64))
     });
     assert_eq!(run.failure_count(), 8, "every sample is singular");
@@ -209,7 +209,7 @@ fn sot_leg() {
         let cfg = ParallelConfig::serial()
             .with_threads(threads)
             .with_chunk(16);
-        let run = batch.run_with(SOT_SAMPLES, &cfg, None, |i, nl| {
+        let run = batch.run(SOT_SAMPLES, &cfg, |i, nl| {
             nl.set_mtj_state(x1, state(i))?;
             nl.set_resistance(rs, ohms(i))
         });

@@ -32,7 +32,7 @@ use mss_gemsim::workload::Kernel;
 use mss_obs::{Mode, Registry};
 use mss_pdk::tech::TechNode;
 use mss_prof::{Baseline, Report, Watchdog};
-use mss_vaet::montecarlo::{run_with_stats, MonteCarloOptions};
+use mss_vaet::montecarlo::{run_with, MonteCarloOptions};
 
 const SAMPLE_CAP: u64 = 20_000;
 const MC_SAMPLES: usize = 20_000;
@@ -63,7 +63,7 @@ fn child_workload() {
         seed: 0x5EED_C0DE,
         word_bits: Some(64),
     };
-    let (report, _) = run_with_stats(&ctx, &opts, &exec, None).expect("Monte Carlo");
+    let report = run_with(&ctx, &opts, &exec).expect("Monte Carlo");
     println!("vaet {report:?}");
 }
 
@@ -104,9 +104,7 @@ fn spawn_child(mode: &str, threads: usize, events_path: Option<&str>) -> String 
     let mut cmd = Command::new(exe);
     cmd.arg(mode)
         .env("MSS_THREADS", threads.to_string())
-        .env_remove("MSS_METRICS")
-        .env_remove("MSS_DEADLINE_MS")
-        .env_remove("MSS_RETRY_MAX");
+        .env_remove("MSS_METRICS");
     match events_path {
         Some(path) => {
             let _ = std::fs::remove_file(path);

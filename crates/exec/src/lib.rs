@@ -39,8 +39,7 @@
 pub mod supervise;
 
 pub use supervise::{
-    supervised_chunks, supervised_map, supervised_map_with, CancelToken, FailureKind, PartialSweep,
-    SupervisorConfig, TaskCtx, TaskFailure,
+    supervised_map, CancelToken, FailureKind, PartialSweep, SupervisorConfig, TaskCtx, TaskFailure,
 };
 
 use std::ops::Range;
@@ -265,20 +264,29 @@ pub fn task_rng(seed: u64, index: u64) -> Xoshiro256PlusPlus {
     Xoshiro256PlusPlus::stream(seed, index)
 }
 
-/// Core engine: runs `tasks` indexed closures over a shared work queue.
+/// The one task engine: runs `tasks` indexed closures over a shared work
+/// queue. [`par_map`], [`par_chunks`] and the sweep supervisor all run on
+/// it.
 ///
-/// Results come back in task order. Panics in a task propagate to the
-/// caller.
-fn run_indexed<U, F>(cfg: &ParallelConfig, tasks: usize, samples: u64, f: F) -> (Vec<U>, RunStats)
+/// `f(index, worker)` also receives the worker ordinal running the task: 0
+/// on the serial path, `1 + worker` on spawned threads (the observability
+/// thread ordinal). Results come back in task order. Panics in a task
+/// propagate to the caller.
+pub(crate) fn run_indexed<U, F>(
+    cfg: &ParallelConfig,
+    tasks: usize,
+    samples: u64,
+    f: F,
+) -> (Vec<U>, RunStats)
 where
     U: Send,
-    F: Fn(usize) -> U + Sync,
+    F: Fn(usize, u32) -> U + Sync,
 {
     let started = Instant::now();
     let threads = cfg.threads.max(1).min(tasks.max(1));
     if threads <= 1 || tasks <= 1 {
         let t0 = Instant::now();
-        let out: Vec<U> = (0..tasks).map(&f).collect();
+        let out: Vec<U> = (0..tasks).map(|i| f(i, 0)).collect();
         let busy = t0.elapsed().as_secs_f64();
         let stats = RunStats {
             tasks: tasks as u64,
@@ -308,7 +316,8 @@ where
                     // main thread), and nest the worker's spans under the
                     // caller's so span paths do not depend on the thread
                     // count.
-                    parent_spans.enter_worker(1 + worker as u32);
+                    let ordinal = 1 + worker as u32;
+                    parent_spans.enter_worker(ordinal);
                     let mut busy = 0.0;
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
@@ -316,7 +325,7 @@ where
                             break;
                         }
                         let t0 = Instant::now();
-                        let result = f(i);
+                        let result = f(i, ordinal);
                         busy += t0.elapsed().as_secs_f64();
                         *slots[i].lock().expect("result slot poisoned") = Some(result);
                     }
@@ -369,7 +378,7 @@ where
     U: Send,
     F: Fn(usize, &T) -> U + Sync,
 {
-    run_indexed(cfg, items.len(), items.len() as u64, |i| f(i, &items[i]))
+    run_indexed(cfg, items.len(), items.len() as u64, |i, _| f(i, &items[i]))
 }
 
 /// Splits `0..total` into [`ParallelConfig::chunk`]-sized ranges and runs
@@ -395,7 +404,7 @@ where
 {
     let chunk = cfg.chunk.max(1);
     let tasks = total.div_ceil(chunk);
-    run_indexed(cfg, tasks, total as u64, |i| {
+    run_indexed(cfg, tasks, total as u64, |i, _| {
         let lo = i * chunk;
         let hi = (lo + chunk).min(total);
         f(i, lo..hi)

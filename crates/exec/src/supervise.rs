@@ -2,18 +2,18 @@
 //!
 //! [`par_map`](crate::par_map)/[`par_chunks`](crate::par_chunks) are the
 //! right engine for healthy sweeps, but they are all-or-nothing: one panicking
-//! task unwinds the whole pool, a hung task has no budget, and a killed sweep
-//! loses everything in flight. This module wraps the same deterministic
-//! indexed-task engine in a supervision layer:
+//! task unwinds the whole pool and a hung task has no budget. This module
+//! runs each task of a sweep through the same deterministic indexed-task
+//! engine, wrapped in a supervision layer:
 //!
 //! - **panic isolation** — every task attempt runs under
 //!   [`std::panic::catch_unwind`]; a panic becomes a structured
 //!   [`TaskFailure`] in the sweep's failure manifest instead of a process
 //!   abort,
-//! - **deadlines** — a per-task time budget ([`SupervisorConfig::deadline`],
-//!   `MSS_DEADLINE_MS`) enforced through cooperative [`CancelToken`]s that
-//!   long tasks poll at chunk boundaries (`mss-gemsim` access chunks,
-//!   `mss-vaet` Monte Carlo batches, `mss-spice` batched-DC chunks),
+//! - **deadlines** — a per-task time budget ([`SupervisorConfig::deadline`])
+//!   armed as one [`CancelToken`] per attempt, which long tasks poll at chunk
+//!   boundaries (`mss-gemsim` access chunks, and through them the MAGPIE
+//!   flow's kernel × scenario pairs),
 //! - **deterministic bounded retry** — a failed attempt is retried up to
 //!   [`SupervisorConfig::retry_max`] times with a backoff schedule derived
 //!   from the task's own RNG stream, so a retried sweep replays
@@ -34,22 +34,14 @@
 //! kills can vary between runs, but every task that completes is still
 //! bit-exact.
 
-use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use crate::{task_rng, ParallelConfig, RunStats};
+use crate::{run_indexed, task_rng, ParallelConfig, RunStats};
+use mss_obs::events::EventPayload;
 use mss_units::rng::Rng;
-
-/// Environment variable holding the per-task deadline in milliseconds
-/// (`0` disables the deadline; garbled values warn once and are ignored).
-pub const DEADLINE_ENV: &str = "MSS_DEADLINE_MS";
-
-/// Environment variable holding the per-task retry budget (retries *after*
-/// the first attempt; garbled values warn once and are ignored).
-pub const RETRY_ENV: &str = "MSS_RETRY_MAX";
 
 /// Domain-separation constant folded into the backoff RNG stream so backoff
 /// draws never correlate with the task's own sample draws.
@@ -59,9 +51,8 @@ const BACKOFF_DOMAIN: u64 = 0x5355_5045_5256_0001; // "SUPERV"+1
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SupervisorConfig {
     /// Per-task wall-clock budget; `None` = unlimited. Enforced
-    /// cooperatively: tasks observe it through [`TaskCtx::is_cancelled`] at
-    /// chunk boundaries, and the engine refuses to start new attempts for a
-    /// task whose budget is spent.
+    /// cooperatively: each attempt gets a fresh [`CancelToken`] that the
+    /// task observes through [`TaskCtx::is_cancelled`] at chunk boundaries.
     pub deadline: Option<Duration>,
     /// Retries after the first attempt (0 = fail fast).
     pub retry_max: u32,
@@ -85,52 +76,6 @@ impl SupervisorConfig {
             seed: 0,
             label: "",
         }
-    }
-
-    /// Reads the policy from the environment: [`DEADLINE_ENV`] and
-    /// [`RETRY_ENV`], both following the `MSS_THREADS` warn-once convention
-    /// (a garbled value warns on stderr once, bumps
-    /// `exec.bad_deadline_env` / `exec.bad_retry_env`, and falls back to
-    /// the safe default — never a panic, never a silent misconfiguration).
-    pub fn from_env() -> Self {
-        let mut cfg = Self::disabled();
-        if let Ok(raw) = std::env::var(DEADLINE_ENV) {
-            if !raw.trim().is_empty() {
-                match parse_deadline_ms(&raw) {
-                    Ok(deadline) => cfg.deadline = deadline,
-                    Err(why) => {
-                        static WARN_ONCE: std::sync::Once = std::sync::Once::new();
-                        crate::warn_ignored_env_once(
-                            &WARN_ONCE,
-                            "exec.bad_deadline_env",
-                            format!(
-                                "warning: ignoring {DEADLINE_ENV}={raw:?} ({why}); \
-                                 tasks run without a deadline"
-                            ),
-                        );
-                    }
-                }
-            }
-        }
-        if let Ok(raw) = std::env::var(RETRY_ENV) {
-            if !raw.trim().is_empty() {
-                match parse_retry_max(&raw) {
-                    Ok(n) => cfg.retry_max = n,
-                    Err(why) => {
-                        static WARN_ONCE: std::sync::Once = std::sync::Once::new();
-                        crate::warn_ignored_env_once(
-                            &WARN_ONCE,
-                            "exec.bad_retry_env",
-                            format!(
-                                "warning: ignoring {RETRY_ENV}={raw:?} ({why}); \
-                                 failed tasks are not retried"
-                            ),
-                        );
-                    }
-                }
-            }
-        }
-        cfg
     }
 
     /// Returns the policy with a per-task deadline.
@@ -199,162 +144,59 @@ impl SupervisorConfig {
     }
 }
 
-impl Default for SupervisorConfig {
-    fn default() -> Self {
-        Self::from_env()
-    }
-}
-
-/// Parses an [`DEADLINE_ENV`] value: a non-negative integer millisecond
-/// count; `0` means "no deadline".
+/// A per-attempt deadline, polled cooperatively.
 ///
-/// # Errors
-///
-/// A human-readable description of the rejected value.
-pub fn parse_deadline_ms(raw: &str) -> Result<Option<Duration>, String> {
-    let trimmed = raw.trim();
-    if trimmed.is_empty() {
-        return Err("empty value".to_string());
-    }
-    match trimmed.parse::<u64>() {
-        Ok(0) => Ok(None),
-        Ok(ms) => Ok(Some(Duration::from_millis(ms))),
-        Err(_) => Err(format!("not a millisecond count: {trimmed:?}")),
-    }
-}
-
-/// Parses an [`RETRY_ENV`] value: a non-negative integer retry budget.
-///
-/// # Errors
-///
-/// A human-readable description of the rejected value.
-pub fn parse_retry_max(raw: &str) -> Result<u32, String> {
-    let trimmed = raw.trim();
-    if trimmed.is_empty() {
-        return Err("empty value".to_string());
-    }
-    trimmed
-        .parse::<u32>()
-        .map_err(|_| format!("not a retry count: {trimmed:?}"))
-}
-
-#[derive(Debug)]
-struct CancelInner {
-    cancelled: AtomicBool,
-    deadline: Option<Instant>,
-    parent: Option<Arc<CancelInner>>,
-}
-
-impl CancelInner {
-    fn is_cancelled(&self) -> bool {
-        if self.cancelled.load(Ordering::Relaxed) {
-            return true;
-        }
-        if matches!(self.deadline, Some(d) if Instant::now() >= d) {
-            return true;
-        }
-        self.parent.as_ref().is_some_and(|p| p.is_cancelled())
-    }
-}
-
-/// A cooperative cancellation token.
-///
-/// Cheap to clone and to poll; long-running tasks check
+/// Cheap to copy and to poll; long-running tasks check
 /// [`is_cancelled`](Self::is_cancelled) at chunk boundaries and bail out
-/// with their domain's `Cancelled` error. Tokens form a chain: a child
-/// created by [`child_with_deadline`](Self::child_with_deadline) is
-/// cancelled when its own deadline passes *or* any ancestor is cancelled.
-#[derive(Debug, Clone)]
+/// with their domain's `Cancelled` error. The deadline is the only thing
+/// that cancels a token.
+#[derive(Debug, Clone, Copy)]
 pub struct CancelToken {
-    inner: Arc<CancelInner>,
+    deadline: Option<Instant>,
 }
 
 impl CancelToken {
-    /// A token that is never cancelled until [`cancel`](Self::cancel).
-    pub fn new() -> Self {
-        Self {
-            inner: Arc::new(CancelInner {
-                cancelled: AtomicBool::new(false),
-                deadline: None,
-                parent: None,
-            }),
-        }
-    }
-
-    /// A token that auto-cancels `budget` from now.
+    /// A token that expires `budget` from now.
     pub fn with_deadline(budget: Duration) -> Self {
-        Self::new().child_with_deadline(Some(budget))
+        Self::after(Some(budget))
     }
 
-    /// A child token cancelled when `budget` (from now) elapses or this
-    /// token is cancelled. `None` budget inherits cancellation only.
-    pub fn child_with_deadline(&self, budget: Option<Duration>) -> Self {
+    /// A token that expires `budget` from now, or never for `None`.
+    fn after(budget: Option<Duration>) -> Self {
         Self {
-            inner: Arc::new(CancelInner {
-                cancelled: AtomicBool::new(false),
-                deadline: budget.map(|b| Instant::now() + b),
-                parent: Some(self.inner.clone()),
-            }),
+            deadline: budget.map(|b| Instant::now() + b),
         }
     }
 
-    /// Requests cancellation (idempotent; descendants observe it).
-    pub fn cancel(&self) {
-        self.inner.cancelled.store(true, Ordering::Relaxed);
-    }
-
-    /// True when this token (or an ancestor) is cancelled or past its
-    /// deadline.
+    /// True once the deadline has passed.
     pub fn is_cancelled(&self) -> bool {
-        self.inner.is_cancelled()
+        self.deadline.is_some_and(|d| Instant::now() >= d)
     }
 
-    /// Time left until the *nearest* deadline anywhere on this token's
-    /// chain: `None` when no ancestor carries one, zero once it has passed.
-    /// This is the `budget_seconds` a sweep's progress events report.
+    /// Time left until the deadline: `None` when the token has none, zero
+    /// once it has passed. This is the `budget_seconds` a sweep's progress
+    /// events report.
     pub fn budget_remaining(&self) -> Option<Duration> {
-        let now = Instant::now();
-        let mut best: Option<Duration> = None;
-        let mut cur: Option<&CancelInner> = Some(&self.inner);
-        while let Some(inner) = cur {
-            if let Some(d) = inner.deadline {
-                let rem = d.saturating_duration_since(now);
-                best = Some(best.map_or(rem, |b: Duration| b.min(rem)));
-            }
-            cur = inner.parent.as_deref();
-        }
-        best
-    }
-
-    /// True when this token's *own* deadline (not an ancestor's flag) has
-    /// passed. Used to classify a failure as deadline-vs-external.
-    fn own_deadline_passed(&self) -> bool {
-        matches!(self.inner.deadline, Some(d) if Instant::now() >= d)
-    }
-}
-
-impl Default for CancelToken {
-    fn default() -> Self {
-        Self::new()
+        self.deadline
+            .map(|d| d.saturating_duration_since(Instant::now()))
     }
 }
 
 /// Per-attempt execution context handed to supervised task bodies.
 #[derive(Debug)]
-pub struct TaskCtx<'a> {
+pub struct TaskCtx {
     /// Task index in the sweep (the determinism coordinate).
     pub index: usize,
     /// Attempt number, 0-based. Use **only** for fault-injection decisions;
     /// deriving results from it breaks the bit-replay contract.
     pub attempt: u32,
-    token: &'a CancelToken,
+    token: CancelToken,
 }
 
-impl TaskCtx<'_> {
-    /// The attempt's cancellation token (per-task deadline chained to the
-    /// sweep token); pass it down to chunk-boundary checks.
+impl TaskCtx {
+    /// The attempt's deadline token; pass it down to chunk-boundary checks.
     pub fn token(&self) -> &CancelToken {
-        self.token
+        &self.token
     }
 
     /// True when this attempt should stop at the next chunk boundary.
@@ -378,8 +220,6 @@ pub enum FailureKind {
     },
     /// The task's per-task time budget ran out.
     DeadlineExceeded,
-    /// The sweep was cancelled externally.
-    Cancelled,
 }
 
 impl FailureKind {
@@ -389,17 +229,7 @@ impl FailureKind {
             FailureKind::Panicked { .. } => "panicked",
             FailureKind::Failed { .. } => "failed",
             FailureKind::DeadlineExceeded => "deadline-exceeded",
-            FailureKind::Cancelled => "cancelled",
         }
-    }
-
-    /// Is retrying this failure ever useful? Deadline/cancellation are
-    /// terminal: the budget that killed attempt `k` would kill `k+1` too.
-    fn retryable(&self) -> bool {
-        matches!(
-            self,
-            FailureKind::Panicked { .. } | FailureKind::Failed { .. }
-        )
     }
 }
 
@@ -409,7 +239,6 @@ impl std::fmt::Display for FailureKind {
             FailureKind::Panicked { message } => write!(f, "panicked: {message}"),
             FailureKind::Failed { message } => write!(f, "failed: {message}"),
             FailureKind::DeadlineExceeded => f.write_str("deadline exceeded"),
-            FailureKind::Cancelled => f.write_str("cancelled"),
         }
     }
 }
@@ -419,7 +248,7 @@ impl std::fmt::Display for FailureKind {
 pub struct TaskFailure {
     /// Task index in the sweep.
     pub index: usize,
-    /// Attempts actually executed (0 = never started: cancelled in queue).
+    /// Attempts executed (at least 1).
     pub attempts: u32,
     /// Terminal classification.
     pub kind: FailureKind,
@@ -430,26 +259,14 @@ impl TaskFailure {
     pub fn to_json_line(&self) -> String {
         let message = match &self.kind {
             FailureKind::Panicked { message } | FailureKind::Failed { message } => message.as_str(),
-            _ => "",
+            FailureKind::DeadlineExceeded => "",
         };
-        let mut escaped = String::with_capacity(message.len());
-        for c in message.chars() {
-            match c {
-                '"' => escaped.push_str("\\\""),
-                '\\' => escaped.push_str("\\\\"),
-                '\n' => escaped.push_str("\\n"),
-                '\r' => escaped.push_str("\\r"),
-                '\t' => escaped.push_str("\\t"),
-                c if (c as u32) < 0x20 => escaped.push_str(&format!("\\u{:04x}", c as u32)),
-                c => escaped.push(c),
-            }
-        }
         format!(
-            "{{\"type\":\"task-failure\",\"index\":{},\"attempts\":{},\"kind\":\"{}\",\"message\":\"{}\"}}",
+            "{{\"type\":\"task-failure\",\"index\":{},\"attempts\":{},\"kind\":\"{}\",\"message\":{}}}",
             self.index,
             self.attempts,
             self.kind.tag(),
-            escaped
+            mss_obs::ndjson::json_str(message)
         )
     }
 }
@@ -535,316 +352,15 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// The supervised engine: the deterministic indexed-task queue of
-/// [`crate::par_map`] with per-attempt panic isolation, per-task deadline
-/// tokens, and deterministic bounded retry.
-fn run_supervised<U, F>(
-    cfg: &ParallelConfig,
-    sup: &SupervisorConfig,
-    sweep_token: &CancelToken,
-    tasks: usize,
-    samples: u64,
-    f: F,
-) -> PartialSweep<U>
-where
-    U: Send,
-    F: Fn(&TaskCtx<'_>) -> Result<U, FailureKind> + Sync,
-{
-    let _span = mss_obs::span("exec.supervise");
-    let started = Instant::now();
-    let threads = cfg.threads.max(1).min(tasks.max(1));
-    mss_obs::counter_add("exec.supervise.tasks", tasks as u64);
-
-    // Live telemetry: progress after every settled task, a heartbeat per
-    // worker, one failure event per terminal failure. All of it rides the
-    // opt-in event bus; with the bus off the cost is one atomic add per
-    // task.
-    let events_on = mss_obs::events::bus_enabled();
-    let label = sup.effective_label();
-    let settled = AtomicU64::new(0);
-    let retried_total = AtomicU64::new(0);
-    let note_settled = |_index: usize| {
-        let done = settled.fetch_add(1, Ordering::Relaxed) + 1;
-        if events_on {
-            mss_obs::events::publish(mss_obs::events::EventPayload::Progress {
-                sweep: label.to_string(),
-                done,
-                total: tasks as u64,
-                retried: retried_total.load(Ordering::Relaxed),
-                budget_seconds: sweep_token.budget_remaining().map(|d| d.as_secs_f64()),
-            });
-        }
-    };
-    let heartbeat = |worker: u32, tasks_done: u64, busy_seconds: f64| {
-        if events_on {
-            mss_obs::events::publish(mss_obs::events::EventPayload::Heartbeat {
-                sweep: label.to_string(),
-                worker,
-                tasks_done,
-                busy_seconds,
-            });
-        }
-    };
-    let note_failure = |fail: &TaskFailure| {
-        if events_on {
-            mss_obs::events::publish(mss_obs::events::EventPayload::Failure {
-                sweep: label.to_string(),
-                index: fail.index as u64,
-                attempts: fail.attempts,
-                kind: fail.kind.tag().to_string(),
-                message: fail.kind.to_string(),
-            });
-        }
-    };
-
-    // One attempt of task `i`, fully isolated: panics are caught and
-    // classified, deadline/cancellation rechecked on failure so a budget
-    // that expired mid-attempt is reported as such, not as the error it
-    // happened to surface as.
-    let attempt_one = |i: usize, attempt: u32| -> Result<U, FailureKind> {
-        let task_token = sweep_token.child_with_deadline(sup.deadline);
-        let ctx = TaskCtx {
-            index: i,
-            attempt,
-            token: &task_token,
-        };
-        let outcome = catch_unwind(AssertUnwindSafe(|| f(&ctx)));
-        let kind = match outcome {
-            Ok(Ok(u)) => return Ok(u),
-            Ok(Err(kind)) => kind,
-            Err(payload) => {
-                mss_obs::counter_add("exec.supervise.panics", 1);
-                FailureKind::Panicked {
-                    message: panic_message(payload.as_ref()),
-                }
-            }
-        };
-        // Classify by cause: an expired per-task budget wins over the
-        // surface error, an externally cancelled sweep over both.
-        if sweep_token.is_cancelled() {
-            Err(FailureKind::Cancelled)
-        } else if task_token.own_deadline_passed() {
-            Err(FailureKind::DeadlineExceeded)
-        } else {
-            Err(kind)
-        }
-    };
-
-    // Run-to-terminal for one task: retry retryable failures on a
-    // deterministic backoff schedule.
-    let run_task = |i: usize| -> Result<U, TaskFailure> {
-        let mut attempt = 0u32;
-        loop {
-            match attempt_one(i, attempt) {
-                Ok(u) => {
-                    mss_obs::counter_add("exec.supervise.succeeded", 1);
-                    return Ok(u);
-                }
-                Err(kind) => {
-                    if kind.retryable() && attempt < sup.retry_max {
-                        attempt += 1;
-                        mss_obs::counter_add("exec.supervise.retries", 1);
-                        retried_total.fetch_add(1, Ordering::Relaxed);
-                        let backoff = sup.backoff(i as u64, attempt);
-                        if !backoff.is_zero() {
-                            std::thread::sleep(backoff);
-                        }
-                        continue;
-                    }
-                    match &kind {
-                        FailureKind::DeadlineExceeded => {
-                            mss_obs::counter_add("exec.supervise.deadline", 1);
-                        }
-                        FailureKind::Cancelled => {
-                            mss_obs::counter_add("exec.supervise.cancelled", 1);
-                        }
-                        _ => mss_obs::counter_add("exec.supervise.failed", 1),
-                    }
-                    let fail = TaskFailure {
-                        index: i,
-                        attempts: attempt + 1,
-                        kind,
-                    };
-                    note_failure(&fail);
-                    return Err(fail);
-                }
-            }
-        }
-    };
-
-    // A task claimed after the sweep died is recorded unstarted.
-    let skip_task = |i: usize| -> TaskFailure {
-        mss_obs::counter_add("exec.supervise.cancelled", 1);
-        let fail = TaskFailure {
-            index: i,
-            attempts: 0,
-            kind: FailureKind::Cancelled,
-        };
-        note_failure(&fail);
-        fail
-    };
-
-    if threads <= 1 || tasks <= 1 {
-        let t0 = Instant::now();
-        let mut results = Vec::with_capacity(tasks);
-        let mut failures = Vec::new();
-        for i in 0..tasks {
-            if sweep_token.is_cancelled() {
-                results.push(None);
-                failures.push(skip_task(i));
-                note_settled(i);
-                continue;
-            }
-            match run_task(i) {
-                Ok(u) => results.push(Some(u)),
-                Err(fail) => {
-                    results.push(None);
-                    failures.push(fail);
-                }
-            }
-            note_settled(i);
-            heartbeat(0, (i + 1) as u64, t0.elapsed().as_secs_f64());
-        }
-        let busy = t0.elapsed().as_secs_f64();
-        let sweep = PartialSweep {
-            results,
-            failures,
-            stats: RunStats {
-                tasks: tasks as u64,
-                samples,
-                threads: 1,
-                wall_seconds: started.elapsed().as_secs_f64(),
-                busy_seconds: vec![busy],
-            },
-        };
-        return finish_sweep(sup, label, events_on, sweep);
-    }
-
-    let slots: Vec<Mutex<Option<U>>> = (0..tasks).map(|_| Mutex::new(None)).collect();
-    let failures = Mutex::new(Vec::new());
-    let next = AtomicUsize::new(0);
-    let mut busy_seconds = vec![0.0; threads];
-    let parent_spans = mss_obs::SpanContext::capture();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|worker| {
-                let slots = &slots;
-                let failures = &failures;
-                let next = &next;
-                let run_task = &run_task;
-                let skip_task = &skip_task;
-                let note_settled = &note_settled;
-                let heartbeat = &heartbeat;
-                let parent_spans = &parent_spans;
-                scope.spawn(move || {
-                    parent_spans.enter_worker(1 + worker as u32);
-                    let mut busy = 0.0;
-                    let mut tasks_done = 0u64;
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= tasks {
-                            break;
-                        }
-                        if sweep_token.is_cancelled() {
-                            failures
-                                .lock()
-                                .expect("failure manifest poisoned")
-                                .push(skip_task(i));
-                            note_settled(i);
-                            continue;
-                        }
-                        let t0 = Instant::now();
-                        let outcome = run_task(i);
-                        busy += t0.elapsed().as_secs_f64();
-                        tasks_done += 1;
-                        match outcome {
-                            Ok(u) => {
-                                *slots[i].lock().expect("result slot poisoned") = Some(u);
-                            }
-                            Err(fail) => failures
-                                .lock()
-                                .expect("failure manifest poisoned")
-                                .push(fail),
-                        }
-                        note_settled(i);
-                        heartbeat(1 + worker as u32, tasks_done, busy);
-                    }
-                    busy
-                })
-            })
-            .collect();
-        for (k, handle) in handles.into_iter().enumerate() {
-            match handle.join() {
-                // A worker thread itself cannot panic (attempts are caught),
-                // so a join failure is an engine bug worth propagating.
-                Ok(busy) => busy_seconds[k] = busy,
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-    });
-    let results = slots
-        .into_iter()
-        .map(|m| m.into_inner().expect("result slot poisoned"))
-        .collect();
-    let mut failures = failures.into_inner().expect("failure manifest poisoned");
-    failures.sort_by_key(|f| f.index);
-    let sweep = PartialSweep {
-        results,
-        failures,
-        stats: RunStats {
-            tasks: tasks as u64,
-            samples,
-            threads,
-            wall_seconds: started.elapsed().as_secs_f64(),
-            busy_seconds,
-        },
-    };
-    finish_sweep(sup, label, events_on, sweep)
-}
-
-/// End-of-sweep bookkeeping: when the event bus is live and the sweep ended
-/// with failures (panic, deadline, cancellation or domain error), dump the
-/// flight-recorder ring to `target/flight_<label>_<seed>.ndjson` so the
-/// last moments before the failure survive the process.
-fn finish_sweep<U>(
-    sup: &SupervisorConfig,
-    label: &str,
-    events_on: bool,
-    sweep: PartialSweep<U>,
-) -> PartialSweep<U> {
-    if events_on && !sweep.failures.is_empty() {
-        let digest = format!("{label}_{:016x}", sup.seed);
-        let reason = format!(
-            "partial sweep: {} of {} tasks failed",
-            sweep.failures.len(),
-            sweep.len()
-        );
-        mss_obs::counter_add("exec.supervise.flight_dumps", 1);
-        match mss_obs::events::bus().dump_flight(&digest, &reason) {
-            Ok(path) => eprintln!("flight recorder: {reason} -> {}", path.display()),
-            Err(e) => eprintln!("flight recorder: dump failed: {e}"),
-        }
-    }
-    sweep
-}
-
-/// Classifies a domain error: a cooperative cancellation bail-out (the task
-/// observed its token) maps onto the supervisor's own kinds so the engine
-/// can distinguish "budget ran out" from "the computation is broken".
-fn classify_err<E: std::fmt::Display>(e: &E, ctx: &TaskCtx<'_>) -> FailureKind {
-    if ctx.is_cancelled() {
-        // Which budget fired is resolved by the engine afterwards.
-        FailureKind::Cancelled
-    } else {
-        FailureKind::Failed {
-            message: e.to_string(),
-        }
-    }
-}
-
-/// Supervised [`crate::par_map`]: maps `f` over `items`, isolating panics,
-/// enforcing the per-task deadline, retrying deterministically, and
-/// returning a [`PartialSweep`] in item order.
+/// Supervised [`crate::par_map`]: maps `f` over `items` on the same task
+/// engine, isolating panics, enforcing the per-task deadline, retrying
+/// deterministically, and returning a [`PartialSweep`] in item order.
+///
+/// When the event bus is live, every settled task publishes a `progress`
+/// event (its last attempt's remaining budget as `budget_seconds`) and a
+/// `heartbeat` for the worker that ran it, every terminal failure a
+/// `failure` event, and a sweep that ends with failures dumps the
+/// flight-recorder ring to `target/flight_<label>_<seed>.ndjson`.
 pub fn supervised_map<T, U, E, F>(
     cfg: &ParallelConfig,
     sup: &SupervisorConfig,
@@ -855,52 +371,156 @@ where
     T: Sync,
     U: Send,
     E: std::fmt::Display,
-    F: Fn(&TaskCtx<'_>, &T) -> Result<U, E> + Sync,
+    F: Fn(&TaskCtx, &T) -> Result<U, E> + Sync,
 {
-    supervised_map_with(cfg, sup, &CancelToken::new(), items, f)
-}
+    let _span = mss_obs::span("exec.supervise");
+    let tasks = items.len();
+    mss_obs::counter_add("exec.supervise.tasks", tasks as u64);
+    // Live telemetry rides the opt-in event bus; with the bus off none of
+    // the progress/heartbeat bookkeeping runs.
+    let events_on = mss_obs::events::bus_enabled();
+    let label = sup.effective_label();
+    let settled = AtomicU64::new(0);
+    let retried_total = AtomicU64::new(0);
+    // Per-worker `(tasks settled, busy seconds)` for heartbeats, indexed by
+    // the engine's worker ordinal.
+    let workers: Vec<Mutex<(u64, f64)>> = (0..=cfg.threads.max(1))
+        .map(|_| Mutex::new((0, 0.0)))
+        .collect();
 
-/// [`supervised_map`] under an external sweep token — cancel it to stop
-/// scheduling new tasks (in-flight tasks observe it cooperatively).
-pub fn supervised_map_with<T, U, E, F>(
-    cfg: &ParallelConfig,
-    sup: &SupervisorConfig,
-    token: &CancelToken,
-    items: &[T],
-    f: F,
-) -> PartialSweep<U>
-where
-    T: Sync,
-    U: Send,
-    E: std::fmt::Display,
-    F: Fn(&TaskCtx<'_>, &T) -> Result<U, E> + Sync,
-{
-    run_supervised(cfg, sup, token, items.len(), items.len() as u64, |ctx| {
-        f(ctx, &items[ctx.index]).map_err(|e| classify_err(&e, ctx))
-    })
-}
+    // One attempt of task `i` under its own deadline, fully isolated: a
+    // panic is caught and classified, and a failure after the budget ran
+    // out is reported as the deadline, not as the error it surfaced as.
+    let attempt_one = |i: usize, attempt: u32, token: CancelToken| -> Result<U, FailureKind> {
+        let ctx = TaskCtx {
+            index: i,
+            attempt,
+            token,
+        };
+        let kind = match catch_unwind(AssertUnwindSafe(|| f(&ctx, &items[i]))) {
+            Ok(Ok(u)) => return Ok(u),
+            Ok(Err(e)) => FailureKind::Failed {
+                message: e.to_string(),
+            },
+            Err(payload) => {
+                mss_obs::counter_add("exec.supervise.panics", 1);
+                FailureKind::Panicked {
+                    message: panic_message(payload.as_ref()),
+                }
+            }
+        };
+        if token.is_cancelled() {
+            Err(FailureKind::DeadlineExceeded)
+        } else {
+            Err(kind)
+        }
+    };
 
-/// Supervised [`crate::par_chunks`]: splits `0..total` into
-/// [`ParallelConfig::chunk`]-sized ranges (boundaries independent of the
-/// thread count) and supervises each chunk as one task.
-pub fn supervised_chunks<U, E, F>(
-    cfg: &ParallelConfig,
-    sup: &SupervisorConfig,
-    total: usize,
-    f: F,
-) -> PartialSweep<U>
-where
-    U: Send,
-    E: std::fmt::Display,
-    F: Fn(&TaskCtx<'_>, Range<usize>) -> Result<U, E> + Sync,
-{
-    let chunk = cfg.chunk.max(1);
-    let tasks = total.div_ceil(chunk);
-    run_supervised(cfg, sup, &CancelToken::new(), tasks, total as u64, |ctx| {
-        let lo = ctx.index * chunk;
-        let hi = (lo + chunk).min(total);
-        f(ctx, lo..hi).map_err(|e| classify_err(&e, ctx))
-    })
+    // Run-to-terminal for one task: retry panics and domain errors on a
+    // deterministic backoff schedule; a spent deadline is terminal, since
+    // the budget that killed attempt `k` would kill `k + 1` too. Returns
+    // the outcome and the last attempt's token.
+    let run_task = |i: usize| -> (Result<U, TaskFailure>, CancelToken) {
+        let mut attempt = 0u32;
+        loop {
+            let token = CancelToken::after(sup.deadline);
+            let kind = match attempt_one(i, attempt, token) {
+                Ok(u) => {
+                    mss_obs::counter_add("exec.supervise.succeeded", 1);
+                    return (Ok(u), token);
+                }
+                Err(kind) => kind,
+            };
+            if kind != FailureKind::DeadlineExceeded && attempt < sup.retry_max {
+                attempt += 1;
+                mss_obs::counter_add("exec.supervise.retries", 1);
+                retried_total.fetch_add(1, Ordering::Relaxed);
+                let backoff = sup.backoff(i as u64, attempt);
+                if !backoff.is_zero() {
+                    std::thread::sleep(backoff);
+                }
+                continue;
+            }
+            if kind == FailureKind::DeadlineExceeded {
+                mss_obs::counter_add("exec.supervise.deadline", 1);
+            } else {
+                mss_obs::counter_add("exec.supervise.failed", 1);
+            }
+            let fail = TaskFailure {
+                index: i,
+                attempts: attempt + 1,
+                kind,
+            };
+            if events_on {
+                mss_obs::events::publish(EventPayload::Failure {
+                    sweep: label.to_string(),
+                    index: fail.index as u64,
+                    attempts: fail.attempts,
+                    kind: fail.kind.tag().to_string(),
+                    message: fail.kind.to_string(),
+                });
+            }
+            return (Err(fail), token);
+        }
+    };
+
+    let (outcomes, stats) = run_indexed(cfg, tasks, tasks as u64, |i, worker| {
+        let t0 = Instant::now();
+        let (outcome, token) = run_task(i);
+        if events_on {
+            let done = settled.fetch_add(1, Ordering::Relaxed) + 1;
+            mss_obs::events::publish(EventPayload::Progress {
+                sweep: label.to_string(),
+                done,
+                total: tasks as u64,
+                retried: retried_total.load(Ordering::Relaxed),
+                budget_seconds: token.budget_remaining().map(|d| d.as_secs_f64()),
+            });
+            let (tasks_done, busy_seconds) = {
+                let mut w = workers[worker as usize]
+                    .lock()
+                    .expect("heartbeat slot poisoned");
+                w.0 += 1;
+                w.1 += t0.elapsed().as_secs_f64();
+                *w
+            };
+            mss_obs::events::publish(EventPayload::Heartbeat {
+                sweep: label.to_string(),
+                worker,
+                tasks_done,
+                busy_seconds,
+            });
+        }
+        outcome
+    });
+
+    let mut results = Vec::with_capacity(tasks);
+    let mut failures = Vec::new();
+    for outcome in outcomes {
+        match outcome {
+            Ok(u) => results.push(Some(u)),
+            Err(fail) => {
+                results.push(None);
+                failures.push(fail);
+            }
+        }
+    }
+    // A sweep that ended with failures on a live bus dumps the flight
+    // recorder, so the last moments before the failure survive the process.
+    if events_on && !failures.is_empty() {
+        let digest = format!("{label}_{:016x}", sup.seed);
+        let reason = format!("partial sweep: {} of {tasks} tasks failed", failures.len());
+        mss_obs::counter_add("exec.supervise.flight_dumps", 1);
+        match mss_obs::events::bus().dump_flight(&digest, &reason) {
+            Ok(path) => eprintln!("flight recorder: {reason} -> {}", path.display()),
+            Err(e) => eprintln!("flight recorder: dump failed: {e}"),
+        }
+    }
+    PartialSweep {
+        results,
+        failures,
+        stats,
+    }
 }
 
 #[cfg(test)]
@@ -917,15 +537,24 @@ mod tests {
 
     #[test]
     fn complete_sweep_matches_par_map() {
+        let items: Vec<u64> = (0..100).collect();
         for threads in [1, 2, 8] {
-            let items: Vec<u64> = (0..100).collect();
+            let (plain, plain_stats) = crate::par_map_stats(&cfg(threads), &items, |_, &x| x * 7);
             let sweep = supervised_map(&cfg(threads), &quiet_sup(), &items, |_, &x| {
                 Ok::<_, String>(x * 7)
             });
             assert!(sweep.is_complete());
             assert_eq!(sweep.completed_count(), 100);
-            let out = sweep.into_results().expect("complete");
-            assert_eq!(out, items.iter().map(|x| x * 7).collect::<Vec<_>>());
+            let stats = sweep.stats.clone();
+            assert_eq!(stats.tasks, plain_stats.tasks, "threads={threads}");
+            assert_eq!(stats.samples, plain_stats.samples, "threads={threads}");
+            assert_eq!(stats.threads, plain_stats.threads, "threads={threads}");
+            assert_eq!(
+                stats.busy_seconds.len(),
+                plain_stats.busy_seconds.len(),
+                "threads={threads}"
+            );
+            assert_eq!(sweep.into_results().expect("complete"), plain);
         }
     }
 
@@ -1048,22 +677,6 @@ mod tests {
     }
 
     #[test]
-    fn external_cancellation_stops_scheduling() {
-        let token = CancelToken::new();
-        token.cancel();
-        let items: Vec<u32> = (0..20).collect();
-        let sweep = supervised_map_with(&cfg(2), &quiet_sup(), &token, &items, |_, &x| {
-            Ok::<_, String>(x)
-        });
-        assert_eq!(sweep.completed_count(), 0);
-        assert_eq!(sweep.failures.len(), 20);
-        for f in &sweep.failures {
-            assert_eq!(f.kind, FailureKind::Cancelled);
-            assert_eq!(f.attempts, 0, "never started");
-        }
-    }
-
-    #[test]
     fn per_task_deadline_is_classified_and_not_retried() {
         // Every task stalls past its budget, then observes the token.
         let sup = quiet_sup()
@@ -1085,32 +698,17 @@ mod tests {
     }
 
     #[test]
-    fn token_chains_inherit_cancellation() {
-        let parent = CancelToken::new();
-        let child = parent.child_with_deadline(None);
-        let timed = parent.child_with_deadline(Some(Duration::from_secs(3600)));
-        assert!(!child.is_cancelled());
-        assert!(!timed.is_cancelled());
-        parent.cancel();
-        assert!(child.is_cancelled());
-        assert!(timed.is_cancelled());
+    fn deadline_token_expires_and_reports_its_budget() {
         let expired = CancelToken::with_deadline(Duration::ZERO);
         assert!(expired.is_cancelled());
-    }
-
-    #[test]
-    fn supervised_chunks_covers_everything_once() {
-        let cfg = cfg(3).with_chunk(7);
-        let sweep = supervised_chunks(&cfg, &quiet_sup(), 100, |_, r| Ok::<_, String>(r));
-        assert!(sweep.is_complete());
-        let mut seen = [false; 100];
-        for r in sweep.into_results().expect("complete") {
-            for i in r {
-                assert!(!seen[i], "index {i} covered twice");
-                seen[i] = true;
-            }
-        }
-        assert!(seen.iter().all(|&s| s));
+        assert_eq!(expired.budget_remaining(), Some(Duration::ZERO));
+        let live = CancelToken::with_deadline(Duration::from_secs(3600));
+        assert!(!live.is_cancelled());
+        let left = live.budget_remaining().expect("armed token has a budget");
+        assert!(left > Duration::ZERO && left <= Duration::from_secs(3600));
+        let unarmed = CancelToken::after(None);
+        assert!(!unarmed.is_cancelled());
+        assert_eq!(unarmed.budget_remaining(), None);
     }
 
     #[test]
@@ -1137,27 +735,6 @@ mod tests {
                 .expect("index field");
             assert!(idx > last, "manifest sorted by index");
             last = idx;
-        }
-    }
-
-    #[test]
-    fn env_parsers_follow_the_threads_convention() {
-        assert_eq!(
-            parse_deadline_ms("250"),
-            Ok(Some(Duration::from_millis(250)))
-        );
-        assert_eq!(
-            parse_deadline_ms(" 10 "),
-            Ok(Some(Duration::from_millis(10)))
-        );
-        assert_eq!(parse_deadline_ms("0"), Ok(None), "0 disables the deadline");
-        for bad in ["fast", "-5", "2.5", "", "  "] {
-            assert!(parse_deadline_ms(bad).is_err(), "{bad:?}");
-        }
-        assert_eq!(parse_retry_max("3"), Ok(3));
-        assert_eq!(parse_retry_max("0"), Ok(0));
-        for bad in ["many", "-1", "1.5", ""] {
-            assert!(parse_retry_max(bad).is_err(), "{bad:?}");
         }
     }
 

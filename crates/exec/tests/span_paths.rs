@@ -25,7 +25,7 @@ fn workload(root: &'static str, threads: usize) {
     }
     {
         let _outer = mss_obs::span("outer.supervised");
-        let sweep = supervised_map(&cfg, &SupervisorConfig::default(), &items, |_, &x| {
+        let sweep = supervised_map(&cfg, &SupervisorConfig::disabled(), &items, |_, &x| {
             let _task = mss_obs::span("task");
             // A parallel region nested inside a worker keeps the full chain.
             let inner = par_map(&cfg, &[x, x + 1], |_, &y| {

@@ -153,20 +153,14 @@ fn supervised_sweeps_stream_identical_terminal_telemetry() {
         "flight recording must carry the failure"
     );
 
-    // Budget reporting: a deadline sweep's progress events carry a finite
-    // remaining budget.
+    // Budget reporting: a deadline sweep's progress events carry what was
+    // left of each task's per-attempt budget when it settled.
     let cfg = ParallelConfig::serial().with_threads(2);
     let sup = SupervisorConfig::disabled()
         .with_deadline(Duration::from_secs(3600))
         .with_label("budgeted");
     let items = [0u8; 4];
-    let sweep = mss_exec::supervised_map_with(
-        &cfg,
-        &sup,
-        &mss_exec::CancelToken::with_deadline(Duration::from_secs(3600)),
-        &items,
-        |_, &x| Ok::<_, String>(x),
-    );
+    let sweep = mss_exec::supervised_map(&cfg, &sup, &items, |_, &x| Ok::<_, String>(x));
     assert!(sweep.is_complete());
     let budgets: Vec<Option<f64>> = events::bus()
         .snapshot()

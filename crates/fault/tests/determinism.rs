@@ -117,20 +117,3 @@ fn uncorrectable_probability_is_monotone_and_matches_injection() {
         );
     }
 }
-
-/// Campaign counters reach the global observability registry.
-#[test]
-fn campaign_increments_obs_counters() {
-    mss_obs::init_with_mode(mss_obs::Mode::Metrics);
-    let before = counter("fault.campaign.blocks");
-    let p = plan(3, |m| m.write_fail_rate = 0.02);
-    let opts =
-        CampaignOptions::new(300, EccScheme::bch(1, 64)).with_parallel(ParallelConfig::serial());
-    let r = run_ecc_campaign(&p, &opts).expect("campaign");
-    assert_eq!(counter("fault.campaign.blocks") - before, 300);
-    assert!(counter("fault.campaign.injected") >= r.bit_errors);
-}
-
-fn counter(name: &str) -> u64 {
-    mss_obs::counter(name)
-}

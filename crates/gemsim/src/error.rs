@@ -22,8 +22,8 @@ pub enum GemsimError {
         /// What is wrong.
         reason: String,
     },
-    /// The run observed its cancellation token (deadline or external
-    /// cancel) and bailed out at a chunk boundary before completing.
+    /// The run's deadline passed and it bailed out at a chunk boundary
+    /// before completing.
     Cancelled,
 }
 

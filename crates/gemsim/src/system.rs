@@ -315,13 +315,13 @@ impl System {
 
     /// Runs one kernel with an explicit thread placement and reports system
     /// activity. A `token`, when given, is polled at every access-chunk
-    /// boundary so a supervisor can cancel the run.
+    /// boundary so the supervisor's per-task deadline bounds the run.
     ///
     /// # Errors
     ///
     /// [`GemsimError::InvalidWorkload`] for malformed kernels,
     /// [`GemsimError::InvalidSystem`] when a pinned cluster name does not
-    /// exist, and [`GemsimError::Cancelled`] when the token trips mid-run.
+    /// exist, and [`GemsimError::Cancelled`] when the deadline passes mid-run.
     pub fn run_placed(
         &self,
         kernel: &Kernel,
@@ -938,9 +938,9 @@ mod tests {
 
     #[test]
     fn cancelled_token_aborts_at_chunk_boundary() {
+        use std::time::Duration;
         let sys = System::new(quick_config()).unwrap();
-        let token = CancelToken::new();
-        token.cancel();
+        let token = CancelToken::with_deadline(Duration::ZERO);
         assert_eq!(
             sys.run_placed(
                 &Kernel::bodytrack(),
@@ -951,7 +951,7 @@ mod tests {
             Err(GemsimError::Cancelled)
         );
         // A live token changes nothing: the run equals the plain path.
-        let live = CancelToken::new();
+        let live = CancelToken::with_deadline(Duration::from_secs(3600));
         let r = sys
             .run_placed(
                 &Kernel::bodytrack(),

@@ -7,8 +7,7 @@
 //! subarray tiling and pick the organisation minimising a target metric,
 //! optionally under constraints.
 
-use mss_exec::supervise::SupervisorConfig;
-use mss_exec::{par_map, ParallelConfig, TaskFailure};
+use mss_exec::{par_map, ParallelConfig};
 use mss_pdk::tech::TechParams;
 
 use crate::config::MemoryConfig;
@@ -108,7 +107,13 @@ pub fn explore_with(
     constraints: &DesignConstraints,
     exec: &ParallelConfig,
 ) -> Result<Exploration, NvsimError> {
-    let grid = subarray_grid(base);
+    // Tilings larger than the bank are skipped up front.
+    let sizes = [64u32, 128, 256, 512, 1024, 2048];
+    let grid: Vec<MemoryConfig> = sizes
+        .iter()
+        .flat_map(|&rows| sizes.iter().map(move |&cols| (rows, cols)))
+        .filter_map(|(rows, cols)| base.with_subarray(rows, cols).ok())
+        .collect();
     let _span = mss_obs::span("nvsim.explore");
     // Estimation runs through the stage pipeline: re-exploring the same
     // technology (across targets, constraint sets or flow scenarios) hits
@@ -119,29 +124,8 @@ pub fn explore_with(
     });
     mss_obs::counter_add("nvsim.explore.candidates", estimated.len() as u64);
     let metrics = estimated.into_iter().collect::<Result<Vec<_>, _>>()?;
-    rank(grid.into_iter().zip(metrics), target, constraints)
-}
-
-/// Every subarray tiling of `base` the sweep evaluates, in grid order.
-/// Tilings larger than the bank are skipped up front.
-fn subarray_grid(base: &MemoryConfig) -> Vec<MemoryConfig> {
-    let sizes = [64u32, 128, 256, 512, 1024, 2048];
-    sizes
-        .iter()
-        .flat_map(|&rows| sizes.iter().map(move |&cols| (rows, cols)))
-        .filter_map(|(rows, cols)| base.with_subarray(rows, cols).ok())
-        .collect()
-}
-
-/// Scores the estimated tilings, drops the infeasible ones and sorts the
-/// rest by ascending score.
-fn rank(
-    estimated: impl IntoIterator<Item = (MemoryConfig, ArrayMetrics)>,
-    target: OptimizationTarget,
-    constraints: &DesignConstraints,
-) -> Result<Exploration, NvsimError> {
     let mut candidates = Vec::new();
-    for (config, metrics) in estimated {
+    for (config, metrics) in grid.into_iter().zip(metrics) {
         if !constraints.accepts(&metrics) {
             continue;
         }
@@ -164,61 +148,6 @@ fn rank(
         Some(best) => Ok(Exploration { best, candidates }),
         None => Err(NvsimError::NoFeasibleDesign),
     }
-}
-
-/// A design-space exploration that degrades gracefully: candidates whose
-/// estimation panicked, failed or overran the supervisor's deadline are
-/// dropped from the ranking and reported in `failures`, instead of tearing
-/// down the whole sweep.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SupervisedExploration {
-    /// The best among the candidates that completed (the full
-    /// [`Exploration`] shape, sorted by ascending score).
-    pub exploration: Exploration,
-    /// Grid points that produced no metrics, with the failure cause.
-    pub failures: Vec<TaskFailure>,
-}
-
-/// [`explore_with`] under the sweep supervisor: each grid point is
-/// estimated in an isolated supervised task, and the exploration ranks
-/// whatever completed.
-///
-/// With healthy estimation this returns exactly the [`explore_with`]
-/// result plus an empty failure list.
-///
-/// # Errors
-///
-/// [`NvsimError::NoFeasibleDesign`] when no *completed* tiling satisfies
-/// the constraints (including the case where every task failed).
-pub fn explore_supervised(
-    tech: &TechParams,
-    base: &MemoryConfig,
-    technology: &MemoryTechnology,
-    target: OptimizationTarget,
-    constraints: &DesignConstraints,
-    exec: &ParallelConfig,
-    sup: &SupervisorConfig,
-) -> Result<SupervisedExploration, NvsimError> {
-    let grid = subarray_grid(base);
-    let _span = mss_obs::span("nvsim.explore");
-    let cache = mss_pipe::global();
-    let sup = if sup.label.is_empty() {
-        sup.with_label("nvsim.explore")
-    } else {
-        *sup
-    };
-    let sweep = mss_exec::supervised_map(exec, &sup, &grid, |_, cfg| {
-        estimate_cached(tech, cfg, technology, &cache).map(|m| (*m).clone())
-    });
-    mss_obs::counter_add("nvsim.explore.candidates", grid.len() as u64);
-    let completed = grid
-        .into_iter()
-        .zip(sweep.results)
-        .filter_map(|(config, metrics)| Some((config, metrics?)));
-    Ok(SupervisedExploration {
-        exploration: rank(completed, target, constraints)?,
-        failures: sweep.failures,
-    })
 }
 
 #[cfg(test)]
@@ -332,32 +261,6 @@ mod tests {
         };
         let serial = run(1);
         assert_eq!(serial, run(4));
-    }
-
-    #[test]
-    fn supervised_exploration_matches_plain_when_healthy() {
-        let (tech, cfg, technology) = setup();
-        let plain = explore_with(
-            &tech,
-            &cfg,
-            &technology,
-            OptimizationTarget::ReadEdp,
-            &DesignConstraints::default(),
-            &ParallelConfig::serial().with_threads(2),
-        )
-        .unwrap();
-        let supervised = explore_supervised(
-            &tech,
-            &cfg,
-            &technology,
-            OptimizationTarget::ReadEdp,
-            &DesignConstraints::default(),
-            &ParallelConfig::serial().with_threads(2),
-            &SupervisorConfig::disabled(),
-        )
-        .unwrap();
-        assert!(supervised.failures.is_empty());
-        assert_eq!(supervised.exploration, plain);
     }
 
     #[test]

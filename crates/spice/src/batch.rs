@@ -10,7 +10,7 @@
 //! * **symbolic once** — [`DcBatch::new`] computes the MNA index structure
 //!   (node→row map, voltage-source rows, nonlinearity flag) a single time
 //!   per netlist topology;
-//! * **numeric many** — [`DcBatch::run_with`] applies a caller-supplied value
+//! * **numeric many** — [`DcBatch::run`] applies a caller-supplied value
 //!   edit per sample and re-solves against the shared structure, with one
 //!   reusable [`Workspace`] per worker and
 //!   solutions written to a flat, SoA sample-major buffer.
@@ -24,7 +24,6 @@
 //! caller: derive it from the *sample index* (RNG stream splitting), never
 //! from the worker.
 
-use mss_exec::supervise::CancelToken;
 use mss_exec::{par_chunks_stats, ParallelConfig};
 
 use crate::analysis::{Mna, SolverOptions};
@@ -48,7 +47,7 @@ use crate::SpiceError;
 /// let r2 = nl.element_index("r2")?;
 /// let batch = DcBatch::new(&nl);
 /// // 4 samples sweeping the lower divider resistor.
-/// let result = batch.run_with(4, &ParallelConfig::serial(), None, |i, nl| {
+/// let result = batch.run(4, &ParallelConfig::serial(), |i, nl| {
 ///     nl.set_resistance(r2, 1e3 * (i + 1) as f64)
 /// });
 /// assert_eq!(result.failure_count(), 0);
@@ -119,18 +118,7 @@ impl DcBatch {
     /// * the edit must set **every** varying value each sample — workers
     ///   reuse one netlist clone across their chunk, so an unset value
     ///   carries over from the previous sample of that chunk.
-    ///
-    /// A `token`, when given, is checked at every chunk boundary. A tripped
-    /// token marks the remaining samples of each chunk as failed with
-    /// [`SpiceError::Cancelled`]; the samples already solved keep their
-    /// (bit-exact) solutions.
-    pub fn run_with<F>(
-        &self,
-        samples: usize,
-        cfg: &ParallelConfig,
-        token: Option<&CancelToken>,
-        edit: F,
-    ) -> BatchDcResult
+    pub fn run<F>(&self, samples: usize, cfg: &ParallelConfig, edit: F) -> BatchDcResult
     where
         F: Fn(usize, &mut Netlist) -> Result<(), SpiceError> + Sync,
     {
@@ -141,30 +129,8 @@ impl DcBatch {
         let events_on = mss_obs::events::bus_enabled();
         let total_chunks = samples.div_ceil(cfg.chunk.max(1)) as u64;
         let chunks_done = std::sync::atomic::AtomicU64::new(0);
-        let note_chunk_done = || {
-            if events_on {
-                let done = chunks_done.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1;
-                mss_obs::events::publish(mss_obs::events::EventPayload::Progress {
-                    sweep: "spice.dc_batch".to_string(),
-                    done,
-                    total: total_chunks,
-                    retried: 0,
-                    budget_seconds: token
-                        .and_then(|t| t.budget_remaining())
-                        .map(|d| d.as_secs_f64()),
-                });
-            }
-        };
         let (chunks, stats) = par_chunks_stats(cfg, samples, |_chunk, range| {
             let _span = mss_obs::span("spice.batch.chunk");
-            // Cancellation checkpoint: a tripped token fails the whole
-            // chunk cheaply (the SoA stays rectangular, slots are dead).
-            if token.is_some_and(|t| t.is_cancelled()) {
-                let solutions = vec![0.0; range.len() * self.dim];
-                let failures = range.map(|i| (i, SpiceError::Cancelled)).collect();
-                note_chunk_done();
-                return (solutions, failures);
-            }
             let mut nl = self.base.clone();
             let mut ws = Workspace::new();
             let mut solutions = Vec::with_capacity(range.len() * self.dim);
@@ -183,7 +149,16 @@ impl DcBatch {
                     }
                 }
             }
-            note_chunk_done();
+            if events_on {
+                let done = chunks_done.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1;
+                mss_obs::events::publish(mss_obs::events::EventPayload::Progress {
+                    sweep: "spice.dc_batch".to_string(),
+                    done,
+                    total: total_chunks,
+                    retried: 0,
+                    budget_seconds: None,
+                });
+            }
             (solutions, failures)
         });
         stats.record("spice.batch");
@@ -232,7 +207,7 @@ impl DcBatch {
     }
 }
 
-/// Solutions of a [`DcBatch::run_with`]: a flat sample-major SoA buffer plus a
+/// Solutions of a [`DcBatch::run`]: a flat sample-major SoA buffer plus a
 /// sparse failure list (the common case is zero failures, so per-sample
 /// `Result` packaging is avoided).
 #[derive(Debug, Clone)]
@@ -348,7 +323,7 @@ mod tests {
         let batch = DcBatch::new(&nl);
         let n = 37; // not a multiple of any chunk size
         let ohms = |i: usize| 500.0 + 250.0 * i as f64;
-        let result = batch.run_with(n, &ParallelConfig::serial(), None, |i, nl| {
+        let result = batch.run(n, &ParallelConfig::serial(), |i, nl| {
             nl.set_resistance(r2, ohms(i))
         });
         assert_eq!(result.failure_count(), 0);
@@ -379,9 +354,7 @@ mod tests {
             let cfg = ParallelConfig::serial()
                 .with_threads(threads)
                 .with_chunk(chunk);
-            batch.run_with(100, &cfg, None, |i, nl| {
-                nl.set_resistance(r2, 100.0 + i as f64)
-            })
+            batch.run(100, &cfg, |i, nl| nl.set_resistance(r2, 100.0 + i as f64))
         };
         let base = run(1, 256);
         for (threads, chunk) in [(2, 7), (4, 16), (8, 3)] {
@@ -424,7 +397,7 @@ mod tests {
         let ohms = |i: usize| 2.0e3 + 500.0 * i as f64;
         let batch = DcBatch::new(&nl);
         let cfg = ParallelConfig::serial().with_threads(2).with_chunk(3);
-        let result = batch.run_with(8, &cfg, None, |i, nl| {
+        let result = batch.run(8, &cfg, |i, nl| {
             nl.set_mtj_state(x1, state(i))?;
             nl.set_resistance(rs, ohms(i))
         });
@@ -445,37 +418,11 @@ mod tests {
     }
 
     #[test]
-    fn cancelled_token_fails_remaining_chunks_not_the_batch() {
-        let nl = divider();
-        let r2 = nl.element_index("r2").unwrap();
-        let batch = DcBatch::new(&nl);
-        let token = CancelToken::new();
-        token.cancel();
-        let result = batch.run_with(10, &ParallelConfig::serial(), Some(&token), |i, nl| {
-            nl.set_resistance(r2, 100.0 + i as f64)
-        });
-        assert_eq!(result.failure_count(), 10);
-        for i in 0..10 {
-            assert!(matches!(result.outcome(i), Err(SpiceError::Cancelled)));
-        }
-        // A live token is transparent: same bits as the plain path.
-        let live = CancelToken::new();
-        let a = batch.run_with(10, &ParallelConfig::serial(), Some(&live), |i, nl| {
-            nl.set_resistance(r2, 100.0 + i as f64)
-        });
-        let b = batch.run_with(10, &ParallelConfig::serial(), None, |i, nl| {
-            nl.set_resistance(r2, 100.0 + i as f64)
-        });
-        assert_eq!(a.solutions, b.solutions);
-        assert_eq!(a.failures, b.failures);
-    }
-
-    #[test]
     fn structural_edits_fail_the_sample_not_the_batch() {
         let nl = divider();
         let r2 = nl.element_index("r2").unwrap();
         let batch = DcBatch::new(&nl);
-        let result = batch.run_with(5, &ParallelConfig::serial(), None, |i, nl| {
+        let result = batch.run(5, &ParallelConfig::serial(), |i, nl| {
             if i == 2 {
                 nl.add_resistor("intruder", "mid", "0", 50.0)?;
             }
@@ -499,7 +446,7 @@ mod tests {
         let nl = divider();
         let r2 = nl.element_index("r2").unwrap();
         let batch = DcBatch::new(&nl);
-        let result = batch.run_with(3, &ParallelConfig::serial(), None, |i, nl| {
+        let result = batch.run(3, &ParallelConfig::serial(), |i, nl| {
             nl.set_resistance(r2, if i == 1 { f64::NAN } else { 1e3 })
         });
         assert_eq!(result.failure_count(), 1);
@@ -512,7 +459,7 @@ mod tests {
     #[test]
     fn empty_batch_is_fine() {
         let batch = DcBatch::new(&divider());
-        let result = batch.run_with(0, &ParallelConfig::serial(), None, |_, _| Ok(()));
+        let result = batch.run(0, &ParallelConfig::serial(), |_, _| Ok(()));
         assert_eq!(result.samples(), 0);
         assert_eq!(result.failure_count(), 0);
     }
@@ -520,7 +467,7 @@ mod tests {
     #[test]
     fn unknown_probe_names_error() {
         let batch = DcBatch::new(&divider());
-        let result = batch.run_with(1, &ParallelConfig::serial(), None, |_, _| Ok(()));
+        let result = batch.run(1, &ParallelConfig::serial(), |_, _| Ok(()));
         assert!(matches!(
             result.node_voltage(0, "zz"),
             Err(SpiceError::UnknownNode(_))

@@ -81,9 +81,6 @@ pub enum SpiceError {
         /// What went wrong.
         reason: String,
     },
-    /// The run observed its cancellation token (deadline or external
-    /// cancel) and bailed out at a chunk boundary before completing.
-    Cancelled,
 }
 
 impl fmt::Display for SpiceError {
@@ -141,7 +138,6 @@ impl fmt::Display for SpiceError {
             SpiceError::Measurement { name, reason } => {
                 write!(f, "measurement '{name}' failed: {reason}")
             }
-            SpiceError::Cancelled => write!(f, "solve cancelled"),
         }
     }
 }

@@ -145,10 +145,9 @@ fn batched_bit_identical_to_single_at_1_2_8_threads() {
     let runs: Vec<_> = [1usize, 2, 8]
         .iter()
         .map(|&t| {
-            batch.run_with(
+            batch.run(
                 n,
                 &ParallelConfig::serial().with_threads(t).with_chunk(13),
-                None,
                 edit,
             )
         })
@@ -186,7 +185,7 @@ fn singular_classification_matches_single_path() {
     let batch = DcBatch::new(&nl);
     for threads in [1usize, 2, 8] {
         let cfg = ParallelConfig::serial().with_threads(threads).with_chunk(3);
-        let result = batch.run_with(8, &cfg, None, |i, nl| {
+        let result = batch.run(8, &cfg, |i, nl| {
             nl.set_source_wave(v2, Waveform::dc(2.0 + i as f64))
         });
         assert_eq!(result.failure_count(), 8);
@@ -225,7 +224,7 @@ fn nonconvergence_classification_matches_single_path() {
     let batch = DcBatch::new(&nl).with_solver(starved);
     for threads in [1usize, 2, 8] {
         let cfg = ParallelConfig::serial().with_threads(threads).with_chunk(2);
-        let result = batch.run_with(6, &cfg, None, |i, nl| {
+        let result = batch.run(6, &cfg, |i, nl| {
             nl.set_source_wave(vin, Waveform::dc(vin_of(i)))
         });
         assert_eq!(result.failure_count(), 6);

@@ -30,9 +30,6 @@ pub enum VaetError {
         /// Description of the inconsistency.
         reason: String,
     },
-    /// The analysis observed its cancellation token (deadline or external
-    /// cancel) and bailed out at a batch boundary before completing.
-    Cancelled,
 }
 
 impl fmt::Display for VaetError {
@@ -47,7 +44,6 @@ impl fmt::Display for VaetError {
                 reason,
             } => write!(f, "target {quantity} = {target:.3e} unreachable: {reason}"),
             VaetError::InvalidOptions { reason } => write!(f, "invalid options: {reason}"),
-            VaetError::Cancelled => write!(f, "analysis cancelled"),
         }
     }
 }

@@ -15,8 +15,7 @@
 //! value in the paper's Table 1: the max over a 1024-bit word sits deep in
 //! the exponential tail of the per-bit switching-time distribution.
 
-use mss_exec::supervise::CancelToken;
-use mss_exec::{par_chunks_stats, ParallelConfig, RunStats};
+use mss_exec::{par_chunks_stats, ParallelConfig};
 use mss_mtj::switching::SwitchingModel;
 use mss_spice::batch::DcBatch;
 use mss_spice::netlist::Netlist;
@@ -174,6 +173,11 @@ fn sample_access<R: Rng + ?Sized>(
 /// the Table-1-shaped report. The result is a pure function of
 /// `(ctx, opts)`: thread count never changes the report.
 ///
+/// Samples are fanned out in fixed-size batches; batch `i` draws from RNG
+/// stream `(opts.seed, i)` and the per-batch accumulators are merged in
+/// batch order, so the report is bit-identical at any thread count. The
+/// run's [`RunStats`](mss_exec::RunStats) are recorded under `vaet.mc`.
+///
 /// # Errors
 ///
 /// [`VaetError::InvalidOptions`] on zero samples; device sampling errors
@@ -183,27 +187,6 @@ pub fn run_with(
     opts: &MonteCarloOptions,
     cfg: &ParallelConfig,
 ) -> Result<VaetReport, VaetError> {
-    run_with_stats(ctx, opts, cfg, None).map(|(report, _)| report)
-}
-
-/// [`run_with`] plus the runtime's [`RunStats`] (throughput, utilization).
-///
-/// Samples are fanned out in fixed-size batches; batch `i` draws from RNG
-/// stream `(opts.seed, i)` and the per-batch accumulators are merged in
-/// batch order, so the report is bit-identical at any thread count. A
-/// `token`, when given, is checked at every sample-batch boundary: the
-/// hook the sweep supervisor's per-task deadline uses to bound a run.
-///
-/// # Errors
-///
-/// [`VaetError::Cancelled`] when the token trips mid-run, plus every
-/// [`run_with`] error.
-pub fn run_with_stats(
-    ctx: &VaetContext,
-    opts: &MonteCarloOptions,
-    cfg: &ParallelConfig,
-    token: Option<&CancelToken>,
-) -> Result<(VaetReport, RunStats), VaetError> {
     if opts.samples == 0 {
         return Err(VaetError::InvalidOptions {
             reason: "samples must be non-zero".into(),
@@ -257,12 +240,6 @@ pub fn run_with_stats(
             // only on `samples` and the chunk size, so the span count stays
             // deterministic across thread counts.
             let _span = mss_obs::span("vaet.mc.batch");
-            // Cancellation checkpoint: one poll per batch bounds the
-            // reaction latency to a chunk of samples without touching the
-            // per-sample hot path.
-            if token.is_some_and(|t| t.is_cancelled()) {
-                return Err(VaetError::Cancelled);
-            }
             let mut rng = Xoshiro256PlusPlus::stream(opts.seed, batch as u64);
             let mut acc = BatchAcc::default();
             for _ in range {
@@ -275,9 +252,7 @@ pub fn run_with_stats(
                     done,
                     total: total_batches,
                     retried: 0,
-                    budget_seconds: token
-                        .and_then(|t| t.budget_remaining())
-                        .map(|d| d.as_secs_f64()),
+                    budget_seconds: None,
                 });
             }
             Ok(acc)
@@ -302,7 +277,7 @@ pub fn run_with_stats(
         read_latency: DistributionSummary::from(&total.rl),
         read_energy: DistributionSummary::from(&total.re),
     };
-    Ok((report, stats))
+    Ok(report)
 }
 
 /// Options for the circuit-level sense-margin Monte Carlo.
@@ -409,7 +384,7 @@ pub fn sense_margin_batch_with(
     }
 
     let batch = DcBatch::new(&nl);
-    let result = batch.run_with(opts.samples, cfg, None, |i, nl| {
+    let result = batch.run(opts.samples, cfg, |i, nl| {
         let (r_p, r_ap) = cells[i];
         nl.set_resistance(rp, r_p)?;
         nl.set_resistance(rap, r_ap)
@@ -506,22 +481,6 @@ mod tests {
             .unwrap();
             assert_eq!(serial, parallel, "report diverged at {threads} threads");
         }
-    }
-
-    #[test]
-    fn run_with_stats_reports_throughput() {
-        let opts = small_opts(4);
-        let (report, stats) = run_with_stats(
-            ctx45(),
-            &opts,
-            &ParallelConfig::serial().with_threads(2),
-            None,
-        )
-        .unwrap();
-        assert_eq!(report.samples, opts.samples as u64);
-        assert_eq!(stats.samples, opts.samples as u64);
-        assert!(stats.tasks >= 1);
-        assert!(stats.wall_seconds >= 0.0);
     }
 
     #[test]
@@ -661,32 +620,6 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, VaetError::InvalidOptions { .. }));
-    }
-
-    #[test]
-    fn cancelled_token_aborts_and_live_token_is_transparent() {
-        let token = CancelToken::new();
-        token.cancel();
-        let err = run_with_stats(
-            ctx45(),
-            &small_opts(1),
-            &ParallelConfig::serial(),
-            Some(&token),
-        )
-        .unwrap_err();
-        assert!(matches!(err, VaetError::Cancelled));
-        let live = CancelToken::new();
-        let (report, _) = run_with_stats(
-            ctx45(),
-            &small_opts(1),
-            &ParallelConfig::serial(),
-            Some(&live),
-        )
-        .unwrap();
-        assert_eq!(
-            report,
-            run_with(ctx45(), &small_opts(1), &ParallelConfig::serial()).unwrap()
-        );
     }
 
     #[test]
