@@ -365,7 +365,7 @@ impl MagpieFlow {
     }
 
     /// Runs every (kernel, scenario) pair under an explicit thread policy:
-    /// scenarios are prepared in parallel, then every (scenario, kernel)
+    /// scenarios are prepared serially, then every (scenario, kernel)
     /// simulation fans out as its own task; results are reduced in
     /// scenario-major order. The report is independent of the thread count.
     ///
@@ -375,7 +375,7 @@ impl MagpieFlow {
     pub fn run_with(&self, exec: &ParallelConfig) -> Result<MagpieReport, MagpieError> {
         let _flow_span = mss_obs::span("flow.run");
         let mcpat_cfg = McpatConfig::default();
-        let (areas, systems) = self.prepare(exec)?;
+        let (areas, systems) = self.prepare()?;
         let simulate_span = mss_obs::span("flow.simulate");
         let evaluated = par_map(exec, &self.pairs(), |_, &(s, k)| {
             self.evaluate_pair(&systems, &mcpat_cfg, s, k, None)
@@ -414,7 +414,7 @@ impl MagpieFlow {
     ) -> Result<PartialMagpieReport, MagpieError> {
         let _flow_span = mss_obs::span("flow.run");
         let mcpat_cfg = McpatConfig::default();
-        let (areas, systems) = self.prepare(exec)?;
+        let (areas, systems) = self.prepare()?;
         let simulate_span = mss_obs::span("flow.simulate");
         let pairs = self.pairs();
         let journal = journal.map(Mutex::new);
@@ -458,18 +458,23 @@ impl MagpieFlow {
     }
 
     /// Stage 1 of a run: per-scenario estimation (NVSim/McPAT) and platform
-    /// build, in parallel, returned in scenario order.
-    fn prepare(
-        &self,
-        exec: &ParallelConfig,
-    ) -> Result<(Vec<ScenarioArea>, Vec<System>), MagpieError> {
+    /// build, in scenario order.
+    ///
+    /// Serial on purpose: scenarios that share a macro (the SRAM L1s) hit
+    /// the same stage-cache keys, and racing threads would each miss and
+    /// compute them, so the cache counters would depend on the thread
+    /// count. The estimates are µs-scale; the simulations dominate.
+    fn prepare(&self) -> Result<(Vec<ScenarioArea>, Vec<System>), MagpieError> {
         let _span = mss_obs::span("flow.prepare");
-        let prepared = par_map(exec, &self.inputs.scenarios, |_, &scenario| {
-            let area = self.scenario_area(scenario)?;
-            let system = System::new(self.system_config(scenario)?)?;
-            Ok::<_, MagpieError>((area, system))
-        });
-        prepared.into_iter().collect()
+        self.inputs
+            .scenarios
+            .iter()
+            .map(|&scenario| {
+                let area = self.scenario_area(scenario)?;
+                let system = System::new(self.system_config(scenario)?)?;
+                Ok((area, system))
+            })
+            .collect()
     }
 
     /// Every (scenario, kernel) index pair, scenario-major so the report

@@ -90,8 +90,8 @@ pub const HIST_BUCKETS: usize = 64;
 ///
 /// The writer emits a strict subset of v3: run reports carry no `event`
 /// lines and never mode `"trace"` (span timelines are the bus's
-/// `span_close` lines), and their `dropped_events` is always 0. Readers
-/// accept both in files from older writers, so the version stays 3.
+/// `span_close` lines), and their `dropped_events` is always 0. `mss-prof`
+/// reads exactly this subset and rejects every other version.
 pub const SCHEMA_VERSION: u32 = 3;
 
 /// Counter bumped when `MSS_METRICS`/`MSS_EVENTS` hold a garbled value (the
@@ -111,9 +111,8 @@ impl Mode {
     /// Reads the mode from `MSS_METRICS` via the process-wide
     /// cached [`env_config`] (parsed once, warned about once).
     ///
-    /// Accepted spellings (after trimming, case-insensitive): `1`/`true`/`on`
-    /// enable, and unset/empty/`0`/`false`/`off` disable. Anything else
-    /// (`yes`, `enable`, a stray path, …) is **not** silently treated as set:
+    /// Accepted spellings are [`parse_flag`]'s, plus unset. Anything else
+    /// (`enable`, a stray path, …) is **not** silently treated as set:
     /// it warns once on stderr and counts as unset, following the
     /// `MSS_THREADS` / `MSS_CACHE` warn-once convention, and is tallied for
     /// the [`BAD_ENV_COUNTER`] (seeded into registries built via
@@ -159,7 +158,7 @@ impl EnvConfig {
                     bad += 1;
                     warnings.push(format!(
                         "warning: ignoring {key}={raw:?} ({why}); \
-                         expected 1/true/on or 0/false/off"
+                         expected 1/on/true/yes or 0/off/false/no"
                     ));
                     false
                 }
@@ -195,12 +194,19 @@ pub fn env_config() -> &'static EnvConfig {
     })
 }
 
-/// Parses an `MSS_METRICS`-style boolean flag; see [`Mode::from_env`] for
-/// the accepted spellings.
-fn parse_flag(raw: &str) -> Result<bool, String> {
+/// Parses a boolean environment knob: the workspace's one flag grammar.
+///
+/// After trimming, case-insensitively: `1`/`on`/`true`/`yes` enable and
+/// empty/`0`/`off`/`false`/`no` disable.
+///
+/// # Errors
+///
+/// A description of any other value, so callers can warn instead of
+/// silently ignoring a misconfiguration.
+pub fn parse_flag(raw: &str) -> Result<bool, String> {
     match raw.trim().to_ascii_lowercase().as_str() {
-        "" | "0" | "false" | "off" => Ok(false),
-        "1" | "true" | "on" => Ok(true),
+        "" | "0" | "off" | "false" | "no" => Ok(false),
+        "1" | "on" | "true" | "yes" => Ok(true),
         other => Err(format!("unrecognised value {other:?}")),
     }
 }
@@ -623,7 +629,7 @@ impl Registry {
     /// ```
     ///
     /// See [`SCHEMA_VERSION`] for the v1→v2→v3 field additions; `mss-prof`
-    /// parses, validates, diffs and exports this format.
+    /// parses, validates, checks and exports this format.
     pub fn to_ndjson(&self) -> String {
         let mode = match self.mode {
             Mode::Off => "off",
@@ -1194,13 +1200,13 @@ mod tests {
 
     #[test]
     fn parse_flag_accepts_the_documented_spellings_only() {
-        for on in ["1", "true", "on", " TRUE ", "On"] {
+        for on in ["1", "true", "on", "yes", " TRUE ", "On", "YES"] {
             assert_eq!(parse_flag(on), Ok(true), "{on:?}");
         }
-        for off in ["", "0", "false", "off", " OFF "] {
+        for off in ["", "0", "false", "off", "no", " OFF ", "No"] {
             assert_eq!(parse_flag(off), Ok(false), "{off:?}");
         }
-        for bad in ["yes", "no", "2", "enable", "metrics", "1 1"] {
+        for bad in ["y", "n", "2", "enable", "metrics", "1 1"] {
             let err = parse_flag(bad).expect_err(&format!("{bad:?} must be rejected"));
             assert!(!err.is_empty());
         }

@@ -25,8 +25,9 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::codec;
 
-/// Environment switch for the on-disk tier: `1`/`on`/`true` enable it,
-/// `0`/`off`/`false` (or unset) leave the cache memory-only.
+/// Environment switch for the on-disk tier, read with
+/// [`mss_obs::parse_flag`]: `1`/`on`/`true`/`yes` enable it, and
+/// `0`/`off`/`false`/`no` (or unset) leave the cache memory-only.
 pub const CACHE_ENV: &str = "MSS_CACHE";
 
 /// Environment override for the on-disk tier's directory (only consulted
@@ -286,7 +287,7 @@ impl PipeCache {
     /// counter, and the safe fallback (disk tier off / default directory).
     pub fn from_env() -> Self {
         let disk_on = match std::env::var(CACHE_ENV) {
-            Ok(raw) if !raw.trim().is_empty() => match parse_cache_mode(&raw) {
+            Ok(raw) => match mss_obs::parse_flag(&raw) {
                 Ok(on) => on,
                 Err(why) => {
                     static WARN_ONCE: std::sync::Once = std::sync::Once::new();
@@ -301,7 +302,7 @@ impl PipeCache {
                     false
                 }
             },
-            _ => false,
+            Err(_) => false,
         };
         if !disk_on {
             return Self::memory_only();
@@ -570,27 +571,6 @@ fn write_entry<T: Artifact>(dir: &Path, stage: Stage, key: &str, value: &T) -> s
 /// Where `(stage, key)` lives inside the on-disk tier.
 fn entry_path(dir: &Path, stage: Stage, key: &str) -> PathBuf {
     dir.join(format!("{}-{key}.ndjson", stage.name()))
-}
-
-/// Parses an [`CACHE_ENV`] value into "disk tier on?".
-///
-/// Accepted: `1`/`on`/`true`/`yes` (on) and `0`/`off`/`false`/`no` (off),
-/// case-insensitively.
-///
-/// # Errors
-///
-/// A human-readable description of the rejected value, so callers can warn
-/// instead of silently ignoring a misconfiguration.
-pub fn parse_cache_mode(raw: &str) -> Result<bool, String> {
-    let trimmed = raw.trim();
-    if trimmed.is_empty() {
-        return Err("empty value".to_string());
-    }
-    match trimmed.to_ascii_lowercase().as_str() {
-        "1" | "on" | "true" | "yes" => Ok(true),
-        "0" | "off" | "false" | "no" => Ok(false),
-        other => Err(format!("not a cache switch (use 0/1/on/off): {other:?}")),
-    }
 }
 
 /// Parses a [`CACHE_DIR_ENV`] value into a directory path.
@@ -886,13 +866,17 @@ mod tests {
 
     #[test]
     fn env_parsers_follow_the_threads_convention() {
-        assert_eq!(parse_cache_mode("1"), Ok(true));
-        assert_eq!(parse_cache_mode(" ON "), Ok(true));
-        assert_eq!(parse_cache_mode("true"), Ok(true));
-        assert_eq!(parse_cache_mode("0"), Ok(false));
-        assert_eq!(parse_cache_mode("off"), Ok(false));
-        assert!(parse_cache_mode("").is_err());
-        assert!(parse_cache_mode("maybe").is_err());
+        // MSS_CACHE speaks the workspace's one flag grammar.
+        for (raw, on) in [
+            ("1", true),
+            (" ON ", true),
+            ("yes", true),
+            ("0", false),
+            ("no", false),
+        ] {
+            assert_eq!(mss_obs::parse_flag(raw), Ok(on), "{raw:?}");
+        }
+        assert!(mss_obs::parse_flag("maybe").is_err());
         assert_eq!(parse_cache_dir(" target/x "), Ok(PathBuf::from("target/x")));
         assert!(parse_cache_dir("   ").is_err());
     }

@@ -35,8 +35,8 @@ pub mod codec;
 pub mod hash;
 
 pub use cache::{
-    global, init_global_with, parse_cache_dir, parse_cache_mode, Artifact, PipeCache, Stage,
-    StageStats, CACHE_DIR_ENV, CACHE_ENV, DEFAULT_CACHE_DIR,
+    global, init_global_with, parse_cache_dir, Artifact, PipeCache, Stage, StageStats,
+    CACHE_DIR_ENV, CACHE_ENV, DEFAULT_CACHE_DIR,
 };
 pub use checkpoint::{SweepJournal, TaskState};
 pub use hash::{digest_of, StableHash, StableHasher};

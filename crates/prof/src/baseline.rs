@@ -1,19 +1,22 @@
-//! Structural benchmark baselines (`BENCH_<name>.json`).
+//! Structural benchmark baselines (`BENCH_<name>.json`) and the one
+//! regression rule.
 //!
 //! A baseline captures the *deterministic* skeleton of a smoke-bench run —
 //! every counter value and every span path with its closing count — plus
 //! per-span mean times as an advisory timing reference. Counters and span
-//! structure are reproducible bit-for-bit on any machine (the workspace's
-//! determinism contract), so they gate exactly; times cross machines, so
-//! they gate only through the same ratio-over-noise-floor policy as
-//! [`crate::diff()`], and only when a ratio is explicitly requested.
+//! structure are reproducible bit-for-bit on any machine and at any thread
+//! count (the workspace's determinism contract), so they gate exactly;
+//! times are wall-clock noise, so they gate only through a ratio over a
+//! noise floor (`BaselineSpan::slowdown`), and only when a ratio is
+//! explicitly requested. Two runs compare the same way: cut the first into
+//! a baseline with [`Baseline::from_report`] and check the second.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use mss_obs::ndjson::{json_num, json_str};
 
 use crate::json::Value;
-use crate::report::Report;
+use crate::report::{Report, SpanSummary};
 
 /// Magic `type` tag of a baseline document.
 pub const BASELINE_TYPE: &str = "mss-bench-baseline";
@@ -25,6 +28,33 @@ pub struct BaselineSpan {
     pub count: u64,
     /// Mean seconds per closing in the baseline run (advisory).
     pub mean_seconds: f64,
+}
+
+impl BaselineSpan {
+    /// The one span-time rule, shared by [`Baseline::check`] and the
+    /// [`Watchdog`](crate::Watchdog): the run's slowdown ratio (run mean over
+    /// baseline mean) when it exceeds `max_ratio` and the span's total time
+    /// reaches `min_span_seconds` on either side. A span whose baseline
+    /// mean is 0 and that got slower has an infinite ratio. Speedups never
+    /// gate.
+    pub(crate) fn slowdown(
+        &self,
+        run: &SpanSummary,
+        max_ratio: f64,
+        min_span_seconds: f64,
+    ) -> Option<f64> {
+        let run_mean = run.mean_seconds();
+        let ratio = if self.mean_seconds > 0.0 {
+            run_mean / self.mean_seconds
+        } else if run_mean > 0.0 {
+            f64::INFINITY
+        } else {
+            1.0
+        };
+        let base_total = self.mean_seconds * self.count as f64;
+        let above_floor = base_total.max(run.total_seconds) >= min_span_seconds;
+        (above_floor && ratio > max_ratio).then_some(ratio)
+    }
 }
 
 /// A committed benchmark baseline.
@@ -50,7 +80,7 @@ pub struct CheckOptions {
     /// Spans under this much total time (in both baseline and run) never
     /// time-gate.
     pub min_span_seconds: f64,
-    /// Counter name prefixes excluded from gating.
+    /// Counter name prefixes excluded from gating (still listed).
     pub ignore_counters: Vec<String>,
 }
 
@@ -179,86 +209,71 @@ impl Baseline {
         })
     }
 
-    /// Checks a fresh run against this baseline; gating findings fail CI.
+    /// Checks a run against this baseline; gating findings fail CI.
     ///
-    /// - a baseline counter that is missing or differs → gating (unless on
-    ///   an ignore prefix),
-    /// - a counter the baseline has never seen → informational (regenerate
-    ///   the baseline to adopt new instrumentation),
-    /// - a baseline span that is missing or closed a different number of
-    ///   times → gating,
-    /// - a span ≥ `max_span_ratio`× slower than the baseline mean, above the
-    ///   noise floor → gating (only when a ratio was requested).
+    /// - a counter that differs, or exists on only one side → gating,
+    ///   unless its name has an ignore prefix (then listed as info),
+    /// - a span that exists on only one side, or closed a different number
+    ///   of times → gating,
+    /// - a span slower than the baseline by more than `max_span_ratio`,
+    ///   above the noise floor (`BaselineSpan::slowdown`) → gating (only
+    ///   when a ratio was requested).
     pub fn check(&self, report: &Report, opts: &CheckOptions) -> Vec<Finding> {
         let ignored = |name: &str| opts.ignore_counters.iter().any(|p| name.starts_with(p));
         let mut findings = Vec::new();
-        for (name, &expect) in &self.counters {
-            match report.counters.get(name) {
-                None => findings.push(Finding {
-                    gating: !ignored(name),
-                    message: format!("counter {name:?} missing (baseline {expect})"),
-                }),
-                Some(&got) if got != expect => findings.push(Finding {
-                    gating: !ignored(name),
-                    message: format!("counter {name:?} drifted: baseline {expect}, run {got}"),
-                }),
-                Some(_) => {}
-            }
+        let names: BTreeSet<&String> = self.counters.keys().chain(report.counters.keys()).collect();
+        for name in names {
+            let message = match (self.counters.get(name), report.counters.get(name)) {
+                (Some(expect), Some(got)) if expect == got => continue,
+                (Some(expect), Some(got)) => {
+                    format!("counter {name:?} drifted: baseline {expect}, run {got}")
+                }
+                (Some(expect), None) => format!("counter {name:?} missing (baseline {expect})"),
+                (None, Some(got)) => {
+                    format!("counter {name:?} is new since the baseline (run {got})")
+                }
+                (None, None) => unreachable!("name came from one of the key sets"),
+            };
+            findings.push(Finding {
+                gating: !ignored(name),
+                message,
+            });
         }
-        for name in report.counters.keys() {
-            if !self.counters.contains_key(name) {
+        let paths: BTreeSet<&String> = self.spans.keys().chain(report.spans.keys()).collect();
+        for path in paths {
+            let mut gate = |message| {
                 findings.push(Finding {
-                    gating: false,
-                    message: format!(
-                        "counter {name:?} is new since the baseline (regenerate to adopt)"
-                    ),
-                });
-            }
-        }
-        for (path, b) in &self.spans {
-            match report.spans.get(path) {
-                None => findings.push(Finding {
                     gating: true,
-                    message: format!("span {path:?} missing (baseline count {})", b.count),
-                }),
-                Some(s) => {
+                    message,
+                })
+            };
+            match (self.spans.get(path), report.spans.get(path)) {
+                (Some(b), Some(s)) => {
                     if s.count != b.count {
-                        findings.push(Finding {
-                            gating: true,
-                            message: format!(
-                                "span {path:?} count drifted: baseline {}, run {}",
-                                b.count, s.count
-                            ),
-                        });
+                        gate(format!(
+                            "span {path:?} count drifted: baseline {}, run {}",
+                            b.count, s.count
+                        ));
                     }
-                    if let Some(max_ratio) = opts.max_span_ratio {
-                        let baseline_total = b.mean_seconds * b.count as f64;
-                        let above_floor =
-                            baseline_total.max(s.total_seconds) >= opts.min_span_seconds;
-                        if above_floor
-                            && b.mean_seconds > 0.0
-                            && s.mean_seconds() > b.mean_seconds * max_ratio
-                        {
-                            findings.push(Finding {
-                                gating: true,
-                                message: format!(
-                                    "span {path:?} regressed: baseline mean {:.3e}s, run {:.3e}s ({:.2}x > {max_ratio}x)",
-                                    b.mean_seconds,
-                                    s.mean_seconds(),
-                                    s.mean_seconds() / b.mean_seconds
-                                ),
-                            });
+                    if let Some(max) = opts.max_span_ratio {
+                        if let Some(ratio) = b.slowdown(s, max, opts.min_span_seconds) {
+                            gate(format!(
+                                "span {path:?} regressed: baseline mean {:.3e}s, run {:.3e}s ({ratio:.2}x > {max}x)",
+                                b.mean_seconds,
+                                s.mean_seconds(),
+                            ));
                         }
                     }
                 }
-            }
-        }
-        for path in report.spans.keys() {
-            if !self.spans.contains_key(path) {
-                findings.push(Finding {
-                    gating: false,
-                    message: format!("span {path:?} is new since the baseline"),
-                });
+                (Some(b), None) => gate(format!(
+                    "span {path:?} missing (baseline count {})",
+                    b.count
+                )),
+                (None, Some(s)) => gate(format!(
+                    "span {path:?} is new since the baseline (run count {})",
+                    s.count
+                )),
+                (None, None) => unreachable!("path came from one of the key sets"),
             }
         }
         findings
@@ -331,17 +346,55 @@ mod tests {
         assert!(findings
             .iter()
             .any(|f| f.gating && f.message.contains("drifted: baseline 100, run 99")));
+
+        // A counter the run no longer emits gates too.
+        let richer = Baseline::from_report("smoke", &sample_report(Some(("bench.extra", 3)), 2));
+        let findings = richer.check(&sample_report(None, 2), &CheckOptions::default());
+        assert!(!passes(&findings));
+        assert!(findings
+            .iter()
+            .any(|f| f.gating && f.message.contains("\"bench.extra\" missing")));
     }
 
     #[test]
-    fn new_instrumentation_is_informational_not_gating() {
+    fn new_instrumentation_gates_unless_ignored() {
         let b = Baseline::from_report("smoke", &sample_report(None, 2));
         let richer = sample_report(Some(("bench.new_counter", 1)), 2);
         let findings = b.check(&richer, &CheckOptions::default());
-        assert!(passes(&findings), "{findings:?}");
+        assert!(!passes(&findings), "an added counter gates");
         assert!(findings
             .iter()
-            .any(|f| !f.gating && f.message.contains("new")));
+            .any(|f| f.gating && f.message.contains("new since the baseline")));
+
+        // An ignore prefix lists the counter but does not gate on it.
+        let lenient = CheckOptions {
+            ignore_counters: vec!["bench.new".to_string()],
+            ..CheckOptions::default()
+        };
+        let findings = b.check(&richer, &lenient);
+        assert!(passes(&findings), "{findings:?}");
+        assert_eq!(findings.len(), 1, "still listed as info: {findings:?}");
+
+        // An added span gates; the counter prefixes do not cover spans.
+        let reg = Registry::new(Mode::Metrics);
+        reg.counter_add("bench.items", 100);
+        for _ in 0..2 {
+            let _g = reg.span("bench_leg");
+        }
+        {
+            let _g = reg.span("surprise");
+        }
+        let extra_span = Report::parse_ndjson(&reg.to_ndjson()).unwrap();
+        let findings = b.check(&extra_span, &lenient);
+        assert!(!passes(&findings));
+        assert!(findings
+            .iter()
+            .any(|f| f.gating && f.message.contains("\"surprise\" is new")));
+        // And a span that disappears gates the other way round.
+        let findings = Baseline::from_report("smoke", &extra_span).check(&richer, &lenient);
+        assert!(findings
+            .iter()
+            .any(|f| f.gating && f.message.contains("\"surprise\" missing")));
     }
 
     #[test]
@@ -381,6 +434,25 @@ mod tests {
         let findings = b.check(&slow, &strict);
         assert!(!passes(&findings));
         assert!(findings.iter().any(|f| f.message.contains("regressed")));
+        // Speedups never gate, whatever the floor.
+        let slow_base = Baseline::from_report("smoke", &slow);
+        let zero_floor = CheckOptions {
+            min_span_seconds: 0.0,
+            ..strict
+        };
+        assert!(passes(&slow_base.check(&fast, &zero_floor)));
+        // A span whose baseline mean is 0 and that got slower gates.
+        let zero = BaselineSpan {
+            count: 1,
+            mean_seconds: 0.0,
+        };
+        let ratio = zero.slowdown(&slow.spans["leg"], 2.0, 0.02);
+        assert_eq!(ratio, Some(f64::INFINITY));
+        assert_eq!(
+            zero.slowdown(&slow.spans["leg"], 2.0, 10.0),
+            None,
+            "floored"
+        );
     }
 
     #[test]

@@ -2,12 +2,10 @@
 //!
 //! ```text
 //! mss_report summary <report.ndjson> [--top N]
-//! mss_report diff <base.ndjson> <new.ndjson> [--max-span-ratio R]
-//!                 [--min-span-seconds S] [--ignore-counter PREFIX]...
 //! mss_report chrome-trace <events.ndjson> [--out FILE]
 //! mss_report validate <report.ndjson>...
 //! mss_report baseline <report.ndjson> --name NAME [--out FILE]
-//! mss_report check <BENCH_name.json> <report.ndjson> [--max-span-ratio R]
+//! mss_report check <expected> <report.ndjson> [--max-span-ratio R]
 //!                  [--min-span-seconds S] [--ignore-counter PREFIX]...
 //! mss_report tail <events.ndjson> [--poll-ms N] [--idle-ms N] [--kinds all]
 //! ```
@@ -19,11 +17,10 @@ use std::io::{Read as _, Seek as _};
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
-use mss_prof::baseline::{passes, Baseline, CheckOptions};
+use mss_prof::baseline::{passes, Baseline, CheckOptions, BASELINE_TYPE};
 use mss_prof::chrome::chrome_trace;
-use mss_prof::diff::{diff, DiffOptions};
 use mss_prof::json::Value;
-use mss_prof::report::Report;
+use mss_prof::report::{parse_bus, Report};
 
 const USAGE: &str = "\
 usage: mss_report <command> [args]
@@ -32,11 +29,6 @@ commands:
   summary <report.ndjson> [--top N]
       Parse a run report and print the top-N hot paths (self-time
       attribution, per-thread ownership) plus headline counts.
-  diff <base.ndjson> <new.ndjson> [--max-span-ratio R] [--min-span-seconds S]
-       [--ignore-counter PREFIX]...
-      Compare two runs. Counter or span-structure drift always gates
-      (deterministic); span times gate when > R x slower (default 2.0)
-      above the S-second noise floor (default 0.05). Exit 1 on regression.
   chrome-trace <events.ndjson> [--out FILE]
       Export the span_close events of an event stream (a run under
       MSS_METRICS=1 MSS_EVENTS_PATH=<file>, or a flight dump) as Chrome
@@ -48,10 +40,14 @@ commands:
   baseline <report.ndjson> --name NAME [--out FILE]
       Cut a structural BENCH_<NAME>.json baseline (counters + span
       structure + advisory mean times) from a run report.
-  check <BENCH_name.json> <report.ndjson> [--max-span-ratio R]
+  check <expected> <report.ndjson> [--max-span-ratio R]
         [--min-span-seconds S] [--ignore-counter PREFIX]...
-      Check a fresh run against a committed baseline. Counters and span
-      structure gate exactly; span times gate only when R is given.
+      Check a run against <expected>: a committed BENCH_<name>.json
+      baseline or a second NDJSON run (told apart by content). A counter
+      or span that differs or exists on one side only gates (counters on
+      an ignore PREFIX are listed, not gated); span times gate only when
+      R is given, at > R x slower above the S-second noise floor (default
+      0.05). Exit 1 on regression.
   tail <events.ndjson> [--poll-ms N] [--idle-ms N] [--kinds all]
       Follow a live MSS_EVENTS NDJSON stream and render sweep progress,
       worker heartbeats, failures and watchdog regressions as they land.
@@ -83,7 +79,6 @@ fn run(args: &[String]) -> Result<bool, String> {
     let (cmd, rest) = args.split_first().ok_or("missing command")?;
     match cmd.as_str() {
         "summary" => summary(rest),
-        "diff" => diff_cmd(rest),
         "chrome-trace" => chrome_cmd(rest),
         "validate" => validate(rest),
         "baseline" => baseline_cmd(rest),
@@ -183,41 +178,6 @@ fn summary(rest: &[String]) -> Result<bool, String> {
     Ok(true)
 }
 
-fn diff_opts(flags: &[(String, String)]) -> Result<DiffOptions, String> {
-    let mut opts = DiffOptions {
-        ignore_counters: flag_list(flags, "ignore-counter"),
-        ..DiffOptions::default()
-    };
-    if let Some(r) = flag_f64(flags, "max-span-ratio")? {
-        opts.max_span_ratio = r;
-    }
-    if let Some(s) = flag_f64(flags, "min-span-seconds")? {
-        opts.min_span_seconds = s;
-    }
-    Ok(opts)
-}
-
-fn diff_cmd(rest: &[String]) -> Result<bool, String> {
-    let (pos, flags) = parse_flags(
-        rest,
-        &["max-span-ratio", "min-span-seconds", "ignore-counter"],
-    )?;
-    let [base_path, new_path] = pos.as_slice() else {
-        return Err("diff expects <base.ndjson> <new.ndjson>".to_string());
-    };
-    let opts = diff_opts(&flags)?;
-    let base = load_report(base_path)?;
-    let new = load_report(new_path)?;
-    let d = diff(&base, &new, &opts);
-    print!("{}", d.render());
-    if d.is_clean() {
-        Ok(true)
-    } else {
-        eprintln!("mss_report diff: gating regressions against {base_path}");
-        Ok(false)
-    }
-}
-
 fn chrome_cmd(rest: &[String]) -> Result<bool, String> {
     let (pos, flags) = parse_flags(rest, &["out"])?;
     let [path] = pos.as_slice() else {
@@ -270,12 +230,10 @@ fn check_cmd(rest: &[String]) -> Result<bool, String> {
         rest,
         &["max-span-ratio", "min-span-seconds", "ignore-counter"],
     )?;
-    let [baseline_path, report_path] = pos.as_slice() else {
-        return Err("check expects <BENCH_name.json> <report.ndjson>".to_string());
+    let [expected_path, report_path] = pos.as_slice() else {
+        return Err("check expects <expected> <report.ndjson>".to_string());
     };
-    let text =
-        std::fs::read_to_string(baseline_path).map_err(|e| format!("{baseline_path}: {e}"))?;
-    let b = Baseline::parse(&text).map_err(|e| format!("{baseline_path}: {e}"))?;
+    let b = load_expected(expected_path)?;
     let report = load_report(report_path)?;
     let opts = CheckOptions {
         max_span_ratio: flag_f64(&flags, "max-span-ratio")?,
@@ -297,11 +255,25 @@ fn check_cmd(rest: &[String]) -> Result<bool, String> {
         Ok(true)
     } else {
         eprintln!(
-            "mss_report check: {report_path} gates against baseline {baseline_path}; \
+            "mss_report check: {report_path} gates against {expected_path}; \
              if the change is intentional, regenerate with `mss_report baseline`"
         );
         Ok(false)
     }
+}
+
+/// Loads `check`'s expected side: a baseline document as is, anything else
+/// as an NDJSON run cut into a baseline named after its file.
+fn load_expected(path: &str) -> Result<Baseline, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+    let is_baseline = Value::parse(&text)
+        .is_ok_and(|v| v.get("type").and_then(Value::as_str) == Some(BASELINE_TYPE));
+    let expected = if is_baseline {
+        Baseline::parse(&text)
+    } else {
+        Report::parse_ndjson(&text).map(|r| Baseline::from_report(path, &r))
+    };
+    expected.map_err(|e| format!("{path}: {e}"))
 }
 
 /// Running tallies the tail prints on exit.
@@ -435,110 +407,86 @@ struct RenderedLine {
 }
 
 /// Renders one NDJSON stream line; `Ok(None)` for non-bus lines (meta,
-/// aggregate report lines) which a tail silently passes over.
+/// aggregate report lines) which a tail silently passes over. Bus lines go
+/// through the report parser's validator, so `tail` and `validate` reject
+/// the same lines.
 fn render_stream_line(line: &str, all_kinds: bool) -> Result<Option<RenderedLine>, String> {
     let v = Value::parse(line)?;
     if v.get("type").and_then(Value::as_str) != Some("bus") {
         return Ok(None);
     }
-    let kind = v
-        .get("kind")
-        .and_then(Value::as_str)
-        .ok_or("bus line without kind")?;
-    let t = v
-        .get("t_seconds")
-        .and_then(Value::as_f64)
-        .ok_or("bus line without t_seconds")?;
-    let s = |key: &str| {
-        v.get(key)
-            .and_then(Value::as_str)
-            .map(str::to_string)
-            .ok_or_else(|| format!("{kind} line missing {key:?}"))
-    };
-    let n = |key: &str| {
-        v.get(key)
-            .and_then(Value::as_u64)
-            .ok_or_else(|| format!("{kind} line missing {key:?}"))
-    };
-    let f = |key: &str| v.get(key).and_then(Value::as_f64);
-    let stamp = format!("[{t:8.3}s]");
-    let rendered = match kind {
+    let r = parse_bus(&v)?;
+    // Every field read below was checked present by `parse_bus`.
+    let s = |key: &str| r.str_field(key).unwrap_or_default();
+    let n = |key: &str| r.u64_field(key).unwrap_or_default();
+    let f = |key: &str| r.num_field(key);
+    let stamp = format!("[{:8.3}s]", r.t_seconds);
+    let (kind, text) = match r.kind.as_str() {
         "progress" => {
             let budget = f("budget_seconds")
                 .map(|b| format!(", budget {b:.2}s"))
                 .unwrap_or_default();
-            RenderedLine {
-                kind: StreamKind::Progress,
-                text: Some(format!(
+            (
+                StreamKind::Progress,
+                Some(format!(
                     "{stamp} sweep {}: {}/{} done, {} retried{budget}",
-                    s("sweep")?,
-                    n("done")?,
-                    n("total")?,
-                    n("retried")?,
+                    s("sweep"),
+                    n("done"),
+                    n("total"),
+                    n("retried"),
                 )),
-            }
+            )
         }
-        "heartbeat" => RenderedLine {
-            kind: StreamKind::Heartbeat,
-            text: Some(format!(
+        "heartbeat" => (
+            StreamKind::Heartbeat,
+            Some(format!(
                 "{stamp} sweep {}: worker {} alive ({} tasks, busy {:.3}s)",
-                s("sweep")?,
-                n("worker")?,
-                n("tasks_done")?,
-                f("busy_seconds").unwrap_or(0.0),
+                s("sweep"),
+                n("worker"),
+                n("tasks_done"),
+                f("busy_seconds").unwrap_or_default(),
             )),
-        },
-        "failure" => RenderedLine {
-            kind: StreamKind::Failure,
-            text: Some(format!(
+        ),
+        "failure" => (
+            StreamKind::Failure,
+            Some(format!(
                 "{stamp} sweep {}: task {} FAILED ({}, {} attempts): {}",
-                s("sweep")?,
-                n("index")?,
-                s("failure")?,
-                n("attempts")?,
-                s("message")?,
+                s("sweep"),
+                n("index"),
+                s("failure"),
+                n("attempts"),
+                s("message"),
             )),
-        },
-        "watchdog" => RenderedLine {
-            kind: StreamKind::Watchdog,
-            text: Some(format!(
+        ),
+        "watchdog" => (
+            StreamKind::Watchdog,
+            Some(format!(
                 "{stamp} WATCHDOG: span {} {:.2}x over baseline ({:.3e}s -> {:.3e}s)",
-                s("span")?,
-                f("ratio").unwrap_or(f64::NAN),
-                f("baseline_seconds").unwrap_or(f64::NAN),
-                f("run_seconds").unwrap_or(f64::NAN),
+                s("span"),
+                // A null ratio is the slowdown of a zero-mean baseline span.
+                f("ratio").unwrap_or(f64::INFINITY),
+                f("baseline_seconds").unwrap_or_default(),
+                f("run_seconds").unwrap_or_default(),
             )),
-        },
-        "gauge_set" => RenderedLine {
-            kind: StreamKind::Other,
-            text: all_kinds.then(|| {
+        ),
+        "gauge_set" => (
+            StreamKind::Other,
+            all_kinds.then(|| {
                 format!(
                     "{stamp} gauge {} = {}",
-                    s("name").unwrap_or_else(|_| "?".into()),
+                    s("name"),
                     f("value").map_or("null".into(), |x| format!("{x:.6e}")),
                 )
             }),
-        },
-        "counter_delta" => RenderedLine {
-            kind: StreamKind::Other,
-            text: all_kinds.then(|| {
-                format!(
-                    "{stamp} counter {} += {}",
-                    s("name").unwrap_or_else(|_| "?".into()),
-                    n("delta").unwrap_or(0),
-                )
-            }),
-        },
-        "span_open" | "span_close" => RenderedLine {
-            kind: StreamKind::Other,
-            text: all_kinds.then(|| {
-                format!(
-                    "{stamp} {kind} {}",
-                    s("path").unwrap_or_else(|_| "?".into())
-                )
-            }),
-        },
-        other => return Err(format!("unknown bus kind {other:?}")),
+        ),
+        "counter_delta" => (
+            StreamKind::Other,
+            all_kinds.then(|| format!("{stamp} counter {} += {}", s("name"), n("delta"))),
+        ),
+        kind => (
+            StreamKind::Other,
+            all_kinds.then(|| format!("{stamp} {kind} {}", s("path"))),
+        ),
     };
-    Ok(Some(rendered))
+    Ok(Some(RenderedLine { kind, text }))
 }

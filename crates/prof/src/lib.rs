@@ -4,29 +4,30 @@
 //! `mss-obs` (PR 2) made every layer of the device→PDK→memory→system flow
 //! *emit* NDJSON run reports; this crate makes them *actionable*:
 //!
-//! - [`report`] — strict parsing/validation of the NDJSON schema (v1, the
-//!   v2 profiling extensions — self time, per-thread ownership, quantiles,
-//!   drop counts — and the v3 gauges and event-bus streams) plus top-N
-//!   hot-path attribution,
+//! - [`report`] — strict parsing/validation of exactly what `mss-obs`
+//!   writes (schema [`mss_obs::SCHEMA_VERSION`]: run reports with self
+//!   time, per-thread ownership, quantiles and gauges, plus event-bus
+//!   streams) and top-N hot-path attribution,
 //! - [`chrome`] — Chrome trace-event export (loadable in Perfetto /
 //!   `chrome://tracing`) of an event-bus stream's `span_close` lines, with
 //!   per-thread timelines named after `mss-exec` workers,
-//! - [`diff()`] — run-to-run comparison separating deterministic counter or
-//!   span-structure regressions (always gate) from wall-clock noise
-//!   (ratio-over-noise-floor policy),
-//! - [`baseline`] — committed `BENCH_<name>.json` structural baselines the
-//!   CI perf gate checks every push against,
+//! - [`baseline`] — structural baselines and the one regression rule:
+//!   [`Baseline::check`] compares a run against a committed
+//!   `BENCH_<name>.json` or against a second run cut into a baseline.
+//!   Counter and span-structure drift always gates (deterministic); span
+//!   times gate through a ratio over a noise floor,
+//! - [`watchdog`] — the same span-time rule applied to a live process,
 //! - [`json`] — the zero-dependency strict JSON parser underneath it all.
 //!
 //! The `mss_report` binary exposes all of it on the command line:
 //!
 //! ```text
 //! mss_report summary  target/cache_smoke.ndjson
-//! mss_report diff     base.ndjson new.ndjson --max-span-ratio 2.0
 //! mss_report chrome-trace target/cache_smoke_events.ndjson --out trace.json
 //! mss_report validate target/*.ndjson
 //! mss_report baseline target/cache_smoke.ndjson --name cache_smoke
 //! mss_report check    results/BENCH_cache_smoke.json target/cache_smoke.ndjson
+//! mss_report check    base.ndjson new.ndjson --max-span-ratio 2.0
 //! ```
 //!
 //! Everything here is hermetic: no dependencies outside the workspace, no
@@ -36,14 +37,12 @@
 
 pub mod baseline;
 pub mod chrome;
-pub mod diff;
 pub mod json;
 pub mod report;
 pub mod watchdog;
 
 pub use baseline::{Baseline, CheckOptions, Finding};
 pub use chrome::chrome_trace;
-pub use diff::{diff, DiffOptions, ReportDiff};
 pub use json::Value;
 pub use report::{BusRecord, Report};
 pub use watchdog::{Watchdog, WatchdogMode, WatchdogRegression};
@@ -56,7 +55,7 @@ mod tests {
     use mss_obs::{Mode, Registry};
 
     /// End-to-end: a live registry report survives the full pipeline —
-    /// parse → summarize → baseline → self-check → diff-clean — and the
+    /// parse → summarize → baseline → JSON round trip → self-check — and the
     /// bus snapshot of the same spans exports one timeline event per
     /// closing the report counts.
     #[test]
@@ -80,12 +79,11 @@ mod tests {
 
         let b = Baseline::from_report("e2e", &report);
         let reparsed = Baseline::parse(&b.to_json()).expect("baseline round-trip");
-        assert!(baseline::passes(
-            &reparsed.check(&report, &CheckOptions::default())
-        ));
-
-        let d = diff(&report, &report, &DiffOptions::default());
-        assert!(d.is_clean());
+        let strict = CheckOptions {
+            max_span_ratio: Some(1.0),
+            ..CheckOptions::default()
+        };
+        assert!(baseline::passes(&reparsed.check(&report, &strict)));
 
         let stream = Report::parse_ndjson(&events_file(&bus)).expect("parse stream");
         let trace = chrome_trace(&stream).expect("trace export");

@@ -2,29 +2,27 @@
 //! attribution.
 //!
 //! [`Report::parse_ndjson`] is the workspace's schema validator: it accepts
-//! exactly the line shapes `mss_obs::Registry::to_ndjson` emits (schema v1,
-//! the v2 profiling extensions, and the v3 telemetry extensions — gauges
-//! plus event-bus streams/flight dumps) and rejects everything else with a
-//! line-numbered error. CI round-trips every archived report through it, so
-//! a writer regression can never ship silently. Older files may still carry
-//! mode `trace` and per-closing `event` lines, which today's writer no
-//! longer emits; they are validated and otherwise ignored — span timelines
-//! come from the event bus's `span_close` lines.
+//! exactly the line shapes `mss-obs` writes — schema
+//! [`mss_obs::SCHEMA_VERSION`] run reports (mode `off` or `metrics`) and
+//! event-bus streams/flight dumps (mode `events`) — and rejects everything
+//! else with a line-numbered error. CI round-trips every archived report
+//! through it, so a writer regression can never ship silently.
 
 use std::collections::BTreeMap;
 
+use mss_obs::SCHEMA_VERSION;
+
 use crate::json::Value;
 
-/// The `meta` line: schema/mode plus the trace-buffer drop count (v2).
+/// The `meta` line: schema/mode plus the dropped-event count.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Meta {
-    /// NDJSON schema version (1, 2 or 3).
+    /// NDJSON schema version (always [`SCHEMA_VERSION`]).
     pub schema: u32,
-    /// Recording mode (`off`, `metrics`, `events` for v3 event streams and
-    /// flight-recorder dumps, or `trace` in older files).
+    /// Recording mode: `off`, `metrics`, or `events` for event streams and
+    /// flight-recorder dumps.
     pub mode: String,
-    /// Flight-ring evictions in `events` files; trace events dropped on
-    /// buffer overflow in older `trace` files; 0 otherwise.
+    /// Flight-ring evictions in `events` files; 0 otherwise.
     pub dropped_events: u64,
 }
 
@@ -39,13 +37,13 @@ pub struct HistogramSummary {
     pub min: Option<f64>,
     /// Largest finite observation.
     pub max: Option<f64>,
-    /// Mean of finite observations (v2).
+    /// Mean of finite observations.
     pub mean: Option<f64>,
-    /// Bucket-derived quantile estimates (v2).
+    /// Bucket-derived median estimate.
     pub p50: Option<f64>,
-    /// 90th percentile estimate (v2).
+    /// 90th percentile estimate.
     pub p90: Option<f64>,
-    /// 99th percentile estimate (v2).
+    /// 99th percentile estimate.
     pub p99: Option<f64>,
     /// Sparse `[bucket_index, count]` pairs.
     pub buckets: Vec<(u32, u64)>,
@@ -58,13 +56,13 @@ pub struct SpanSummary {
     pub count: u64,
     /// Total wall time across closings, seconds.
     pub total_seconds: f64,
-    /// Total time minus child-span time (v2; `None` in v1 reports).
-    pub self_seconds: Option<f64>,
+    /// Total time minus child-span time.
+    pub self_seconds: f64,
     /// Fastest closing.
     pub min_seconds: f64,
     /// Slowest closing.
     pub max_seconds: f64,
-    /// Per-thread ownership slices (v2).
+    /// Per-thread ownership slices.
     pub by_thread: Vec<ThreadSlice>,
 }
 
@@ -76,12 +74,6 @@ impl SpanSummary {
         } else {
             self.total_seconds / self.count as f64
         }
-    }
-
-    /// Self time when the report carries it, total time otherwise — the
-    /// attribution-preferring sort key for hot-path ranking.
-    pub fn attributed_seconds(&self) -> f64 {
-        self.self_seconds.unwrap_or(self.total_seconds)
     }
 }
 
@@ -96,7 +88,7 @@ pub struct ThreadSlice {
     pub total_seconds: f64,
 }
 
-/// One validated event-bus line from a v3 event stream or flight dump.
+/// One validated event-bus line from an event stream or flight dump.
 ///
 /// The common envelope (`kind`, `seq`, `tid`, `t_seconds`) is typed; the
 /// kind-specific fields are validated at parse time and stay accessible
@@ -141,31 +133,26 @@ pub struct Report {
     pub meta: Meta,
     /// Counter name → value.
     pub counters: BTreeMap<String, u64>,
-    /// Gauge name → last value (v3; `None` when the writer emitted null for
-    /// a non-finite value).
+    /// Gauge name → last value (`None` when the writer emitted null for a
+    /// non-finite value).
     pub gauges: BTreeMap<String, Option<f64>>,
     /// Histogram name → summary.
     pub histograms: BTreeMap<String, HistogramSummary>,
     /// Span path → aggregate.
     pub spans: BTreeMap<String, SpanSummary>,
-    /// Event-bus lines (v3 `events` files), in stream order.
+    /// Event-bus lines (`events` files), in stream order.
     pub bus: Vec<BusRecord>,
 }
-
-/// Largest schema version this parser understands.
-pub const MAX_SCHEMA: u32 = 3;
 
 impl Report {
     /// Parses and validates an NDJSON run report.
     ///
     /// Structural requirements: the first line is the only `meta` line, its
-    /// schema is 1..=[`MAX_SCHEMA`], every line is a standalone JSON object
-    /// of a known `type` with the fields that type requires, and no
-    /// counter/gauge/histogram/span name repeats. v2-only fields are
-    /// optional on v1 reports and mandatory on v2+. `gauge` and `bus` lines
-    /// require schema ≥ 3; `bus` lines are only valid in mode `events`
-    /// files (live streams / flight dumps), which in turn carry nothing
-    /// else. Legacy `event` lines are validated but not kept.
+    /// schema is [`SCHEMA_VERSION`] and its mode `off`, `metrics` or
+    /// `events`, every line is a standalone JSON object of a known `type`
+    /// with the fields that type requires, and no counter/gauge/histogram/
+    /// span name repeats. `bus` lines are only valid in mode `events` files
+    /// (live streams / flight dumps), which in turn carry nothing else.
     ///
     /// # Errors
     ///
@@ -176,7 +163,6 @@ impl Report {
         let mut gauges = BTreeMap::new();
         let mut histograms = BTreeMap::new();
         let mut spans = BTreeMap::new();
-        let mut legacy_events = false;
         let mut bus = Vec::new();
 
         for (idx, line) in text.lines().enumerate() {
@@ -190,7 +176,6 @@ impl Report {
                 .and_then(Value::as_str)
                 .ok_or_else(|| format!("line {lineno}: missing \"type\""))?
                 .to_string();
-            let schema = meta.as_ref().map_or(MAX_SCHEMA, |m| m.schema);
             match ty.as_str() {
                 "meta" => {
                     if meta.is_some() {
@@ -213,27 +198,19 @@ impl Report {
                 }
                 "histogram" => {
                     let name = req_str(&v, "name").map_err(|e| format!("line {lineno}: {e}"))?;
-                    let h =
-                        parse_histogram(&v, schema).map_err(|e| format!("line {lineno}: {e}"))?;
+                    let h = parse_histogram(&v).map_err(|e| format!("line {lineno}: {e}"))?;
                     if histograms.insert(name.clone(), h).is_some() {
                         return Err(format!("line {lineno}: duplicate histogram {name:?}"));
                     }
                 }
                 "span" => {
                     let path = req_str(&v, "path").map_err(|e| format!("line {lineno}: {e}"))?;
-                    let s = parse_span(&v, schema).map_err(|e| format!("line {lineno}: {e}"))?;
+                    let s = parse_span(&v).map_err(|e| format!("line {lineno}: {e}"))?;
                     if spans.insert(path.clone(), s).is_some() {
                         return Err(format!("line {lineno}: duplicate span {path:?}"));
                     }
                 }
-                "event" => {
-                    check_legacy_event(&v, schema).map_err(|e| format!("line {lineno}: {e}"))?;
-                    legacy_events = true;
-                }
                 "gauge" => {
-                    if schema < 3 {
-                        return Err(format!("line {lineno}: gauge lines require schema >= 3"));
-                    }
                     let name = req_str(&v, "name").map_err(|e| format!("line {lineno}: {e}"))?;
                     let value =
                         req_num_or_null(&v, "value").map_err(|e| format!("line {lineno}: {e}"))?;
@@ -242,9 +219,6 @@ impl Report {
                     }
                 }
                 "bus" => {
-                    if schema < 3 {
-                        return Err(format!("line {lineno}: bus lines require schema >= 3"));
-                    }
                     bus.push(parse_bus(&v).map_err(|e| format!("line {lineno}: {e}"))?);
                 }
                 other => {
@@ -268,8 +242,7 @@ impl Report {
             && !(counters.is_empty()
                 && gauges.is_empty()
                 && histograms.is_empty()
-                && spans.is_empty()
-                && !legacy_events)
+                && spans.is_empty())
         {
             return Err("mode \"events\" file carries aggregate report lines".to_string());
         }
@@ -283,15 +256,14 @@ impl Report {
         })
     }
 
-    /// Span paths ranked hottest-first by [`SpanSummary::attributed_seconds`]
-    /// (self time when available), ties broken alphabetically for
-    /// deterministic output.
+    /// Span paths ranked hottest-first by self time, ties broken
+    /// alphabetically for deterministic output.
     pub fn hot_paths(&self, top: usize) -> Vec<(&str, &SpanSummary)> {
         let mut ranked: Vec<(&str, &SpanSummary)> =
             self.spans.iter().map(|(p, s)| (p.as_str(), s)).collect();
         ranked.sort_by(|a, b| {
-            b.1.attributed_seconds()
-                .total_cmp(&a.1.attributed_seconds())
+            b.1.self_seconds
+                .total_cmp(&a.1.self_seconds)
                 .then_with(|| a.0.cmp(b.0))
         });
         ranked.truncate(top);
@@ -313,23 +285,19 @@ impl Report {
         );
         if self.meta.dropped_events > 0 {
             out.push_str(&format!(
-                " | WARNING: {} trace events dropped (timeline truncated)",
+                " | WARNING: {} events dropped (flight ring overflowed)",
                 self.meta.dropped_events
             ));
         }
         out.push('\n');
-        let total_attributed: f64 = self
-            .spans
-            .values()
-            .map(SpanSummary::attributed_seconds)
-            .sum();
+        let total_self: f64 = self.spans.values().map(|s| s.self_seconds).sum();
         out.push_str(&format!(
             "\n== hot paths (top {top} by self time) ==\n{:<52} {:>8} {:>12} {:>12} {:>7} {:>8}\n",
             "path", "count", "self", "total", "%self", "threads"
         ));
         for (path, s) in self.hot_paths(top) {
-            let share = if total_attributed > 0.0 {
-                100.0 * s.attributed_seconds() / total_attributed
+            let share = if total_self > 0.0 {
+                100.0 * s.self_seconds / total_self
             } else {
                 0.0
             };
@@ -337,7 +305,7 @@ impl Report {
                 "{:<52} {:>8} {:>12} {:>12} {:>6.1}% {:>8}\n",
                 path,
                 s.count,
-                format_seconds(s.attributed_seconds()),
+                format_seconds(s.self_seconds),
                 format_seconds(s.total_seconds),
                 share,
                 s.by_thread.len().max(1),
@@ -394,33 +362,23 @@ fn req_num(v: &Value, key: &str) -> Result<f64, String> {
 fn parse_meta(v: &Value) -> Result<Meta, String> {
     let schema =
         u32::try_from(req_u64(v, "schema")?).map_err(|_| "schema out of range".to_string())?;
-    if schema == 0 || schema > MAX_SCHEMA {
+    if schema != SCHEMA_VERSION {
         return Err(format!(
-            "unsupported schema version {schema} (max {MAX_SCHEMA})"
+            "unsupported schema version {schema} (only {SCHEMA_VERSION} is read)"
         ));
     }
     let mode = req_str(v, "mode")?;
-    let known = match mode.as_str() {
-        "off" | "metrics" | "trace" => true,
-        "events" => schema >= 3,
-        _ => false,
-    };
-    if !known {
-        return Err(format!("unknown mode {mode:?} for schema {schema}"));
+    if !matches!(mode.as_str(), "off" | "metrics" | "events") {
+        return Err(format!("unknown mode {mode:?}"));
     }
-    let dropped_events = if schema >= 2 {
-        req_u64(v, "dropped_events")?
-    } else {
-        0
-    };
     Ok(Meta {
         schema,
         mode,
-        dropped_events,
+        dropped_events: req_u64(v, "dropped_events")?,
     })
 }
 
-fn parse_histogram(v: &Value, schema: u32) -> Result<HistogramSummary, String> {
+fn parse_histogram(v: &Value) -> Result<HistogramSummary, String> {
     let buckets_raw = v
         .get("buckets")
         .and_then(Value::as_arr)
@@ -440,81 +398,60 @@ fn parse_histogram(v: &Value, schema: u32) -> Result<HistogramSummary, String> {
             .ok_or_else(|| "bucket count must be an integer".to_string())?;
         buckets.push((idx, count));
     }
-    let (mean, p50, p90, p99) = if schema >= 2 {
-        (
-            req_num_or_null(v, "mean")?,
-            req_num_or_null(v, "p50")?,
-            req_num_or_null(v, "p90")?,
-            req_num_or_null(v, "p99")?,
-        )
-    } else {
-        (None, None, None, None)
-    };
     Ok(HistogramSummary {
         count: req_u64(v, "count")?,
         sum: req_num(v, "sum")?,
         min: req_num_or_null(v, "min")?,
         max: req_num_or_null(v, "max")?,
-        mean,
-        p50,
-        p90,
-        p99,
+        mean: req_num_or_null(v, "mean")?,
+        p50: req_num_or_null(v, "p50")?,
+        p90: req_num_or_null(v, "p90")?,
+        p99: req_num_or_null(v, "p99")?,
         buckets,
     })
 }
 
-fn parse_span(v: &Value, schema: u32) -> Result<SpanSummary, String> {
-    let (self_seconds, by_thread) = if schema >= 2 {
-        let raw = v
-            .get("by_thread")
-            .and_then(Value::as_arr)
-            .ok_or_else(|| "missing array field \"by_thread\"".to_string())?;
-        let mut slices = Vec::with_capacity(raw.len());
-        for t in raw {
-            let triple = t.as_arr().filter(|p| p.len() == 3).ok_or_else(|| {
-                "by_thread entries must be [tid, count, total_seconds]".to_string()
-            })?;
-            slices.push(ThreadSlice {
-                tid: triple[0]
-                    .as_u64()
-                    .and_then(|i| u32::try_from(i).ok())
-                    .ok_or_else(|| "by_thread tid must be a small integer".to_string())?,
-                count: triple[1]
-                    .as_u64()
-                    .ok_or_else(|| "by_thread count must be an integer".to_string())?,
-                total_seconds: triple[2]
-                    .as_f64()
-                    .ok_or_else(|| "by_thread total must be a number".to_string())?,
-            });
-        }
-        (Some(req_num(v, "self_seconds")?), slices)
-    } else {
-        (None, Vec::new())
-    };
+fn parse_span(v: &Value) -> Result<SpanSummary, String> {
+    let raw = v
+        .get("by_thread")
+        .and_then(Value::as_arr)
+        .ok_or_else(|| "missing array field \"by_thread\"".to_string())?;
+    let mut by_thread = Vec::with_capacity(raw.len());
+    for t in raw {
+        let triple = t
+            .as_arr()
+            .filter(|p| p.len() == 3)
+            .ok_or_else(|| "by_thread entries must be [tid, count, total_seconds]".to_string())?;
+        by_thread.push(ThreadSlice {
+            tid: triple[0]
+                .as_u64()
+                .and_then(|i| u32::try_from(i).ok())
+                .ok_or_else(|| "by_thread tid must be a small integer".to_string())?,
+            count: triple[1]
+                .as_u64()
+                .ok_or_else(|| "by_thread count must be an integer".to_string())?,
+            total_seconds: triple[2]
+                .as_f64()
+                .ok_or_else(|| "by_thread total must be a number".to_string())?,
+        });
+    }
     Ok(SpanSummary {
         count: req_u64(v, "count")?,
         total_seconds: req_num(v, "total_seconds")?,
-        self_seconds,
+        self_seconds: req_num(v, "self_seconds")?,
         min_seconds: req_num(v, "min_seconds")?,
         max_seconds: req_num(v, "max_seconds")?,
         by_thread,
     })
 }
 
-/// Validates one legacy trace-mode `event` line (a single span closing).
-fn check_legacy_event(v: &Value, schema: u32) -> Result<(), String> {
-    if schema >= 2 {
-        u32::try_from(req_u64(v, "tid")?).map_err(|_| "tid out of range".to_string())?;
-    }
-    req_str(v, "path")?;
-    req_num(v, "start_seconds")?;
-    req_num(v, "duration_seconds")?;
-    Ok(())
-}
-
 /// Validates one event-bus line: the common envelope plus the fields each
 /// kind requires (matching `mss_obs::events::BusEvent::to_json_line`).
-fn parse_bus(v: &Value) -> Result<BusRecord, String> {
+///
+/// # Errors
+///
+/// A message naming the missing or malformed field.
+pub fn parse_bus(v: &Value) -> Result<BusRecord, String> {
     let kind = req_str(v, "kind")?;
     let seq = req_u64(v, "seq")?;
     let tid = u32::try_from(req_u64(v, "tid")?).map_err(|_| "tid out of range".to_string())?;
@@ -562,7 +499,8 @@ fn parse_bus(v: &Value) -> Result<BusRecord, String> {
             req_str(v, "span")?;
             req_num(v, "baseline_seconds")?;
             req_num(v, "run_seconds")?;
-            req_num(v, "ratio")?;
+            // null: the slowdown of a span whose baseline mean was 0.
+            req_num_or_null(v, "ratio")?;
         }
         other => return Err(format!("unknown bus kind {other:?}")),
     }
@@ -606,46 +544,44 @@ mod tests {
         assert_eq!(h.count, 2);
         assert!(h.p50.is_some() && h.p99.is_some());
         let outer = &r.spans["outer"];
-        assert!(outer.self_seconds.is_some());
+        assert!(outer.self_seconds >= 0.0);
         assert!(!outer.by_thread.is_empty());
         assert!(r.spans.contains_key("outer/inner"));
         assert!(!text.contains("\"type\":\"event\""), "{text}");
     }
 
-    /// A schema-v3 trace-mode report from before span timelines moved to the
-    /// event bus: still valid, its `event` lines checked and dropped.
-    const LEGACY_V3_TRACE: &str = include_str!("../tests/data/legacy_v3_trace.ndjson");
-
     #[test]
-    fn accepts_legacy_trace_reports_and_validates_their_event_lines() {
-        let r = Report::parse_ndjson(LEGACY_V3_TRACE).expect("legacy trace report");
-        assert_eq!(r.meta.mode, "trace");
-        assert_eq!(r.meta.dropped_events, 4);
-        assert_eq!(r.spans.len(), 2);
-        // Event lines are still checked field by field.
-        let broken = LEGACY_V3_TRACE.replace("\"tid\":1,", "");
-        let err = Report::parse_ndjson(&broken).expect_err("event without tid");
-        assert!(err.starts_with("line 5:"), "{err}");
-        // And still do not belong in an event stream.
-        let stream = concat!(
-            "{\"type\":\"meta\",\"schema\":3,\"mode\":\"events\",\"dropped_events\":0}\n",
-            "{\"type\":\"event\",\"path\":\"p\",\"tid\":0,\"start_seconds\":0e0,\"duration_seconds\":1e-3}\n",
-        );
-        assert!(Report::parse_ndjson(stream).is_err());
-    }
-
-    #[test]
-    fn accepts_schema_v1_reports() {
-        let v1 = concat!(
-            "{\"type\":\"meta\",\"schema\":1,\"mode\":\"metrics\"}\n",
-            "{\"type\":\"counter\",\"name\":\"a\",\"value\":3}\n",
-            "{\"type\":\"histogram\",\"name\":\"h\",\"count\":1,\"sum\":2e0,\"min\":2e0,\"max\":2e0,\"buckets\":[[37,1]]}\n",
-            "{\"type\":\"span\",\"path\":\"p\",\"count\":1,\"total_seconds\":1e-3,\"min_seconds\":1e-3,\"max_seconds\":1e-3}\n",
-        );
-        let r = Report::parse_ndjson(v1).expect("v1 accepted");
-        assert_eq!(r.meta.schema, 1);
-        assert_eq!(r.spans["p"].self_seconds, None);
-        assert!(r.spans["p"].by_thread.is_empty());
+    fn rejects_other_schemas_trace_mode_and_event_lines() {
+        let span = "{\"type\":\"span\",\"path\":\"p\",\"count\":1,\"total_seconds\":1e-3,\"self_seconds\":1e-3,\"min_seconds\":1e-3,\"max_seconds\":1e-3,\"by_thread\":[[0,1,1e-3]]}";
+        let cases: &[(String, &str, &str)] = &[
+            (
+                "{\"type\":\"meta\",\"schema\":1,\"mode\":\"metrics\"}".to_string(),
+                "line 1:",
+                "unsupported schema version 1",
+            ),
+            (
+                format!("{{\"type\":\"meta\",\"schema\":2,\"mode\":\"metrics\",\"dropped_events\":0}}\n{span}"),
+                "line 1:",
+                "unsupported schema version 2",
+            ),
+            (
+                "{\"type\":\"meta\",\"schema\":3,\"mode\":\"trace\",\"dropped_events\":4}".to_string(),
+                "line 1:",
+                "unknown mode \"trace\"",
+            ),
+            (
+                format!(
+                    "{{\"type\":\"meta\",\"schema\":3,\"mode\":\"metrics\",\"dropped_events\":0}}\n{span}\n\
+                     {{\"type\":\"event\",\"path\":\"p\",\"tid\":0,\"start_seconds\":0e0,\"duration_seconds\":1e-3}}"
+                ),
+                "line 3:",
+                "unknown line type \"event\"",
+            ),
+        ];
+        for (text, line, why) in cases {
+            let err = Report::parse_ndjson(text).expect_err(why);
+            assert!(err.starts_with(line) && err.contains(why), "{why}: {err}");
+        }
     }
 
     #[test]
@@ -658,19 +594,19 @@ mod tests {
                 "future schema",
             ),
             (
-                "{\"type\":\"meta\",\"schema\":2,\"mode\":\"warp\",\"dropped_events\":0}",
+                "{\"type\":\"meta\",\"schema\":3,\"mode\":\"warp\",\"dropped_events\":0}",
                 "unknown mode",
             ),
             (
                 concat!(
-                    "{\"type\":\"meta\",\"schema\":2,\"mode\":\"metrics\",\"dropped_events\":0}\n",
-                    "{\"type\":\"meta\",\"schema\":2,\"mode\":\"metrics\",\"dropped_events\":0}",
+                    "{\"type\":\"meta\",\"schema\":3,\"mode\":\"metrics\",\"dropped_events\":0}\n",
+                    "{\"type\":\"meta\",\"schema\":3,\"mode\":\"metrics\",\"dropped_events\":0}",
                 ),
                 "duplicate meta",
             ),
             (
                 concat!(
-                    "{\"type\":\"meta\",\"schema\":2,\"mode\":\"metrics\",\"dropped_events\":0}\n",
+                    "{\"type\":\"meta\",\"schema\":3,\"mode\":\"metrics\",\"dropped_events\":0}\n",
                     "{\"type\":\"counter\",\"name\":\"a\",\"value\":1}\n",
                     "{\"type\":\"counter\",\"name\":\"a\",\"value\":2}",
                 ),
@@ -678,27 +614,27 @@ mod tests {
             ),
             (
                 concat!(
-                    "{\"type\":\"meta\",\"schema\":2,\"mode\":\"metrics\",\"dropped_events\":0}\n",
+                    "{\"type\":\"meta\",\"schema\":3,\"mode\":\"metrics\",\"dropped_events\":0}\n",
                     "{\"type\":\"mystery\"}",
                 ),
                 "unknown type",
             ),
             (
                 concat!(
-                    "{\"type\":\"meta\",\"schema\":2,\"mode\":\"metrics\",\"dropped_events\":0}\n",
+                    "{\"type\":\"meta\",\"schema\":3,\"mode\":\"metrics\",\"dropped_events\":0}\n",
                     "{\"type\":\"counter\",\"name\":\"a\",\"value\":-1}",
                 ),
                 "negative counter",
             ),
             (
                 concat!(
-                    "{\"type\":\"meta\",\"schema\":2,\"mode\":\"metrics\",\"dropped_events\":0}\n",
+                    "{\"type\":\"meta\",\"schema\":3,\"mode\":\"metrics\",\"dropped_events\":0}\n",
                     "{\"type\":\"span\",\"path\":\"p\",\"count\":1,\"total_seconds\":1e-3,\"min_seconds\":1e-3,\"max_seconds\":1e-3}",
                 ),
-                "v2 span without self_seconds/by_thread",
+                "span without self_seconds/by_thread",
             ),
             (
-                "{\"type\":\"meta\",\"schema\":2,\"mode\":\"metrics\",\"dropped_events\":0}\nnot json",
+                "{\"type\":\"meta\",\"schema\":3,\"mode\":\"metrics\",\"dropped_events\":0}\nnot json",
                 "garbage line",
             ),
         ];
@@ -710,7 +646,7 @@ mod tests {
     #[test]
     fn hot_paths_rank_by_self_time() {
         let text = concat!(
-            "{\"type\":\"meta\",\"schema\":2,\"mode\":\"metrics\",\"dropped_events\":0}\n",
+            "{\"type\":\"meta\",\"schema\":3,\"mode\":\"metrics\",\"dropped_events\":0}\n",
             "{\"type\":\"span\",\"path\":\"parent\",\"count\":1,\"total_seconds\":1e0,\"self_seconds\":1e-2,\"min_seconds\":1e0,\"max_seconds\":1e0,\"by_thread\":[[0,1,1e0]]}\n",
             "{\"type\":\"span\",\"path\":\"parent/leaf\",\"count\":4,\"total_seconds\":9.9e-1,\"self_seconds\":9.9e-1,\"min_seconds\":2e-1,\"max_seconds\":3e-1,\"by_thread\":[[1,2,5e-1],[2,2,4.9e-1]]}\n",
         );
@@ -720,14 +656,14 @@ mod tests {
         assert_eq!(hot[1].0, "parent");
         let summary = r.render_summary(5);
         assert!(summary.contains("parent/leaf"), "{summary}");
-        assert!(summary.contains("schema v2"), "{summary}");
+        assert!(summary.contains("schema v3"), "{summary}");
     }
 
     #[test]
     fn summary_warns_on_dropped_events() {
-        let text = "{\"type\":\"meta\",\"schema\":2,\"mode\":\"trace\",\"dropped_events\":17}\n";
+        let text = "{\"type\":\"meta\",\"schema\":3,\"mode\":\"events\",\"dropped_events\":17}\n";
         let r = Report::parse_ndjson(text).unwrap();
-        assert!(r.render_summary(3).contains("17 trace events dropped"));
+        assert!(r.render_summary(3).contains("17 events dropped"));
     }
 
     #[test]

@@ -1,12 +1,11 @@
 //! Runtime perf watchdog: live span aggregates vs committed baselines.
 //!
-//! PR 5 gave the workspace *post-hoc* perf gating — CI diffs a finished
-//! smoke run against `results/BENCH_<name>.json`. A long-running sweep
-//! service needs the same comparison *while the process is alive*: the
-//! watchdog takes a live `mss_obs::Registry`, renders it through the
-//! existing report parser, and applies the identical
-//! ratio-over-noise-floor span-time policy as [`Baseline::check`] /
-//! [`crate::diff()`]. Hits become [`WatchdogRegression`]s, surfaced as
+//! CI checks a finished smoke run against `results/BENCH_<name>.json`
+//! after the fact. A long-running sweep service needs the same comparison
+//! *while the process is alive*: the watchdog takes a live
+//! `mss_obs::Registry`, renders it through the report parser, and applies
+//! [`Baseline::check`]'s span-time rule (`BaselineSpan::slowdown`) to the
+//! spans both sides have. Hits become [`WatchdogRegression`]s, surfaced as
 //! `watchdog.regression` counters and `watchdog` events on the telemetry
 //! bus.
 //!
@@ -20,8 +19,9 @@ use std::path::Path;
 use crate::baseline::Baseline;
 use crate::report::Report;
 
-/// Environment variable selecting the watchdog mode (`off` default,
-/// `1`/`true`/`on`/`warn` to warn, `strict` to gate).
+/// Environment variable selecting the watchdog mode (`off` default, any
+/// [`mss_obs::parse_flag`] spelling to disable or warn, `warn` to warn,
+/// `strict` to gate).
 pub const WATCHDOG_ENV: &str = "MSS_WATCHDOG";
 
 /// Counter bumped (on the global registry) once per detected regression.
@@ -48,29 +48,32 @@ pub enum WatchdogMode {
 }
 
 impl WatchdogMode {
-    /// Reads the mode from [`WATCHDOG_ENV`]. Unset/`0`/`false`/`off`
-    /// disable; `1`/`true`/`on`/`warn` warn; `strict` gates; anything else
-    /// warns once on stderr and counts as off (the workspace env
-    /// convention).
+    /// Reads the mode from [`WATCHDOG_ENV`]: unset or a false
+    /// [`mss_obs::parse_flag`] spelling disables, a true one or `warn`
+    /// warns, `strict` gates; anything else warns once on stderr and
+    /// counts as off (the workspace env convention).
     pub fn from_env() -> Self {
         static WARN_ONCE: std::sync::Once = std::sync::Once::new();
-        match std::env::var(WATCHDOG_ENV) {
-            Err(_) => Self::Off,
-            Ok(raw) => match raw.trim().to_ascii_lowercase().as_str() {
-                "" | "0" | "false" | "off" => Self::Off,
-                "1" | "true" | "on" | "warn" => Self::Warn,
-                "strict" => Self::Strict,
-                other => {
-                    let other = other.to_string();
-                    WARN_ONCE.call_once(|| {
-                        eprintln!(
-                            "warning: ignoring {WATCHDOG_ENV}={other:?}; \
-                             expected off, warn (1/true/on) or strict"
-                        );
-                    });
-                    Self::Off
-                }
-            },
+        let Ok(raw) = std::env::var(WATCHDOG_ENV) else {
+            return Self::Off;
+        };
+        match raw.trim().to_ascii_lowercase().as_str() {
+            "warn" => return Self::Warn,
+            "strict" => return Self::Strict,
+            _ => {}
+        }
+        match mss_obs::parse_flag(&raw) {
+            Ok(true) => Self::Warn,
+            Ok(false) => Self::Off,
+            Err(why) => {
+                WARN_ONCE.call_once(|| {
+                    eprintln!(
+                        "warning: ignoring {WATCHDOG_ENV}={raw:?} ({why}); \
+                         expected off, warn (1/on/true/yes) or strict"
+                    );
+                });
+                Self::Off
+            }
         }
     }
 }
@@ -84,7 +87,8 @@ pub struct WatchdogRegression {
     pub baseline_seconds: f64,
     /// Per-call mean seconds observed live.
     pub run_seconds: f64,
-    /// `run_seconds / baseline_seconds`.
+    /// `run_seconds / baseline_seconds` (infinite when the baseline mean
+    /// is 0).
     pub ratio: f64,
 }
 
@@ -139,34 +143,26 @@ impl Watchdog {
         &self.baseline
     }
 
-    /// Compares span means in `report` against the baseline, applying the
-    /// same ratio-over-noise-floor policy as [`Baseline::check`]: only
-    /// spans the baseline knows, only above the floor, only when the mean
-    /// exceeds `max_span_ratio` times the baseline mean. Counters and span
-    /// counts are *not* the watchdog's business — those gate structurally
-    /// in CI; a live process may legitimately be mid-sweep.
+    /// Compares span means in `report` against the baseline with
+    /// [`Baseline::check`]'s span-time rule (`BaselineSpan::slowdown`), on
+    /// the spans both sides have. Counters, span counts and spans on
+    /// only one side are *not* the watchdog's business — those gate
+    /// structurally in CI; a live process may legitimately be mid-sweep.
     pub fn check_report(&self, report: &Report) -> Vec<WatchdogRegression> {
-        let mut regressions = Vec::new();
-        for (path, b) in &self.baseline.spans {
-            let Some(s) = report.spans.get(path) else {
-                continue;
-            };
-            let baseline_total = b.mean_seconds * b.count as f64;
-            let above_floor = baseline_total.max(s.total_seconds) >= self.min_span_seconds;
-            let run_mean = s.mean_seconds();
-            if above_floor
-                && b.mean_seconds > 0.0
-                && run_mean > b.mean_seconds * self.max_span_ratio
-            {
-                regressions.push(WatchdogRegression {
+        self.baseline
+            .spans
+            .iter()
+            .filter_map(|(path, b)| {
+                let s = report.spans.get(path)?;
+                let ratio = b.slowdown(s, self.max_span_ratio, self.min_span_seconds)?;
+                Some(WatchdogRegression {
                     span: path.clone(),
                     baseline_seconds: b.mean_seconds,
-                    run_seconds: run_mean,
-                    ratio: run_mean / b.mean_seconds,
-                });
-            }
-        }
-        regressions
+                    run_seconds: s.mean_seconds(),
+                    ratio,
+                })
+            })
+            .collect()
     }
 
     /// Renders a live registry through the report parser and checks it.

@@ -128,11 +128,14 @@ fn bus_lines_are_fenced_to_events_mode_and_schema_3() {
     let err = parse_caught(&text).expect_err("bus outside events mode");
     assert!(err.contains("events"), "{err}");
 
-    // Gauge line on a v2 report: rejected (schema fence).
+    // Gauge line on a v2 report: rejected at the meta line (schema fence).
     let text = "{\"type\":\"meta\",\"schema\":2,\"mode\":\"metrics\",\"dropped_events\":0}\n\
                 {\"type\":\"gauge\",\"name\":\"g\",\"value\":1e0}\n";
     let err = parse_caught(text).expect_err("gauge on schema 2");
-    assert!(err.contains("schema >= 3"), "{err}");
+    assert!(
+        err.contains("line 1: unsupported schema version 2"),
+        "{err}"
+    );
 
     // Mode "events" on a v2 report: rejected.
     let text = "{\"type\":\"meta\",\"schema\":2,\"mode\":\"events\",\"dropped_events\":0}\n";

@@ -144,3 +144,34 @@ fn disk_tier_carries_artifacts_across_cache_instances() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn cache_stats_do_not_depend_on_the_thread_count() {
+    // Scenarios sharing a macro (the SRAM L1s) hit the same stage keys; a
+    // fresh cache must count the same hits and misses however many
+    // threads run the flow.
+    let _serial = LOCK.lock().unwrap();
+    // Every test in this binary must see the same global registry mode.
+    obs::init_with_mode(obs::Mode::Metrics);
+    let inputs = MagpieInputs {
+        scenarios: Scenario::ALL.to_vec(),
+        sample_cap: 5_000,
+        ..sweep_inputs(TechNode::N45)
+    };
+    let stats_at = |threads: usize| {
+        let cache = Arc::new(PipeCache::memory_only());
+        let exec = ParallelConfig::serial().with_threads(threads);
+        let report = MagpieFlow::new_with_cache(inputs.clone(), Arc::clone(&cache))
+            .expect("flow setup")
+            .run_with(&exec)
+            .expect("flow run");
+        let stats: Vec<_> = Stage::ALL.into_iter().map(|s| cache.stats(s)).collect();
+        (report, stats)
+    };
+    let (serial_report, serial_stats) = stats_at(1);
+    for threads in [2, 8] {
+        let (report, stats) = stats_at(threads);
+        assert_eq!(report, serial_report, "{threads} threads");
+        assert_eq!(stats, serial_stats, "{threads} threads");
+    }
+}
