@@ -199,7 +199,7 @@ impl VariationCard {
         t
     }
 
-    /// Samples a perturbed MTJ stack.
+    /// Samples a perturbed MTJ stack, every parameter drawn.
     ///
     /// # Errors
     ///
@@ -210,21 +210,93 @@ impl VariationCard {
         rng: &mut R,
         nominal: &MssStack,
     ) -> Result<MssStack, MtjError> {
+        self.sample_stack_reading(rng, nominal, StackReads::ALL)
+    }
+
+    /// Samples a perturbed MTJ stack of which the caller reads only the
+    /// `reads` parameters.
+    ///
+    /// Every parameter consumes its draws in the fixed order d, t, RA,
+    /// TMR, K_i, so the stream after the call, and each read parameter's
+    /// value, are bit-identical to [`sample_stack`](Self::sample_stack)'s.
+    /// An unread parameter skips the transform
+    /// ([`Variation::skip`]) and keeps its nominal value.
+    ///
+    /// # Errors
+    ///
+    /// As [`sample_stack`](Self::sample_stack). Validation sees the
+    /// nominal value of every unread parameter, so only a pathological
+    /// card can fail here where `sample_stack` would not, or the reverse.
+    pub fn sample_stack_reading<R: Rng + ?Sized>(
+        &self,
+        rng: &mut R,
+        nominal: &MssStack,
+        reads: StackReads,
+    ) -> Result<MssStack, MtjError> {
+        let mut draw = |v: &Variation, field: StackReads, nom: f64| {
+            if reads.contains(field) {
+                v.sample(rng, nom)
+            } else {
+                v.skip(rng, nom);
+                nom
+            }
+        };
+        let m = &self.mtj;
         MssStackBuilder::from(nominal.clone())
-            .diameter(self.mtj.diameter.sample(rng, nominal.diameter()))
-            .free_layer_thickness(
-                self.mtj
-                    .thickness
-                    .sample(rng, nominal.free_layer_thickness()),
-            )
-            .resistance_area_product(self.mtj.ra.sample(rng, nominal.resistance_area_product()))
-            .tmr_zero_bias(self.mtj.tmr.sample(rng, nominal.tmr_zero_bias()))
-            .interfacial_anisotropy(
-                self.mtj
-                    .anisotropy
-                    .sample(rng, nominal.interfacial_anisotropy()),
-            )
+            .diameter(draw(&m.diameter, StackReads::DIAMETER, nominal.diameter()))
+            .free_layer_thickness(draw(
+                &m.thickness,
+                StackReads::THICKNESS,
+                nominal.free_layer_thickness(),
+            ))
+            .resistance_area_product(draw(
+                &m.ra,
+                StackReads::RA,
+                nominal.resistance_area_product(),
+            ))
+            .tmr_zero_bias(draw(&m.tmr, StackReads::TMR, nominal.tmr_zero_bias()))
+            .interfacial_anisotropy(draw(
+                &m.anisotropy,
+                StackReads::ANISOTROPY,
+                nominal.interfacial_anisotropy(),
+            ))
             .build()
+    }
+}
+
+/// The set of MTJ stack parameters a [`VariationCard::sample_stack_reading`]
+/// caller reads; the rest stay nominal.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct StackReads(u8);
+
+impl StackReads {
+    /// Pillar diameter.
+    pub const DIAMETER: Self = Self(1);
+    /// Free-layer thickness.
+    pub const THICKNESS: Self = Self(1 << 1);
+    /// RA product.
+    pub const RA: Self = Self(1 << 2);
+    /// Zero-bias TMR.
+    pub const TMR: Self = Self(1 << 3);
+    /// Interfacial anisotropy K_i.
+    pub const ANISOTROPY: Self = Self(1 << 4);
+    /// Every parameter.
+    pub const ALL: Self = Self(0b1_1111);
+    /// What the switching closed forms read (Δ, I_c0, τ_D): d, t, K_i.
+    pub const SWITCHING: Self = Self::DIAMETER
+        .union(Self::THICKNESS)
+        .union(Self::ANISOTROPY);
+    /// What R_P and R_AP read: d, RA, TMR.
+    pub const RESISTANCE: Self = Self::DIAMETER.union(Self::RA).union(Self::TMR);
+
+    /// Both sets.
+    pub const fn union(self, other: Self) -> Self {
+        Self(self.0 | other.0)
+    }
+
+    /// True when every parameter of `other` is in `self`.
+    pub const fn contains(self, other: Self) -> bool {
+        self.0 & other.0 == other.0
     }
 }
 
@@ -307,6 +379,43 @@ mod tests {
     fn corner_display_names() {
         assert_eq!(ProcessCorner::Tt.to_string(), "TT");
         assert_eq!(ProcessCorner::ALL.len(), 5);
+    }
+
+    #[test]
+    fn reading_a_subset_keeps_the_stream_and_the_read_values() {
+        let card = VariationCard::node(TechNode::N45);
+        let nominal = MssStack::builder().build().unwrap();
+        type Getter = fn(&MssStack) -> f64;
+        let fields: [(StackReads, Getter); 5] = [
+            (StackReads::DIAMETER, MssStack::diameter),
+            (StackReads::THICKNESS, MssStack::free_layer_thickness),
+            (StackReads::RA, MssStack::resistance_area_product),
+            (StackReads::TMR, MssStack::tmr_zero_bias),
+            (StackReads::ANISOTROPY, MssStack::interfacial_anisotropy),
+        ];
+        for mask in 0..32u8 {
+            let reads = StackReads(mask);
+            let mut full = Xoshiro256PlusPlus::seed_from_u64(u64::from(mask));
+            let mut part = full.clone();
+            for _ in 0..2000 {
+                let a = card.sample_stack(&mut full, &nominal).unwrap();
+                let b = card
+                    .sample_stack_reading(&mut part, &nominal, reads)
+                    .unwrap();
+                for (field, get) in fields {
+                    let want = if reads.contains(field) {
+                        get(&a)
+                    } else {
+                        get(&nominal)
+                    };
+                    assert_eq!(get(&b).to_bits(), want.to_bits(), "mask {mask:#07b}");
+                }
+                assert_eq!(full, part, "mask {mask:#07b}");
+            }
+        }
+        assert_eq!(StackReads::ALL, StackReads(0b1_1111));
+        assert_eq!(StackReads::SWITCHING, StackReads(0b1_0011));
+        assert_eq!(StackReads::RESISTANCE, StackReads(0b0_1101));
     }
 
     #[test]

@@ -236,14 +236,28 @@ impl Rng for Xoshiro256PlusPlus {
 /// assert!(z.is_finite());
 /// ```
 pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
-    // Reject u1 == 0 so ln(u1) is finite.
+    let (u1, u2) = box_muller_uniforms(rng);
+    box_muller(u1, u2)
+}
+
+/// The two uniforms one Box–Muller draw consumes; `u1` is redrawn while
+/// `u1 <= f64::MIN_POSITIVE` so `ln(u1)` is finite.
+fn box_muller_uniforms<R: Rng + ?Sized>(rng: &mut R) -> (f64, f64) {
     let mut u1: f64 = rng.next_f64();
     while u1 <= f64::MIN_POSITIVE {
         u1 = rng.next_f64();
     }
-    let u2: f64 = rng.next_f64();
+    (u1, rng.next_f64())
+}
+
+/// The cosine half of the Box–Muller transform.
+fn box_muller(u1: f64, u2: f64) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
+
+/// Above this `u1`, a Box–Muller draw has `|z| ≤ √(−2 ln u1) < 3.96`, so it
+/// always lands inside a ±4σ window (see [`Variation::skip`]).
+const INSIDE_4SD_U1: f64 = 4e-4;
 
 /// Draws a normal sample with the given mean and standard deviation.
 pub fn normal<R: Rng + ?Sized>(rng: &mut R, mean: f64, std_dev: f64) -> f64 {
@@ -334,6 +348,38 @@ impl Variation {
             VariationKind::Absolute => self.sigma,
         };
         truncated_normal(rng, nominal, sd, nominal - 4.0 * sd, nominal + 4.0 * sd)
+    }
+
+    /// Consumes exactly the draws [`sample`](Self::sample) would make for
+    /// `nominal`, without computing the value: a caller that does not read
+    /// a parameter keeps the stream of every later draw unchanged.
+    ///
+    /// Each attempt draws `u1` (redrawn while `u1 <= f64::MIN_POSITIVE`)
+    /// and `u2`, as [`standard_normal`] does. When `u1 > 4e-4`, then
+    /// `|z| ≤ √(−2 ln u1) < √(−2 ln 4e-4) ≈ 3.956 < 4`, and because float
+    /// rounding is monotone `nominal + sd·z` lies inside
+    /// `[nominal − 4sd, nominal + 4sd]`: the attempt is accepted, so no
+    /// `ln`, `sqrt` or `cos` is needed. Otherwise the value is computed
+    /// exactly as `sample` computes it and put to the same window test,
+    /// with the same 1000-attempt cap. `sigma == 0` draws nothing. A
+    /// non-finite `nominal` or standard deviation, or a window that rounds
+    /// to empty, defers to `sample` and so panics where it panics.
+    pub fn skip<R: Rng + ?Sized>(&self, rng: &mut R, nominal: f64) {
+        if self.sigma == 0.0 {
+            return;
+        }
+        let sd = self.std_dev_at(nominal);
+        let (lo, hi) = (nominal - 4.0 * sd, nominal + 4.0 * sd);
+        if !(nominal.is_finite() && sd.is_finite() && lo < hi) {
+            self.sample(rng, nominal);
+            return;
+        }
+        for _ in 0..1000 {
+            let (u1, u2) = box_muller_uniforms(rng);
+            if u1 > INSIDE_4SD_U1 || (lo..=hi).contains(&(nominal + sd * box_muller(u1, u2))) {
+                return;
+            }
+        }
     }
 
     /// The effective absolute standard deviation around `nominal`.
@@ -550,6 +596,55 @@ mod tests {
     fn zero_variation_returns_nominal() {
         let mut rng = Xoshiro256PlusPlus::seed_from_u64(4);
         assert_eq!(Variation::none().sample(&mut rng, 123.0), 123.0);
+    }
+
+    /// Counts the words drawn through it.
+    struct Counting(Xoshiro256PlusPlus, u64);
+
+    impl Rng for Counting {
+        fn next_u64(&mut self) -> u64 {
+            self.1 += 1;
+            self.0.next_u64()
+        }
+    }
+
+    #[test]
+    fn skip_consumes_exactly_the_draws_of_sample() {
+        let kinds = [Variation::relative, Variation::absolute];
+        for (k, make) in kinds.into_iter().enumerate() {
+            for (s, sigma) in [0.0, 0.004, 0.05, 0.3].into_iter().enumerate() {
+                for (n, nominal) in [3.0, -2.0, 1e-9].into_iter().enumerate() {
+                    let v = make(sigma);
+                    let seed = (k * 100 + s * 10 + n) as u64;
+                    let mut sampled = Counting(Xoshiro256PlusPlus::seed_from_u64(seed), 0);
+                    let mut skipped = Xoshiro256PlusPlus::seed_from_u64(seed);
+                    // Attempts whose u1 forces the full transform, and calls
+                    // that rejected at least one attempt (more than 2 words).
+                    let (mut slow, mut rejected) = (0u32, 0u32);
+                    for _ in 0..200_000 {
+                        let u1 = sampled.0.clone().next_f64();
+                        let before = sampled.1;
+                        v.sample(&mut sampled, nominal);
+                        slow += u32::from(u1 <= INSIDE_4SD_U1);
+                        rejected += u32::from(sampled.1 - before > 2);
+                        v.skip(&mut skipped, nominal);
+                        assert_eq!(sampled.0, skipped, "{v:?} at {nominal}");
+                    }
+                    if sigma == 0.0 {
+                        assert_eq!(sampled.1, 0, "sigma 0 draws nothing");
+                    } else {
+                        assert!(slow > 0 && rejected > 0, "{v:?}: {slow} {rejected}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid truncation window")]
+    fn skip_panics_where_sample_panics() {
+        let mut rng = Xoshiro256PlusPlus::seed_from_u64(5);
+        Variation::absolute(0.1).skip(&mut rng, f64::NAN);
     }
 
     #[test]

@@ -7,7 +7,7 @@ use mss_nvsim::config::MemoryConfig;
 use mss_nvsim::model::{estimate_cached, ArrayMetrics, MemoryTechnology};
 use mss_pdk::charlib::{characterize_cached, characterize_sot_cached, CellLibrary, SotCellLibrary};
 use mss_pdk::tech::{TechNode, TechParams};
-use mss_pdk::variation::VariationCard;
+use mss_pdk::variation::{StackReads, VariationCard};
 
 use crate::VaetError;
 
@@ -180,6 +180,18 @@ impl VaetContext {
                 .map_err(VaetError::Device)?
                 .switching_model()
                 .clone()),
+        }
+    }
+
+    /// The stack parameters a write reads under this context's mechanism:
+    /// the switching set ([`corner_switching_model`](Self::corner_switching_model))
+    /// plus, for STT, the RA product behind the junction's write-path
+    /// resistance ([`write_resistance_ratio`](Self::write_resistance_ratio)).
+    /// The SOT write path is the channel, which depends on the diameter only.
+    pub fn write_stack_reads(&self) -> StackReads {
+        match &self.mechanism {
+            MechanismConfig::Stt => StackReads::SWITCHING.union(StackReads::RA),
+            MechanismConfig::Sot(_) => StackReads::SWITCHING,
         }
     }
 

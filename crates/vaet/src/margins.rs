@@ -14,6 +14,7 @@
 //!   inverts the Gaussian tail.
 
 use mss_mtj::switching::SwitchingModel;
+use mss_pdk::variation::StackReads;
 use mss_units::rng::Xoshiro256PlusPlus;
 
 use mss_units::math::{brent, inv_q};
@@ -56,7 +57,7 @@ impl WriteMarginSolver {
         for _ in 0..CORNERS {
             let stack = ctx
                 .variation
-                .sample_stack(&mut rng, &ctx.stack)
+                .sample_stack_reading(&mut rng, &ctx.stack, StackReads::SWITCHING)
                 .map_err(VaetError::Device)?;
             let i = ctx.cell.write.current
                 * mss_units::rng::normal(&mut rng, 1.0, 0.04).clamp(0.7, 1.3);

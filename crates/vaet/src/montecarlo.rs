@@ -4,7 +4,8 @@
 //! One Monte Carlo sample is one *word access*:
 //!
 //! 1. a global (per-die) CMOS sample perturbs the peripheral speed,
-//! 2. each bit of the word gets a local MTJ sample (diameter, RA, TMR, K_i)
+//! 2. each bit of the word gets a local MTJ sample of the parameters the
+//!    access reads (writes: d, t, K_i, plus RA on STT; reads: d, RA, TMR)
 //!    and — for writes — a thermal initial angle drawn from the Rayleigh
 //!    distribution `p(θ₀) = 2Δθ₀·exp(−Δθ₀²)`,
 //! 3. the access completes when its **slowest bit** completes; the write
@@ -17,6 +18,7 @@
 
 use mss_exec::{par_chunks_stats, ParallelConfig};
 use mss_mtj::switching::SwitchingModel;
+use mss_pdk::variation::StackReads;
 use mss_spice::batch::DcBatch;
 use mss_spice::netlist::Netlist;
 use mss_spice::waveform::Waveform;
@@ -81,6 +83,13 @@ struct SampleConsts {
     i_write_nom: f64,
     sense_nom: f64,
     signal_nom: f64,
+    /// Nominal cell resistance window R_AP − R_P.
+    window_nom: f64,
+    /// Power drawn by one nominal cell during its write: the measured cell
+    /// energy spread over the measured cell latency.
+    cell_power_nom: f64,
+    /// The stack parameters the write loop reads.
+    write_reads: StackReads,
 }
 
 /// Per-batch accumulators, merged in batch order after the fan-out.
@@ -115,17 +124,15 @@ fn sample_access<R: Rng + ?Sized>(
     let speed_factor = (drive(&ctx.tech) / drive(&t_sample)).clamp(0.5, 2.0);
 
     // --- Write access ---
-    // Power drawn by one nominal cell during its write (the measured
-    // cell energy spread over the measured cell latency); the pulse is
-    // held for the slowest bit, so every bit burns this power for the
-    // whole completion time — the paper's mu >> nominal energy effect.
-    let cell_power_nom = ctx.cell.write.energy / ctx.cell.write.latency.max(1e-12);
+    // The pulse is held for the slowest bit, so every bit burns the
+    // nominal cell power for the whole completion time — the paper's
+    // mu >> nominal energy effect.
     let mut t_cell_max: f64 = 0.0;
     let mut power_sum = 0.0;
     for _ in 0..word {
         let stack = ctx
             .variation
-            .sample_stack(rng, &ctx.stack)
+            .sample_stack_reading(rng, &ctx.stack, consts.write_reads)
             .map_err(VaetError::Device)?;
         let sw = ctx.corner_switching_model(&stack)?;
         // Local access-device mismatch perturbs the write current.
@@ -136,7 +143,7 @@ fn sample_access<R: Rng + ?Sized>(
         t_cell_max = t_cell_max.max(t_bit);
         // Dissipation scales as I^2 R relative to the nominal write path.
         let r_rel = ctx.write_resistance_ratio(&stack);
-        power_sum += cell_power_nom * i_rel * i_rel * r_rel;
+        power_sum += consts.cell_power_nom * i_rel * i_rel * r_rel;
     }
     let t_write = consts.periph_wl * speed_factor + t_cell_max;
     let e_write = consts.periph_we + power_sum * t_cell_max;
@@ -149,18 +156,17 @@ fn sample_access<R: Rng + ?Sized>(
     for _ in 0..word {
         let stack = ctx
             .variation
-            .sample_stack(rng, &ctx.stack)
+            .sample_stack_reading(rng, &ctx.stack, StackReads::RESISTANCE)
             .map_err(VaetError::Device)?;
         // Signal scales with this bit's resistance window.
         let window = stack.resistance_antiparallel() - stack.resistance_parallel();
-        let window_nom = ctx.cell.r_antiparallel - ctx.cell.r_parallel;
         let offset = normal(rng, 0.0, SENSE_OFFSET_SIGMA);
-        let signal =
-            (consts.signal_nom * window / window_nom - offset.abs()).max(0.05 * consts.signal_nom);
+        let signal = (consts.signal_nom * window / consts.window_nom - offset.abs())
+            .max(0.05 * consts.signal_nom);
         // Regeneration time grows as the effective signal shrinks.
         let t_bit = consts.sense_nom * (consts.signal_nom / signal).min(8.0);
         t_sense_max = t_sense_max.max(t_bit);
-        e_read_cells += ctx.cell.read.energy * (window_nom / window).clamp(0.5, 2.0);
+        e_read_cells += ctx.cell.read.energy * (consts.window_nom / window).clamp(0.5, 2.0);
     }
     let t_read = consts.periph_rl * speed_factor + t_sense_max;
     let e_read = consts.periph_re + e_read_cells;
@@ -221,6 +227,9 @@ pub fn run_with(
         i_write_nom: ctx.cell.write.current,
         sense_nom: ctx.cell.read.latency,
         signal_nom: ctx.sense_signal(),
+        window_nom: ctx.cell.r_antiparallel - ctx.cell.r_parallel,
+        cell_power_nom: ctx.cell.write.energy / ctx.cell.write.latency.max(1e-12),
+        write_reads: ctx.write_stack_reads(),
     };
 
     let _span = mss_obs::span("vaet.mc.run");
@@ -378,7 +387,7 @@ pub fn sense_margin_batch_with(
         let mut rng = Xoshiro256PlusPlus::stream(opts.seed, i as u64);
         let stack = ctx
             .variation
-            .sample_stack(&mut rng, &ctx.stack)
+            .sample_stack_reading(&mut rng, &ctx.stack, StackReads::RESISTANCE)
             .map_err(VaetError::Device)?;
         cells.push((stack.resistance_parallel(), stack.resistance_antiparallel()));
     }
