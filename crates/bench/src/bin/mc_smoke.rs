@@ -21,7 +21,7 @@ use mss_gemsim::workload::Kernel;
 use mss_mtj::llg::{LlgOptions, LlgSimulator};
 use mss_mtj::resistance::MtjState;
 use mss_mtj::switching::SwitchingModel;
-use mss_mtj::{MssDevice, MssStack, SotMechanism, SotParams, SwitchingMechanism};
+use mss_mtj::{MssDevice, MssStack, SotMechanism, SotParams};
 use mss_pdk::tech::TechNode;
 use mss_spice::analysis::{Transient, TransientOptions};
 use mss_spice::netlist::Netlist;
@@ -140,8 +140,9 @@ fn sot_smoke() {
 
     // Device layer: the channel write constant is the damping-scaled
     // precession time — orders of magnitude under the STT one.
-    let t_sot = sot
-        .mean_switching_time(1.5 * sot.critical_current())
+    let sot_model = sot.switching_model();
+    let t_sot = sot_model
+        .mean_switching_time(1.5 * sot_model.critical_current())
         .expect("overdriven");
     let t_stt = stt
         .mean_switching_time(1.5 * stt.critical_current())
@@ -153,7 +154,7 @@ fn sot_smoke() {
 
     // Circuit layer: a channel current pulse through the three-terminal
     // element must flip the free layer to Parallel.
-    let i_write = 1.5 * sot.critical_current();
+    let i_write = 1.5 * sot_model.critical_current();
     let v_write = i_write * sot.channel_resistance();
     let mut nl = Netlist::new();
     nl.add_vsource(

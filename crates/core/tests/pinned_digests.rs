@@ -44,7 +44,7 @@ fn default_platform_digest_is_pinned() {
 
 #[test]
 fn scenario_platform_digests_are_pinned() {
-    let flow = flow(paper_inputs());
+    let stt = flow(paper_inputs());
     let pinned = [
         (Scenario::FullSram, "b602c4b8336154d4"),
         (Scenario::LittleL2Stt, "6da278e2c49ba8c5"),
@@ -52,7 +52,24 @@ fn scenario_platform_digests_are_pinned() {
         (Scenario::FullL2Stt, "2986f77dabf46d08"),
     ];
     for (scenario, digest) in pinned {
-        let config = flow.system_config(scenario).expect("platform");
+        let config = stt.system_config(scenario).expect("platform");
+        assert_eq!(digest_of(&config), digest, "{scenario}");
+    }
+
+    // The SOT twins hash the L2 macros NVSim sizes from the SOT
+    // characterisation, so they pin the SOT closed forms end to end.
+    let sot = flow(MagpieInputs {
+        scenarios: Scenario::ALL_WITH_SOT.to_vec(),
+        mechanism: MechanismConfig::Sot(SotParams::default()),
+        ..paper_inputs()
+    });
+    let pinned = [
+        (Scenario::LittleL2Sot, "b398ab31d4270ddc"),
+        (Scenario::BigL2Sot, "5d4e3ddbccb78ca5"),
+        (Scenario::FullL2Sot, "0ee63f032b91d234"),
+    ];
+    for (scenario, digest) in pinned {
+        let config = sot.system_config(scenario).expect("platform");
         assert_eq!(digest_of(&config), digest, "{scenario}");
     }
 }

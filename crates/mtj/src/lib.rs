@@ -61,9 +61,6 @@ pub mod validate;
 pub mod veriloga;
 
 pub use error::MtjError;
-pub use mechanism::{
-    MechanismConfig, MechanismKind, MechanismModel, SotMechanism, SotParams, SttMechanism,
-    SwitchingMechanism,
-};
+pub use mechanism::{MechanismConfig, MechanismKind, SotMechanism, SotParams};
 pub use modes::{BiasMagnet, MssDevice, MssMode};
 pub use stack::{MssStack, MssStackBuilder};

@@ -727,11 +727,11 @@ mod tests {
 
     #[test]
     fn sot_torque_pulls_magnetization_toward_sigma() {
-        use crate::mechanism::{SotMechanism, SotParams, SwitchingMechanism};
+        use crate::mechanism::{SotMechanism, SotParams};
         let dev = memory_device();
         let params = SotParams::default();
         let sot = SotMechanism::new(dev.stack(), params.clone()).unwrap();
-        let i_ch = 3.0 * sot.critical_current();
+        let i_ch = 3.0 * sot.switching_model().critical_current();
         let sim = LlgSimulator::new(&dev).with_sot_current(i_ch, &params);
         // Start near -z; a strong damping-like SOT torque rotates m toward
         // +y, destabilising the easy axis (the precursor to a switch).
@@ -761,11 +761,11 @@ mod tests {
 
     #[test]
     fn negative_channel_current_flips_sigma() {
-        use crate::mechanism::{SotMechanism, SotParams, SwitchingMechanism};
+        use crate::mechanism::{SotMechanism, SotParams};
         let dev = memory_device();
         let params = SotParams::default();
         let sot = SotMechanism::new(dev.stack(), params.clone()).unwrap();
-        let i_ch = 3.0 * sot.critical_current();
+        let i_ch = 3.0 * sot.switching_model().critical_current();
         let m0 = Vec3::from_spherical(std::f64::consts::PI - dev.stack().thermal_angle(), 0.0);
         let opts = LlgOptions {
             dt: 0.2e-12,

@@ -1,16 +1,16 @@
-//! Switching-mechanism abstraction: STT and SOT/SHE write backends behind
-//! one trait.
+//! Switching mechanisms: one closed-form model, per-mechanism constants
+//! and write path.
 //!
 //! The paper treats the MSS as a *universal* spintronic stack, but the
-//! original flow hard-coded the two-terminal STT write path. This module
-//! factors the write physics behind [`SwitchingMechanism`] so every
-//! downstream layer (mss-spice three-terminal cells, mss-nvsim read/write
-//! path accounting, mss-vaet margins, the MAGPIE flow) can run either
-//! backend:
+//! original flow hard-coded the two-terminal STT write path. Every
+//! mechanism here runs through the one compact model, [`SwitchingModel`];
+//! a mechanism only supplies its constants `(Δ, I_c0, τ)` and its write
+//! path, so downstream layers (mss-spice three-terminal cells, mss-nvsim
+//! read/write path accounting, mss-vaet margins, the MAGPIE flow) run
+//! either one:
 //!
-//! - **STT** — the existing analytic model ([`crate::switching`]); the
-//!   trait impl delegates to [`SwitchingModel`]'s inherent methods, so the
-//!   default path is bit-identical to the pre-refactor code.
+//! - **STT** — [`SwitchingModel::new`] derives the constants from the
+//!   stack; the write current flows through the junction.
 //! - **SOT/SHE** — a three-terminal cell ([`SotMechanism`]): the write
 //!   current flows through a heavy-metal channel under the pillar and the
 //!   spin Hall effect injects a transverse spin current into the free
@@ -46,7 +46,7 @@ use mss_units::consts::{HBAR, MU0, QE};
 /// Which write mechanism a device/config uses.
 ///
 /// Hashes stably (`Stt = 0`, `Sot = 1`) so pipe-cache keys distinguish the
-/// backends; the STT discriminant is pinned by `tests/stable_digests.rs`.
+/// mechanisms; the STT discriminant is pinned by `tests/stable_digests.rs`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MechanismKind {
     /// Spin-transfer torque: two-terminal write through the junction.
@@ -226,135 +226,24 @@ impl SotParams {
     }
 }
 
-/// The write-physics interface every device backend provides.
+/// The SOT/SHE constants: antidamping spin-Hall switching of the same
+/// pillar through a heavy-metal channel.
 ///
-/// `i_write` is the current through the *write path*: the junction for STT,
-/// the heavy-metal channel for SOT. Pulse/WER/energy semantics are shared
-/// so array models and margin solvers are mechanism-agnostic.
-pub trait SwitchingMechanism {
-    /// Which backend this is.
-    fn kind(&self) -> MechanismKind;
-
-    /// Thermal stability factor Δ (retention is mechanism-independent).
-    fn delta(&self) -> f64;
-
-    /// Critical write-path current I_c0 in amperes.
-    fn critical_current(&self) -> f64;
-
-    /// Characteristic switching time constant in seconds (τ_D for STT,
-    /// α·τ_D for SOT).
-    fn time_constant(&self) -> f64;
-
-    /// Write-error rate for a pulse of width `t_pulse` at write-path
-    /// current `i_write`.
-    fn write_error_rate(&self, t_pulse: f64, i_write: f64) -> f64;
-
-    /// Mean (deterministic) switching time at `i_write`.
-    ///
-    /// # Errors
-    ///
-    /// [`MtjError::NoOperatingPoint`] for subcritical currents.
-    fn mean_switching_time(&self, i_write: f64) -> Result<f64, MtjError>;
-
-    /// Minimum pulse width achieving `wer` at `i_write`.
-    ///
-    /// # Errors
-    ///
-    /// [`MtjError::NoOperatingPoint`] for unreachable targets.
-    fn pulse_for_wer(&self, wer: f64, i_write: f64) -> Result<f64, MtjError>;
-
-    /// Write-path current needed to reach `wer` within `t_pulse`.
-    ///
-    /// # Errors
-    ///
-    /// [`MtjError::NoOperatingPoint`] for unreachable targets.
-    fn current_for_wer(&self, wer: f64, t_pulse: f64) -> Result<f64, MtjError>;
-
-    /// Probability the device switches during `t_pulse` at `i_write`.
-    fn switch_probability(&self, t_pulse: f64, i_write: f64) -> f64 {
-        1.0 - self.write_error_rate(t_pulse, i_write)
-    }
-
-    /// Write energy `I²·R·t` over the write path.
-    fn write_energy(&self, i_write: f64, t_pulse: f64, resistance: f64) -> f64 {
-        i_write * i_write * resistance * t_pulse
-    }
-
-    /// Resistance of the write path in ohms, given the junction resistance
-    /// the write would otherwise see (STT returns it unchanged; SOT returns
-    /// the channel resistance).
-    fn write_path_resistance(&self, junction_resistance: f64) -> f64;
-}
-
-/// The STT backend *is* the historic analytic model; the alias names it in
-/// mechanism-generic code. Behaviour is bit-identical by construction — the
-/// trait impl below delegates to the same inherent methods every caller
-/// already used.
-pub type SttMechanism = SwitchingModel;
-
-impl SwitchingMechanism for SwitchingModel {
-    fn kind(&self) -> MechanismKind {
-        MechanismKind::Stt
-    }
-
-    fn delta(&self) -> f64 {
-        SwitchingModel::delta(self)
-    }
-
-    fn critical_current(&self) -> f64 {
-        SwitchingModel::critical_current(self)
-    }
-
-    fn time_constant(&self) -> f64 {
-        SwitchingModel::tau_d(self)
-    }
-
-    fn write_error_rate(&self, t_pulse: f64, i_write: f64) -> f64 {
-        SwitchingModel::write_error_rate(self, t_pulse, i_write)
-    }
-
-    fn mean_switching_time(&self, i_write: f64) -> Result<f64, MtjError> {
-        SwitchingModel::mean_switching_time(self, i_write)
-    }
-
-    fn pulse_for_wer(&self, wer: f64, i_write: f64) -> Result<f64, MtjError> {
-        SwitchingModel::pulse_for_wer(self, wer, i_write)
-    }
-
-    fn current_for_wer(&self, wer: f64, t_pulse: f64) -> Result<f64, MtjError> {
-        SwitchingModel::current_for_wer(self, wer, t_pulse)
-    }
-
-    fn switch_probability(&self, t_pulse: f64, i_write: f64) -> f64 {
-        SwitchingModel::switch_probability(self, t_pulse, i_write)
-    }
-
-    fn write_energy(&self, i_write: f64, t_pulse: f64, resistance: f64) -> f64 {
-        SwitchingModel::write_energy(self, i_write, t_pulse, resistance)
-    }
-
-    fn write_path_resistance(&self, junction_resistance: f64) -> f64 {
-        junction_resistance
-    }
-}
-
-/// The SOT/SHE backend: antidamping spin-Hall switching of the same pillar
-/// through a heavy-metal channel.
-///
-/// Internally this reuses [`SwitchingModel::from_parts`] with the SOT
-/// constants `(Δ, I_c0,SOT, τ_SOT)` — the precessional/thermal escape
-/// closed forms are torque-agnostic — plus the channel resistance for the
-/// write path.
+/// [`SotMechanism::switching_model`] is [`SwitchingModel::from_parts`] with
+/// the SOT constants `(Δ, I_c0,SOT, τ_SOT)` — the precessional/thermal
+/// escape closed forms are torque-agnostic — and
+/// [`SotMechanism::channel_resistance`] is the write path.
 ///
 /// # Examples
 ///
 /// ```
 /// # fn main() -> Result<(), mss_mtj::MtjError> {
-/// use mss_mtj::mechanism::{SotMechanism, SotParams, SwitchingMechanism};
+/// use mss_mtj::mechanism::{SotMechanism, SotParams};
 /// let stack = mss_mtj::MssStack::builder().build()?;
 /// let sot = SotMechanism::new(&stack, SotParams::default())?;
+/// let model = sot.switching_model();
 /// // No damping limit: SOT switches in well under a nanosecond at 2x Ic.
-/// let t = sot.mean_switching_time(2.0 * sot.critical_current())?;
+/// let t = model.mean_switching_time(2.0 * model.critical_current())?;
 /// assert!(t < 1e-9);
 /// # Ok(())
 /// # }
@@ -423,44 +312,6 @@ impl SotMechanism {
     }
 }
 
-impl SwitchingMechanism for SotMechanism {
-    fn kind(&self) -> MechanismKind {
-        MechanismKind::Sot
-    }
-
-    fn delta(&self) -> f64 {
-        self.inner.delta()
-    }
-
-    fn critical_current(&self) -> f64 {
-        self.inner.critical_current()
-    }
-
-    fn time_constant(&self) -> f64 {
-        self.inner.tau_d()
-    }
-
-    fn write_error_rate(&self, t_pulse: f64, i_write: f64) -> f64 {
-        self.inner.write_error_rate(t_pulse, i_write)
-    }
-
-    fn mean_switching_time(&self, i_write: f64) -> Result<f64, MtjError> {
-        self.inner.mean_switching_time(i_write)
-    }
-
-    fn pulse_for_wer(&self, wer: f64, i_write: f64) -> Result<f64, MtjError> {
-        self.inner.pulse_for_wer(wer, i_write)
-    }
-
-    fn current_for_wer(&self, wer: f64, t_pulse: f64) -> Result<f64, MtjError> {
-        self.inner.current_for_wer(wer, t_pulse)
-    }
-
-    fn write_path_resistance(&self, _junction_resistance: f64) -> f64 {
-        self.channel_resistance
-    }
-}
-
 /// Serializable mechanism selection for configs that flow through the
 /// pipe cache (nvsim configs, MAGPIE inputs, CLI arguments).
 ///
@@ -502,92 +353,6 @@ impl MechanismConfig {
     pub fn is_default(&self) -> bool {
         matches!(self, MechanismConfig::Stt)
     }
-
-    /// Builds the concrete evaluator for `stack`.
-    ///
-    /// # Errors
-    ///
-    /// [`MtjError::InvalidParameter`] for invalid SOT channel parameters.
-    pub fn model(&self, stack: &MssStack) -> Result<MechanismModel, MtjError> {
-        Ok(match self {
-            MechanismConfig::Stt => MechanismModel::Stt(SwitchingModel::new(stack)),
-            MechanismConfig::Sot(p) => MechanismModel::Sot(SotMechanism::new(stack, p.clone())?),
-        })
-    }
-}
-
-/// Enum-dispatched mechanism evaluator (avoids boxing in hot paths).
-#[derive(Debug, Clone, PartialEq)]
-pub enum MechanismModel {
-    /// STT evaluator.
-    Stt(SwitchingModel),
-    /// SOT evaluator.
-    Sot(SotMechanism),
-}
-
-impl SwitchingMechanism for MechanismModel {
-    fn kind(&self) -> MechanismKind {
-        match self {
-            MechanismModel::Stt(m) => SwitchingMechanism::kind(m),
-            MechanismModel::Sot(m) => m.kind(),
-        }
-    }
-
-    fn delta(&self) -> f64 {
-        match self {
-            MechanismModel::Stt(m) => SwitchingMechanism::delta(m),
-            MechanismModel::Sot(m) => SwitchingMechanism::delta(m),
-        }
-    }
-
-    fn critical_current(&self) -> f64 {
-        match self {
-            MechanismModel::Stt(m) => SwitchingMechanism::critical_current(m),
-            MechanismModel::Sot(m) => SwitchingMechanism::critical_current(m),
-        }
-    }
-
-    fn time_constant(&self) -> f64 {
-        match self {
-            MechanismModel::Stt(m) => SwitchingMechanism::time_constant(m),
-            MechanismModel::Sot(m) => m.time_constant(),
-        }
-    }
-
-    fn write_error_rate(&self, t_pulse: f64, i_write: f64) -> f64 {
-        match self {
-            MechanismModel::Stt(m) => SwitchingMechanism::write_error_rate(m, t_pulse, i_write),
-            MechanismModel::Sot(m) => m.write_error_rate(t_pulse, i_write),
-        }
-    }
-
-    fn mean_switching_time(&self, i_write: f64) -> Result<f64, MtjError> {
-        match self {
-            MechanismModel::Stt(m) => SwitchingMechanism::mean_switching_time(m, i_write),
-            MechanismModel::Sot(m) => m.mean_switching_time(i_write),
-        }
-    }
-
-    fn pulse_for_wer(&self, wer: f64, i_write: f64) -> Result<f64, MtjError> {
-        match self {
-            MechanismModel::Stt(m) => SwitchingMechanism::pulse_for_wer(m, wer, i_write),
-            MechanismModel::Sot(m) => m.pulse_for_wer(wer, i_write),
-        }
-    }
-
-    fn current_for_wer(&self, wer: f64, t_pulse: f64) -> Result<f64, MtjError> {
-        match self {
-            MechanismModel::Stt(m) => SwitchingMechanism::current_for_wer(m, wer, t_pulse),
-            MechanismModel::Sot(m) => m.current_for_wer(wer, t_pulse),
-        }
-    }
-
-    fn write_path_resistance(&self, junction_resistance: f64) -> f64 {
-        match self {
-            MechanismModel::Stt(m) => m.write_path_resistance(junction_resistance),
-            MechanismModel::Sot(m) => m.write_path_resistance(junction_resistance),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -603,24 +368,8 @@ mod tests {
         SotMechanism::new(&stack(), SotParams::default()).unwrap()
     }
 
-    #[test]
-    fn stt_trait_is_bit_identical_to_inherent() {
-        let s = stack();
-        let m = SwitchingModel::new(&s);
-        let i = 2.0 * SwitchingModel::critical_current(&m);
-        let via_trait = SwitchingMechanism::write_error_rate(&m, 5e-9, i);
-        let direct = SwitchingModel::write_error_rate(&m, 5e-9, i);
-        assert_eq!(via_trait.to_bits(), direct.to_bits());
-        assert_eq!(
-            SwitchingMechanism::mean_switching_time(&m, i)
-                .unwrap()
-                .to_bits(),
-            SwitchingModel::mean_switching_time(&m, i)
-                .unwrap()
-                .to_bits()
-        );
-        assert_eq!(SwitchingMechanism::kind(&m), MechanismKind::Stt);
-        assert_eq!(m.write_path_resistance(4.0e3), 4.0e3);
+    fn sot_model() -> SwitchingModel {
+        sot().switching_model().clone()
     }
 
     #[test]
@@ -629,9 +378,9 @@ mod tests {
         // precession bottleneck at α = 0.01.
         let s = stack();
         let stt = SwitchingModel::new(&s);
-        let sot = sot();
+        let sot = sot_model();
         let t_stt = stt
-            .mean_switching_time(2.0 * SwitchingModel::critical_current(&stt))
+            .mean_switching_time(2.0 * stt.critical_current())
             .unwrap();
         let t_sot = sot
             .mean_switching_time(2.0 * sot.critical_current())
@@ -649,7 +398,8 @@ mod tests {
         assert!((stt_ratio - 2.0).abs() < 1e-9);
         let sot_a = SotMechanism::new(&base, SotParams::default()).unwrap();
         let sot_b = SotMechanism::new(&damped, SotParams::default()).unwrap();
-        let sot_ratio = sot_b.critical_current() / sot_a.critical_current();
+        let sot_ratio =
+            sot_b.switching_model().critical_current() / sot_a.switching_model().critical_current();
         assert!((sot_ratio - 1.0).abs() < 1e-9, "ratio = {sot_ratio}");
     }
 
@@ -660,12 +410,11 @@ mod tests {
         let r_ch = sot.channel_resistance();
         assert!(r_ch > 10.0 && r_ch < 2.0e3, "r_ch = {r_ch}");
         assert!(r_ch < s.resistance_parallel() / 2.0);
-        assert_eq!(sot.write_path_resistance(s.resistance_parallel()), r_ch);
     }
 
     #[test]
     fn sot_wer_is_probability_and_monotone() {
-        let sot = sot();
+        let sot = sot_model();
         let mut last = 1.0;
         for k in 1..30 {
             let wer = sot.write_error_rate(k as f64 * 0.05e-9, 2.0 * sot.critical_current());
@@ -677,7 +426,7 @@ mod tests {
 
     #[test]
     fn sot_pulse_for_wer_round_trips() {
-        let sot = sot();
+        let sot = sot_model();
         let i = 2.5 * sot.critical_current();
         for &wer in &[1e-3, 1e-9, 1e-18] {
             let t = sot.pulse_for_wer(wer, i).unwrap();
@@ -693,8 +442,8 @@ mod tests {
         let stt = SwitchingModel::new(&s);
         let sot = SotMechanism::new(&s, SotParams::default()).unwrap();
         assert_eq!(
-            SwitchingMechanism::delta(&stt).to_bits(),
-            SwitchingMechanism::delta(&sot).to_bits()
+            stt.delta().to_bits(),
+            sot.switching_model().delta().to_bits()
         );
     }
 
@@ -718,8 +467,6 @@ mod tests {
         let cfg = MechanismConfig::default();
         assert!(cfg.is_default());
         assert_eq!(cfg.kind(), MechanismKind::Stt);
-        let model = cfg.model(&stack()).unwrap();
-        assert_eq!(model.kind(), MechanismKind::Stt);
     }
 
     #[test]
@@ -743,18 +490,5 @@ mod tests {
         }
         assert_eq!(MechanismKind::parse("SHE"), Some(MechanismKind::Sot));
         assert_eq!(MechanismKind::parse("quantum"), None);
-    }
-
-    #[test]
-    fn enum_dispatch_matches_backends() {
-        let s = stack();
-        let cfg = MechanismConfig::Sot(SotParams::default());
-        let model = cfg.model(&s).unwrap();
-        let direct = SotMechanism::new(&s, SotParams::default()).unwrap();
-        assert_eq!(
-            model.critical_current().to_bits(),
-            direct.critical_current().to_bits()
-        );
-        assert_eq!(model.kind(), MechanismKind::Sot);
     }
 }

@@ -10,7 +10,7 @@
 
 use mss_mtj::mechanism::MechanismKind;
 use mss_mtj::resistance::MtjState;
-use mss_mtj::{MssStack, SotMechanism, SotParams, SwitchingMechanism};
+use mss_mtj::{MssStack, SotMechanism, SotParams};
 use mss_spice::analysis::{dc_operating_point, Transient, TransientOptions, TransientResult};
 use mss_spice::mdl::{Edge, Measurement, Probe, Report};
 use mss_spice::netlist::Netlist;
@@ -360,8 +360,8 @@ pub fn characterize_sot_with(
             access_width,
             cell_area: tech.sot_cell_area(access_width),
             leakage: tech.leakage(access_width) * 1e-4,
-            critical_current: sot.critical_current(),
-            delta: sot.delta(),
+            critical_current: sot.switching_model().critical_current(),
+            delta: sot.switching_model().delta(),
             r_parallel: stack.resistance_parallel(),
             r_antiparallel: stack.resistance_antiparallel(),
         },
@@ -474,7 +474,7 @@ fn sot_size_access_width(
     params: &SotParams,
     sot: &SotMechanism,
 ) -> Result<f64, PdkError> {
-    let target = SOT_TARGET_OVERDRIVE * sot.critical_current();
+    let target = SOT_TARGET_OVERDRIVE * sot.switching_model().critical_current();
     let (mut lo, mut hi) = (tech.min_width, 400.0 * tech.min_width);
     if sot_dc_write_current(tech, stack, params, hi)? < target {
         return Err(PdkError::Characterization {

@@ -2,7 +2,7 @@
 //!
 //! The stage cache persists across releases (`~/.cache`-style disk caches,
 //! CI artifact reuse), so cache keys are an ABI: the STT keys must be
-//! byte-for-byte what they were before the `SwitchingMechanism` refactor
+//! byte-for-byte what they were before the SOT mechanism was added
 //! (old caches keep hitting), and every SOT key must live in a disjoint
 //! namespace (an SOT run can never replay an STT artifact, or vice versa).
 //!

@@ -9,10 +9,9 @@
 
 use std::collections::HashMap;
 
-use crate::backend::{BackendKind, SolverBackend, Workspace};
 use crate::error::RetryAttempt;
 use crate::netlist::{Element, Netlist, NodeId};
-use crate::solver::Matrix;
+use crate::solver::{Matrix, Workspace};
 use crate::SpiceError;
 
 /// Conductance from every node to ground, keeping floating nets solvable.
@@ -50,15 +49,12 @@ pub struct SolverOptions {
     pub max_newton: usize,
     /// Newton iteration budget per continuation level (gmin/source steps).
     pub ladder_newton: usize,
-    /// Enables the gmin-stepping stage for DC-like solves.
-    pub gmin_stepping: bool,
-    /// Enables the source-stepping homotopy for DC-like solves.
-    pub source_stepping: bool,
+    /// Enables the DC retry ladder (gmin stepping, then source stepping)
+    /// for DC-like solves.
+    pub dc_ladder: bool,
     /// Maximum recursive `dt` halvings per transient step (0 = reject
     /// nothing).
     pub max_step_halvings: u32,
-    /// Numeric kernel used for the linear solves.
-    pub backend: BackendKind,
 }
 
 impl Default for SolverOptions {
@@ -66,26 +62,18 @@ impl Default for SolverOptions {
         Self {
             max_newton: MAX_NEWTON,
             ladder_newton: MAX_NEWTON,
-            gmin_stepping: true,
-            source_stepping: true,
+            dc_ladder: true,
             max_step_halvings: 6,
-            backend: BackendKind::default(),
         }
     }
 }
 
 impl SolverOptions {
-    /// The full ladder at default budgets.
-    pub fn robust() -> Self {
-        Self::default()
-    }
-
     /// Plain Newton only: any non-convergence is reported immediately with
     /// iteration count and final `max_dv` ([`SpiceError::NoConvergence`]).
     pub fn without_ladder() -> Self {
         Self {
-            gmin_stepping: false,
-            source_stepping: false,
+            dc_ladder: false,
             max_step_halvings: 0,
             ..Self::default()
         }
@@ -106,12 +94,6 @@ impl SolverOptions {
     /// Returns the options with a different halving depth.
     pub fn with_max_step_halvings(mut self, n: u32) -> Self {
         self.max_step_halvings = n;
-        self
-    }
-
-    /// Returns the options with a different solver backend.
-    pub fn with_backend(mut self, backend: BackendKind) -> Self {
-        self.backend = backend;
         self
     }
 }
@@ -243,8 +225,8 @@ impl Mna {
         }
     }
 
-    /// Assembles one Newton iteration into the workspace and solves it with
-    /// the given backend; the solution lands in [`Workspace::solution`].
+    /// Assembles one Newton iteration into the workspace and solves it; the
+    /// solution lands in [`Workspace::solution`].
     ///
     /// `t` selects source values; `cap_prev` holds previous-step voltages
     /// for the backward-Euler companions (`None` in DC: capacitors open).
@@ -259,7 +241,6 @@ impl Mna {
         dt: Option<f64>,
         cap_prev: Option<&[f64]>,
         knobs: &SolveKnobs,
-        backend: &dyn SolverBackend,
         ws: &mut Workspace,
     ) -> Result<(), SpiceError> {
         let dim = self.dim();
@@ -380,7 +361,7 @@ impl Mna {
             }
         }
 
-        backend.solve_in_place(ws)
+        ws.solve()
     }
 
     /// Newton loop at time `t` with a bounded iteration budget.
@@ -403,12 +384,11 @@ impl Mna {
         analysis: &'static str,
         knobs: &SolveKnobs,
         budget: usize,
-        backend: &dyn SolverBackend,
         ws: &mut Workspace,
     ) -> Result<Vec<f64>, SpiceError> {
         let mut x = x_init.to_vec();
         if !self.has_nonlinear {
-            self.assemble_and_solve(netlist, t, &x, dt, cap_prev, knobs, backend, ws)?;
+            self.assemble_and_solve(netlist, t, &x, dt, cap_prev, knobs, ws)?;
             x.copy_from_slice(ws.solution());
             return Ok(x);
         }
@@ -416,7 +396,7 @@ impl Mna {
         let budget = budget.max(1);
         let mut last_dv = f64::INFINITY;
         for iter in 0..budget {
-            self.assemble_and_solve(netlist, t, &x, dt, cap_prev, knobs, backend, ws)?;
+            self.assemble_and_solve(netlist, t, &x, dt, cap_prev, knobs, ws)?;
             let x_new = ws.solution();
             let mut max_dv: f64 = 0.0;
             for i in 0..x.len() {
@@ -464,7 +444,6 @@ impl Mna {
         opts: &SolverOptions,
         ws: &mut Workspace,
     ) -> Result<Vec<f64>, SpiceError> {
-        let backend = opts.backend.instance();
         let mut attempts = Vec::new();
         match self.newton(
             netlist,
@@ -475,13 +454,12 @@ impl Mna {
             analysis,
             &SolveKnobs::NOMINAL,
             opts.max_newton,
-            backend,
             ws,
         ) {
             Ok(x) => return Ok(x),
             Err(e) => record_attempt(&mut attempts, "newton", e)?,
         }
-        if opts.gmin_stepping {
+        if opts.dc_ladder {
             if let Some(x) = self.gmin_ladder(
                 netlist,
                 t,
@@ -496,8 +474,6 @@ impl Mna {
                 mss_obs::counter_add("spice.ladder.gmin_rescued", 1);
                 return Ok(x);
             }
-        }
-        if opts.source_stepping {
             if let Some(x) = self.source_ladder(
                 netlist,
                 t,
@@ -534,7 +510,6 @@ impl Mna {
         attempts: &mut Vec<RetryAttempt>,
         ws: &mut Workspace,
     ) -> Result<Option<Vec<f64>>, SpiceError> {
-        let backend = opts.backend.instance();
         let mut x = x_init.to_vec();
         let mut gmin = GMIN_LADDER_START;
         while gmin > GMIN {
@@ -554,7 +529,6 @@ impl Mna {
                 analysis,
                 &knobs,
                 opts.ladder_newton,
-                backend,
                 ws,
             ) {
                 Ok(next) => x = next,
@@ -575,7 +549,6 @@ impl Mna {
             analysis,
             &SolveKnobs::NOMINAL,
             opts.ladder_newton,
-            backend,
             ws,
         ) {
             Ok(x) => Ok(Some(x)),
@@ -603,7 +576,6 @@ impl Mna {
         attempts: &mut Vec<RetryAttempt>,
         ws: &mut Workspace,
     ) -> Result<Option<Vec<f64>>, SpiceError> {
-        let backend = opts.backend.instance();
         let mut x = x_init.to_vec();
         for level in 1..=SOURCE_LADDER_LEVELS {
             mss_obs::counter_add("spice.retry.source_steps", 1);
@@ -621,7 +593,6 @@ impl Mna {
                 analysis,
                 &knobs,
                 opts.ladder_newton,
-                backend,
                 ws,
             ) {
                 Ok(next) => x = next,
@@ -659,7 +630,6 @@ impl Mna {
             "transient",
             &SolveKnobs::NOMINAL,
             opts.max_newton,
-            opts.backend.instance(),
             ws,
         ) {
             Ok(x) => Ok(x),
@@ -1289,12 +1259,12 @@ mod tests {
 
     #[test]
     fn sot_channel_pulse_switches_state() {
-        use mss_mtj::mechanism::{SotMechanism, SotParams, SwitchingMechanism};
+        use mss_mtj::mechanism::{SotMechanism, SotParams};
         let stack = MssStack::builder().build().unwrap();
         let params = SotParams::default();
         let sot = SotMechanism::new(&stack, params.clone()).unwrap();
         // ~2.5x overdrive through the heavy-metal channel.
-        let v_write = 2.5 * sot.critical_current() * sot.channel_resistance();
+        let v_write = 2.5 * sot.switching_model().critical_current() * sot.channel_resistance();
         let mut nl = Netlist::new();
         nl.add_vsource(
             "vw",

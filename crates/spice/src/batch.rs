@@ -27,8 +27,8 @@
 use mss_exec::{par_chunks_stats, ParallelConfig};
 
 use crate::analysis::{Mna, SolverOptions};
-use crate::backend::Workspace;
 use crate::netlist::{Element, Netlist};
+use crate::solver::Workspace;
 use crate::SpiceError;
 
 /// A reusable batched DC solver for one netlist topology.

@@ -15,8 +15,8 @@
 //!   corner frequencies) linearised at the DC operating point,
 //! - [`mdl`] — measurement specs (delay, energy, avg/min/max/rms, final
 //!   value) evaluated against transient results,
-//! - [`solver`] — dense LU with partial pivoting (circuits here are tiny),
-//! - [`backend`] — pluggable solver backends over a reusable workspace,
+//! - [`solver`] — dense LU with partial pivoting over a reusable
+//!   [`Workspace`] (circuits here are tiny),
 //! - [`batch`] — symbolic-once/numeric-many batched DC solves for
 //!   same-structure Monte Carlo workloads, dispatched across `mss-exec`
 //!   workers deterministically.
@@ -45,7 +45,6 @@
 
 pub mod ac;
 pub mod analysis;
-pub mod backend;
 pub mod batch;
 mod error;
 pub mod mdl;
@@ -57,6 +56,6 @@ pub mod solver;
 pub mod template;
 pub mod waveform;
 
-pub use backend::{BackendKind, DenseLu, SolverBackend, Workspace};
 pub use batch::{BatchDcResult, DcBatch};
 pub use error::{RetryAttempt, SpiceError};
+pub use solver::Workspace;

@@ -3,6 +3,16 @@
 //! Characterisation circuits in this flow are tiny (tens of unknowns), so a
 //! dense LU with partial pivoting is both simpler and faster than any sparse
 //! machinery would be at this size.
+//!
+//! A [`Workspace`] owns the matrix, right-hand side and solution storage
+//! and is reused across Newton iterations, retry-ladder attempts and batch
+//! samples: after the first solve of a given dimension, assembling and
+//! solving allocates nothing.
+//!
+//! **Determinism contract.** [`Workspace::solve`] is a pure function of the
+//! assembled `(A, b)`, so single and batched paths produce identical bits
+//! and identical [`SpiceError`] classification no matter which path — or
+//! how many threads — ran the sample.
 
 use crate::SpiceError;
 
@@ -77,47 +87,176 @@ impl Matrix {
     }
 }
 
-/// Solves `A·x = b` by LU with partial pivoting.
+/// Reusable solve storage: matrix, right-hand side and solution vector.
 ///
-/// `a` and `b` are consumed as scratch. This is the legacy one-shot entry
-/// point; it adopts the inputs into a throwaway
-/// [`Workspace`](crate::backend::Workspace) and delegates to the
-/// [`DenseLu`](crate::backend::DenseLu) backend, so hot paths that solve
-/// repeatedly should hold a workspace themselves instead of calling this
-/// in a loop.
-///
-/// The singularity test is **relative to the matrix scale**: a pivot is
-/// rejected when it falls below `scale · n · ε`, where `scale` is the
-/// largest absolute entry of the input matrix. An absolute threshold
-/// (the former `1e-300`) passes badly scaled near-singular MNA systems —
-/// elimination leaves rounding dust in the pivot slot, back-substitution
-/// divides by it, and the caller receives huge or non-finite garbage with
-/// `Ok` status. A relative test catches those while still accepting
-/// legitimately tiny-but-well-conditioned systems of any scale (a GMIN
-/// conductance of `1e-12` against unit-scale stamps stays far above the
-/// tolerance for any realistic matrix size).
-///
-/// # Errors
-///
-/// [`SpiceError::SingularMatrix`] when a pivot falls below the relative
-/// tolerance, or when the solution contains non-finite entries.
-///
-/// # Panics
-///
-/// Panics if `a` is not square or `b` has the wrong length.
-pub fn solve(a: Matrix, b: Vec<f64>) -> Result<Vec<f64>, SpiceError> {
-    use crate::backend::{DenseLu, SolverBackend, Workspace};
-    let n = a.n_rows();
-    assert_eq!(a.n_cols(), n, "matrix must be square");
-    assert_eq!(b.len(), n, "rhs length mismatch");
-    let mut ws = Workspace::from_parts(a, b);
-    DenseLu.solve_in_place(&mut ws)?;
-    Ok(ws.take_solution())
+/// [`Workspace::prepare`] returns the storage zeroed and correctly sized;
+/// it only (re)allocates when the system dimension changes, and bumps the
+/// `spice.solver.workspace_allocs` counter when it does — the counter is
+/// how tests prove a whole transient runs on O(1) allocations.
+#[derive(Debug, Clone)]
+pub struct Workspace {
+    a: Matrix,
+    rhs: Vec<f64>,
+    x: Vec<f64>,
+    dim: usize,
+}
+
+impl Default for Workspace {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Workspace {
+    /// An empty workspace; the first [`prepare`](Self::prepare) sizes it.
+    pub fn new() -> Self {
+        Self {
+            a: Matrix::zeros(0, 0),
+            rhs: Vec::new(),
+            x: Vec::new(),
+            dim: 0,
+        }
+    }
+
+    /// Clears the workspace to an all-zero `dim × dim` system, reusing the
+    /// existing storage when the dimension is unchanged.
+    pub fn prepare(&mut self, dim: usize) {
+        if self.dim != dim {
+            self.a = Matrix::zeros(dim, dim);
+            self.rhs = vec![0.0; dim];
+            self.x = vec![0.0; dim];
+            self.dim = dim;
+            mss_obs::counter_add("spice.solver.workspace_allocs", 1);
+        } else {
+            self.a.clear();
+            self.rhs.fill(0.0);
+            self.x.fill(0.0);
+        }
+    }
+
+    /// Current system dimension.
+    pub fn dim(&self) -> usize {
+        self.dim
+    }
+
+    /// The solution of the last successful [`solve`](Self::solve).
+    pub fn solution(&self) -> &[f64] {
+        &self.x
+    }
+
+    /// Mutable matrix + RHS for assembly (split borrow).
+    pub fn assembly_mut(&mut self) -> (&mut Matrix, &mut [f64]) {
+        (&mut self.a, &mut self.rhs)
+    }
+
+    /// Solves `A·x = b` by LU with partial pivoting, using the workspace's
+    /// matrix and RHS as scratch and leaving the solution in
+    /// [`solution`](Self::solution).
+    ///
+    /// The singularity test is **relative to the matrix scale**: a pivot is
+    /// rejected when it falls below `scale · n · ε`, where `scale` is the
+    /// largest absolute entry of the input matrix. An absolute threshold
+    /// (the former `1e-300`) passes badly scaled near-singular MNA systems —
+    /// elimination leaves rounding dust in the pivot slot, back-substitution
+    /// divides by it, and the caller receives huge or non-finite garbage with
+    /// `Ok` status. A relative test catches those while still accepting
+    /// legitimately tiny-but-well-conditioned systems of any scale (a GMIN
+    /// conductance of `1e-12` against unit-scale stamps stays far above the
+    /// tolerance for any realistic matrix size).
+    ///
+    /// # Errors
+    ///
+    /// [`SpiceError::SingularMatrix`] when a pivot falls below the relative
+    /// tolerance, or when the solution contains non-finite entries.
+    #[allow(clippy::needless_range_loop)]
+    pub fn solve(&mut self) -> Result<(), SpiceError> {
+        let n = self.dim;
+        let a = &mut self.a;
+        let b = &mut self.rhs;
+        debug_assert_eq!(a.n_rows(), n);
+        debug_assert_eq!(b.len(), n);
+        // Matrix scale for the relative pivot tolerance; the MIN_POSITIVE
+        // floor makes the all-zero matrix (scale 0) singular rather than
+        // tol == 0.
+        let scale = a.max_abs();
+        let tol = (scale * n as f64 * f64::EPSILON).max(f64::MIN_POSITIVE);
+        let mut min_pivot_ratio = f64::INFINITY;
+        for k in 0..n {
+            // Partial pivot.
+            let mut piv = k;
+            let mut max = a.get(k, k).abs();
+            for r in (k + 1)..n {
+                let v = a.get(r, k).abs();
+                if v > max {
+                    max = v;
+                    piv = r;
+                }
+            }
+            if max < tol {
+                mss_obs::counter_add("spice.solver.singular", 1);
+                return Err(SpiceError::SingularMatrix);
+            }
+            min_pivot_ratio = min_pivot_ratio.min(max / scale);
+            if piv != k {
+                for c in 0..n {
+                    let tmp = a.get(k, c);
+                    a.set(k, c, a.get(piv, c));
+                    a.set(piv, c, tmp);
+                }
+                b.swap(k, piv);
+            }
+            let pivot = a.get(k, k);
+            for r in (k + 1)..n {
+                let factor = a.get(r, k) / pivot;
+                if factor == 0.0 {
+                    continue;
+                }
+                a.set(r, k, 0.0);
+                for c in (k + 1)..n {
+                    let v = a.get(r, c) - factor * a.get(k, c);
+                    a.set(r, c, v);
+                }
+                b[r] -= factor * b[k];
+            }
+        }
+        // Back substitution into the workspace solution vector.
+        let x = &mut self.x;
+        for k in (0..n).rev() {
+            let mut sum = b[k];
+            for c in (k + 1)..n {
+                sum -= a.get(k, c) * x[c];
+            }
+            x[k] = sum / a.get(k, k);
+        }
+        // Defence in depth: a pivot chain can pass the tolerance yet still
+        // overflow during substitution; never hand back non-finite
+        // "solutions".
+        if x.iter().any(|v| !v.is_finite()) {
+            mss_obs::counter_add("spice.solver.singular", 1);
+            return Err(SpiceError::SingularMatrix);
+        }
+        if mss_obs::enabled() {
+            mss_obs::counter_add("spice.solver.solves", 1);
+            mss_obs::record_value("spice.solver.min_pivot_ratio", min_pivot_ratio);
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One-shot solve of `(a, b)` through a fresh workspace.
+    fn solve(a: Matrix, b: Vec<f64>) -> Result<Vec<f64>, SpiceError> {
+        let mut ws = Workspace::new();
+        ws.prepare(b.len());
+        let (m, rhs) = ws.assembly_mut();
+        *m = a;
+        rhs.copy_from_slice(&b);
+        ws.solve()?;
+        Ok(ws.solution().to_vec())
+    }
 
     #[test]
     fn solves_identity() {
@@ -292,5 +431,65 @@ mod tests {
         a.clear();
         assert_eq!(a.get(0, 0), 0.0);
         assert_eq!(a.n_rows(), 2);
+    }
+
+    fn stamp(entries: &[(usize, usize, f64)], rhs: &[f64], ws: &mut Workspace) {
+        ws.prepare(rhs.len());
+        let (a, b) = ws.assembly_mut();
+        for &(r, c, v) in entries {
+            a.add(r, c, v);
+        }
+        b.copy_from_slice(rhs);
+    }
+
+    // NOTE: the `spice.solver.workspace_allocs` counter assertion lives in
+    // `tests/workspace_allocs.rs` — the global obs registry is shared by
+    // every test in a binary, so counter deltas are only meaningful in a
+    // binary that owns the counter.
+    #[test]
+    fn workspace_reuse_solves_repeatedly() {
+        let mut ws = Workspace::new();
+        for _ in 0..10 {
+            stamp(&[(0, 0, 2.0), (1, 1, 4.0)], &[2.0, 8.0], &mut ws);
+            ws.solve().unwrap();
+            assert_eq!(ws.solution(), &[1.0, 2.0]);
+        }
+    }
+
+    #[test]
+    fn prepare_clears_stale_state() {
+        let mut ws = Workspace::new();
+        stamp(&[(0, 0, 1.0), (1, 1, 1.0)], &[3.0, 4.0], &mut ws);
+        ws.solve().unwrap();
+        // Same dimension again: old matrix/rhs/x must not leak through.
+        stamp(&[(0, 0, 2.0), (1, 1, 2.0)], &[2.0, 2.0], &mut ws);
+        ws.solve().unwrap();
+        assert_eq!(ws.solution(), &[1.0, 1.0]);
+    }
+
+    #[test]
+    fn dimension_change_resizes() {
+        let mut ws = Workspace::new();
+        stamp(&[(0, 0, 1.0)], &[5.0], &mut ws);
+        ws.solve().unwrap();
+        assert_eq!(ws.solution(), &[5.0]);
+        stamp(
+            &[(0, 0, 1.0), (1, 1, 1.0), (2, 2, 1.0)],
+            &[1.0, 2.0, 3.0],
+            &mut ws,
+        );
+        ws.solve().unwrap();
+        assert_eq!(ws.solution(), &[1.0, 2.0, 3.0]);
+    }
+
+    #[test]
+    fn singular_reported_through_workspace() {
+        let mut ws = Workspace::new();
+        stamp(
+            &[(0, 0, 1.0), (0, 1, 2.0), (1, 0, 2.0), (1, 1, 4.0)],
+            &[1.0, 2.0],
+            &mut ws,
+        );
+        assert_eq!(ws.solve().unwrap_err(), SpiceError::SingularMatrix);
     }
 }

@@ -1,5 +1,5 @@
-//! Property-style parity suite: the batched same-structure path and the
-//! workspace backend must be *bit-identical* to the historic single-solve
+//! Property-style parity suite: the batched same-structure path and a
+//! reused workspace must be *bit-identical* to the one-shot single-solve
 //! path — solutions and `SpiceError` classification alike — across random
 //! well- and ill-conditioned systems and at any thread count.
 
@@ -8,9 +8,9 @@ use mss_spice::analysis::{dc_operating_point_with, SolverOptions};
 use mss_spice::batch::DcBatch;
 use mss_spice::mosfet::{MosGeometry, MosModel};
 use mss_spice::netlist::Netlist;
-use mss_spice::solver::{solve, Matrix};
+use mss_spice::solver::Matrix;
 use mss_spice::waveform::Waveform;
-use mss_spice::{DenseLu, SolverBackend, SpiceError, Workspace};
+use mss_spice::{SpiceError, Workspace};
 use mss_units::rng::{Rng, Xoshiro256PlusPlus};
 
 /// Random stamp classes: well-conditioned, badly scaled near-singular, and
@@ -63,37 +63,46 @@ fn random_system(rng: &mut Xoshiro256PlusPlus, class: usize, n: usize) -> (Matri
     (a, b)
 }
 
+/// Copies `(a, b)` into `ws` and solves it there.
+fn solve_in(ws: &mut Workspace, a: &Matrix, b: &[f64]) -> Result<(), SpiceError> {
+    let n = b.len();
+    ws.prepare(n);
+    let (m, rhs) = ws.assembly_mut();
+    for r in 0..n {
+        for c in 0..n {
+            m.set(r, c, a.get(r, c));
+        }
+    }
+    rhs.copy_from_slice(b);
+    ws.solve()
+}
+
+/// The one-shot path (a fresh workspace per solve) against one workspace
+/// reused across every trial and dimension: stale storage must never leak
+/// into a solution or an error classification.
 #[test]
 fn backend_matches_legacy_solve_bitwise_over_random_stamps() {
     let mut rng = Xoshiro256PlusPlus::seed_from_u64(0x5EED);
-    let mut ws = Workspace::new(); // deliberately reused across ALL trials
+    let mut reused = Workspace::new(); // deliberately reused across ALL trials
     let (mut oks, mut errs) = (0usize, 0usize);
     for trial in 0..300 {
         let class = trial % 3;
         let n = 2 + (trial % 9);
         let (a, b) = random_system(&mut rng, class, n);
-        let legacy = solve(a.clone(), b.clone());
-        ws.prepare(n);
-        {
-            let (m, rhs) = ws.assembly_mut();
-            for r in 0..n {
-                for c in 0..n {
-                    m.set(r, c, a.get(r, c));
-                }
-            }
-            rhs.copy_from_slice(&b);
-        }
-        let batched = DenseLu.solve_in_place(&mut ws);
-        match (legacy, batched) {
-            (Ok(x), Ok(())) => {
-                assert_eq!(x.as_slice(), ws.solution(), "trial {trial}: bits differ");
+        let mut fresh = Workspace::new();
+        match (solve_in(&mut fresh, &a, &b), solve_in(&mut reused, &a, &b)) {
+            (Ok(()), Ok(())) => {
+                let bits = |ws: &Workspace| -> Vec<u64> {
+                    ws.solution().iter().map(|v| v.to_bits()).collect()
+                };
+                assert_eq!(bits(&fresh), bits(&reused), "trial {trial}: bits differ");
                 oks += 1;
             }
-            (Err(el), Err(eb)) => {
-                assert_eq!(el, eb, "trial {trial}: error classification differs");
+            (Err(ef), Err(er)) => {
+                assert_eq!(ef, er, "trial {trial}: error classification differs");
                 errs += 1;
             }
-            (l, r) => panic!("trial {trial}: outcomes diverge: {l:?} vs {r:?}"),
+            (f, r) => panic!("trial {trial}: outcomes diverge: {f:?} vs {r:?}"),
         }
     }
     // The sweep must actually exercise both outcomes.

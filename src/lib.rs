@@ -35,3 +35,8 @@ pub use mss_pipe as pipe;
 pub use mss_spice as spice;
 pub use mss_units as units;
 pub use mss_vaet as vaet;
+
+/// Compiles and runs the Rust blocks of `README.md` as doctests.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;
