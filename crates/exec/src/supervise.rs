@@ -261,13 +261,13 @@ impl TaskFailure {
             FailureKind::Panicked { message } | FailureKind::Failed { message } => message.as_str(),
             FailureKind::DeadlineExceeded => "",
         };
-        format!(
-            "{{\"type\":\"task-failure\",\"index\":{},\"attempts\":{},\"kind\":\"{}\",\"message\":{}}}",
-            self.index,
-            self.attempts,
-            self.kind.tag(),
-            mss_obs::ndjson::json_str(message)
-        )
+        mss_obs::json::Line::new()
+            .str("type", "task-failure")
+            .u64("index", self.index as u64)
+            .u64("attempts", u64::from(self.attempts))
+            .str("kind", self.kind.tag())
+            .str("message", message)
+            .finish()
     }
 }
 
@@ -735,6 +735,34 @@ mod tests {
                 .expect("index field");
             assert!(idx > last, "manifest sorted by index");
             last = idx;
+        }
+    }
+
+    #[test]
+    fn failure_lines_are_pinned_byte_for_byte() {
+        let cases = [
+            (
+                FailureKind::Panicked {
+                    message: "chaos \"q\"\nat\u{1}".into(),
+                },
+                "{\"type\":\"task-failure\",\"index\":17,\"attempts\":3,\"kind\":\"panicked\",\"message\":\"chaos \\\"q\\\"\\nat\\u0001\"}",
+            ),
+            (
+                FailureKind::Failed {
+                    message: "bad \\ input".into(),
+                },
+                "{\"type\":\"task-failure\",\"index\":17,\"attempts\":3,\"kind\":\"failed\",\"message\":\"bad \\\\ input\"}",
+            ),
+            (FailureKind::DeadlineExceeded, "{\"type\":\"task-failure\",\"index\":17,\"attempts\":3,\"kind\":\"deadline-exceeded\",\"message\":\"\"}"),
+        ];
+        for (kind, want) in cases {
+            let line = TaskFailure {
+                index: 17,
+                attempts: 3,
+                kind,
+            }
+            .to_json_line();
+            assert_eq!(line, want);
         }
     }
 

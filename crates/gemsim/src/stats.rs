@@ -85,14 +85,15 @@ impl mss_pipe::Artifact for SimReport {
     const VERSION: u32 = 1;
 
     fn encode(&self) -> String {
-        use mss_pipe::codec::JsonLine;
-        let mut text = JsonLine::new()
+        use mss_pipe::hash::hex_of_f64;
+        use mss_pipe::json::Line;
+        let mut text = Line::new()
             .str("kernel", &self.kernel)
-            .f64_bits("runtime_seconds", self.runtime_seconds)
+            .str("runtime_seconds", &hex_of_f64(self.runtime_seconds))
             .u64("dram_reads", self.dram_reads)
             .u64("dram_writes", self.dram_writes)
             .u64("dram_row_hits", self.dram_row_hits)
-            .f64_bits("simulated_fraction", self.simulated_fraction)
+            .str("simulated_fraction", &hex_of_f64(self.simulated_fraction))
             .u64("extrapolated_accesses", self.extrapolated_accesses)
             .u64("cores", self.cores.len() as u64)
             .u64("caches", self.caches.len() as u64)
@@ -101,11 +102,11 @@ impl mss_pipe::Artifact for SimReport {
         for core in &self.cores {
             text.push('\n');
             text.push_str(
-                &JsonLine::new()
+                &Line::new()
                     .u64("kind", matches!(core.kind, CoreKind::Little) as u64)
                     .u64("instructions", core.instructions)
-                    .f64_bits("busy_seconds", core.busy_seconds)
-                    .f64_bits("ipc", core.ipc)
+                    .str("busy_seconds", &hex_of_f64(core.busy_seconds))
+                    .str("ipc", &hex_of_f64(core.ipc))
                     .finish(),
             );
         }
@@ -113,17 +114,17 @@ impl mss_pipe::Artifact for SimReport {
             let c = &cache.config;
             text.push('\n');
             text.push_str(
-                &JsonLine::new()
+                &Line::new()
                     .str("name", &cache.name)
                     .str("cfg_name", &c.name)
                     .u64("capacity", c.capacity)
                     .u64("associativity", u64::from(c.associativity))
                     .u64("line_bytes", u64::from(c.line_bytes))
-                    .f64_bits("read_latency", c.read_latency)
-                    .f64_bits("write_latency", c.write_latency)
-                    .f64_bits("read_energy", c.read_energy)
-                    .f64_bits("write_energy", c.write_energy)
-                    .f64_bits("leakage_power", c.leakage_power)
+                    .str("read_latency", &hex_of_f64(c.read_latency))
+                    .str("write_latency", &hex_of_f64(c.write_latency))
+                    .str("read_energy", &hex_of_f64(c.read_energy))
+                    .str("write_energy", &hex_of_f64(c.write_energy))
+                    .str("leakage_power", &hex_of_f64(c.leakage_power))
                     .u64("reads", cache.stats.reads)
                     .u64("writes", cache.stats.writes)
                     .u64("read_hits", cache.stats.read_hits)
@@ -135,7 +136,7 @@ impl mss_pipe::Artifact for SimReport {
         if let Some(f) = &self.fault {
             text.push('\n');
             text.push_str(
-                &JsonLine::new()
+                &Line::new()
                     .u64("writes", f.writes)
                     .u64("reads", f.reads)
                     .u64("scrubs", f.scrubs)
@@ -154,66 +155,69 @@ impl mss_pipe::Artifact for SimReport {
     }
 
     fn decode(payload: &str) -> Option<Self> {
-        use mss_pipe::codec::{get_f64_bits, get_u64, parse_object};
+        use mss_pipe::hash::f64_field as f;
+        use mss_pipe::json::Value;
+        let u = |v: &Value, key: &str| v.get(key)?.as_u64();
+        let s = |v: &Value, key: &str| Some(v.get(key)?.as_str()?.to_string());
         let mut lines = payload.trim_end().lines();
-        let meta = parse_object(lines.next()?)?;
-        let n_cores = get_u64(&meta, "cores")? as usize;
-        let n_caches = get_u64(&meta, "caches")? as usize;
-        let has_fault = get_u64(&meta, "fault")? != 0;
-
-        let mut cores = Vec::with_capacity(n_cores);
-        for _ in 0..n_cores {
-            let map = parse_object(lines.next()?)?;
-            cores.push(CoreActivity {
-                kind: match get_u64(&map, "kind")? {
-                    0 => CoreKind::Big,
-                    1 => CoreKind::Little,
-                    _ => return None,
-                },
-                instructions: get_u64(&map, "instructions")?,
-                busy_seconds: get_f64_bits(&map, "busy_seconds")?,
-                ipc: get_f64_bits(&map, "ipc")?,
-            });
-        }
-        let mut caches = Vec::with_capacity(n_caches);
-        for _ in 0..n_caches {
-            let map = parse_object(lines.next()?)?;
-            caches.push(CacheActivity {
-                name: map.get("name")?.clone(),
-                config: CacheConfig {
-                    name: map.get("cfg_name")?.clone(),
-                    capacity: get_u64(&map, "capacity")?,
-                    associativity: u32::try_from(get_u64(&map, "associativity")?).ok()?,
-                    line_bytes: u32::try_from(get_u64(&map, "line_bytes")?).ok()?,
-                    read_latency: get_f64_bits(&map, "read_latency")?,
-                    write_latency: get_f64_bits(&map, "write_latency")?,
-                    read_energy: get_f64_bits(&map, "read_energy")?,
-                    write_energy: get_f64_bits(&map, "write_energy")?,
-                    leakage_power: get_f64_bits(&map, "leakage_power")?,
-                },
-                stats: CacheStats {
-                    reads: get_u64(&map, "reads")?,
-                    writes: get_u64(&map, "writes")?,
-                    read_hits: get_u64(&map, "read_hits")?,
-                    write_hits: get_u64(&map, "write_hits")?,
-                    writebacks: get_u64(&map, "writebacks")?,
-                },
-            });
-        }
-        let fault = if has_fault {
-            let map = parse_object(lines.next()?)?;
+        let mut next = || Value::parse(lines.next()?).ok();
+        let meta = next()?;
+        // The counts come from disk: never preallocate from them.
+        let cores = (0..u(&meta, "cores")?)
+            .map(|_| {
+                let v = next()?;
+                Some(CoreActivity {
+                    kind: match u(&v, "kind")? {
+                        0 => CoreKind::Big,
+                        1 => CoreKind::Little,
+                        _ => return None,
+                    },
+                    instructions: u(&v, "instructions")?,
+                    busy_seconds: f(&v, "busy_seconds")?,
+                    ipc: f(&v, "ipc")?,
+                })
+            })
+            .collect::<Option<Vec<_>>>()?;
+        let caches = (0..u(&meta, "caches")?)
+            .map(|_| {
+                let v = next()?;
+                Some(CacheActivity {
+                    name: s(&v, "name")?,
+                    config: CacheConfig {
+                        name: s(&v, "cfg_name")?,
+                        capacity: u(&v, "capacity")?,
+                        associativity: u32::try_from(u(&v, "associativity")?).ok()?,
+                        line_bytes: u32::try_from(u(&v, "line_bytes")?).ok()?,
+                        read_latency: f(&v, "read_latency")?,
+                        write_latency: f(&v, "write_latency")?,
+                        read_energy: f(&v, "read_energy")?,
+                        write_energy: f(&v, "write_energy")?,
+                        leakage_power: f(&v, "leakage_power")?,
+                    },
+                    stats: CacheStats {
+                        reads: u(&v, "reads")?,
+                        writes: u(&v, "writes")?,
+                        read_hits: u(&v, "read_hits")?,
+                        write_hits: u(&v, "write_hits")?,
+                        writebacks: u(&v, "writebacks")?,
+                    },
+                })
+            })
+            .collect::<Option<Vec<_>>>()?;
+        let fault = if u(&meta, "fault")? != 0 {
+            let v = next()?;
             Some(FaultMemStats {
-                writes: get_u64(&map, "writes")?,
-                reads: get_u64(&map, "reads")?,
-                scrubs: get_u64(&map, "scrubs")?,
-                injected_bits: get_u64(&map, "injected_bits")?,
-                write_retries: get_u64(&map, "write_retries")?,
-                write_residual_bits: get_u64(&map, "write_residual_bits")?,
-                reads_clean: get_u64(&map, "reads_clean")?,
-                reads_corrected: get_u64(&map, "reads_corrected")?,
-                reads_detected: get_u64(&map, "reads_detected")?,
-                reads_uncorrectable: get_u64(&map, "reads_uncorrectable")?,
-                scrubbed_words: get_u64(&map, "scrubbed_words")?,
+                writes: u(&v, "writes")?,
+                reads: u(&v, "reads")?,
+                scrubs: u(&v, "scrubs")?,
+                injected_bits: u(&v, "injected_bits")?,
+                write_retries: u(&v, "write_retries")?,
+                write_residual_bits: u(&v, "write_residual_bits")?,
+                reads_clean: u(&v, "reads_clean")?,
+                reads_corrected: u(&v, "reads_corrected")?,
+                reads_detected: u(&v, "reads_detected")?,
+                reads_uncorrectable: u(&v, "reads_uncorrectable")?,
+                scrubbed_words: u(&v, "scrubbed_words")?,
             })
         } else {
             None
@@ -222,15 +226,15 @@ impl mss_pipe::Artifact for SimReport {
             return None;
         }
         Some(Self {
-            kernel: meta.get("kernel")?.clone(),
-            runtime_seconds: get_f64_bits(&meta, "runtime_seconds")?,
+            kernel: s(&meta, "kernel")?,
+            runtime_seconds: f(&meta, "runtime_seconds")?,
             cores,
             caches,
-            dram_reads: get_u64(&meta, "dram_reads")?,
-            dram_writes: get_u64(&meta, "dram_writes")?,
-            dram_row_hits: get_u64(&meta, "dram_row_hits")?,
-            simulated_fraction: get_f64_bits(&meta, "simulated_fraction")?,
-            extrapolated_accesses: get_u64(&meta, "extrapolated_accesses")?,
+            dram_reads: u(&meta, "dram_reads")?,
+            dram_writes: u(&meta, "dram_writes")?,
+            dram_row_hits: u(&meta, "dram_row_hits")?,
+            simulated_fraction: f(&meta, "simulated_fraction")?,
+            extrapolated_accesses: u(&meta, "extrapolated_accesses")?,
             fault,
         })
     }
@@ -275,7 +279,35 @@ mod tests {
     #[test]
     fn artifact_round_trip_is_exact() {
         use mss_pipe::Artifact;
-        let report = SimReport {
+        let report = sample_report();
+        let decoded = SimReport::decode(&report.encode()).expect("round trip");
+        assert_eq!(decoded, report);
+
+        // A faultless report round-trips too (the optional line is absent).
+        let mut plain = report.clone();
+        plain.fault = None;
+        assert_eq!(SimReport::decode(&plain.encode()), Some(plain));
+
+        // Truncation is a miss, never a panic.
+        let text = report.encode();
+        assert_eq!(SimReport::decode(&text[..text.len() / 2]), None);
+    }
+
+    #[test]
+    fn artifact_encoding_is_pinned() {
+        use mss_pipe::Artifact;
+        assert_eq!(
+            sample_report().encode(),
+            "{\"kernel\":\"bodytrack\",\"runtime_seconds\":\"3f8948b0f90591e5\",\"dram_reads\":100,\"dram_writes\":70,\"dram_row_hits\":55,\"simulated_fraction\":\"3fb999999999999a\",\"extrapolated_accesses\":9000,\"cores\":2,\"caches\":1,\"fault\":1}\n\
+             {\"kind\":0,\"instructions\":18446744073709551612,\"busy_seconds\":\"3f86872b020c49ba\",\"ipc\":\"3ffc000000000000\"}\n\
+             {\"kind\":1,\"instructions\":42,\"busy_seconds\":\"0010000000000000\",\"ipc\":\"3fe0000000000000\"}\n\
+             {\"name\":\"big.L2\",\"cfg_name\":\"L2 \\\"quoted\\\"\",\"capacity\":1048576,\"associativity\":8,\"line_bytes\":64,\"read_latency\":\"3e2209f2e6f59483\",\"write_latency\":\"3e2d34add7753996\",\"read_energy\":\"3da5fd7fe1796495\",\"write_energy\":\"3db5fd7fe1796495\",\"leakage_power\":\"3f689374bc6a7efa\",\"reads\":1000,\"writes\":200,\"read_hits\":900,\"write_hits\":150,\"writebacks\":30}\n\
+             {\"writes\":1,\"reads\":2,\"scrubs\":3,\"injected_bits\":4,\"write_retries\":5,\"write_residual_bits\":6,\"reads_clean\":7,\"reads_corrected\":8,\"reads_detected\":9,\"reads_uncorrectable\":10,\"scrubbed_words\":11}"
+        );
+    }
+
+    fn sample_report() -> SimReport {
+        SimReport {
             kernel: "bodytrack".into(),
             runtime_seconds: 0.012345678901234567,
             cores: vec![
@@ -331,17 +363,6 @@ mod tests {
                 reads_uncorrectable: 10,
                 scrubbed_words: 11,
             }),
-        };
-        let decoded = SimReport::decode(&report.encode()).expect("round trip");
-        assert_eq!(decoded, report);
-
-        // A faultless report round-trips too (the optional line is absent).
-        let mut plain = report.clone();
-        plain.fault = None;
-        assert_eq!(SimReport::decode(&plain.encode()), Some(plain));
-
-        // Truncation is a miss, never a panic.
-        let text = report.encode();
-        assert_eq!(SimReport::decode(&text[..text.len() / 2]), None);
+        }
     }
 }

@@ -135,49 +135,53 @@ impl mss_pipe::Artifact for ArrayMetrics {
     const VERSION: u32 = 1;
 
     fn encode(&self) -> String {
-        fn breakdown(
-            line: mss_pipe::codec::JsonLine,
-            p: &str,
-            b: &LatencyBreakdown,
-        ) -> mss_pipe::codec::JsonLine {
-            line.f64_bits(&format!("{p}_decoder"), b.decoder)
-                .f64_bits(&format!("{p}_wordline"), b.wordline)
-                .f64_bits(&format!("{p}_bitline"), b.bitline)
-                .f64_bits(&format!("{p}_cell"), b.cell)
-                .f64_bits(&format!("{p}_sense"), b.sense)
-                .f64_bits(&format!("{p}_routing"), b.routing)
-        }
-        let line = mss_pipe::codec::JsonLine::new()
-            .f64_bits("read_latency", self.read_latency)
-            .f64_bits("write_latency", self.write_latency)
-            .f64_bits("read_energy", self.read_energy)
-            .f64_bits("write_energy", self.write_energy)
-            .f64_bits("leakage_power", self.leakage_power)
-            .f64_bits("area", self.area);
+        use mss_pipe::hash::hex_of_f64;
+        use mss_pipe::json::Line;
+        let breakdown = |line: Line, p: &str, b: &LatencyBreakdown| {
+            [
+                ("decoder", b.decoder),
+                ("wordline", b.wordline),
+                ("bitline", b.bitline),
+                ("cell", b.cell),
+                ("sense", b.sense),
+                ("routing", b.routing),
+            ]
+            .into_iter()
+            .fold(line, |line, (k, v)| {
+                line.str(&format!("{p}_{k}"), &hex_of_f64(v))
+            })
+        };
+        let line = Line::new()
+            .str("read_latency", &hex_of_f64(self.read_latency))
+            .str("write_latency", &hex_of_f64(self.write_latency))
+            .str("read_energy", &hex_of_f64(self.read_energy))
+            .str("write_energy", &hex_of_f64(self.write_energy))
+            .str("leakage_power", &hex_of_f64(self.leakage_power))
+            .str("area", &hex_of_f64(self.area));
         let line = breakdown(line, "rb", &self.read_breakdown);
         breakdown(line, "wb", &self.write_breakdown).finish()
     }
 
     fn decode(payload: &str) -> Option<Self> {
-        use mss_pipe::codec::{get_f64_bits, parse_object};
-        let map = parse_object(payload.trim_end())?;
+        let v = mss_pipe::json::Value::parse(payload).ok()?;
+        let f = |key: &str| mss_pipe::hash::f64_field(&v, key);
         let breakdown = |p: &str| -> Option<LatencyBreakdown> {
             Some(LatencyBreakdown {
-                decoder: get_f64_bits(&map, &format!("{p}_decoder"))?,
-                wordline: get_f64_bits(&map, &format!("{p}_wordline"))?,
-                bitline: get_f64_bits(&map, &format!("{p}_bitline"))?,
-                cell: get_f64_bits(&map, &format!("{p}_cell"))?,
-                sense: get_f64_bits(&map, &format!("{p}_sense"))?,
-                routing: get_f64_bits(&map, &format!("{p}_routing"))?,
+                decoder: f(&format!("{p}_decoder"))?,
+                wordline: f(&format!("{p}_wordline"))?,
+                bitline: f(&format!("{p}_bitline"))?,
+                cell: f(&format!("{p}_cell"))?,
+                sense: f(&format!("{p}_sense"))?,
+                routing: f(&format!("{p}_routing"))?,
             })
         };
         Some(Self {
-            read_latency: get_f64_bits(&map, "read_latency")?,
-            write_latency: get_f64_bits(&map, "write_latency")?,
-            read_energy: get_f64_bits(&map, "read_energy")?,
-            write_energy: get_f64_bits(&map, "write_energy")?,
-            leakage_power: get_f64_bits(&map, "leakage_power")?,
-            area: get_f64_bits(&map, "area")?,
+            read_latency: f("read_latency")?,
+            write_latency: f("write_latency")?,
+            read_energy: f("read_energy")?,
+            write_energy: f("write_energy")?,
+            leakage_power: f("leakage_power")?,
+            area: f("area")?,
             read_breakdown: breakdown("rb")?,
             write_breakdown: breakdown("wb")?,
         })
@@ -509,6 +513,33 @@ mod tests {
 
     fn tech() -> TechParams {
         TechParams::node(TechNode::N45)
+    }
+
+    #[test]
+    fn artifact_encoding_is_pinned() {
+        use mss_pipe::Artifact;
+        let breakdown = |s: f64| LatencyBreakdown {
+            decoder: 1e-10 * s,
+            wordline: 2e-10 * s,
+            bitline: 3e-10 * s,
+            cell: 4e-10 * s,
+            sense: 5e-10 * s,
+            routing: 6e-10 * s,
+        };
+        let m = ArrayMetrics {
+            read_latency: 1.25e-9,
+            write_latency: 5e-9,
+            read_energy: 2e-12,
+            write_energy: 8e-12,
+            leakage_power: 1e-3,
+            area: 1e-8,
+            read_breakdown: breakdown(1.0),
+            write_breakdown: breakdown(-2.0),
+        };
+        assert_eq!(
+            m.encode(),
+            "{\"read_latency\":\"3e15798ee2308c3a\",\"write_latency\":\"3e35798ee2308c3a\",\"read_energy\":\"3d819799812dea11\",\"write_energy\":\"3da19799812dea11\",\"leakage_power\":\"3f50624dd2f1a9fc\",\"area\":\"3e45798ee2308c3a\",\"rb_decoder\":\"3ddb7cdfd9d7bdbb\",\"rb_wordline\":\"3deb7cdfd9d7bdbb\",\"rb_bitline\":\"3df49da7e361ce4c\",\"rb_cell\":\"3dfb7cdfd9d7bdbb\",\"rb_sense\":\"3e012e0be826d695\",\"rb_routing\":\"3e049da7e361ce4c\",\"wb_decoder\":\"bdeb7cdfd9d7bdbb\",\"wb_wordline\":\"bdfb7cdfd9d7bdbb\",\"wb_bitline\":\"be049da7e361ce4c\",\"wb_cell\":\"be0b7cdfd9d7bdbb\",\"wb_sense\":\"be112e0be826d695\",\"wb_routing\":\"be149da7e361ce4c\"}"
+        );
     }
 
     #[test]

@@ -39,7 +39,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
-use crate::ndjson::{json_num, json_str, meta_line};
+use crate::json::{meta_line, Line};
 
 /// Events kept per thread in the flight-recorder ring; older events are
 /// evicted (and tallied) once a thread's ring is full.
@@ -163,76 +163,75 @@ impl BusEvent {
     /// Renders the event as one schema-v3 NDJSON `bus` line (no trailing
     /// newline).
     pub fn to_json_line(&self) -> String {
-        let head = format!(
-            "{{\"type\":\"bus\",\"kind\":\"{}\",\"seq\":{},\"tid\":{},\"t_seconds\":{}",
-            self.payload.kind(),
-            self.seq,
-            self.tid,
-            json_num(self.t_seconds)
-        );
-        let tail = match &self.payload {
-            EventPayload::SpanOpen { path } => format!("\"path\":{}", json_str(path)),
+        let line = Line::new()
+            .str("type", "bus")
+            .str("kind", self.payload.kind())
+            .u64("seq", self.seq)
+            .u64("tid", u64::from(self.tid))
+            .num("t_seconds", self.t_seconds);
+        match &self.payload {
+            EventPayload::SpanOpen { path } => line.str("path", path),
             EventPayload::SpanClose {
                 path,
                 duration_seconds,
-            } => format!(
-                "\"path\":{},\"duration_seconds\":{}",
-                json_str(path),
-                json_num(*duration_seconds)
-            ),
+            } => line
+                .str("path", path)
+                .num("duration_seconds", *duration_seconds),
             EventPayload::CounterDelta { name, delta } => {
-                format!("\"name\":{},\"delta\":{delta}", json_str(name))
+                line.str("name", name).u64("delta", *delta)
             }
-            EventPayload::GaugeSet { name, value } => {
-                format!("\"name\":{},\"value\":{}", json_str(name), json_num(*value))
-            }
+            EventPayload::GaugeSet { name, value } => line.str("name", name).num("value", *value),
             EventPayload::Progress {
                 sweep,
                 done,
                 total,
                 retried,
                 budget_seconds,
-            } => format!(
-                "\"sweep\":{},\"done\":{done},\"total\":{total},\"retried\":{retried},\"budget_seconds\":{}",
-                json_str(sweep),
-                budget_seconds.map_or_else(|| "null".to_string(), json_num)
-            ),
+            } => {
+                let line = line
+                    .str("sweep", sweep)
+                    .u64("done", *done)
+                    .u64("total", *total)
+                    .u64("retried", *retried);
+                match budget_seconds {
+                    Some(budget) => line.num("budget_seconds", *budget),
+                    None => line.null("budget_seconds"),
+                }
+            }
             EventPayload::Heartbeat {
                 sweep,
                 worker,
                 tasks_done,
                 busy_seconds,
-            } => format!(
-                "\"sweep\":{},\"worker\":{worker},\"tasks_done\":{tasks_done},\"busy_seconds\":{}",
-                json_str(sweep),
-                json_num(*busy_seconds)
-            ),
+            } => line
+                .str("sweep", sweep)
+                .u64("worker", u64::from(*worker))
+                .u64("tasks_done", *tasks_done)
+                .num("busy_seconds", *busy_seconds),
             EventPayload::Failure {
                 sweep,
                 index,
                 attempts,
                 kind,
                 message,
-            } => format!(
-                "\"sweep\":{},\"index\":{index},\"attempts\":{attempts},\"failure\":{},\"message\":{}",
-                json_str(sweep),
-                json_str(kind),
-                json_str(message)
-            ),
+            } => line
+                .str("sweep", sweep)
+                .u64("index", *index)
+                .u64("attempts", u64::from(*attempts))
+                .str("failure", kind)
+                .str("message", message),
             EventPayload::Watchdog {
                 span,
                 baseline_seconds,
                 run_seconds,
                 ratio,
-            } => format!(
-                "\"span\":{},\"baseline_seconds\":{},\"run_seconds\":{},\"ratio\":{}",
-                json_str(span),
-                json_num(*baseline_seconds),
-                json_num(*run_seconds),
-                json_num(*ratio)
-            ),
-        };
-        format!("{head},{tail}}}")
+            } => line
+                .str("span", span)
+                .num("baseline_seconds", *baseline_seconds)
+                .num("run_seconds", *run_seconds)
+                .num("ratio", *ratio),
+        }
+        .finish()
     }
 }
 
@@ -589,6 +588,98 @@ mod tests {
             assert!(!line.contains('\n'), "{line}");
             // NaN gauge must degrade to null, never a bare NaN token.
             assert!(!line.contains("NaN"), "{line}");
+            crate::json::Value::parse(&line).expect("bus line is strict JSON");
+        }
+    }
+
+    #[test]
+    fn bus_lines_are_pinned_byte_for_byte() {
+        let cases = [
+            (
+                EventPayload::SpanOpen {
+                    path: "flow/\"sim\"".into(),
+                },
+                "{\"type\":\"bus\",\"kind\":\"span_open\",\"seq\":12,\"tid\":3,\"t_seconds\":1.25e-1,\"path\":\"flow/\\\"sim\\\"\"}",
+            ),
+            (
+                EventPayload::SpanClose {
+                    path: "a/b".into(),
+                    duration_seconds: 1e-3,
+                },
+                "{\"type\":\"bus\",\"kind\":\"span_close\",\"seq\":12,\"tid\":3,\"t_seconds\":1.25e-1,\"path\":\"a/b\",\"duration_seconds\":1e-3}",
+            ),
+            (
+                EventPayload::CounterDelta {
+                    name: "c \"x\"\\y".into(),
+                    delta: u64::MAX,
+                },
+                "{\"type\":\"bus\",\"kind\":\"counter_delta\",\"seq\":12,\"tid\":3,\"t_seconds\":1.25e-1,\"name\":\"c \\\"x\\\"\\\\y\",\"delta\":18446744073709551615}",
+            ),
+            (
+                EventPayload::GaugeSet {
+                    name: "g\ttab".into(),
+                    value: f64::NAN,
+                },
+                "{\"type\":\"bus\",\"kind\":\"gauge_set\",\"seq\":12,\"tid\":3,\"t_seconds\":1.25e-1,\"name\":\"g\\ttab\",\"value\":null}",
+            ),
+            (
+                EventPayload::Progress {
+                    sweep: "sw".into(),
+                    done: 3,
+                    total: 9,
+                    retried: 1,
+                    budget_seconds: Some(0.25),
+                },
+                "{\"type\":\"bus\",\"kind\":\"progress\",\"seq\":12,\"tid\":3,\"t_seconds\":1.25e-1,\"sweep\":\"sw\",\"done\":3,\"total\":9,\"retried\":1,\"budget_seconds\":2.5e-1}",
+            ),
+            (
+                EventPayload::Progress {
+                    sweep: "sw\u{1}".into(),
+                    done: 0,
+                    total: 0,
+                    retried: 0,
+                    budget_seconds: None,
+                },
+                "{\"type\":\"bus\",\"kind\":\"progress\",\"seq\":12,\"tid\":3,\"t_seconds\":1.25e-1,\"sweep\":\"sw\\u0001\",\"done\":0,\"total\":0,\"retried\":0,\"budget_seconds\":null}",
+            ),
+            (
+                EventPayload::Heartbeat {
+                    sweep: "sw".into(),
+                    worker: 2,
+                    tasks_done: 4,
+                    busy_seconds: 0.5,
+                },
+                "{\"type\":\"bus\",\"kind\":\"heartbeat\",\"seq\":12,\"tid\":3,\"t_seconds\":1.25e-1,\"sweep\":\"sw\",\"worker\":2,\"tasks_done\":4,\"busy_seconds\":5e-1}",
+            ),
+            (
+                EventPayload::Failure {
+                    sweep: "sw".into(),
+                    index: 7,
+                    attempts: 2,
+                    kind: "panicked".into(),
+                    message: "boom\nline \"q\"".into(),
+                },
+                "{\"type\":\"bus\",\"kind\":\"failure\",\"seq\":12,\"tid\":3,\"t_seconds\":1.25e-1,\"sweep\":\"sw\",\"index\":7,\"attempts\":2,\"failure\":\"panicked\",\"message\":\"boom\\nline \\\"q\\\"\"}",
+            ),
+            (
+                EventPayload::Watchdog {
+                    span: "flow/simulate".into(),
+                    baseline_seconds: 1e-2,
+                    run_seconds: 3e-2,
+                    ratio: 3.0,
+                },
+                "{\"type\":\"bus\",\"kind\":\"watchdog\",\"seq\":12,\"tid\":3,\"t_seconds\":1.25e-1,\"span\":\"flow/simulate\",\"baseline_seconds\":1e-2,\"run_seconds\":3e-2,\"ratio\":3e0}",
+            ),
+        ];
+        for (payload, want) in cases {
+            let line = BusEvent {
+                seq: 12,
+                tid: 3,
+                t_seconds: 0.125,
+                payload,
+            }
+            .to_json_line();
+            assert_eq!(line, want);
         }
     }
 

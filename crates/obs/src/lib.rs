@@ -16,6 +16,11 @@
 //! object per line, see [`Registry::to_ndjson`]) that CI archives per run, so
 //! performance work has a measured baseline instead of a guess.
 //!
+//! [`json`] is the workspace's one JSON grammar: the line builder every
+//! NDJSON writer uses (run reports, event-bus lines, failure manifests,
+//! cache entries, sweep journals) and the strict parser every reader uses.
+//! The crate has no dependencies, dev-dependencies included.
+//!
 //! # Gating and overhead
 //!
 //! The global registry is gated by environment variables, parsed once per
@@ -52,11 +57,14 @@
 #![deny(missing_docs)]
 
 pub mod events;
+pub mod json;
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
+
+use json::{json_num, Line};
 
 /// Environment variable enabling metrics (counters/histograms/spans).
 pub const METRICS_ENV: &str = "MSS_METRICS";
@@ -635,19 +643,26 @@ impl Registry {
             Mode::Off => "off",
             Mode::Metrics => "metrics",
         };
-        let mut out = ndjson::meta_line(mode, 0, None);
+        let mut out = json::meta_line(mode, 0, None);
+        let mut push = |line: Line| {
+            out.push_str(&line.finish());
+            out.push('\n');
+        };
         for (name, value) in self.counters.lock().expect("obs counters poisoned").iter() {
-            out.push_str(&format!(
-                "{{\"type\":\"counter\",\"name\":{},\"value\":{value}}}\n",
-                json_str(name)
-            ));
+            push(
+                Line::new()
+                    .str("type", "counter")
+                    .str("name", name)
+                    .u64("value", *value),
+            );
         }
         for (name, value) in self.gauges.lock().expect("obs gauges poisoned").iter() {
-            out.push_str(&format!(
-                "{{\"type\":\"gauge\",\"name\":{},\"value\":{}}}\n",
-                json_str(name),
-                json_num(*value)
-            ));
+            push(
+                Line::new()
+                    .str("type", "gauge")
+                    .str("name", name)
+                    .num("value", *value),
+            );
         }
         for (name, h) in self
             .histograms
@@ -655,44 +670,45 @@ impl Registry {
             .expect("obs histograms poisoned")
             .iter()
         {
-            let buckets: Vec<String> = h
-                .buckets
-                .iter()
-                .enumerate()
-                .filter(|(_, c)| **c > 0)
-                .map(|(i, c)| format!("[{i},{c}]"))
-                .collect();
-            let quantile = |q: f64| json_num(h.quantile(q).unwrap_or(f64::NAN));
-            out.push_str(&format!(
-                "{{\"type\":\"histogram\",\"name\":{},\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"mean\":{},\"p50\":{},\"p90\":{},\"p99\":{},\"buckets\":[{}]}}\n",
-                json_str(name),
-                h.count,
-                json_num(h.sum),
-                json_num(if h.count == 0 { 0.0 } else { h.min }),
-                json_num(if h.count == 0 { 0.0 } else { h.max }),
-                json_num(h.mean()),
-                quantile(0.50),
-                quantile(0.90),
-                quantile(0.99),
-                buckets.join(",")
-            ));
+            let quantile = |q: f64| h.quantile(q).unwrap_or(f64::NAN);
+            let seen = |v: f64| if h.count == 0 { 0.0 } else { v };
+            push(
+                Line::new()
+                    .str("type", "histogram")
+                    .str("name", name)
+                    .u64("count", h.count)
+                    .num("sum", h.sum)
+                    .num("min", seen(h.min))
+                    .num("max", seen(h.max))
+                    .num("mean", h.mean())
+                    .num("p50", quantile(0.50))
+                    .num("p90", quantile(0.90))
+                    .num("p99", quantile(0.99))
+                    .array(
+                        "buckets",
+                        (h.buckets.iter().enumerate())
+                            .filter(|(_, c)| **c > 0)
+                            .map(|(i, c)| format!("[{i},{c}]")),
+                    ),
+            );
         }
         for (path, s) in self.spans.lock().expect("obs spans poisoned").iter() {
-            let by_thread: Vec<String> = s
-                .by_thread
-                .iter()
-                .map(|(tid, t)| format!("[{tid},{},{}]", t.count, json_num(t.total_seconds)))
-                .collect();
-            out.push_str(&format!(
-                "{{\"type\":\"span\",\"path\":{},\"count\":{},\"total_seconds\":{},\"self_seconds\":{},\"min_seconds\":{},\"max_seconds\":{},\"by_thread\":[{}]}}\n",
-                json_str(path),
-                s.count,
-                json_num(s.total_seconds),
-                json_num(s.self_seconds),
-                json_num(s.min_seconds),
-                json_num(s.max_seconds),
-                by_thread.join(",")
-            ));
+            push(
+                Line::new()
+                    .str("type", "span")
+                    .str("path", path)
+                    .u64("count", s.count)
+                    .num("total_seconds", s.total_seconds)
+                    .num("self_seconds", s.self_seconds)
+                    .num("min_seconds", s.min_seconds)
+                    .num("max_seconds", s.max_seconds)
+                    .array(
+                        "by_thread",
+                        (s.by_thread.iter()).map(|(tid, t)| {
+                            format!("[{tid},{},{}]", t.count, json_num(t.total_seconds))
+                        }),
+                    ),
+            );
         }
         out
     }
@@ -739,52 +755,6 @@ impl Drop for SpanGuard<'_> {
         }
     }
 }
-
-/// The hand-rolled NDJSON emitter primitives shared by every report writer
-/// in the workspace (run reports here, on-disk cache entries in `mss-pipe`).
-pub mod ndjson {
-    /// Escapes a string as a JSON string literal (with quotes).
-    pub fn json_str(s: &str) -> String {
-        let mut out = String::with_capacity(s.len() + 2);
-        out.push('"');
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\r' => out.push_str("\\r"),
-                '\t' => out.push_str("\\t"),
-                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                c => out.push(c),
-            }
-        }
-        out.push('"');
-        out
-    }
-
-    /// Formats an `f64` as a JSON number (`null` for non-finite values,
-    /// which JSON cannot represent).
-    pub fn json_num(v: f64) -> String {
-        if v.is_finite() {
-            format!("{v:e}")
-        } else {
-            "null".to_string()
-        }
-    }
-
-    /// The `meta` line that opens every NDJSON file (run report, event
-    /// stream, flight dump), newline included. `reason` is set only on
-    /// flight dumps.
-    pub fn meta_line(mode: &str, dropped_events: u64, reason: Option<&str>) -> String {
-        let reason = reason.map_or_else(String::new, |r| format!(",\"reason\":{}", json_str(r)));
-        format!(
-            "{{\"type\":\"meta\",\"schema\":{},\"mode\":\"{mode}\",\"dropped_events\":{dropped_events}{reason}}}\n",
-            super::SCHEMA_VERSION
-        )
-    }
-}
-
-use ndjson::{json_num, json_str};
 
 // ---------------------------------------------------------------------------
 // Global registry
@@ -890,11 +860,12 @@ pub fn report_ndjson() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use json::json_str;
 
     /// Every emitted line must be standalone valid JSON under the
     /// workspace's strict parser.
     fn assert_json(line: &str) {
-        if let Err(e) = mss_prof::json::Value::parse(line) {
+        if let Err(e) = json::Value::parse(line) {
             panic!("invalid JSON: {e}\nline: {line}");
         }
     }
@@ -1053,15 +1024,42 @@ mod tests {
     #[test]
     fn meta_lines_have_one_shape_for_every_writer() {
         assert_eq!(
-            ndjson::meta_line("metrics", 0, None),
+            json::meta_line("metrics", 0, None),
             "{\"type\":\"meta\",\"schema\":3,\"mode\":\"metrics\",\"dropped_events\":0}\n"
         );
         assert_eq!(
-            ndjson::meta_line("events", 7, Some("sweep \"x\" failed")),
+            json::meta_line("events", 7, Some("sweep \"x\" failed")),
             "{\"type\":\"meta\",\"schema\":3,\"mode\":\"events\",\"dropped_events\":7,\"reason\":\"sweep \\\"x\\\" failed\"}\n"
         );
         let report = Registry::new(Mode::Off).to_ndjson();
-        assert_eq!(report, ndjson::meta_line("off", 0, None));
+        assert_eq!(report, json::meta_line("off", 0, None));
+    }
+
+    #[test]
+    fn run_report_lines_are_pinned_byte_for_byte() {
+        let reg = Registry::new(Mode::Metrics);
+        reg.counter_add("c \"q\"", 42);
+        reg.gauge_set("g", 0.75);
+        for v in [1e-6, 2e-6, 3e-3] {
+            reg.record_value("h", v);
+        }
+        std::thread::scope(|scope| {
+            for (tid, seconds) in [(1, 0.5), (2, 0.25)] {
+                let reg = &reg;
+                scope.spawn(move || {
+                    set_thread_ordinal(tid);
+                    reg.close_span("flow/leg", seconds);
+                });
+            }
+        });
+        assert_eq!(
+            reg.to_ndjson(),
+            "{\"type\":\"meta\",\"schema\":3,\"mode\":\"metrics\",\"dropped_events\":0}\n\
+             {\"type\":\"counter\",\"name\":\"c \\\"q\\\"\",\"value\":42}\n\
+             {\"type\":\"gauge\",\"name\":\"g\",\"value\":7.5e-1}\n\
+             {\"type\":\"histogram\",\"name\":\"h\",\"count\":3,\"sum\":3.003e-3,\"min\":1e-6,\"max\":3e-3,\"mean\":1.001e-3,\"p50\":1.778279410038923e-6,\"p90\":1.7782794100389228e-3,\"p99\":1.7782794100389228e-3,\"buckets\":[[24,2],[30,1]]}\n\
+             {\"type\":\"span\",\"path\":\"flow/leg\",\"count\":2,\"total_seconds\":7.5e-1,\"self_seconds\":7.5e-1,\"min_seconds\":2.5e-1,\"max_seconds\":5e-1,\"by_thread\":[[1,1,5e-1],[2,1,2.5e-1]]}\n"
+        );
     }
 
     #[test]

@@ -138,7 +138,8 @@ impl mss_pipe::Artifact for CellLibrary {
     const VERSION: u32 = 1;
 
     fn encode(&self) -> String {
-        mss_pipe::codec::JsonLine::new()
+        use mss_pipe::hash::hex_of_f64;
+        mss_pipe::json::Line::new()
             .u64(
                 "node",
                 match self.node {
@@ -146,26 +147,26 @@ impl mss_pipe::Artifact for CellLibrary {
                     TechNode::N65 => 65,
                 },
             )
-            .f64_bits("write_latency", self.write.latency)
-            .f64_bits("write_energy", self.write.energy)
-            .f64_bits("write_current", self.write.current)
-            .f64_bits("read_latency", self.read.latency)
-            .f64_bits("read_energy", self.read.energy)
-            .f64_bits("read_current", self.read.current)
-            .f64_bits("access_width", self.access_width)
-            .f64_bits("cell_area", self.cell_area)
-            .f64_bits("leakage", self.leakage)
-            .f64_bits("critical_current", self.critical_current)
-            .f64_bits("delta", self.delta)
-            .f64_bits("r_parallel", self.r_parallel)
-            .f64_bits("r_antiparallel", self.r_antiparallel)
+            .str("write_latency", &hex_of_f64(self.write.latency))
+            .str("write_energy", &hex_of_f64(self.write.energy))
+            .str("write_current", &hex_of_f64(self.write.current))
+            .str("read_latency", &hex_of_f64(self.read.latency))
+            .str("read_energy", &hex_of_f64(self.read.energy))
+            .str("read_current", &hex_of_f64(self.read.current))
+            .str("access_width", &hex_of_f64(self.access_width))
+            .str("cell_area", &hex_of_f64(self.cell_area))
+            .str("leakage", &hex_of_f64(self.leakage))
+            .str("critical_current", &hex_of_f64(self.critical_current))
+            .str("delta", &hex_of_f64(self.delta))
+            .str("r_parallel", &hex_of_f64(self.r_parallel))
+            .str("r_antiparallel", &hex_of_f64(self.r_antiparallel))
             .finish()
     }
 
     fn decode(payload: &str) -> Option<Self> {
-        use mss_pipe::codec::{get_f64_bits, get_u64, parse_object};
-        let map = parse_object(payload.trim_end())?;
-        let node = match get_u64(&map, "node")? {
+        let v = mss_pipe::json::Value::parse(payload).ok()?;
+        let f = |key: &str| mss_pipe::hash::f64_field(&v, key);
+        let node = match v.get("node")?.as_u64()? {
             45 => TechNode::N45,
             65 => TechNode::N65,
             _ => return None,
@@ -173,22 +174,22 @@ impl mss_pipe::Artifact for CellLibrary {
         Some(Self {
             node,
             write: OpMetrics {
-                latency: get_f64_bits(&map, "write_latency")?,
-                energy: get_f64_bits(&map, "write_energy")?,
-                current: get_f64_bits(&map, "write_current")?,
+                latency: f("write_latency")?,
+                energy: f("write_energy")?,
+                current: f("write_current")?,
             },
             read: OpMetrics {
-                latency: get_f64_bits(&map, "read_latency")?,
-                energy: get_f64_bits(&map, "read_energy")?,
-                current: get_f64_bits(&map, "read_current")?,
+                latency: f("read_latency")?,
+                energy: f("read_energy")?,
+                current: f("read_current")?,
             },
-            access_width: get_f64_bits(&map, "access_width")?,
-            cell_area: get_f64_bits(&map, "cell_area")?,
-            leakage: get_f64_bits(&map, "leakage")?,
-            critical_current: get_f64_bits(&map, "critical_current")?,
-            delta: get_f64_bits(&map, "delta")?,
-            r_parallel: get_f64_bits(&map, "r_parallel")?,
-            r_antiparallel: get_f64_bits(&map, "r_antiparallel")?,
+            access_width: f("access_width")?,
+            cell_area: f("cell_area")?,
+            leakage: f("leakage")?,
+            critical_current: f("critical_current")?,
+            delta: f("delta")?,
+            r_parallel: f("r_parallel")?,
+            r_antiparallel: f("r_antiparallel")?,
         })
     }
 }
@@ -206,40 +207,45 @@ impl mss_pipe::Artifact for SotCellLibrary {
     const VERSION: u32 = 1;
 
     fn encode(&self) -> String {
+        use mss_pipe::hash::hex_of_f64;
         let mut out = self.base.encode();
         if !out.ends_with('\n') {
             out.push('\n');
         }
+        let p = &self.params;
         out.push_str(
-            &mss_pipe::codec::JsonLine::new()
-                .f64_bits("spin_hall_angle", self.params.spin_hall_angle)
-                .f64_bits("channel_thickness", self.params.channel_thickness)
-                .f64_bits("channel_resistivity", self.params.channel_resistivity)
-                .f64_bits("channel_length_factor", self.params.channel_length_factor)
-                .f64_bits("channel_width_factor", self.params.channel_width_factor)
-                .f64_bits("field_like_ratio", self.params.field_like_ratio)
-                .f64_bits("channel_resistance", self.channel_resistance)
+            &mss_pipe::json::Line::new()
+                .str("spin_hall_angle", &hex_of_f64(p.spin_hall_angle))
+                .str("channel_thickness", &hex_of_f64(p.channel_thickness))
+                .str("channel_resistivity", &hex_of_f64(p.channel_resistivity))
+                .str(
+                    "channel_length_factor",
+                    &hex_of_f64(p.channel_length_factor),
+                )
+                .str("channel_width_factor", &hex_of_f64(p.channel_width_factor))
+                .str("field_like_ratio", &hex_of_f64(p.field_like_ratio))
+                .str("channel_resistance", &hex_of_f64(self.channel_resistance))
                 .finish(),
         );
         out
     }
 
     fn decode(payload: &str) -> Option<Self> {
-        use mss_pipe::codec::{get_f64_bits, parse_object};
         let mut lines = payload.lines();
         let base = CellLibrary::decode(lines.next()?)?;
-        let map = parse_object(lines.next()?.trim_end())?;
+        let v = mss_pipe::json::Value::parse(lines.next()?).ok()?;
+        let f = |key: &str| mss_pipe::hash::f64_field(&v, key);
         Some(Self {
             base,
             params: SotParams {
-                spin_hall_angle: get_f64_bits(&map, "spin_hall_angle")?,
-                channel_thickness: get_f64_bits(&map, "channel_thickness")?,
-                channel_resistivity: get_f64_bits(&map, "channel_resistivity")?,
-                channel_length_factor: get_f64_bits(&map, "channel_length_factor")?,
-                channel_width_factor: get_f64_bits(&map, "channel_width_factor")?,
-                field_like_ratio: get_f64_bits(&map, "field_like_ratio")?,
+                spin_hall_angle: f("spin_hall_angle")?,
+                channel_thickness: f("channel_thickness")?,
+                channel_resistivity: f("channel_resistivity")?,
+                channel_length_factor: f("channel_length_factor")?,
+                channel_width_factor: f("channel_width_factor")?,
+                field_like_ratio: f("field_like_ratio")?,
             },
-            channel_resistance: get_f64_bits(&map, "channel_resistance")?,
+            channel_resistance: f("channel_resistance")?,
         })
     }
 }
@@ -1144,6 +1150,49 @@ mod tests {
         .unwrap();
         let back = SotCellLibrary::decode(&lib.encode()).unwrap();
         assert_eq!(lib, back);
+    }
+
+    #[test]
+    fn artifact_encodings_are_pinned() {
+        use mss_pipe::Artifact;
+        let op = |s: f64| OpMetrics {
+            latency: 1e-9 * s,
+            energy: 1e-12 * s,
+            current: 1e-4 * s,
+        };
+        let base = CellLibrary {
+            node: TechNode::N65,
+            write: op(2.0),
+            read: op(0.5),
+            access_width: 1.5e-7,
+            cell_area: 4e-14,
+            leakage: 1e-9,
+            critical_current: 5e-5,
+            delta: 60.0,
+            r_parallel: 3000.0,
+            r_antiparallel: 6000.0,
+        };
+        assert_eq!(
+            base.encode(),
+            "{\"node\":65,\"write_latency\":\"3e212e0be826d695\",\"write_energy\":\"3d819799812dea11\",\"write_current\":\"3f2a36e2eb1c432d\",\"read_latency\":\"3e012e0be826d695\",\"read_energy\":\"3d619799812dea11\",\"read_current\":\"3f0a36e2eb1c432d\",\"access_width\":\"3e8421f5f40d8376\",\"cell_area\":\"3d26849b86a12b9b\",\"leakage\":\"3e112e0be826d695\",\"critical_current\":\"3f0a36e2eb1c432d\",\"delta\":\"404e000000000000\",\"r_parallel\":\"40a7700000000000\",\"r_antiparallel\":\"40b7700000000000\"}"
+        );
+        let sot = SotCellLibrary {
+            base,
+            params: SotParams {
+                spin_hall_angle: 0.3,
+                channel_thickness: 5e-9,
+                channel_resistivity: 2e-6,
+                channel_length_factor: 1.5,
+                channel_width_factor: 1.25,
+                field_like_ratio: -0.0,
+            },
+            channel_resistance: 800.0,
+        };
+        assert_eq!(
+            sot.encode(),
+            "{\"node\":65,\"write_latency\":\"3e212e0be826d695\",\"write_energy\":\"3d819799812dea11\",\"write_current\":\"3f2a36e2eb1c432d\",\"read_latency\":\"3e012e0be826d695\",\"read_energy\":\"3d619799812dea11\",\"read_current\":\"3f0a36e2eb1c432d\",\"access_width\":\"3e8421f5f40d8376\",\"cell_area\":\"3d26849b86a12b9b\",\"leakage\":\"3e112e0be826d695\",\"critical_current\":\"3f0a36e2eb1c432d\",\"delta\":\"404e000000000000\",\"r_parallel\":\"40a7700000000000\",\"r_antiparallel\":\"40b7700000000000\"}\n\
+             {\"spin_hall_angle\":\"3fd3333333333333\",\"channel_thickness\":\"3e35798ee2308c3a\",\"channel_resistivity\":\"3ec0c6f7a0b5ed8d\",\"channel_length_factor\":\"3ff8000000000000\",\"channel_width_factor\":\"3ff4000000000000\",\"field_like_ratio\":\"8000000000000000\",\"channel_resistance\":\"4089000000000000\"}"
+        );
     }
 
     #[test]

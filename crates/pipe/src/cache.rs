@@ -23,7 +23,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use crate::codec;
+use crate::json::{Line, Value};
 
 /// Environment switch for the on-disk tier, read with
 /// [`mss_obs::parse_flag`]: `1`/`on`/`true`/`yes` enable it, and
@@ -515,13 +515,15 @@ impl PipeCache {
 /// Validates and decodes one on-disk entry; `None` on any mismatch.
 fn decode_entry<T: Artifact>(text: &str, stage: Stage, key: &str) -> Option<T> {
     let (header, payload) = text.split_once('\n')?;
-    let map = codec::parse_object(header)?;
-    if map.get("type").map(String::as_str) != Some("mss-cache")
-        || codec::get_u64(&map, "schema") != Some(u64::from(DISK_SCHEMA))
-        || map.get("stage").map(String::as_str) != Some(stage.name())
-        || map.get("kind").map(String::as_str) != Some(T::KIND)
-        || codec::get_u64(&map, "version") != Some(u64::from(T::VERSION))
-        || map.get("key").map(String::as_str) != Some(key)
+    let header = Value::parse(header).ok()?;
+    let str_field = |k: &str| header.get(k).and_then(Value::as_str);
+    let u64_field = |k: &str| header.get(k).and_then(Value::as_u64);
+    if str_field("type") != Some("mss-cache")
+        || u64_field("schema") != Some(u64::from(DISK_SCHEMA))
+        || str_field("stage") != Some(stage.name())
+        || str_field("kind") != Some(T::KIND)
+        || u64_field("version") != Some(u64::from(T::VERSION))
+        || str_field("key") != Some(key)
     {
         return None;
     }
@@ -530,7 +532,7 @@ fn decode_entry<T: Artifact>(text: &str, stage: Stage, key: &str) -> Option<T> {
 
 fn write_entry<T: Artifact>(dir: &Path, stage: Stage, key: &str, value: &T) -> std::io::Result<()> {
     std::fs::create_dir_all(dir)?;
-    let header = codec::JsonLine::new()
+    let header = Line::new()
         .str("type", "mss-cache")
         .u64("schema", u64::from(DISK_SCHEMA))
         .str("stage", stage.name())
@@ -612,6 +614,7 @@ pub fn init_global_with(cache: PipeCache) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hash::{f64_field, hex_of_f64};
 
     /// A tiny artifact for exercising the disk tier.
     #[derive(Debug, Clone, PartialEq)]
@@ -625,17 +628,17 @@ mod tests {
         const VERSION: u32 = 1;
 
         fn encode(&self) -> String {
-            codec::JsonLine::new()
-                .f64_bits("x", self.x)
+            Line::new()
+                .str("x", &hex_of_f64(self.x))
                 .str("tag", &self.tag)
                 .finish()
         }
 
         fn decode(payload: &str) -> Option<Self> {
-            let map = codec::parse_object(payload.trim_end())?;
+            let v = Value::parse(payload).ok()?;
             Some(Self {
-                x: codec::get_f64_bits(&map, "x")?,
-                tag: map.get("tag")?.clone(),
+                x: f64_field(&v, "x")?,
+                tag: v.get("tag")?.as_str()?.to_string(),
             })
         }
     }
@@ -736,6 +739,28 @@ mod tests {
     }
 
     #[test]
+    fn entry_bytes_are_pinned() {
+        let dir = temp_dir("pinned");
+        let cache = PipeCache::with_disk(&dir);
+        let _ = cache
+            .get_or_compute_artifact(Stage::SimulateKernel, "0123abcd", || {
+                Ok::<_, ()>(Probe {
+                    x: -1.5,
+                    tag: "t \"q\"\n".into(),
+                })
+            })
+            .unwrap();
+        let text =
+            std::fs::read_to_string(entry_path(&dir, Stage::SimulateKernel, "0123abcd")).unwrap();
+        assert_eq!(
+            text,
+            "{\"type\":\"mss-cache\",\"schema\":1,\"stage\":\"simulate-kernel\",\"kind\":\"probe\",\"version\":1,\"key\":\"0123abcd\"}\n\
+             {\"x\":\"bff8000000000000\",\"tag\":\"t \\\"q\\\"\\n\"}\n"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn corrupt_or_mismatched_entries_are_misses_never_errors() {
         let dir = temp_dir("corrupt");
         std::fs::create_dir_all(&dir).unwrap();
@@ -748,7 +773,7 @@ mod tests {
 
         // Entry variants that must all degrade to a recompute.
         let good_header = |version: u32, kind: &str, stage: &str, k: &str| {
-            codec::JsonLine::new()
+            Line::new()
                 .str("type", "mss-cache")
                 .u64("schema", u64::from(DISK_SCHEMA))
                 .str("stage", stage)
@@ -757,6 +782,8 @@ mod tests {
                 .str("key", k)
                 .finish()
         };
+        let header = good_header(1, "probe", "estimate-array", key);
+        let header_with = |extra: &str| format!("{}{extra}}}", header.strip_suffix('}').unwrap());
         let cases = [
             "total garbage\n".to_string(),
             "{\"type\":\"mss-cache\"\n".to_string(), // truncated header
@@ -788,6 +815,18 @@ mod tests {
                 good_header(1, "probe", "estimate-array", "beef"),
                 probe.encode()
             ),
+            // Not JSON, or not the writer's JSON: a duplicate key, a number
+            // written as a string, a bare token, two values for one key.
+            format!("{}\n{}\n", header_with(",\"key\":\"feed\""), probe.encode()),
+            format!(
+                "{}\n{}\n",
+                header.replace("\"schema\":1", "\"schema\":\"1\""),
+                probe.encode()
+            ),
+            format!("{}\n{}\n", header_with(",\"k\":abc"), probe.encode()),
+            format!("{}\n{}\n", header_with(",\"k\":1 2"), probe.encode()),
+            // A nesting bomb as the payload.
+            format!("{header}\n{}\n", "[".repeat(1_000_000)),
         ];
         for (i, text) in cases.iter().enumerate() {
             std::fs::write(&path, text).unwrap();

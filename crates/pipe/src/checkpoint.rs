@@ -19,7 +19,7 @@ use std::collections::BTreeMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use crate::codec;
+use crate::json::{Line, Value};
 
 /// Journal format version; bumped on incompatible line-shape changes.
 const JOURNAL_SCHEMA: u32 = 1;
@@ -183,24 +183,16 @@ impl SweepJournal {
         state: TaskState,
     ) -> std::io::Result<()> {
         let task = task.to_string();
+        let line = Line::new()
+            .str("type", "mss-sweep")
+            .u64("schema", u64::from(JOURNAL_SCHEMA))
+            .str("sweep", &self.sweep)
+            .str("task", &task);
         let line = match &state {
-            TaskState::Done { digest } => codec::JsonLine::new()
-                .str("type", "mss-sweep")
-                .u64("schema", u64::from(JOURNAL_SCHEMA))
-                .str("sweep", &self.sweep)
-                .str("task", &task)
-                .str("status", "done")
-                .str("digest", digest)
-                .finish(),
-            TaskState::Failed { cause } => codec::JsonLine::new()
-                .str("type", "mss-sweep")
-                .u64("schema", u64::from(JOURNAL_SCHEMA))
-                .str("sweep", &self.sweep)
-                .str("task", &task)
-                .str("status", "failed")
-                .str("cause", cause)
-                .finish(),
-        };
+            TaskState::Done { digest } => line.str("status", "done").str("digest", digest),
+            TaskState::Failed { cause } => line.str("status", "failed").str("cause", cause),
+        }
+        .finish();
         let mut file = std::fs::OpenOptions::new()
             .create(true)
             .append(true)
@@ -216,24 +208,24 @@ impl SweepJournal {
 
 /// Parses one journal line for `sweep`; `None` skips it.
 fn parse_line(line: &str, sweep: &str) -> Option<(String, TaskState)> {
-    let map = codec::parse_object(line)?;
-    if map.get("type").map(String::as_str) != Some("mss-sweep")
-        || codec::get_u64(&map, "schema") != Some(u64::from(JOURNAL_SCHEMA))
-        || map.get("sweep").map(String::as_str) != Some(sweep)
+    let v = Value::parse(line).ok()?;
+    let str_field = |k: &str| v.get(k).and_then(Value::as_str);
+    if str_field("type") != Some("mss-sweep")
+        || v.get("schema").and_then(Value::as_u64) != Some(u64::from(JOURNAL_SCHEMA))
+        || str_field("sweep") != Some(sweep)
     {
         return None;
     }
-    let task = map.get("task")?.clone();
-    let state = match map.get("status").map(String::as_str)? {
+    let state = match str_field("status")? {
         "done" => TaskState::Done {
-            digest: map.get("digest")?.clone(),
+            digest: str_field("digest")?.to_string(),
         },
         "failed" => TaskState::Failed {
-            cause: map.get("cause")?.clone(),
+            cause: str_field("cause")?.to_string(),
         },
         _ => return None,
     };
-    Some((task, state))
+    Some((str_field("task")?.to_string(), state))
 }
 
 #[cfg(test)]
@@ -286,6 +278,32 @@ mod tests {
         );
         assert_eq!(j2.done().count(), 2);
         assert_eq!(j2.failed().count(), 1);
+        let _ = std::fs::remove_dir_all(path.parent().unwrap());
+    }
+
+    #[test]
+    fn journal_lines_are_pinned() {
+        let path = temp_path("pinned");
+        let mut j = SweepJournal::open(&path, "0f0f0f0f0f0f0f0f").unwrap();
+        j.record(
+            &"pair-0-0",
+            TaskState::Done {
+                digest: "00ff".into(),
+            },
+        )
+        .unwrap();
+        j.record(
+            &"pair \"1\"",
+            TaskState::Failed {
+                cause: "panicked: \"x\"\nnext\u{1}".into(),
+            },
+        )
+        .unwrap();
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            "{\"type\":\"mss-sweep\",\"schema\":1,\"sweep\":\"0f0f0f0f0f0f0f0f\",\"task\":\"pair-0-0\",\"status\":\"done\",\"digest\":\"00ff\"}\n\
+             {\"type\":\"mss-sweep\",\"schema\":1,\"sweep\":\"0f0f0f0f0f0f0f0f\",\"task\":\"pair \\\"1\\\"\",\"status\":\"failed\",\"cause\":\"panicked: \\\"x\\\"\\nnext\\u0001\"}\n"
+        );
         let _ = std::fs::remove_dir_all(path.parent().unwrap());
     }
 
@@ -379,13 +397,35 @@ mod tests {
     fn garbage_lines_are_counted_and_skipped() {
         let path = temp_path("garbage");
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(
-            &path,
-            "total garbage\n{\"type\":\"mss-sweep\",\"schema\":999}\n",
-        )
-        .unwrap();
+        let line = |body: &str| {
+            format!(
+                "{{\"type\":\"mss-sweep\",\"schema\":1,\"sweep\":\"cafebabe00000000\",{body}}}\n"
+            )
+        };
+        let text = [
+            "total garbage\n".to_string(),
+            "{\"type\":\"mss-sweep\",\"schema\":999}\n".to_string(),
+            // Not the writer's JSON: a duplicate key, a number written as a
+            // string, a bare token, two values for one key, a nesting bomb.
+            line("\"task\":\"a\",\"task\":\"b\",\"status\":\"done\",\"digest\":\"00\""),
+            line("\"task\":\"a\",\"status\":\"done\",\"digest\":\"00\"")
+                .replace("\"schema\":1", "\"schema\":\"1\""),
+            line("\"task\":\"a\",\"status\":\"done\",\"digest\":abc"),
+            line("\"task\":\"a\",\"status\":\"done\",\"digest\":1 2"),
+            format!("{}\n", "[".repeat(1_000_000)),
+            // Valid escapes replay.
+            line("\"task\":\"b\",\"status\":\"failed\",\"cause\":\"a\\/b \\ud83d\\ude00\""),
+        ]
+        .concat();
+        std::fs::write(&path, text).unwrap();
         let j = SweepJournal::open(&path, "cafebabe00000000").unwrap();
-        assert!(j.is_empty());
+        assert_eq!(j.len(), 1, "{j:?}");
+        assert_eq!(
+            j.state(&"b"),
+            Some(&TaskState::Failed {
+                cause: "a/b 😀".into()
+            })
+        );
         let _ = std::fs::remove_dir_all(path.parent().unwrap());
     }
 }

@@ -15,7 +15,11 @@
 //!   and `("a", "bc")` hash differently;
 //! - floats hash their IEEE-754 bit pattern ([`f64::to_bits`]), so `0.0`
 //!   and `-0.0` are distinct keys and round-tripped values rehash
-//!   identically — the same convention the on-disk codec uses.
+//!   identically. On-disk entries store floats the same way: as the
+//!   16-hex-digit bit pattern ([`hex_of_f64`] / [`f64_field`]), so a value
+//!   loaded from disk is bit-identical to the value that was computed.
+
+use mss_obs::json::Value;
 
 /// FNV-1a 64-bit offset basis.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -116,6 +120,25 @@ pub fn digest_of<T: StableHash + ?Sized>(v: &T) -> String {
     let mut h = StableHasher::new();
     v.stable_hash(&mut h);
     h.digest()
+}
+
+/// The exact 16-hex-digit encoding of an `f64`'s bit pattern, as on-disk
+/// entries store floats.
+pub fn hex_of_f64(v: f64) -> String {
+    format!("{:016x}", v.to_bits())
+}
+
+/// Parses a 16-hex-digit bit pattern back into the exact `f64`.
+pub fn f64_of_hex(s: &str) -> Option<f64> {
+    if s.len() != 16 || !s.bytes().all(|c| c.is_ascii_hexdigit()) {
+        return None;
+    }
+    u64::from_str_radix(s, 16).ok().map(f64::from_bits)
+}
+
+/// Reads an exact-bits `f64` field (see [`hex_of_f64`]) of a JSON object.
+pub fn f64_field(obj: &Value, key: &str) -> Option<f64> {
+    f64_of_hex(obj.get(key)?.as_str()?)
 }
 
 impl StableHash for u8 {
@@ -244,6 +267,33 @@ impl<A: StableHash, B: StableHash, C: StableHash, D: StableHash> StableHash for 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn floats_round_trip_bit_exactly() {
+        for v in [
+            0.0,
+            -0.0,
+            1.0,
+            core::f64::consts::PI,
+            1.234_567_890_123_456_7e-308,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+            f64::NAN,
+            f64::INFINITY,
+        ] {
+            let hex = hex_of_f64(v);
+            assert_eq!(f64_of_hex(&hex).unwrap().to_bits(), v.to_bits());
+            let obj = Value::parse(&format!("{{\"v\":\"{hex}\"}}")).unwrap();
+            assert_eq!(f64_field(&obj, "v").unwrap().to_bits(), v.to_bits());
+        }
+        assert_eq!(f64_of_hex("xyz"), None);
+        assert_eq!(f64_of_hex("0123"), None);
+        assert_eq!(f64_of_hex("+123456789abcdef"), None);
+        let obj = Value::parse("{\"n\":1,\"s\":\"3ff0\"}").unwrap();
+        assert_eq!(f64_field(&obj, "n"), None);
+        assert_eq!(f64_field(&obj, "s"), None);
+        assert_eq!(f64_field(&obj, "missing"), None);
+    }
 
     #[test]
     fn digest_is_deterministic_and_pinned() {

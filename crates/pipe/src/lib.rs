@@ -12,8 +12,10 @@
 //!   fully specified FNV-1a + SplitMix64 hasher, stable across processes
 //!   and releases, producing the 16-hex-digit content address of a stage's
 //!   inputs;
-//! - [`codec`] — the NDJSON line codec for on-disk entries, with exact
-//!   (`f64::to_bits`) float round-tripping;
+//! - [`json`] — the grammar on-disk entries are written and read in:
+//!   `mss-obs`'s line builder and strict parser, re-exported for
+//!   [`Artifact`] implementors. Floats are stored as their exact
+//!   `f64::to_bits` pattern ([`hash::hex_of_f64`]);
 //! - [`cache`] — the two-tier memoization cache: a bounded in-memory store
 //!   plus an opt-in on-disk store under `target/mss-cache/` (`MSS_CACHE`,
 //!   `MSS_CACHE_DIR`), validated on load so corruption degrades to a
@@ -31,8 +33,9 @@
 
 pub mod cache;
 pub mod checkpoint;
-pub mod codec;
 pub mod hash;
+
+pub use mss_obs::json;
 
 pub use cache::{
     global, init_global_with, parse_cache_dir, Artifact, PipeCache, Stage, StageStats,

@@ -13,9 +13,8 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use mss_obs::ndjson::{json_num, json_str};
+use mss_obs::json::{json_num, json_str, Value};
 
-use crate::json::Value;
 use crate::report::{Report, SpanSummary};
 
 /// Magic `type` tag of a baseline document.
@@ -155,7 +154,7 @@ impl Baseline {
     ///
     /// When the document is not valid JSON or not a baseline.
     pub fn parse(text: &str) -> Result<Baseline, String> {
-        let v = Value::parse(text)?;
+        let v = Value::parse(text).map_err(|e| e.to_string())?;
         if v.get("type").and_then(Value::as_str) != Some(BASELINE_TYPE) {
             return Err(format!("not a baseline: missing type {BASELINE_TYPE:?}"));
         }
@@ -314,6 +313,22 @@ mod tests {
         assert_eq!(back, b);
         assert_eq!(back.spans["bench_leg"].count, 2);
         assert_eq!(back.counters["bench.items"], 100);
+    }
+
+    #[test]
+    fn counters_round_trip_exactly_beyond_f64_precision() {
+        let big = (1u64 << 53) + 1;
+        let reg = Registry::new(Mode::Metrics);
+        reg.counter_add("max", u64::MAX);
+        reg.counter_add("big", big);
+        let report = Report::parse_ndjson(&reg.to_ndjson()).expect("valid report");
+        assert_eq!(report.counters["max"], u64::MAX);
+        assert_eq!(report.counters["big"], big);
+        let back = Baseline::parse(&Baseline::from_report("exact", &report).to_json())
+            .expect("parse back");
+        assert_eq!(back.counters["max"], u64::MAX);
+        assert_eq!(back.counters["big"], big);
+        assert!(passes(&back.check(&report, &CheckOptions::default())));
     }
 
     #[test]

@@ -17,9 +17,9 @@ use std::io::{Read as _, Seek as _};
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
+use mss_obs::json::Value;
 use mss_prof::baseline::{passes, Baseline, CheckOptions, BASELINE_TYPE};
 use mss_prof::chrome::chrome_trace;
-use mss_prof::json::Value;
 use mss_prof::report::{parse_bus, Report};
 
 const USAGE: &str = "\
@@ -411,7 +411,7 @@ struct RenderedLine {
 /// through the report parser's validator, so `tail` and `validate` reject
 /// the same lines.
 fn render_stream_line(line: &str, all_kinds: bool) -> Result<Option<RenderedLine>, String> {
-    let v = Value::parse(line)?;
+    let v = Value::parse(line).map_err(|e| e.to_string())?;
     if v.get("type").and_then(Value::as_str) != Some("bus") {
         return Ok(None);
     }

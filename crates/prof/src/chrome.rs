@@ -15,7 +15,7 @@
 
 use std::collections::BTreeSet;
 
-use mss_obs::ndjson::json_str;
+use mss_obs::json::json_str;
 
 use crate::report::{BusRecord, Report};
 
@@ -85,9 +85,9 @@ pub fn chrome_trace(report: &Report) -> Result<String, String> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::json::Value;
     use mss_obs::events::{BusEvent, EventBus, EventPayload};
-    use mss_obs::ndjson::meta_line;
+    use mss_obs::json::meta_line;
+    use mss_obs::json::Value;
     use mss_obs::{Mode, Registry};
 
     /// A mode-`events` file holding the bus's flight-ring snapshot — the

@@ -16,8 +16,10 @@
 //!   `BENCH_<name>.json` or against a second run cut into a baseline.
 //!   Counter and span-structure drift always gates (deterministic); span
 //!   times gate through a ratio over a noise floor,
-//! - [`watchdog`] — the same span-time rule applied to a live process,
-//! - [`json`] — the zero-dependency strict JSON parser underneath it all.
+//! - [`watchdog`] — the same span-time rule applied to a live process.
+//!
+//! Every file is read with [`mss_obs::json::Value`], the workspace's one
+//! strict JSON parser, which lives next to the writer in `mss-obs`.
 //!
 //! The `mss_report` binary exposes all of it on the command line:
 //!
@@ -37,13 +39,11 @@
 
 pub mod baseline;
 pub mod chrome;
-pub mod json;
 pub mod report;
 pub mod watchdog;
 
 pub use baseline::{Baseline, CheckOptions, Finding};
 pub use chrome::chrome_trace;
-pub use json::Value;
 pub use report::{BusRecord, Report};
 pub use watchdog::{Watchdog, WatchdogMode, WatchdogRegression};
 
@@ -87,7 +87,7 @@ mod tests {
 
         let stream = Report::parse_ndjson(&events_file(&bus)).expect("parse stream");
         let trace = chrome_trace(&stream).expect("trace export");
-        json::Value::parse(&trace).expect("trace is valid JSON");
+        mss_obs::json::Value::parse(&trace).expect("trace is valid JSON");
         let closings: u64 = report.spans.values().map(|s| s.count).sum();
         assert_eq!(trace.matches("\"ph\":\"X\"").count() as u64, closings);
     }

@@ -10,9 +10,8 @@
 
 use std::collections::BTreeMap;
 
+use mss_obs::json::Value;
 use mss_obs::SCHEMA_VERSION;
-
-use crate::json::Value;
 
 /// The `meta` line: schema/mode plus the dropped-event count.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -4,7 +4,8 @@
 //! naming the offending line, never a panic. Each case runs under
 //! `catch_unwind` so a panic is reported as the distinct failure it is.
 
-use mss_prof::{Report, Value};
+use mss_obs::json::Value;
+use mss_prof::Report;
 
 const META_EVENTS: &str =
     "{\"type\":\"meta\",\"schema\":3,\"mode\":\"events\",\"dropped_events\":0}";
@@ -214,4 +215,24 @@ fn a_real_flight_dump_round_trips_through_validate() {
     // And sanity-check the raw JSON value layer used throughout.
     assert!(Value::parse("{\"a\":1}").is_ok());
     assert!(Value::parse("{\"a\":NaN}").is_err());
+}
+
+#[test]
+fn validate_rejects_a_nesting_bomb_without_aborting() {
+    let dir = std::env::temp_dir().join(format!("mss-prof-bomb-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("bomb.ndjson");
+    std::fs::write(&path, "[".repeat(1_000_000)).unwrap();
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_mss_report"))
+        .arg("validate")
+        .arg(&path)
+        .output()
+        .expect("run mss_report");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("INVALID: line 1: nesting deeper than 128 at byte 128"),
+        "{stderr}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }

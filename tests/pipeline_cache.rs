@@ -17,7 +17,7 @@ use great_mss::exec::ParallelConfig;
 use great_mss::gemsim::workload::Kernel;
 use great_mss::obs;
 use great_mss::pdk::tech::TechNode;
-use great_mss::pipe::{PipeCache, Stage};
+use great_mss::pipe::{PipeCache, Stage, SweepJournal};
 
 static LOCK: Mutex<()> = Mutex::new(());
 
@@ -174,4 +174,71 @@ fn cache_stats_do_not_depend_on_the_thread_count() {
         assert_eq!(report, serial_report, "{threads} threads");
         assert_eq!(stats, serial_stats, "{threads} threads");
     }
+}
+
+/// Files written by the previous on-disk codec (schema 1): the cache of
+/// [`disk_tier_carries_artifacts_across_cache_instances`]'s sweep and a
+/// sweep journal with `done` and `failed` lines.
+const FIXTURES: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/pipe_v1");
+
+#[test]
+fn entries_written_by_the_previous_codec_still_load() {
+    let _serial = LOCK.lock().unwrap();
+    obs::init_with_mode(obs::Mode::Metrics);
+
+    let dir = std::env::temp_dir().join(format!("mss-pipe-v1-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(dir.join("cache")).unwrap();
+    for entry in std::fs::read_dir(format!("{FIXTURES}/cache")).unwrap() {
+        let entry = entry.unwrap();
+        std::fs::copy(entry.path(), dir.join("cache").join(entry.file_name())).unwrap();
+    }
+    let warm_cache = Arc::new(PipeCache::with_disk(dir.join("cache")));
+    let warm = MagpieFlow::new_with_cache(sweep_inputs(TechNode::N45), Arc::clone(&warm_cache))
+        .expect("warm setup")
+        .run_with(&ParallelConfig::from_env())
+        .expect("warm run");
+    let cold = MagpieFlow::new_with_cache(
+        sweep_inputs(TechNode::N45),
+        Arc::new(PipeCache::memory_only()),
+    )
+    .expect("cold setup")
+    .run_with(&ParallelConfig::from_env())
+    .expect("cold run");
+    assert_eq!(warm, cold, "fixture-warmed report must be bit-identical");
+    assert_eq!(warm.fig12_csv(), cold.fig12_csv());
+    for stage in [
+        Stage::CharacterizeCells,
+        Stage::EstimateArray,
+        Stage::SimulateKernel,
+    ] {
+        let s = warm_cache.stats(stage);
+        assert_eq!((s.misses, s.load_failures), (0, 0), "{stage}");
+        assert!(s.disk_hits >= 1, "{stage}");
+    }
+
+    let journal = dir.join("journal.ndjson");
+    std::fs::copy(format!("{FIXTURES}/journal.ndjson"), &journal).unwrap();
+    let j = SweepJournal::open(&journal, "5eed5eed5eed5eed").unwrap();
+    let done: Vec<_> = j.done().collect();
+    assert_eq!(
+        done,
+        [
+            ("pair-0-0", "0123456789abcdef"),
+            ("pair-1-0", "fedcba9876543210")
+        ]
+    );
+    let failed: Vec<_> = j.failed().collect();
+    assert_eq!(
+        failed,
+        [
+            (
+                "pair-0-1",
+                "panicked: \"chaos\" at\nline two\u{1}\ttab \\ back"
+            ),
+            ("pair-1-1", "deadline exceeded")
+        ]
+    );
+    assert_eq!(j.len(), 4);
+    let _ = std::fs::remove_dir_all(&dir);
 }
