@@ -18,7 +18,9 @@
 //!
 //! The optional argument overrides the per-thread sampling cap (default
 //! 50 000). `MSS_OBS_OUT` overrides the report path (default
-//! `target/cache_smoke.ndjson`). Exits non-zero on any cache-transparency
+//! `target/cache_smoke.ndjson`). The line after the banner names the
+//! kernel (`avx512`, `avx2` or `portable`) of the lane generator that
+//! feeds gemsim's access streams. Exits non-zero on any cache-transparency
 //! violation, hot-loop parity violation, or a sub-5× speedup.
 
 use std::sync::Arc;
@@ -203,6 +205,10 @@ fn main() {
         .and_then(|v| v.parse().ok())
         .unwrap_or(50_000);
     println!("== cache_smoke: pipeline cache transparency (memory + disk tiers) ==");
+    println!(
+        "kernel   : {} lane generator",
+        mss_units::rng::lanes_kernel()
+    );
     memory_leg(sample_cap);
     disk_leg(sample_cap);
     println!("cache    : warm runs byte-identical with zero recomputation");

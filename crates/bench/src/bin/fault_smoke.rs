@@ -11,8 +11,9 @@
 //!
 //! The optional argument overrides the campaign block count (default 8000).
 //! `MSS_OBS_OUT` overrides the report path (default
-//! `target/fault_smoke.ndjson`). The first line after the banner names the
-//! fault-mask kernel the host selected (`avx512`, `avx2` or `portable`).
+//! `target/fault_smoke.ndjson`). The two lines after the banner name the
+//! kernels the host selected (`avx512`, `avx2` or `portable`) for the
+//! fault masks and for gemsim's lane generator.
 //! Exits non-zero if the empirical rates land outside 4σ of the analytical
 //! model or determinism is violated.
 
@@ -153,6 +154,10 @@ fn main() {
         .unwrap_or(8_000);
     println!("== fault_smoke: seeded fault plane, ECC cross-validation, retry ladder ==");
     println!("kernel   : {} fault-mask kernel", mss_fault::mask_kernel());
+    println!(
+        "kernel   : {} lane generator",
+        mss_units::rng::lanes_kernel()
+    );
     campaign_smoke(blocks);
     ladder_smoke();
     gemsim_smoke();

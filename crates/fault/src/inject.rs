@@ -16,6 +16,7 @@
 //! neither decide bit by bit. Every kernel decides every bit alike.
 
 use mss_units::rng::{coin_threshold, Rng, SplitMix64};
+use mss_units::simd::{Isa, Kernel};
 
 use crate::plan::{FaultModel, FaultPlan};
 
@@ -33,51 +34,11 @@ fn mix(x: u64) -> u64 {
     SplitMix64::new(x).next_u64()
 }
 
-/// The mask kernel this host runs: an AVX-512 or AVX2 build of the
-/// branch-free block body, or the per-bit [`WordDraw::fires`] loop on CPUs
-/// with neither. Only [`Kernel::detect`] makes a value, which is what the
-/// `unsafe` calls in [`WordDraw::block`] rely on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Kernel {
-    #[cfg(target_arch = "x86_64")]
-    Avx512,
-    #[cfg(target_arch = "x86_64")]
-    Avx2,
-    Portable,
-}
-
-impl Kernel {
-    /// Runtime selection; each variant is chosen only when the CPU has
-    /// every feature its build enables.
-    #[inline]
-    fn detect() -> Self {
-        #[cfg(target_arch = "x86_64")]
-        {
-            if is_x86_feature_detected!("avx512f")
-                && is_x86_feature_detected!("avx512dq")
-                && is_x86_feature_detected!("avx512vl")
-                && is_x86_feature_detected!("avx512bw")
-            {
-                return Kernel::Avx512;
-            }
-            if is_x86_feature_detected!("avx2") {
-                return Kernel::Avx2;
-            }
-        }
-        Kernel::Portable
-    }
-}
-
 /// The name of the mask kernel this host runs: `"avx512"`, `"avx2"` or
-/// `"portable"` (the per-bit loop). Every variant decides every bit alike.
+/// `"portable"` (the per-bit loop), as [`Kernel::detect`] picks it. Every
+/// variant decides every bit alike.
 pub fn mask_kernel() -> &'static str {
-    match Kernel::detect() {
-        #[cfg(target_arch = "x86_64")]
-        Kernel::Avx512 => "avx512",
-        #[cfg(target_arch = "x86_64")]
-        Kernel::Avx2 => "avx2",
-        Kernel::Portable => "portable",
-    }
+    Kernel::detect().name()
 }
 
 /// The branch-free block body: hash bits `base..base + 64`, then set bit
@@ -170,19 +131,18 @@ impl WordDraw {
         if self.threshold == 0 {
             return 0;
         }
-        let full = match kernel {
-            // SAFETY: `kernel` came from `Kernel::detect`, which returns
-            // `Avx512` only after `is_x86_feature_detected!` confirmed
-            // avx512f, avx512dq, avx512vl and avx512bw, the features
-            // `block_avx512` enables.
+        let full = match kernel.isa() {
+            // SAFETY: a `Kernel` names `Isa::Avx512` only when
+            // `mss_units::simd` detected avx512f, avx512dq, avx512vl and
+            // avx512bw, the features `block_avx512` enables.
             #[cfg(target_arch = "x86_64")]
-            Kernel::Avx512 => unsafe { block_avx512(self.prefix, self.threshold, base) },
-            // SAFETY: `kernel` came from `Kernel::detect`, which returns
-            // `Avx2` only after `is_x86_feature_detected!("avx2")`, the
-            // feature `block_avx2` enables.
+            Isa::Avx512 => unsafe { block_avx512(self.prefix, self.threshold, base) },
+            // SAFETY: a `Kernel` names `Isa::Avx2` only when
+            // `mss_units::simd` detected avx2, the feature `block_avx2`
+            // enables.
             #[cfg(target_arch = "x86_64")]
-            Kernel::Avx2 => unsafe { block_avx2(self.prefix, self.threshold, base) },
-            Kernel::Portable => return self.mask_per_bit(base, n),
+            Isa::Avx2 => unsafe { block_avx2(self.prefix, self.threshold, base) },
+            Isa::Portable => return self.mask_per_bit(base, n),
         };
         full & low_bits(n)
     }
@@ -496,27 +456,11 @@ mod tests {
     }
 
     /// The mask of bits `base..base + 64` from the per-bit path and from
-    /// every vectorized kernel this host can run, each called directly.
+    /// every kernel this host can run.
     fn masks_by_kernel(draw: &WordDraw, base: u64) -> Vec<(&'static str, u64)> {
-        #[allow(unused_mut)]
         let mut masks = vec![("per-bit", draw.mask_per_bit(base, 64))];
-        #[cfg(target_arch = "x86_64")]
-        {
-            let (prefix, threshold) = (draw.prefix, draw.threshold);
-            if is_x86_feature_detected!("avx512f")
-                && is_x86_feature_detected!("avx512dq")
-                && is_x86_feature_detected!("avx512vl")
-                && is_x86_feature_detected!("avx512bw")
-            {
-                // SAFETY: the four features `block_avx512` enables were
-                // detected just above.
-                masks.push(("avx512", unsafe { block_avx512(prefix, threshold, base) }));
-            }
-            if is_x86_feature_detected!("avx2") {
-                // SAFETY: avx2, the feature `block_avx2` enables, was
-                // detected just above.
-                masks.push(("avx2", unsafe { block_avx2(prefix, threshold, base) }));
-            }
+        for kernel in Kernel::available() {
+            masks.push((kernel.name(), draw.block(kernel, base, 64)));
         }
         masks
     }

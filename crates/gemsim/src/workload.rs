@@ -8,7 +8,7 @@
 //! class of the original (compute-bound vs memory-bound, streaming vs
 //! reuse-heavy).
 
-use mss_units::rng::{coin_threshold, Rng, Xoshiro256PlusPlus};
+use mss_units::rng::{coin_threshold, Rng, Xoshiro256Lanes, Xoshiro256PlusPlus};
 
 use crate::GemsimError;
 
@@ -268,11 +268,15 @@ impl Kernel {
 /// The recent-line history is a fixed-size ring buffer: pushing the
 /// 4097th line overwrites the oldest slot in O(1), where the previous
 /// `Vec` representation paid a 4096-element shift (`remove(0)`) on every
-/// single generated access — the dominant cost of the whole simulator.
-/// The draw sequence is bit-identical to the `Vec` version.
+/// single generated access. The draws come from an [`Xoshiro256Lanes`]
+/// block generator whose hit bitmap answers the geometric reuse distance
+/// a bitmap word at a time. The draw sequence is bit-identical to
+/// [`crate::reference::NaiveStream`].
 #[derive(Debug, Clone)]
 pub struct AccessStream {
-    rng: Xoshiro256PlusPlus,
+    /// The thread's xoshiro256++ stream; its hit threshold is the
+    /// geometric continue-test (see [`AccessStream::new`]).
+    rng: Xoshiro256Lanes,
     /// Ring of the last [`HISTORY`] line numbers; slot `hist_head` is
     /// written next, so the most recent line sits at `hist_head - 1`.
     history: Box<[u64]>,
@@ -288,13 +292,6 @@ pub struct AccessStream {
     /// per-draw int→f64 conversion. Several of these run per access.
     write_coin: u64,
     reuse_coin: u64,
-    /// Integer form of the geometric continue-test: drawing `u` from
-    /// [`Rng::next_u64`], `next_f64() > reuse_p_geom` ⟺
-    /// `(u >> 11) >= geom_threshold` — exact, because `u >> 11` has 53
-    /// bits, so its f64 image and the 2⁻⁵³ scaling are both lossless.
-    /// This loop runs `mean_reuse_distance` times per reuse access, so it
-    /// dominates stream synthesis.
-    geom_threshold: u64,
     stream_coin: u64,
     far_coin: u64,
     base: u64,
@@ -317,9 +314,19 @@ impl AccessStream {
     /// Creates a stream for `kernel`, thread `tid`, with a global seed.
     pub fn new(kernel: &Kernel, tid: u32, seed: u64) -> Self {
         let per_thread = (kernel.working_set / kernel.threads as u64).max(4 * LINE);
+        // The geometric continue-test `next_f64() > p_geom` in integers:
+        // with `u53 = next_u64() >> 11`, `u53 > p·2⁵³` ⟺
+        // `u53 ≥ ⌊p·2⁵³⌋ + 1` (exact: u53 and its 2⁻⁵³ scaling are
+        // lossless in f64, and p·2⁵³ is one f64 product). The run stops
+        // at the first draw below this threshold.
+        let p_geom = 1.0 / kernel.mean_reuse_distance.max(1.0);
+        let geom_threshold = (p_geom * (1u64 << 53) as f64) as u64 + 1;
         Self {
-            rng: Xoshiro256PlusPlus::seed_from_u64(
-                seed ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(tid as u64 + 1),
+            rng: Xoshiro256Lanes::new(
+                Xoshiro256PlusPlus::seed_from_u64(
+                    seed ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(tid as u64 + 1),
+                ),
+                geom_threshold,
             ),
             history: vec![0; HISTORY].into_boxed_slice(),
             hist_len: 0,
@@ -329,12 +336,6 @@ impl AccessStream {
             working_lines: (per_thread / LINE).max(4),
             write_coin: coin_threshold(kernel.write_ratio),
             reuse_coin: coin_threshold(kernel.reuse_probability),
-            geom_threshold: {
-                // `u53 > p·2⁵³` ⟺ `u53 ≥ ⌊p·2⁵³⌋ + 1` (exact: p·2⁵³ is a
-                // plain f64 product, u53 is an integer).
-                let p_geom = 1.0 / kernel.mean_reuse_distance.max(1.0);
-                (p_geom * (1u64 << 53) as f64) as u64 + 1
-            },
             stream_coin: coin_threshold(kernel.stream_probability),
             far_coin: coin_threshold(kernel.far_reuse_probability),
             base: (tid as u64) << 32,
@@ -369,13 +370,9 @@ impl AccessStream {
         }
         let reuse = self.hist_len > 0 && self.coin(self.reuse_coin);
         let line = if reuse {
-            // Geometric stack distance over the recent-history ring; the
-            // continue-test is the integer image of `next_f64() > p_geom`
-            // (see [`AccessStream::geom_threshold`]).
-            let mut d = 0u32;
-            while (self.rng.next_u64() >> 11) >= self.geom_threshold && d + 1 < self.hist_len {
-                d += 1;
-            }
+            // Geometric stack distance over the recent-history ring, at
+            // most `hist_len - 1` lines back (see [`AccessStream::new`]).
+            let d = self.rng.run_length(self.hist_len - 1);
             // d lines back from the most recent entry (at hist_head - 1).
             self.history[((self.hist_head.wrapping_sub(1 + d)) & HISTORY_MASK) as usize]
         } else if self.coin(self.stream_coin) {
@@ -400,10 +397,10 @@ impl AccessStream {
         }
     }
 
-    /// Fills `out` with the next `out.len()` accesses — bit-identical to
-    /// calling [`AccessStream::next_access`] that many times. This is the
-    /// batch entry the system hot loop uses to synthesize addresses in
-    /// chunks instead of one virtual call per reference.
+    /// Fills `out` with the next `out.len()` accesses, bit-identical to
+    /// calling [`AccessStream::next_access`] that many times. The system
+    /// hot loop synthesizes a chunk of addresses per call and then runs
+    /// them through the caches.
     pub fn fill(&mut self, out: &mut [MemoryAccess]) {
         for slot in out {
             *slot = self.next_access();

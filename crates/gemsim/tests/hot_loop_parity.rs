@@ -22,15 +22,29 @@ fn parity_config() -> SystemConfig {
     c
 }
 
+/// Accesses compared per stream. Every access draws at least two words
+/// (the write and far-reuse coins), so this many span at least three of
+/// the lane generator's 8192-draw blocks, and run far past the
+/// 4096-entry history capacity, so the ring wrap-around is compared
+/// against the Vec's `remove(0)` regime.
+const STREAM_ACCESSES: usize = 3 * 8192 / 2 + 1;
+
 #[test]
 fn stream_matches_naive_stream() {
-    for kernel in [Kernel::bodytrack(), Kernel::streamcluster()] {
-        for tid in [0u32, 5] {
-            let mut fast = AccessStream::new(&kernel, tid, 42);
-            let mut naive = NaiveStream::new(&kernel, tid, 42);
-            // Run far past the 4096-entry history capacity so the ring
-            // wrap-around is compared against the Vec's remove(0) regime.
-            for i in 0..10_000 {
+    let mut kernels = Kernel::parsec_extended();
+    // Edge kernels: every geometric draw stops the run (distance 1), and
+    // almost none does, so the history length caps it.
+    for (name, mean) in [("reuse-1", 1.0), ("reuse-1e9", 1e9)] {
+        let mut k = Kernel::bodytrack();
+        k.name = name.into();
+        k.mean_reuse_distance = mean;
+        kernels.push(k);
+    }
+    for kernel in &kernels {
+        for tid in 0..kernel.threads {
+            let mut fast = AccessStream::new(kernel, tid, 42);
+            let mut naive = NaiveStream::new(kernel, tid, 42);
+            for i in 0..STREAM_ACCESSES {
                 assert_eq!(
                     fast.next_access(),
                     naive.next_access(),

@@ -237,3 +237,101 @@ fn retention_sizing_round_trips() {
         );
     });
 }
+
+/// NVSim's array model never improves when the array grows or the node
+/// gets older. For SRAM and STT-MRAM, as a RAM of 64-bit words and as an
+/// 8-way cache of 64-byte lines, at 45 and 65 nm: every metric is
+/// non-decreasing in capacity from 32 KiB to 8 MiB, and going from 45 to
+/// 65 nm never lowers area, latency or energy and never raises leakage
+/// (the older CMOS leaks less).
+#[test]
+fn nvsim_is_monotone_in_capacity_and_node() {
+    use great_mss::nvsim::config::MemoryConfig;
+    use great_mss::nvsim::model::{estimate, ArrayMetrics, MemoryTechnology};
+    use great_mss::pdk::charlib::characterize_with;
+    use great_mss::pdk::tech::{TechNode, TechParams};
+
+    let scalars = |m: &ArrayMetrics| {
+        [
+            ("read_latency", m.read_latency),
+            ("write_latency", m.write_latency),
+            ("read_energy", m.read_energy),
+            ("write_energy", m.write_energy),
+            ("leakage_power", m.leakage_power),
+            ("area", m.area),
+        ]
+    };
+    let capacities: Vec<u64> = (15..=23).map(|log2| 1u64 << log2).collect();
+    let stack = MssStack::builder().build().unwrap();
+    // metrics[node][technology][organisation][capacity]
+    let metrics: Vec<Vec<Vec<Vec<ArrayMetrics>>>> = [TechNode::N45, TechNode::N65]
+        .into_iter()
+        .map(|node| {
+            let tech = TechParams::node(node);
+            let stt = MemoryTechnology::SttMram(characterize_with(&tech, &stack).unwrap());
+            [MemoryTechnology::Sram, stt]
+                .iter()
+                .map(|technology| {
+                    let organisations: [fn(u64) -> MemoryConfig; 2] = [
+                        |c| MemoryConfig::ram(c, 64).unwrap(),
+                        |c| MemoryConfig::cache(c, 8, 64).unwrap(),
+                    ];
+                    organisations
+                        .iter()
+                        .map(|config| {
+                            capacities
+                                .iter()
+                                .map(|&c| estimate(&tech, &config(c), technology).unwrap())
+                                .collect()
+                        })
+                        .collect()
+                })
+                .collect()
+        })
+        .collect();
+    let case = |n: usize, t: usize, o: usize, c: usize| {
+        format!(
+            "{} nm {} {} {} KiB",
+            [45, 65][n],
+            ["SRAM", "STT"][t],
+            ["ram", "cache"][o],
+            capacities[c] >> 10
+        )
+    };
+    for (n, by_tech) in metrics.iter().enumerate() {
+        for (t, by_org) in by_tech.iter().enumerate() {
+            for (o, series) in by_org.iter().enumerate() {
+                for c in 1..series.len() {
+                    for ((name, small), (_, large)) in
+                        scalars(&series[c - 1]).into_iter().zip(scalars(&series[c]))
+                    {
+                        assert!(
+                            large >= small,
+                            "{name} falls from {small:e} to {large:e} growing to {}",
+                            case(n, t, o, c)
+                        );
+                    }
+                }
+            }
+        }
+    }
+    for (t, by_org) in metrics[0].iter().enumerate() {
+        for (o, series) in by_org.iter().enumerate() {
+            for (c, m45) in series.iter().enumerate() {
+                let m65 = &metrics[1][t][o][c];
+                for ((name, v45), (_, v65)) in scalars(m45).into_iter().zip(scalars(m65)) {
+                    let ok = if name == "leakage_power" {
+                        v65 <= v45
+                    } else {
+                        v65 >= v45
+                    };
+                    assert!(
+                        ok,
+                        "{name} {v45:e} at {} becomes {v65:e} at 65 nm",
+                        case(0, t, o, c)
+                    );
+                }
+            }
+        }
+    }
+}
