@@ -8,7 +8,7 @@
 //!   parasitics from the technology card plus per-cell gate/junction loads;
 //! - **global routing** — repeated wires at `√(2·r·c·FO4)` seconds per
 //!   metre, H-tree length `√N_sub·subarray_edge`;
-//! - **cells** — the characterised STT-MRAM [`CellLibrary`] or the derived
+//! - **cells** — the characterised STT- or SOT-MRAM [`CellLibrary`] or the
 //!   derived [`crate::sram::SramCell`];
 //! - **area** — cell matrix plus fixed-pitch decoder/sense strips per
 //!   subarray (25 F and 35 F respectively).
@@ -301,76 +301,46 @@ fn estimate_flat(
                 },
             )
         }
-        MemoryTechnology::SttMram(lib) => {
-            for (name, v) in [
-                ("write_latency", lib.write.latency),
-                ("read_latency", lib.read.latency),
-                ("cell_area", lib.cell_area),
-            ] {
-                if !(v.is_finite() && v > 0.0) {
-                    return Err(NvsimError::InvalidCellModel {
-                        parameter: match name {
-                            "write_latency" => "write_latency",
-                            "read_latency" => "read_latency",
-                            _ => "cell_area",
-                        },
-                        value: v,
-                    });
-                }
-            }
-            estimate_with_cell(
-                tech,
-                cfg,
-                CellNumbers {
-                    area: lib.cell_area,
-                    read_cell_latency: lib.read.latency,
-                    write_cell_latency: lib.write.latency,
-                    read_cell_energy: lib.read.energy,
-                    write_cell_energy: lib.write.energy,
-                    sense_latency: 2.0 * tech.fo4_delay,
-                    cell_leakage: lib.leakage,
-                    read_access_gate_width: lib.access_width,
-                    write_access_gate_width: lib.access_width,
-                },
-            )
-        }
-        MemoryTechnology::SotMram(sot) => {
-            let lib = &sot.base;
-            for (name, v) in [
-                ("write_latency", lib.write.latency),
-                ("read_latency", lib.read.latency),
-                ("cell_area", lib.cell_area),
-            ] {
-                if !(v.is_finite() && v > 0.0) {
-                    return Err(NvsimError::InvalidCellModel {
-                        parameter: match name {
-                            "write_latency" => "write_latency",
-                            "read_latency" => "read_latency",
-                            _ => "cell_area",
-                        },
-                        value: v,
-                    });
-                }
-            }
-            estimate_with_cell(
-                tech,
-                cfg,
-                CellNumbers {
-                    area: lib.cell_area,
-                    read_cell_latency: lib.read.latency,
-                    write_cell_latency: lib.write.latency,
-                    read_cell_energy: lib.read.energy,
-                    write_cell_energy: lib.write.energy,
-                    sense_latency: 2.0 * tech.fo4_delay,
-                    cell_leakage: lib.leakage,
-                    // The read word line only selects a small sense gate;
-                    // the wide channel driver loads the write word line.
-                    read_access_gate_width: 4.0 * tech.feature,
-                    write_access_gate_width: lib.access_width,
-                },
-            )
+        // Both MRAM cells share one estimate. The three-terminal SOT cell
+        // selects only a small sense gate on its read word line; its wide
+        // channel driver loads the separate write word line.
+        MemoryTechnology::SttMram(lib) => estimate_mram(tech, cfg, lib, lib.access_width),
+        MemoryTechnology::SotMram(sot) => estimate_mram(tech, cfg, &sot.base, 4.0 * tech.feature),
+    }
+}
+
+/// The array estimate of a characterised MRAM cell whose read word line
+/// drives an access gate `read_access_gate_width` wide.
+fn estimate_mram(
+    tech: &TechParams,
+    cfg: &MemoryConfig,
+    lib: &CellLibrary,
+    read_access_gate_width: f64,
+) -> Result<ArrayMetrics, NvsimError> {
+    for (parameter, value) in [
+        ("write_latency", lib.write.latency),
+        ("read_latency", lib.read.latency),
+        ("cell_area", lib.cell_area),
+    ] {
+        if !(value.is_finite() && value > 0.0) {
+            return Err(NvsimError::InvalidCellModel { parameter, value });
         }
     }
+    estimate_with_cell(
+        tech,
+        cfg,
+        CellNumbers {
+            area: lib.cell_area,
+            read_cell_latency: lib.read.latency,
+            write_cell_latency: lib.write.latency,
+            read_cell_energy: lib.read.energy,
+            write_cell_energy: lib.write.energy,
+            sense_latency: 2.0 * tech.fo4_delay,
+            cell_leakage: lib.leakage,
+            read_access_gate_width,
+            write_access_gate_width: lib.access_width,
+        },
+    )
 }
 
 /// Technology-neutral cell numbers consumed by the shared estimator.

@@ -6,11 +6,13 @@
 //! These values are updated into the cell configuration file of the VAET-STT
 //! tool."* [`characterize_with`] produces a [`CellLibrary`]; its
 //! [`CellLibrary::to_report`]/[`CellLibrary::from_report`] pair is the
-//! measurement-file round trip.
+//! measurement-file round trip. The three-terminal SOT cell
+//! ([`characterize_sot_with`]) runs through the same body, keyed on
+//! [`MechanismConfig`].
 
 use mss_mtj::mechanism::MechanismKind;
 use mss_mtj::resistance::MtjState;
-use mss_mtj::{MssStack, SotMechanism, SotParams};
+use mss_mtj::{MechanismConfig, MssStack, SotMechanism, SotParams};
 use mss_spice::analysis::{dc_operating_point, Transient, TransientOptions, TransientResult};
 use mss_spice::mdl::{Edge, Measurement, Probe, Report};
 use mss_spice::netlist::Netlist;
@@ -295,21 +297,7 @@ pub fn characterize_with_cached(
 ///   write overdrive or a junction never flips within the pulse,
 /// - circuit/device errors from the underlying layers.
 pub fn characterize_with(tech: &TechParams, stack: &MssStack) -> Result<CellLibrary, PdkError> {
-    let access_width = size_access_width(tech, stack)?;
-    let write = characterize_write(tech, stack, access_width)?;
-    let read = characterize_read(tech, stack)?;
-    Ok(CellLibrary {
-        node: tech.node,
-        write,
-        read,
-        access_width,
-        cell_area: tech.stt_cell_area(access_width),
-        leakage: tech.leakage(access_width) * 1e-4, // off-state ~1e-4 of on-state scale
-        critical_current: stack.critical_current(),
-        delta: stack.thermal_stability(),
-        r_parallel: stack.resistance_parallel(),
-        r_antiparallel: stack.resistance_antiparallel(),
-    })
+    characterize_cell(tech, stack, &MechanismConfig::Stt)
 }
 
 /// The pipe-cache key for a SOT characterisation.
@@ -354,38 +342,82 @@ pub fn characterize_sot_with(
     stack: &MssStack,
     params: &SotParams,
 ) -> Result<SotCellLibrary, PdkError> {
-    let sot = SotMechanism::new(stack, params.clone())?;
-    let access_width = sot_size_access_width(tech, stack, params, &sot)?;
-    let write = characterize_sot_write(tech, stack, params, access_width)?;
-    let read = characterize_sot_read(tech, stack, params)?;
     Ok(SotCellLibrary {
-        base: CellLibrary {
-            node: tech.node,
-            write,
-            read,
-            access_width,
-            cell_area: tech.sot_cell_area(access_width),
-            leakage: tech.leakage(access_width) * 1e-4,
-            critical_current: sot.switching_model().critical_current(),
-            delta: sot.switching_model().delta(),
-            r_parallel: stack.resistance_parallel(),
-            r_antiparallel: stack.resistance_antiparallel(),
-        },
+        base: characterize_cell(tech, stack, &MechanismConfig::Sot(params.clone()))?,
         params: params.clone(),
-        channel_resistance: sot.channel_resistance(),
+        channel_resistance: params.channel_resistance(stack.diameter()),
     })
 }
 
-/// DC write current through the cell for a candidate width, in the
-/// worst-case (source-degenerated, P → AP) polarity.
-fn dc_write_current(tech: &TechParams, stack: &MssStack, w: f64) -> Result<f64, PdkError> {
+/// The characterisation body both write mechanisms share: size the access
+/// device to the mechanism's write overdrive, then measure the worst-case
+/// write and read. The STT cell writes through the junction; the SOT cell
+/// writes along its heavy-metal channel, so its critical current carries no
+/// damping factor and its footprint has a third terminal.
+fn characterize_cell(
+    tech: &TechParams,
+    stack: &MssStack,
+    mechanism: &MechanismConfig,
+) -> Result<CellLibrary, PdkError> {
+    let (critical_current, overdrive) = match mechanism {
+        MechanismConfig::Stt => (stack.critical_current(), TARGET_OVERDRIVE),
+        MechanismConfig::Sot(params) => (
+            SotMechanism::new(stack, params.clone())?
+                .switching_model()
+                .critical_current(),
+            SOT_TARGET_OVERDRIVE,
+        ),
+    };
+    let access_width = size_access_width(tech, stack, mechanism, overdrive * critical_current)?;
+    let write = characterize_write(tech, stack, mechanism, access_width)?;
+    let read = characterize_read(tech, stack, mechanism)?;
+    Ok(CellLibrary {
+        node: tech.node,
+        write,
+        read,
+        access_width,
+        cell_area: match mechanism {
+            MechanismConfig::Stt => tech.stt_cell_area(access_width),
+            MechanismConfig::Sot(_) => tech.sot_cell_area(access_width),
+        },
+        leakage: tech.leakage(access_width) * 1e-4, // off-state ~1e-4 of on-state scale
+        critical_current,
+        delta: stack.thermal_stability(),
+        r_parallel: stack.resistance_parallel(),
+        r_antiparallel: stack.resistance_antiparallel(),
+    })
+}
+
+/// The (source, node) pairs of the rail driven high for each write
+/// direction, [`WriteDirection::ToParallel`] first.
+fn write_rails(mechanism: &MechanismConfig) -> [(&'static str, &'static str); 2] {
+    match mechanism {
+        MechanismConfig::Stt => [("VBL", "bl"), ("VSL", "sl")],
+        MechanismConfig::Sot(_) => [("VWBL", "wbl"), ("VWSL", "wsl")],
+    }
+}
+
+/// DC write current through the cell for a candidate width, with the
+/// junction in the AP state and the bit-line rail high.
+///
+/// For STT this is the worst case: the write crosses the high-resistance
+/// junction and degenerates the access source. The SOT write path is purely
+/// metallic (access device + heavy-metal channel), so its state does not
+/// matter.
+fn dc_write_current(
+    tech: &TechParams,
+    stack: &MssStack,
+    mechanism: &MechanismConfig,
+    w: f64,
+) -> Result<f64, PdkError> {
+    let [(bl_source, bl), (sl_source, sl)] = write_rails(mechanism);
     let mut nl = Netlist::new();
-    nl.add_vsource("vbl", "bl", "0", Waveform::dc(tech.vdd))?;
+    nl.add_vsource(bl_source, bl, "0", Waveform::dc(tech.vdd))?;
     nl.add_vsource("vwl", "wl", "0", Waveform::dc(tech.vdd))?;
-    nl.add_vsource("vsl", "sl", "0", Waveform::dc(0.0))?;
+    nl.add_vsource(sl_source, sl, "0", Waveform::dc(0.0))?;
     nl.add_mosfet(
         "m1",
-        "bl",
+        bl,
         "wl",
         "x",
         tech.nmos,
@@ -394,33 +426,44 @@ fn dc_write_current(tech: &TechParams, stack: &MssStack, w: f64) -> Result<f64, 
             length: tech.gate_length(),
         },
     )?;
-    // Worst case: writing through the high-resistance AP state with the
-    // access source degenerated by the junction voltage drop.
-    nl.add_mtj("x1", "x", "sl", stack, MtjState::Antiparallel)?;
+    match mechanism {
+        MechanismConfig::Stt => nl.add_mtj("x1", "x", sl, stack, MtjState::Antiparallel)?,
+        MechanismConfig::Sot(params) => {
+            nl.add_mtj_sot("x1", "rd", "x", sl, stack, params, MtjState::Antiparallel)?
+        }
+    }
     let dc = dc_operating_point(&nl)?;
-    Ok((-dc.source_current("vbl")?).abs())
+    Ok((-dc.source_current(bl_source)?).abs())
 }
 
-/// Finds the smallest access width that reaches the target overdrive in the
-/// worst-case write polarity.
-fn size_access_width(tech: &TechParams, stack: &MssStack) -> Result<f64, PdkError> {
-    let target = TARGET_OVERDRIVE * stack.critical_current();
+/// Finds the smallest access width whose worst-case DC write current
+/// reaches `target`.
+fn size_access_width(
+    tech: &TechParams,
+    stack: &MssStack,
+    mechanism: &MechanismConfig,
+    target: f64,
+) -> Result<f64, PdkError> {
     let (mut lo, mut hi) = (tech.min_width, 400.0 * tech.min_width);
-    if dc_write_current(tech, stack, hi)? < target {
+    if dc_write_current(tech, stack, mechanism, hi)? < target {
+        let (step, path) = match mechanism {
+            MechanismConfig::Stt => ("access sizing", ""),
+            MechanismConfig::Sot(_) => ("SOT access sizing", " through the channel"),
+        };
         return Err(PdkError::Characterization {
-            step: "access sizing",
+            step,
             reason: format!(
-                "even a {:.2e} m access device cannot deliver {:.2e} A",
+                "even a {:.2e} m access device cannot deliver {:.2e} A{path}",
                 hi, target
             ),
         });
     }
-    if dc_write_current(tech, stack, lo)? >= target {
+    if dc_write_current(tech, stack, mechanism, lo)? >= target {
         return Ok(lo);
     }
     for _ in 0..60 {
         let mid = 0.5 * (lo + hi);
-        if dc_write_current(tech, stack, mid)? >= target {
+        if dc_write_current(tech, stack, mechanism, mid)? >= target {
             hi = mid;
         } else {
             lo = mid;
@@ -430,228 +473,6 @@ fn size_access_width(tech: &TechParams, stack: &MssStack) -> Result<f64, PdkErro
         }
     }
     Ok(hi)
-}
-
-/// DC channel current through the SOT cell for a candidate access width.
-///
-/// The write path is purely metallic (access device + heavy-metal
-/// channel); the junction never carries the write current, so there is no
-/// state-dependent worst case — the AP start state is used for symmetry
-/// with the STT helper.
-fn sot_dc_write_current(
-    tech: &TechParams,
-    stack: &MssStack,
-    params: &SotParams,
-    w: f64,
-) -> Result<f64, PdkError> {
-    let mut nl = Netlist::new();
-    nl.add_vsource("vwbl", "wbl", "0", Waveform::dc(tech.vdd))?;
-    nl.add_vsource("vwl", "wl", "0", Waveform::dc(tech.vdd))?;
-    nl.add_vsource("vwsl", "wsl", "0", Waveform::dc(0.0))?;
-    nl.add_mosfet(
-        "m1",
-        "wbl",
-        "wl",
-        "sh",
-        tech.nmos,
-        mss_spice::mosfet::MosGeometry {
-            width: w,
-            length: tech.gate_length(),
-        },
-    )?;
-    nl.add_mtj_sot(
-        "x1",
-        "rd",
-        "sh",
-        "wsl",
-        stack,
-        params,
-        MtjState::Antiparallel,
-    )?;
-    let dc = dc_operating_point(&nl)?;
-    Ok((-dc.source_current("vwbl")?).abs())
-}
-
-/// Finds the smallest access width whose channel current reaches the
-/// target overdrive over the SHE critical current.
-fn sot_size_access_width(
-    tech: &TechParams,
-    stack: &MssStack,
-    params: &SotParams,
-    sot: &SotMechanism,
-) -> Result<f64, PdkError> {
-    let target = SOT_TARGET_OVERDRIVE * sot.switching_model().critical_current();
-    let (mut lo, mut hi) = (tech.min_width, 400.0 * tech.min_width);
-    if sot_dc_write_current(tech, stack, params, hi)? < target {
-        return Err(PdkError::Characterization {
-            step: "SOT access sizing",
-            reason: format!(
-                "even a {:.2e} m access device cannot deliver {:.2e} A through the channel",
-                hi, target
-            ),
-        });
-    }
-    if sot_dc_write_current(tech, stack, params, lo)? >= target {
-        return Ok(lo);
-    }
-    for _ in 0..60 {
-        let mid = 0.5 * (lo + hi);
-        if sot_dc_write_current(tech, stack, params, mid)? >= target {
-            hi = mid;
-        } else {
-            lo = mid;
-        }
-        if (hi - lo) < 1e-9 {
-            break;
-        }
-    }
-    Ok(hi)
-}
-
-fn characterize_sot_write(
-    tech: &TechParams,
-    stack: &MssStack,
-    params: &SotParams,
-    w_access: f64,
-) -> Result<OpMetrics, PdkError> {
-    let mut worst = OpMetrics {
-        latency: 0.0,
-        energy: 0.0,
-        current: f64::INFINITY,
-    };
-    for dir in [WriteDirection::ToParallel, WriteDirection::ToAntiparallel] {
-        let deck = sot_bitcell_write_deck(
-            tech,
-            stack,
-            params,
-            dir,
-            w_access,
-            SOT_CHAR_WRITE_PULSE,
-            5e-15,
-        )?;
-        let res = run_deck(&deck)?;
-        let rail = match dir {
-            WriteDirection::ToParallel => "vwbl",
-            WriteDirection::ToAntiparallel => "vwsl",
-        };
-        let flip = Measurement::CrossTime {
-            name: "t_flip".into(),
-            probe: Probe::MtjState("X1".into()),
-            value: 0.0,
-            edge: Edge::Either,
-            nth: 1,
-        }
-        .evaluate(&res)
-        .map_err(|_| PdkError::Characterization {
-            step: "SOT write",
-            reason: format!("junction never flipped in {dir:?} within the pulse"),
-        })?;
-        let t_start = Measurement::CrossTime {
-            name: "t_start".into(),
-            probe: Probe::NodeVoltage(rail_node(rail)),
-            value: tech.vdd / 2.0,
-            edge: Edge::Rise,
-            nth: 1,
-        }
-        .evaluate(&res)?;
-        let latency = flip - t_start;
-        let mut energy = 0.0;
-        for src in ["VWBL", "VWSL", "VWL"] {
-            energy += Measurement::Energy {
-                name: format!("e_{src}"),
-                source: src.to_string(),
-                from: t_start,
-                to: flip,
-            }
-            .evaluate(&res)?;
-        }
-        let i_avg = Measurement::Average {
-            name: "i_wr".into(),
-            probe: Probe::SourceCurrent(rail.to_ascii_uppercase()),
-            from: t_start,
-            to: flip,
-        }
-        .evaluate(&res)?
-        .abs();
-        if latency > worst.latency {
-            worst.latency = latency;
-            worst.energy = energy;
-        }
-        worst.current = worst.current.min(i_avg);
-    }
-    Ok(worst)
-}
-
-fn characterize_sot_read(
-    tech: &TechParams,
-    stack: &MssStack,
-    params: &SotParams,
-) -> Result<OpMetrics, PdkError> {
-    let r_ch = params.channel_resistance(stack.diameter());
-    let r_ref = (stack.resistance_parallel() * stack.resistance_antiparallel()).sqrt() + r_ch;
-    let mut worst = OpMetrics {
-        latency: 0.0,
-        energy: 0.0,
-        current: 0.0,
-    };
-    for state in [MtjState::Parallel, MtjState::Antiparallel] {
-        let deck = sot_pcsa_read_deck(tech, stack, params, state, r_ref, CHAR_SENSE_WINDOW)?;
-        let res = run_deck(&deck)?;
-        let falling = if state == MtjState::Parallel {
-            "out"
-        } else {
-            "outb"
-        };
-        let latency = Measurement::Delay {
-            name: "t_sense".into(),
-            trig: Probe::NodeVoltage("clk".into()),
-            trig_value: tech.vdd / 2.0,
-            trig_edge: Edge::Rise,
-            targ: Probe::NodeVoltage(falling.into()),
-            targ_value: tech.vdd / 2.0,
-            targ_edge: Edge::Fall,
-        }
-        .evaluate(&res)
-        .map_err(|_| PdkError::Characterization {
-            step: "SOT read",
-            reason: format!("PCSA failed to resolve for state {state:?}"),
-        })?;
-        let mut energy = 0.0;
-        for src in ["VDD", "VCLK"] {
-            energy += Measurement::Energy {
-                name: format!("e_{src}"),
-                source: src.to_string(),
-                from: 1e-9,
-                to: 1e-9 + CHAR_SENSE_WINDOW,
-            }
-            .evaluate(&res)?;
-        }
-        // Cell-branch read current across the tunnel barrier.
-        let s1 = res.node_voltage("s1")?;
-        let shx = res.node_voltage("shx")?;
-        let times = res.times();
-        let r = match state {
-            MtjState::Parallel => stack.resistance_parallel(),
-            MtjState::Antiparallel => stack.resistance_antiparallel(),
-        };
-        let mut q_moved = 0.0;
-        let mut window = 0.0;
-        for k in 1..times.len() {
-            if times[k] >= 1e-9 && times[k] <= 1e-9 + CHAR_SENSE_WINDOW {
-                let dt = times[k] - times[k - 1];
-                let i_inst = ((s1[k] - shx[k]) / r).abs();
-                q_moved += i_inst * dt;
-                window += dt;
-            }
-        }
-        let i_avg = if window > 0.0 { q_moved / window } else { 0.0 };
-        if latency > worst.latency {
-            worst.latency = latency;
-            worst.energy = energy;
-        }
-        worst.current = worst.current.max(i_avg);
-    }
-    Ok(worst)
 }
 
 fn run_deck(deck: &mss_spice::parser::Deck) -> Result<TransientResult, PdkError> {
@@ -665,21 +486,39 @@ fn run_deck(deck: &mss_spice::parser::Deck) -> Result<TransientResult, PdkError>
 fn characterize_write(
     tech: &TechParams,
     stack: &MssStack,
+    mechanism: &MechanismConfig,
     w_access: f64,
 ) -> Result<OpMetrics, PdkError> {
+    let rails = write_rails(mechanism);
     let mut worst = OpMetrics {
         latency: 0.0,
         energy: 0.0,
         current: f64::INFINITY,
     };
-    for dir in [WriteDirection::ToParallel, WriteDirection::ToAntiparallel] {
-        let deck = bitcell_write_deck(tech, stack, dir, w_access, CHAR_WRITE_PULSE, 5e-15)?;
+    for (dir, (source, node)) in [WriteDirection::ToParallel, WriteDirection::ToAntiparallel]
+        .into_iter()
+        .zip(rails)
+    {
+        let (deck, step) = match mechanism {
+            MechanismConfig::Stt => (
+                bitcell_write_deck(tech, stack, dir, w_access, CHAR_WRITE_PULSE, 5e-15)?,
+                "write",
+            ),
+            MechanismConfig::Sot(params) => (
+                sot_bitcell_write_deck(
+                    tech,
+                    stack,
+                    params,
+                    dir,
+                    w_access,
+                    SOT_CHAR_WRITE_PULSE,
+                    5e-15,
+                )?,
+                "SOT write",
+            ),
+        };
         let res = run_deck(&deck)?;
         // Latency: active-rail 50% rise -> junction flip.
-        let rail = match dir {
-            WriteDirection::ToParallel => "vbl",
-            WriteDirection::ToAntiparallel => "vsl",
-        };
         let flip = Measurement::CrossTime {
             name: "t_flip".into(),
             probe: Probe::MtjState("X1".into()),
@@ -689,21 +528,22 @@ fn characterize_write(
         }
         .evaluate(&res)
         .map_err(|_| PdkError::Characterization {
-            step: "write",
+            step,
             reason: format!("junction never flipped in {dir:?} within the pulse"),
         })?;
         let t_start = Measurement::CrossTime {
             name: "t_start".into(),
-            probe: Probe::NodeVoltage(rail_node(rail)),
+            probe: Probe::NodeVoltage(node.into()),
             value: tech.vdd / 2.0,
             edge: Edge::Rise,
             nth: 1,
         }
         .evaluate(&res)?;
         let latency = flip - t_start;
-        // Energy: both rail sources over the active window.
+        // Energy: both rail sources and the word line over the active
+        // window.
         let mut energy = 0.0;
-        for src in ["VBL", "VSL", "VWL"] {
+        for src in [rails[0].0, rails[1].0, "VWL"] {
             energy += Measurement::Energy {
                 name: format!("e_{src}"),
                 source: src.to_string(),
@@ -712,11 +552,10 @@ fn characterize_write(
             }
             .evaluate(&res)?;
         }
-        // Switching current: average source-line/bit-line current while
-        // writing.
+        // Switching current: average active-rail current while writing.
         let i_avg = Measurement::Average {
             name: "i_wr".into(),
-            probe: Probe::SourceCurrent(rail.to_ascii_uppercase()),
+            probe: Probe::SourceCurrent(source.into()),
             from: t_start,
             to: flip,
         }
@@ -731,25 +570,35 @@ fn characterize_write(
     Ok(worst)
 }
 
-fn rail_node(rail: &str) -> String {
-    match rail {
-        "vbl" => "bl".to_string(),
-        "vsl" => "sl".to_string(),
-        "vwbl" => "wbl".to_string(),
-        "vwsl" => "wsl".to_string(),
-        other => other.to_string(),
-    }
-}
-
-fn characterize_read(tech: &TechParams, stack: &MssStack) -> Result<OpMetrics, PdkError> {
-    let r_ref = (stack.resistance_parallel() * stack.resistance_antiparallel()).sqrt();
+fn characterize_read(
+    tech: &TechParams,
+    stack: &MssStack,
+    mechanism: &MechanismConfig,
+) -> Result<OpMetrics, PdkError> {
+    let r_mid = (stack.resistance_parallel() * stack.resistance_antiparallel()).sqrt();
+    // The SOT sense current also crosses half the channel, so the reference
+    // balances against junction + channel, and the cell branch ends at the
+    // channel tap `shx` instead of the tail node.
+    let (r_ref, below, step) = match mechanism {
+        MechanismConfig::Stt => (r_mid, "tail", "read"),
+        MechanismConfig::Sot(params) => (
+            r_mid + params.channel_resistance(stack.diameter()),
+            "shx",
+            "SOT read",
+        ),
+    };
     let mut worst = OpMetrics {
         latency: 0.0,
         energy: 0.0,
         current: 0.0,
     };
     for state in [MtjState::Parallel, MtjState::Antiparallel] {
-        let deck = pcsa_read_deck(tech, stack, state, r_ref, CHAR_SENSE_WINDOW)?;
+        let deck = match mechanism {
+            MechanismConfig::Stt => pcsa_read_deck(tech, stack, state, r_ref, CHAR_SENSE_WINDOW)?,
+            MechanismConfig::Sot(params) => {
+                sot_pcsa_read_deck(tech, stack, params, state, r_ref, CHAR_SENSE_WINDOW)?
+            }
+        };
         let res = run_deck(&deck)?;
         // Sense delay: clk 50% rise -> losing side below vdd/2.
         let falling = if state == MtjState::Parallel {
@@ -768,7 +617,7 @@ fn characterize_read(tech: &TechParams, stack: &MssStack) -> Result<OpMetrics, P
         }
         .evaluate(&res)
         .map_err(|_| PdkError::Characterization {
-            step: "read",
+            step,
             reason: format!("PCSA failed to resolve for state {state:?}"),
         })?;
         let mut energy = 0.0;
@@ -781,9 +630,9 @@ fn characterize_read(tech: &TechParams, stack: &MssStack) -> Result<OpMetrics, P
             }
             .evaluate(&res)?;
         }
-        // Read current through the cell branch: (v(s1) - v(tail)) / R.
+        // Read current across the tunnel barrier: (v(s1) - v(below)) / R.
         let s1 = res.node_voltage("s1")?;
-        let tail = res.node_voltage("tail")?;
+        let below = res.node_voltage(below)?;
         let times = res.times();
         let r = match state {
             MtjState::Parallel => stack.resistance_parallel(),
@@ -796,7 +645,7 @@ fn characterize_read(tech: &TechParams, stack: &MssStack) -> Result<OpMetrics, P
         for k in 1..times.len() {
             if times[k] >= 1e-9 && times[k] <= 1e-9 + CHAR_SENSE_WINDOW {
                 let dt = times[k] - times[k - 1];
-                let i_inst = ((s1[k] - tail[k]) / r).abs();
+                let i_inst = ((s1[k] - below[k]) / r).abs();
                 q_moved += i_inst * dt;
                 window += dt;
             }
@@ -952,7 +801,8 @@ impl CellLibrary {
     ///
     /// # Errors
     ///
-    /// [`PdkError::Characterization`] when a required key is missing.
+    /// [`PdkError::Characterization`] when a required key is missing or
+    /// `node_nm` is neither 45 nor 65.
     pub fn from_report(report: &Report) -> Result<Self, PdkError> {
         let get = |key: &str| {
             report.get(key).ok_or(PdkError::Characterization {
@@ -960,10 +810,15 @@ impl CellLibrary {
                 reason: format!("missing key '{key}'"),
             })
         };
-        let node = if (get("node_nm")? - 45.0).abs() < 1.0 {
-            TechNode::N45
-        } else {
-            TechNode::N65
+        let node = match get("node_nm")? {
+            45.0 => TechNode::N45,
+            65.0 => TechNode::N65,
+            nm => {
+                return Err(PdkError::Characterization {
+                    step: "report parse",
+                    reason: format!("key 'node_nm' = {nm} is not a supported node (45 or 65)"),
+                })
+            }
         };
         Ok(Self {
             node,
@@ -1000,9 +855,9 @@ mod tests {
     fn sizing_hits_overdrive_target() {
         let tech = TechParams::node(TechNode::N45);
         let s = stack();
-        let w = size_access_width(&tech, &s).unwrap();
-        let i = dc_write_current(&tech, &s, w).unwrap();
         let target = TARGET_OVERDRIVE * s.critical_current();
+        let w = size_access_width(&tech, &s, &MechanismConfig::Stt, target).unwrap();
+        let i = dc_write_current(&tech, &s, &MechanismConfig::Stt, w).unwrap();
         assert!(
             i >= target && i < 1.3 * target,
             "i = {i:.3e}, target = {target:.3e}"
@@ -1209,5 +1064,20 @@ mod tests {
     fn from_report_rejects_missing_keys() {
         let r = Report::parse("node_nm = 45\n").unwrap();
         assert!(CellLibrary::from_report(&r).is_err());
+        // A complete report at an unsupported node is rejected, not decoded
+        // as 65 nm.
+        let mut r = characterize_with(&TechParams::node(TechNode::N65), &stack())
+            .unwrap()
+            .to_report();
+        for nm in [7.0, 44.5, 64.0, 1e9, f64::NAN] {
+            r.insert("node_nm", nm);
+            let err = CellLibrary::from_report(&r).unwrap_err();
+            assert!(
+                matches!(&err, PdkError::Characterization { reason, .. } if reason.contains("'node_nm'")),
+                "node {nm}: {err}"
+            );
+        }
+        r.insert("node_nm", 65.0);
+        assert_eq!(CellLibrary::from_report(&r).unwrap().node, TechNode::N65);
     }
 }

@@ -275,9 +275,14 @@ pub fn ac_analysis(
 }
 
 /// Complex LU solve with partial pivoting (dense; AC systems here are tiny).
+///
+/// Singularity follows the real LU's rule (`solver::Workspace::solve`):
+/// a pivot below `max|a|·n·ε` is singular, and so is a non-finite solution.
 #[allow(clippy::needless_range_loop)]
 fn csolve(mut a: Vec<Vec<Complex>>, mut b: Vec<Complex>) -> Result<Vec<Complex>, SpiceError> {
     let n = b.len();
+    let scale = a.iter().flatten().map(|v| v.abs()).fold(0.0_f64, f64::max);
+    let tol = (scale * n as f64 * f64::EPSILON).max(f64::MIN_POSITIVE);
     for k in 0..n {
         let mut piv = k;
         let mut max = a[k][k].abs();
@@ -288,7 +293,7 @@ fn csolve(mut a: Vec<Vec<Complex>>, mut b: Vec<Complex>) -> Result<Vec<Complex>,
                 piv = r;
             }
         }
-        if max < 1e-300 {
+        if max < tol {
             return Err(SpiceError::SingularMatrix);
         }
         if piv != k {
@@ -316,6 +321,9 @@ fn csolve(mut a: Vec<Vec<Complex>>, mut b: Vec<Complex>) -> Result<Vec<Complex>,
             sum = sum - a[k][c] * x[c];
         }
         x[k] = sum / a[k][k];
+    }
+    if x.iter().any(|v| !v.is_finite()) {
+        return Err(SpiceError::SingularMatrix);
     }
     Ok(x)
 }
@@ -439,6 +447,22 @@ mod tests {
         assert!((f[0] - 1e3).abs() < 1e-9);
         assert!((f[60] - 1e9).abs() < 1e-3);
         assert!(f.windows(2).all(|w| w[1] > w[0]));
+    }
+
+    #[test]
+    fn csolve_rejects_an_exactly_singular_system() {
+        // Row 2 is 3 × row 1: elimination leaves rounding dust (~1e-17) in
+        // the second pivot, far above an absolute 1e-300 floor.
+        let c = Complex::real;
+        let a = vec![vec![c(0.1), c(0.3)], vec![c(0.3), c(0.9)]];
+        assert_eq!(
+            csolve(a, vec![c(1.0), c(1.0)]).unwrap_err(),
+            SpiceError::SingularMatrix
+        );
+        // A well-conditioned system of the same scale still solves.
+        let a = vec![vec![c(0.1), c(0.3)], vec![c(0.3), c(0.1)]];
+        let x = csolve(a, vec![c(0.4), c(0.4)]).unwrap();
+        assert!(x.iter().all(|v| (*v - c(1.0)).abs() < 1e-12), "{x:?}");
     }
 
     #[test]
