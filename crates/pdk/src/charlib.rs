@@ -1052,12 +1052,31 @@ mod tests {
 
     #[test]
     fn report_round_trip() {
-        let lib = characterize_with(&TechParams::node(TechNode::N45), &stack()).unwrap();
-        let text = lib.to_report().to_text();
-        let back = CellLibrary::from_report(&Report::parse(&text).unwrap()).unwrap();
-        assert_eq!(lib.node, back.node);
-        assert!((lib.write.latency - back.write.latency).abs() < 1e-20);
-        assert!((lib.read.energy - back.read.energy).abs() < 1e-25);
+        let bits = |lib: &CellLibrary| {
+            [
+                lib.write.latency,
+                lib.write.energy,
+                lib.write.current,
+                lib.read.latency,
+                lib.read.energy,
+                lib.read.current,
+                lib.access_width,
+                lib.cell_area,
+                lib.leakage,
+                lib.critical_current,
+                lib.delta,
+                lib.r_parallel,
+                lib.r_antiparallel,
+            ]
+            .map(f64::to_bits)
+        };
+        for node in [TechNode::N45, TechNode::N65] {
+            let lib = characterize_with(&TechParams::node(node), &stack()).unwrap();
+            let text = lib.to_report().to_text();
+            let back = CellLibrary::from_report(&Report::parse(&text).unwrap()).unwrap();
+            assert_eq!(lib.node, back.node);
+            assert_eq!(bits(&lib), bits(&back), "{node:?}:\n{text}");
+        }
     }
 
     #[test]

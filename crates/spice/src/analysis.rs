@@ -364,12 +364,14 @@ impl Mna {
         ws.solve()
     }
 
-    /// Newton loop at time `t` with a bounded iteration budget.
+    /// Newton loop at time `t` with a bounded iteration budget, iterating
+    /// in place on `x`: it holds the initial guess on entry and the solution
+    /// on success (on failure, the last iterate).
     ///
-    /// All linear solves run in the caller's workspace: one Newton call —
-    /// and one whole transient — performs O(1) matrix allocations. Damping
-    /// is applied in place on the iterate (values identical to the historic
-    /// clone-and-clamp), so per-iteration allocations are gone too.
+    /// All linear solves run in the caller's workspace and the iterate is
+    /// the caller's buffer, so a Newton call allocates nothing. Damping is
+    /// applied in place on the iterate (values identical to the historic
+    /// clone-and-clamp).
     ///
     /// Failure carries the iteration count and the final `max_dv` so the
     /// retry ladder (and the user) can see how close the iterate got.
@@ -378,25 +380,24 @@ impl Mna {
         &self,
         netlist: &Netlist,
         t: f64,
-        x_init: &[f64],
+        x: &mut [f64],
         dt: Option<f64>,
         cap_prev: Option<&[f64]>,
         analysis: &'static str,
         knobs: &SolveKnobs,
         budget: usize,
         ws: &mut Workspace,
-    ) -> Result<Vec<f64>, SpiceError> {
-        let mut x = x_init.to_vec();
+    ) -> Result<(), SpiceError> {
         if !self.has_nonlinear {
-            self.assemble_and_solve(netlist, t, &x, dt, cap_prev, knobs, ws)?;
+            self.assemble_and_solve(netlist, t, x, dt, cap_prev, knobs, ws)?;
             x.copy_from_slice(ws.solution());
-            return Ok(x);
+            return Ok(());
         }
         mss_obs::counter_add("spice.newton.calls", 1);
         let budget = budget.max(1);
         let mut last_dv = f64::INFINITY;
         for iter in 0..budget {
-            self.assemble_and_solve(netlist, t, &x, dt, cap_prev, knobs, ws)?;
+            self.assemble_and_solve(netlist, t, x, dt, cap_prev, knobs, ws)?;
             let x_new = ws.solution();
             let mut max_dv: f64 = 0.0;
             for i in 0..x.len() {
@@ -416,7 +417,7 @@ impl Mna {
             last_dv = max_dv;
             if converged {
                 mss_obs::counter_add("spice.newton.iterations", iter as u64 + 1);
-                return Ok(x);
+                return Ok(());
             }
         }
         mss_obs::counter_add("spice.newton.iterations", budget as u64);
@@ -445,10 +446,11 @@ impl Mna {
         ws: &mut Workspace,
     ) -> Result<Vec<f64>, SpiceError> {
         let mut attempts = Vec::new();
+        let mut x = x_init.to_vec();
         match self.newton(
             netlist,
             t,
-            x_init,
+            &mut x,
             dt,
             cap_prev,
             analysis,
@@ -456,7 +458,7 @@ impl Mna {
             opts.max_newton,
             ws,
         ) {
-            Ok(x) => return Ok(x),
+            Ok(()) => return Ok(x),
             Err(e) => record_attempt(&mut attempts, "newton", e)?,
         }
         if opts.dc_ladder {
@@ -520,10 +522,10 @@ impl Mna {
                 gmin,
                 source_scale: 1.0,
             };
-            match self.newton(
+            if let Err(e) = self.newton(
                 netlist,
                 t,
-                &x,
+                &mut x,
                 dt,
                 cap_prev,
                 analysis,
@@ -531,11 +533,8 @@ impl Mna {
                 opts.ladder_newton,
                 ws,
             ) {
-                Ok(next) => x = next,
-                Err(e) => {
-                    record_attempt(attempts, &format!("gmin={gmin:.1e}"), e)?;
-                    return Ok(None);
-                }
+                record_attempt(attempts, &format!("gmin={gmin:.1e}"), e)?;
+                return Ok(None);
             }
             gmin /= 10.0;
         }
@@ -543,7 +542,7 @@ impl Mna {
         match self.newton(
             netlist,
             t,
-            &x,
+            &mut x,
             dt,
             cap_prev,
             analysis,
@@ -551,7 +550,7 @@ impl Mna {
             opts.ladder_newton,
             ws,
         ) {
-            Ok(x) => Ok(Some(x)),
+            Ok(()) => Ok(Some(x)),
             Err(e) => {
                 record_attempt(attempts, &format!("gmin={GMIN:.1e}"), e)?;
                 Ok(None)
@@ -584,10 +583,10 @@ impl Mna {
                 gmin: GMIN,
                 source_scale: alpha,
             };
-            match self.newton(
+            if let Err(e) = self.newton(
                 netlist,
                 t,
-                &x,
+                &mut x,
                 dt,
                 cap_prev,
                 analysis,
@@ -595,20 +594,18 @@ impl Mna {
                 opts.ladder_newton,
                 ws,
             ) {
-                Ok(next) => x = next,
-                Err(e) => {
-                    record_attempt(attempts, &format!("source-alpha={alpha:.2}"), e)?;
-                    return Ok(None);
-                }
+                record_attempt(attempts, &format!("source-alpha={alpha:.2}"), e)?;
+                return Ok(None);
             }
         }
         Ok(Some(x))
     }
 
-    /// Advances one transient step with step rejection: on non-convergence
-    /// the step is halved (exact for the backward-Euler companions) and
-    /// retried as two half steps, recursively up to
-    /// [`SolverOptions::max_step_halvings`] levels.
+    /// Advances one transient step from `x_start` into `x` with step
+    /// rejection: on non-convergence the step is halved (exact for the
+    /// backward-Euler companions) and retried as two half steps, recursively
+    /// up to [`SolverOptions::max_step_halvings`] levels. Only a halving
+    /// allocates (the midpoint buffer).
     #[allow(clippy::too_many_arguments)]
     fn advance_step(
         &self,
@@ -616,15 +613,17 @@ impl Mna {
         t_end: f64,
         dt: f64,
         x_start: &[f64],
+        x: &mut [f64],
         depth: u32,
         opts: &SolverOptions,
         attempts: &mut Vec<RetryAttempt>,
         ws: &mut Workspace,
-    ) -> Result<Vec<f64>, SpiceError> {
+    ) -> Result<(), SpiceError> {
+        x.copy_from_slice(x_start);
         match self.newton(
             netlist,
             t_end,
-            x_start,
+            x,
             Some(dt),
             Some(x_start),
             "transient",
@@ -632,7 +631,7 @@ impl Mna {
             opts.max_newton,
             ws,
         ) {
-            Ok(x) => Ok(x),
+            Ok(()) => Ok(()),
             Err(e) => {
                 record_attempt(attempts, &format!("dt={dt:.2e}"), e)?;
                 if depth >= opts.max_step_halvings {
@@ -646,17 +645,29 @@ impl Mna {
                 mss_obs::counter_add("spice.ladder.step_halvings", 1);
                 mss_obs::counter_add("spice.retry.step_halvings", 1);
                 let half = dt / 2.0;
-                let x_mid = self.advance_step(
+                let mut x_mid = vec![0.0; x.len()];
+                self.advance_step(
                     netlist,
                     t_end - half,
                     half,
                     x_start,
+                    &mut x_mid,
                     depth + 1,
                     opts,
                     attempts,
                     ws,
                 )?;
-                self.advance_step(netlist, t_end, half, &x_mid, depth + 1, opts, attempts, ws)
+                self.advance_step(
+                    netlist,
+                    t_end,
+                    half,
+                    &x_mid,
+                    x,
+                    depth + 1,
+                    opts,
+                    attempts,
+                    ws,
+                )
             }
         }
     }
@@ -896,28 +907,36 @@ impl Transient {
             .map(|&i| netlist.elements()[i].name().to_string())
             .collect();
 
+        // One full-length buffer per trace (`vec![v; n]` would clone `v`,
+        // and a clone keeps the length, not the capacity).
+        let traces =
+            |n: usize| -> Vec<Vec<f64>> { (0..n).map(|_| Vec::with_capacity(steps + 1)).collect() };
         let mut result = TransientResult {
             times: Vec::with_capacity(steps + 1),
             node_names,
-            voltages: vec![Vec::with_capacity(steps + 1); netlist.node_count()],
+            voltages: traces(netlist.node_count()),
             vsource_names,
             vsource_nodes,
-            currents: vec![Vec::with_capacity(steps + 1); mna.vsource_rows.len()],
+            currents: traces(mna.vsource_rows.len()),
             mtj_names,
-            mtj_cos: vec![Vec::with_capacity(steps + 1); mtj_indices.len()],
+            mtj_cos: traces(mtj_indices.len()),
             events: Vec::new(),
         };
         record(&mut result, &mna, &netlist, &mtj_indices, 0.0, &x);
 
+        // Two solution buffers, swapped each step: the step solves from
+        // `prev` into `x` without allocating.
+        let mut prev = vec![0.0; x.len()];
         for k in 1..=steps {
             let t = k as f64 * opts.dt;
-            let prev = x.clone();
+            std::mem::swap(&mut x, &mut prev);
             let mut attempts = Vec::new();
-            x = mna.advance_step(
+            mna.advance_step(
                 &netlist,
                 t,
                 opts.dt,
                 &prev,
+                &mut x,
                 0,
                 &opts.solver,
                 &mut attempts,

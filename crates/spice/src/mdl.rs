@@ -452,11 +452,13 @@ impl Report {
     }
 
     /// Serialises to the `name = value` text format the flow's file-parser
-    /// stage consumes.
+    /// stage consumes. Each value is written in the shortest form that
+    /// parses back to the same `f64`, so [`parse`](Self::parse) recovers
+    /// every bit.
     pub fn to_text(&self) -> String {
         let mut out = String::new();
         for (k, v) in &self.values {
-            out.push_str(&format!("{k} = {v:.12e}\n"));
+            out.push_str(&format!("{k} = {v:e}\n"));
         }
         out
     }
@@ -634,14 +636,24 @@ mod tests {
 
     #[test]
     fn report_round_trips_text() {
+        let values = [
+            ("write_latency", 4.664999999999999e-9),
+            ("write_energy", 159e-12),
+            ("min_positive", f64::MIN_POSITIVE),
+            ("subnormal", 5e-324),
+            ("negative_zero", -0.0),
+            ("pos_inf", f64::INFINITY),
+            ("neg_inf", f64::NEG_INFINITY),
+        ];
         let mut r = Report::new();
-        r.insert("write_latency", 4.9e-9);
-        r.insert("write_energy", 159e-12);
-        let text = r.to_text();
-        let back = Report::parse(&text).unwrap();
-        assert_eq!(back.len(), 2);
-        assert!((back.get("write_latency").unwrap() - 4.9e-9).abs() < 1e-20);
-        assert!((back.get("write_energy").unwrap() - 159e-12).abs() < 1e-20);
+        for (k, v) in values {
+            r.insert(k, v);
+        }
+        let back = Report::parse(&r.to_text()).unwrap();
+        assert_eq!(back.len(), values.len());
+        for (k, v) in values {
+            assert_eq!(back.get(k).unwrap().to_bits(), v.to_bits(), "{k} = {v:e}");
+        }
     }
 
     #[test]

@@ -108,19 +108,21 @@ pub fn parse_value(token: &str) -> Option<f64> {
         "f" => 1e-15,
         _ => {
             // Allow unit-bearing suffixes like "ns", "pf", "ua", "kohm".
-            let (first, rest) = suffix.split_at(1);
-            let m = match first {
-                "t" => 1e12,
-                "g" => 1e9,
-                "k" => 1e3,
-                "m" => 1e-3,
-                "u" => 1e-6,
-                "n" => 1e-9,
-                "p" => 1e-12,
-                "f" => 1e-15,
+            // Split by char, not byte: the suffix may start with a
+            // multi-byte character.
+            let mut rest = suffix.chars();
+            let m = match rest.next() {
+                Some('t') => 1e12,
+                Some('g') => 1e9,
+                Some('k') => 1e3,
+                Some('m') => 1e-3,
+                Some('u') => 1e-6,
+                Some('n') => 1e-9,
+                Some('p') => 1e-12,
+                Some('f') => 1e-15,
                 _ => return None,
             };
-            if rest.chars().all(|c| c.is_ascii_alphabetic()) {
+            if rest.all(|c| c.is_ascii_alphabetic()) {
                 m
             } else {
                 return None;
@@ -870,6 +872,9 @@ mod tests {
         close("10pf", 10e-12);
         assert_eq!(parse_value("garbage"), None);
         assert_eq!(parse_value(""), None);
+        // A multi-byte suffix is rejected, not split inside a character.
+        assert_eq!(parse_value("1é"), None);
+        assert_eq!(parse_value("1\u{FFFD}v"), None);
     }
 
     #[test]

@@ -16,6 +16,9 @@
 
 use crate::SpiceError;
 
+#[cfg(test)]
+mod reference;
+
 /// A dense row-major matrix.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
@@ -65,11 +68,6 @@ impl Matrix {
     /// Resets every entry to zero, keeping the allocation.
     pub fn clear(&mut self) {
         self.data.fill(0.0);
-    }
-
-    /// Largest absolute entry (the matrix scale for pivot tolerances).
-    pub(crate) fn max_abs(&self) -> f64 {
-        self.data.iter().fold(0.0f64, |acc, v| acc.max(v.abs()))
     }
 
     /// Matrix–vector product.
@@ -164,83 +162,115 @@ impl Workspace {
     /// conductance of `1e-12` against unit-scale stamps stays far above the
     /// tolerance for any realistic matrix size).
     ///
+    /// Dimensions 1–16 (every characterisation deck) run the elimination
+    /// body with a literal size, so its loops unroll and lose their bounds
+    /// checks; larger systems run the same body with the runtime size.
+    ///
     /// # Errors
     ///
     /// [`SpiceError::SingularMatrix`] when a pivot falls below the relative
     /// tolerance, or when the solution contains non-finite entries.
-    #[allow(clippy::needless_range_loop)]
     pub fn solve(&mut self) -> Result<(), SpiceError> {
-        let n = self.dim;
-        let a = &mut self.a;
-        let b = &mut self.rhs;
-        debug_assert_eq!(a.n_rows(), n);
-        debug_assert_eq!(b.len(), n);
-        // Matrix scale for the relative pivot tolerance; the MIN_POSITIVE
-        // floor makes the all-zero matrix (scale 0) singular rather than
-        // tol == 0.
-        let scale = a.max_abs();
-        let tol = (scale * n as f64 * f64::EPSILON).max(f64::MIN_POSITIVE);
-        let mut min_pivot_ratio = f64::INFINITY;
-        for k in 0..n {
-            // Partial pivot.
-            let mut piv = k;
-            let mut max = a.get(k, k).abs();
-            for r in (k + 1)..n {
-                let v = a.get(r, k).abs();
-                if v > max {
-                    max = v;
-                    piv = r;
-                }
-            }
-            if max < tol {
-                mss_obs::counter_add("spice.solver.singular", 1);
-                return Err(SpiceError::SingularMatrix);
-            }
-            min_pivot_ratio = min_pivot_ratio.min(max / scale);
-            if piv != k {
-                for c in 0..n {
-                    let tmp = a.get(k, c);
-                    a.set(k, c, a.get(piv, c));
-                    a.set(piv, c, tmp);
-                }
-                b.swap(k, piv);
-            }
-            let pivot = a.get(k, k);
-            for r in (k + 1)..n {
-                let factor = a.get(r, k) / pivot;
-                if factor == 0.0 {
-                    continue;
-                }
-                a.set(r, k, 0.0);
-                for c in (k + 1)..n {
-                    let v = a.get(r, c) - factor * a.get(k, c);
-                    a.set(r, c, v);
-                }
-                b[r] -= factor * b[k];
+        let (a, b, x) = (&mut self.a.data[..], &mut self.rhs[..], &mut self.x[..]);
+        match self.dim {
+            1 => eliminate(1, a, b, x),
+            2 => eliminate(2, a, b, x),
+            3 => eliminate(3, a, b, x),
+            4 => eliminate(4, a, b, x),
+            5 => eliminate(5, a, b, x),
+            6 => eliminate(6, a, b, x),
+            7 => eliminate(7, a, b, x),
+            8 => eliminate(8, a, b, x),
+            9 => eliminate(9, a, b, x),
+            10 => eliminate(10, a, b, x),
+            11 => eliminate(11, a, b, x),
+            12 => eliminate(12, a, b, x),
+            13 => eliminate(13, a, b, x),
+            14 => eliminate(14, a, b, x),
+            15 => eliminate(15, a, b, x),
+            16 => eliminate(16, a, b, x),
+            n => eliminate(n, a, b, x),
+        }
+    }
+}
+
+/// The one LU body behind [`Workspace::solve`]: solves the row-major
+/// `n × n` system `a·x = b`, destroying `a` and `b`.
+///
+/// Inlined into every arm of `solve`'s size match, so a literal `n`
+/// constant-folds. The arithmetic is the naive elimination's, operation for
+/// operation: first-max partial pivot, `factor = a[r][k] / pivot` with a
+/// skip when it is exactly zero, `a[r][c] - factor * a[k][c]` (Rust never
+/// contracts that to an FMA), and back substitution in increasing column
+/// order.
+#[inline(always)]
+fn eliminate(n: usize, a: &mut [f64], b: &mut [f64], x: &mut [f64]) -> Result<(), SpiceError> {
+    let (a, b, x) = (&mut a[..n * n], &mut b[..n], &mut x[..n]);
+    // Matrix scale for the relative pivot tolerance; the MIN_POSITIVE floor
+    // makes the all-zero matrix (scale 0) singular rather than tol == 0.
+    let scale = a.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+    let tol = (scale * n as f64 * f64::EPSILON).max(f64::MIN_POSITIVE);
+    let observed = mss_obs::enabled();
+    let mut min_pivot_ratio = f64::INFINITY;
+    for k in 0..n {
+        // Partial pivot: the first row holding the column's largest magnitude.
+        let mut piv = k;
+        let mut max = a[k * n + k].abs();
+        for r in (k + 1)..n {
+            let v = a[r * n + k].abs();
+            if v > max {
+                max = v;
+                piv = r;
             }
         }
-        // Back substitution into the workspace solution vector.
-        let x = &mut self.x;
-        for k in (0..n).rev() {
-            let mut sum = b[k];
-            for c in (k + 1)..n {
-                sum -= a.get(k, c) * x[c];
-            }
-            x[k] = sum / a.get(k, k);
-        }
-        // Defence in depth: a pivot chain can pass the tolerance yet still
-        // overflow during substitution; never hand back non-finite
-        // "solutions".
-        if x.iter().any(|v| !v.is_finite()) {
+        if max < tol {
             mss_obs::counter_add("spice.solver.singular", 1);
             return Err(SpiceError::SingularMatrix);
         }
-        if mss_obs::enabled() {
-            mss_obs::counter_add("spice.solver.solves", 1);
-            mss_obs::record_value("spice.solver.min_pivot_ratio", min_pivot_ratio);
+        if observed {
+            min_pivot_ratio = min_pivot_ratio.min(max / scale);
         }
-        Ok(())
+        if piv != k {
+            let (upper, lower) = a.split_at_mut(piv * n);
+            upper[k * n..(k + 1) * n].swap_with_slice(&mut lower[..n]);
+            b.swap(k, piv);
+        }
+        let (upper, lower) = a.split_at_mut((k + 1) * n);
+        let pivot_row = &upper[k * n..];
+        let pivot = pivot_row[k];
+        let bk = b[k];
+        for (row, b_r) in lower.chunks_exact_mut(n).zip(&mut b[k + 1..]) {
+            let factor = row[k] / pivot;
+            if factor == 0.0 {
+                continue;
+            }
+            row[k] = 0.0;
+            for (v, p) in row[k + 1..].iter_mut().zip(&pivot_row[k + 1..]) {
+                *v -= factor * p;
+            }
+            *b_r -= factor * bk;
+        }
     }
+    // Back substitution into the solution vector.
+    for k in (0..n).rev() {
+        let row = &a[k * n..(k + 1) * n];
+        let mut sum = b[k];
+        for (v, x_c) in row[k + 1..].iter().zip(&x[k + 1..]) {
+            sum -= v * x_c;
+        }
+        x[k] = sum / row[k];
+    }
+    // Defence in depth: a pivot chain can pass the tolerance yet still
+    // overflow during substitution; never hand back non-finite "solutions".
+    if x.iter().any(|v| !v.is_finite()) {
+        mss_obs::counter_add("spice.solver.singular", 1);
+        return Err(SpiceError::SingularMatrix);
+    }
+    if observed {
+        mss_obs::counter_add("spice.solver.solves", 1);
+        mss_obs::record_value("spice.solver.min_pivot_ratio", min_pivot_ratio);
+    }
+    Ok(())
 }
 
 #[cfg(test)]

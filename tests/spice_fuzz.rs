@@ -1,0 +1,182 @@
+//! Deterministic fuzzing of the SPICE deck parser.
+//!
+//! The corpus is the characterisation flow's own decks, expanded from the
+//! `mss_pdk::cells` templates at 45 nm (`tests/fixtures/spice_45nm`: the
+//! STT and SOT write and read decks and the NVFF backup deck), plus one
+//! small deck that reaches the grammar those leave out (`.subckt`, `.meas`,
+//! `SIN`, `PWL`, current sources). A seeded SplitMix64 schedule mutates them
+//! with byte flips, truncations, line splices and duplications, and swaps of
+//! element and command tokens drawn from the common SPICE grammar (the
+//! element letters and dot-commands of the spicier parser's table).
+//!
+//! `Deck::parse` must never panic, and every error must be a
+//! `SpiceError::Parse` naming a line of the input. The run is the same on
+//! every machine: the seed, the corpus and the mutation schedule are fixed.
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
+use great_mss::spice::parser::Deck;
+use great_mss::spice::SpiceError;
+use great_mss::units::rng::{Rng, SplitMix64};
+
+const FIXTURES: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/spice_45nm");
+const DECKS: [&str; 5] = [
+    "stt_write.sp",
+    "stt_read.sp",
+    "sot_write.sp",
+    "sot_read.sp",
+    "nvff_backup.sp",
+];
+const CASES: usize = 20_000;
+
+/// Statements the characterisation decks never use.
+const GRAMMAR_DECK: &str = "* grammar coverage
+.subckt divider top mid
+R1 top mid 1k
+R2 mid 0 1k
+C1 mid 0 10f
+.ends
+VIN in 0 SIN(0.5 0.5 1g 0)
+VP p 0 PWL(0 0 1n 1 2n 0.5)
+IB 0 p DC 1u
+X1 in out divider
+X2 p 0 MTJ STATE=P DIAMETER=40n TMR=1.5 RA=5
+.tran 1p 2n
+.meas tpd DELAY TRIG v(in) VAL=0.5 RISE TARG v(out) VAL=0.25 RISE
+.meas e1 ENERGY SRC=VIN FROM=0 TO=2n
+.meas vavg AVG v(out) FROM=0 TO=2n
+.meas vend FINAL i(VIN)
+.end
+";
+
+/// Element names and dot-commands a SPICE deck is built from.
+const STATEMENT_TOKENS: &[&str] = &[
+    "R1", "C1", "L1", "V1", "I1", "D1", "M1", "E1", "G1", "F1", "H1", "B1", "X1", ".op", ".dc",
+    ".ac", ".tran", ".print", ".ic", ".model", ".subckt", ".ends", ".end", ".meas", ".measure",
+];
+
+/// Argument tokens the parser dispatches on.
+const ARGUMENT_TOKENS: &[&str] = &[
+    "NMOS", "PMOS", "MTJ", "MTJSOT", "DC", "PULSE(", "SIN(", "PWL(", ")", "(", "STATE=AP",
+    "STATE=", "W=", "L=", "=", "VAL=", "v(", "i()", "TRIG", "TARG", "0", "gnd", "1meg", "-1e400",
+    "1e-400", "nan", "inf", "2.5.3", "1kk", "1e",
+];
+
+/// Bytes that move the tokenizer and value parser between states.
+const BYTES: &[u8] = b"()=*;.,+-e \t\n0123456789kmunpfgtxX";
+
+fn corpus() -> Vec<String> {
+    let mut docs: Vec<String> = DECKS
+        .iter()
+        .map(|f| std::fs::read_to_string(format!("{FIXTURES}/{f}")).unwrap())
+        .collect();
+    docs.push(GRAMMAR_DECK.to_string());
+    docs
+}
+
+fn below(rng: &mut SplitMix64, n: usize) -> usize {
+    (rng.next_u64() % n.max(1) as u64) as usize
+}
+
+/// Replaces one whitespace-separated token of a random line.
+fn swap_token(rng: &mut SplitMix64, lines: &mut [String]) {
+    if lines.is_empty() {
+        return;
+    }
+    let li = below(rng, lines.len());
+    let mut tokens: Vec<String> = lines[li].split_whitespace().map(str::to_string).collect();
+    let at = below(rng, tokens.len() + 1);
+    let token = if at == 0 || below(rng, 3) == 0 {
+        STATEMENT_TOKENS[below(rng, STATEMENT_TOKENS.len())]
+    } else {
+        ARGUMENT_TOKENS[below(rng, ARGUMENT_TOKENS.len())]
+    };
+    if at < tokens.len() {
+        tokens[at] = token.to_string();
+    } else {
+        tokens.push(token.to_string());
+    }
+    lines[li] = tokens.join(" ");
+}
+
+/// One to four mutations of `text`, splicing lines from `other`.
+fn mutate(rng: &mut SplitMix64, text: &str, other: &str) -> String {
+    let mut text = text.to_string();
+    for _ in 0..=below(rng, 3) {
+        let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+        match below(rng, 7) {
+            0 | 1 => {
+                let mut bytes = text.into_bytes();
+                if !bytes.is_empty() {
+                    let at = below(rng, bytes.len());
+                    bytes[at] = match below(rng, 3) {
+                        0 => bytes[at] ^ (1 << below(rng, 8)),
+                        1 => BYTES[below(rng, BYTES.len())],
+                        _ => rng.next_u64() as u8,
+                    };
+                }
+                text = String::from_utf8_lossy(&bytes).into_owned();
+                continue;
+            }
+            2 => {
+                let mut bytes = text.into_bytes();
+                bytes.truncate(below(rng, bytes.len() + 1));
+                text = String::from_utf8_lossy(&bytes).into_owned();
+                continue;
+            }
+            3 => {
+                // Line splice: a run of lines from the other deck.
+                let donor: Vec<&str> = other.lines().collect();
+                let from = below(rng, donor.len());
+                let n = 1 + below(rng, 4);
+                let run = donor.iter().skip(from).take(n).map(|l| l.to_string());
+                let at = below(rng, lines.len() + 1);
+                lines.splice(at..at, run);
+            }
+            4 => {
+                // Line duplication.
+                if !lines.is_empty() {
+                    let at = below(rng, lines.len());
+                    let n = (1 + below(rng, 3)).min(lines.len() - at);
+                    let dup: Vec<String> = lines[at..at + n].to_vec();
+                    lines.splice(at..at, dup);
+                }
+            }
+            _ => swap_token(rng, &mut lines),
+        }
+        text = lines.join("\n");
+    }
+    text
+}
+
+#[test]
+fn mutated_decks_never_panic_and_errors_name_a_line() {
+    let docs = corpus();
+    for (i, doc) in docs.iter().enumerate() {
+        Deck::parse(doc).unwrap_or_else(|e| panic!("corpus deck {i} must parse: {e}"));
+    }
+    let mut rng = SplitMix64::new(0x7370_6963_6566_757a);
+    let (mut rejected, mut accepted) = (0usize, 0usize);
+    for case in 0..CASES {
+        let doc = &docs[case % docs.len()];
+        let other = &docs[below(&mut rng, docs.len())];
+        let text = mutate(&mut rng, doc, other);
+        let parsed = catch_unwind(AssertUnwindSafe(|| Deck::parse(&text)))
+            .unwrap_or_else(|_| panic!("case {case}: Deck::parse panicked on:\n{text}"));
+        match parsed {
+            Ok(_) => accepted += 1,
+            Err(SpiceError::Parse { line, message }) => {
+                let lines = text.lines().count().max(1);
+                assert!(
+                    (1..=lines).contains(&line),
+                    "case {case}: line {line} of {lines} ({message}) in:\n{text}"
+                );
+                rejected += 1;
+            }
+            Err(other) => panic!("case {case}: not a parse error: {other:?}\n{text}"),
+        }
+    }
+    // The schedule really reached both outcomes.
+    assert!(rejected > CASES / 4, "only {rejected} decks rejected");
+    assert!(accepted > CASES / 20, "only {accepted} decks accepted");
+}
