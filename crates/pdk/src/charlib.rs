@@ -801,13 +801,18 @@ impl CellLibrary {
     ///
     /// # Errors
     ///
-    /// [`PdkError::Characterization`] when a required key is missing or
-    /// `node_nm` is neither 45 nor 65.
+    /// [`PdkError::Characterization`] when a required key is missing or not
+    /// finite, or `node_nm` is neither 45 nor 65.
     pub fn from_report(report: &Report) -> Result<Self, PdkError> {
         let get = |key: &str| {
-            report.get(key).ok_or(PdkError::Characterization {
+            let reason = match report.get(key) {
+                Some(v) if v.is_finite() => return Ok(v),
+                Some(v) => format!("key '{key}' = {v} is not finite"),
+                None => format!("missing key '{key}'"),
+            };
+            Err(PdkError::Characterization {
                 step: "report parse",
-                reason: format!("missing key '{key}'"),
+                reason,
             })
         };
         let node = match get("node_nm")? {
@@ -1098,5 +1103,26 @@ mod tests {
         }
         r.insert("node_nm", 65.0);
         assert_eq!(CellLibrary::from_report(&r).unwrap().node, TechNode::N65);
+    }
+
+    #[test]
+    fn from_report_rejects_non_finite_fields() {
+        let good = characterize_with(&TechParams::node(TechNode::N45), &stack())
+            .unwrap()
+            .to_report();
+        for (key, v) in [
+            ("write_latency", f64::NAN),
+            ("r_parallel", f64::NEG_INFINITY),
+            ("leakage", f64::INFINITY),
+        ] {
+            let mut r = good.clone();
+            r.insert(key, v);
+            let err = CellLibrary::from_report(&r).unwrap_err();
+            assert!(
+                matches!(&err, PdkError::Characterization { reason, .. }
+                    if reason.contains(&format!("'{key}'")) && reason.contains("not finite")),
+                "{key} = {v}: {err}"
+            );
+        }
     }
 }

@@ -12,6 +12,7 @@ use std::collections::HashMap;
 use crate::error::RetryAttempt;
 use crate::netlist::{Element, Netlist, NodeId};
 use crate::solver::{Matrix, Workspace};
+use crate::waveform::Waveform;
 use crate::SpiceError;
 
 /// Conductance from every node to ground, keeping floating nets solvable.
@@ -26,6 +27,9 @@ const VSTEP_MAX: f64 = 0.5;
 const GMIN_LADDER_START: f64 = 1e-3;
 /// Source-stepping ladder resolution (number of alpha levels up to 1.0).
 const SOURCE_LADDER_LEVELS: usize = 10;
+/// Transient steps remembered for exact replay (see [`StepMemo`]). Settled
+/// circuits repeat one step, and last-bit cycles have periods of 2 to 4.
+const STEP_MEMO_SLOTS: usize = 4;
 
 /// Convergence policy: how hard the solver tries before reporting failure.
 ///
@@ -853,6 +857,19 @@ impl Transient {
     /// the failing time point attached.
     pub fn run(&self, opts: &TransientOptions) -> Result<TransientResult, SpiceError> {
         let _span = mss_obs::span("spice.transient");
+        let mut memo = StepMemo::new(STEP_MEMO_SLOTS);
+        let result = self.run_with_memo(opts, &mut memo);
+        mss_obs::counter_add("spice.transient.replayed_steps", memo.replayed);
+        result
+    }
+
+    /// The step loop behind [`run`](Self::run), replaying steps from `memo`
+    /// (a memo of no slots solves every step).
+    fn run_with_memo(
+        &self,
+        opts: &TransientOptions,
+        memo: &mut StepMemo,
+    ) -> Result<TransientResult, SpiceError> {
         let mut netlist = self.netlist.clone();
         let mna = Mna::new(&netlist);
         let steps = (opts.t_stop / opts.dt).round() as usize;
@@ -924,24 +941,53 @@ impl Transient {
         };
         record(&mut result, &mna, &netlist, &mtj_indices, 0.0, &x);
 
+        // Every source's value at the previous time point: the memo holds
+        // only while all of them repeat bit for bit.
+        let waves: Vec<Waveform> = netlist
+            .elements()
+            .iter()
+            .filter_map(|e| match e {
+                Element::VSource { wave, .. } | Element::ISource { wave, .. } => Some(wave.clone()),
+                _ => None,
+            })
+            .collect();
+        let mut levels: Vec<f64> = waves.iter().map(|w| w.eval(0.0)).collect();
+        memo.prepare(x.len());
+
         // Two solution buffers, swapped each step: the step solves from
         // `prev` into `x` without allocating.
         let mut prev = vec![0.0; x.len()];
         for k in 1..=steps {
             let t = k as f64 * opts.dt;
             std::mem::swap(&mut x, &mut prev);
-            let mut attempts = Vec::new();
-            mna.advance_step(
-                &netlist,
-                t,
-                opts.dt,
-                &prev,
-                &mut x,
-                0,
-                &opts.solver,
-                &mut attempts,
-                &mut ws,
-            )?;
+            let mut held = true;
+            for (level, wave) in levels.iter_mut().zip(&waves) {
+                let v = wave.eval(t);
+                held &= v.to_bits() == level.to_bits();
+                *level = v;
+            }
+            if !held {
+                memo.clear();
+            }
+            if !memo.replay(&prev, &mut x) {
+                let mut attempts = Vec::new();
+                mna.advance_step(
+                    &netlist,
+                    t,
+                    opts.dt,
+                    &prev,
+                    &mut x,
+                    0,
+                    &opts.solver,
+                    &mut attempts,
+                    &mut ws,
+                )?;
+                // A halved step also read the sources between the time
+                // points, which the memo does not check.
+                if attempts.is_empty() {
+                    memo.store(&prev, &x);
+                }
+            }
 
             // Advance MTJ states with the solved currents.
             let mut events = Vec::new();
@@ -991,10 +1037,94 @@ impl Transient {
                     }
                 }
             }
+            // A flipped junction changes the stamps of every later step.
+            if !events.is_empty() {
+                memo.clear();
+            }
             result.events.extend(events);
             record(&mut result, &mna, &netlist, &mtj_indices, t, &x);
         }
         Ok(result)
+    }
+}
+
+/// The last few transient steps that converged at full `dt`, as
+/// `(x_start, x)` pairs in a ring allocated once per run.
+///
+/// A fixed-step transient step is a pure function of its start vector
+/// (which is also the capacitor history), every source's value at `t`, `dt`
+/// and every MTJ's state; switching progress is never stamped. Within a run
+/// `dt` is fixed, and the ring is cleared whenever a source value or an MTJ
+/// state changes, so a step whose start vector matches a stored one bit for
+/// bit has that entry's solution bit for bit.
+struct StepMemo {
+    slots: usize,
+    dim: usize,
+    /// `slots` pairs, each `x_start` then `x`, `2 * dim` values per pair.
+    pairs: Vec<f64>,
+    len: usize,
+    next: usize,
+    /// Steps answered from the ring.
+    replayed: u64,
+}
+
+impl StepMemo {
+    fn new(slots: usize) -> Self {
+        Self {
+            slots,
+            dim: 0,
+            pairs: Vec::new(),
+            len: 0,
+            next: 0,
+            replayed: 0,
+        }
+    }
+
+    /// Sizes the ring for a system of `dim` unknowns, empty.
+    fn prepare(&mut self, dim: usize) {
+        self.dim = dim;
+        self.pairs = vec![0.0; 2 * dim * self.slots];
+        self.clear();
+    }
+
+    fn clear(&mut self) {
+        self.len = 0;
+        self.next = 0;
+    }
+
+    /// Writes the stored solution of a step that started bit for bit at
+    /// `x_start` into `x`, searching the newest entry first; false when no
+    /// entry matches.
+    fn replay(&mut self, x_start: &[f64], x: &mut [f64]) -> bool {
+        let dim = self.dim;
+        let hit = (1..=self.len).find_map(|back| {
+            let slot = (self.next + self.slots - back) % self.slots;
+            let (key, value) = self.pairs[2 * dim * slot..][..2 * dim].split_at(dim);
+            key.iter()
+                .zip(x_start)
+                .all(|(a, b)| a.to_bits() == b.to_bits())
+                .then_some(value)
+        });
+        match hit {
+            Some(value) => {
+                x.copy_from_slice(value);
+                self.replayed += 1;
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// Stores a step, overwriting the oldest entry once the ring is full.
+    fn store(&mut self, x_start: &[f64], x: &[f64]) {
+        if self.slots == 0 {
+            return;
+        }
+        let pair = &mut self.pairs[2 * self.dim * self.next..][..2 * self.dim];
+        pair[..self.dim].copy_from_slice(x_start);
+        pair[self.dim..].copy_from_slice(x);
+        self.next = (self.next + 1) % self.slots;
+        self.len = (self.len + 1).min(self.slots);
     }
 }
 
@@ -1472,8 +1602,9 @@ mod tests {
     }
 
     /// A transient deck whose input step overwhelms a starved Newton budget
-    /// at full `dt` but settles once the step is halved.
-    fn stepping_deck() -> Netlist {
+    /// at full `dt` but settles once the step is halved; `load` is the
+    /// output capacitance.
+    fn stepping_deck(load: f64) -> Netlist {
         let mut nl = Netlist::new();
         nl.add_vsource("vdd", "vdd", "0", Waveform::dc(1.0))
             .unwrap();
@@ -1486,7 +1617,7 @@ mod tests {
         )
         .unwrap();
         nl.add_resistor("rl", "vdd", "out", 10e3).unwrap();
-        nl.add_capacitor("cl", "out", "0", 5e-15).unwrap();
+        nl.add_capacitor("cl", "out", "0", load).unwrap();
         nl.add_mosfet(
             "m1",
             "out",
@@ -1504,7 +1635,7 @@ mod tests {
 
     #[test]
     fn transient_step_rejection_rescues_coarse_steps() {
-        let nl = stepping_deck();
+        let nl = stepping_deck(5e-15);
         // A large step across the input edge with a tiny Newton budget: the
         // DC init is fine (input still 0 V), but the edge step needs help.
         let starved = SolverOptions::default()
@@ -1526,7 +1657,7 @@ mod tests {
 
     #[test]
     fn exhausted_transient_ladder_reports_every_halving() {
-        let nl = stepping_deck();
+        let nl = stepping_deck(5e-15);
         let opts = TransientOptions::new(4e-10, 3e-9).with_solver(
             SolverOptions::default()
                 .with_max_newton(1)
@@ -1552,6 +1683,174 @@ mod tests {
             }
             other => panic!("expected RetryLadderExhausted, got {other:?}"),
         }
+    }
+
+    /// Runs `nl` with no step memo (every step solved: the spec) and with
+    /// the run's memo, and requires the two to agree bit for bit: every time
+    /// point, node voltage, source current, MTJ trace and event, or the same
+    /// error. Returns the number of steps the memo replayed.
+    fn assert_replay_exact(nl: &Netlist, opts: &TransientOptions) -> u64 {
+        let transient = Transient::new(nl).unwrap();
+        let mut none = StepMemo::new(0);
+        let spec = transient.run_with_memo(opts, &mut none);
+        assert_eq!(none.replayed, 0, "a memo of no slots replays nothing");
+        let mut ring = StepMemo::new(STEP_MEMO_SLOTS);
+        let replay = transient.run_with_memo(opts, &mut ring);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        match (spec, replay) {
+            (Ok(a), Ok(b)) => {
+                assert_eq!(bits(&a.times), bits(&b.times), "time points");
+                let traces = [
+                    (&a.node_names, &a.voltages, &b.voltages),
+                    (&a.vsource_names, &a.currents, &b.currents),
+                    (&a.mtj_names, &a.mtj_cos, &b.mtj_cos),
+                ];
+                for (names, ta, tb) in traces {
+                    assert_eq!(ta.len(), tb.len());
+                    for ((name, va), vb) in names.iter().zip(ta).zip(tb) {
+                        assert_eq!(bits(va), bits(vb), "trace of {name}");
+                    }
+                }
+                let events = |r: &TransientResult| -> Vec<(u64, String, u64)> {
+                    r.events
+                        .iter()
+                        .map(|e| {
+                            (
+                                e.time.to_bits(),
+                                e.element.clone(),
+                                e.new_state_cos.to_bits(),
+                            )
+                        })
+                        .collect()
+                };
+                assert_eq!(events(&a), events(&b), "switch events");
+            }
+            (Err(a), Err(b)) => assert_eq!(format!("{a:?}"), format!("{b:?}")),
+            (a, b) => panic!("outcomes differ: spec {:?}, memo {:?}", a.err(), b.err()),
+        }
+        ring.replayed
+    }
+
+    #[test]
+    fn step_memo_replays_characterisation_decks_exactly() {
+        let dir = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../tests/fixtures/spice_45nm"
+        );
+        for deck in [
+            "stt_write.sp",
+            "stt_read.sp",
+            "sot_write.sp",
+            "sot_read.sp",
+            "nvff_backup.sp",
+        ] {
+            let text = std::fs::read_to_string(format!("{dir}/{deck}")).unwrap();
+            let parsed = crate::parser::Deck::parse(&text).unwrap();
+            let (dt, t_stop) = parsed.tran.unwrap();
+            let replayed = assert_replay_exact(&parsed.netlist, &TransientOptions::new(dt, t_stop));
+            assert!(replayed > 0, "{deck}: the memo must engage");
+        }
+    }
+
+    #[test]
+    fn step_memo_drops_entries_when_a_source_moves() {
+        // Flat, settle, step, settle again, step back: each edge must be
+        // solved, not replayed from the settled state before it.
+        let mut nl = Netlist::new();
+        nl.add_vsource("vdd", "vdd", "0", Waveform::dc(1.0))
+            .unwrap();
+        let steps = vec![
+            (0.0, 0.0),
+            (1e-9, 0.0),
+            (1.2e-9, 0.6),
+            (4e-9, 0.6),
+            (4.2e-9, 1.0),
+            (7e-9, 1.0),
+            (7.5e-9, 0.3),
+        ];
+        nl.add_vsource("vin", "in", "0", Waveform::pwl(steps))
+            .unwrap();
+        nl.add_resistor("rl", "vdd", "out", 10e3).unwrap();
+        nl.add_capacitor("cl", "out", "0", 5e-15).unwrap();
+        let geom = MosGeometry {
+            width: 1e-6,
+            length: 100e-9,
+        };
+        nl.add_mosfet("m1", "out", "in", "0", MosModel::generic_nmos(), geom)
+            .unwrap();
+        let opts = TransientOptions::new(1e-11, 10e-9);
+        assert!(assert_replay_exact(&nl, &opts) > 0, "the memo must engage");
+    }
+
+    #[test]
+    fn step_memo_drops_entries_when_a_junction_flips() {
+        // The write pulse's flat top settles the bit line well before the
+        // junction flips; the flip changes the stamps, so the settled steps
+        // before it must not be replayed after it.
+        let stack = MssStack::builder().build().unwrap();
+        let v_write = 2.5 * stack.critical_current() * stack.resistance_antiparallel();
+        let mut nl = Netlist::new();
+        nl.add_vsource(
+            "vw",
+            "drv",
+            "0",
+            Waveform::pulse(0.0, v_write, 0.2e-9, 0.05e-9, 0.05e-9, 40e-9, 0.0),
+        )
+        .unwrap();
+        nl.add_resistor("rbl", "drv", "top", 100.0).unwrap();
+        nl.add_capacitor("cbl", "top", "0", 5e-15).unwrap();
+        nl.add_mtj("x1", "top", "0", &stack, MtjState::Antiparallel)
+            .unwrap();
+        let opts = TransientOptions::new(0.01e-9, 20e-9);
+        assert_replay_exact(&nl, &opts);
+        let res = Transient::new(&nl).unwrap().run(&opts).unwrap();
+        assert_eq!(res.events().len(), 1, "the write must switch the junction");
+        // The circuit settles, and steps replay, before the flip.
+        let before_flip = TransientOptions::new(0.01e-9, res.events()[0].time - 0.01e-9);
+        assert!(
+            assert_replay_exact(&nl, &before_flip) > 0,
+            "settled before the flip"
+        );
+    }
+
+    #[test]
+    fn step_memo_keeps_halved_steps_and_failures_exact() {
+        let nl = stepping_deck(5e-15);
+        let starved = SolverOptions::default()
+            .with_max_newton(4)
+            .with_ladder_newton(MAX_NEWTON);
+        for halvings in [8, 0] {
+            let opts = TransientOptions::new(4e-10, 6e-9)
+                .with_solver(starved.with_max_step_halvings(halvings));
+            assert_replay_exact(&nl, &opts);
+        }
+        let exhausted = TransientOptions::new(4e-10, 3e-9).with_solver(
+            SolverOptions::default()
+                .with_max_newton(1)
+                .with_max_step_halvings(2),
+        );
+        assert_replay_exact(&nl, &exhausted);
+
+        // A 1 pF load keeps the output slewing through the window. With a
+        // 2-iteration budget every step after the edge is halved, and none
+        // of them may enter the ring; with the default budget they do.
+        let slow = stepping_deck(1e-12);
+        let ring_after = |solver: SolverOptions| {
+            let opts = TransientOptions::new(1e-9, 6e-9).with_solver(solver);
+            assert_replay_exact(&slow, &opts);
+            let mut ring = StepMemo::new(STEP_MEMO_SLOTS);
+            Transient::new(&slow)
+                .unwrap()
+                .run_with_memo(&opts, &mut ring)
+                .unwrap();
+            ring.len
+        };
+        let halving = SolverOptions::default()
+            .with_max_newton(2)
+            .with_ladder_newton(MAX_NEWTON)
+            .with_max_step_halvings(12);
+        assert_eq!(ring_after(halving), 0, "a halved step entered the ring");
+        assert!(ring_after(SolverOptions::default()) > 0);
     }
 
     #[test]

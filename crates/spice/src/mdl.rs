@@ -467,7 +467,7 @@ impl Report {
     ///
     /// # Errors
     ///
-    /// [`SpiceError::Parse`] on malformed lines.
+    /// [`SpiceError::Parse`] on malformed lines and on a key given twice.
     pub fn parse(text: &str) -> Result<Self, SpiceError> {
         let mut report = Report::new();
         for (lineno, line) in text.lines().enumerate() {
@@ -483,7 +483,13 @@ impl Report {
                 line: lineno + 1,
                 message: format!("bad number: {e}"),
             })?;
-            report.insert(name.trim(), value);
+            let name = name.trim();
+            if report.values.insert(name.to_string(), value).is_some() {
+                return Err(SpiceError::Parse {
+                    line: lineno + 1,
+                    message: format!("duplicate key '{name}'"),
+                });
+            }
         }
         Ok(report)
     }
@@ -663,6 +669,18 @@ mod tests {
         // Comments and blanks are fine.
         let r = Report::parse("* comment\n\n# other\nx = 1.0\n").unwrap();
         assert_eq!(r.get("x"), Some(1.0));
+    }
+
+    #[test]
+    fn report_parse_rejects_a_repeated_key() {
+        let err = Report::parse("x = 1.0\n# note\ny = 2.0\n x = 3.0\n").unwrap_err();
+        assert_eq!(
+            err,
+            SpiceError::Parse {
+                line: 4,
+                message: "duplicate key 'x'".to_string(),
+            }
+        );
     }
 
     #[test]

@@ -7,17 +7,21 @@
 //! `SIN`, `PWL`, current sources). A seeded SplitMix64 schedule mutates them
 //! with byte flips, truncations, line splices and duplications, and swaps of
 //! element and command tokens drawn from the common SPICE grammar (the
-//! element letters and dot-commands of the spicier parser's table).
+//! element letters and dot-commands of the spicier parser's table). The
+//! schedule lives in `tests/fuzz/mod.rs`, shared with the MDL target.
 //!
 //! `Deck::parse` must never panic, and every error must be a
 //! `SpiceError::Parse` naming a line of the input. The run is the same on
 //! every machine: the seed, the corpus and the mutation schedule are fixed.
 
+mod fuzz;
+
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
+use fuzz::{below, mutate, Grammar};
 use great_mss::spice::parser::Deck;
 use great_mss::spice::SpiceError;
-use great_mss::units::rng::{Rng, SplitMix64};
+use great_mss::units::rng::SplitMix64;
 
 const FIXTURES: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/spice_45nm");
 const DECKS: [&str; 5] = [
@@ -65,6 +69,12 @@ const ARGUMENT_TOKENS: &[&str] = &[
 /// Bytes that move the tokenizer and value parser between states.
 const BYTES: &[u8] = b"()=*;.,+-e \t\n0123456789kmunpfgtxX";
 
+const SPICE: Grammar = Grammar {
+    statements: STATEMENT_TOKENS,
+    arguments: ARGUMENT_TOKENS,
+    bytes: BYTES,
+};
+
 fn corpus() -> Vec<String> {
     let mut docs: Vec<String> = DECKS
         .iter()
@@ -72,81 +82,6 @@ fn corpus() -> Vec<String> {
         .collect();
     docs.push(GRAMMAR_DECK.to_string());
     docs
-}
-
-fn below(rng: &mut SplitMix64, n: usize) -> usize {
-    (rng.next_u64() % n.max(1) as u64) as usize
-}
-
-/// Replaces one whitespace-separated token of a random line.
-fn swap_token(rng: &mut SplitMix64, lines: &mut [String]) {
-    if lines.is_empty() {
-        return;
-    }
-    let li = below(rng, lines.len());
-    let mut tokens: Vec<String> = lines[li].split_whitespace().map(str::to_string).collect();
-    let at = below(rng, tokens.len() + 1);
-    let token = if at == 0 || below(rng, 3) == 0 {
-        STATEMENT_TOKENS[below(rng, STATEMENT_TOKENS.len())]
-    } else {
-        ARGUMENT_TOKENS[below(rng, ARGUMENT_TOKENS.len())]
-    };
-    if at < tokens.len() {
-        tokens[at] = token.to_string();
-    } else {
-        tokens.push(token.to_string());
-    }
-    lines[li] = tokens.join(" ");
-}
-
-/// One to four mutations of `text`, splicing lines from `other`.
-fn mutate(rng: &mut SplitMix64, text: &str, other: &str) -> String {
-    let mut text = text.to_string();
-    for _ in 0..=below(rng, 3) {
-        let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
-        match below(rng, 7) {
-            0 | 1 => {
-                let mut bytes = text.into_bytes();
-                if !bytes.is_empty() {
-                    let at = below(rng, bytes.len());
-                    bytes[at] = match below(rng, 3) {
-                        0 => bytes[at] ^ (1 << below(rng, 8)),
-                        1 => BYTES[below(rng, BYTES.len())],
-                        _ => rng.next_u64() as u8,
-                    };
-                }
-                text = String::from_utf8_lossy(&bytes).into_owned();
-                continue;
-            }
-            2 => {
-                let mut bytes = text.into_bytes();
-                bytes.truncate(below(rng, bytes.len() + 1));
-                text = String::from_utf8_lossy(&bytes).into_owned();
-                continue;
-            }
-            3 => {
-                // Line splice: a run of lines from the other deck.
-                let donor: Vec<&str> = other.lines().collect();
-                let from = below(rng, donor.len());
-                let n = 1 + below(rng, 4);
-                let run = donor.iter().skip(from).take(n).map(|l| l.to_string());
-                let at = below(rng, lines.len() + 1);
-                lines.splice(at..at, run);
-            }
-            4 => {
-                // Line duplication.
-                if !lines.is_empty() {
-                    let at = below(rng, lines.len());
-                    let n = (1 + below(rng, 3)).min(lines.len() - at);
-                    let dup: Vec<String> = lines[at..at + n].to_vec();
-                    lines.splice(at..at, dup);
-                }
-            }
-            _ => swap_token(rng, &mut lines),
-        }
-        text = lines.join("\n");
-    }
-    text
 }
 
 #[test]
@@ -160,7 +95,7 @@ fn mutated_decks_never_panic_and_errors_name_a_line() {
     for case in 0..CASES {
         let doc = &docs[case % docs.len()];
         let other = &docs[below(&mut rng, docs.len())];
-        let text = mutate(&mut rng, doc, other);
+        let text = mutate(&mut rng, &SPICE, doc, other);
         let parsed = catch_unwind(AssertUnwindSafe(|| Deck::parse(&text)))
             .unwrap_or_else(|_| panic!("case {case}: Deck::parse panicked on:\n{text}"));
         match parsed {
