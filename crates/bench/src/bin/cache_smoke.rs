@@ -30,7 +30,7 @@ use mss_core::flow::{MagpieFlow, MagpieInputs, MagpieReport};
 use mss_core::scenario::Scenario;
 use mss_exec::ParallelConfig;
 use mss_gemsim::reference;
-use mss_gemsim::system::{Placement, System, SystemConfig};
+use mss_gemsim::system::{System, SystemConfig};
 use mss_gemsim::workload::Kernel;
 use mss_pdk::tech::TechNode;
 use mss_pipe::{PipeCache, Stage};
@@ -171,8 +171,7 @@ fn gemsim_speed_leg(sample_cap: u64) {
         }
         let _span = mss_obs::span("cache_smoke.gemsim.naive");
         let t0 = Instant::now();
-        let report = reference::run_placed(&config, &kernel, 2024, &Placement::AllClusters)
-            .expect("naive run");
+        let report = reference::run(&config, &kernel, 2024).expect("naive run");
         naive_t = naive_t.min(t0.elapsed().as_secs_f64());
         naive_report = Some(report);
     }

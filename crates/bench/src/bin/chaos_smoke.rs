@@ -24,7 +24,7 @@ use mss_exec::supervise::{PartialSweep, SupervisorConfig};
 use mss_exec::ParallelConfig;
 use mss_fault::chaos::{poison_cache_dir, ChaosPlan, PANIC_TAG};
 use mss_gemsim::stats::SimReport;
-use mss_gemsim::system::{Placement, System, SystemConfig};
+use mss_gemsim::system::{System, SystemConfig};
 use mss_gemsim::workload::Kernel;
 use mss_pdk::tech::TechNode;
 use mss_pipe::checkpoint::SweepJournal;
@@ -63,7 +63,7 @@ fn chaotic_sweep(
 ) -> PartialSweep<SimReport> {
     mss_exec::supervised_map(exec, sup, kernels, |ctx, kernel| {
         plan.injure(ctx.index as u64, ctx.attempt)?;
-        sys.run_placed(kernel, seed, &Placement::AllClusters, Some(ctx.token()))
+        sys.run_cancellable(kernel, seed, Some(ctx.token()))
             .map_err(|e| e.to_string())
     })
 }

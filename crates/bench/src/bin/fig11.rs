@@ -9,6 +9,7 @@
 //! `results/fig11.meta.csv` (figure metadata, including the
 //! `extrapolated_accesses` fidelity marker — 0 here, the flow is exact).
 
+use mss_bench::write_result;
 use mss_core::flow::{MagpieFlow, MagpieInputs};
 use mss_core::scenario::Scenario;
 use mss_exec::ParallelConfig;
@@ -31,9 +32,8 @@ fn main() {
     println!("{}", report.fig11_table("bodytrack"));
     println!("{}", report.fig10_summary("bodytrack"));
     std::fs::create_dir_all("results").ok();
-    if std::fs::write("results/fig11.csv", report.fig11_csv("bodytrack")).is_ok() {
-        println!("(breakdown written to results/fig11.csv)");
-    }
+    write_result("results/fig11.csv", &report.fig11_csv("bodytrack"));
+    println!("(breakdown written to results/fig11.csv)");
     // Overall savings vs the reference.
     for s in [
         Scenario::LittleL2Stt,
@@ -58,10 +58,8 @@ fn main() {
         .expect("SOT flow run");
     println!("{}", sot_report.fig11_table("bodytrack"));
     println!("{}", sot_report.mechanism_comparison_table());
-    if std::fs::write("results/fig11_sot.csv", sot_report.fig11_csv("bodytrack")).is_ok() {
-        println!("(extended breakdown written to results/fig11_sot.csv)");
-    }
-    if std::fs::write("results/fig11.meta.csv", sot_report.metadata_csv("fig11")).is_ok() {
-        println!("(figure metadata written to results/fig11.meta.csv)");
-    }
+    write_result("results/fig11_sot.csv", &sot_report.fig11_csv("bodytrack"));
+    println!("(extended breakdown written to results/fig11_sot.csv)");
+    write_result("results/fig11.meta.csv", &sot_report.metadata_csv("fig11"));
+    println!("(figure metadata written to results/fig11.meta.csv)");
 }

@@ -8,6 +8,7 @@
 //! STT-vs-SOT merit pairs) and `results/fig12.meta.csv` (figure metadata,
 //! including the `extrapolated_accesses` fidelity marker).
 
+use mss_bench::write_result;
 use mss_core::flow::{MagpieFlow, MagpieInputs};
 use mss_core::scenario::Scenario;
 use mss_exec::ParallelConfig;
@@ -29,9 +30,8 @@ fn main() {
         .expect("flow run");
     println!("{}", report.fig12_table());
     std::fs::create_dir_all("results").ok();
-    if std::fs::write("results/fig12.csv", report.fig12_csv()).is_ok() {
-        println!("(series written to results/fig12.csv)");
-    }
+    write_result("results/fig12.csv", &report.fig12_csv());
+    println!("(series written to results/fig12.csv)");
 
     // Headline shapes the paper calls out.
     let mut best_little_speedup: f64 = 1.0;
@@ -68,17 +68,13 @@ fn main() {
         .run_with(&ParallelConfig::from_env())
         .expect("SOT flow run");
     println!("{}", sot_report.mechanism_comparison_table());
-    if std::fs::write(
+    write_result(
         "results/fig12_sot.csv",
-        sot_report.mechanism_comparison_csv(),
-    )
-    .is_ok()
-    {
-        println!("(mechanism comparison written to results/fig12_sot.csv)");
-    }
-    if std::fs::write("results/fig12.meta.csv", sot_report.metadata_csv("fig12")).is_ok() {
-        println!("(figure metadata written to results/fig12.meta.csv)");
-    }
+        &sot_report.mechanism_comparison_csv(),
+    );
+    println!("(mechanism comparison written to results/fig12_sot.csv)");
+    write_result("results/fig12.meta.csv", &sot_report.metadata_csv("fig12"));
+    println!("(figure metadata written to results/fig12.meta.csv)");
 
     // Headline of the comparison: the big-L2 replacement flips from STT's
     // write-latency slowdown to a near-SRAM runtime under SOT.

@@ -61,6 +61,16 @@ pub fn fig9_periods() -> Vec<f64> {
     ]
 }
 
+/// Writes one regenerated result file, exiting non-zero with the path and
+/// the error when the write fails: a silently failed write would leave a
+/// stale committed file looking freshly regenerated.
+pub fn write_result(path: &str, content: &str) {
+    if let Err(e) = std::fs::write(path, content) {
+        eprintln!("error: cannot write {path}: {e}");
+        std::process::exit(1);
+    }
+}
+
 /// Writes the enabled observability registry as this bench's profiling
 /// artifacts, and prints one status line per artifact:
 ///

@@ -13,7 +13,7 @@ use mss_exec::supervise::{CancelToken, SupervisorConfig};
 use mss_exec::{par_map, ParallelConfig, TaskFailure};
 use mss_gemsim::cache::CacheConfig;
 use mss_gemsim::stats::SimReport;
-use mss_gemsim::system::{Placement, System, SystemConfig};
+use mss_gemsim::system::{System, SystemConfig};
 use mss_gemsim::workload::Kernel;
 use mss_mcpat::{evaluate as mcpat_evaluate, McpatConfig, PowerReport};
 use mss_mtj::{MechanismConfig, MssStack, SotParams};
@@ -82,7 +82,7 @@ impl MagpieInputs {
 
     /// The SOT channel parameters SOT scenarios characterise with: the
     /// override carried by [`MechanismConfig::Sot`], or the β-W defaults.
-    pub fn sot_params(&self) -> SotParams {
+    fn sot_params(&self) -> SotParams {
         match &self.mechanism {
             MechanismConfig::Sot(p) => p.clone(),
             MechanismConfig::Stt => SotParams::default(),
@@ -239,12 +239,6 @@ impl MagpieFlow {
     /// The characterised STT cell library (cell configuration file).
     pub fn cell_library(&self) -> &CellLibrary {
         &self.stt_lib
-    }
-
-    /// The characterised SOT cell library; `None` when the scenario grid
-    /// contains no SOT scenario.
-    pub fn sot_cell_library(&self) -> Option<&SotCellLibrary> {
-        self.sot_lib.as_ref()
     }
 
     /// The stage cache this flow memoizes through.
@@ -561,7 +555,7 @@ impl MagpieFlow {
             self.cache
                 .get_or_compute_artifact(Stage::SimulateKernel, &sim_key, || {
                     systems[s]
-                        .run_placed(kernel, self.inputs.seed, &Placement::AllClusters, token)
+                        .run_cancellable(kernel, self.inputs.seed, token)
                         .map_err(MagpieError::from)
                 })?;
         let label = format!("{} / {}", kernel.name, scenario);

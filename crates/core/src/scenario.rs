@@ -87,12 +87,14 @@ impl Scenario {
     ];
 
     /// True when the big cluster's L2 is STT-MRAM.
-    pub fn big_l2_is_stt(self) -> bool {
+    #[cfg(test)]
+    fn big_l2_is_stt(self) -> bool {
         matches!(self, Scenario::BigL2Stt | Scenario::FullL2Stt)
     }
 
     /// True when the LITTLE cluster's L2 is STT-MRAM.
-    pub fn little_l2_is_stt(self) -> bool {
+    #[cfg(test)]
+    fn little_l2_is_stt(self) -> bool {
         matches!(self, Scenario::LittleL2Stt | Scenario::FullL2Stt)
     }
 

@@ -159,18 +159,6 @@ pub struct AccessOutcome {
     pub victim: Option<u64>,
 }
 
-/// Result of a prefetch request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PrefetchOutcome {
-    /// The line was not present and has been allocated (traffic below).
-    pub allocated: bool,
-    /// A dirty victim must be written back below.
-    pub writeback: bool,
-    /// Line-aligned byte address of the displaced line, as in
-    /// [`AccessOutcome::victim`].
-    pub victim: Option<u64>,
-}
-
 /// One LRU set-associative cache (write-back, write-allocate).
 ///
 /// Storage is struct-of-arrays: flat `tags` / `dirty` / `rank` slabs indexed
@@ -233,11 +221,6 @@ impl Cache {
     /// Activity counters so far.
     pub fn stats(&self) -> &CacheStats {
         &self.stats
-    }
-
-    /// Clears counters (but not contents).
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
     }
 
     /// Line-aligned byte address of the line currently held in `slot`.
@@ -318,66 +301,6 @@ impl Cache {
         self.rank[slot] = 0;
         AccessOutcome {
             hit: false,
-            writeback,
-            victim,
-        }
-    }
-
-    /// Prefetches a line: allocates it clean if absent *without* promoting
-    /// it on a hit and without touching the demand counters.
-    pub fn prefetch(&mut self, addr: u64) -> PrefetchOutcome {
-        let line = addr >> self.line_shift;
-        let set_idx = (line & self.set_mask) as usize;
-        let tag = line >> self.set_bits;
-        let base = set_idx * self.assoc;
-        let n = usize::from(self.live[set_idx]);
-        let mut present = false;
-        for &t in &self.tags[base..base + n] {
-            present |= t == tag;
-        }
-        if present {
-            return PrefetchOutcome {
-                allocated: false,
-                writeback: false,
-                victim: None,
-            };
-        }
-        let full = n == self.assoc;
-        let (slot, victim, writeback) = if full {
-            let lru = (self.assoc - 1) as u16;
-            let mut v = base;
-            for (i, &r) in self.rank[base..base + n].iter().enumerate() {
-                if r == lru {
-                    v = base + i;
-                }
-            }
-            let wb = self.dirty[v];
-            if wb {
-                self.stats.writebacks += 1;
-            }
-            (v, Some(self.slot_address(set_idx, v)), wb)
-        } else {
-            self.live[set_idx] = (n + 1) as u16;
-            (base + n, None, false)
-        };
-        // Insert at LRU+1 (conservative): prefetched lines should not evict
-        // the hot working set if they are never used. In rank terms the new
-        // line takes the second-worst rank, demoting that rank's previous
-        // holder to LRU; every other rank is untouched.
-        let survivors = if full { self.assoc - 1 } else { n };
-        if survivors == 0 {
-            self.rank[slot] = 0;
-        } else {
-            let demoted = (survivors - 1) as u16;
-            for x in &mut self.rank[base..base + n] {
-                *x += u16::from(*x == demoted);
-            }
-            self.rank[slot] = demoted;
-        }
-        self.tags[slot] = tag;
-        self.dirty[slot] = false;
-        PrefetchOutcome {
-            allocated: true,
             writeback,
             victim,
         }
@@ -531,34 +454,6 @@ mod tests {
     }
 
     #[test]
-    fn prefetch_allocates_without_counting_demand() {
-        let mut c = Cache::new(small_config()).unwrap();
-        let pf = c.prefetch(0x2000);
-        assert!(pf.allocated && !pf.writeback);
-        assert_eq!(c.stats().accesses(), 0);
-        // The prefetched line now hits on demand.
-        assert!(c.access(0x2000, false).hit);
-        // Prefetching a present line is a no-op.
-        assert!(!c.prefetch(0x2000).allocated);
-    }
-
-    #[test]
-    fn prefetch_evicts_cold_not_hot() {
-        let mut c = Cache::new(small_config()).unwrap();
-        // 2-way set: hot line at MRU, cold at LRU.
-        let hot = 0u64;
-        let cold = 8 * 64;
-        c.access(cold, false);
-        c.access(hot, false);
-        // Prefetch a third line into the same set: must evict... it inserts
-        // above LRU, so the next *demand* miss evicts the cold line first,
-        // keeping the hot MRU line resident.
-        let pf_line = 16 * 64;
-        assert!(c.prefetch(pf_line).allocated);
-        assert!(c.access(hot, false).hit, "hot line must survive prefetch");
-    }
-
-    #[test]
     fn flush_empties_contents_only() {
         let mut c = Cache::new(small_config()).unwrap();
         c.access(0, false);
@@ -603,22 +498,6 @@ mod tests {
         let out = c.access(a + 8, true); // miss, evicts clean d
         assert!(!out.writeback, "d was clean");
         assert_eq!(out.victim, Some(d), "victim is line-aligned");
-    }
-
-    #[test]
-    fn prefetch_reports_real_victim_address() {
-        let mut c = Cache::new(small_config()).unwrap();
-        let a = 0u64;
-        let b = 8 * 64;
-        c.access(a, true);
-        c.access(b, false); // b is MRU, a is LRU (and dirty)
-        let pf = c.prefetch(16 * 64);
-        assert!(pf.allocated && pf.writeback);
-        assert_eq!(pf.victim, Some(a));
-        // Allocating into a non-full set displaces nothing.
-        let pf = c.prefetch(3 * 64);
-        assert!(pf.allocated && !pf.writeback);
-        assert_eq!(pf.victim, None);
     }
 
     #[test]

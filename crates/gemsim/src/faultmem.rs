@@ -238,12 +238,14 @@ impl FaultMemory {
     }
 
     /// Stored bits currently wrong across the whole array.
-    pub fn residual_bit_errors(&self) -> u64 {
+    #[cfg(test)]
+    fn residual_bit_errors(&self) -> u64 {
         self.errors.values().map(|b| b.len() as u64).sum()
     }
 
     /// Words currently holding at least one wrong bit.
-    pub fn corrupted_words(&self) -> u64 {
+    #[cfg(test)]
+    fn corrupted_words(&self) -> u64 {
         self.errors.len() as u64
     }
 

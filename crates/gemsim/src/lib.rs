@@ -12,12 +12,11 @@
 //! - [`cache`] — set-associative LRU caches with full activity counters,
 //! - [`workload`] — statistical Parsec-like kernels (instruction mix,
 //!   working set, stack-distance locality),
-//! - [`dram`] — an opt-in row-buffer model for the memory controller,
 //! - [`faultmem`] — an opt-in fault-aware memory array behind an ECC
 //!   controller (seeded injection via `mss-fault`, bounded write retry,
 //!   correct/detect/scrub, graceful degradation),
 //! - [`system`] — the big.LITTLE platform: per-core L1s, per-cluster shared
-//!   L2s, DRAM,
+//!   L2s, a flat-latency DRAM,
 //! - [`stats`] — the activity report consumed by `mss-mcpat`,
 //! - [`mod@reference`] — deliberately naive executable specification of the
 //!   hot-loop semantics, used by the parity tests and the performance gate.
@@ -42,7 +41,6 @@
 
 pub mod cache;
 pub mod core;
-pub mod dram;
 mod error;
 pub mod faultmem;
 pub mod reference;

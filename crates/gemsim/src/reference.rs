@@ -2,26 +2,23 @@
 //!
 //! The optimized simulator ([`crate::cache::Cache`] struct-of-arrays store,
 //! [`crate::workload::AccessStream`] ring buffer, the chunked
-//! [`crate::system::System::run_placed`] loop) is required to be
+//! [`crate::system::System::run_cancellable`] loop) is required to be
 //! **bit-for-bit identical** to the straightforward implementations kept
 //! here: a `Vec<Vec<(tag, dirty)>>` LRU cache that shifts elements on every
 //! promotion and a recent-history `Vec` that pays `remove(0)` per generated
 //! access. These are the pre-rewrite data structures with the two
-//! accounting fixes applied (L1 victims written back at their real line
-//! addresses, per-cluster DRAM row-hit deltas), so they define *what* the
+//! accounting fix applied (L1 victims written back at their real line
+//! addresses), so they define *what* the
 //! simulator computes while the optimized path defines *how fast*.
 //!
 //! Used by the hot-loop parity suite and by the `cache_smoke` performance
-//! gate, which times [`run_placed`] against the production loop. Keep this
+//! gate, which times [`run`] against the production loop. Keep this
 //! module naive: do not optimize it.
 
-use crate::cache::{AccessOutcome, CacheConfig, CacheStats, PrefetchOutcome};
-use crate::dram::DramSim;
+use crate::cache::{AccessOutcome, CacheConfig, CacheStats};
 use crate::faultmem::FaultMemory;
 use crate::stats::{CacheActivity, CoreActivity, SimReport};
-use crate::system::{
-    ClusterConfig, Placement, SystemConfig, FILL_WRITE_EXPOSURE, WRITEBACK_EXPOSURE,
-};
+use crate::system::{SystemConfig, FILL_WRITE_EXPOSURE, WRITEBACK_EXPOSURE};
 use crate::workload::{Kernel, MemoryAccess};
 use crate::GemsimError;
 
@@ -108,42 +105,6 @@ impl NaiveCache {
         self.sets[set_idx].push((tag, write));
         AccessOutcome {
             hit: false,
-            writeback,
-            victim,
-        }
-    }
-
-    /// Prefetches a line: allocates it clean if absent *without* promoting
-    /// it on a hit and without touching the demand counters.
-    pub fn prefetch(&mut self, addr: u64) -> PrefetchOutcome {
-        let line = addr >> self.line_shift;
-        let set_idx = (line & self.set_mask) as usize;
-        let tag = line >> self.set_mask.count_ones();
-        let set = &mut self.sets[set_idx];
-        if set.iter().any(|(t, _)| *t == tag) {
-            return PrefetchOutcome {
-                allocated: false,
-                writeback: false,
-                victim: None,
-            };
-        }
-        let mut writeback = false;
-        let mut victim = None;
-        if set.len() == self.config.associativity as usize {
-            let (t, dirty) = set.remove(0);
-            if dirty {
-                writeback = true;
-                self.stats.writebacks += 1;
-            }
-            victim = Some(self.line_address(set_idx, t));
-        }
-        // Insert at LRU+1 (conservative): prefetched lines should not evict
-        // the hot working set if they are never used.
-        let set = &mut self.sets[set_idx];
-        let pos = set.len().min(1);
-        set.insert(pos, (tag, false));
-        PrefetchOutcome {
-            allocated: true,
             writeback,
             victim,
         }
@@ -259,45 +220,21 @@ fn scale_stats(s: &CacheStats, scale: f64) -> CacheStats {
 
 /// Runs one kernel with the naive data structures, one access at a time —
 /// the reference semantics of
-/// [`crate::system::System::run_placed`]. No observability spans or
+/// [`crate::system::System::run_cancellable`]. No observability spans or
 /// counters are emitted.
 ///
 /// # Errors
 ///
-/// As [`crate::system::System::run_placed`].
-pub fn run_placed(
-    config: &SystemConfig,
-    kernel: &Kernel,
-    seed: u64,
-    placement: &Placement,
-) -> Result<SimReport, GemsimError> {
+/// As [`crate::system::System::run`].
+pub fn run(config: &SystemConfig, kernel: &Kernel, seed: u64) -> Result<SimReport, GemsimError> {
     config.validate()?;
     kernel.validate()?;
-    if let Placement::Cluster(name) = placement {
-        if !config.clusters.iter().any(|c| &c.name == name) {
-            return Err(GemsimError::InvalidSystem {
-                reason: format!("no cluster named '{name}' to pin to"),
-            });
-        }
-    }
-    let cluster_active = |cluster: &ClusterConfig| match placement {
-        Placement::AllClusters => true,
-        Placement::Cluster(name) => &cluster.name == name,
-    };
-    let total_cores: u64 = config
-        .clusters
-        .iter()
-        .filter(|c| cluster_active(c))
-        .map(|c| c.cores as u64)
-        .sum();
+    let total_cores: u64 = config.clusters.iter().map(|c| c.cores as u64).sum();
     let threads = kernel.threads as u64;
     let total_weight: f64 = {
         let mut w = 0.0;
         let mut core_id = 0u64;
         for cluster in &config.clusters {
-            if !cluster_active(cluster) {
-                continue;
-            }
             for _ in 0..cluster.cores {
                 let owned = (0..threads).filter(|t| t % total_cores == core_id).count();
                 w += owned as f64 * cluster.core.frequency / cluster.core.base_cpi;
@@ -311,11 +248,6 @@ pub fn run_placed(
     let mut caches_out = Vec::new();
     let mut dram_reads_scaled = 0u64;
     let mut dram_writes_scaled = 0u64;
-    let mut dram_row_hits_scaled = 0u64;
-    let mut dram = match &config.row_buffer {
-        Some(rb) => Some(DramSim::new(*rb)?),
-        None => None,
-    };
     let mut fault_mem = match &config.fault {
         Some(cfg) => Some(FaultMemory::new(*cfg)?),
         None => None,
@@ -324,27 +256,6 @@ pub fn run_placed(
 
     let mut global_core_index = 0u32;
     for cluster in &config.clusters {
-        if !cluster_active(cluster) {
-            for _ in 0..cluster.cores {
-                cores_out.push(CoreActivity {
-                    kind: cluster.core.kind,
-                    instructions: 0,
-                    busy_seconds: 0.0,
-                    ipc: 0.0,
-                });
-            }
-            caches_out.push(CacheActivity {
-                name: cluster.l1d.name.clone(),
-                config: cluster.l1d.clone(),
-                stats: CacheStats::default(),
-            });
-            caches_out.push(CacheActivity {
-                name: cluster.l2.name.clone(),
-                config: cluster.l2.clone(),
-                stats: CacheStats::default(),
-            });
-            continue;
-        }
         let weight = cluster.core.frequency / cluster.core.base_cpi;
         let instr_per_thread = (kernel.instructions as f64 * weight / total_weight) as u64;
         let mem_per_thread = (instr_per_thread as f64 * kernel.memory_ratio) as u64;
@@ -359,7 +270,6 @@ pub fn run_placed(
         let mut dram_reads_sim = 0u64;
         let mut dram_writes_sim = 0u64;
         let line_bytes = cluster.l2.line_bytes as u64;
-        let row_hits_before_cluster = dram.as_ref().map_or(0, |d| d.hits());
         for local_core in 0..cluster.cores {
             let core_id = global_core_index + local_core;
             let owned: Vec<u64> = (0..threads)
@@ -384,34 +294,8 @@ pub fn run_placed(
                         if let Some(fm) = fault_mem.as_mut() {
                             fm.read(acc.address / line_bytes);
                         }
-                        if config.l2_next_line_prefetch {
-                            let next = acc.address + line_bytes;
-                            let pf = l2.prefetch(next);
-                            if pf.allocated {
-                                dram_reads_sim += 1;
-                                if let Some(fm) = fault_mem.as_mut() {
-                                    fm.read(next / line_bytes);
-                                }
-                            }
-                            if pf.writeback {
-                                dram_writes_sim += 1;
-                                if let Some(fm) = fault_mem.as_mut() {
-                                    let v = pf.victim.expect("writeback implies victim");
-                                    fm.write(v / line_bytes);
-                                }
-                            }
-                        }
-                        let dram_latency = if let Some(d) = dram.as_mut() {
-                            if d.access(acc.address) {
-                                d.config().hit_latency
-                            } else {
-                                config.dram_latency
-                            }
-                        } else {
-                            config.dram_latency
-                        };
                         stall_seconds_sim +=
-                            dram_latency + FILL_WRITE_EXPOSURE * cluster.l2.write_latency;
+                            config.dram_latency + FILL_WRITE_EXPOSURE * cluster.l2.write_latency;
                     }
                     if l2_out.writeback {
                         dram_writes_sim += 1;
@@ -465,20 +349,11 @@ pub fn run_placed(
         });
         dram_reads_scaled += (dram_reads_sim as f64 * scale) as u64;
         dram_writes_scaled += (dram_writes_sim as f64 * scale) as u64;
-        if let Some(d) = dram.as_ref() {
-            // Per-cluster row-hit delta, scaled by this cluster's factor.
-            let cluster_hits = d.hits() - row_hits_before_cluster;
-            dram_row_hits_scaled += (cluster_hits as f64 * scale) as u64;
-        }
         global_core_index += cluster.cores;
     }
 
     let sampled_fraction = {
-        let c0 = config
-            .clusters
-            .iter()
-            .find(|c| cluster_active(c))
-            .expect("at least one active cluster");
+        let c0 = &config.clusters[0];
         let w = c0.core.frequency / c0.core.base_cpi;
         let instr = (kernel.instructions as f64 * w / total_weight) as u64;
         let mem = (instr as f64 * kernel.memory_ratio) as u64;
@@ -496,7 +371,6 @@ pub fn run_placed(
         caches: caches_out,
         dram_reads: dram_reads_scaled,
         dram_writes: dram_writes_scaled,
-        dram_row_hits: dram_row_hits_scaled,
         simulated_fraction: sampled_fraction,
         extrapolated_accesses: 0,
         fault: fault_mem.map(|fm| *fm.stats()),

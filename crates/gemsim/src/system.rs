@@ -22,7 +22,6 @@ use mss_exec::{par_map, ParallelConfig};
 
 use crate::cache::{Cache, CacheConfig, CacheStats};
 use crate::core::CoreModel;
-use crate::dram::{DramSim, RowBufferConfig};
 use crate::faultmem::{FaultMemConfig, FaultMemory};
 use crate::stats::{CacheActivity, CoreActivity, SimReport};
 use crate::workload::{AccessStream, Kernel, MemoryAccess};
@@ -75,14 +74,6 @@ pub struct SystemConfig {
     pub dram_energy: f64,
     /// DRAM background power, watts.
     pub dram_background_power: f64,
-    /// Optional row-buffer model; `None` charges the flat latency per
-    /// transaction, `Some` makes open-row hits cost
-    /// [`RowBufferConfig::hit_latency`] instead.
-    pub row_buffer: Option<RowBufferConfig>,
-    /// Next-line prefetch into the L2 on every demand miss (opt-in): the
-    /// sequential follower line is fetched alongside, hiding the DRAM
-    /// latency of streaming kernels at the cost of extra DRAM traffic.
-    pub l2_next_line_prefetch: bool,
     /// Per-thread cap on simulated memory references (sampling).
     pub sample_accesses_per_thread: u64,
     /// Optional fault-aware main-memory array: every DRAM-level transaction
@@ -111,14 +102,12 @@ impl mss_pipe::StableHash for SystemConfig {
         h.write_f64(self.dram_latency);
         h.write_f64(self.dram_energy);
         h.write_f64(self.dram_background_power);
-        match &self.row_buffer {
-            None => h.write_u8(0),
-            Some(rb) => {
-                h.write_u8(1);
-                rb.stable_hash(h);
-            }
-        }
-        self.l2_next_line_prefetch.stable_hash(h);
+        // Legacy tags of two since-removed fields, always absent/off: the
+        // optional DRAM row-buffer model (`0u8`) and the L2 next-line
+        // prefetch flag (`false`, one `0u8`). Kept so every simulate-stage
+        // cache key stays what it was.
+        h.write_u8(0);
+        false.stable_hash(h);
         h.write_u64(self.sample_accesses_per_thread);
         match &self.fault {
             None => h.write_u8(0),
@@ -177,8 +166,6 @@ impl SystemConfig {
             dram_latency: 80e-9,
             dram_energy: 15e-9,
             dram_background_power: 0.15,
-            row_buffer: None,
-            l2_next_line_prefetch: false,
             sample_accesses_per_thread: 150_000,
             fault: None,
         }
@@ -209,9 +196,6 @@ impl SystemConfig {
             c.l1d.validate()?;
             c.l2.validate()?;
         }
-        if let Some(rb) = &self.row_buffer {
-            rb.validate()?;
-        }
         if let Some(fault) = &self.fault {
             fault.validate()?;
         }
@@ -222,16 +206,6 @@ impl SystemConfig {
     pub fn total_cores(&self) -> u32 {
         self.clusters.iter().map(|c| c.cores).sum()
     }
-}
-
-/// Where a kernel's threads are allowed to run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Placement {
-    /// Threads spread over every core of every cluster (default).
-    AllClusters,
-    /// Threads pinned to the named cluster; the other cluster idles (and
-    /// only leaks).
-    Cluster(String),
 }
 
 /// The platform simulator.
@@ -256,13 +230,14 @@ impl System {
         &self.config
     }
 
-    /// Runs one kernel spread over every cluster (see [`System::run_placed`]).
+    /// Runs one kernel spread over every cluster (see
+    /// [`System::run_cancellable`]).
     ///
     /// # Errors
     ///
     /// [`GemsimError::InvalidWorkload`] for malformed kernels.
     pub fn run(&self, kernel: &Kernel, seed: u64) -> Result<SimReport, GemsimError> {
-        self.run_placed(kernel, seed, &Placement::AllClusters, None)
+        self.run_cancellable(kernel, seed, None)
     }
 
     /// Runs a batch of kernels in parallel (one task per kernel), returning
@@ -309,46 +284,27 @@ impl System {
             *sup
         };
         mss_exec::supervised_map(exec, &sup, kernels, |ctx, kernel| {
-            self.run_placed(kernel, seed, &Placement::AllClusters, Some(ctx.token()))
+            self.run_cancellable(kernel, seed, Some(ctx.token()))
         })
     }
 
-    /// Runs one kernel with an explicit thread placement and reports system
+    /// Runs one kernel spread over every cluster and reports system
     /// activity. A `token`, when given, is polled at every access-chunk
     /// boundary so the supervisor's per-task deadline bounds the run.
     ///
     /// # Errors
     ///
-    /// [`GemsimError::InvalidWorkload`] for malformed kernels,
-    /// [`GemsimError::InvalidSystem`] when a pinned cluster name does not
-    /// exist, and [`GemsimError::Cancelled`] when the deadline passes mid-run.
-    pub fn run_placed(
+    /// [`GemsimError::InvalidWorkload`] for malformed kernels and
+    /// [`GemsimError::Cancelled`] when the deadline passes mid-run.
+    pub fn run_cancellable(
         &self,
         kernel: &Kernel,
         seed: u64,
-        placement: &Placement,
         token: Option<&CancelToken>,
     ) -> Result<SimReport, GemsimError> {
         let _span = mss_obs::span("gemsim.run");
         kernel.validate()?;
-        if let Placement::Cluster(name) = placement {
-            if !self.config.clusters.iter().any(|c| &c.name == name) {
-                return Err(GemsimError::InvalidSystem {
-                    reason: format!("no cluster named '{name}' to pin to"),
-                });
-            }
-        }
-        let cluster_active = |cluster: &ClusterConfig| match placement {
-            Placement::AllClusters => true,
-            Placement::Cluster(name) => &cluster.name == name,
-        };
-        let total_cores: u64 = self
-            .config
-            .clusters
-            .iter()
-            .filter(|c| cluster_active(c))
-            .map(|c| c.cores as u64)
-            .sum();
+        let total_cores: u64 = self.config.clusters.iter().map(|c| c.cores as u64).sum();
         let threads = kernel.threads as u64;
         // Thread t -> core (t mod cores). Work is balanced by compute
         // throughput (frequency / CPI), modelling the work-stealing
@@ -358,9 +314,6 @@ impl System {
             let mut w = 0.0;
             let mut core_id = 0u64;
             for cluster in &self.config.clusters {
-                if !cluster_active(cluster) {
-                    continue;
-                }
                 for _ in 0..cluster.cores {
                     let owned = (0..threads).filter(|t| t % total_cores == core_id).count();
                     w += owned as f64 * cluster.core.frequency / cluster.core.base_cpi;
@@ -374,11 +327,6 @@ impl System {
         let mut caches_out = Vec::new();
         let mut dram_reads_scaled = 0u64;
         let mut dram_writes_scaled = 0u64;
-        let mut dram_row_hits_scaled = 0u64;
-        let mut dram = match &self.config.row_buffer {
-            Some(rb) => Some(DramSim::new(*rb)?),
-            None => None,
-        };
         // The fault-aware array sees DRAM-level transactions at line
         // granularity; it is rebuilt per run so identical seeds replay an
         // identical fault history.
@@ -401,29 +349,6 @@ impl System {
 
         let mut global_core_index = 0u32;
         for cluster in &self.config.clusters {
-            if !cluster_active(cluster) {
-                // Idle cluster: cores retire nothing, caches see no traffic;
-                // their leakage is still accounted by the power layer.
-                for _ in 0..cluster.cores {
-                    cores_out.push(CoreActivity {
-                        kind: cluster.core.kind,
-                        instructions: 0,
-                        busy_seconds: 0.0,
-                        ipc: 0.0,
-                    });
-                }
-                caches_out.push(CacheActivity {
-                    name: cluster.l1d.name.clone(),
-                    config: cluster.l1d.clone(),
-                    stats: CacheStats::default(),
-                });
-                caches_out.push(CacheActivity {
-                    name: cluster.l2.name.clone(),
-                    config: cluster.l2.clone(),
-                    stats: CacheStats::default(),
-                });
-                continue;
-            }
             let weight = cluster.core.frequency / cluster.core.base_cpi;
             let instr_per_thread = (kernel.instructions as f64 * weight / total_weight) as u64;
             let mem_per_thread = (instr_per_thread as f64 * kernel.memory_ratio) as u64;
@@ -438,7 +363,6 @@ impl System {
             let mut dram_reads_sim = 0u64;
             let mut dram_writes_sim = 0u64;
             let line_bytes = cluster.l2.line_bytes as u64;
-            let row_hits_before_cluster = dram.as_ref().map_or(0, |d| d.hits());
             for local_core in 0..cluster.cores {
                 let core_id = global_core_index + local_core;
                 // Threads owned by this core.
@@ -474,36 +398,8 @@ impl System {
                                 if let Some(fm) = fault_mem.as_mut() {
                                     fm.read(acc.address / line_bytes);
                                 }
-                                if self.config.l2_next_line_prefetch {
-                                    // Pull the follower line in alongside; a
-                                    // line already present is left untouched.
-                                    let next = acc.address + line_bytes;
-                                    let pf = l2.prefetch(next);
-                                    if pf.allocated {
-                                        dram_reads_sim += 1;
-                                        if let Some(fm) = fault_mem.as_mut() {
-                                            fm.read(next / line_bytes);
-                                        }
-                                    }
-                                    if pf.writeback {
-                                        dram_writes_sim += 1;
-                                        if let Some(fm) = fault_mem.as_mut() {
-                                            let v = pf.victim.expect("writeback implies victim");
-                                            fm.write(v / line_bytes);
-                                        }
-                                    }
-                                }
-                                let dram_latency = if let Some(d) = dram.as_mut() {
-                                    if d.access(acc.address) {
-                                        d.config().hit_latency
-                                    } else {
-                                        self.config.dram_latency
-                                    }
-                                } else {
-                                    self.config.dram_latency
-                                };
-                                stall_seconds_sim +=
-                                    dram_latency + FILL_WRITE_EXPOSURE * cluster.l2.write_latency;
+                                stall_seconds_sim += self.config.dram_latency
+                                    + FILL_WRITE_EXPOSURE * cluster.l2.write_latency;
                             }
                             if l2_out.writeback {
                                 dram_writes_sim += 1;
@@ -561,25 +457,12 @@ impl System {
             });
             dram_reads_scaled += (dram_reads_sim as f64 * scale) as u64;
             dram_writes_scaled += (dram_writes_sim as f64 * scale) as u64;
-            if let Some(d) = dram.as_ref() {
-                // The DramSim hit counter is cumulative across clusters:
-                // accumulate this cluster's own delta scaled by this
-                // cluster's factor.
-                let cluster_hits = d.hits() - row_hits_before_cluster;
-                dram_row_hits_scaled += (cluster_hits as f64 * scale) as u64;
-            }
             global_core_index += cluster.cores;
         }
 
         let sampled_fraction = {
-            // Report the first active cluster's sampling ratio (diagnostic
-            // only).
-            let c0 = self
-                .config
-                .clusters
-                .iter()
-                .find(|c| cluster_active(c))
-                .expect("at least one active cluster");
+            // Report the first cluster's sampling ratio (diagnostic only).
+            let c0 = &self.config.clusters[0];
             let w = c0.core.frequency / c0.core.base_cpi;
             let instr = (kernel.instructions as f64 * w / total_weight) as u64;
             let mem = (instr as f64 * kernel.memory_ratio) as u64;
@@ -597,7 +480,6 @@ impl System {
             caches: caches_out,
             dram_reads: dram_reads_scaled,
             dram_writes: dram_writes_scaled,
-            dram_row_hits: dram_row_hits_scaled,
             simulated_fraction: sampled_fraction,
             extrapolated_accesses: 0,
             fault: fault_mem.map(|fm| *fm.stats()),
@@ -772,77 +654,6 @@ mod tests {
     }
 
     #[test]
-    fn pinning_isolates_a_cluster() {
-        let sys = System::new(quick_config()).unwrap();
-        let k = Kernel::bodytrack();
-        let little = sys
-            .run_placed(&k, 3, &Placement::Cluster("LITTLE".into()), None)
-            .unwrap();
-        // Only LITTLE cores retire instructions.
-        for c in &little.cores {
-            match c.kind {
-                crate::core::CoreKind::Big => assert_eq!(c.instructions, 0),
-                crate::core::CoreKind::Little => assert!(c.instructions > 0),
-            }
-        }
-        // The big cluster's caches see no traffic.
-        assert_eq!(little.cache("big.L2").unwrap().stats.accesses(), 0);
-        assert!(little.cache("LITTLE.L2").unwrap().stats.accesses() > 0);
-        // Pinned-LITTLE runs are slower than spreading over all cores.
-        let all = sys.run(&k, 3).unwrap();
-        assert!(little.runtime_seconds > all.runtime_seconds);
-    }
-
-    #[test]
-    fn pinning_to_unknown_cluster_errors() {
-        let sys = System::new(quick_config()).unwrap();
-        assert!(sys
-            .run_placed(
-                &Kernel::bodytrack(),
-                1,
-                &Placement::Cluster("mid".into()),
-                None
-            )
-            .is_err());
-    }
-
-    #[test]
-    fn next_line_prefetch_helps_streaming() {
-        let base = quick_config();
-        let mut pf = base.clone();
-        pf.l2_next_line_prefetch = true;
-        let k = Kernel::streamcluster();
-        let plain = System::new(base).unwrap().run(&k, 11).unwrap();
-        let fetched = System::new(pf).unwrap().run(&k, 11).unwrap();
-        // The prefetcher converts demand misses into hits...
-        let mr_plain = plain.cache("LITTLE.L2").unwrap().stats.miss_ratio();
-        let mr_pf = fetched.cache("LITTLE.L2").unwrap().stats.miss_ratio();
-        assert!(mr_pf < mr_plain, "pf {mr_pf} vs plain {mr_plain}");
-        // ...which shortens the run at the cost of extra DRAM traffic.
-        assert!(fetched.runtime_seconds < plain.runtime_seconds);
-        assert!(fetched.dram_reads > plain.dram_reads);
-    }
-
-    #[test]
-    fn row_buffer_speeds_up_streaming_kernels() {
-        let base = quick_config();
-        let mut with_rb = base.clone();
-        with_rb.row_buffer = Some(crate::dram::RowBufferConfig::lpddr_default());
-        let k = Kernel::streamcluster();
-        let flat = System::new(base).unwrap().run(&k, 6).unwrap();
-        let rb = System::new(with_rb).unwrap().run(&k, 6).unwrap();
-        assert_eq!(rb.dram_reads, flat.dram_reads);
-        assert!(rb.dram_row_hits > 0);
-        assert!(
-            rb.runtime_seconds < flat.runtime_seconds,
-            "rb {} vs flat {}",
-            rb.runtime_seconds,
-            flat.runtime_seconds
-        );
-        assert_eq!(flat.dram_row_hits, 0);
-    }
-
-    #[test]
     fn fault_free_runs_report_no_fault_stats() {
         let sys = System::new(quick_config()).unwrap();
         let r = sys.run(&Kernel::bodytrack(), 1).unwrap();
@@ -942,23 +753,13 @@ mod tests {
         let sys = System::new(quick_config()).unwrap();
         let token = CancelToken::with_deadline(Duration::ZERO);
         assert_eq!(
-            sys.run_placed(
-                &Kernel::bodytrack(),
-                1,
-                &Placement::AllClusters,
-                Some(&token)
-            ),
+            sys.run_cancellable(&Kernel::bodytrack(), 1, Some(&token)),
             Err(GemsimError::Cancelled)
         );
         // A live token changes nothing: the run equals the plain path.
         let live = CancelToken::with_deadline(Duration::from_secs(3600));
         let r = sys
-            .run_placed(
-                &Kernel::bodytrack(),
-                1,
-                &Placement::AllClusters,
-                Some(&live),
-            )
+            .run_cancellable(&Kernel::bodytrack(), 1, Some(&live))
             .unwrap();
         assert_eq!(r, sys.run(&Kernel::bodytrack(), 1).unwrap());
     }

@@ -194,7 +194,7 @@ impl Kernel {
 
     /// `x264` — video encoding: streaming macroblocks with strong frame
     /// reuse, compute-heavy.
-    pub fn x264() -> Self {
+    fn x264() -> Self {
         Self {
             name: "x264".into(),
             instructions: 75_000_000,
@@ -210,7 +210,7 @@ impl Kernel {
     }
 
     /// The six-kernel suite used for the Fig. 12 sweep.
-    pub fn parsec_suite() -> Vec<Kernel> {
+    fn parsec_suite() -> Vec<Kernel> {
         vec![
             Kernel::bodytrack(),
             Kernel::blackscholes(),
@@ -258,7 +258,8 @@ impl Kernel {
     }
 
     /// Total memory accesses implied by the mix.
-    pub fn memory_accesses(&self) -> u64 {
+    #[cfg(test)]
+    fn memory_accesses(&self) -> u64 {
         (self.instructions as f64 * self.memory_ratio) as u64
     }
 }

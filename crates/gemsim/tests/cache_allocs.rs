@@ -1,5 +1,5 @@
 //! Proof that the gemsim hot path never allocates: a [`Cache`] is exactly
-//! the allocations made in `Cache::new`, and the access/prefetch/flush and
+//! the allocations made in `Cache::new`, and the access/flush and
 //! stream-synthesis paths are allocation-free after construction. This pins
 //! the fix for the old `Cache::new` bug where a capacity-carrying `Vec` was
 //! cloned per set (losing the reservation and re-growing in the hot loop).
@@ -84,21 +84,18 @@ fn hot_paths_never_allocate() {
          (4 slabs + config moves), not one per set"
     );
 
-    // Demand/prefetch/flush storm: zero allocations allowed.
+    // Demand/flush storm: zero allocations allowed.
     let mut rng = Xoshiro256PlusPlus::seed_from_u64(11);
     let before_storm = allocs();
     for _ in 0..200_000 {
         let addr = rng.gen_range_u64(0, 8 << 20);
         cache.access(addr, rng.gen_bool(0.3));
-        if rng.gen_bool(0.05) {
-            cache.prefetch(addr + 64);
-        }
     }
     cache.flush();
     assert_eq!(
         allocs() - before_storm,
         0,
-        "the access/prefetch/flush path must never allocate"
+        "the access/flush path must never allocate"
     );
 
     // Stream synthesis storm: after AccessStream::new, batch fills reuse

@@ -7,13 +7,13 @@
 use mss_exec::ParallelConfig;
 use mss_gemsim::cache::{Cache, CacheConfig};
 use mss_gemsim::reference::{self, NaiveCache, NaiveStream};
-use mss_gemsim::system::{Placement, System, SystemConfig};
+use mss_gemsim::system::{System, SystemConfig};
 use mss_gemsim::workload::{AccessStream, Kernel};
 use mss_units::rng::{Rng, Xoshiro256PlusPlus};
 
 /// Small sampling cap: parity is a per-access property, so a few thousand
 /// references per thread exercise every code path (misses, write-backs,
-/// prefetches, row hits) while keeping the debug-profile suite fast.
+/// fault-array traffic) while keeping the debug-profile suite fast.
 const SAMPLE_CAP: u64 = 6_000;
 
 fn parity_config() -> SystemConfig {
@@ -60,26 +60,19 @@ fn stream_matches_naive_stream() {
 fn every_kernel_and_placement_matches_the_reference() {
     let config = parity_config();
     let sys = System::new(config.clone()).unwrap();
-    let placements = [
-        Placement::AllClusters,
-        Placement::Cluster("big".into()),
-        Placement::Cluster("LITTLE".into()),
-    ];
-    for (i, kernel) in Kernel::parsec_extended().iter().enumerate() {
-        let placement = &placements[i % placements.len()];
-        let fast = sys.run_placed(kernel, 2024, placement, None).unwrap();
-        let naive = reference::run_placed(&config, kernel, 2024, placement).unwrap();
-        assert_eq!(fast, naive, "{} @ {placement:?}", kernel.name);
+    for kernel in &Kernel::parsec_extended() {
+        let fast = sys.run(kernel, 2024).unwrap();
+        let naive = reference::run(&config, kernel, 2024).unwrap();
+        assert_eq!(fast, naive, "{}", kernel.name);
     }
 }
 
 #[test]
-fn parity_holds_with_prefetch_and_fault_model() {
+fn parity_holds_with_fault_model() {
     use mss_fault::{FaultModel, FaultPlan};
     use mss_gemsim::faultmem::FaultMemConfig;
     use mss_vaet::ecc::EccScheme;
     let mut config = parity_config();
-    config.l2_next_line_prefetch = true;
     let mut m = FaultModel::none();
     m.write_fail_rate = 0.002;
     m.read_disturb_rate = 0.0005;
@@ -90,35 +83,12 @@ fn parity_holds_with_prefetch_and_fault_model() {
     let sys = System::new(config.clone()).unwrap();
     let k = Kernel::streamcluster();
     let fast = sys.run(&k, 7).unwrap();
-    let naive = reference::run_placed(&config, &k, 7, &Placement::AllClusters).unwrap();
+    let naive = reference::run(&config, &k, 7).unwrap();
     assert_eq!(fast, naive);
     assert!(
         fast.fault.is_some(),
         "the fault model must have been active"
     );
-}
-
-#[test]
-fn two_cluster_row_buffer_hits_match_the_reference() {
-    // Regression for the dram_row_hits_scaled accounting bug: the hit
-    // counter is cumulative across clusters, but the old code assigned the
-    // *total* scaled by the *last* cluster's factor instead of accumulating
-    // per-cluster deltas at per-cluster scales. With two active clusters of
-    // different weights (big/LITTLE scale differently) the reference and
-    // the old formula disagree; bit-equality here pins the fix.
-    let mut config = parity_config();
-    config.row_buffer = Some(mss_gemsim::dram::RowBufferConfig::lpddr_default());
-    let sys = System::new(config.clone()).unwrap();
-    let k = Kernel::streamcluster();
-    let fast = sys.run(&k, 6).unwrap();
-    let naive = reference::run_placed(&config, &k, 6, &Placement::AllClusters).unwrap();
-    assert_eq!(fast, naive);
-    assert!(
-        fast.dram_row_hits > 0,
-        "streaming kernel must produce open-row hits"
-    );
-    // Both clusters saw DRAM traffic, so both contributed deltas.
-    assert!(fast.dram_reads > 0);
 }
 
 #[test]
@@ -128,7 +98,7 @@ fn run_many_is_bit_identical_across_thread_counts() {
     let kernels = Kernel::parsec_extended();
     let reference: Vec<_> = kernels
         .iter()
-        .map(|k| reference::run_placed(&config, k, 9, &Placement::AllClusters).unwrap())
+        .map(|k| reference::run(&config, k, 9).unwrap())
         .collect();
     for threads in [1usize, 2, 8] {
         let batch = sys
@@ -142,7 +112,6 @@ fn run_many_is_bit_identical_across_thread_counts() {
 #[derive(Debug, Clone, Copy)]
 enum Op {
     Access { addr: u64, write: bool },
-    Prefetch { addr: u64 },
     Flush,
 }
 
@@ -151,7 +120,7 @@ fn lru_cache_property_matches_naive_on_random_streams() {
     // Exhaustive-ish equivalence: every outcome (hit/writeback/victim) and
     // the counters must agree after every single operation, across
     // direct-mapped, 2-way and 4-way shapes, under a mix of demand
-    // accesses, prefetches and flushes.
+    // accesses and flushes.
     for (assoc, capacity, seed) in [(1u32, 512u64, 1u64), (2, 1024, 2), (4, 4096, 3)] {
         let cfg = CacheConfig {
             name: format!("prop-{assoc}w"),
@@ -172,8 +141,6 @@ fn lru_cache_property_matches_naive_on_random_streams() {
             let addr = rng.gen_range_u64(0, 4 * capacity);
             let op = if rng.gen_bool(0.02) {
                 Op::Flush
-            } else if rng.gen_bool(0.15) {
-                Op::Prefetch { addr }
             } else {
                 Op::Access {
                     addr,
@@ -185,11 +152,6 @@ fn lru_cache_property_matches_naive_on_random_streams() {
                     let a = fast.access(addr, write);
                     let b = naive.access(addr, write);
                     assert_eq!(a, b, "{assoc}-way step {step}: access {addr:#x}");
-                }
-                Op::Prefetch { addr } => {
-                    let a = fast.prefetch(addr);
-                    let b = naive.prefetch(addr);
-                    assert_eq!(a, b, "{assoc}-way step {step}: prefetch {addr:#x}");
                 }
                 Op::Flush => {
                     assert_eq!(fast.flush(), naive.flush(), "{assoc}-way step {step}");

@@ -40,7 +40,7 @@ impl mss_pipe::StableHash for CorePowerParams {
 
 impl CorePowerParams {
     /// Cortex-A15-class big core at 45 nm.
-    pub fn big_45nm() -> Self {
+    fn big_45nm() -> Self {
         Self {
             energy_per_instruction: 350e-12,
             leakage: 120e-3,
@@ -49,7 +49,7 @@ impl CorePowerParams {
     }
 
     /// Cortex-A7-class LITTLE core at 45 nm.
-    pub fn little_45nm() -> Self {
+    fn little_45nm() -> Self {
         Self {
             energy_per_instruction: 90e-12,
             leakage: 18e-3,
@@ -231,12 +231,8 @@ pub fn evaluate(config: &McpatConfig, report: &SimReport) -> PowerReport {
         leakage: 0.01 * t, // 10 mW of clocked fabric
     });
 
-    // Memory controller + DRAM. Row-buffer hits (when the model is on)
-    // skip the activate cycle and cost a fraction of the full transaction.
+    // Memory controller + DRAM.
     let dram_txn = report.dram_reads + report.dram_writes;
-    let row_hits = report.dram_row_hits.min(dram_txn);
-    let full = (dram_txn - row_hits) as f64;
-    let cheap = row_hits as f64 * 0.4;
     components.push(ComponentEnergy {
         name: "memctrl".into(),
         dynamic: dram_txn as f64 * config.mc_energy_per_transaction,
@@ -244,7 +240,7 @@ pub fn evaluate(config: &McpatConfig, report: &SimReport) -> PowerReport {
     });
     components.push(ComponentEnergy {
         name: "DRAM".into(),
-        dynamic: (full + cheap) * config.dram_energy_per_transaction,
+        dynamic: dram_txn as f64 * config.dram_energy_per_transaction,
         leakage: config.dram_background_power * t,
     });
 
