@@ -166,7 +166,8 @@ fn run_watchdog(name: &str, report: &mss_prof::Report) {
 }
 
 /// Renders a simple two-column series as text rows.
-pub fn series_table(
+#[cfg(test)]
+pub(crate) fn series_table(
     title: &str,
     x_label: &str,
     y_label: &str,

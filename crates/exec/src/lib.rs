@@ -17,7 +17,7 @@
 //! # Determinism contract
 //!
 //! Tasks are *indexed*, and anything random a task does must derive from
-//! `(seed, task index)` — see [`task_rng`] and
+//! `(seed, task index)` — see `task_rng` and
 //! [`mss_units::rng::Xoshiro256PlusPlus::stream`]. Results are returned (and
 //! must be reduced) **in task order**, never in completion order. Under that
 //! contract a fixed seed produces bit-identical output at any thread count;
@@ -50,14 +50,14 @@ use std::time::Instant;
 use mss_units::rng::Xoshiro256PlusPlus;
 
 /// Environment variable overriding the default worker-thread count.
-pub const THREADS_ENV: &str = "MSS_THREADS";
+pub(crate) const THREADS_ENV: &str = "MSS_THREADS";
 
 /// Default task granularity: samples per chunk in [`par_chunks`].
 ///
 /// Fixed (never derived from the thread count) so that chunk boundaries —
 /// and therefore RNG streams and merge grouping — are identical no matter
 /// how many workers run.
-pub const DEFAULT_CHUNK: usize = 256;
+pub(crate) const DEFAULT_CHUNK: usize = 256;
 
 /// Thread/chunk policy for a parallel region.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -160,7 +160,7 @@ pub fn warn_ignored_env_once(
 /// # Errors
 ///
 /// A human-readable description of the rejected value.
-pub fn parse_threads(raw: &str) -> Result<usize, String> {
+pub(crate) fn parse_threads(raw: &str) -> Result<usize, String> {
     let trimmed = raw.trim();
     if trimmed.is_empty() {
         return Err("empty value".to_string());
@@ -176,21 +176,21 @@ pub fn parse_threads(raw: &str) -> Result<usize, String> {
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunStats {
     /// Number of tasks executed.
-    pub tasks: u64,
+    pub(crate) tasks: u64,
     /// Number of leaf items (samples) the tasks covered.
-    pub samples: u64,
+    pub(crate) samples: u64,
     /// Worker threads used.
-    pub threads: usize,
+    pub(crate) threads: usize,
     /// Wall-clock duration of the whole region, seconds.
-    pub wall_seconds: f64,
+    pub(crate) wall_seconds: f64,
     /// Per-thread busy time (seconds spent inside task bodies).
-    pub busy_seconds: Vec<f64>,
+    pub(crate) busy_seconds: Vec<f64>,
 }
 
 impl RunStats {
     /// Per-thread utilization: busy time / wall time, in `[0, 1]`-ish
     /// (slightly above 1 is possible from timer granularity).
-    pub fn utilization(&self) -> Vec<f64> {
+    pub(crate) fn utilization(&self) -> Vec<f64> {
         if self.wall_seconds <= 0.0 {
             return vec![0.0; self.busy_seconds.len()];
         }
@@ -201,7 +201,8 @@ impl RunStats {
     }
 
     /// Mean utilization across workers.
-    pub fn mean_utilization(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn mean_utilization(&self) -> f64 {
         let u = self.utilization();
         if u.is_empty() {
             0.0
@@ -211,7 +212,7 @@ impl RunStats {
     }
 
     /// Sample throughput, samples per wall-clock second.
-    pub fn samples_per_second(&self) -> f64 {
+    pub(crate) fn samples_per_second(&self) -> f64 {
         if self.wall_seconds <= 0.0 {
             0.0
         } else {
@@ -234,7 +235,7 @@ impl RunStats {
     }
 
     /// Renders a one-run report block.
-    pub fn to_table(&self) -> String {
+    pub(crate) fn to_table(&self) -> String {
         let mut out = format!(
             "tasks {} | samples {} | threads {} | wall {:.3} ms | {:.0} samples/s\n",
             self.tasks,
@@ -260,7 +261,7 @@ impl std::fmt::Display for RunStats {
 ///
 /// Convenience re-wrap of [`Xoshiro256PlusPlus::stream`] so callers don't
 /// need to depend on `mss-units` naming.
-pub fn task_rng(seed: u64, index: u64) -> Xoshiro256PlusPlus {
+pub(crate) fn task_rng(seed: u64, index: u64) -> Xoshiro256PlusPlus {
     Xoshiro256PlusPlus::stream(seed, index)
 }
 
@@ -361,7 +362,7 @@ where
 /// Maps `f` over `items` in parallel, returning results **in item order**.
 ///
 /// `f` receives `(index, &item)`; derive any randomness from the index (see
-/// [`task_rng`]) to keep the run deterministic across thread counts.
+/// `task_rng`) to keep the run deterministic across thread counts.
 pub fn par_map<T, U, F>(cfg: &ParallelConfig, items: &[T], f: F) -> Vec<U>
 where
     T: Sync,
@@ -372,7 +373,7 @@ where
 }
 
 /// [`par_map`] with the run's [`RunStats`].
-pub fn par_map_stats<T, U, F>(cfg: &ParallelConfig, items: &[T], f: F) -> (Vec<U>, RunStats)
+pub(crate) fn par_map_stats<T, U, F>(cfg: &ParallelConfig, items: &[T], f: F) -> (Vec<U>, RunStats)
 where
     T: Sync,
     U: Send,

@@ -10,12 +10,12 @@
 //!   [`std::panic::catch_unwind`]; a panic becomes a structured
 //!   [`TaskFailure`] in the sweep's failure manifest instead of a process
 //!   abort,
-//! - **deadlines** — a per-task time budget ([`SupervisorConfig::deadline`])
+//! - **deadlines** — a per-task time budget (`SupervisorConfig::deadline`)
 //!   armed as one [`CancelToken`] per attempt, which long tasks poll at chunk
 //!   boundaries (`mss-gemsim` access chunks, and through them the MAGPIE
 //!   flow's kernel × scenario pairs),
 //! - **deterministic bounded retry** — a failed attempt is retried up to
-//!   [`SupervisorConfig::retry_max`] times with a backoff schedule derived
+//!   `SupervisorConfig::retry_max` times with a backoff schedule derived
 //!   from the task's own RNG stream, so a retried sweep replays
 //!   bit-identically at any `MSS_THREADS`,
 //! - **graceful degradation** — the sweep returns a [`PartialSweep`]:
@@ -39,7 +39,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use crate::{run_indexed, task_rng, ParallelConfig, RunStats};
+use crate::{run_indexed, task_rng, ParallelConfig};
 use mss_obs::events::EventPayload;
 use mss_units::rng::Rng;
 
@@ -53,13 +53,13 @@ pub struct SupervisorConfig {
     /// Per-task wall-clock budget; `None` = unlimited. Enforced
     /// cooperatively: each attempt gets a fresh [`CancelToken`] that the
     /// task observes through [`TaskCtx::is_cancelled`] at chunk boundaries.
-    pub deadline: Option<Duration>,
+    pub(crate) deadline: Option<Duration>,
     /// Retries after the first attempt (0 = fail fast).
-    pub retry_max: u32,
+    pub(crate) retry_max: u32,
     /// Upper bound on one deterministic backoff sleep.
-    pub max_backoff: Duration,
+    pub(crate) max_backoff: Duration,
     /// Seed of the backoff schedule (independent of task seeds).
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Sweep label stamped on telemetry-bus progress/heartbeat/failure
     /// events (e.g. `gemsim.run_many`); `""` renders as `sweep`.
     pub label: &'static str,
@@ -111,7 +111,7 @@ impl SupervisorConfig {
 
     /// The label stamped on bus events: [`Self::label`], or `sweep` when
     /// unset.
-    pub fn effective_label(&self) -> &'static str {
+    pub(crate) fn effective_label(&self) -> &'static str {
         if self.label.is_empty() {
             "sweep"
         } else {
@@ -125,7 +125,7 @@ impl SupervisorConfig {
     ///
     /// A pure function of `(seed, index, attempt)` — the schedule replays
     /// identically at any thread count.
-    pub fn backoff(&self, index: u64, attempt: u32) -> Duration {
+    pub(crate) fn backoff(&self, index: u64, attempt: u32) -> Duration {
         let cap = self.max_backoff.as_nanos() as u64;
         if cap == 0 || attempt == 0 {
             return Duration::ZERO;
@@ -176,7 +176,7 @@ impl CancelToken {
     /// Time left until the deadline: `None` when the token has none, zero
     /// once it has passed. This is the `budget_seconds` a sweep's progress
     /// events report.
-    pub fn budget_remaining(&self) -> Option<Duration> {
+    pub(crate) fn budget_remaining(&self) -> Option<Duration> {
         self.deadline
             .map(|d| d.saturating_duration_since(Instant::now()))
     }
@@ -200,7 +200,8 @@ impl TaskCtx {
     }
 
     /// True when this attempt should stop at the next chunk boundary.
-    pub fn is_cancelled(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_cancelled(&self) -> bool {
         self.token.is_cancelled()
     }
 }
@@ -279,18 +280,12 @@ pub struct PartialSweep<U> {
     pub results: Vec<Option<U>>,
     /// Terminal failures, sorted by task index.
     pub failures: Vec<TaskFailure>,
-    /// The run's throughput counters.
-    pub stats: RunStats,
 }
 
 impl<U> PartialSweep<U> {
-    /// Number of tasks in the sweep.
-    pub fn len(&self) -> usize {
-        self.results.len()
-    }
-
     /// True for a zero-task sweep.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.results.is_empty()
     }
 
@@ -464,7 +459,7 @@ where
         }
     };
 
-    let (outcomes, stats) = run_indexed(cfg, tasks, tasks as u64, |i, worker| {
+    let (outcomes, _) = run_indexed(cfg, tasks, tasks as u64, |i, worker| {
         let t0 = Instant::now();
         let (outcome, token) = run_task(i);
         if events_on {
@@ -516,11 +511,7 @@ where
             Err(e) => eprintln!("flight recorder: dump failed: {e}"),
         }
     }
-    PartialSweep {
-        results,
-        failures,
-        stats,
-    }
+    PartialSweep { results, failures }
 }
 
 #[cfg(test)]
@@ -539,21 +530,12 @@ mod tests {
     fn complete_sweep_matches_par_map() {
         let items: Vec<u64> = (0..100).collect();
         for threads in [1, 2, 8] {
-            let (plain, plain_stats) = crate::par_map_stats(&cfg(threads), &items, |_, &x| x * 7);
+            let plain = crate::par_map(&cfg(threads), &items, |_, &x| x * 7);
             let sweep = supervised_map(&cfg(threads), &quiet_sup(), &items, |_, &x| {
                 Ok::<_, String>(x * 7)
             });
             assert!(sweep.is_complete());
             assert_eq!(sweep.completed_count(), 100);
-            let stats = sweep.stats.clone();
-            assert_eq!(stats.tasks, plain_stats.tasks, "threads={threads}");
-            assert_eq!(stats.samples, plain_stats.samples, "threads={threads}");
-            assert_eq!(stats.threads, plain_stats.threads, "threads={threads}");
-            assert_eq!(
-                stats.busy_seconds.len(),
-                plain_stats.busy_seconds.len(),
-                "threads={threads}"
-            );
             assert_eq!(sweep.into_results().expect("complete"), plain);
         }
     }

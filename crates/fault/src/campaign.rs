@@ -22,12 +22,12 @@ use crate::FaultError;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CampaignOptions {
     /// Number of ECC blocks written and read once each.
-    pub blocks: u64,
+    pub(crate) blocks: u64,
     /// The code protecting each block.
-    pub scheme: EccScheme,
+    pub(crate) scheme: EccScheme,
     /// Fan-out policy (chunk boundaries do not affect results — draws are
     /// stateless — but a fixed policy keeps run stats comparable).
-    pub parallel: ParallelConfig,
+    pub(crate) parallel: ParallelConfig,
 }
 
 impl CampaignOptions {
@@ -102,11 +102,11 @@ impl Tally {
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignReport {
     /// The plan the campaign injected from.
-    pub plan: FaultPlan,
+    pub(crate) plan: FaultPlan,
     /// The code protecting each block.
-    pub scheme: EccScheme,
+    pub(crate) scheme: EccScheme,
     /// Blocks exposed.
-    pub blocks: u64,
+    pub(crate) blocks: u64,
     /// Bits per block (`scheme.block_bits()`).
     pub bits_per_block: u32,
     /// Injected write failures (healthy cells only).
@@ -130,7 +130,7 @@ pub struct CampaignReport {
     /// Blocks with a potentially silent error pattern (`> t+1`).
     pub blocks_uncorrectable: u64,
     /// Analytical per-bit error probability (all mechanisms combined).
-    pub analytical_bit_error_rate: f64,
+    pub(crate) analytical_bit_error_rate: f64,
     /// Analytical block failure probability
     /// ([`EccScheme::uncorrectable_probability`] at the combined rate).
     pub analytical_block_failure_rate: f64,
@@ -138,19 +138,14 @@ pub struct CampaignReport {
 
 impl CampaignReport {
     /// Total bits exposed, `blocks × bits_per_block`.
-    pub fn total_bits(&self) -> u64 {
+    pub(crate) fn total_bits(&self) -> u64 {
         self.blocks * self.bits_per_block as u64
     }
 
     /// Bits not claimed by a stuck-at defect (the write/read/transient
     /// trial population).
-    pub fn healthy_bits(&self) -> u64 {
+    pub(crate) fn healthy_bits(&self) -> u64 {
         self.total_bits() - self.stuck_cells
-    }
-
-    /// Empirical per-bit error rate at read time.
-    pub fn empirical_bit_error_rate(&self) -> f64 {
-        self.bit_errors as f64 / self.total_bits() as f64
     }
 
     /// Empirical block failure rate: detected + uncorrectable, i.e. every

@@ -1,12 +1,13 @@
 //! Deterministic chaos harness for the supervised sweep runtime.
 //!
-//! Where [`inject`](crate::inject) attacks the *memory under simulation*,
-//! this module attacks the *runtime itself*: it decides, from a pure hash
-//! of `(seed, task, attempt)`, whether a supervised sweep task should
-//! panic, fail with an error, or stall past its deadline — and whether an
-//! on-disk cache entry should be damaged. The point is to prove, in tests
-//! and in the `chaos_smoke` bench harness, that no injected failure can
-//! abort the process, corrupt surviving results, or defeat resume.
+//! Where the [`FaultInjector`](crate::FaultInjector) attacks the *memory
+//! under simulation*, this module attacks the *runtime itself*: it decides,
+//! from a pure hash of `(seed, task, attempt)`, whether a supervised sweep
+//! task should panic, fail with an error, or stall past its deadline — and
+//! whether an on-disk cache entry should be damaged. The point is to
+//! prove, in tests and in the `chaos_smoke` bench harness, that no injected
+//! failure can abort the process, corrupt surviving results, or defeat
+//! resume.
 //!
 //! Two properties make the chaos reproducible and *convergent*:
 //!
@@ -77,15 +78,15 @@ fn uniform(h: u64) -> f64 {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChaosPlan {
     /// Seed for every decision hash.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Probability that a given `(task, attempt)` panics.
-    pub panic_rate: f64,
+    pub(crate) panic_rate: f64,
     /// Probability that a given `(task, attempt)` fails with an error.
-    pub fail_rate: f64,
+    pub(crate) fail_rate: f64,
     /// Probability that a given `(task, attempt)` stalls for [`Self::stall`].
-    pub stall_rate: f64,
+    pub(crate) stall_rate: f64,
     /// How long an injected stall sleeps.
-    pub stall: Duration,
+    pub(crate) stall: Duration,
     /// Attempts `>= max_faulty_attempts` are never injected, guaranteeing
     /// convergence under a supervisor with at least that many retries.
     pub max_faulty_attempts: u32,
@@ -106,7 +107,8 @@ impl ChaosPlan {
     }
 
     /// A plan that injects nothing.
-    pub const fn disabled() -> Self {
+    #[cfg(test)]
+    pub(crate) const fn disabled() -> Self {
         Self::new(0)
     }
 
@@ -136,7 +138,7 @@ impl ChaosPlan {
     }
 
     /// True when any adversity can ever be injected.
-    pub fn is_active(&self) -> bool {
+    pub(crate) fn is_active(&self) -> bool {
         self.panic_rate > 0.0 || self.fail_rate > 0.0 || self.stall_rate > 0.0
     }
 
@@ -167,7 +169,7 @@ impl ChaosPlan {
 
     /// Should attempt `attempt` of task `task` stall, and for how long?
     #[inline]
-    pub fn stall_for(&self, task: u64, attempt: u32) -> Option<Duration> {
+    pub(crate) fn stall_for(&self, task: u64, attempt: u32) -> Option<Duration> {
         self.draw(KIND_STALL, task, attempt, self.stall_rate)
             .then_some(self.stall)
     }

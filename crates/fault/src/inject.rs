@@ -18,7 +18,7 @@
 use mss_units::rng::{coin_threshold, Rng, SplitMix64};
 use mss_units::simd::{Isa, Kernel};
 
-use crate::plan::{FaultModel, FaultPlan};
+use crate::plan::FaultPlan;
 
 /// Domain-separation constants: each fault kind hashes into its own stream
 /// so e.g. a write-failure decision never correlates with a read-disturb
@@ -82,7 +82,7 @@ fn low_bits(n: u32) -> u64 {
 /// Holds the hash prefix `mix(mix(mix(seed ^ kind) ^ site) ^ epoch)` and the
 /// integer threshold `⌈p·2⁵³⌉`; bit `b` fires iff
 /// `mix(prefix ^ b) >> 11 < threshold`, which is exactly the uniform test
-/// `u < p` on the 53-bit dyadic grid of [`Rng::next_f64`]. [`Self::mask`]
+/// `u < p` on the 53-bit dyadic grid of [`Rng::next_f64`]. `Self::mask`
 /// decides 64 bits per call with the same test.
 #[derive(Debug, Clone, Copy)]
 pub struct WordDraw {
@@ -113,8 +113,9 @@ impl WordDraw {
 
     /// The hit mask of bits `base..base + 64`: bit `i` is set iff the draw
     /// fires at `base + i`. A zero-rate draw returns 0 without hashing.
+    #[cfg(test)]
     #[inline]
-    pub fn mask(&self, base: u64) -> u64 {
+    pub(crate) fn mask(&self, base: u64) -> u64 {
         self.mask_first(base, 64)
     }
 
@@ -234,7 +235,7 @@ impl KindKey {
 /// [`Self::read_disturb_word`], [`Self::transient_word`],
 /// [`Self::stuck_word`]) are the decision path: each hashes its coordinate
 /// prefix once, then costs one 64-bit finalizer and an integer compare per
-/// bit, made 64 bits at a time by [`WordDraw::mask`]. The per-bit queries
+/// bit, made 64 bits at a time by `WordDraw::mask`. The per-bit queries
 /// are one-line conveniences over them.
 /// Sites are caller-defined identifiers (an array base address, a bank
 /// index, a block index in a campaign); epochs distinguish repeated touches
@@ -282,18 +283,9 @@ impl FaultInjector {
         }
     }
 
-    /// The plan this injector draws from.
-    pub const fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
-    /// The model this injector draws from.
-    pub const fn model(&self) -> &FaultModel {
-        &self.plan.model
-    }
-
     /// True when any fault can ever be injected.
-    pub fn is_active(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_active(&self) -> bool {
         self.plan.is_active()
     }
 
@@ -335,18 +327,21 @@ impl FaultInjector {
 
     /// Does reading `bit` at `site` during access `epoch` disturb (flip) the
     /// stored state?
-    pub fn read_disturbs(&self, site: u64, epoch: u64, bit: u64) -> bool {
+    #[cfg(test)]
+    pub(crate) fn read_disturbs(&self, site: u64, epoch: u64, bit: u64) -> bool {
         self.read_disturb_word(site, epoch).fires(bit)
     }
 
     /// Does `bit` at `site` suffer a transient flip in access epoch `epoch`?
-    pub fn transient_flips(&self, site: u64, epoch: u64, bit: u64) -> bool {
+    #[cfg(test)]
+    pub(crate) fn transient_flips(&self, site: u64, epoch: u64, bit: u64) -> bool {
         self.transient_word(site, epoch).fires(bit)
     }
 
     /// Is the cell for `bit` at `site` a stuck-at defect, and if so, which
     /// value is it stuck at?
-    pub fn stuck_at(&self, site: u64, bit: u64) -> Option<bool> {
+    #[cfg(test)]
+    pub(crate) fn stuck_at(&self, site: u64, bit: u64) -> Option<bool> {
         self.stuck_word(site).stuck_at(bit)
     }
 }
@@ -354,6 +349,7 @@ impl FaultInjector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::FaultModel;
 
     fn injector_with_seed(seed: u64, f: impl FnOnce(&mut FaultModel)) -> FaultInjector {
         let mut m = FaultModel::none();

@@ -6,11 +6,11 @@
 //! analytical models in `mss-mtj` and `mss-vaet` only *predict* error rates —
 //! they never exercise an actual failure path. This crate closes that loop:
 //!
-//! - [`plan`] — [`FaultPlan`]/[`FaultModel`]: per-site fault rates (stochastic
+//! - `plan` — [`FaultPlan`]/[`FaultModel`]: per-site fault rates (stochastic
 //!   write failure, read disturb, retention/transient flips, stuck-at cells),
 //!   either given directly or derived from the `mss-mtj` analytical models
 //!   via [`MtjOperatingPoint`],
-//! - [`inject`] — [`FaultInjector`]: *stateless* seeded Bernoulli draws. Every
+//! - `inject` — [`FaultInjector`]: *stateless* seeded Bernoulli draws. Every
 //!   decision is a pure hash of `(seed, site, epoch, bit)`, so injection is
 //!   bit-identical at any `MSS_THREADS`, any chunking, and any access
 //!   interleaving,
@@ -18,7 +18,7 @@
 //!   panic, fail, or stall supervised sweep tasks (attempt-bounded so
 //!   bounded retry provably converges) plus deterministic on-disk cache
 //!   poisoning, exercising `mss-exec`'s supervisor end to end,
-//! - [`campaign`] — seeded Monte Carlo campaigns that inject bit errors into
+//! - `campaign` — seeded Monte Carlo campaigns that inject bit errors into
 //!   ECC blocks and compare the empirical word-error and block-uncorrectable
 //!   rates against the analytical binomial model
 //!   ([`mss_vaet::ecc::EccScheme::uncorrectable_probability`]) with 3σ
@@ -40,15 +40,14 @@
 #![deny(missing_docs)]
 #![deny(clippy::unwrap_used)]
 
-pub mod campaign;
+pub(crate) mod campaign;
 pub mod chaos;
-pub mod inject;
-pub mod plan;
+pub(crate) mod inject;
+pub(crate) mod plan;
 
 mod error;
 
 pub use campaign::{run_ecc_campaign, CampaignOptions, CampaignReport};
-pub use chaos::{poison_cache_dir, ChaosPlan};
 pub use error::FaultError;
 pub use inject::{mask_kernel, FaultInjector, WordDraw};
 pub use plan::{FaultModel, FaultPlan, MtjOperatingPoint};

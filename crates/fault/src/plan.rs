@@ -50,7 +50,8 @@ impl FaultModel {
     }
 
     /// True when at least one rate is non-zero.
-    pub fn is_active(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_active(&self) -> bool {
         self.write_fail_rate > 0.0
             || self.read_disturb_rate > 0.0
             || self.transient_flip_rate > 0.0
@@ -105,15 +106,15 @@ impl FaultModel {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MtjOperatingPoint {
     /// Write pulse width, seconds.
-    pub write_pulse: f64,
+    pub(crate) write_pulse: f64,
     /// Write current, amperes.
     pub write_current: f64,
     /// Read pulse width, seconds.
-    pub read_pulse: f64,
+    pub(crate) read_pulse: f64,
     /// Read current, amperes.
-    pub read_current: f64,
+    pub(crate) read_current: f64,
     /// Idle window between touches of a word, seconds (retention exposure).
-    pub idle_window: f64,
+    pub(crate) idle_window: f64,
     /// Fabrication stuck-at defect rate (not derivable from the stack).
     pub stuck_at_rate: f64,
 }
@@ -143,7 +144,7 @@ impl MtjOperatingPoint {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultPlan {
     /// Seed of every injection decision.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// The rates to inject at.
     pub model: FaultModel,
 }
@@ -175,7 +176,8 @@ impl FaultPlan {
     }
 
     /// True when the plan can inject anything.
-    pub fn is_active(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_active(&self) -> bool {
         self.model.is_active()
     }
 }

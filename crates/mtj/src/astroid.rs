@@ -22,19 +22,20 @@ use crate::stack::MssStack;
 use crate::MtjError;
 
 /// Stray-field assessment of a memory-mode pillar.
+#[cfg(test)]
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StrayFieldAssessment {
+pub(crate) struct StrayFieldAssessment {
     /// In-plane (hard-axis) stray field, A/m.
-    pub h_inplane: f64,
+    pub(crate) h_inplane: f64,
     /// Out-of-plane (easy-axis) stray field, A/m.
-    pub h_easy: f64,
+    pub(crate) h_easy: f64,
     /// True when the field combination crosses the astroid (deterministic
     /// switching possible — data loss).
-    pub switches: bool,
+    pub(crate) switches: bool,
     /// Barrier-degraded thermal stability Δ_eff.
-    pub effective_delta: f64,
+    pub(crate) effective_delta: f64,
     /// Retention under the stray field, seconds.
-    pub retention_seconds: f64,
+    pub(crate) retention_seconds: f64,
 }
 
 /// Astroid switching criterion for normalised field components
@@ -62,13 +63,15 @@ pub fn easy_axis_boundary(h_inplane_rel: f64) -> f64 {
 
 /// Barrier-degraded stability under a hard-axis field:
 /// `Δ_eff = Δ·(1 − |H_x|/H_k)²` (clamped at zero beyond the boundary).
-pub fn effective_delta(stack: &MssStack, h_inplane: f64) -> f64 {
+#[cfg(test)]
+pub(crate) fn effective_delta(stack: &MssStack, h_inplane: f64) -> f64 {
     let rel = (h_inplane / stack.hk_eff()).abs().min(1.0);
     stack.thermal_stability() * (1.0 - rel).powi(2)
 }
 
 /// Assesses a memory pillar under a stray field.
-pub fn assess(stack: &MssStack, h_inplane: f64, h_easy: f64) -> StrayFieldAssessment {
+#[cfg(test)]
+pub(crate) fn assess(stack: &MssStack, h_inplane: f64, h_easy: f64) -> StrayFieldAssessment {
     let hk = stack.hk_eff();
     let switches = crosses_astroid(h_inplane / hk, h_easy / hk);
     let delta_eff = effective_delta(stack, h_inplane);

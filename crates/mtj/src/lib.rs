@@ -52,13 +52,12 @@ pub mod astroid;
 mod error;
 pub mod llg;
 pub mod mechanism;
-pub mod modes;
+pub(crate) mod modes;
 pub mod reliability;
 pub mod resistance;
-pub mod stack;
+pub(crate) mod stack;
 pub mod switching;
 pub mod validate;
-pub mod veriloga;
 
 pub use error::MtjError;
 pub use mechanism::{MechanismConfig, MechanismKind, SotMechanism, SotParams};

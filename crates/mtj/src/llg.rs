@@ -29,7 +29,6 @@ use mss_units::rng::{standard_normal, Rng, Xoshiro256PlusPlus};
 use mss_units::stats::{DistributionSummary, OnlineStats};
 use mss_units::Vec3;
 
-use crate::mechanism::SotParams;
 use crate::modes::MssDevice;
 
 /// Integration options for an LLG run.
@@ -139,7 +138,12 @@ impl LlgSimulator {
     /// component `params.field_like_ratio · a_SOT`. The default simulator
     /// leaves all SOT fields at zero, so plain STT runs are bit-identical
     /// to the pre-SOT integrator.
-    pub fn with_sot_current(mut self, i_channel: f64, params: &SotParams) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_sot_current(
+        mut self,
+        i_channel: f64,
+        params: &crate::mechanism::SotParams,
+    ) -> Self {
         // Recover the pillar diameter from the stored junction area.
         let d = (4.0 * self.area / std::f64::consts::PI).sqrt();
         let j = i_channel / params.channel_cross_section(d);
@@ -155,7 +159,7 @@ impl LlgSimulator {
     }
 
     /// Slonczewski effective field a_J in A/m for the configured current.
-    pub fn slonczewski_field(&self) -> f64 {
+    pub(crate) fn slonczewski_field(&self) -> f64 {
         let j = self.current / self.area;
         HBAR * j * self.polarization / (2.0 * QE * MU0 * self.ms * self.free_layer_thickness)
     }
@@ -213,7 +217,7 @@ impl LlgSimulator {
     /// [`run`](Self::run) drawing the thermal field from a caller-supplied
     /// RNG instead of seeding from `opts.seed` — the hook the parallel
     /// ensembles use to give every member its own deterministic stream.
-    pub fn run_with_rng<R: Rng + ?Sized>(
+    pub(crate) fn run_with_rng<R: Rng + ?Sized>(
         &self,
         m0: Vec3,
         duration: f64,
@@ -344,29 +348,30 @@ impl LlgSimulator {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SweepPoint {
     /// Write current at this point, amperes.
-    pub current: f64,
+    pub(crate) current: f64,
     /// First crossing of the switching threshold, if any.
     pub switching_time: Option<f64>,
     /// Final `m_z` at the end of the run.
-    pub final_mz: f64,
+    pub(crate) final_mz: f64,
 }
 
 /// Aggregate result of a [`LlgSimulator::thermal_ensemble`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ThermalEnsemble {
     /// Ensemble size.
-    pub runs: u64,
+    pub(crate) runs: u64,
     /// Members that crossed the switching threshold.
-    pub switched: u64,
+    pub(crate) switched: u64,
     /// Switching-time distribution over the switched members.
-    pub switching_time: DistributionSummary,
+    pub(crate) switching_time: DistributionSummary,
     /// Distribution of the final `m_z` over all members.
-    pub final_mz: DistributionSummary,
+    pub(crate) final_mz: DistributionSummary,
 }
 
 impl ThermalEnsemble {
     /// Fraction of members that switched (write success rate).
-    pub fn switching_probability(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn switching_probability(&self) -> f64 {
         if self.runs == 0 {
             0.0
         } else {
@@ -396,17 +401,19 @@ impl Trajectory {
     }
 
     /// Recorded sample count.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.times.len()
     }
 
     /// True when nothing was recorded.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.times.is_empty()
     }
 
     /// Time stamps in seconds.
-    pub fn times(&self) -> &[f64] {
+    #[cfg(test)]
+    pub(crate) fn times(&self) -> &[f64] {
         &self.times
     }
 
@@ -426,7 +433,7 @@ impl Trajectory {
 
     /// First time `m_z` crosses `threshold` coming from below (switching
     /// detection for −z→+z writes); `None` if it never does.
-    pub fn switching_time(&self, threshold: f64) -> Option<f64> {
+    pub(crate) fn switching_time(&self, threshold: f64) -> Option<f64> {
         self.times
             .iter()
             .zip(&self.magnetization)
@@ -445,19 +452,6 @@ impl Trajectory {
         let start = ((1.0 - fraction) * self.magnetization.len() as f64) as usize;
         let tail = &self.magnetization[start..];
         tail.iter().map(|m| m.z).sum::<f64>() / tail.len() as f64
-    }
-
-    /// Peak-to-peak swing of `m_y` over the trailing `fraction`.
-    pub fn tail_my_peak_to_peak(&self, fraction: f64) -> f64 {
-        assert!(!self.is_empty(), "empty trajectory");
-        let start = ((1.0 - fraction) * self.magnetization.len() as f64) as usize;
-        let tail = &self.magnetization[start..];
-        let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-        for m in tail {
-            lo = lo.min(m.y);
-            hi = hi.max(m.y);
-        }
-        hi - lo
     }
 
     /// Estimates the precession frequency in hertz by counting rising zero
@@ -481,7 +475,8 @@ impl Trajectory {
 
     /// Root-mean-square polar angle from +z over the trailing `fraction`,
     /// in radians (thermal-equilibrium diagnostics).
-    pub fn tail_rms_polar_angle(&self, fraction: f64) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn tail_rms_polar_angle(&self, fraction: f64) -> f64 {
         assert!(!self.is_empty(), "empty trajectory");
         let start = ((1.0 - fraction) * self.magnetization.len() as f64) as usize;
         let tail = &self.magnetization[start..];

@@ -29,7 +29,7 @@
 //! constant is the bare precession time `τ_SOT = α·τ_D`, enabling sub-ns
 //! writes. The WER/pulse/current closed forms are *shared* with STT — the
 //! precessional escape statistics are torque-agnostic once `(Δ, I_c0, τ)`
-//! are fixed — so [`SotMechanism`] reuses [`SwitchingModel::from_parts`]
+//! are fixed — so [`SotMechanism`] reuses `SwitchingModel::from_parts`
 //! with the SOT constants instead of duplicating the math.
 //!
 //! Reads are unchanged in both mechanisms: the TMR read path always goes
@@ -58,7 +58,8 @@ pub enum MechanismKind {
 
 impl MechanismKind {
     /// Short lowercase token used in CLI arguments and CSV metadata.
-    pub fn token(&self) -> &'static str {
+    #[cfg(test)]
+    pub(crate) fn token(&self) -> &'static str {
         match self {
             MechanismKind::Stt => "stt",
             MechanismKind::Sot => "sot",
@@ -67,7 +68,8 @@ impl MechanismKind {
 
     /// Parses the token produced by [`MechanismKind::token`]
     /// (case-insensitive).
-    pub fn parse(s: &str) -> Option<Self> {
+    #[cfg(test)]
+    pub(crate) fn parse(s: &str) -> Option<Self> {
         if s.eq_ignore_ascii_case("stt") {
             Some(MechanismKind::Stt)
         } else if s.eq_ignore_ascii_case("sot") || s.eq_ignore_ascii_case("she") {
@@ -206,17 +208,17 @@ impl SotParams {
     }
 
     /// Channel width in metres for pillar diameter `d`.
-    pub fn channel_width(&self, d: f64) -> f64 {
+    pub(crate) fn channel_width(&self, d: f64) -> f64 {
         self.channel_width_factor * d
     }
 
     /// Channel length in metres for pillar diameter `d`.
-    pub fn channel_length(&self, d: f64) -> f64 {
+    pub(crate) fn channel_length(&self, d: f64) -> f64 {
         self.channel_length_factor * d
     }
 
     /// Channel cross-section `w·t_ch` in m² for pillar diameter `d`.
-    pub fn channel_cross_section(&self, d: f64) -> f64 {
+    pub(crate) fn channel_cross_section(&self, d: f64) -> f64 {
         self.channel_width(d) * self.channel_thickness
     }
 
@@ -229,7 +231,7 @@ impl SotParams {
 /// The SOT/SHE constants: antidamping spin-Hall switching of the same
 /// pillar through a heavy-metal channel.
 ///
-/// [`SotMechanism::switching_model`] is [`SwitchingModel::from_parts`] with
+/// [`SotMechanism::switching_model`] is `SwitchingModel::from_parts` with
 /// the SOT constants `(Δ, I_c0,SOT, τ_SOT)` — the precessional/thermal
 /// escape closed forms are torque-agnostic — and
 /// [`SotMechanism::channel_resistance`] is the write path.
@@ -289,11 +291,6 @@ impl SotMechanism {
         })
     }
 
-    /// The channel parameters this evaluator was built with.
-    pub fn params(&self) -> &SotParams {
-        &self.params
-    }
-
     /// The underlying closed-form evaluator calibrated with the SOT
     /// constants `(Δ, I_c0,SOT, τ_SOT)` — circuit elements reuse it to
     /// integrate switching progress against the *channel* current.
@@ -304,11 +301,6 @@ impl SotMechanism {
     /// Heavy-metal channel resistance between the write terminals, ohms.
     pub fn channel_resistance(&self) -> f64 {
         self.channel_resistance
-    }
-
-    /// Critical channel current *density* J_c0,SOT in A/m².
-    pub fn critical_current_density(&self) -> f64 {
-        self.inner.critical_current() / self.params.channel_cross_section(self.pillar_diameter)
     }
 }
 
@@ -341,7 +333,8 @@ impl mss_pipe::StableHash for MechanismConfig {
 
 impl MechanismConfig {
     /// The kind tag of this config.
-    pub fn kind(&self) -> MechanismKind {
+    #[cfg(test)]
+    pub(crate) fn kind(&self) -> MechanismKind {
         match self {
             MechanismConfig::Stt => MechanismKind::Stt,
             MechanismConfig::Sot(_) => MechanismKind::Sot,

@@ -16,7 +16,7 @@
 //! - `H_b ≳ H_k`          → m in-plane; small H_z gives m_z ≈ H_z/(H_b−H_k)
 //!   (linear sensor)
 
-use mss_units::consts::{am_to_oe, oe_to_am};
+use mss_units::consts::am_to_oe;
 use mss_units::math::brent;
 
 use crate::reliability;
@@ -28,12 +28,12 @@ use crate::MtjError;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BiasMagnet {
     /// In-plane bias field produced at the free layer, in A/m (along +x).
-    pub field: f64,
+    pub(crate) field: f64,
 }
 
 impl BiasMagnet {
     /// No bias magnet at all (memory mode).
-    pub const fn none() -> Self {
+    pub(crate) const fn none() -> Self {
         Self { field: 0.0 }
     }
 
@@ -43,9 +43,10 @@ impl BiasMagnet {
     }
 
     /// A bias magnet specified in oersted (the paper quotes ~1 kOe).
-    pub fn with_field_oe(oe: f64) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_field_oe(oe: f64) -> Self {
         Self {
-            field: oe_to_am(oe),
+            field: mss_units::consts::oe_to_am(oe),
         }
     }
 
@@ -166,7 +167,8 @@ impl MssDevice {
     /// # Errors
     ///
     /// The bias field must exceed H_k,eff for a linear sensor response.
-    pub fn sensor_with_bias(stack: MssStack, bias: BiasMagnet) -> Result<Self, MtjError> {
+    #[cfg(test)]
+    pub(crate) fn sensor_with_bias(stack: MssStack, bias: BiasMagnet) -> Result<Self, MtjError> {
         if bias.field <= stack.hk_eff() {
             return Err(MtjError::NoOperatingPoint {
                 reason: format!(
@@ -193,13 +195,8 @@ impl MssDevice {
         self.bias
     }
 
-    /// The operating mode.
-    pub fn mode(&self) -> MssMode {
-        self.mode
-    }
-
     /// A resistance model bound to this device's stack.
-    pub fn resistance_model(&self) -> ResistanceModel {
+    pub(crate) fn resistance_model(&self) -> ResistanceModel {
         ResistanceModel::new(&self.stack)
     }
 

@@ -24,7 +24,7 @@ pub fn retention_years(stack: &MssStack) -> f64 {
 }
 
 /// Thermal stability factor needed for a retention target in seconds.
-pub fn delta_for_retention(retention_s: f64) -> f64 {
+pub(crate) fn delta_for_retention(retention_s: f64) -> f64 {
     (retention_s / TAU0).ln()
 }
 
@@ -113,7 +113,8 @@ pub fn read_disturb_probability(stack: &MssStack, t_read: f64, i_read: f64) -> f
 
 /// Expected number of disturb events over `n_reads` reads of period
 /// `t_read` at `i_read`.
-pub fn expected_disturbs(stack: &MssStack, t_read: f64, i_read: f64, n_reads: u64) -> f64 {
+#[cfg(test)]
+pub(crate) fn expected_disturbs(stack: &MssStack, t_read: f64, i_read: f64, n_reads: u64) -> f64 {
     read_disturb_probability(stack, t_read, i_read) * n_reads as f64
 }
 

@@ -19,7 +19,8 @@ pub enum MtjState {
 
 impl MtjState {
     /// The opposite state.
-    pub fn flipped(self) -> Self {
+    #[cfg(test)]
+    pub(crate) fn flipped(self) -> Self {
         match self {
             MtjState::Parallel => MtjState::Antiparallel,
             MtjState::Antiparallel => MtjState::Parallel,
@@ -54,7 +55,7 @@ impl ResistanceModel {
     }
 
     /// TMR ratio at bias voltage `v` (volts): `TMR₀/(1+(v/V_h)²)`.
-    pub fn tmr_at_bias(&self, v: f64) -> f64 {
+    pub(crate) fn tmr_at_bias(&self, v: f64) -> f64 {
         self.tmr0 / (1.0 + (v / self.v_h).powi(2))
     }
 
@@ -64,7 +65,7 @@ impl ResistanceModel {
     /// # Panics
     ///
     /// Panics in debug builds when `cos_theta` is outside `[-1, 1]`.
-    pub fn resistance(&self, cos_theta: f64, v: f64) -> f64 {
+    pub(crate) fn resistance(&self, cos_theta: f64, v: f64) -> f64 {
         debug_assert!(
             (-1.0..=1.0).contains(&cos_theta),
             "cos_theta out of range: {cos_theta}"
@@ -83,18 +84,19 @@ impl ResistanceModel {
 
     /// Read signal: resistance difference between the two states at read
     /// bias `v_read`.
-    pub fn read_window(&self, v_read: f64) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn read_window(&self, v_read: f64) -> f64 {
         self.state_resistance(MtjState::Antiparallel, v_read)
             - self.state_resistance(MtjState::Parallel, v_read)
     }
 
     /// Zero-bias parallel resistance.
-    pub fn r_parallel(&self) -> f64 {
+    pub(crate) fn r_parallel(&self) -> f64 {
         self.r_p
     }
 
     /// Zero-bias antiparallel resistance.
-    pub fn r_antiparallel(&self) -> f64 {
+    pub(crate) fn r_antiparallel(&self) -> f64 {
         self.r_p * (1.0 + self.tmr0)
     }
 }

@@ -74,7 +74,7 @@ impl MssStack {
     }
 
     /// Saturation magnetization M_s in A/m.
-    pub fn saturation_magnetization(&self) -> f64 {
+    pub(crate) fn saturation_magnetization(&self) -> f64 {
         self.saturation_magnetization
     }
 
@@ -84,12 +84,12 @@ impl MssStack {
     }
 
     /// Gilbert damping constant α (dimensionless).
-    pub fn damping(&self) -> f64 {
+    pub(crate) fn damping(&self) -> f64 {
         self.damping
     }
 
     /// Effective spin polarisation / STT efficiency η (dimensionless).
-    pub fn spin_polarization(&self) -> f64 {
+    pub(crate) fn spin_polarization(&self) -> f64 {
         self.spin_polarization
     }
 
@@ -104,22 +104,22 @@ impl MssStack {
     }
 
     /// Bias voltage V_h at which TMR halves, in volts.
-    pub fn bias_half_voltage(&self) -> f64 {
+    pub(crate) fn bias_half_voltage(&self) -> f64 {
         self.bias_half_voltage
     }
 
     /// Operating temperature in kelvin.
-    pub fn temperature(&self) -> f64 {
+    pub(crate) fn temperature(&self) -> f64 {
         self.temperature
     }
 
     /// Junction area in m².
-    pub fn area(&self) -> f64 {
+    pub(crate) fn area(&self) -> f64 {
         std::f64::consts::PI * self.diameter * self.diameter / 4.0
     }
 
     /// Free-layer volume in m³.
-    pub fn volume(&self) -> f64 {
+    pub(crate) fn volume(&self) -> f64 {
         self.area() * self.free_layer_thickness
     }
 
@@ -133,7 +133,7 @@ impl MssStack {
     }
 
     /// Energy barrier E_b = μ₀·M_s·H_k,eff·V/2 in joules.
-    pub fn energy_barrier(&self) -> f64 {
+    pub(crate) fn energy_barrier(&self) -> f64 {
         0.5 * MU0 * self.saturation_magnetization * self.hk_eff() * self.volume()
     }
 
@@ -148,15 +148,10 @@ impl MssStack {
         (2.0 * QE / HBAR) * (self.damping / self.spin_polarization) * 2.0 * self.energy_barrier()
     }
 
-    /// Critical current *density* J_c0 in A/m².
-    pub fn critical_current_density(&self) -> f64 {
-        self.critical_current() / self.area()
-    }
-
     /// Characteristic precession time constant
     /// τ_D = (1+α²)/(α·γ·μ₀·H_k,eff) in seconds — sets the precessional
     /// switching speed.
-    pub fn tau_d(&self) -> f64 {
+    pub(crate) fn tau_d(&self) -> f64 {
         (1.0 + self.damping * self.damping) / (self.damping * GAMMA * MU0 * self.hk_eff())
     }
 
@@ -258,12 +253,6 @@ impl MssStackBuilder {
         self
     }
 
-    /// Sets the saturation magnetization in A/m.
-    pub fn saturation_magnetization(mut self, ms: f64) -> Self {
-        self.saturation_magnetization = ms;
-        self
-    }
-
     /// Sets the interfacial anisotropy in J/m².
     pub fn interfacial_anisotropy(mut self, ki: f64) -> Self {
         self.interfacial_anisotropy = ki;
@@ -271,14 +260,9 @@ impl MssStackBuilder {
     }
 
     /// Sets the Gilbert damping constant.
-    pub fn damping(mut self, alpha: f64) -> Self {
+    #[cfg(test)]
+    pub(crate) fn damping(mut self, alpha: f64) -> Self {
         self.damping = alpha;
-        self
-    }
-
-    /// Sets the spin polarisation / STT efficiency.
-    pub fn spin_polarization(mut self, p: f64) -> Self {
-        self.spin_polarization = p;
         self
     }
 
@@ -291,12 +275,6 @@ impl MssStackBuilder {
     /// Sets the zero-bias TMR ratio (1.5 = 150 %).
     pub fn tmr_zero_bias(mut self, tmr: f64) -> Self {
         self.tmr_zero_bias = tmr;
-        self
-    }
-
-    /// Sets the TMR bias-decay half-voltage in volts.
-    pub fn bias_half_voltage(mut self, vh: f64) -> Self {
-        self.bias_half_voltage = vh;
         self
     }
 

@@ -57,7 +57,7 @@ impl SwitchingModel {
 
     /// Builds an evaluator directly from the dimensionless quantities, used
     /// by variation sampling to perturb Δ and I_c0 independently.
-    pub fn from_parts(delta: f64, ic0: f64, tau_d: f64) -> Self {
+    pub(crate) fn from_parts(delta: f64, ic0: f64, tau_d: f64) -> Self {
         Self {
             delta,
             ic0,
@@ -89,7 +89,7 @@ impl SwitchingModel {
     ///
     /// [`MtjError::NoOperatingPoint`] when `i_write ≤ I_c0` — subthreshold
     /// currents have no deterministic switching time; use
-    /// [`SwitchingModel::switch_probability`] instead.
+    /// `SwitchingModel::switch_probability` instead.
     pub fn mean_switching_time(&self, i_write: f64) -> Result<f64, MtjError> {
         let i = i_write / self.ic0;
         if i <= 1.0 {
@@ -181,7 +181,8 @@ impl SwitchingModel {
     /// # Errors
     ///
     /// [`MtjError::NoOperatingPoint`] for out-of-range targets.
-    pub fn current_for_wer(&self, wer: f64, t_pulse: f64) -> Result<f64, MtjError> {
+    #[cfg(test)]
+    pub(crate) fn current_for_wer(&self, wer: f64, t_pulse: f64) -> Result<f64, MtjError> {
         if !(0.0..1.0).contains(&wer) || wer == 0.0 || t_pulse <= 0.0 {
             return Err(MtjError::NoOperatingPoint {
                 reason: format!("invalid targets wer={wer}, t_pulse={t_pulse}"),
@@ -195,13 +196,15 @@ impl SwitchingModel {
 
     /// Probability the device switches during `t_pulse` at `i_write`
     /// (complement of the WER).
-    pub fn switch_probability(&self, t_pulse: f64, i_write: f64) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn switch_probability(&self, t_pulse: f64, i_write: f64) -> f64 {
         1.0 - self.write_error_rate(t_pulse, i_write)
     }
 
     /// Write energy for one switching event: `I²·R·t` plus nothing else —
     /// peripheral energies are added at the array level in `mss-nvsim`.
-    pub fn write_energy(&self, i_write: f64, t_pulse: f64, resistance: f64) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn write_energy(&self, i_write: f64, t_pulse: f64, resistance: f64) -> f64 {
         i_write * i_write * resistance * t_pulse
     }
 }

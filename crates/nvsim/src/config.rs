@@ -20,17 +20,17 @@ pub enum MemoryKind {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemoryConfig {
     /// Total capacity in bytes.
-    pub capacity_bytes: u64,
+    pub(crate) capacity_bytes: u64,
     /// Access word width in bits.
     pub word_bits: u32,
     /// Number of banks (accessed independently; latency is per bank).
-    pub banks: u32,
+    pub(crate) banks: u32,
     /// Rows per subarray.
     pub subarray_rows: u32,
     /// Columns per subarray.
     pub subarray_cols: u32,
     /// RAM or cache.
-    pub kind: MemoryKind,
+    pub(crate) kind: MemoryKind,
 }
 
 impl mss_pipe::StableHash for MemoryKind {
@@ -169,18 +169,18 @@ impl MemoryConfig {
     }
 
     /// Bits per bank.
-    pub fn bank_bits(&self) -> u64 {
+    pub(crate) fn bank_bits(&self) -> u64 {
         self.total_bits() / self.banks as u64
     }
 
     /// Subarrays per bank (rounded up so capacity always fits).
-    pub fn subarrays_per_bank(&self) -> u64 {
+    pub(crate) fn subarrays_per_bank(&self) -> u64 {
         let sub_bits = self.subarray_rows as u64 * self.subarray_cols as u64;
         self.bank_bits().div_ceil(sub_bits)
     }
 
     /// Number of cache sets (`None` for RAM).
-    pub fn cache_sets(&self) -> Option<u64> {
+    pub(crate) fn cache_sets(&self) -> Option<u64> {
         match self.kind {
             MemoryKind::Ram => None,
             MemoryKind::Cache {
@@ -191,7 +191,7 @@ impl MemoryConfig {
     }
 
     /// Tag bits per line for a 48-bit physical address space (`0` for RAM).
-    pub fn tag_bits(&self) -> u32 {
+    pub(crate) fn tag_bits(&self) -> u32 {
         match self.kind {
             MemoryKind::Ram => 0,
             MemoryKind::Cache { line_bytes, .. } => {

@@ -35,7 +35,7 @@ pub enum OptimizationTarget {
 
 impl OptimizationTarget {
     /// Extracts the scalar this target minimises.
-    pub fn score(&self, m: &ArrayMetrics) -> f64 {
+    pub(crate) fn score(&self, m: &ArrayMetrics) -> f64 {
         match self {
             OptimizationTarget::ReadLatency => m.read_latency,
             OptimizationTarget::WriteLatency => m.write_latency,
@@ -63,7 +63,7 @@ pub struct DesignConstraints {
 
 impl DesignConstraints {
     /// True when the metrics satisfy every set constraint.
-    pub fn accepts(&self, m: &ArrayMetrics) -> bool {
+    pub(crate) fn accepts(&self, m: &ArrayMetrics) -> bool {
         self.max_read_latency.is_none_or(|v| m.read_latency <= v)
             && self.max_write_latency.is_none_or(|v| m.write_latency <= v)
             && self.max_area.is_none_or(|v| m.area <= v)
@@ -79,7 +79,7 @@ pub struct Candidate {
     /// Its estimated metrics.
     pub metrics: ArrayMetrics,
     /// The target score (lower is better).
-    pub score: f64,
+    pub(crate) score: f64,
 }
 
 /// Result of a design-space exploration.

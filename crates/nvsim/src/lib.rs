@@ -14,9 +14,7 @@
 //!   Elmore word/bit-line RC, cell access, sense, drivers),
 //! - [`explore`] — design-space exploration over subarray organisations
 //!   under an optimisation target (the paper's "optimization settings ...
-//!   to facilitate a variation-aware design space exploration"),
-//! - [`buffer`] — write-buffer queueing analysis (the paper's "buffer
-//!   design optimization") for the slow-write STT-MRAM array.
+//!   to facilitate a variation-aware design space exploration").
 //!
 //! # Example
 //!
@@ -36,7 +34,6 @@
 
 #![deny(missing_docs)]
 
-pub mod buffer;
 pub mod config;
 mod error;
 pub mod explore;

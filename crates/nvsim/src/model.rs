@@ -36,7 +36,8 @@ pub enum MemoryTechnology {
 
 impl MemoryTechnology {
     /// Short display name.
-    pub fn name(&self) -> &'static str {
+    #[cfg(test)]
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             MemoryTechnology::Sram => "SRAM",
             MemoryTechnology::SttMram(_) => "STT-MRAM",
@@ -49,22 +50,22 @@ impl MemoryTechnology {
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct LatencyBreakdown {
     /// Row-decoder chain.
-    pub decoder: f64,
+    pub(crate) decoder: f64,
     /// Word-line RC + driver.
-    pub wordline: f64,
+    pub(crate) wordline: f64,
     /// Bit-line RC.
     pub bitline: f64,
     /// Cell access (switching for writes, signal development for reads).
     pub cell: f64,
     /// Sense amplifier / write-driver stage.
-    pub sense: f64,
+    pub(crate) sense: f64,
     /// Global routing (H-tree) and output mux.
-    pub routing: f64,
+    pub(crate) routing: f64,
 }
 
 impl LatencyBreakdown {
     /// Sum of all contributions.
-    pub fn total(&self) -> f64 {
+    pub(crate) fn total(&self) -> f64 {
         self.decoder + self.wordline + self.bitline + self.cell + self.sense + self.routing
     }
 }

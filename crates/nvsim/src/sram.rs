@@ -10,16 +10,16 @@ use mss_pdk::tech::TechParams;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SramCell {
     /// Cell area in m².
-    pub area: f64,
+    pub(crate) area: f64,
     /// Cell read current (bit-line discharge), amperes.
-    pub read_current: f64,
+    pub(crate) read_current: f64,
     /// Time for the cell to develop a sense-able bit-line differential,
     /// seconds (excluding bit-line RC, which the array model adds).
-    pub access_time: f64,
+    pub(crate) access_time: f64,
     /// Time to overpower the cell feedback during a write, seconds.
-    pub write_time: f64,
+    pub(crate) write_time: f64,
     /// Energy dissipated inside the cell per access, joules.
-    pub access_energy: f64,
+    pub(crate) access_energy: f64,
     /// Static leakage per cell, amperes.
     pub leakage: f64,
 }

@@ -10,7 +10,7 @@
 //!   first), appended and flushed per event so `mss_report tail` can render
 //!   it live while a sweep runs;
 //! - per-thread **flight-recorder rings** holding the last
-//!   [`FLIGHT_RING_CAP`] events each, dumped as
+//!   `FLIGHT_RING_CAP` events each, dumped as
 //!   `target/flight_<digest>.ndjson` when a supervised sweep ends with
 //!   failures (panic, deadline cancellation, `PartialSweep` failures) so a
 //!   chaos-smoke crash becomes a diagnosable artifact.
@@ -18,7 +18,7 @@
 //! # Gating and overhead
 //!
 //! The bus is opt-in via `MSS_EVENTS=1` (stream to the default
-//! [`DEFAULT_EVENTS_PATH`]) or `MSS_EVENTS_PATH=<file>` (stream there;
+//! `DEFAULT_EVENTS_PATH`) or `MSS_EVENTS_PATH=<file>` (stream there;
 //! implies enabled), parsed once through [`env_config`](crate::env_config).
 //! Disabled, [`publish`] is a single relaxed atomic load — the same
 //! permanent-instrumentation contract as the registry.
@@ -43,11 +43,11 @@ use crate::json::{meta_line, Line};
 
 /// Events kept per thread in the flight-recorder ring; older events are
 /// evicted (and tallied) once a thread's ring is full.
-pub const FLIGHT_RING_CAP: usize = 256;
+pub(crate) const FLIGHT_RING_CAP: usize = 256;
 
 /// Default NDJSON event-stream sink when `MSS_EVENTS=1` is set without an
 /// explicit `MSS_EVENTS_PATH`.
-pub const DEFAULT_EVENTS_PATH: &str = "target/mss_events.ndjson";
+pub(crate) const DEFAULT_EVENTS_PATH: &str = "target/mss_events.ndjson";
 
 /// One typed telemetry event.
 #[derive(Debug, Clone, PartialEq)]
@@ -132,7 +132,7 @@ pub enum EventPayload {
 
 impl EventPayload {
     /// The `kind` string used on the NDJSON `bus` line.
-    pub fn kind(&self) -> &'static str {
+    pub(crate) fn kind(&self) -> &'static str {
         match self {
             Self::SpanOpen { .. } => "span_open",
             Self::SpanClose { .. } => "span_close",
@@ -151,7 +151,7 @@ impl EventPayload {
 pub struct BusEvent {
     /// Process-wide publish sequence number (monotonic under the bus lock).
     pub seq: u64,
-    /// Publishing thread's ordinal (see [`crate::thread_ordinal`]).
+    /// Publishing thread's ordinal (see `crate::thread_ordinal`).
     pub tid: u32,
     /// Seconds since the bus was created.
     pub t_seconds: f64,
@@ -286,7 +286,7 @@ impl EventBus {
     /// Creates a bus from the cached [`env_config`](crate::env_config):
     /// enabled by `MSS_EVENTS` / `MSS_EVENTS_PATH`, streaming to the
     /// configured path (default [`DEFAULT_EVENTS_PATH`]).
-    pub fn from_env() -> Self {
+    pub(crate) fn from_env() -> Self {
         let env = crate::env_config();
         let sink_path = env.events.then(|| {
             PathBuf::from(
@@ -300,7 +300,7 @@ impl EventBus {
 
     /// True when the bus records anything (one relaxed atomic load).
     #[inline]
-    pub fn enabled(&self) -> bool {
+    pub(crate) fn enabled(&self) -> bool {
         self.enabled.load(Ordering::Relaxed)
     }
 
@@ -338,22 +338,18 @@ impl EventBus {
     }
 
     /// Total events published since the bus was created.
-    pub fn published(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn published(&self) -> u64 {
         self.inner.lock().expect("event bus poisoned").published
     }
 
     /// Events evicted from flight rings (ring capacity, not stream loss —
     /// the NDJSON stream receives every published event).
-    pub fn ring_evictions(&self) -> u64 {
+    pub(crate) fn ring_evictions(&self) -> u64 {
         self.inner
             .lock()
             .expect("event bus poisoned")
             .ring_evictions
-    }
-
-    /// The event-stream sink path, if streaming is configured.
-    pub fn sink_path(&self) -> Option<&Path> {
-        self.sink_path.as_deref()
     }
 
     /// Snapshot of every event still held in the flight rings, ordered by

@@ -11,7 +11,7 @@
 //! commas, no comments, no NaN/Infinity literals, no leading zeros, no
 //! duplicate keys — so anything it accepts loads in Perfetto, `jq` and
 //! every standards-compliant consumer. Numbers keep their source text, so
-//! a `u64` counter reads back exactly. Nesting is bounded by [`MAX_DEPTH`],
+//! a `u64` counter reads back exactly. Nesting is bounded by `MAX_DEPTH`,
 //! so hostile input is an error, never a stack overflow. Every error names
 //! the byte offset where parsing stopped.
 
@@ -93,17 +93,17 @@ impl Line {
     }
 
     /// Adds a number field ([`json_num`]: `null` when not finite).
-    pub fn num(self, key: &str, value: f64) -> Self {
+    pub(crate) fn num(self, key: &str, value: f64) -> Self {
         self.field(key, &json_num(value))
     }
 
     /// Adds a `null` field.
-    pub fn null(self, key: &str) -> Self {
+    pub(crate) fn null(self, key: &str) -> Self {
         self.field(key, "null")
     }
 
     /// Adds an array field from already-rendered JSON elements.
-    pub fn array(self, key: &str, items: impl IntoIterator<Item = String>) -> Self {
+    pub(crate) fn array(self, key: &str, items: impl IntoIterator<Item = String>) -> Self {
         let items: Vec<String> = items.into_iter().collect();
         self.field(key, &format!("[{}]", items.join(",")))
     }
@@ -116,7 +116,7 @@ impl Line {
 
 /// Deepest array/object nesting [`Value::parse`] accepts. The deepest
 /// writer nests 3 levels (report line → `buckets` → pair).
-pub const MAX_DEPTH: usize = 128;
+pub(crate) const MAX_DEPTH: usize = 128;
 
 /// A parse failure: what went wrong, and the byte offset where it did.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -124,7 +124,7 @@ pub struct ParseError {
     /// Byte offset into the input at which parsing stopped.
     pub offset: usize,
     /// What was wrong there.
-    pub message: String,
+    pub(crate) message: String,
 }
 
 impl std::fmt::Display for ParseError {

@@ -72,10 +72,10 @@ pub const METRICS_ENV: &str = "MSS_METRICS";
 pub const EVENTS_ENV: &str = "MSS_EVENTS";
 /// Environment variable overriding the event-stream sink path (setting it
 /// implies [`EVENTS_ENV`]).
-pub const EVENTS_PATH_ENV: &str = "MSS_EVENTS_PATH";
+pub(crate) const EVENTS_PATH_ENV: &str = "MSS_EVENTS_PATH";
 
 /// Number of histogram buckets (half-decade log₁₀ spacing).
-pub const HIST_BUCKETS: usize = 64;
+pub(crate) const HIST_BUCKETS: usize = 64;
 
 /// NDJSON schema version emitted in the `meta` line.
 ///
@@ -86,7 +86,7 @@ pub const HIST_BUCKETS: usize = 64;
 /// - `span.self_seconds` — time inside the span excluding child spans,
 /// - `span.by_thread` — `[tid, count, total_seconds]` ownership slices,
 /// - `event.tid` — the recording thread's ordinal (see
-///   [`set_thread_ordinal`]).
+///   `set_thread_ordinal`).
 ///
 /// Version 3 (the telemetry schema) extends v2 with:
 /// - `gauge` lines — last-write-wins named values
@@ -145,7 +145,7 @@ pub struct EnvConfig {
     pub events: bool,
     /// Event-stream sink path override from `MSS_EVENTS_PATH` (`None` means
     /// the default `target/mss_events.ndjson` when the bus is enabled).
-    pub events_path: Option<String>,
+    pub(crate) events_path: Option<String>,
     /// Number of garbled variables encountered (each already warned about).
     pub bad_env: u64,
 }
@@ -155,7 +155,7 @@ impl EnvConfig {
     /// the config plus the warning for each garbled variable (exactly one per
     /// variable). Pure — the cached entry point [`env_config`] feeds it
     /// `std::env::var` and prints the warnings once.
-    pub fn parse_from(get: impl Fn(&str) -> Option<String>) -> (Self, Vec<String>) {
+    pub(crate) fn parse_from(get: impl Fn(&str) -> Option<String>) -> (Self, Vec<String>) {
         let mut warnings = Vec::new();
         let mut bad = 0u64;
         let mut flag = |key: &str| match get(key) {
@@ -226,7 +226,7 @@ pub fn parse_flag(raw: &str) -> Result<bool, String> {
 /// below zero land in bucket 0, values beyond the range clamp to the edge
 /// buckets. Consumers normally use the moments and treat buckets as shape.
 #[derive(Debug, Clone)]
-pub struct Histogram {
+pub(crate) struct Histogram {
     count: u64,
     sum: f64,
     min: f64,
@@ -258,7 +258,7 @@ impl Histogram {
 
     /// Records one observation (non-finite values count into bucket 0 and
     /// are excluded from the moments so a stray NaN cannot poison the sums).
-    pub fn record(&mut self, v: f64) {
+    pub(crate) fn record(&mut self, v: f64) {
         self.count += 1;
         self.buckets[Self::bucket_of(v)] += 1;
         if v.is_finite() {
@@ -269,17 +269,19 @@ impl Histogram {
     }
 
     /// Number of observations.
-    pub fn count(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn count(&self) -> u64 {
         self.count
     }
 
     /// Sum of the finite observations.
-    pub fn sum(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn sum(&self) -> f64 {
         self.sum
     }
 
     /// Mean of the finite observations; 0 when empty.
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -288,12 +290,12 @@ impl Histogram {
     }
 
     /// Smallest finite observation, if any.
-    pub fn min(&self) -> Option<f64> {
+    pub(crate) fn min(&self) -> Option<f64> {
         (self.min <= self.max).then_some(self.min)
     }
 
     /// Largest finite observation, if any.
-    pub fn max(&self) -> Option<f64> {
+    pub(crate) fn max(&self) -> Option<f64> {
         (self.min <= self.max).then_some(self.max)
     }
 
@@ -307,7 +309,7 @@ impl Histogram {
     /// fiction. Bucket 0 (values ≤ 0, non-finite, or below `1e-18`) has no
     /// meaningful midpoint; it reports the observed minimum, or `0` when no
     /// finite value was ever recorded.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
+    pub(crate) fn quantile(&self, q: f64) -> Option<f64> {
         if self.count == 0 {
             return None;
         }
@@ -381,7 +383,7 @@ static NEXT_ORDINAL: std::sync::atomic::AtomicU32 = std::sync::atomic::AtomicU32
 /// timelines, so profiles and Chrome traces name workers stably across
 /// parallel regions; threads that never pin one get the next free ordinal
 /// on first use.
-pub fn set_thread_ordinal(ordinal: u32) {
+pub(crate) fn set_thread_ordinal(ordinal: u32) {
     THREAD_ORDINAL.with(|cell| cell.set(Some(ordinal)));
 }
 
@@ -399,7 +401,7 @@ impl SpanContext {
     }
 
     /// Prepares a freshly spawned worker thread: pins its ordinal (see
-    /// [`set_thread_ordinal`]) and seeds its span stack with inert copies of
+    /// `set_thread_ordinal`) and seeds its span stack with inert copies of
     /// the captured frames. The copies never record and are never popped —
     /// the worker's own guards pop only the frames they pushed.
     pub fn enter_worker(&self, ordinal: u32) {
@@ -416,7 +418,7 @@ impl SpanContext {
 }
 
 /// The calling thread's ordinal, assigning one if needed.
-pub fn thread_ordinal() -> u32 {
+pub(crate) fn thread_ordinal() -> u32 {
     THREAD_ORDINAL.with(|cell| match cell.get() {
         Some(id) => id,
         None => {
@@ -464,13 +466,14 @@ impl Registry {
     }
 
     /// The recording mode.
-    pub fn mode(&self) -> Mode {
+    #[cfg(test)]
+    pub(crate) fn mode(&self) -> Mode {
         self.mode
     }
 
     /// True when anything at all is recorded.
     #[inline]
-    pub fn enabled(&self) -> bool {
+    pub(crate) fn enabled(&self) -> bool {
         self.mode != Mode::Off
     }
 
@@ -507,7 +510,8 @@ impl Registry {
     }
 
     /// Current value of a gauge, `None` when never set.
-    pub fn gauge(&self, name: &str) -> Option<f64> {
+    #[cfg(test)]
+    pub(crate) fn gauge(&self, name: &str) -> Option<f64> {
         self.gauges
             .lock()
             .expect("obs gauges poisoned")
@@ -525,7 +529,8 @@ impl Registry {
     }
 
     /// Snapshot of a histogram, if it exists.
-    pub fn histogram(&self, name: &str) -> Option<Histogram> {
+    #[cfg(test)]
+    pub(crate) fn histogram(&self, name: &str) -> Option<Histogram> {
         self.histograms
             .lock()
             .expect("obs histograms poisoned")
@@ -573,7 +578,7 @@ impl Registry {
     ///
     /// Takes primitives rather than the struct so `mss-exec` can depend on
     /// this crate without a cycle.
-    pub fn record_run(
+    pub(crate) fn record_run(
         &self,
         name: &str,
         tasks: u64,
@@ -819,12 +824,6 @@ pub fn gauge_set(name: &str, v: f64) {
     }
 }
 
-/// Current value of a global gauge, `None` when never set.
-#[inline]
-pub fn gauge(name: &str) -> Option<f64> {
-    global().gauge(name)
-}
-
 /// Records a value into a global histogram.
 #[inline]
 pub fn record_value(name: &str, v: f64) {
@@ -847,7 +846,7 @@ pub fn span(name: &'static str) -> SpanGuard<'static> {
 }
 
 /// Records a parallel-region run on the global registry (see
-/// [`Registry::record_run`]).
+/// `Registry::record_run`).
 pub fn record_run(name: &str, tasks: u64, samples: u64, wall_seconds: f64, busy_seconds: &[f64]) {
     global().record_run(name, tasks, samples, wall_seconds, busy_seconds);
 }

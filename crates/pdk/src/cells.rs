@@ -232,7 +232,7 @@ pub fn bitcell_write_deck(
 /// # Errors
 ///
 /// Template or parse failures surface as [`PdkError::Circuit`].
-pub fn sot_bitcell_write_deck(
+pub(crate) fn sot_bitcell_write_deck(
     tech: &TechParams,
     stack: &MssStack,
     params: &SotParams,
@@ -269,7 +269,7 @@ pub fn sot_bitcell_write_deck(
 /// # Errors
 ///
 /// Template or parse failures surface as [`PdkError::Circuit`].
-pub fn sot_pcsa_read_deck(
+pub(crate) fn sot_pcsa_read_deck(
     tech: &TechParams,
     stack: &MssStack,
     params: &SotParams,
@@ -392,7 +392,7 @@ pub fn nvff_backup_deck(
 /// # Errors
 ///
 /// Template or parse failures surface as [`PdkError::Circuit`].
-pub fn nvff_restore_deck(
+pub(crate) fn nvff_restore_deck(
     tech: &TechParams,
     stack: &MssStack,
     q: bool,

@@ -55,7 +55,7 @@ pub struct CellLibrary {
     /// Critical current of the junction, amperes.
     pub critical_current: f64,
     /// Thermal stability factor Δ of the junction.
-    pub delta: f64,
+    pub(crate) delta: f64,
     /// Parallel-state resistance, ohms.
     pub r_parallel: f64,
     /// Antiparallel-state resistance, ohms.

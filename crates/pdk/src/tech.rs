@@ -72,27 +72,27 @@ pub struct TechParams {
     /// NMOS model card.
     pub nmos: MosModel,
     /// PMOS model card.
-    pub pmos: MosModel,
+    pub(crate) pmos: MosModel,
     /// Minimum transistor width in metres.
     pub min_width: f64,
     /// Gate capacitance per metre of width, F/m.
-    pub c_gate_per_width: f64,
+    pub(crate) c_gate_per_width: f64,
     /// Source/drain junction capacitance per metre of width, F/m.
-    pub c_junction_per_width: f64,
+    pub(crate) c_junction_per_width: f64,
     /// Wire resistance per metre, Ω/m.
     pub wire_res_per_len: f64,
     /// Wire capacitance per metre, F/m.
     pub wire_cap_per_len: f64,
     /// Subthreshold leakage per metre of transistor width, A/m.
-    pub leak_per_width: f64,
+    pub(crate) leak_per_width: f64,
     /// Fanout-4 inverter delay, seconds (logical-effort time unit).
     pub fo4_delay: f64,
     /// Dynamic energy of a minimum inverter switching, joules.
     pub inv_energy: f64,
     /// SRAM cell area in F² (6T reference).
-    pub sram_cell_f2: f64,
+    pub(crate) sram_cell_f2: f64,
     /// STT-MRAM 1T-1MTJ cell area in F².
-    pub stt_cell_f2: f64,
+    pub(crate) stt_cell_f2: f64,
 }
 
 impl TechParams {
@@ -164,7 +164,7 @@ impl TechParams {
     }
 
     /// Drawn gate length used for logic/access devices (≈ F).
-    pub fn gate_length(&self) -> f64 {
+    pub(crate) fn gate_length(&self) -> f64 {
         self.feature
     }
 
@@ -188,7 +188,7 @@ impl TechParams {
     /// The MTJ pillar sits above the access device, so the base
     /// `stt_cell_f2` footprint absorbs drives up to 8 F of width (folded
     /// fingers); wider access devices stretch the cell linearly.
-    pub fn stt_cell_area(&self, w: f64) -> f64 {
+    pub(crate) fn stt_cell_area(&self, w: f64) -> f64 {
         let f = self.feature;
         let width_f = (w / f).max(1.0);
         let area_f2 = if width_f <= 8.0 {
@@ -211,7 +211,7 @@ impl TechParams {
     /// terminal its own via stack, so the base footprint carries a fixed
     /// ~1.5× routing overhead over the 1T-1MTJ cell before the access
     /// device starts to dominate.
-    pub fn sot_cell_area(&self, w: f64) -> f64 {
+    pub(crate) fn sot_cell_area(&self, w: f64) -> f64 {
         1.5 * self.stt_cell_area(w)
     }
 }

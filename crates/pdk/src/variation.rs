@@ -14,7 +14,7 @@ use crate::tech::{TechNode, TechParams};
 
 /// Absorbs a [`Variation`] into a stable hasher (a free helper because
 /// `Variation` lives in `mss-units`, which sits below `mss-pipe`).
-pub fn hash_variation(v: &Variation, h: &mut mss_pipe::StableHasher) {
+pub(crate) fn hash_variation(v: &Variation, h: &mut mss_pipe::StableHasher) {
     h.write_f64(v.sigma);
     h.write_u8(match v.kind {
         VariationKind::Relative => 0,
@@ -50,30 +50,30 @@ impl mss_pipe::StableHash for VariationCard {
 
 /// Dispersion of the CMOS process parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CmosVariation {
+pub(crate) struct CmosVariation {
     /// Threshold-voltage mismatch (absolute, volts).
-    pub vth: Variation,
+    pub(crate) vth: Variation,
     /// Transconductance-factor dispersion (relative).
-    pub kp: Variation,
+    pub(crate) kp: Variation,
     /// Effective-length dispersion (relative).
-    pub length: Variation,
+    pub(crate) length: Variation,
     /// Effective-width dispersion (relative).
-    pub width: Variation,
+    pub(crate) width: Variation,
 }
 
 /// Dispersion of the magnetic (MTJ) process parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MtjVariation {
     /// Pillar-diameter dispersion (relative).
-    pub diameter: Variation,
+    pub(crate) diameter: Variation,
     /// Free-layer thickness dispersion (relative).
-    pub thickness: Variation,
+    pub(crate) thickness: Variation,
     /// RA-product dispersion (relative).
-    pub ra: Variation,
+    pub(crate) ra: Variation,
     /// TMR dispersion (relative).
     pub tmr: Variation,
     /// Interfacial-anisotropy dispersion (relative).
-    pub anisotropy: Variation,
+    pub(crate) anisotropy: Variation,
 }
 
 /// Classic five process corners for corner-based (non-statistical) signoff.
@@ -93,7 +93,7 @@ pub enum ProcessCorner {
 
 impl ProcessCorner {
     /// All five corners, TT first.
-    pub const ALL: [ProcessCorner; 5] = [
+    pub(crate) const ALL: [ProcessCorner; 5] = [
         ProcessCorner::Tt,
         ProcessCorner::Ss,
         ProcessCorner::Ff,
@@ -129,7 +129,7 @@ impl std::fmt::Display for ProcessCorner {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VariationCard {
     /// CMOS-side dispersion.
-    pub cmos: CmosVariation,
+    pub(crate) cmos: CmosVariation,
     /// Magnetic-side dispersion.
     pub mtj: MtjVariation,
 }
@@ -179,7 +179,7 @@ impl VariationCard {
 
     /// Shifts a CMOS card to a ±3σ process corner (fast = lower V_th,
     /// higher k').
-    pub fn corner_tech(&self, nominal: &TechParams, corner: ProcessCorner) -> TechParams {
+    pub(crate) fn corner_tech(&self, nominal: &TechParams, corner: ProcessCorner) -> TechParams {
         let (sn, sp) = corner.signs();
         let mut t = nominal.clone();
         t.nmos.vth = nominal.nmos.vth - sn * 3.0 * self.cmos.vth.std_dev_at(nominal.nmos.vth);
@@ -271,17 +271,17 @@ pub struct StackReads(u8);
 
 impl StackReads {
     /// Pillar diameter.
-    pub const DIAMETER: Self = Self(1);
+    pub(crate) const DIAMETER: Self = Self(1);
     /// Free-layer thickness.
-    pub const THICKNESS: Self = Self(1 << 1);
+    pub(crate) const THICKNESS: Self = Self(1 << 1);
     /// RA product.
     pub const RA: Self = Self(1 << 2);
     /// Zero-bias TMR.
-    pub const TMR: Self = Self(1 << 3);
+    pub(crate) const TMR: Self = Self(1 << 3);
     /// Interfacial anisotropy K_i.
-    pub const ANISOTROPY: Self = Self(1 << 4);
+    pub(crate) const ANISOTROPY: Self = Self(1 << 4);
     /// Every parameter.
-    pub const ALL: Self = Self(0b1_1111);
+    pub(crate) const ALL: Self = Self(0b1_1111);
     /// What the switching closed forms read (Δ, I_c0, τ_D): d, t, K_i.
     pub const SWITCHING: Self = Self::DIAMETER
         .union(Self::THICKNESS)
@@ -295,7 +295,7 @@ impl StackReads {
     }
 
     /// True when every parameter of `other` is in `self`.
-    pub const fn contains(self, other: Self) -> bool {
+    pub(crate) const fn contains(self, other: Self) -> bool {
         self.0 & other.0 == other.0
     }
 }

@@ -39,10 +39,10 @@ pub const DEFAULT_CACHE_DIR: &str = "target/mss-cache";
 
 /// On-disk entry format version: bumped when the header/payload framing
 /// changes, so old caches degrade to misses instead of misparses.
-pub const DISK_SCHEMA: u32 = 1;
+pub(crate) const DISK_SCHEMA: u32 = 1;
 
 /// Default bound on in-memory entries (FIFO eviction past this).
-pub const DEFAULT_MEM_CAPACITY: usize = 1024;
+pub(crate) const DEFAULT_MEM_CAPACITY: usize = 1024;
 
 /// The typed stages of the cross-layer flow, in dataflow order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -70,7 +70,7 @@ impl Stage {
     ];
 
     /// Number of stages.
-    pub const COUNT: usize = 5;
+    pub(crate) const COUNT: usize = 5;
 
     /// Stable kebab-case name: used in on-disk file names and headers.
     pub fn name(self) -> &'static str {
@@ -84,7 +84,7 @@ impl Stage {
     }
 
     /// Span name timing cache-miss computations of this stage.
-    pub fn span_name(self) -> &'static str {
+    pub(crate) fn span_name(self) -> &'static str {
         match self {
             Stage::CharacterizeCells => "pipe.characterize_cells",
             Stage::EstimateArray => "pipe.estimate_array",
@@ -141,14 +141,15 @@ pub struct StageStats {
     /// Successful on-disk writes.
     pub stores: u64,
     /// Failed on-disk writes (non-fatal).
-    pub store_failures: u64,
+    pub(crate) store_failures: u64,
     /// In-memory entries evicted by the FIFO bound.
     pub evictions: u64,
 }
 
 impl StageStats {
     /// Total lookups (hits + disk hits + misses).
-    pub fn lookups(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn lookups(&self) -> u64 {
         self.hits + self.disk_hits + self.misses
     }
 }
@@ -233,7 +234,7 @@ struct MemTier {
     order: VecDeque<(usize, String)>,
 }
 
-/// The two-tier content-addressed cache. See the [module docs](self).
+/// The two-tier content-addressed cache. See the [crate docs](crate).
 pub struct PipeCache {
     mem: Mutex<MemTier>,
     disk_dir: Option<PathBuf>,
@@ -285,7 +286,7 @@ impl PipeCache {
     /// fatal — one warning on stderr (first occurrence only), a
     /// `pipe.bad_cache_env` / `pipe.bad_cache_dir_env` observability
     /// counter, and the safe fallback (disk tier off / default directory).
-    pub fn from_env() -> Self {
+    pub(crate) fn from_env() -> Self {
         let disk_on = match std::env::var(CACHE_ENV) {
             Ok(raw) => match mss_obs::parse_flag(&raw) {
                 Ok(on) => on,
@@ -328,19 +329,9 @@ impl PipeCache {
         Self::with_disk(dir)
     }
 
-    /// The on-disk tier's root, when enabled.
-    pub fn disk_dir(&self) -> Option<&Path> {
-        self.disk_dir.as_deref()
-    }
-
     /// Number of live in-memory entries.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.mem.lock().expect("pipe cache poisoned").map.len()
-    }
-
-    /// True when the memory tier holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Snapshot of one stage's counters.
@@ -591,7 +582,7 @@ pub fn parse_cache_dir(raw: &str) -> Result<PathBuf, String> {
 static GLOBAL: OnceLock<Arc<PipeCache>> = OnceLock::new();
 
 /// The process-wide cache, lazily built from the environment
-/// ([`PipeCache::from_env`]). Flows sharing it reuse each other's upstream
+/// (`PipeCache::from_env`). Flows sharing it reuse each other's upstream
 /// artifacts — the point of the pipeline.
 pub fn global() -> Arc<PipeCache> {
     GLOBAL

@@ -1,14 +1,14 @@
 //! Sweep checkpoint journals: crash-tolerant resume manifests.
 //!
-//! The two-tier [`cache`](crate::cache) already makes a killed sweep cheap
-//! to *recompute* — completed stage artifacts come back as disk hits. What
-//! it cannot say is which sweep *tasks* had finished, which had failed, and
-//! where a resumed run should pick up. A [`SweepJournal`] records exactly
-//! that: one append-only NDJSON file per sweep, one line per terminal task
-//! event, written with the same durability discipline as the disk tier
-//! (flush + fsync per append) and read with the same damage tolerance (a
-//! torn or garbled line — the signature of a mid-write kill — is skipped,
-//! never an error).
+//! The two-tier [`PipeCache`](crate::PipeCache) already makes a killed
+//! sweep cheap to *recompute* — completed stage artifacts come back as disk
+//! hits. What it cannot say is which sweep *tasks* had finished, which had
+//! failed, and where a resumed run should pick up. A [`SweepJournal`]
+//! records exactly that: one append-only NDJSON file per sweep, one line
+//! per terminal task event, written with the same durability discipline as
+//! the disk tier (flush + fsync per append) and read with the same damage
+//! tolerance (a torn or garbled line — the signature of a mid-write kill —
+//! is skipped, never an error).
 //!
 //! The journal is keyed by a *sweep digest* (the structural hash of the
 //! sweep's inputs, see [`crate::digest_of`]): a journal written by a
@@ -120,16 +120,6 @@ impl SweepJournal {
         })
     }
 
-    /// The journal's on-disk location.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// The sweep digest this journal belongs to.
-    pub fn sweep_digest(&self) -> &str {
-        &self.sweep
-    }
-
     /// Number of journaled tasks (done + failed).
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -149,7 +139,8 @@ impl SweepJournal {
     }
 
     /// The journaled state of `task`, if any.
-    pub fn state(&self, task: &impl std::fmt::Display) -> Option<&TaskState> {
+    #[cfg(test)]
+    pub(crate) fn state(&self, task: &impl std::fmt::Display) -> Option<&TaskState> {
         self.entries.get(&task.to_string())
     }
 

@@ -49,12 +49,12 @@ impl Default for StableHasher {
 
 impl StableHasher {
     /// A fresh hasher at the FNV offset basis.
-    pub const fn new() -> Self {
+    pub(crate) const fn new() -> Self {
         Self { state: FNV_OFFSET }
     }
 
     /// Absorbs raw bytes (FNV-1a: xor then multiply, byte at a time).
-    pub fn write_bytes(&mut self, bytes: &[u8]) {
+    pub(crate) fn write_bytes(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.state ^= u64::from(b);
             self.state = self.state.wrapping_mul(FNV_PRIME);
@@ -77,7 +77,7 @@ impl StableHasher {
     }
 
     /// Absorbs an `i64` (two's complement, little-endian).
-    pub fn write_i64(&mut self, v: i64) {
+    pub(crate) fn write_i64(&mut self, v: i64) {
         self.write_bytes(&v.to_le_bytes());
     }
 
@@ -93,13 +93,13 @@ impl StableHasher {
     }
 
     /// The finalized 64-bit hash (SplitMix64 avalanche over the FNV state).
-    pub fn finish(&self) -> u64 {
+    pub(crate) fn finish(&self) -> u64 {
         splitmix64(self.state)
     }
 
     /// The finalized hash as a 16-character lowercase hex digest — the
     /// cache-key format used in memory and in on-disk file names.
-    pub fn digest(&self) -> String {
+    pub(crate) fn digest(&self) -> String {
         format!("{:016x}", self.finish())
     }
 }
@@ -129,7 +129,7 @@ pub fn hex_of_f64(v: f64) -> String {
 }
 
 /// Parses a 16-hex-digit bit pattern back into the exact `f64`.
-pub fn f64_of_hex(s: &str) -> Option<f64> {
+pub(crate) fn f64_of_hex(s: &str) -> Option<f64> {
     if s.len() != 16 || !s.bytes().all(|c| c.is_ascii_hexdigit()) {
         return None;
     }

@@ -16,7 +16,7 @@
 //!   `mss-obs`'s line builder and strict parser, re-exported for
 //!   [`Artifact`] implementors. Floats are stored as their exact
 //!   `f64::to_bits` pattern ([`hash::hex_of_f64`]);
-//! - [`cache`] — the two-tier memoization cache: a bounded in-memory store
+//! - `cache` — the two-tier memoization cache: a bounded in-memory store
 //!   plus an opt-in on-disk store under `target/mss-cache/` (`MSS_CACHE`,
 //!   `MSS_CACHE_DIR`), validated on load so corruption degrades to a
 //!   recompute, never an error;
@@ -31,7 +31,7 @@
 
 #![deny(missing_docs)]
 
-pub mod cache;
+pub(crate) mod cache;
 pub mod checkpoint;
 pub mod hash;
 

@@ -24,9 +24,9 @@ pub const BASELINE_TYPE: &str = "mss-bench-baseline";
 #[derive(Debug, Clone, PartialEq)]
 pub struct BaselineSpan {
     /// Closings of this path in the baseline run (deterministic, gates).
-    pub count: u64,
+    pub(crate) count: u64,
     /// Mean seconds per closing in the baseline run (advisory).
-    pub mean_seconds: f64,
+    pub(crate) mean_seconds: f64,
 }
 
 impl BaselineSpan {
@@ -62,7 +62,7 @@ pub struct Baseline {
     /// Bench name (`cache_smoke`, `mc_smoke`, …).
     pub name: String,
     /// NDJSON schema version of the run the baseline was cut from.
-    pub schema: u32,
+    pub(crate) schema: u32,
     /// Counter name → expected value.
     pub counters: BTreeMap<String, u64>,
     /// Span path → expected structure and advisory timing.

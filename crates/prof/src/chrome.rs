@@ -21,7 +21,7 @@ use crate::report::{BusRecord, Report};
 
 /// Human-facing name of a thread ordinal: `main` for 0, `worker-k` for the
 /// ordinal `mss-exec` pins as `1 + k`.
-pub fn thread_name(tid: u32) -> String {
+pub(crate) fn thread_name(tid: u32) -> String {
     if tid == 0 {
         "main".to_string()
     } else {

@@ -43,7 +43,6 @@ pub mod report;
 pub mod watchdog;
 
 pub use baseline::{Baseline, CheckOptions, Finding};
-pub use chrome::chrome_trace;
 pub use report::{BusRecord, Report};
 pub use watchdog::{Watchdog, WatchdogMode, WatchdogRegression};
 
@@ -86,7 +85,7 @@ mod tests {
         assert!(baseline::passes(&reparsed.check(&report, &strict)));
 
         let stream = Report::parse_ndjson(&events_file(&bus)).expect("parse stream");
-        let trace = chrome_trace(&stream).expect("trace export");
+        let trace = chrome::chrome_trace(&stream).expect("trace export");
         mss_obs::json::Value::parse(&trace).expect("trace is valid JSON");
         let closings: u64 = report.spans.values().map(|s| s.count).sum();
         assert_eq!(trace.matches("\"ph\":\"X\"").count() as u64, closings);

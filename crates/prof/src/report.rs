@@ -22,30 +22,30 @@ pub struct Meta {
     /// flight-recorder dumps.
     pub mode: String,
     /// Flight-ring evictions in `events` files; 0 otherwise.
-    pub dropped_events: u64,
+    pub(crate) dropped_events: u64,
 }
 
 /// One histogram line.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HistogramSummary {
     /// Observation count.
-    pub count: u64,
+    pub(crate) count: u64,
     /// Sum of finite observations.
-    pub sum: f64,
+    pub(crate) sum: f64,
     /// Smallest finite observation (`None` when the writer emitted null).
-    pub min: Option<f64>,
+    pub(crate) min: Option<f64>,
     /// Largest finite observation.
-    pub max: Option<f64>,
+    pub(crate) max: Option<f64>,
     /// Mean of finite observations.
-    pub mean: Option<f64>,
+    pub(crate) mean: Option<f64>,
     /// Bucket-derived median estimate.
-    pub p50: Option<f64>,
+    pub(crate) p50: Option<f64>,
     /// 90th percentile estimate.
-    pub p90: Option<f64>,
+    pub(crate) p90: Option<f64>,
     /// 99th percentile estimate.
-    pub p99: Option<f64>,
+    pub(crate) p99: Option<f64>,
     /// Sparse `[bucket_index, count]` pairs.
-    pub buckets: Vec<(u32, u64)>,
+    pub(crate) buckets: Vec<(u32, u64)>,
 }
 
 /// One span-aggregate line.
@@ -54,20 +54,20 @@ pub struct SpanSummary {
     /// Number of times the path closed.
     pub count: u64,
     /// Total wall time across closings, seconds.
-    pub total_seconds: f64,
+    pub(crate) total_seconds: f64,
     /// Total time minus child-span time.
-    pub self_seconds: f64,
+    pub(crate) self_seconds: f64,
     /// Fastest closing.
-    pub min_seconds: f64,
+    pub(crate) min_seconds: f64,
     /// Slowest closing.
-    pub max_seconds: f64,
+    pub(crate) max_seconds: f64,
     /// Per-thread ownership slices.
-    pub by_thread: Vec<ThreadSlice>,
+    pub(crate) by_thread: Vec<ThreadSlice>,
 }
 
 impl SpanSummary {
     /// Mean seconds per closing.
-    pub fn mean_seconds(&self) -> f64 {
+    pub(crate) fn mean_seconds(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -78,13 +78,13 @@ impl SpanSummary {
 
 /// One `[tid, count, total_seconds]` ownership slice of a span.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ThreadSlice {
+pub(crate) struct ThreadSlice {
     /// Thread ordinal (0 = main, `1 + k` = `mss-exec` worker `k`).
-    pub tid: u32,
+    pub(crate) tid: u32,
     /// Closings on that thread.
-    pub count: u64,
+    pub(crate) count: u64,
     /// Wall time accumulated on that thread, seconds.
-    pub total_seconds: f64,
+    pub(crate) total_seconds: f64,
 }
 
 /// One validated event-bus line from an event stream or flight dump.
@@ -99,13 +99,13 @@ pub struct BusRecord {
     /// `span_close`, `counter_delta`, `gauge_set`, `watchdog`).
     pub kind: String,
     /// Process-wide publish sequence number.
-    pub seq: u64,
+    pub(crate) seq: u64,
     /// Publishing thread's ordinal.
-    pub tid: u32,
+    pub(crate) tid: u32,
     /// Seconds since the bus epoch.
     pub t_seconds: f64,
     /// The full parsed line, for kind-specific fields.
-    pub value: Value,
+    pub(crate) value: Value,
 }
 
 impl BusRecord {
@@ -134,7 +134,7 @@ pub struct Report {
     pub counters: BTreeMap<String, u64>,
     /// Gauge name → last value (`None` when the writer emitted null for a
     /// non-finite value).
-    pub gauges: BTreeMap<String, Option<f64>>,
+    pub(crate) gauges: BTreeMap<String, Option<f64>>,
     /// Histogram name → summary.
     pub histograms: BTreeMap<String, HistogramSummary>,
     /// Span path → aggregate.
@@ -257,7 +257,7 @@ impl Report {
 
     /// Span paths ranked hottest-first by self time, ties broken
     /// alphabetically for deterministic output.
-    pub fn hot_paths(&self, top: usize) -> Vec<(&str, &SpanSummary)> {
+    pub(crate) fn hot_paths(&self, top: usize) -> Vec<(&str, &SpanSummary)> {
         let mut ranked: Vec<(&str, &SpanSummary)> =
             self.spans.iter().map(|(p, s)| (p.as_str(), s)).collect();
         ranked.sort_by(|a, b| {
@@ -315,7 +315,7 @@ impl Report {
 }
 
 /// Renders seconds with an adaptive unit.
-pub fn format_seconds(s: f64) -> String {
+pub(crate) fn format_seconds(s: f64) -> String {
     let abs = s.abs();
     if abs >= 1.0 {
         format!("{s:.3} s")

@@ -22,19 +22,19 @@ use crate::report::Report;
 /// Environment variable selecting the watchdog mode (`off` default, any
 /// [`mss_obs::parse_flag`] spelling to disable or warn, `warn` to warn,
 /// `strict` to gate).
-pub const WATCHDOG_ENV: &str = "MSS_WATCHDOG";
+pub(crate) const WATCHDOG_ENV: &str = "MSS_WATCHDOG";
 
 /// Counter bumped (on the global registry) once per detected regression.
-pub const REGRESSION_COUNTER: &str = "watchdog.regression";
+pub(crate) const REGRESSION_COUNTER: &str = "watchdog.regression";
 
 /// Default slowdown ratio that counts as a regression. Looser than CI's
 /// committed-baseline gate (2x) because a *live* process also carries
 /// whatever else the host is doing.
-pub const DEFAULT_MAX_SPAN_RATIO: f64 = 4.0;
+pub(crate) const DEFAULT_MAX_SPAN_RATIO: f64 = 4.0;
 
 /// Default noise floor: spans under this much total time in both baseline
 /// and run never trigger.
-pub const DEFAULT_MIN_SPAN_SECONDS: f64 = 0.05;
+pub(crate) const DEFAULT_MIN_SPAN_SECONDS: f64 = 0.05;
 
 /// What to do when a regression is found.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,7 +48,7 @@ pub enum WatchdogMode {
 }
 
 impl WatchdogMode {
-    /// Reads the mode from [`WATCHDOG_ENV`]: unset or a false
+    /// Reads the mode from `WATCHDOG_ENV`: unset or a false
     /// [`mss_obs::parse_flag`] spelling disables, a true one or `warn`
     /// warns, `strict` gates; anything else warns once on stderr and
     /// counts as off (the workspace env convention).
@@ -84,9 +84,9 @@ pub struct WatchdogRegression {
     /// Span path.
     pub span: String,
     /// Per-call mean seconds in the baseline.
-    pub baseline_seconds: f64,
+    pub(crate) baseline_seconds: f64,
     /// Per-call mean seconds observed live.
-    pub run_seconds: f64,
+    pub(crate) run_seconds: f64,
     /// `run_seconds / baseline_seconds` (infinite when the baseline mean
     /// is 0).
     pub ratio: f64,
@@ -94,7 +94,7 @@ pub struct WatchdogRegression {
 
 impl WatchdogRegression {
     /// Human-readable one-liner.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         format!(
             "watchdog: span {:?} regressed {:.2}x over baseline ({:.3e}s -> {:.3e}s)",
             self.span, self.ratio, self.baseline_seconds, self.run_seconds
@@ -107,9 +107,9 @@ impl WatchdogRegression {
 pub struct Watchdog {
     baseline: Baseline,
     /// Slowdown ratio that counts as a regression.
-    pub max_span_ratio: f64,
+    pub(crate) max_span_ratio: f64,
     /// Noise floor in seconds of span total time.
-    pub min_span_seconds: f64,
+    pub(crate) min_span_seconds: f64,
 }
 
 impl Watchdog {
@@ -181,7 +181,7 @@ impl Watchdog {
 }
 
 /// Surfaces regressions on the global telemetry plane — one
-/// [`REGRESSION_COUNTER`] bump, one `watchdog` bus event and one stderr
+/// `REGRESSION_COUNTER` bump, one `watchdog` bus event and one stderr
 /// line each — and returns `true` when `mode` is strict and anything
 /// regressed (the caller should then fail its run).
 pub fn surface(mode: WatchdogMode, regressions: &[WatchdogRegression]) -> bool {

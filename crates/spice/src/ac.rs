@@ -29,18 +29,13 @@ pub struct AcResult {
 }
 
 impl AcResult {
-    /// The swept frequencies, hertz.
-    pub fn freqs(&self) -> &[f64] {
-        &self.freqs
-    }
-
     /// Complex transfer to a node (unit excitation ⇒ this is the transfer
     /// function H(jω)).
     ///
     /// # Errors
     ///
     /// [`SpiceError::UnknownNode`] when the node does not exist.
-    pub fn transfer(&self, node: &str) -> Result<Vec<Complex>, SpiceError> {
+    pub(crate) fn transfer(&self, node: &str) -> Result<Vec<Complex>, SpiceError> {
         let key = node.to_ascii_lowercase();
         let idx = self
             .node_names
@@ -55,7 +50,7 @@ impl AcResult {
     /// # Errors
     ///
     /// [`SpiceError::UnknownNode`] when the node does not exist.
-    pub fn magnitude(&self, node: &str) -> Result<Vec<f64>, SpiceError> {
+    pub(crate) fn magnitude(&self, node: &str) -> Result<Vec<f64>, SpiceError> {
         Ok(self.transfer(node)?.into_iter().map(Complex::abs).collect())
     }
 
@@ -64,7 +59,8 @@ impl AcResult {
     /// # Errors
     ///
     /// [`SpiceError::UnknownNode`] when the node does not exist.
-    pub fn phase(&self, node: &str) -> Result<Vec<f64>, SpiceError> {
+    #[cfg(test)]
+    pub(crate) fn phase(&self, node: &str) -> Result<Vec<f64>, SpiceError> {
         Ok(self.transfer(node)?.into_iter().map(Complex::arg).collect())
     }
 

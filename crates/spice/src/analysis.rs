@@ -50,15 +50,15 @@ const STEP_MEMO_SLOTS: usize = 4;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SolverOptions {
     /// Newton iteration budget for the plain (first) attempt.
-    pub max_newton: usize,
+    pub(crate) max_newton: usize,
     /// Newton iteration budget per continuation level (gmin/source steps).
-    pub ladder_newton: usize,
+    pub(crate) ladder_newton: usize,
     /// Enables the DC retry ladder (gmin stepping, then source stepping)
     /// for DC-like solves.
-    pub dc_ladder: bool,
+    pub(crate) dc_ladder: bool,
     /// Maximum recursive `dt` halvings per transient step (0 = reject
     /// nothing).
-    pub max_step_halvings: u32,
+    pub(crate) max_step_halvings: u32,
 }
 
 impl Default for SolverOptions {
@@ -90,13 +90,15 @@ impl SolverOptions {
     }
 
     /// Returns the options with a different per-ladder-level budget.
-    pub fn with_ladder_newton(mut self, n: usize) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_ladder_newton(mut self, n: usize) -> Self {
         self.ladder_newton = n.max(1);
         self
     }
 
     /// Returns the options with a different halving depth.
-    pub fn with_max_step_halvings(mut self, n: u32) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_max_step_halvings(mut self, n: u32) -> Self {
         self.max_step_halvings = n;
         self
     }
@@ -786,11 +788,11 @@ fn package_dc(netlist: &Netlist, mna: &Mna, x: &[f64]) -> DcSolution {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TransientOptions {
     /// Time step in seconds.
-    pub dt: f64,
+    pub(crate) dt: f64,
     /// Stop time in seconds.
-    pub t_stop: f64,
+    pub(crate) t_stop: f64,
     /// Convergence policy (retry ladder on by default).
-    pub solver: SolverOptions,
+    pub(crate) solver: SolverOptions,
 }
 
 impl TransientOptions {
@@ -813,7 +815,8 @@ impl TransientOptions {
     }
 
     /// Returns the options with an explicit convergence policy.
-    pub fn with_solver(mut self, solver: SolverOptions) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_solver(mut self, solver: SolverOptions) -> Self {
         self.solver = solver;
         self
     }
@@ -825,9 +828,9 @@ pub struct SwitchEvent {
     /// Simulation time of the flip, seconds.
     pub time: f64,
     /// MTJ instance name.
-    pub element: String,
+    pub(crate) element: String,
     /// `+1` for parallel, `-1` for antiparallel after the flip.
-    pub new_state_cos: f64,
+    pub(crate) new_state_cos: f64,
 }
 
 /// Transient simulation engine.
@@ -1210,7 +1213,7 @@ impl TransientResult {
     /// # Errors
     ///
     /// [`SpiceError::UnknownNode`] when no such source exists.
-    pub fn source_voltage(&self, name: &str) -> Result<Vec<f64>, SpiceError> {
+    pub(crate) fn source_voltage(&self, name: &str) -> Result<Vec<f64>, SpiceError> {
         let idx = self
             .vsource_names
             .iter()
@@ -1229,7 +1232,7 @@ impl TransientResult {
     /// # Errors
     ///
     /// [`SpiceError::UnknownNode`] when no such MTJ exists.
-    pub fn mtj_state(&self, name: &str) -> Result<&[f64], SpiceError> {
+    pub(crate) fn mtj_state(&self, name: &str) -> Result<&[f64], SpiceError> {
         self.mtj_names
             .iter()
             .position(|n| n == name)

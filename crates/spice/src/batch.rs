@@ -27,7 +27,7 @@
 use mss_exec::{par_chunks_stats, ParallelConfig};
 
 use crate::analysis::{Mna, SolverOptions};
-use crate::netlist::{Element, Netlist};
+use crate::netlist::Netlist;
 use crate::solver::Workspace;
 use crate::SpiceError;
 
@@ -61,6 +61,7 @@ pub struct DcBatch {
     mna: Mna,
     dim: usize,
     node_names: Vec<String>,
+    #[cfg(test)]
     vsource_names: Vec<String>,
     solver: SolverOptions,
 }
@@ -75,20 +76,20 @@ impl DcBatch {
         let node_names = (0..netlist.node_count())
             .map(|i| netlist.node_name(crate::netlist::NodeId(i)).to_string())
             .collect();
-        let vsource_names = netlist
-            .elements()
-            .iter()
-            .filter_map(|e| match e {
-                Element::VSource { name, .. } => Some(name.clone()),
-                _ => None,
-            })
-            .collect();
         Self {
             base: netlist.clone(),
             mna,
             dim,
             node_names,
-            vsource_names,
+            #[cfg(test)]
+            vsource_names: netlist
+                .elements()
+                .iter()
+                .filter_map(|e| match e {
+                    crate::netlist::Element::VSource { name, .. } => Some(name.clone()),
+                    _ => None,
+                })
+                .collect(),
             solver: SolverOptions::default(),
         }
     }
@@ -98,11 +99,6 @@ impl DcBatch {
     pub fn with_solver(mut self, solver: SolverOptions) -> Self {
         self.solver = solver;
         self
-    }
-
-    /// System dimension (node unknowns + voltage-source branch currents).
-    pub fn dim(&self) -> usize {
-        self.dim
     }
 
     /// Solves `samples` parameter vectors under an explicit thread/chunk
@@ -176,6 +172,7 @@ impl DcBatch {
             samples,
             dim: self.dim,
             node_names: self.node_names.clone(),
+            #[cfg(test)]
             vsource_names: self.vsource_names.clone(),
             solutions,
             failures,
@@ -215,6 +212,7 @@ pub struct BatchDcResult {
     samples: usize,
     dim: usize,
     node_names: Vec<String>,
+    #[cfg(test)]
     vsource_names: Vec<String>,
     solutions: Vec<f64>,
     failures: Vec<(usize, SpiceError)>,
@@ -222,13 +220,9 @@ pub struct BatchDcResult {
 
 impl BatchDcResult {
     /// Number of samples solved.
-    pub fn samples(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn samples(&self) -> usize {
         self.samples
-    }
-
-    /// System dimension per sample.
-    pub fn dim(&self) -> usize {
-        self.dim
     }
 
     /// Number of failed samples.
@@ -237,7 +231,8 @@ impl BatchDcResult {
     }
 
     /// Failed samples as `(sample index, error)`, ascending by index.
-    pub fn failures(&self) -> &[(usize, SpiceError)] {
+    #[cfg(test)]
+    pub(crate) fn failures(&self) -> &[(usize, SpiceError)] {
         &self.failures
     }
 
@@ -291,7 +286,8 @@ impl BatchDcResult {
     /// # Panics
     ///
     /// Panics if `sample >= samples()`.
-    pub fn source_current(&self, sample: usize, name: &str) -> Result<f64, SpiceError> {
+    #[cfg(test)]
+    pub(crate) fn source_current(&self, sample: usize, name: &str) -> Result<f64, SpiceError> {
         let slot = self
             .vsource_names
             .iter()

@@ -9,12 +9,12 @@ use std::fmt;
 pub struct RetryAttempt {
     /// Strategy label: `"newton"`, `"gmin=1.0e-4"`, `"source-alpha=0.30"`,
     /// `"dt=5.0e-13"`.
-    pub strategy: String,
+    pub(crate) strategy: String,
     /// Newton iterations spent before giving up.
-    pub iterations: usize,
+    pub(crate) iterations: usize,
     /// Largest voltage update (volts) of the final iteration — how far the
     /// iterate still was from the convergence tolerance.
-    pub max_dv: f64,
+    pub(crate) max_dv: f64,
 }
 
 impl fmt::Display for RetryAttempt {

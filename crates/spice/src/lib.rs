@@ -49,13 +49,12 @@ pub mod batch;
 mod error;
 pub mod mdl;
 pub mod mosfet;
-pub mod mtjelem;
+pub(crate) mod mtjelem;
 pub mod netlist;
 pub mod parser;
 pub mod solver;
 pub mod template;
 pub mod waveform;
 
-pub use batch::{BatchDcResult, DcBatch};
 pub use error::{RetryAttempt, SpiceError};
 pub use solver::Workspace;

@@ -3,9 +3,8 @@
 //!
 //! The paper's flow creates "a template file for the netlist, stimulus and
 //! Measurement Descriptive Language (MDL)", runs SPICE, and parses the
-//! output measurement file. [`Measurement`] is the spec, a
-//! [`MeasurementSet`] evaluates a batch against a
-//! [`crate::analysis::TransientResult`], and
+//! output measurement file. [`Measurement`] is the spec, evaluated against
+//! a [`crate::analysis::TransientResult`], and
 //! [`Report`] is the measurement file — it serialises to the `name = value`
 //! text the downstream "file parser" stage consumes and parses back.
 
@@ -31,7 +30,7 @@ impl Probe {
     /// # Errors
     ///
     /// Unknown probe targets surface as [`SpiceError::UnknownNode`].
-    pub fn signal<'a>(&self, result: &'a TransientResult) -> Result<&'a [f64], SpiceError> {
+    pub(crate) fn signal<'a>(&self, result: &'a TransientResult) -> Result<&'a [f64], SpiceError> {
         match self {
             Probe::NodeVoltage(n) => result.node_voltage(n),
             Probe::SourceCurrent(n) => result.source_current(n),
@@ -151,7 +150,8 @@ pub enum Measurement {
 
 impl Measurement {
     /// The report key of this measurement.
-    pub fn name(&self) -> &str {
+    #[cfg(test)]
+    pub(crate) fn name(&self) -> &str {
         match self {
             Measurement::Delay { name, .. }
             | Measurement::Energy { name, .. }
@@ -367,58 +367,6 @@ fn window_reduce(
     }
 }
 
-/// A batch of measurements evaluated together.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct MeasurementSet {
-    measurements: Vec<Measurement>,
-}
-
-impl MeasurementSet {
-    /// An empty set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds a measurement.
-    pub fn push(&mut self, m: Measurement) -> &mut Self {
-        self.measurements.push(m);
-        self
-    }
-
-    /// The contained measurements.
-    pub fn measurements(&self) -> &[Measurement] {
-        &self.measurements
-    }
-
-    /// Evaluates every measurement, failing fast on the first error.
-    ///
-    /// # Errors
-    ///
-    /// The first evaluation failure.
-    pub fn evaluate(&self, result: &TransientResult) -> Result<Report, SpiceError> {
-        let mut report = Report::new();
-        for m in &self.measurements {
-            let v = m.evaluate(result)?;
-            report.insert(m.name(), v);
-        }
-        Ok(report)
-    }
-}
-
-impl Extend<Measurement> for MeasurementSet {
-    fn extend<T: IntoIterator<Item = Measurement>>(&mut self, iter: T) {
-        self.measurements.extend(iter);
-    }
-}
-
-impl FromIterator<Measurement> for MeasurementSet {
-    fn from_iter<T: IntoIterator<Item = Measurement>>(iter: T) -> Self {
-        Self {
-            measurements: iter.into_iter().collect(),
-        }
-    }
-}
-
 /// The measurement output "file": name → value pairs.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Report {
@@ -442,12 +390,14 @@ impl Report {
     }
 
     /// Number of entries.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.values.len()
     }
 
     /// True when no measurement is recorded.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.values.is_empty()
     }
 
@@ -501,6 +451,35 @@ mod tests {
     use crate::analysis::{Transient, TransientOptions};
     use crate::netlist::Netlist;
     use crate::waveform::Waveform;
+
+    /// A batch of measurements evaluated together.
+    struct MeasurementSet {
+        measurements: Vec<Measurement>,
+    }
+
+    impl MeasurementSet {
+        /// Evaluates every measurement, failing fast on the first error.
+        ///
+        /// # Errors
+        ///
+        /// The first evaluation failure.
+        fn evaluate(&self, result: &TransientResult) -> Result<Report, SpiceError> {
+            let mut report = Report::new();
+            for m in &self.measurements {
+                let v = m.evaluate(result)?;
+                report.insert(m.name(), v);
+            }
+            Ok(report)
+        }
+    }
+
+    impl FromIterator<Measurement> for MeasurementSet {
+        fn from_iter<T: IntoIterator<Item = Measurement>>(iter: T) -> Self {
+            Self {
+                measurements: iter.into_iter().collect(),
+            }
+        }
+    }
 
     fn rc_result() -> TransientResult {
         let mut nl = Netlist::new();

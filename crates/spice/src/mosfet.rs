@@ -56,7 +56,7 @@ impl MosModel {
     }
 
     /// A generic PMOS card.
-    pub fn generic_pmos() -> Self {
+    pub(crate) fn generic_pmos() -> Self {
         Self {
             polarity: MosPolarity::Pmos,
             vth: 0.4,
@@ -77,13 +77,13 @@ pub struct MosGeometry {
 
 /// Operating-point evaluation: drain current and small-signal conductances.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MosOperatingPoint {
+pub(crate) struct MosOperatingPoint {
     /// Drain current (positive into the drain for NMOS conduction).
-    pub id: f64,
+    pub(crate) id: f64,
     /// Transconductance ∂I_D/∂V_GS.
-    pub gm: f64,
+    pub(crate) gm: f64,
     /// Output conductance ∂I_D/∂V_DS.
-    pub gds: f64,
+    pub(crate) gds: f64,
 }
 
 /// Evaluates the level-1 equations at terminal voltages `vgs`, `vds`
@@ -130,7 +130,7 @@ impl MosModel {
     /// The returned `id` is the current flowing **drain → source** through
     /// the channel in circuit polarity: positive for a conducting NMOS with
     /// `vds > 0`, negative for a conducting PMOS with `vds < 0`.
-    pub fn evaluate(&self, geom: &MosGeometry, vgs: f64, vds: f64) -> MosOperatingPoint {
+    pub(crate) fn evaluate(&self, geom: &MosGeometry, vgs: f64, vds: f64) -> MosOperatingPoint {
         let beta = self.kp * geom.width / geom.length;
         match self.polarity {
             MosPolarity::Nmos => {

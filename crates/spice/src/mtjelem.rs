@@ -16,7 +16,7 @@ use mss_mtj::MssStack;
 
 /// MTJ circuit element state and models.
 #[derive(Debug, Clone, PartialEq)]
-pub struct MtjElement {
+pub(crate) struct MtjElement {
     resistance: ResistanceModel,
     switching: SwitchingModel,
     state: MtjState,
@@ -27,7 +27,7 @@ pub struct MtjElement {
 
 impl MtjElement {
     /// Creates the element from a stack description and an initial state.
-    pub fn new(stack: &MssStack, initial: MtjState) -> Self {
+    pub(crate) fn new(stack: &MssStack, initial: MtjState) -> Self {
         Self {
             resistance: ResistanceModel::new(stack),
             switching: SwitchingModel::new(stack),
@@ -41,7 +41,11 @@ impl MtjElement {
     /// drive the same progress integrator with `(Δ, I_c0,SOT, τ_SOT)`
     /// against the heavy-metal channel current while the junction
     /// resistance stays the stack's TMR model.
-    pub fn with_switching(stack: &MssStack, initial: MtjState, switching: SwitchingModel) -> Self {
+    pub(crate) fn with_switching(
+        stack: &MssStack,
+        initial: MtjState,
+        switching: SwitchingModel,
+    ) -> Self {
         Self {
             resistance: ResistanceModel::new(stack),
             switching,
@@ -51,12 +55,13 @@ impl MtjElement {
     }
 
     /// Current memory state.
-    pub fn state(&self) -> MtjState {
+    pub(crate) fn state(&self) -> MtjState {
         self.state
     }
 
     /// Switching progress toward the opposite state, in `[0, 1)`.
-    pub fn progress(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn progress(&self) -> f64 {
         self.progress
     }
 
@@ -72,7 +77,7 @@ impl MtjElement {
     /// Linearising `i(v) = v / R(v)` by secant through the origin is exact
     /// here because `R` varies slowly with `v`; we use the chord conductance
     /// which keeps Newton stable.
-    pub fn linearize(&self, v0: f64) -> (f64, f64) {
+    pub(crate) fn linearize(&self, v0: f64) -> (f64, f64) {
         let g = 1.0 / self.resistance(v0);
         (g, 0.0)
     }
@@ -80,7 +85,7 @@ impl MtjElement {
     /// Advances the internal state by `dt` seconds with terminal current `i`
     /// (amperes, positive writing parallel). Returns `true` when the
     /// junction flipped during this step.
-    pub fn advance(&mut self, i: f64, dt: f64) -> bool {
+    pub(crate) fn advance(&mut self, i: f64, dt: f64) -> bool {
         let target = if i > 0.0 {
             MtjState::Parallel
         } else if i < 0.0 {
@@ -125,12 +130,13 @@ impl MtjElement {
     }
 
     /// Critical current of the junction in amperes.
+    #[cfg(test)]
     pub fn critical_current(&self) -> f64 {
         self.switching.critical_current()
     }
 
     /// Forces the state (test setup / initial conditions).
-    pub fn set_state(&mut self, state: MtjState) {
+    pub(crate) fn set_state(&mut self, state: MtjState) {
         self.state = state;
         self.progress = 0.0;
     }

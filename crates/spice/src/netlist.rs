@@ -17,21 +17,22 @@ use crate::SpiceError;
 
 /// Index of a circuit node; `NodeId(0)` is ground.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct NodeId(pub(crate) usize);
+pub(crate) struct NodeId(pub(crate) usize);
 
 impl NodeId {
     /// The ground node.
-    pub const GROUND: NodeId = NodeId(0);
+    #[cfg(test)]
+    pub(crate) const GROUND: NodeId = NodeId(0);
 
     /// True for the ground node.
-    pub fn is_ground(self) -> bool {
+    pub(crate) fn is_ground(self) -> bool {
         self.0 == 0
     }
 }
 
 /// One circuit element.
 #[derive(Debug, Clone)]
-pub enum Element {
+pub(crate) enum Element {
     /// Linear resistor.
     Resistor {
         /// Instance name.
@@ -127,7 +128,7 @@ pub enum Element {
 
 impl Element {
     /// The instance name.
-    pub fn name(&self) -> &str {
+    pub(crate) fn name(&self) -> &str {
         match self {
             Element::Resistor { name, .. }
             | Element::Capacitor { name, .. }
@@ -179,7 +180,7 @@ impl Netlist {
     }
 
     /// Returns (creating if needed) the node with the given name.
-    pub fn node(&mut self, name: &str) -> NodeId {
+    pub(crate) fn node(&mut self, name: &str) -> NodeId {
         let key = name.to_ascii_lowercase();
         if let Some(&id) = self.node_index.get(&key) {
             return id;
@@ -195,7 +196,8 @@ impl Netlist {
     /// # Errors
     ///
     /// [`SpiceError::UnknownNode`] if the name was never used.
-    pub fn find_node(&self, name: &str) -> Result<NodeId, SpiceError> {
+    #[cfg(test)]
+    pub(crate) fn find_node(&self, name: &str) -> Result<NodeId, SpiceError> {
         self.node_index
             .get(&name.to_ascii_lowercase())
             .copied()
@@ -207,7 +209,7 @@ impl Netlist {
     /// # Panics
     ///
     /// Panics if the id does not belong to this netlist.
-    pub fn node_name(&self, id: NodeId) -> &str {
+    pub(crate) fn node_name(&self, id: NodeId) -> &str {
         &self.node_names[id.0]
     }
 
@@ -217,7 +219,7 @@ impl Netlist {
     }
 
     /// The elements, in insertion order.
-    pub fn elements(&self) -> &[Element] {
+    pub(crate) fn elements(&self) -> &[Element] {
         &self.elements
     }
 
@@ -321,7 +323,7 @@ impl Netlist {
     /// # Errors
     ///
     /// Rejects duplicate names.
-    pub fn add_isource(
+    pub(crate) fn add_isource(
         &mut self,
         name: &str,
         plus: &str,
@@ -533,7 +535,7 @@ impl Netlist {
     }
 
     /// Number of independent voltage sources (extra MNA unknowns).
-    pub fn vsource_count(&self) -> usize {
+    pub(crate) fn vsource_count(&self) -> usize {
         self.elements
             .iter()
             .filter(|e| matches!(e, Element::VSource { .. }))

@@ -50,7 +50,8 @@ pub struct Deck {
     /// `.tran dt tstop` if present.
     pub tran: Option<(f64, f64)>,
     /// `.meas` directives in order.
-    pub measurements: Vec<Measurement>,
+    #[cfg(test)]
+    pub(crate) measurements: Vec<Measurement>,
 }
 
 impl Deck {
@@ -67,7 +68,7 @@ impl Deck {
 /// Parses a SPICE number with engineering suffix, e.g. `1k`, `10f`, `0.5n`,
 /// `3meg`. Returns `None` for malformed numbers (the deck parser attaches
 /// line context).
-pub fn parse_value(token: &str) -> Option<f64> {
+pub(crate) fn parse_value(token: &str) -> Option<f64> {
     let t = token.trim().to_ascii_lowercase();
     if t.is_empty() {
         return None;
@@ -265,6 +266,15 @@ impl<'a> Parser<'a> {
                 }
                 let dt = value(lineno, tokens[1])?;
                 let stop = value(lineno, tokens[2])?;
+                // The window `TransientOptions::new` accepts, with a step
+                // count that fits the transient loop.
+                let valid = dt > 0.0 && stop.is_finite() && dt <= stop;
+                if !valid || (stop / dt).round() > f64::from(u32::MAX) {
+                    return err(
+                        lineno,
+                        ".tran needs finite 0 < <dt> <= <tstop> and at most 2^32-1 steps",
+                    );
+                }
                 tran = Some((dt, stop));
             } else if first == ".meas" || first == ".measure" {
                 measurements.push(parse_measurement(lineno, &tokens)?);
@@ -276,6 +286,7 @@ impl<'a> Parser<'a> {
         Ok(Deck {
             netlist,
             tran,
+            #[cfg(test)]
             measurements,
         })
     }
@@ -949,6 +960,46 @@ mod tests {
         let iavg = deck.measurements[2].evaluate(&res).unwrap();
         assert!((iavg + 1e-3).abs() < 1e-6); // MNA sign
         assert_eq!(deck.measurements[3].evaluate(&res).unwrap(), 1.0);
+    }
+
+    #[test]
+    fn tran_rejects_a_non_finite_window() {
+        for deck in [".tran 1p 1e400\n", ".tran 1p inf\n", ".tran nan 1n\n"] {
+            let e = Deck::parse(deck).unwrap_err();
+            assert!(
+                matches!(e, SpiceError::Parse { line: 1, .. }),
+                "{deck}: {e}"
+            );
+        }
+    }
+
+    #[test]
+    fn tran_rejects_a_non_positive_window() {
+        for deck in [".tran 0 1n\n", ".tran 1p -1n\n", ".tran -1p 1n\n"] {
+            let e = Deck::parse(deck).unwrap_err();
+            assert!(
+                matches!(e, SpiceError::Parse { line: 1, .. }),
+                "{deck}: {e}"
+            );
+        }
+    }
+
+    #[test]
+    fn tran_rejects_a_step_longer_than_the_window() {
+        let e = Deck::parse("R1 a 0 1k\n.tran 1n 1p\n").unwrap_err();
+        assert!(matches!(e, SpiceError::Parse { line: 2, .. }), "{e}");
+        // One step over the whole window is the shortest valid run.
+        assert_eq!(
+            Deck::parse(".tran 1n 1n\n").unwrap().tran,
+            Some((1e-9, 1e-9))
+        );
+    }
+
+    #[test]
+    fn tran_rejects_more_steps_than_a_u32_counts() {
+        let e = Deck::parse(".tran 1f 1\n").unwrap_err();
+        assert!(matches!(e, SpiceError::Parse { line: 1, .. }), "{e}");
+        assert!(Deck::parse(".tran 1n 4\n").is_ok()); // 4e9 steps
     }
 
     #[test]

@@ -38,13 +38,9 @@ impl Matrix {
     }
 
     /// Row count.
-    pub fn n_rows(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn n_rows(&self) -> usize {
         self.n_rows
-    }
-
-    /// Column count.
-    pub fn n_cols(&self) -> usize {
-        self.n_cols
     }
 
     /// Reads element `(r, c)`.
@@ -66,7 +62,7 @@ impl Matrix {
     }
 
     /// Resets every entry to zero, keeping the allocation.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.data.fill(0.0);
     }
 
@@ -75,7 +71,8 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if `x.len() != n_cols`.
-    pub fn mul_vec(&self, x: &[f64]) -> Vec<f64> {
+    #[cfg(test)]
+    pub(crate) fn mul_vec(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), self.n_cols);
         let mut y = vec![0.0; self.n_rows];
         for (y_r, row) in y.iter_mut().zip(self.data.chunks_exact(self.n_cols)) {
@@ -130,11 +127,6 @@ impl Workspace {
             self.rhs.fill(0.0);
             self.x.fill(0.0);
         }
-    }
-
-    /// Current system dimension.
-    pub fn dim(&self) -> usize {
-        self.dim
     }
 
     /// The solution of the last successful [`solve`](Self::solve).

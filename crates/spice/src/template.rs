@@ -35,7 +35,7 @@ impl Bindings {
     }
 
     /// Looks up a binding.
-    pub fn get(&self, key: &str) -> Option<&str> {
+    pub(crate) fn get(&self, key: &str) -> Option<&str> {
         self.values.get(key).map(String::as_str)
     }
 }

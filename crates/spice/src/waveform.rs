@@ -80,7 +80,7 @@ impl Waveform {
     }
 
     /// Sine source.
-    pub fn sin(offset: f64, ampl: f64, freq: f64, phase: f64) -> Self {
+    pub(crate) fn sin(offset: f64, ampl: f64, freq: f64, phase: f64) -> Self {
         Waveform::Sin {
             offset,
             ampl,
@@ -150,7 +150,8 @@ impl Waveform {
     }
 
     /// The DC (t = 0⁻) value used for the operating point.
-    pub fn dc_value(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn dc_value(&self) -> f64 {
         match self {
             Waveform::Dc(v) => *v,
             Waveform::Pulse { v1, .. } => *v1,

@@ -28,7 +28,8 @@ impl Complex {
     /// One.
     pub const ONE: Complex = Complex { re: 1.0, im: 0.0 };
     /// The imaginary unit j.
-    pub const J: Complex = Complex { re: 0.0, im: 1.0 };
+    #[cfg(test)]
+    pub(crate) const J: Complex = Complex { re: 0.0, im: 1.0 };
 
     /// Creates `re + j·im`.
     pub const fn new(re: f64, im: f64) -> Self {
@@ -60,7 +61,7 @@ impl Complex {
     /// # Panics
     ///
     /// Panics in debug builds on division by (numerical) zero.
-    pub fn recip(self) -> Self {
+    pub(crate) fn recip(self) -> Self {
         let d = self.re * self.re + self.im * self.im;
         debug_assert!(d > 0.0, "reciprocal of zero");
         Self::new(self.re / d, -self.im / d)

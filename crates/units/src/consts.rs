@@ -20,9 +20,6 @@ pub const HBAR: f64 = 1.054_571_817e-34;
 /// Gyromagnetic ratio of the electron γ in rad/(s·T).
 pub const GAMMA: f64 = 1.760_859_630e11;
 
-/// Bohr magneton μ_B in J/T.
-pub const MU_B: f64 = 9.274_010_078e-24;
-
 /// Default ambient temperature used across the flow, in kelvin (27 °C).
 pub const ROOM_TEMPERATURE: f64 = 300.0;
 
@@ -51,14 +48,16 @@ pub fn am_to_oe(am: f64) -> f64 {
 }
 
 /// Converts a magnetic flux density in tesla to the equivalent H-field in A/m.
+#[cfg(test)]
 #[inline]
-pub fn tesla_to_am(t: f64) -> f64 {
+pub(crate) fn tesla_to_am(t: f64) -> f64 {
     t / MU0
 }
 
 /// Converts an H-field in A/m to the equivalent flux density in tesla.
+#[cfg(test)]
 #[inline]
-pub fn am_to_tesla(am: f64) -> f64 {
+pub(crate) fn am_to_tesla(am: f64) -> f64 {
     am * MU0
 }
 

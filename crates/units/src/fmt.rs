@@ -62,12 +62,14 @@ impl fmt::Display for Eng {
 }
 
 /// Renders a ratio as a percentage with sign, e.g. `-17.3%`.
-pub fn pct(ratio: f64) -> String {
+#[cfg(test)]
+pub(crate) fn pct(ratio: f64) -> String {
     format!("{:+.1}%", ratio * 100.0)
 }
 
 /// Left-pads `s` to `width` columns (simple ASCII table helper).
-pub fn pad(s: &str, width: usize) -> String {
+#[cfg(test)]
+pub(crate) fn pad(s: &str, width: usize) -> String {
     if s.len() >= width {
         s.to_string()
     } else {

@@ -3,7 +3,7 @@
 //! This crate deliberately contains no domain logic. It provides:
 //!
 //! - [`consts`] — CODATA physical constants and magnetics conversions,
-//! - [`vec3`] — a small 3-vector used by the macrospin LLG solver,
+//! - `vec3` — a small 3-vector used by the macrospin LLG solver,
 //! - [`complex`] — a minimal complex number for AC circuit analysis,
 //! - [`math`] — special functions (erf/erfc, Gaussian tail `Q`, its inverse),
 //!   root finding and quadrature,
@@ -34,6 +34,6 @@ pub mod math;
 pub mod rng;
 pub mod simd;
 pub mod stats;
-pub mod vec3;
+pub(crate) mod vec3;
 
 pub use vec3::Vec3;

@@ -12,7 +12,8 @@
 /// Uses the Abramowitz–Stegun 7.1.26 rational approximation, which is ample
 /// for compact-model work; the high-accuracy tail path goes through
 /// [`erfc`] instead.
-pub fn erf(x: f64) -> f64 {
+#[cfg(test)]
+pub(crate) fn erf(x: f64) -> f64 {
     1.0 - erfc(x)
 }
 
@@ -21,7 +22,7 @@ pub fn erf(x: f64) -> f64 {
 /// For `x ≥ 0` this uses the continued-fraction / rational expansion from
 /// Numerical Recipes (`erfc ≈ t·exp(-x² + P(t))`), giving ~1e-7 relative
 /// accuracy even at `x = 30` where `erfc(x) ~ 1e-393` underflows gracefully.
-pub fn erfc(x: f64) -> f64 {
+pub(crate) fn erfc(x: f64) -> f64 {
     let z = x.abs();
     let t = 1.0 / (1.0 + 0.5 * z);
     let ans = t
@@ -45,7 +46,7 @@ pub fn erfc(x: f64) -> f64 {
 ///
 /// Needed to compare error rates like 1e-18 without underflow: for large `x`
 /// `erfc(x)` underflows but `ln_erfc` stays representable.
-pub fn ln_erfc(x: f64) -> f64 {
+pub(crate) fn ln_erfc(x: f64) -> f64 {
     assert!(x >= 0.0, "ln_erfc requires x >= 0, got {x}");
     if x < 20.0 {
         erfc(x).ln()
@@ -69,7 +70,7 @@ pub fn q_function(x: f64) -> f64 {
 }
 
 /// Natural log of the Gaussian upper tail, stable for arbitrarily large `x ≥ 0`.
-pub fn ln_q_function(x: f64) -> f64 {
+pub(crate) fn ln_q_function(x: f64) -> f64 {
     ln_erfc(x / std::f64::consts::SQRT_2) - std::f64::consts::LN_2
 }
 
@@ -296,7 +297,8 @@ pub fn simpson<F: FnMut(f64) -> f64>(mut f: F, a: f64, b: f64, n: usize) -> f64 
 ///
 /// Panics if `xs` and `ys` differ in length, are empty, or `xs` is not
 /// strictly increasing.
-pub fn lerp_table(xs: &[f64], ys: &[f64], x: f64) -> f64 {
+#[cfg(test)]
+pub(crate) fn lerp_table(xs: &[f64], ys: &[f64], x: f64) -> f64 {
     assert_eq!(xs.len(), ys.len(), "xs/ys length mismatch");
     assert!(!xs.is_empty(), "empty interpolation table");
     if x <= xs[0] {

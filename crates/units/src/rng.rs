@@ -175,7 +175,8 @@ impl Xoshiro256PlusPlus {
     /// # Panics
     ///
     /// Panics when the state is all-zero (the one forbidden state).
-    pub fn from_state(s: [u64; 4]) -> Self {
+    #[cfg(test)]
+    pub(crate) fn from_state(s: [u64; 4]) -> Self {
         assert!(
             s.iter().any(|&w| w != 0),
             "xoshiro256++ state must be non-zero"
@@ -272,7 +273,8 @@ pub fn normal<R: Rng + ?Sized>(rng: &mut R, mean: f64, std_dev: f64) -> f64 {
 
 /// Draws a lognormal sample whose *underlying normal* has the given
 /// parameters.
-pub fn lognormal<R: Rng + ?Sized>(rng: &mut R, mu: f64, sigma: f64) -> f64 {
+#[cfg(test)]
+pub(crate) fn lognormal<R: Rng + ?Sized>(rng: &mut R, mu: f64, sigma: f64) -> f64 {
     normal(rng, mu, sigma).exp()
 }
 
@@ -283,7 +285,7 @@ pub fn lognormal<R: Rng + ?Sized>(rng: &mut R, mu: f64, sigma: f64) -> f64 {
 /// Panics if `lo >= hi`. Intended for mild truncation (e.g. ±4σ physical
 /// clamps on geometry); pathological windows fall back to clamping after
 /// 1000 rejections so the call always terminates.
-pub fn truncated_normal<R: Rng + ?Sized>(
+pub(crate) fn truncated_normal<R: Rng + ?Sized>(
     rng: &mut R,
     mean: f64,
     std_dev: f64,
@@ -339,7 +341,8 @@ impl Variation {
     }
 
     /// No variation at all.
-    pub const fn none() -> Self {
+    #[cfg(test)]
+    pub(crate) const fn none() -> Self {
         Self::absolute(0.0)
     }
 

@@ -7,7 +7,7 @@
 //! host runs.
 //!
 //! A [`Kernel`] can only be made by [`Kernel::detect`], [`Kernel::available`]
-//! or [`Kernel::PORTABLE`], so one that names an instruction set is proof
+//! or `Kernel::PORTABLE`, so one that names an instruction set is proof
 //! that the CPU has every feature that set's builds enable. The `unsafe`
 //! calls into `#[target_feature]` code rely on that.
 
@@ -31,7 +31,7 @@ pub struct Kernel(Isa);
 
 impl Kernel {
     /// The scalar kernel, which every host runs.
-    pub const PORTABLE: Kernel = Kernel(Isa::Portable);
+    pub(crate) const PORTABLE: Kernel = Kernel(Isa::Portable);
 
     /// The widest kernel this host runs.
     #[inline]
@@ -49,7 +49,7 @@ impl Kernel {
     }
 
     /// Every kernel this host runs, widest first; the last is always
-    /// [`Kernel::PORTABLE`]. Tests use it to compare each build against
+    /// `Kernel::PORTABLE`. Tests use it to compare each build against
     /// the scalar one.
     pub fn available() -> Vec<Self> {
         #[allow(unused_mut)]

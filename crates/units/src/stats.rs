@@ -60,7 +60,7 @@ impl OnlineStats {
     }
 
     /// Unbiased sample variance (Bessel-corrected); 0 with < 2 samples.
-    pub fn sample_variance(&self) -> f64 {
+    pub(crate) fn sample_variance(&self) -> f64 {
         if self.count < 2 {
             0.0
         } else {
@@ -69,7 +69,7 @@ impl OnlineStats {
     }
 
     /// Population variance; 0 when empty.
-    pub fn population_variance(&self) -> f64 {
+    pub(crate) fn population_variance(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -88,12 +88,12 @@ impl OnlineStats {
     }
 
     /// Minimum observation; `+inf` when empty.
-    pub fn min(&self) -> f64 {
+    pub(crate) fn min(&self) -> f64 {
         self.min
     }
 
     /// Maximum observation; `-inf` when empty.
-    pub fn max(&self) -> f64 {
+    pub(crate) fn max(&self) -> f64 {
         self.max
     }
 
@@ -211,7 +211,8 @@ impl std::error::Error for QuantileError {}
 /// # Panics
 ///
 /// Panics if `data` is empty (or entirely NaN) or `p` is outside `[0, 1]`.
-pub fn quantile(data: &mut [f64], p: f64) -> f64 {
+#[cfg(test)]
+pub(crate) fn quantile(data: &mut [f64], p: f64) -> f64 {
     try_quantile(data, p).map(|q| q.value).unwrap_or_else(|e| {
         panic!("quantile(p = {p}) on {} samples: {e}", data.len());
     })
@@ -226,7 +227,7 @@ pub struct Quantile {
     pub dropped_nan: usize,
 }
 
-/// Checked [`quantile`]: NaN entries are partitioned out and counted, and
+/// Checked `quantile`: NaN entries are partitioned out and counted, and
 /// degenerate inputs return an error instead of panicking.
 ///
 /// `data` is reordered (NaNs moved to the tail, the rest sorted with

@@ -21,7 +21,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub};
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Vec3 {
     /// x component.
-    pub x: f64,
+    pub(crate) x: f64,
     /// y component.
     pub y: f64,
     /// z component.
@@ -61,7 +61,7 @@ impl Vec3 {
 
     /// Dot product.
     #[inline]
-    pub fn dot(self, rhs: Self) -> f64 {
+    pub(crate) fn dot(self, rhs: Self) -> f64 {
         self.x * rhs.x + self.y * rhs.y + self.z * rhs.z
     }
 
@@ -79,12 +79,6 @@ impl Vec3 {
     #[inline]
     pub fn norm(self) -> f64 {
         self.dot(self).sqrt()
-    }
-
-    /// Squared Euclidean norm.
-    #[inline]
-    pub fn norm_sq(self) -> f64 {
-        self.dot(self)
     }
 
     /// Returns the vector scaled to unit length.
@@ -106,8 +100,9 @@ impl Vec3 {
     }
 
     /// Azimuthal angle in the x–y plane in radians, in `(-π, π]`.
+    #[cfg(test)]
     #[inline]
-    pub fn azimuth(self) -> f64 {
+    pub(crate) fn azimuth(self) -> f64 {
         self.y.atan2(self.x)
     }
 

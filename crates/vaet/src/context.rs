@@ -13,7 +13,7 @@ use crate::VaetError;
 
 /// Sense-amplifier input-referred offset (1σ), volts. A standard PCSA
 /// figure; read-margin analyses divide the sense signal by this.
-pub const SENSE_OFFSET_SIGMA: f64 = 0.02;
+pub(crate) const SENSE_OFFSET_SIGMA: f64 = 0.02;
 
 /// Bundled nominal flow + variation card.
 #[derive(Debug, Clone, PartialEq)]
@@ -75,7 +75,11 @@ impl VaetContext {
     /// # Errors
     ///
     /// Propagates characterisation and estimation failures.
-    pub fn build(node: TechNode, stack: MssStack, config: MemoryConfig) -> Result<Self, VaetError> {
+    pub(crate) fn build(
+        node: TechNode,
+        stack: MssStack,
+        config: MemoryConfig,
+    ) -> Result<Self, VaetError> {
         // Both upstream artifacts come through the stage pipeline, so
         // building many contexts over the same node/stack (exploration,
         // scenario sweeps) characterises and estimates each input once.
@@ -155,7 +159,7 @@ impl VaetContext {
     /// # Errors
     ///
     /// Propagates array-estimation failures.
-    pub fn with_config(&self, config: MemoryConfig) -> Result<Self, VaetError> {
+    pub(crate) fn with_config(&self, config: MemoryConfig) -> Result<Self, VaetError> {
         let nominal =
             (*estimate_cached(&self.tech, &config, &self.technology(), &mss_pipe::global())?)
                 .clone();
@@ -188,7 +192,7 @@ impl VaetContext {
     /// plus, for STT, the RA product behind the junction's write-path
     /// resistance ([`write_resistance_ratio`](Self::write_resistance_ratio)).
     /// The SOT write path is the channel, which depends on the diameter only.
-    pub fn write_stack_reads(&self) -> StackReads {
+    pub(crate) fn write_stack_reads(&self) -> StackReads {
         match &self.mechanism {
             MechanismConfig::Stt => StackReads::SWITCHING.union(StackReads::RA),
             MechanismConfig::Sot(_) => StackReads::SWITCHING,
@@ -198,7 +202,7 @@ impl VaetContext {
     /// Relative write-path resistance of a sampled device against the
     /// nominal cell: junction R_P for STT, the heavy-metal channel for SOT
     /// (the SOT write current never crosses the barrier).
-    pub fn write_resistance_ratio(&self, stack: &MssStack) -> f64 {
+    pub(crate) fn write_resistance_ratio(&self, stack: &MssStack) -> f64 {
         match &self.mechanism {
             MechanismConfig::Stt => stack.resistance_parallel() / self.cell.r_parallel,
             MechanismConfig::Sot(p) => {
@@ -208,12 +212,12 @@ impl VaetContext {
     }
 
     /// The peripheral (non-cell) share of the nominal write latency.
-    pub fn write_periphery_latency(&self) -> f64 {
+    pub(crate) fn write_periphery_latency(&self) -> f64 {
         self.nominal.write_latency - self.nominal.write_breakdown.cell
     }
 
     /// The peripheral (non-cell) share of the nominal read latency.
-    pub fn read_periphery_latency(&self) -> f64 {
+    pub(crate) fn read_periphery_latency(&self) -> f64 {
         self.nominal.read_latency - self.nominal.read_breakdown.cell
     }
 
@@ -222,7 +226,7 @@ impl VaetContext {
     /// For a PCSA the discriminating quantity is the discharge-rate
     /// imbalance between the cell and reference branches, input-referred as
     /// `V_dd·ΔR/(R_P+R_AP)` and clamped to half the supply.
-    pub fn sense_signal(&self) -> f64 {
+    pub(crate) fn sense_signal(&self) -> f64 {
         let window = self.cell.r_antiparallel - self.cell.r_parallel;
         let mut denom = self.cell.r_antiparallel + self.cell.r_parallel;
         // The SOT read returns through the heavy-metal channel, which sits
@@ -238,7 +242,7 @@ impl VaetContext {
     /// The PCSA's charge-averaged current underestimates disturb exposure
     /// (current stops after the latch resolves); disturb analyses follow the
     /// usual design point of a sustained bias at 30 % of I_c0.
-    pub fn read_disturb_current(&self) -> f64 {
+    pub(crate) fn read_disturb_current(&self) -> f64 {
         match &self.mechanism {
             MechanismConfig::Stt => 0.3 * self.cell.critical_current,
             // The SOT library's `critical_current` is the channel (SHE)

@@ -23,7 +23,7 @@ pub struct EccScheme {
     /// Number of correctable bits per block (0 = no ECC).
     pub correctable: u32,
     /// Data bits per block.
-    pub data_bits: u32,
+    pub(crate) data_bits: u32,
 }
 
 impl mss_pipe::StableHash for EccScheme {
@@ -44,7 +44,7 @@ impl EccScheme {
 
     /// Check bits, `r ≈ t·⌈log₂(n)⌉` (Hamming/BCH bound, +1 for t=0 parity
     /// omitted).
-    pub fn check_bits(&self) -> u32 {
+    pub(crate) fn check_bits(&self) -> u32 {
         if self.correctable == 0 {
             0
         } else {
@@ -59,13 +59,13 @@ impl EccScheme {
     }
 
     /// Storage overhead ratio `r/k`.
-    pub fn overhead(&self) -> f64 {
+    pub(crate) fn overhead(&self) -> f64 {
         self.check_bits() as f64 / self.data_bits as f64
     }
 
     /// Decoder latency: syndrome computation plus `t` sequential
     /// Chien/Berlekamp-style stages, in FO4 units converted by the caller.
-    pub fn decode_fo4(&self) -> f64 {
+    pub(crate) fn decode_fo4(&self) -> f64 {
         if self.correctable == 0 {
             0.0
         } else {
@@ -117,7 +117,7 @@ impl EccScheme {
     ///
     /// [`VaetError::UnreachableTarget`] if the bracketed inversion fails
     /// (does not happen for targets in `(0, 0.1)`).
-    pub fn allowed_bit_wer(&self, target: f64) -> Result<f64, VaetError> {
+    pub(crate) fn allowed_bit_wer(&self, target: f64) -> Result<f64, VaetError> {
         if !(target > 0.0 && target < 0.1) {
             return Err(VaetError::InvalidOptions {
                 reason: format!("ECC target {target} must be in (0, 0.1)"),
@@ -147,7 +147,7 @@ impl EccScheme {
 /// errors.
 ///
 /// The classification follows the extended (distance `2t+2`) construction
-/// implied by [`EccScheme::check_bits`]'s `+1` parity column: up to `t`
+/// implied by `EccScheme::check_bits`'s `+1` parity column: up to `t`
 /// errors are corrected, exactly `t+1` errors are *detected* but not
 /// correctable, and beyond that the decoder can mis-correct silently.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -160,13 +160,6 @@ pub enum EccOutcome {
     Detected,
     /// More than `t+1` raw errors: potentially silent corruption.
     Uncorrectable,
-}
-
-impl EccOutcome {
-    /// True when the decoder returns correct data (clean or corrected).
-    pub fn is_ok(&self) -> bool {
-        matches!(self, EccOutcome::Clean | EccOutcome::Corrected)
-    }
 }
 
 impl EccScheme {

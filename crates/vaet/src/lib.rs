@@ -22,10 +22,6 @@
 //!   reliability requirements (the tool's stated purpose in Sec. III),
 //! - [`temperature`] — the reliability picture across the industrial IoT
 //!   temperature range,
-//! - [`refresh`] — the adjustable-retention trade-off (smaller pillars
-//!   write cheaper but need scrubbing),
-//! - [`wvr`] — write-verify-retry, the architectural alternative to pure
-//!   timing margins,
 //! - [`report`] — the Table-1-shaped output record.
 //!
 //! # Example
@@ -55,9 +51,7 @@ pub mod margins;
 pub mod montecarlo;
 pub mod optimize;
 pub mod read;
-pub mod refresh;
 pub mod report;
 pub mod temperature;
-pub mod wvr;
 
 pub use error::VaetError;

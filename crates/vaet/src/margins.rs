@@ -34,7 +34,7 @@ pub struct MarginPoint {
     /// Overall access latency, seconds (periphery + margined cell time).
     pub latency: f64,
     /// The cell-level share of the latency.
-    pub cell_time: f64,
+    pub(crate) cell_time: f64,
 }
 
 /// Variation corners reused across the margin solve (common random
@@ -90,7 +90,8 @@ impl WriteMarginSolver {
     ///
     /// [`VaetError::InvalidOptions`] when `p` is outside `[0, 1]` or every
     /// corner evaluated to NaN.
-    pub fn bit_wer_quantile(&self, t: f64, p: f64) -> Result<f64, VaetError> {
+    #[cfg(test)]
+    pub(crate) fn bit_wer_quantile(&self, t: f64, p: f64) -> Result<f64, VaetError> {
         let mut wers: Vec<f64> = self
             .corners
             .iter()
@@ -109,7 +110,7 @@ impl WriteMarginSolver {
 
     /// Word-level failure probability at pulse width `t`
     /// (`1 − (1−p)^word ≈ word·p` for small `p`).
-    pub fn word_wer(&self, t: f64) -> f64 {
+    pub(crate) fn word_wer(&self, t: f64) -> f64 {
         let p = self.mean_bit_wer(t).clamp(0.0, 1.0);
         if p >= 1.0 {
             return 1.0;
@@ -124,7 +125,7 @@ impl WriteMarginSolver {
     ///
     /// [`VaetError::UnreachableTarget`] when the target cannot be reached
     /// within a 10 µs pulse.
-    pub fn latency_for_wer(&self, target: f64) -> Result<MarginPoint, VaetError> {
+    pub(crate) fn latency_for_wer(&self, target: f64) -> Result<MarginPoint, VaetError> {
         mss_obs::counter_add("vaet.margin.wer_solves", 1);
         if !(target > 0.0 && target < 1.0) {
             return Err(VaetError::InvalidOptions {
@@ -166,22 +167,22 @@ impl WriteMarginSolver {
 
 /// Read-margin model: signal development vs Gaussian offset + mismatch.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ReadMarginSolver {
+pub(crate) struct ReadMarginSolver {
     /// Full developed sense signal, volts.
-    pub signal_max: f64,
+    pub(crate) signal_max: f64,
     /// Signal development time constant, seconds.
-    pub tau: f64,
+    pub(crate) tau: f64,
     /// Total input-referred Gaussian sigma (offset + R-mismatch), volts.
-    pub sigma: f64,
+    pub(crate) sigma: f64,
     /// Peripheral read latency added on top, seconds.
-    pub periphery: f64,
+    pub(crate) periphery: f64,
     /// Word width (word-level RER = word · bit RER).
-    pub word: f64,
+    pub(crate) word: f64,
 }
 
 impl ReadMarginSolver {
     /// Builds the solver from a context.
-    pub fn new(ctx: &VaetContext) -> Self {
+    pub(crate) fn new(ctx: &VaetContext) -> Self {
         let signal_max = ctx.sense_signal();
         // TMR mismatch contributes signal-proportional noise; the ratio
         // dS/S = dTMR/TMR · 2/(2+TMR) < 1 damps it below the raw TMR sigma.
@@ -200,7 +201,7 @@ impl ReadMarginSolver {
     }
 
     /// Per-bit read error rate at sense time `t`.
-    pub fn bit_rer(&self, t: f64) -> f64 {
+    pub(crate) fn bit_rer(&self, t: f64) -> f64 {
         let signal = self.signal_max * (1.0 - (-t / self.tau).exp());
         mss_units::math::q_function(signal / self.sigma)
     }
@@ -211,7 +212,7 @@ impl ReadMarginSolver {
     ///
     /// [`VaetError::UnreachableTarget`] when even the fully developed signal
     /// cannot reach the target (offset too large).
-    pub fn latency_for_rer(&self, target: f64) -> Result<MarginPoint, VaetError> {
+    pub(crate) fn latency_for_rer(&self, target: f64) -> Result<MarginPoint, VaetError> {
         if !(target > 0.0 && target < 1.0) {
             return Err(VaetError::InvalidOptions {
                 reason: format!("RER target {target} must be in (0, 1)"),

@@ -313,13 +313,13 @@ pub struct SenseBatchReport {
     /// Samples solved.
     pub samples: u64,
     /// Read bias applied to the bitline, volts.
-    pub v_read: f64,
+    pub(crate) v_read: f64,
     /// Sense margin (`v_AP − v_P` at the divider taps) distribution, volts.
     pub margin: DistributionSummary,
     /// Worst sampled margin, volts.
     pub min_margin: f64,
     /// Samples whose margin fell below the 1σ sense-amp offset
-    /// ([`SENSE_OFFSET_SIGMA`]) — the circuit-level read-failure proxy.
+    /// (`SENSE_OFFSET_SIGMA`) — the circuit-level read-failure proxy.
     pub below_offset: u64,
     /// Samples whose MNA solve failed (counted, never fatal).
     pub failed_solves: u64,

@@ -14,16 +14,15 @@ use mss_nvsim::model::ArrayMetrics;
 
 use crate::context::VaetContext;
 use crate::margins::{ReadMarginSolver, WriteMarginSolver};
-use crate::montecarlo::{sense_margin_batch_with, SenseBatchOptions, SenseBatchReport};
 use crate::VaetError;
 
 /// Word-level reliability requirements a candidate must meet.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReliabilityRequirements {
     /// Target word-level write-error rate.
-    pub wer: f64,
+    pub(crate) wer: f64,
     /// Target word-level read-error rate.
-    pub rer: f64,
+    pub(crate) rer: f64,
 }
 
 impl Default for ReliabilityRequirements {
@@ -75,7 +74,7 @@ pub struct VariationAwareCandidate {
     /// Read latency meeting the RER requirement under variation, seconds.
     pub margined_read_latency: f64,
     /// Target score (lower is better).
-    pub score: f64,
+    pub(crate) score: f64,
 }
 
 /// Exploration outcome.
@@ -93,7 +92,7 @@ pub struct VariationAwareExploration {
 ///
 /// Propagates margin-solver failures ([`VaetError::UnreachableTarget`] when
 /// the requirement cannot be met at any latency).
-pub fn evaluate_candidate(
+pub(crate) fn evaluate_candidate(
     ctx: &VaetContext,
     requirements: &ReliabilityRequirements,
     target: VariationAwareTarget,
@@ -124,7 +123,7 @@ pub fn evaluate_candidate(
 /// # Errors
 ///
 /// See [`evaluate_candidate`]; cache problems are never errors.
-pub fn evaluate_candidate_cached(
+pub(crate) fn evaluate_candidate_cached(
     ctx: &VaetContext,
     requirements: &ReliabilityRequirements,
     target: VariationAwareTarget,
@@ -185,30 +184,10 @@ pub fn explore_variation_aware_with(
     }
 }
 
-/// Cross-checks the exploration winner with batched SPICE solves: the
-/// context is re-targeted at the winning organisation and its read path is
-/// Monte-Carlo-solved through
-/// [`crate::montecarlo::sense_margin_batch_with`] (the
-/// symbolic-once/numeric-many `DcBatch` route). The analytical margin model
-/// picked the design; the circuit level verifies it still senses.
-///
-/// # Errors
-///
-/// Array-estimation failures from re-targeting and sense-batch failures
-/// propagate.
-pub fn verify_best_with_spice_with(
-    base: &VaetContext,
-    exploration: &VariationAwareExploration,
-    opts: &SenseBatchOptions,
-    exec: &ParallelConfig,
-) -> Result<SenseBatchReport, VaetError> {
-    let ctx = base.with_config(exploration.best.config)?;
-    sense_margin_batch_with(&ctx, opts, exec)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::montecarlo::{sense_margin_batch_with, SenseBatchOptions};
     use mss_pdk::tech::TechNode;
     use std::sync::OnceLock;
 
@@ -297,18 +276,15 @@ mod tests {
             samples: 200,
             seed: 9,
         };
-        let report =
-            verify_best_with_spice_with(ctx(), &exp, &opts, &ParallelConfig::serial()).unwrap();
-        assert_eq!(report.failed_solves, 0);
-        assert!(report.min_margin > 0.0);
-        // Equivalent to running the sense batch on the re-targeted context.
-        let direct = crate::montecarlo::sense_margin_batch_with(
+        // The sense batch on the context re-targeted at the winner.
+        let report = sense_margin_batch_with(
             &ctx().with_config(exp.best.config).unwrap(),
             &opts,
             &ParallelConfig::serial(),
         )
         .unwrap();
-        assert_eq!(report, direct);
+        assert_eq!(report.failed_solves, 0);
+        assert!(report.min_margin > 0.0);
     }
 
     #[test]

@@ -26,7 +26,7 @@ pub struct TemperaturePoint {
     /// Néel–Brown retention, seconds.
     pub retention_seconds: f64,
     /// Critical current, amperes.
-    pub critical_current: f64,
+    pub(crate) critical_current: f64,
     /// Write latency meeting the word-level WER target under variation,
     /// seconds.
     pub margined_write_latency: f64,

@@ -9,7 +9,6 @@
 use great_mss::mtj::llg::{LlgOptions, LlgSimulator};
 use great_mss::mtj::switching::SwitchingModel;
 use great_mss::mtj::{MssDevice, MssStack};
-use great_mss::nvsim::buffer::evaluate_buffer;
 use great_mss::spice::analysis::dc_operating_point;
 use great_mss::spice::netlist::Netlist;
 use great_mss::spice::waveform::Waveform;
@@ -186,23 +185,6 @@ fn complex_field_axioms() {
             let q = ab / b;
             assert!((q - a).abs() < 1e-6 * (1.0 + a.abs()));
         }
-    });
-}
-
-/// The write-buffer queue behaves like a probability model: stall and
-/// occupancy stay in range, and deeper buffers never stall more.
-#[test]
-fn write_buffer_is_well_behaved() {
-    for_cases(7, |rng| {
-        let arrival = rng.gen_range_f64(0.001, 0.3);
-        let drain = rng.gen_range_f64(1.5, 20.0);
-        let depth = rng.gen_range_u64(1, 24) as u32;
-        let d = evaluate_buffer(arrival, drain, depth).unwrap();
-        assert!((0.0..=1.0).contains(&d.stall_probability));
-        assert!(d.mean_occupancy >= 0.0 && d.mean_occupancy <= depth as f64);
-        assert!(d.effective_write_cycles >= 1.0);
-        let deeper = evaluate_buffer(arrival, drain, depth + 1).unwrap();
-        assert!(deeper.stall_probability <= d.stall_probability + 1e-12);
     });
 }
 

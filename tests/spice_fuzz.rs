@@ -10,8 +10,9 @@
 //! element letters and dot-commands of the spicier parser's table). The
 //! schedule lives in `tests/fuzz/mod.rs`, shared with the MDL target.
 //!
-//! `Deck::parse` must never panic, and every error must be a
-//! `SpiceError::Parse` naming a line of the input. The run is the same on
+//! `Deck::parse` must never panic, every error must be a
+//! `SpiceError::Parse` naming a line of the input, and every `.tran` it
+//! accepts must be a window `TransientOptions::new` accepts. The run is the same on
 //! every machine: the seed, the corpus and the mutation schedule are fixed.
 
 mod fuzz;
@@ -19,6 +20,7 @@ mod fuzz;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use fuzz::{below, mutate, Grammar};
+use great_mss::spice::analysis::TransientOptions;
 use great_mss::spice::parser::Deck;
 use great_mss::spice::SpiceError;
 use great_mss::units::rng::SplitMix64;
@@ -99,7 +101,15 @@ fn mutated_decks_never_panic_and_errors_name_a_line() {
         let parsed = catch_unwind(AssertUnwindSafe(|| Deck::parse(&text)))
             .unwrap_or_else(|_| panic!("case {case}: Deck::parse panicked on:\n{text}"));
         match parsed {
-            Ok(_) => accepted += 1,
+            Ok(deck) => {
+                // A `.tran` that parses is a window the transient accepts.
+                if let Some((dt, stop)) = deck.tran {
+                    catch_unwind(|| TransientOptions::new(dt, stop)).unwrap_or_else(|_| {
+                        panic!("case {case}: `.tran {dt:e} {stop:e}` parsed:\n{text}")
+                    });
+                }
+                accepted += 1;
+            }
             Err(SpiceError::Parse { line, message }) => {
                 let lines = text.lines().count().max(1);
                 assert!(
