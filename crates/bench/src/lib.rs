@@ -71,98 +71,42 @@ pub fn write_result(path: &str, content: &str) {
     }
 }
 
-/// Writes the enabled observability registry as this bench's profiling
-/// artifacts, and prints one status line per artifact:
+/// Writes the enabled observability registry as this bench's NDJSON run
+/// report (`MSS_OBS_OUT`, default `target/<name>.ndjson`), round-tripped
+/// through the `mss-prof` schema validator before it is trusted — an
+/// emitter regression fails the smoke run, not a later consumer — and
+/// prints one status line.
 ///
-/// - the NDJSON run report (`MSS_OBS_OUT`, default `target/<name>.ndjson`),
-///   round-tripped through the `mss-prof` schema validator before it is
-///   trusted — an emitter regression fails the smoke run, not a later
-///   consumer,
-/// - the structural `BENCH_<name>.json` baseline (`MSS_BENCH_BASELINE_OUT`,
-///   default `target/BENCH_<name>.json`) for `mss_report check`.
-///
-/// Span timelines are not written here: run with `MSS_EVENTS_PATH=<file>`
-/// as well and export that stream with `mss_report chrome-trace`.
+/// Baselines are cut from and checked against this file after the run:
+/// `mss_report baseline target/<name>.ndjson --name <name> --out
+/// results/BENCH_<name>.json` and `mss_report check`. Span timelines are
+/// not written here: run with `MSS_EVENTS_PATH=<file>` as well and export
+/// that stream with `mss_report chrome-trace`.
 ///
 /// No-op (with a hint) when observability is disabled.
 ///
 /// # Panics
 ///
-/// When the emitted report fails schema validation or an artifact cannot be
-/// written — both are fatal infrastructure bugs for a smoke bench.
+/// When the emitted report fails schema validation or cannot be written —
+/// both are fatal infrastructure bugs for a smoke bench.
 pub fn write_obs_artifacts(name: &str) {
     if !mss_obs::enabled() {
         println!("obs      : disabled (set MSS_METRICS=1 for an NDJSON run report)");
         return;
     }
-    let write = |path: &str, content: &str| {
-        if let Some(dir) = std::path::Path::new(path).parent() {
-            let _ = std::fs::create_dir_all(dir);
-        }
-        std::fs::write(path, content)
-            .unwrap_or_else(|e| panic!("write profiling artifact {path}: {e}"));
-    };
-
     let text = mss_obs::report_ndjson();
     let report = mss_prof::Report::parse_ndjson(&text)
         .unwrap_or_else(|e| panic!("emitted NDJSON failed schema validation: {e}"));
-    let report_path =
-        std::env::var("MSS_OBS_OUT").unwrap_or_else(|_| format!("target/{name}.ndjson"));
-    write(&report_path, &text);
+    let path = std::env::var("MSS_OBS_OUT").unwrap_or_else(|_| format!("target/{name}.ndjson"));
+    if let Some(dir) = std::path::Path::new(&path).parent() {
+        let _ = std::fs::create_dir_all(dir);
+    }
+    std::fs::write(&path, &text).unwrap_or_else(|e| panic!("write run report {path}: {e}"));
     println!(
-        "obs      : {} NDJSON lines (schema v{}, validated) -> {report_path}",
+        "obs      : {} NDJSON lines (schema v{}, validated) -> {path}",
         text.lines().count(),
         report.meta.schema
     );
-
-    let baseline_path = std::env::var("MSS_BENCH_BASELINE_OUT")
-        .unwrap_or_else(|_| format!("target/BENCH_{name}.json"));
-    let baseline = mss_prof::Baseline::from_report(name, &report);
-    write(&baseline_path, &baseline.to_json());
-    println!(
-        "baseline : {} counters, {} spans -> {baseline_path}",
-        baseline.counters.len(),
-        baseline.spans.len()
-    );
-
-    run_watchdog(name, &report);
-}
-
-/// The runtime perf watchdog leg of [`write_obs_artifacts`]: under
-/// `MSS_WATCHDOG`, the just-finished run's span means are compared against
-/// the committed `results/BENCH_<name>.json` baseline with the live
-/// (ratio-over-noise-floor) policy. Regressions are surfaced as
-/// `watchdog.regression` counters, `watchdog` bus events and stderr lines;
-/// `MSS_WATCHDOG=strict` turns them into a hard smoke failure. Absent
-/// baseline or `MSS_WATCHDOG` unset: silent no-op.
-fn run_watchdog(name: &str, report: &mss_prof::Report) {
-    let mode = mss_prof::WatchdogMode::from_env();
-    if mode == mss_prof::WatchdogMode::Off {
-        return;
-    }
-    let baseline_path = std::path::PathBuf::from(format!("results/BENCH_{name}.json"));
-    if !baseline_path.exists() {
-        println!(
-            "watchdog : no committed baseline at {} (skipped)",
-            baseline_path.display()
-        );
-        return;
-    }
-    let wd = mss_prof::Watchdog::from_baseline_file(&baseline_path)
-        .unwrap_or_else(|e| panic!("watchdog baseline: {e}"));
-    let regressions = wd.check_report(report);
-    let gate = mss_prof::watchdog::surface(mode, &regressions);
-    println!(
-        "watchdog : {} span(s) checked against {}, {} regression(s){}",
-        wd.baseline().spans.len(),
-        baseline_path.display(),
-        regressions.len(),
-        if gate { " [strict: failing]" } else { "" }
-    );
-    if gate {
-        eprintln!("watchdog: MSS_WATCHDOG=strict and spans regressed; failing the run");
-        std::process::exit(1);
-    }
 }
 
 /// Renders a simple two-column series as text rows.

@@ -3,12 +3,13 @@
 //! The [`Registry`](crate::Registry) answers "what happened" *after* a run;
 //! this module answers "what is happening" *during* one. A process-wide
 //! [`EventBus`] carries typed [`EventPayload`]s — span open/close, counter
-//! deltas, gauge sets, sweep progress, per-worker heartbeats, task failures
-//! and watchdog regressions — to two bounded destinations:
+//! deltas, gauge sets, sweep progress, per-worker heartbeats and task
+//! failures — to two bounded destinations:
 //!
 //! - an **NDJSON event stream** (one JSON object per line, `meta` line
-//!   first), appended and flushed per event so `mss_report tail` can render
-//!   it live while a sweep runs;
+//!   first), appended and flushed per event, so a crash loses at most the
+//!   event being written and `mss_report validate` / `chrome-trace` read
+//!   the stream after the run;
 //! - per-thread **flight-recorder rings** holding the last
 //!   `FLIGHT_RING_CAP` events each, dumped as
 //!   `target/flight_<digest>.ndjson` when a supervised sweep ends with
@@ -116,18 +117,6 @@ pub enum EventPayload {
         /// Human-readable failure message.
         message: String,
     },
-    /// The runtime perf watchdog found a span running slower than its
-    /// committed baseline.
-    Watchdog {
-        /// Span path that regressed.
-        span: String,
-        /// Per-call mean seconds in the committed baseline.
-        baseline_seconds: f64,
-        /// Per-call mean seconds observed live.
-        run_seconds: f64,
-        /// `run_seconds / baseline_seconds`.
-        ratio: f64,
-    },
 }
 
 impl EventPayload {
@@ -141,7 +130,6 @@ impl EventPayload {
             Self::Progress { .. } => "progress",
             Self::Heartbeat { .. } => "heartbeat",
             Self::Failure { .. } => "failure",
-            Self::Watchdog { .. } => "watchdog",
         }
     }
 }
@@ -220,16 +208,6 @@ impl BusEvent {
                 .u64("attempts", u64::from(*attempts))
                 .str("failure", kind)
                 .str("message", message),
-            EventPayload::Watchdog {
-                span,
-                baseline_seconds,
-                run_seconds,
-                ratio,
-            } => line
-                .str("span", span)
-                .num("baseline_seconds", *baseline_seconds)
-                .num("run_seconds", *run_seconds)
-                .num("ratio", *ratio),
         }
         .finish()
     }
@@ -304,9 +282,9 @@ impl EventBus {
         self.enabled.load(Ordering::Relaxed)
     }
 
-    /// Publishes one event: appends it to the NDJSON stream (flushing so
-    /// `mss_report tail` sees it immediately) and to the publishing thread's
-    /// flight ring. No-op when disabled.
+    /// Publishes one event: appends it to the NDJSON stream (flushing it, so
+    /// a crash cannot lose what was published before) and to the publishing
+    /// thread's flight ring. No-op when disabled.
     pub fn publish(&self, payload: EventPayload) {
         if !self.enabled() {
             return;
@@ -564,12 +542,6 @@ mod tests {
                 kind: "panicked".into(),
                 message: "boom\nline".into(),
             },
-            EventPayload::Watchdog {
-                span: "flow/simulate".into(),
-                baseline_seconds: 1e-2,
-                run_seconds: 3e-2,
-                ratio: 3.0,
-            },
         ];
         for payload in payloads {
             let line = BusEvent {
@@ -656,15 +628,6 @@ mod tests {
                     message: "boom\nline \"q\"".into(),
                 },
                 "{\"type\":\"bus\",\"kind\":\"failure\",\"seq\":12,\"tid\":3,\"t_seconds\":1.25e-1,\"sweep\":\"sw\",\"index\":7,\"attempts\":2,\"failure\":\"panicked\",\"message\":\"boom\\nline \\\"q\\\"\"}",
-            ),
-            (
-                EventPayload::Watchdog {
-                    span: "flow/simulate".into(),
-                    baseline_seconds: 1e-2,
-                    run_seconds: 3e-2,
-                    ratio: 3.0,
-                },
-                "{\"type\":\"bus\",\"kind\":\"watchdog\",\"seq\":12,\"tid\":3,\"t_seconds\":1.25e-1,\"span\":\"flow/simulate\",\"baseline_seconds\":1e-2,\"run_seconds\":3e-2,\"ratio\":3e0}",
             ),
         ];
         for (payload, want) in cases {

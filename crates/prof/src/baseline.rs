@@ -7,15 +7,15 @@
 //! structure are reproducible bit-for-bit on any machine and at any thread
 //! count (the workspace's determinism contract), so they gate exactly;
 //! times are wall-clock noise, so they gate only through a ratio over a
-//! noise floor (`BaselineSpan::slowdown`), and only when a ratio is
-//! explicitly requested. Two runs compare the same way: cut the first into
-//! a baseline with [`Baseline::from_report`] and check the second.
+//! noise floor, and only when a ratio is explicitly requested. Two runs
+//! compare the same way: cut the first into a baseline with
+//! [`Baseline::from_report`] and check the second.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use mss_obs::json::{json_num, json_str, Value};
 
-use crate::report::{Report, SpanSummary};
+use crate::report::Report;
 
 /// Magic `type` tag of a baseline document.
 pub const BASELINE_TYPE: &str = "mss-bench-baseline";
@@ -27,33 +27,6 @@ pub struct BaselineSpan {
     pub(crate) count: u64,
     /// Mean seconds per closing in the baseline run (advisory).
     pub(crate) mean_seconds: f64,
-}
-
-impl BaselineSpan {
-    /// The one span-time rule, shared by [`Baseline::check`] and the
-    /// [`Watchdog`](crate::Watchdog): the run's slowdown ratio (run mean over
-    /// baseline mean) when it exceeds `max_ratio` and the span's total time
-    /// reaches `min_span_seconds` on either side. A span whose baseline
-    /// mean is 0 and that got slower has an infinite ratio. Speedups never
-    /// gate.
-    pub(crate) fn slowdown(
-        &self,
-        run: &SpanSummary,
-        max_ratio: f64,
-        min_span_seconds: f64,
-    ) -> Option<f64> {
-        let run_mean = run.mean_seconds();
-        let ratio = if self.mean_seconds > 0.0 {
-            run_mean / self.mean_seconds
-        } else if run_mean > 0.0 {
-            f64::INFINITY
-        } else {
-            1.0
-        };
-        let base_total = self.mean_seconds * self.count as f64;
-        let above_floor = base_total.max(run.total_seconds) >= min_span_seconds;
-        (above_floor && ratio > max_ratio).then_some(ratio)
-    }
 }
 
 /// A committed benchmark baseline.
@@ -214,9 +187,11 @@ impl Baseline {
     ///   unless its name has an ignore prefix (then listed as info),
     /// - a span that exists on only one side, or closed a different number
     ///   of times → gating,
-    /// - a span slower than the baseline by more than `max_span_ratio`,
-    ///   above the noise floor (`BaselineSpan::slowdown`) → gating (only
-    ///   when a ratio was requested).
+    /// - a span whose mean got slower than the baseline's by more than
+    ///   `max_span_ratio`, while its total time reaches `min_span_seconds`
+    ///   on either side → gating (only when a ratio was requested). A span
+    ///   whose baseline mean is 0 and that got slower has an infinite
+    ///   ratio; speedups never gate.
     pub fn check(&self, report: &Report, opts: &CheckOptions) -> Vec<Finding> {
         let ignored = |name: &str| opts.ignore_counters.iter().any(|p| name.starts_with(p));
         let mut findings = Vec::new();
@@ -255,11 +230,19 @@ impl Baseline {
                         ));
                     }
                     if let Some(max) = opts.max_span_ratio {
-                        if let Some(ratio) = b.slowdown(s, max, opts.min_span_seconds) {
+                        let run_mean = s.mean_seconds();
+                        let ratio = if b.mean_seconds > 0.0 {
+                            run_mean / b.mean_seconds
+                        } else if run_mean > 0.0 {
+                            f64::INFINITY
+                        } else {
+                            1.0
+                        };
+                        let base_total = b.mean_seconds * b.count as f64;
+                        if ratio > max && base_total.max(s.total_seconds) >= opts.min_span_seconds {
                             gate(format!(
-                                "span {path:?} regressed: baseline mean {:.3e}s, run {:.3e}s ({ratio:.2}x > {max}x)",
+                                "span {path:?} regressed: baseline mean {:.3e}s, run {run_mean:.3e}s ({ratio:.2}x > {max}x)",
                                 b.mean_seconds,
-                                s.mean_seconds(),
                             ));
                         }
                     }
@@ -457,17 +440,16 @@ mod tests {
         };
         assert!(passes(&slow_base.check(&fast, &zero_floor)));
         // A span whose baseline mean is 0 and that got slower gates.
-        let zero = BaselineSpan {
-            count: 1,
-            mean_seconds: 0.0,
-        };
-        let ratio = zero.slowdown(&slow.spans["leg"], 2.0, 0.02);
-        assert_eq!(ratio, Some(f64::INFINITY));
-        assert_eq!(
-            zero.slowdown(&slow.spans["leg"], 2.0, 10.0),
-            None,
-            "floored"
+        let mut zero = Baseline::from_report("smoke", &slow);
+        zero.spans.get_mut("leg").unwrap().mean_seconds = 0.0;
+        let findings = zero.check(&slow, &zero_floor);
+        assert!(
+            findings
+                .iter()
+                .any(|f| f.gating && f.message.contains("(infx > 2x)")),
+            "{findings:?}"
         );
+        assert!(passes(&zero.check(&slow, &floored)), "floored");
     }
 
     #[test]

@@ -15,19 +15,20 @@
 //!   [`Baseline::check`] compares a run against a committed
 //!   `BENCH_<name>.json` or against a second run cut into a baseline.
 //!   Counter and span-structure drift always gates (deterministic); span
-//!   times gate through a ratio over a noise floor,
-//! - [`watchdog`] — the same span-time rule applied to a live process.
+//!   times gate through a ratio over a noise floor.
 //!
 //! Every file is read with [`mss_obs::json::Value`], the workspace's one
 //! strict JSON parser, which lives next to the writer in `mss-obs`.
 //!
-//! The `mss_report` binary exposes all of it on the command line:
+//! Baselines are cut and checked only after a run, by the `mss_report`
+//! binary, which exposes all of it on the command line:
 //!
 //! ```text
 //! mss_report summary  target/cache_smoke.ndjson
 //! mss_report chrome-trace target/cache_smoke_events.ndjson --out trace.json
 //! mss_report validate target/*.ndjson
-//! mss_report baseline target/cache_smoke.ndjson --name cache_smoke
+//! mss_report baseline target/cache_smoke.ndjson --name cache_smoke \
+//!                     --out results/BENCH_cache_smoke.json
 //! mss_report check    results/BENCH_cache_smoke.json target/cache_smoke.ndjson
 //! mss_report check    base.ndjson new.ndjson --max-span-ratio 2.0
 //! ```
@@ -40,11 +41,9 @@
 pub mod baseline;
 pub mod chrome;
 pub mod report;
-pub mod watchdog;
 
 pub use baseline::{Baseline, CheckOptions, Finding};
 pub use report::{BusRecord, Report};
-pub use watchdog::{Watchdog, WatchdogMode, WatchdogRegression};
 
 #[cfg(test)]
 mod tests {

@@ -92,18 +92,18 @@ pub(crate) struct ThreadSlice {
 /// The common envelope (`kind`, `seq`, `tid`, `t_seconds`) is typed; the
 /// kind-specific fields are validated at parse time and stay accessible
 /// through the retained JSON [`Value`] (see [`BusRecord::str_field`] /
-/// [`BusRecord::u64_field`] / [`BusRecord::num_field`]).
+/// [`BusRecord::u64_field`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct BusRecord {
     /// Event kind (`progress`, `heartbeat`, `failure`, `span_open`,
-    /// `span_close`, `counter_delta`, `gauge_set`, `watchdog`).
+    /// `span_close`, `counter_delta`, `gauge_set`).
     pub kind: String,
     /// Process-wide publish sequence number.
     pub(crate) seq: u64,
     /// Publishing thread's ordinal.
     pub(crate) tid: u32,
     /// Seconds since the bus epoch.
-    pub t_seconds: f64,
+    pub(crate) t_seconds: f64,
     /// The full parsed line, for kind-specific fields.
     pub(crate) value: Value,
 }
@@ -120,7 +120,7 @@ impl BusRecord {
     }
 
     /// A kind-specific numeric field, if present and non-null.
-    pub fn num_field(&self, key: &str) -> Option<f64> {
+    pub(crate) fn num_field(&self, key: &str) -> Option<f64> {
         self.value.get(key).and_then(Value::as_f64)
     }
 }
@@ -450,7 +450,7 @@ fn parse_span(v: &Value) -> Result<SpanSummary, String> {
 /// # Errors
 ///
 /// A message naming the missing or malformed field.
-pub fn parse_bus(v: &Value) -> Result<BusRecord, String> {
+pub(crate) fn parse_bus(v: &Value) -> Result<BusRecord, String> {
     let kind = req_str(v, "kind")?;
     let seq = req_u64(v, "seq")?;
     let tid = u32::try_from(req_u64(v, "tid")?).map_err(|_| "tid out of range".to_string())?;
@@ -493,13 +493,6 @@ pub fn parse_bus(v: &Value) -> Result<BusRecord, String> {
             req_u64(v, "attempts")?;
             req_str(v, "failure")?;
             req_str(v, "message")?;
-        }
-        "watchdog" => {
-            req_str(v, "span")?;
-            req_num(v, "baseline_seconds")?;
-            req_num(v, "run_seconds")?;
-            // null: the slowdown of a span whose baseline mean was 0.
-            req_num_or_null(v, "ratio")?;
         }
         other => return Err(format!("unknown bus kind {other:?}")),
     }

@@ -3,9 +3,12 @@
 //! an empty file, duplicated ids — must come back as a structured `Err`
 //! naming the offending line, never a panic. Each case runs under
 //! `catch_unwind` so a panic is reported as the distinct failure it is.
+//! The last tests drive the `mss_report` binary on such files.
+
+use std::process::Output;
 
 use mss_obs::json::Value;
-use mss_prof::Report;
+use mss_prof::{Baseline, Report};
 
 const META_EVENTS: &str =
     "{\"type\":\"meta\",\"schema\":3,\"mode\":\"events\",\"dropped_events\":0}";
@@ -175,6 +178,11 @@ fn malformed_bus_payloads_are_structured_errors() {
              \"sweep\":\"s\",\"index\":0,\"attempts\":1,\"failure\":\"failed\",\"message\":\"m\"}",
             "null timestamp",
         ),
+        (
+            "{\"type\":\"bus\",\"kind\":\"watchdog\",\"seq\":0,\"tid\":0,\"t_seconds\":0e0,\
+             \"span\":\"flow/simulate\",\"baseline_seconds\":1e-2,\"run_seconds\":3e-2,\"ratio\":3e0}",
+            "watchdog is not a bus kind",
+        ),
     ];
     for (line, why) in cases {
         let text = format!("{META_EVENTS}\n{line}\n");
@@ -217,22 +225,97 @@ fn a_real_flight_dump_round_trips_through_validate() {
     assert!(Value::parse("{\"a\":NaN}").is_err());
 }
 
+/// A fresh scratch directory for one binary-level test, as a string.
+fn scratch_dir(test: &str) -> String {
+    let dir = std::env::temp_dir().join(format!("mss-prof-{test}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir.to_str().expect("UTF-8 temp dir").to_string()
+}
+
+fn mss_report(args: &[&str]) -> Output {
+    std::process::Command::new(env!("CARGO_BIN_EXE_mss_report"))
+        .args(args)
+        .output()
+        .expect("run mss_report")
+}
+
+/// A metrics-mode report with one span `leg` that closed once in `seconds`.
+fn one_span_report(seconds: f64) -> String {
+    format!(
+        "{META_METRICS}\n{{\"type\":\"span\",\"path\":\"leg\",\"count\":1,\
+         \"total_seconds\":{seconds:e},\"self_seconds\":{seconds:e},\"min_seconds\":{seconds:e},\
+         \"max_seconds\":{seconds:e},\"by_thread\":[[0,1,{seconds:e}]]}}\n"
+    )
+}
+
 #[test]
 fn validate_rejects_a_nesting_bomb_without_aborting() {
-    let dir = std::env::temp_dir().join(format!("mss-prof-bomb-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("bomb.ndjson");
+    let dir = scratch_dir("bomb");
+    let path = format!("{dir}/bomb.ndjson");
     std::fs::write(&path, "[".repeat(1_000_000)).unwrap();
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_mss_report"))
-        .arg("validate")
-        .arg(&path)
-        .output()
-        .expect("run mss_report");
+    let out = mss_report(&["validate", &path]);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(1), "{stderr}");
     assert!(
         stderr.contains("INVALID: line 1: nesting deeper than 128 at byte 128"),
         "{stderr}"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn check_rejects_thresholds_that_would_switch_the_time_gate_off() {
+    // A 20x slowdown of a one-second span: the CI thresholds gate it.
+    let dir = scratch_dir("thresholds");
+    let base = format!("{dir}/base.ndjson");
+    let slow = format!("{dir}/slow.ndjson");
+    std::fs::write(&base, one_span_report(1.0)).unwrap();
+    std::fs::write(&slow, one_span_report(20.0)).unwrap();
+    let check = |flag: &str, value: &str| mss_report(&["check", &base, &slow, flag, value]);
+    let gated = check("--max-span-ratio", "2.0");
+    assert_eq!(gated.status.code(), Some(1), "{gated:?}");
+    for (flag, value) in [
+        ("--max-span-ratio", "nan"),
+        ("--max-span-ratio", "inf"),
+        ("--max-span-ratio", "-1"),
+        ("--max-span-ratio", "0.5"),
+        ("--min-span-seconds", "nan"),
+        ("--min-span-seconds", "inf"),
+        ("--min-span-seconds", "-1"),
+    ] {
+        let out = check(flag, value);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag} {value}: {stderr}");
+        assert!(stderr.contains(&format!("{flag} expects")), "{stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn baseline_cut_by_the_binary_is_from_report_and_passes_check() {
+    let reg = mss_obs::Registry::new(mss_obs::Mode::Metrics);
+    reg.counter_add("recut.items", 7);
+    for _ in 0..3 {
+        let _g = reg.span("recut_leg");
+    }
+    let text = reg.to_ndjson();
+    let dir = scratch_dir("recut");
+    let run = format!("{dir}/run.ndjson");
+    let cut = format!("{dir}/BENCH_recut.json");
+    std::fs::write(&run, &text).unwrap();
+
+    let out = mss_report(&["baseline", &run, "--name", "recut", "--out", &cut]);
+    assert!(out.status.success(), "{out:?}");
+    let report = Report::parse_ndjson(&text).unwrap();
+    assert_eq!(
+        std::fs::read_to_string(&cut).unwrap(),
+        Baseline::from_report("recut", &report).to_json()
+    );
+
+    let out = mss_report(&["check", &cut, &run]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{out:?}");
+    assert!(stdout.contains("matches baseline \"recut\""), "{stdout}");
     let _ = std::fs::remove_dir_all(&dir);
 }

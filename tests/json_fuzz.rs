@@ -99,12 +99,6 @@ fn event_stream() -> String {
             kind: "panicked".into(),
             message: "boom \"q\"\n".into(),
         },
-        EventPayload::Watchdog {
-            span: "flow/sim".into(),
-            baseline_seconds: 1e-2,
-            run_seconds: 3e-2,
-            ratio: 3.0,
-        },
     ];
     let mut text = great_mss::obs::json::meta_line("events", 0, None);
     for (seq, payload) in payloads.into_iter().enumerate() {
