@@ -117,7 +117,6 @@ fn spice_smoke() {
     nl.add_mtj("x1", "top", "0", &stack, MtjState::Antiparallel)
         .expect("mtj element");
     let res = Transient::new(&nl)
-        .expect("transient setup")
         .run(&TransientOptions::new(0.05e-9, 45e-9))
         .expect("transient run");
     println!(
@@ -175,7 +174,6 @@ fn sot_smoke() {
     )
     .expect("sot element");
     let res = Transient::new(&nl)
-        .expect("transient setup")
         .run(&TransientOptions::new(0.01e-9, 3e-9))
         .expect("transient run");
     assert!(

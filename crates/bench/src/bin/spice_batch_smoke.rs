@@ -19,7 +19,7 @@
 //! 4096). Thread counts and chunk sizes are pinned — never taken from the
 //! environment — so the emitted `spice.batch.*` counters and span structure
 //! are machine-independent and gate exactly against
-//! `results/BENCH_spice_batch.json` via `mss_report check`. Exits non-zero
+//! `results/BENCH_spice_batch_smoke.json` via `mss_report check`. Exits non-zero
 //! on any parity violation or a sub-3× speedup.
 
 use std::time::Instant;

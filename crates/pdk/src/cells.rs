@@ -472,7 +472,6 @@ mod tests {
         .unwrap();
         let (dt, stop) = deck.tran.unwrap();
         let res = Transient::new(&deck.netlist)
-            .unwrap()
             .run(&TransientOptions::new(dt, stop))
             .unwrap();
         assert!(res.times().len() > 100);
@@ -495,7 +494,6 @@ mod tests {
             .unwrap();
             let (dt, stop) = deck.tran.unwrap();
             let res = Transient::new(&deck.netlist)
-                .unwrap()
                 .run(&TransientOptions::new(dt, stop))
                 .unwrap();
             assert_eq!(
@@ -517,7 +515,6 @@ mod tests {
             let deck = sot_pcsa_read_deck(&tech, &stack, &params, state, r_ref, 2e-9).unwrap();
             let (dt, stop) = deck.tran.unwrap();
             let res = Transient::new(&deck.netlist)
-                .unwrap()
                 .run(&TransientOptions::new(dt, stop))
                 .unwrap();
             let out = *res.node_voltage("out").unwrap().last().unwrap();
@@ -544,7 +541,6 @@ mod tests {
             let deck = pcsa_read_deck(&tech, &stack, state, r_ref, 2e-9).unwrap();
             let (dt, stop) = deck.tran.unwrap();
             let res = Transient::new(&deck.netlist)
-                .unwrap()
                 .run(&TransientOptions::new(dt, stop))
                 .unwrap();
             let out = *res.node_voltage("out").unwrap().last().unwrap();
@@ -569,7 +565,6 @@ mod tests {
         let deck = write_driver_deck(&tech, 50e-15, 5e-9).unwrap();
         let (dt, stop) = deck.tran.unwrap();
         let res = Transient::new(&deck.netlist)
-            .unwrap()
             .run(&TransientOptions::new(dt, stop))
             .unwrap();
         let bl = res.node_voltage("bl").unwrap();
@@ -586,7 +581,6 @@ mod tests {
         let deck = nvff_backup_deck(&tech, &stack, true, 24.0 * tech.feature, 15e-9).unwrap();
         let (dt, stop) = deck.tran.unwrap();
         let res = Transient::new(&deck.netlist)
-            .unwrap()
             .run(&TransientOptions::new(dt, stop))
             .unwrap();
         assert_eq!(
@@ -604,7 +598,6 @@ mod tests {
             let deck = nvff_restore_deck(&tech, &stack, q, 2e-9).unwrap();
             let (dt, stop) = deck.tran.unwrap();
             let res = Transient::new(&deck.netlist)
-                .unwrap()
                 .run(&TransientOptions::new(dt, stop))
                 .unwrap();
             let vq = *res.node_voltage("q").unwrap().last().unwrap();
@@ -631,7 +624,6 @@ mod tests {
             let deck = current_source_deck(&tech, &stack, state).unwrap();
             let (dt, stop) = deck.tran.unwrap();
             let res = Transient::new(&deck.netlist)
-                .unwrap()
                 .run(&TransientOptions::new(dt, stop))
                 .unwrap();
             // Output current = current into VOUT (MNA sign: into + terminal).

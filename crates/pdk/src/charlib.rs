@@ -480,7 +480,7 @@ fn run_deck(deck: &mss_spice::parser::Deck) -> Result<TransientResult, PdkError>
         step: "deck run",
         reason: "deck has no .tran directive".to_string(),
     })?;
-    Ok(Transient::new(&deck.netlist)?.run(&TransientOptions::new(dt, stop))?)
+    Ok(Transient::new(&deck.netlist).run(&TransientOptions::new(dt, stop))?)
 }
 
 fn characterize_write(

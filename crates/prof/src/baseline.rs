@@ -34,8 +34,6 @@ pub struct BaselineSpan {
 pub struct Baseline {
     /// Bench name (`cache_smoke`, `mc_smoke`, …).
     pub name: String,
-    /// NDJSON schema version of the run the baseline was cut from.
-    pub(crate) schema: u32,
     /// Counter name → expected value.
     pub counters: BTreeMap<String, u64>,
     /// Span path → expected structure and advisory timing.
@@ -70,7 +68,6 @@ impl Baseline {
     pub fn from_report(name: &str, report: &Report) -> Baseline {
         Baseline {
             name: name.to_string(),
-            schema: report.meta.schema,
             counters: report.counters.clone(),
             spans: report
                 .spans
@@ -92,10 +89,9 @@ impl Baseline {
     /// (sorted keys, one entry per line, trailing newline).
     pub fn to_json(&self) -> String {
         let mut out = format!(
-            "{{\n  \"type\": {},\n  \"name\": {},\n  \"schema\": {},\n  \"counters\": {{\n",
+            "{{\n  \"type\": {},\n  \"name\": {},\n  \"counters\": {{\n",
             json_str(BASELINE_TYPE),
             json_str(&self.name),
-            self.schema
         );
         let counter_lines: Vec<String> = self
             .counters
@@ -136,11 +132,6 @@ impl Baseline {
             .and_then(Value::as_str)
             .ok_or("baseline missing \"name\"")?
             .to_string();
-        let schema = v
-            .get("schema")
-            .and_then(Value::as_u64)
-            .and_then(|s| u32::try_from(s).ok())
-            .ok_or("baseline missing \"schema\"")?;
         let mut counters = BTreeMap::new();
         for (k, val) in v
             .get("counters")
@@ -175,7 +166,6 @@ impl Baseline {
         }
         Ok(Baseline {
             name,
-            schema,
             counters,
             spans,
         })

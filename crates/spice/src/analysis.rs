@@ -842,14 +842,10 @@ pub struct Transient {
 impl Transient {
     /// Prepares a transient analysis for a netlist (cloned internally so the
     /// caller's MTJ initial states are preserved across runs).
-    ///
-    /// # Errors
-    ///
-    /// Currently infallible; reserved for pre-flight checks.
-    pub fn new(netlist: &Netlist) -> Result<Self, SpiceError> {
-        Ok(Self {
+    pub fn new(netlist: &Netlist) -> Self {
+        Self {
             netlist: netlist.clone(),
-        })
+        }
     }
 
     /// Runs the transient and returns recorded waveforms.
@@ -1309,7 +1305,6 @@ mod tests {
         nl2.add_resistor("r1", "in", "out", 1e3).unwrap();
         nl2.add_capacitor("c1", "out", "0", 1e-12).unwrap();
         let res = Transient::new(&nl2)
-            .unwrap()
             .run(&TransientOptions::new(1e-12, 5e-9))
             .unwrap();
         let v = res.node_voltage("out").unwrap();
@@ -1381,7 +1376,6 @@ mod tests {
         nl.add_mtj("x1", "top", "0", &stack, MtjState::Antiparallel)
             .unwrap();
         let res = Transient::new(&nl)
-            .unwrap()
             .run(&TransientOptions::new(0.02e-9, 50e-9))
             .unwrap();
         assert_eq!(res.events().len(), 1, "expected exactly one switch event");
@@ -1402,7 +1396,6 @@ mod tests {
         nl.add_mtj("x1", "top", "0", &stack, MtjState::Antiparallel)
             .unwrap();
         let res = Transient::new(&nl)
-            .unwrap()
             .run(&TransientOptions::new(0.05e-9, 20e-9))
             .unwrap();
         assert!(res.events().is_empty());
@@ -1436,7 +1429,6 @@ mod tests {
         )
         .unwrap();
         let res = Transient::new(&nl)
-            .unwrap()
             .run(&TransientOptions::new(0.005e-9, 4e-9))
             .unwrap();
         assert_eq!(res.events().len(), 1, "expected exactly one switch event");
@@ -1468,7 +1460,6 @@ mod tests {
         .unwrap();
         nl.add_resistor("rterm", "sh", "0", 1.0e3).unwrap();
         let res = Transient::new(&nl)
-            .unwrap()
             .run(&TransientOptions::new(0.05e-9, 5e-9))
             .unwrap();
         assert!(res.events().is_empty());
@@ -1511,7 +1502,6 @@ mod tests {
         nl.add_vsource("v1", "a", "0", Waveform::dc(1.0)).unwrap();
         nl.add_resistor("r1", "a", "0", 1.0e3).unwrap();
         let res = Transient::new(&nl)
-            .unwrap()
             .run(&TransientOptions::new(1e-10, 1e-9))
             .unwrap();
         assert!(res.node_voltage("zz").is_err());
@@ -1646,13 +1636,13 @@ mod tests {
             .with_ladder_newton(MAX_NEWTON);
         let no_reject =
             TransientOptions::new(4e-10, 3e-9).with_solver(starved.with_max_step_halvings(0));
-        let err = Transient::new(&nl).unwrap().run(&no_reject);
+        let err = Transient::new(&nl).run(&no_reject);
         assert!(err.is_err(), "coarse steps must fail without rejection");
         // With step rejection enabled the same budget completes, and the
         // output settles low after the edge.
         let rejecting =
             TransientOptions::new(4e-10, 3e-9).with_solver(starved.with_max_step_halvings(8));
-        let res = Transient::new(&nl).unwrap().run(&rejecting).unwrap();
+        let res = Transient::new(&nl).run(&rejecting).unwrap();
         let out = res.node_voltage("out").unwrap();
         assert!(*out.last().unwrap() < 0.2, "inverter must pull low");
         assert!(out[0] > 0.95, "inverter starts high");
@@ -1666,10 +1656,7 @@ mod tests {
                 .with_max_newton(1)
                 .with_max_step_halvings(2),
         );
-        let err = Transient::new(&nl)
-            .unwrap()
-            .run(&opts)
-            .expect_err("must fail");
+        let err = Transient::new(&nl).run(&opts).expect_err("must fail");
         match err {
             SpiceError::RetryLadderExhausted {
                 analysis,
@@ -1693,7 +1680,7 @@ mod tests {
     /// point, node voltage, source current, MTJ trace and event, or the same
     /// error. Returns the number of steps the memo replayed.
     fn assert_replay_exact(nl: &Netlist, opts: &TransientOptions) -> u64 {
-        let transient = Transient::new(nl).unwrap();
+        let transient = Transient::new(nl);
         let mut none = StepMemo::new(0);
         let spec = transient.run_with_memo(opts, &mut none);
         assert_eq!(none.replayed, 0, "a memo of no slots replays nothing");
@@ -1806,7 +1793,7 @@ mod tests {
             .unwrap();
         let opts = TransientOptions::new(0.01e-9, 20e-9);
         assert_replay_exact(&nl, &opts);
-        let res = Transient::new(&nl).unwrap().run(&opts).unwrap();
+        let res = Transient::new(&nl).run(&opts).unwrap();
         assert_eq!(res.events().len(), 1, "the write must switch the junction");
         // The circuit settles, and steps replay, before the flip.
         let before_flip = TransientOptions::new(0.01e-9, res.events()[0].time - 0.01e-9);
@@ -1843,7 +1830,6 @@ mod tests {
             assert_replay_exact(&slow, &opts);
             let mut ring = StepMemo::new(STEP_MEMO_SLOTS);
             Transient::new(&slow)
-                .unwrap()
                 .run_with_memo(&opts, &mut ring)
                 .unwrap();
             ring.len

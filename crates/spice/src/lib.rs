@@ -13,8 +13,8 @@
 //!   (backward-Euler companion models),
 //! - [`ac`] — small-signal frequency-domain analysis (Bode responses,
 //!   corner frequencies) linearised at the DC operating point,
-//! - [`mdl`] — measurement specs (delay, energy, avg/min/max/rms, final
-//!   value) evaluated against transient results,
+//! - [`mdl`] — measurement specs (delay, energy, windowed average,
+//!   crossing time) evaluated against transient results,
 //! - [`solver`] — dense LU with partial pivoting over a reusable
 //!   [`Workspace`] (circuits here are tiny),
 //! - [`batch`] — symbolic-once/numeric-many batched DC solves for
@@ -33,7 +33,7 @@
 //! nl.add_vsource("vin", "in", "0", Waveform::dc(1.0))?;
 //! nl.add_resistor("r1", "in", "out", 1e3)?;
 //! nl.add_capacitor("c1", "out", "0", 1e-12)?;
-//! let result = Transient::new(&nl)?.run(&TransientOptions::new(1e-11, 10e-9))?;
+//! let result = Transient::new(&nl).run(&TransientOptions::new(1e-11, 10e-9))?;
 //! let v_out = result.node_voltage("out")?;
 //! // After 10 tau the output has settled to the input.
 //! assert!((v_out.last().copied().unwrap() - 1.0).abs() < 1e-3);

@@ -3,7 +3,9 @@
 //!
 //! The paper's flow creates "a template file for the netlist, stimulus and
 //! Measurement Descriptive Language (MDL)", runs SPICE, and parses the
-//! output measurement file. [`Measurement`] is the spec, evaluated against
+//! output measurement file. [`Measurement`] is the spec — a delay between
+//! two crossings, a source's energy, a windowed average or a crossing
+//! time — built in code by the characterisation flow and evaluated against
 //! a [`crate::analysis::TransientResult`], and
 //! [`Report`] is the measurement file — it serialises to the `name = value`
 //! text the downstream "file parser" stage consumes and parses back.
@@ -93,46 +95,6 @@ pub enum Measurement {
         /// Window end, seconds.
         to: f64,
     },
-    /// Minimum over a window.
-    Minimum {
-        /// Report key.
-        name: String,
-        /// Probed signal.
-        probe: Probe,
-        /// Window start, seconds.
-        from: f64,
-        /// Window end, seconds.
-        to: f64,
-    },
-    /// Maximum over a window.
-    Maximum {
-        /// Report key.
-        name: String,
-        /// Probed signal.
-        probe: Probe,
-        /// Window start, seconds.
-        from: f64,
-        /// Window end, seconds.
-        to: f64,
-    },
-    /// RMS over a window.
-    Rms {
-        /// Report key.
-        name: String,
-        /// Probed signal.
-        probe: Probe,
-        /// Window start, seconds.
-        from: f64,
-        /// Window end, seconds.
-        to: f64,
-    },
-    /// The signal value at the final time point.
-    FinalValue {
-        /// Report key.
-        name: String,
-        /// Probed signal.
-        probe: Probe,
-    },
     /// Time of the n-th threshold crossing.
     CrossTime {
         /// Report key.
@@ -149,21 +111,6 @@ pub enum Measurement {
 }
 
 impl Measurement {
-    /// The report key of this measurement.
-    #[cfg(test)]
-    pub(crate) fn name(&self) -> &str {
-        match self {
-            Measurement::Delay { name, .. }
-            | Measurement::Energy { name, .. }
-            | Measurement::Average { name, .. }
-            | Measurement::Minimum { name, .. }
-            | Measurement::Maximum { name, .. }
-            | Measurement::Rms { name, .. }
-            | Measurement::FinalValue { name, .. }
-            | Measurement::CrossTime { name, .. } => name,
-        }
-    }
-
     /// Evaluates the measurement against a transient result.
     ///
     /// # Errors
@@ -207,48 +154,8 @@ impl Measurement {
                 probe,
                 from,
                 to,
-            } => window_reduce(
-                times,
-                probe.signal(result)?,
-                *from,
-                *to,
-                name,
-                |acc, dtv| (acc.0 + dtv.0 * dtv.1, acc.1 + dtv.1),
-            )
-            .map(|(sum, dur)| sum / dur),
-            Measurement::Minimum {
-                name,
-                probe,
-                from,
-                to,
-            } => window_values(times, probe.signal(result)?, *from, *to, name)
-                .map(|vals| vals.iter().copied().fold(f64::INFINITY, f64::min)),
-            Measurement::Maximum {
-                name,
-                probe,
-                from,
-                to,
-            } => window_values(times, probe.signal(result)?, *from, *to, name)
-                .map(|vals| vals.iter().copied().fold(f64::NEG_INFINITY, f64::max)),
-            Measurement::Rms {
-                name,
-                probe,
-                from,
-                to,
-            } => window_reduce(
-                times,
-                probe.signal(result)?,
-                *from,
-                *to,
-                name,
-                |acc, dtv| (acc.0 + dtv.0 * dtv.0 * dtv.1, acc.1 + dtv.1),
-            )
-            .map(|(sum, dur)| (sum / dur).sqrt()),
-            Measurement::FinalValue { name, probe } => probe
-                .signal(result)?
-                .last()
-                .copied()
-                .ok_or_else(|| measurement_err(name, "empty waveform")),
+            } => window_average(times, probe.signal(result)?, *from, *to)
+                .ok_or_else(|| measurement_err(name, "empty window")),
             Measurement::CrossTime {
                 name,
                 probe,
@@ -322,49 +229,19 @@ fn integrate_window(times: &[f64], v: &[f64], i: &[f64], from: f64, to: f64) -> 
     any.then_some(acc)
 }
 
-fn window_values(
-    times: &[f64],
-    signal: &[f64],
-    from: f64,
-    to: f64,
-    name: &str,
-) -> Result<Vec<f64>, SpiceError> {
-    let vals: Vec<f64> = times
-        .iter()
-        .zip(signal)
-        .filter(|(t, _)| **t >= from && **t <= to)
-        .map(|(_, v)| *v)
-        .collect();
-    if vals.is_empty() {
-        Err(measurement_err(name, "empty window"))
-    } else {
-        Ok(vals)
-    }
-}
-
-fn window_reduce(
-    times: &[f64],
-    signal: &[f64],
-    from: f64,
-    to: f64,
-    name: &str,
-    f: impl Fn((f64, f64), (f64, f64)) -> (f64, f64),
-) -> Result<(f64, f64), SpiceError> {
-    let mut acc = (0.0, 0.0);
+/// Trapezoidal time-average of a signal over `[from, to]`.
+fn window_average(times: &[f64], signal: &[f64], from: f64, to: f64) -> Option<f64> {
+    let (mut sum, mut duration) = (0.0, 0.0);
     for k in 1..times.len() {
         let (t0, t1) = (times[k - 1], times[k]);
         if t1 < from || t0 > to {
             continue;
         }
         let dt = t1 - t0;
-        let mid = 0.5 * (signal[k - 1] + signal[k]);
-        acc = f(acc, (mid, dt));
+        sum += 0.5 * (signal[k - 1] + signal[k]) * dt;
+        duration += dt;
     }
-    if acc.1 == 0.0 {
-        Err(measurement_err(name, "empty window"))
-    } else {
-        Ok(acc)
-    }
+    (duration != 0.0).then(|| sum / duration)
 }
 
 /// The measurement output "file": name → value pairs.
@@ -452,35 +329,6 @@ mod tests {
     use crate::netlist::Netlist;
     use crate::waveform::Waveform;
 
-    /// A batch of measurements evaluated together.
-    struct MeasurementSet {
-        measurements: Vec<Measurement>,
-    }
-
-    impl MeasurementSet {
-        /// Evaluates every measurement, failing fast on the first error.
-        ///
-        /// # Errors
-        ///
-        /// The first evaluation failure.
-        fn evaluate(&self, result: &TransientResult) -> Result<Report, SpiceError> {
-            let mut report = Report::new();
-            for m in &self.measurements {
-                let v = m.evaluate(result)?;
-                report.insert(m.name(), v);
-            }
-            Ok(report)
-        }
-    }
-
-    impl FromIterator<Measurement> for MeasurementSet {
-        fn from_iter<T: IntoIterator<Item = Measurement>>(iter: T) -> Self {
-            Self {
-                measurements: iter.into_iter().collect(),
-            }
-        }
-    }
-
     fn rc_result() -> TransientResult {
         let mut nl = Netlist::new();
         nl.add_vsource(
@@ -493,7 +341,6 @@ mod tests {
         nl.add_resistor("r1", "in", "out", 1e3).unwrap();
         nl.add_capacitor("c1", "out", "0", 1e-12).unwrap();
         Transient::new(&nl)
-            .unwrap()
             .run(&TransientOptions::new(1e-12, 8e-9))
             .unwrap()
     }
@@ -539,57 +386,30 @@ mod tests {
     }
 
     #[test]
-    fn min_max_avg_rms() {
+    fn average_weights_each_level_by_its_time() {
         let res = rc_result();
-        let probe = Probe::NodeVoltage("in".into());
-        let win = (0.0, 8e-9);
-        let min = Measurement::Minimum {
-            name: "mn".into(),
-            probe: probe.clone(),
-            from: win.0,
-            to: win.1,
-        }
-        .evaluate(&res)
-        .unwrap();
-        let max = Measurement::Maximum {
-            name: "mx".into(),
-            probe: probe.clone(),
-            from: win.0,
-            to: win.1,
-        }
-        .evaluate(&res)
-        .unwrap();
-        let avg = Measurement::Average {
-            name: "av".into(),
-            probe: probe.clone(),
-            from: win.0,
-            to: win.1,
-        }
-        .evaluate(&res)
-        .unwrap();
-        let rms = Measurement::Rms {
-            name: "rm".into(),
-            probe,
-            from: win.0,
-            to: win.1,
-        }
-        .evaluate(&res)
-        .unwrap();
-        assert_eq!(min, 0.0);
-        assert_eq!(max, 1.0);
-        assert!(avg > 0.8 && avg < 0.95); // high ~7/8 of the window
-        assert!(rms >= avg && rms <= max);
+        let average = |from, to| {
+            Measurement::Average {
+                name: "av".into(),
+                probe: Probe::NodeVoltage("in".into()),
+                from,
+                to,
+            }
+            .evaluate(&res)
+            .unwrap()
+        };
+        // Low for the first 1 ns, high after: ~7/8 of the whole window.
+        let whole = average(0.0, 8e-9);
+        assert!(whole > 0.8 && whole < 0.95, "{whole}");
+        assert_eq!(average(0.0, 0.5e-9), 0.0);
+        assert_eq!(average(2e-9, 8e-9), 1.0);
     }
 
     #[test]
     fn final_value_and_cross_time() {
         let res = rc_result();
-        let f = Measurement::FinalValue {
-            name: "vf".into(),
-            probe: Probe::NodeVoltage("out".into()),
-        }
-        .evaluate(&res)
-        .unwrap();
+        // The RC output settles to the 1 V input by the last sample.
+        let f = *res.node_voltage("out").unwrap().last().unwrap();
         assert!((f - 1.0).abs() < 1e-2);
         let t = Measurement::CrossTime {
             name: "tc".into(),
@@ -664,22 +484,24 @@ mod tests {
 
     #[test]
     fn measurement_set_batch() {
+        // Several measurements of one run, collected into one report.
         let res = rc_result();
-        let set: MeasurementSet = vec![
-            Measurement::FinalValue {
-                name: "a".into(),
-                probe: Probe::NodeVoltage("out".into()),
-            },
-            Measurement::Maximum {
-                name: "b".into(),
-                probe: Probe::NodeVoltage("in".into()),
-                from: 0.0,
-                to: 8e-9,
-            },
-        ]
-        .into_iter()
-        .collect();
-        let report = set.evaluate(&res).unwrap();
+        let cross = Measurement::CrossTime {
+            name: "a".into(),
+            probe: Probe::NodeVoltage("out".into()),
+            value: 0.5,
+            edge: Edge::Rise,
+            nth: 1,
+        };
+        let average = Measurement::Average {
+            name: "b".into(),
+            probe: Probe::NodeVoltage("in".into()),
+            from: 0.0,
+            to: 8e-9,
+        };
+        let mut report = Report::new();
+        report.insert("a", cross.evaluate(&res).unwrap());
+        report.insert("b", average.evaluate(&res).unwrap());
         assert_eq!(report.len(), 2);
         assert!(report.get("a").is_some());
         assert!(!report.is_empty());

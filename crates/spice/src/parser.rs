@@ -1,57 +1,43 @@
 //! SPICE-like text-deck parser.
 //!
 //! Accepted grammar (case-insensitive, one statement per line, `*`/`;`
-//! comments):
+//! comments) — the statements the `mss-pdk` cell templates emit:
 //!
 //! ```text
 //! Rname n1 n2 <value>
 //! Cname n1 n2 <value>
-//! Vname n+ n- DC <v> | PULSE(v1 v2 delay rise fall width period) | SIN(off ampl freq [phase]) | PWL(t1 v1 t2 v2 ...)
+//! Vname n+ n- DC <v> | <v> | PULSE(v1 v2 delay rise fall width period)
 //! Iname n+ n- <same source syntax>
 //! Mname d g s [b] NMOS|PMOS W=<v> L=<v>
 //! Xname n+ n- MTJ [STATE=P|AP] [DIAMETER=<v>]
 //! Xname read shared write MTJSOT [STATE=P|AP] [DIAMETER=<v>] [THETA_SH=<v>] [T_CH=<v>] [RHO_CH=<v>]
-//! Xname n1 n2 ... <subckt-name>
-//! .subckt <name> <port1> <port2> ...
-//!   <element lines>
-//! .ends
-//! .model NMOS|PMOS VTH=<v> KP=<v> LAMBDA=<v>
+//! .model NMOS|PMOS VTH=<v> KP=<v> LAMBDA=<v> [LEVEL=1]
 //! .tran <dt> <tstop>
-//! .meas <name> DELAY TRIG v(x) VAL=<v> RISE|FALL TARG v(y) VAL=<v> RISE|FALL
-//! .meas <name> ENERGY SRC=<vsrc> FROM=<t> TO=<t>
-//! .meas <name> AVG|MIN|MAX|RMS v(x)|i(vsrc) FROM=<t> TO=<t>
-//! .meas <name> FINAL v(x)|i(vsrc)
 //! .end
 //! ```
 //!
-//! Values take SPICE engineering suffixes (`f p n u m k meg g t`).
-//! Subcircuits expand structurally: internal nodes and element names are
-//! prefixed with the instance path (`x1.mid`), ports map positionally, and
-//! `0`/`gnd` stay global. One level of nesting inside a `.subckt` body is
-//! allowed per instantiation step up to a depth of 8 (cycles are rejected).
-
-use std::collections::HashMap;
+//! Values take SPICE engineering suffixes (`f p n u m k meg g t`). Node
+//! names are lowercased, with `0` and `gnd` both meaning ground; element
+//! names are kept as written. `.model` cards may follow the devices that
+//! use them. Any other statement is a [`SpiceError::Parse`] naming its
+//! line.
 
 use mss_mtj::mechanism::SotParams;
 use mss_mtj::resistance::MtjState;
 use mss_mtj::MssStack;
 
-use crate::mdl::{Edge, Measurement, Probe};
 use crate::mosfet::{MosGeometry, MosModel, MosPolarity};
 use crate::netlist::Netlist;
 use crate::waveform::Waveform;
 use crate::SpiceError;
 
-/// A parsed deck: netlist plus analysis and measurement directives.
+/// A parsed deck: netlist plus its `.tran` window.
 #[derive(Debug, Clone)]
 pub struct Deck {
     /// The circuit.
     pub netlist: Netlist,
     /// `.tran dt tstop` if present.
     pub tran: Option<(f64, f64)>,
-    /// `.meas` directives in order.
-    #[cfg(test)]
-    pub(crate) measurements: Vec<Measurement>,
 }
 
 impl Deck {
@@ -61,7 +47,47 @@ impl Deck {
     ///
     /// [`SpiceError::Parse`] with a line number on any malformed statement.
     pub fn parse(text: &str) -> Result<Self, SpiceError> {
-        Parser::new(text).parse()
+        // First pass: `.model` cards, so a card may follow its use.
+        let mut models = Models {
+            nmos: MosModel::generic_nmos(),
+            pmos: MosModel::generic_pmos(),
+        };
+        for (lineno, line) in statements(text) {
+            if line.to_ascii_lowercase().starts_with(".model") {
+                models.parse_card(lineno, &line)?;
+            }
+        }
+
+        let mut netlist = Netlist::new();
+        let mut tran = None;
+        for (lineno, line) in statements(text) {
+            let tokens: Vec<&str> = line.split_whitespace().collect();
+            let first = tokens[0].to_ascii_lowercase();
+            if first.starts_with(".model") {
+                continue; // handled in the first pass
+            } else if first == ".end" {
+                break;
+            } else if first == ".tran" {
+                if tokens.len() < 3 {
+                    return err(lineno, ".tran needs <dt> <tstop>");
+                }
+                let dt = value(lineno, tokens[1])?;
+                let stop = value(lineno, tokens[2])?;
+                // The window `TransientOptions::new` accepts, with a step
+                // count that fits the transient loop.
+                let valid = dt > 0.0 && stop.is_finite() && dt <= stop;
+                if !valid || (stop / dt).round() > f64::from(u32::MAX) {
+                    return err(
+                        lineno,
+                        ".tran needs finite 0 < <dt> <= <tstop> and at most 2^32-1 steps",
+                    );
+                }
+                tran = Some((dt, stop));
+            } else {
+                models.element_statement(&mut netlist, lineno, &line, &tokens)?;
+            }
+        }
+        Ok(Deck { netlist, tran })
     }
 }
 
@@ -133,178 +159,21 @@ pub(crate) fn parse_value(token: &str) -> Option<f64> {
     Some(base * mult)
 }
 
-/// A collected subcircuit definition.
-#[derive(Debug, Clone)]
-struct Subckt {
-    ports: Vec<String>,
-    /// `(source line number, text)` of each body statement.
-    body: Vec<(usize, String)>,
-}
-
-/// Node/element renaming context for subcircuit expansion.
-#[derive(Debug, Clone, Default)]
-struct Scope {
-    /// Instance path prefix, e.g. `"x1."` (empty at top level).
-    prefix: String,
-    /// Formal-port → actual-node mapping.
-    ports: HashMap<String, String>,
-}
-
-impl Scope {
-    fn node(&self, name: &str) -> String {
-        let key = name.to_ascii_lowercase();
-        if key == "0" || key == "gnd" {
-            return "0".to_string();
-        }
-        if let Some(actual) = self.ports.get(&key) {
-            return actual.clone();
-        }
-        format!("{}{}", self.prefix, key)
-    }
-
-    fn name(&self, name: &str) -> String {
-        format!("{}{}", self.prefix, name)
-    }
-}
-
-const MAX_SUBCKT_DEPTH: usize = 8;
-
-struct Parser<'a> {
-    text: &'a str,
+/// The MOSFET model cards in force for a deck.
+struct Models {
     nmos: MosModel,
     pmos: MosModel,
-    subckts: HashMap<String, Subckt>,
 }
 
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Self {
-        Self {
-            text,
-            nmos: MosModel::generic_nmos(),
-            pmos: MosModel::generic_pmos(),
-            subckts: HashMap::new(),
-        }
-    }
-
-    fn parse(mut self) -> Result<Deck, SpiceError> {
-        let mut netlist = Netlist::new();
-        let mut tran = None;
-        let mut measurements = Vec::new();
-
-        // First pass: collect .model cards and .subckt blocks.
-        let mut in_subckt: Option<(String, Subckt)> = None;
-        let mut subckt_lines = vec![false; self.text.lines().count()];
-        for (lineno0, raw) in self.text.lines().enumerate() {
-            let lineno = lineno0 + 1;
-            let line = strip_comment(raw);
-            if line.is_empty() {
-                continue;
-            }
-            let lower = line.to_ascii_lowercase();
-            if lower.starts_with(".model") {
-                self.parse_model(lineno, &line)?;
-            } else if lower.starts_with(".subckt") {
-                if in_subckt.is_some() {
-                    return err(lineno, "nested .subckt definitions are not allowed");
-                }
-                let tokens: Vec<&str> = line.split_whitespace().collect();
-                if tokens.len() < 3 {
-                    return err(lineno, ".subckt needs a name and at least one port");
-                }
-                let name = tokens[1].to_ascii_lowercase();
-                if self.subckts.contains_key(&name) {
-                    return err(lineno, &format!("duplicate subcircuit '{name}'"));
-                }
-                in_subckt = Some((
-                    name,
-                    Subckt {
-                        ports: tokens[2..].iter().map(|t| t.to_ascii_lowercase()).collect(),
-                        body: Vec::new(),
-                    },
-                ));
-                subckt_lines[lineno0] = true;
-            } else if lower.starts_with(".ends") {
-                match in_subckt.take() {
-                    Some((name, def)) => {
-                        self.subckts.insert(name, def);
-                        subckt_lines[lineno0] = true;
-                    }
-                    None => return err(lineno, ".ends without .subckt"),
-                }
-            } else if let Some((_, def)) = in_subckt.as_mut() {
-                def.body.push((lineno, line));
-                subckt_lines[lineno0] = true;
-            }
-        }
-        if let Some((name, _)) = in_subckt {
-            return err(
-                self.text.lines().count(),
-                &format!("unterminated .subckt '{name}'"),
-            );
-        }
-
-        // Main pass.
-        let top = Scope::default();
-        for (lineno0, raw) in self.text.lines().enumerate() {
-            let lineno = lineno0 + 1;
-            if subckt_lines[lineno0] {
-                continue;
-            }
-            let line = strip_comment(raw);
-            if line.is_empty() {
-                continue;
-            }
-            let tokens: Vec<&str> = line.split_whitespace().collect();
-            let first = tokens[0].to_ascii_lowercase();
-            if first.starts_with(".model") {
-                continue; // handled in the first pass
-            } else if first == ".end" {
-                break;
-            } else if first == ".tran" {
-                if tokens.len() < 3 {
-                    return err(lineno, ".tran needs <dt> <tstop>");
-                }
-                let dt = value(lineno, tokens[1])?;
-                let stop = value(lineno, tokens[2])?;
-                // The window `TransientOptions::new` accepts, with a step
-                // count that fits the transient loop.
-                let valid = dt > 0.0 && stop.is_finite() && dt <= stop;
-                if !valid || (stop / dt).round() > f64::from(u32::MAX) {
-                    return err(
-                        lineno,
-                        ".tran needs finite 0 < <dt> <= <tstop> and at most 2^32-1 steps",
-                    );
-                }
-                tran = Some((dt, stop));
-            } else if first == ".meas" || first == ".measure" {
-                measurements.push(parse_measurement(lineno, &tokens)?);
-            } else {
-                self.element_statement(&mut netlist, lineno, &line, &top, 0)?;
-            }
-        }
-
-        Ok(Deck {
-            netlist,
-            tran,
-            #[cfg(test)]
-            measurements,
-        })
-    }
-
-    /// Parses one element statement into the netlist, applying `scope`
-    /// renaming; recurses for subcircuit instantiations.
+impl Models {
+    /// Parses one element statement into the netlist.
     fn element_statement(
         &self,
         netlist: &mut Netlist,
         lineno: usize,
         line: &str,
-        scope: &Scope,
-        depth: usize,
+        tokens: &[&str],
     ) -> Result<(), SpiceError> {
-        let tokens: Vec<&str> = line.split_whitespace().collect();
-        if tokens.is_empty() {
-            return Ok(());
-        }
         let first = tokens[0].to_ascii_lowercase();
         match first.chars().next().unwrap() {
             'r' => {
@@ -313,9 +182,9 @@ impl<'a> Parser<'a> {
                 }
                 netlist
                     .add_resistor(
-                        &scope.name(tokens[0]),
-                        &scope.node(tokens[1]),
-                        &scope.node(tokens[2]),
+                        tokens[0],
+                        &node(tokens[1]),
+                        &node(tokens[2]),
                         value(lineno, tokens[3])?,
                     )
                     .map_err(|e| wrap(lineno, e))?;
@@ -326,9 +195,9 @@ impl<'a> Parser<'a> {
                 }
                 netlist
                     .add_capacitor(
-                        &scope.name(tokens[0]),
-                        &scope.node(tokens[1]),
-                        &scope.node(tokens[2]),
+                        tokens[0],
+                        &node(tokens[1]),
+                        &node(tokens[2]),
                         value(lineno, tokens[3])?,
                     )
                     .map_err(|e| wrap(lineno, e))?;
@@ -337,26 +206,14 @@ impl<'a> Parser<'a> {
                 if tokens.len() < 4 {
                     return err(lineno, "source: Xname n+ n- <waveform>");
                 }
-                let wave = parse_waveform(lineno, line, &tokens)?;
+                let wave = parse_waveform(lineno, line, tokens)?;
+                let (pos, neg) = (node(tokens[1]), node(tokens[2]));
                 if first.starts_with('v') {
-                    netlist
-                        .add_vsource(
-                            &scope.name(tokens[0]),
-                            &scope.node(tokens[1]),
-                            &scope.node(tokens[2]),
-                            wave,
-                        )
-                        .map_err(|e| wrap(lineno, e))?;
+                    netlist.add_vsource(tokens[0], &pos, &neg, wave)
                 } else {
-                    netlist
-                        .add_isource(
-                            &scope.name(tokens[0]),
-                            &scope.node(tokens[1]),
-                            &scope.node(tokens[2]),
-                            wave,
-                        )
-                        .map_err(|e| wrap(lineno, e))?;
+                    netlist.add_isource(tokens[0], &pos, &neg, wave)
                 }
+                .map_err(|e| wrap(lineno, e))?;
             }
             'm' => {
                 // Mname d g s [b] MODEL W=.. L=..
@@ -396,66 +253,26 @@ impl<'a> Parser<'a> {
                 };
                 netlist
                     .add_mosfet(
-                        &scope.name(tokens[0]),
-                        &scope.node(tokens[1]),
-                        &scope.node(tokens[2]),
-                        &scope.node(tokens[3]),
+                        tokens[0],
+                        &node(tokens[1]),
+                        &node(tokens[2]),
+                        &node(tokens[3]),
                         model,
                         geom,
                     )
                     .map_err(|e| wrap(lineno, e))?;
             }
+            'x' if tokens.len() >= 4 && tokens[3].eq_ignore_ascii_case("mtj") => {
+                mtj_statement(netlist, lineno, tokens, false)?;
+            }
+            'x' if tokens.len() >= 5 && tokens[4].eq_ignore_ascii_case("mtjsot") => {
+                mtj_statement(netlist, lineno, tokens, true)?;
+            }
             'x' => {
-                if tokens.len() >= 4 && tokens[3].eq_ignore_ascii_case("mtj") {
-                    // Builtin MTJ: Xname n+ n- MTJ [params].
-                    self.mtj_statement(netlist, lineno, &tokens, scope)?;
-                } else if tokens.len() >= 5 && tokens[4].eq_ignore_ascii_case("mtjsot") {
-                    // Builtin three-terminal SOT cell:
-                    // Xname read shared write MTJSOT [params].
-                    self.mtj_sot_statement(netlist, lineno, &tokens, scope)?;
-                } else {
-                    // Subcircuit instantiation: Xname n1 n2 ... subname.
-                    if tokens.len() < 3 {
-                        return err(lineno, "subckt call: Xname <nodes...> <name>");
-                    }
-                    let sub_name = tokens[tokens.len() - 1].to_ascii_lowercase();
-                    let Some(def) = self.subckts.get(&sub_name) else {
-                        return err(
-                            lineno,
-                            &format!("unknown subcircuit or element '{sub_name}'"),
-                        );
-                    };
-                    let actuals = &tokens[1..tokens.len() - 1];
-                    if actuals.len() != def.ports.len() {
-                        return err(
-                            lineno,
-                            &format!(
-                                "subcircuit '{sub_name}' has {} ports but {} nodes were given",
-                                def.ports.len(),
-                                actuals.len()
-                            ),
-                        );
-                    }
-                    if depth >= MAX_SUBCKT_DEPTH {
-                        return err(lineno, "subcircuit nesting too deep (cycle?)");
-                    }
-                    let mut inner = Scope {
-                        prefix: format!("{}{}.", scope.prefix, tokens[0].to_ascii_lowercase()),
-                        ports: HashMap::new(),
-                    };
-                    for (formal, actual) in def.ports.iter().zip(actuals) {
-                        inner.ports.insert(formal.clone(), scope.node(actual));
-                    }
-                    for (body_lineno, body_line) in &def.body {
-                        self.element_statement(
-                            netlist,
-                            *body_lineno,
-                            body_line,
-                            &inner,
-                            depth + 1,
-                        )?;
-                    }
-                }
+                return err(
+                    lineno,
+                    "device: Xname n+ n- MTJ | Xname read shared write MTJSOT",
+                );
             }
             _ => {
                 return err(lineno, &format!("unrecognised statement '{}'", tokens[0]));
@@ -464,115 +281,7 @@ impl<'a> Parser<'a> {
         Ok(())
     }
 
-    fn mtj_statement(
-        &self,
-        netlist: &mut Netlist,
-        lineno: usize,
-        tokens: &[&str],
-        scope: &Scope,
-    ) -> Result<(), SpiceError> {
-        let mut state = MtjState::Parallel;
-        let mut builder = MssStack::builder();
-        for t in &tokens[4..] {
-            let (k, v) = t
-                .split_once('=')
-                .ok_or_else(|| parse_err(lineno, "MTJ parameters must be K=V"))?;
-            match k.to_ascii_lowercase().as_str() {
-                "state" => {
-                    state = match v.to_ascii_lowercase().as_str() {
-                        "p" | "parallel" => MtjState::Parallel,
-                        "ap" | "antiparallel" => MtjState::Antiparallel,
-                        other => return err(lineno, &format!("unknown MTJ state '{other}'")),
-                    }
-                }
-                "diameter" => {
-                    builder = builder.diameter(value(lineno, v)?);
-                }
-                "tmr" => {
-                    builder = builder.tmr_zero_bias(value(lineno, v)?);
-                }
-                "ra" => {
-                    builder = builder.resistance_area_product(value(lineno, v)?);
-                }
-                other => return err(lineno, &format!("unknown MTJ param '{other}'")),
-            }
-        }
-        let stack = builder
-            .build()
-            .map_err(|e| parse_err(lineno, &format!("bad MTJ: {e}")))?;
-        netlist
-            .add_mtj(
-                &scope.name(tokens[0]),
-                &scope.node(tokens[1]),
-                &scope.node(tokens[2]),
-                &stack,
-                state,
-            )
-            .map_err(|e| wrap(lineno, e))?;
-        Ok(())
-    }
-
-    fn mtj_sot_statement(
-        &self,
-        netlist: &mut Netlist,
-        lineno: usize,
-        tokens: &[&str],
-        scope: &Scope,
-    ) -> Result<(), SpiceError> {
-        let mut state = MtjState::Parallel;
-        let mut builder = MssStack::builder();
-        let mut params = SotParams::default();
-        for t in &tokens[5..] {
-            let (k, v) = t
-                .split_once('=')
-                .ok_or_else(|| parse_err(lineno, "MTJSOT parameters must be K=V"))?;
-            match k.to_ascii_lowercase().as_str() {
-                "state" => {
-                    state = match v.to_ascii_lowercase().as_str() {
-                        "p" | "parallel" => MtjState::Parallel,
-                        "ap" | "antiparallel" => MtjState::Antiparallel,
-                        other => return err(lineno, &format!("unknown MTJSOT state '{other}'")),
-                    }
-                }
-                "diameter" => {
-                    builder = builder.diameter(value(lineno, v)?);
-                }
-                "tmr" => {
-                    builder = builder.tmr_zero_bias(value(lineno, v)?);
-                }
-                "ra" => {
-                    builder = builder.resistance_area_product(value(lineno, v)?);
-                }
-                "theta_sh" => {
-                    params.spin_hall_angle = value(lineno, v)?;
-                }
-                "t_ch" => {
-                    params.channel_thickness = value(lineno, v)?;
-                }
-                "rho_ch" => {
-                    params.channel_resistivity = value(lineno, v)?;
-                }
-                other => return err(lineno, &format!("unknown MTJSOT param '{other}'")),
-            }
-        }
-        let stack = builder
-            .build()
-            .map_err(|e| parse_err(lineno, &format!("bad MTJSOT: {e}")))?;
-        netlist
-            .add_mtj_sot(
-                &scope.name(tokens[0]),
-                &scope.node(tokens[1]),
-                &scope.node(tokens[2]),
-                &scope.node(tokens[3]),
-                &stack,
-                &params,
-                state,
-            )
-            .map_err(|e| wrap(lineno, e))?;
-        Ok(())
-    }
-
-    fn parse_model(&mut self, lineno: usize, line: &str) -> Result<(), SpiceError> {
+    fn parse_card(&mut self, lineno: usize, line: &str) -> Result<(), SpiceError> {
         // .model NMOS VTH=0.4 KP=200u LAMBDA=0.05
         let tokens: Vec<&str> = line.split_whitespace().collect();
         if tokens.len() < 2 {
@@ -603,6 +312,68 @@ impl<'a> Parser<'a> {
             }
         }
         Ok(())
+    }
+}
+
+/// `Xname n+ n- MTJ [params]`, or with `sot` the three-terminal
+/// `Xname read shared write MTJSOT [params]`.
+fn mtj_statement(
+    netlist: &mut Netlist,
+    lineno: usize,
+    tokens: &[&str],
+    sot: bool,
+) -> Result<(), SpiceError> {
+    let kind = if sot { "MTJSOT" } else { "MTJ" };
+    let mut state = MtjState::Parallel;
+    let mut builder = MssStack::builder();
+    let mut params = SotParams::default();
+    for t in &tokens[if sot { 5 } else { 4 }..] {
+        let (k, v) = t
+            .split_once('=')
+            .ok_or_else(|| parse_err(lineno, &format!("{kind} parameters must be K=V")))?;
+        match (k.to_ascii_lowercase().as_str(), sot) {
+            ("state", _) => {
+                state = match v.to_ascii_lowercase().as_str() {
+                    "p" | "parallel" => MtjState::Parallel,
+                    "ap" | "antiparallel" => MtjState::Antiparallel,
+                    other => return err(lineno, &format!("unknown {kind} state '{other}'")),
+                }
+            }
+            ("diameter", _) => builder = builder.diameter(value(lineno, v)?),
+            ("theta_sh", true) => params.spin_hall_angle = value(lineno, v)?,
+            ("t_ch", true) => params.channel_thickness = value(lineno, v)?,
+            ("rho_ch", true) => params.channel_resistivity = value(lineno, v)?,
+            (other, _) => return err(lineno, &format!("unknown {kind} param '{other}'")),
+        }
+    }
+    let stack = builder
+        .build()
+        .map_err(|e| parse_err(lineno, &format!("bad {kind}: {e}")))?;
+    let (a, b) = (node(tokens[1]), node(tokens[2]));
+    if sot {
+        netlist.add_mtj_sot(tokens[0], &a, &b, &node(tokens[3]), &stack, &params, state)
+    } else {
+        netlist.add_mtj(tokens[0], &a, &b, &stack, state)
+    }
+    .map_err(|e| wrap(lineno, e))
+}
+
+/// The deck's non-blank statements, comments stripped, with 1-based line
+/// numbers.
+fn statements(text: &str) -> impl Iterator<Item = (usize, String)> + '_ {
+    text.lines()
+        .enumerate()
+        .map(|(i, raw)| (i + 1, strip_comment(raw)))
+        .filter(|(_, line)| !line.is_empty())
+}
+
+/// A node name as the netlist stores it: lowercased, `gnd` → `0`.
+fn node(name: &str) -> String {
+    let key = name.to_ascii_lowercase();
+    if key == "gnd" {
+        "0".to_string()
+    } else {
+        key
     }
 }
 
@@ -639,31 +410,17 @@ fn value(line: usize, token: &str) -> Result<f64, SpiceError> {
 /// Parses the source-value portion of a V/I line.
 fn parse_waveform(lineno: usize, line: &str, tokens: &[&str]) -> Result<Waveform, SpiceError> {
     let rest = tokens[3..].join(" ");
-    let upper = rest.to_ascii_uppercase();
     if let Some(args) = paren_args(&rest, "pulse") {
-        let v = parse_args(lineno, &args)?;
+        let v = args
+            .split(|c: char| c.is_whitespace() || c == ',')
+            .filter(|s| !s.is_empty())
+            .map(|s| value(lineno, s))
+            .collect::<Result<Vec<f64>, _>>()?;
         if v.len() < 7 {
             return err(lineno, "PULSE needs 7 arguments");
         }
         Ok(Waveform::pulse(v[0], v[1], v[2], v[3], v[4], v[5], v[6]))
-    } else if let Some(args) = paren_args(&rest, "sin") {
-        let v = parse_args(lineno, &args)?;
-        if v.len() < 3 {
-            return err(lineno, "SIN needs at least 3 arguments");
-        }
-        Ok(Waveform::sin(
-            v[0],
-            v[1],
-            v[2],
-            v.get(3).copied().unwrap_or(0.0),
-        ))
-    } else if let Some(args) = paren_args(&rest, "pwl") {
-        let v = parse_args(lineno, &args)?;
-        if v.len() % 2 != 0 || v.is_empty() {
-            return err(lineno, "PWL needs an even number of arguments");
-        }
-        Ok(Waveform::pwl(v.chunks(2).map(|c| (c[0], c[1])).collect()))
-    } else if upper.starts_with("DC") {
+    } else if rest.to_ascii_uppercase().starts_with("DC") {
         let tok = rest
             .split_whitespace()
             .nth(1)
@@ -686,182 +443,11 @@ fn paren_args(text: &str, name: &str) -> Option<String> {
     Some(text[open + 1..close].to_string())
 }
 
-fn parse_args(lineno: usize, args: &str) -> Result<Vec<f64>, SpiceError> {
-    args.split(|c: char| c.is_whitespace() || c == ',')
-        .filter(|s| !s.is_empty())
-        .map(|s| value(lineno, s))
-        .collect()
-}
-
-fn parse_probe(lineno: usize, token: &str) -> Result<Probe, SpiceError> {
-    let t = token.trim();
-    let lower = t.to_ascii_lowercase();
-    if lower.starts_with("v(") && lower.ends_with(')') {
-        Ok(Probe::NodeVoltage(t[2..t.len() - 1].to_string()))
-    } else if lower.starts_with("i(") && lower.ends_with(')') {
-        Ok(Probe::SourceCurrent(t[2..t.len() - 1].to_string()))
-    } else {
-        err(
-            lineno,
-            &format!("bad probe '{token}', expected v(x) or i(x)"),
-        )
-    }
-}
-
-fn parse_edge(token: &str) -> Option<Edge> {
-    match token.to_ascii_lowercase().as_str() {
-        "rise" => Some(Edge::Rise),
-        "fall" => Some(Edge::Fall),
-        "either" | "cross" => Some(Edge::Either),
-        _ => None,
-    }
-}
-
-fn kv(token: &str) -> Option<(String, &str)> {
-    token
-        .split_once('=')
-        .map(|(k, v)| (k.to_ascii_lowercase(), v))
-}
-
-fn parse_measurement(lineno: usize, tokens: &[&str]) -> Result<Measurement, SpiceError> {
-    // tokens[0] = .meas, [1] = name, [2] = kind, rest = spec
-    if tokens.len() < 3 {
-        return err(lineno, ".meas needs a name and a kind");
-    }
-    let name = tokens[1].to_string();
-    let kind = tokens[2].to_ascii_lowercase();
-    let rest = &tokens[3..];
-    match kind.as_str() {
-        "delay" => {
-            // TRIG v(x) VAL=0.5 RISE TARG v(y) VAL=0.5 RISE
-            let mut trig = None;
-            let mut targ = None;
-            let mut trig_value = None;
-            let mut targ_value = None;
-            let mut trig_edge = Edge::Either;
-            let mut targ_edge = Edge::Either;
-            let mut section = 0; // 1 after TRIG, 2 after TARG
-            for t in rest {
-                let lower = t.to_ascii_lowercase();
-                if lower == "trig" {
-                    section = 1;
-                } else if lower == "targ" {
-                    section = 2;
-                } else if let Some((k, v)) = kv(t) {
-                    if k == "val" {
-                        let v = value(lineno, v)?;
-                        if section == 1 {
-                            trig_value = Some(v);
-                        } else {
-                            targ_value = Some(v);
-                        }
-                    }
-                } else if let Some(e) = parse_edge(t) {
-                    if section == 1 {
-                        trig_edge = e;
-                    } else {
-                        targ_edge = e;
-                    }
-                } else if lower.starts_with("v(") || lower.starts_with("i(") {
-                    let p = parse_probe(lineno, t)?;
-                    if section == 1 {
-                        trig = Some(p);
-                    } else {
-                        targ = Some(p);
-                    }
-                }
-            }
-            Ok(Measurement::Delay {
-                name,
-                trig: trig.ok_or_else(|| parse_err(lineno, "DELAY missing TRIG probe"))?,
-                trig_value: trig_value
-                    .ok_or_else(|| parse_err(lineno, "DELAY missing TRIG VAL"))?,
-                trig_edge,
-                targ: targ.ok_or_else(|| parse_err(lineno, "DELAY missing TARG probe"))?,
-                targ_value: targ_value
-                    .ok_or_else(|| parse_err(lineno, "DELAY missing TARG VAL"))?,
-                targ_edge,
-            })
-        }
-        "energy" => {
-            let mut source = None;
-            let mut from = 0.0;
-            let mut to = f64::INFINITY;
-            for t in rest {
-                if let Some((k, v)) = kv(t) {
-                    match k.as_str() {
-                        "src" => source = Some(v.to_string()),
-                        "from" => from = value(lineno, v)?,
-                        "to" => to = value(lineno, v)?,
-                        _ => return err(lineno, &format!("unknown ENERGY param '{k}'")),
-                    }
-                }
-            }
-            Ok(Measurement::Energy {
-                name,
-                source: source.ok_or_else(|| parse_err(lineno, "ENERGY missing SRC="))?,
-                from,
-                to,
-            })
-        }
-        "avg" | "min" | "max" | "rms" => {
-            let mut probe = None;
-            let mut from = 0.0;
-            let mut to = f64::INFINITY;
-            for t in rest {
-                if let Some((k, v)) = kv(t) {
-                    match k.as_str() {
-                        "from" => from = value(lineno, v)?,
-                        "to" => to = value(lineno, v)?,
-                        _ => return err(lineno, &format!("unknown param '{k}'")),
-                    }
-                } else {
-                    probe = Some(parse_probe(lineno, t)?);
-                }
-            }
-            let probe = probe.ok_or_else(|| parse_err(lineno, "missing probe"))?;
-            Ok(match kind.as_str() {
-                "avg" => Measurement::Average {
-                    name,
-                    probe,
-                    from,
-                    to,
-                },
-                "min" => Measurement::Minimum {
-                    name,
-                    probe,
-                    from,
-                    to,
-                },
-                "max" => Measurement::Maximum {
-                    name,
-                    probe,
-                    from,
-                    to,
-                },
-                _ => Measurement::Rms {
-                    name,
-                    probe,
-                    from,
-                    to,
-                },
-            })
-        }
-        "final" => {
-            let probe = rest
-                .first()
-                .ok_or_else(|| parse_err(lineno, "FINAL missing probe"))
-                .and_then(|t| parse_probe(lineno, t))?;
-            Ok(Measurement::FinalValue { name, probe })
-        }
-        other => err(lineno, &format!("unknown measurement kind '{other}'")),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::analysis::{dc_operating_point, Transient, TransientOptions};
+    use crate::mdl::{Edge, Measurement, Probe};
 
     #[test]
     fn parse_value_suffixes() {
@@ -896,17 +482,23 @@ mod tests {
              R1 in out 1k\n\
              C1 out 0 1p\n\
              .tran 1p 8n\n\
-             .meas tpd DELAY TRIG v(in) VAL=0.5 RISE TARG v(out) VAL=0.5 RISE\n\
              .end\n",
         )
         .unwrap();
         let (dt, stop) = deck.tran.unwrap();
         let res = Transient::new(&deck.netlist)
-            .unwrap()
             .run(&TransientOptions::new(dt, stop))
             .unwrap();
-        assert_eq!(deck.measurements.len(), 1);
-        let d = deck.measurements[0].evaluate(&res).unwrap();
+        let tpd = Measurement::Delay {
+            name: "tpd".into(),
+            trig: Probe::NodeVoltage("in".into()),
+            trig_value: 0.5,
+            trig_edge: Edge::Rise,
+            targ: Probe::NodeVoltage("out".into()),
+            targ_value: 0.5,
+            targ_edge: Edge::Rise,
+        };
+        let d = tpd.evaluate(&res).unwrap();
         assert!((d - 0.693e-9).abs() < 0.03e-9, "delay = {d}");
     }
 
@@ -938,28 +530,41 @@ mod tests {
 
     #[test]
     fn parses_energy_and_stat_measures() {
+        // The source and probe names a measurement takes are the ones the
+        // deck declares: `VDD` as written, node `vdd` lowercased.
         let deck = Deck::parse(
-            "VDD vdd 0 DC 1\n\
-             R1 vdd 0 1k\n\
-             .tran 1p 1n\n\
-             .meas e ENERGY SRC=VDD FROM=0 TO=1n\n\
-             .meas vmax MAX v(vdd) FROM=0 TO=1n\n\
-             .meas iavg AVG i(VDD) FROM=0 TO=1n\n\
-             .meas vf FINAL v(vdd)\n",
+            "VDD VDD 0 DC 1\n\
+             R1 vdd GND 1k\n\
+             .tran 1p 1n\n",
         )
         .unwrap();
-        assert_eq!(deck.measurements.len(), 4);
+        let (dt, stop) = deck.tran.unwrap();
         let res = Transient::new(&deck.netlist)
-            .unwrap()
-            .run(&TransientOptions::new(1e-12, 1e-9))
+            .run(&TransientOptions::new(dt, stop))
             .unwrap();
-        let e = deck.measurements[0].evaluate(&res).unwrap();
+        let e = Measurement::Energy {
+            name: "e".into(),
+            source: "VDD".into(),
+            from: 0.0,
+            to: 1e-9,
+        }
+        .evaluate(&res)
+        .unwrap();
         // P = V^2/R = 1 mW over 1 ns = 1 pJ.
         assert!((e - 1e-12).abs() < 0.05e-12, "e = {e}");
-        assert_eq!(deck.measurements[1].evaluate(&res).unwrap(), 1.0);
-        let iavg = deck.measurements[2].evaluate(&res).unwrap();
+        let average = |probe| {
+            Measurement::Average {
+                name: "avg".into(),
+                probe,
+                from: 0.0,
+                to: 1e-9,
+            }
+            .evaluate(&res)
+            .unwrap()
+        };
+        assert_eq!(average(Probe::NodeVoltage("vdd".into())), 1.0);
+        let iavg = average(Probe::SourceCurrent("VDD".into()));
         assert!((iavg + 1e-3).abs() < 1e-6); // MNA sign
-        assert_eq!(deck.measurements[3].evaluate(&res).unwrap(), 1.0);
     }
 
     #[test]
@@ -1018,15 +623,26 @@ mod tests {
     }
 
     #[test]
-    fn pwl_and_sin_sources_parse() {
-        let deck = Deck::parse(
-            "V1 a 0 PWL(0 0 1n 1 2n 0)\n\
-             V2 b 0 SIN(0 0.5 1g)\n\
-             R1 a 0 1k\n\
-             R2 b 0 1k\n",
-        )
-        .unwrap();
-        assert_eq!(deck.netlist.vsource_count(), 2);
+    fn statements_outside_the_template_grammar_are_rejected_on_their_line() {
+        for statement in [
+            ".subckt divider top mid",
+            ".ends",
+            "X1 in out divider",
+            ".meas tpd DELAY TRIG v(a) VAL=0.5 RISE TARG v(b) VAL=0.5 RISE",
+            ".measure e ENERGY SRC=V1 FROM=0 TO=1n",
+            "V1 b 0 SIN(0 0.5 1g)",
+            "V1 b 0 PWL(0 0 1n 1 2n 0)",
+            "X2 b 0 MTJ STATE=P TMR=1.5",
+            "X2 b 0 MTJ RA=5p",
+            "X3 b c 0 MTJSOT TMR=1.5",
+            "X3 b c 0 MTJSOT RA=5p",
+        ] {
+            let deck = format!("R1 a 0 1k\n{statement}\nR2 a b 1k\n");
+            match Deck::parse(&deck) {
+                Err(SpiceError::Parse { line: 2, .. }) => {}
+                other => panic!("{statement}: {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -1061,110 +677,5 @@ mod tests {
         assert!(Deck::parse("X1 a b c MTJSOT STATE=SIDEWAYS\n").is_err());
         assert!(Deck::parse("X1 a b c MTJSOT THETA_SH=0\n").is_err());
         assert!(Deck::parse("X1 a b c MTJSOT BOGUS=1\n").is_err());
-    }
-
-    // --- subcircuit tests ---
-
-    const DIVIDER: &str = "\
-.subckt divider top mid
-RA top mid 1k
-RB mid 0 1k
-.ends
-VIN in 0 DC 2
-X1 in out divider
-";
-
-    #[test]
-    fn subckt_expands_with_port_mapping() {
-        let deck = Deck::parse(DIVIDER).unwrap();
-        // Elements: VIN + expanded RA, RB with instance-prefixed names.
-        assert_eq!(deck.netlist.elements().len(), 3);
-        let names: Vec<&str> = deck.netlist.elements().iter().map(|e| e.name()).collect();
-        assert!(names.contains(&"x1.RA"), "{names:?}");
-        let dc = dc_operating_point(&deck.netlist).unwrap();
-        assert!((dc.node_voltage("out").unwrap() - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn subckt_internal_nodes_are_scoped() {
-        // Two instances must not short their internal nodes together.
-        let text = "\
-.subckt stage a b
-R1 a m 1k
-R2 m b 1k
-.ends
-VIN in 0 DC 2
-X1 in mid stage
-X2 mid 0 stage
-";
-        let deck = Deck::parse(text).unwrap();
-        let dc = dc_operating_point(&deck.netlist).unwrap();
-        // Four equal resistors in series: mid = 1 V, x1's internal m = 1.5 V.
-        assert!((dc.node_voltage("mid").unwrap() - 1.0).abs() < 1e-6);
-        assert!((dc.node_voltage("x1.m").unwrap() - 1.5).abs() < 1e-6);
-        assert!((dc.node_voltage("x2.m").unwrap() - 0.5).abs() < 1e-6);
-    }
-
-    #[test]
-    fn nested_subckt_instantiation() {
-        let text = "\
-.subckt leg top bot
-R1 top bot 2k
-.ends
-.subckt pair a b
-X1 a m leg
-X2 m b leg
-.ends
-VIN in 0 DC 2
-X9 in 0 pair
-";
-        let deck = Deck::parse(text).unwrap();
-        let dc = dc_operating_point(&deck.netlist).unwrap();
-        // 2k + 2k from 2 V: the midpoint sits at 1 V.
-        assert!((dc.node_voltage("x9.m").unwrap() - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn subckt_with_mtj_and_mosfet() {
-        let text = "\
-.subckt cell bl wl sl
-M1 bl wl x 0 NMOS W=500n L=45n
-XJ x sl MTJ STATE=AP
-.ends
-VBL bl 0 DC 1
-VWL wl 0 DC 1
-X1 bl wl 0 cell
-.tran 10p 1n
-";
-        let deck = Deck::parse(text).unwrap();
-        assert_eq!(deck.netlist.elements().len(), 4);
-        let res = Transient::new(&deck.netlist)
-            .unwrap()
-            .run(&TransientOptions::new(1e-11, 1e-9))
-            .unwrap();
-        // The expanded MTJ keeps its prefixed name.
-        assert!(res.mtj_state("x1.XJ").is_ok());
-    }
-
-    #[test]
-    fn subckt_errors() {
-        // Port count mismatch.
-        let e = Deck::parse(".subckt s a b\nR1 a b 1k\n.ends\nX1 n1 s\n").unwrap_err();
-        assert!(matches!(e, SpiceError::Parse { .. }), "{e}");
-        // Unterminated definition.
-        assert!(Deck::parse(".subckt s a b\nR1 a b 1k\n").is_err());
-        // .ends without .subckt.
-        assert!(Deck::parse(".ends\n").is_err());
-        // Unknown subcircuit.
-        assert!(Deck::parse("X1 a b nothere\n").is_err());
-        // Recursion is cut off.
-        let rec = ".subckt loop a b\nX1 a b loop\n.ends\nX1 n1 n2 loop\n";
-        let e = Deck::parse(rec).unwrap_err();
-        match e {
-            SpiceError::Parse { message, .. } => {
-                assert!(message.contains("nesting too deep"), "{message}")
-            }
-            other => panic!("unexpected {other:?}"),
-        }
     }
 }

@@ -1,4 +1,4 @@
-//! Source waveforms: DC, pulse, piecewise-linear and sine stimuli.
+//! Source waveforms: DC, pulse and piecewise-linear stimuli.
 
 /// A time-dependent source value.
 ///
@@ -34,17 +34,6 @@ pub enum Waveform {
     },
     /// Piecewise-linear `(time, value)` points; clamps outside the range.
     Pwl(Vec<(f64, f64)>),
-    /// Sinusoid `offset + ampl·sin(2πf·t + phase)`.
-    Sin {
-        /// DC offset.
-        offset: f64,
-        /// Amplitude.
-        ampl: f64,
-        /// Frequency in hertz.
-        freq: f64,
-        /// Phase in radians.
-        phase: f64,
-    },
 }
 
 impl Waveform {
@@ -77,16 +66,6 @@ impl Waveform {
     /// Piecewise-linear waveform from `(t, v)` points (must be time-sorted).
     pub fn pwl(points: Vec<(f64, f64)>) -> Self {
         Waveform::Pwl(points)
-    }
-
-    /// Sine source.
-    pub(crate) fn sin(offset: f64, ampl: f64, freq: f64, phase: f64) -> Self {
-        Waveform::Sin {
-            offset,
-            ampl,
-            freq,
-            phase,
-        }
     }
 
     /// Evaluates the waveform at time `t` seconds.
@@ -140,12 +119,6 @@ impl Waveform {
                 }
                 v0 + (v1 - v0) * (t - t0) / (t1 - t0)
             }
-            Waveform::Sin {
-                offset,
-                ampl,
-                freq,
-                phase,
-            } => offset + ampl * (2.0 * std::f64::consts::PI * freq * t + phase).sin(),
         }
     }
 
@@ -156,12 +129,6 @@ impl Waveform {
             Waveform::Dc(v) => *v,
             Waveform::Pulse { v1, .. } => *v1,
             Waveform::Pwl(points) => points.first().map(|p| p.1).unwrap_or(0.0),
-            Waveform::Sin {
-                offset,
-                ampl,
-                phase,
-                ..
-            } => offset + ampl * phase.sin(),
         }
     }
 }
@@ -204,13 +171,6 @@ mod tests {
         assert!((w.eval(0.5e-9) - 0.5).abs() < 1e-12);
         assert!((w.eval(1.5e-9) - 0.0).abs() < 1e-12);
         assert_eq!(w.eval(5e-9), -1.0);
-    }
-
-    #[test]
-    fn sine_basics() {
-        let w = Waveform::sin(1.0, 0.5, 1e9, 0.0);
-        assert!((w.eval(0.0) - 1.0).abs() < 1e-12);
-        assert!((w.eval(0.25e-9) - 1.5).abs() < 1e-9);
     }
 
     #[test]

@@ -56,7 +56,6 @@ fn rc_step_follows_backward_euler_and_the_exponential() {
         nl.add_resistor("r1", "in", "out", r).unwrap();
         nl.add_capacitor("c1", "out", "0", c).unwrap();
         let res = Transient::new(&nl)
-            .unwrap()
             .run(&TransientOptions::new(dt, 5.0 * tau))
             .unwrap();
         let out = res.node_voltage("out").unwrap();

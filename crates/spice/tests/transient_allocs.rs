@@ -97,7 +97,7 @@ fn mtj_write_deck() -> Netlist {
 #[test]
 fn transient_step_loop_never_allocates() {
     let nl = mtj_write_deck();
-    let transient = Transient::new(&nl).unwrap();
+    let transient = Transient::new(&nl);
     let dt = 0.01e-9;
     let run = |steps: usize| {
         let before = allocs();

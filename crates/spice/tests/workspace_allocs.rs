@@ -33,7 +33,6 @@ fn transient_allocates_o1_workspaces() {
     let solves = |steps: usize| {
         let before = mss_obs::counter("spice.solver.workspace_allocs");
         Transient::new(&nl)
-            .unwrap()
             .run(&TransientOptions::new(1e-12, steps as f64 * 1e-12))
             .unwrap();
         mss_obs::counter("spice.solver.workspace_allocs") - before

@@ -51,7 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for state in [MtjState::Parallel, MtjState::Antiparallel] {
         let deck = current_source_deck(&tech, &stack, state)?;
         let (dt, stop) = deck.tran.expect("deck has .tran");
-        let res = Transient::new(&deck.netlist)?.run(&TransientOptions::new(dt, stop))?;
+        let res = Transient::new(&deck.netlist).run(&TransientOptions::new(dt, stop))?;
         let i_out = res.source_current("VOUT")?.last().copied().unwrap_or(0.0);
         println!(
             "  programmed {state:?}: output current {:.2} uA",

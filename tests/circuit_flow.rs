@@ -14,7 +14,6 @@ use mss_mtj::resistance::MtjState;
 fn run(deck: &great_mss::spice::parser::Deck) -> great_mss::spice::analysis::TransientResult {
     let (dt, stop) = deck.tran.expect(".tran present");
     Transient::new(&deck.netlist)
-        .expect("transient setup")
         .run(&TransientOptions::new(dt, stop))
         .expect("transient run")
 }

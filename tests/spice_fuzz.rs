@@ -3,8 +3,8 @@
 //! The corpus is the characterisation flow's own decks, expanded from the
 //! `mss_pdk::cells` templates at 45 nm (`tests/fixtures/spice_45nm`: the
 //! STT and SOT write and read decks and the NVFF backup deck), plus one
-//! small deck that reaches the grammar those leave out (`.subckt`, `.meas`,
-//! `SIN`, `PWL`, current sources). A seeded SplitMix64 schedule mutates them
+//! small deck that reaches the grammar those leave out (current sources,
+//! bare-value DC, `LEVEL=`, `;` comments, `.end`). A seeded SplitMix64 schedule mutates them
 //! with byte flips, truncations, line splices and duplications, and swaps of
 //! element and command tokens drawn from the common SPICE grammar (the
 //! element letters and dot-commands of the spicier parser's table). The
@@ -37,22 +37,17 @@ const CASES: usize = 20_000;
 
 /// Statements the characterisation decks never use.
 const GRAMMAR_DECK: &str = "* grammar coverage
-.subckt divider top mid
-R1 top mid 1k
-R2 mid 0 1k
-C1 mid 0 10f
-.ends
-VIN in 0 SIN(0.5 0.5 1g 0)
-VP p 0 PWL(0 0 1n 1 2n 0.5)
+.model NMOS LEVEL=1 VTH=0.4 KP=200u LAMBDA=0.05 ; trailing comment
+VIN in 0 1
 IB 0 p DC 1u
-X1 in out divider
-X2 p 0 MTJ STATE=P DIAMETER=40n TMR=1.5 RA=5
+IP p 0 PULSE(0 1u 1n 10p 10p 1n 0)
+R1 in out 1k
+C1 out GND 10f
+M1 out in 0 0 nmos w=200n l=45n
+X2 p 0 MTJ STATE=P DIAMETER=40n
 .tran 1p 2n
-.meas tpd DELAY TRIG v(in) VAL=0.5 RISE TARG v(out) VAL=0.25 RISE
-.meas e1 ENERGY SRC=VIN FROM=0 TO=2n
-.meas vavg AVG v(out) FROM=0 TO=2n
-.meas vend FINAL i(VIN)
 .end
+Q1 statements after .end are never read
 ";
 
 /// Element names and dot-commands a SPICE deck is built from.
