@@ -11,9 +11,9 @@
 //!
 //! The optional argument overrides the campaign block count (default 8000).
 //! `MSS_OBS_OUT` overrides the report path (default
-//! `target/fault_smoke.ndjson`). The two lines after the banner name the
-//! kernels the host selected (`avx512`, `avx2` or `portable`) for the
-//! fault masks and for gemsim's lane generator.
+//! `target/fault_smoke.ndjson`). The line after the banner names the
+//! kernel the host selected (`avx512`, `avx2` or `portable`) for gemsim's
+//! lane generator.
 //! Exits non-zero if the empirical rates land outside 4σ of the analytical
 //! model or determinism is violated.
 
@@ -153,7 +153,6 @@ fn main() {
         .and_then(|v| v.parse().ok())
         .unwrap_or(8_000);
     println!("== fault_smoke: seeded fault plane, ECC cross-validation, retry ladder ==");
-    println!("kernel   : {} fault-mask kernel", mss_fault::mask_kernel());
     println!(
         "kernel   : {} lane generator",
         mss_units::rng::lanes_kernel()

@@ -14,7 +14,7 @@
 use mss_exec::{par_chunks, ParallelConfig};
 use mss_vaet::ecc::{EccOutcome, EccScheme};
 
-use crate::inject::{set_bits, FaultInjector};
+use crate::inject::FaultInjector;
 use crate::plan::FaultPlan;
 use crate::FaultError;
 
@@ -228,10 +228,11 @@ fn z_score(observed: u64, trials: u64, p: f64) -> f64 {
 /// Runs a seeded fault campaign: every block is written once and read once
 /// through the injector, classified by the scheme, and tallied.
 ///
-/// Deterministic by construction — every per-bit decision is a pure hash of
-/// `(plan.seed, kind, block, bit)`, and per-chunk tallies are merged in
-/// chunk order — so a fixed plan reproduces the report bit-for-bit at any
-/// `MSS_THREADS`.
+/// Each block reads one hit list per fault kind, so its cost follows the
+/// faults it holds, not its bits. Deterministic by construction — every
+/// draw is a pure hash of `(plan.seed, kind, block)` and a gap counter, and
+/// per-chunk tallies are merged in chunk order — so a fixed plan reproduces
+/// the report bit-for-bit at any `MSS_THREADS`.
 ///
 /// Observability: increments `fault.campaign.*` counters (blocks, injected,
 /// corrected, detected, uncorrectable) on the global `mss-obs` registry.
@@ -254,35 +255,38 @@ pub fn run_ecc_campaign(
     let _span = mss_obs::span("fault.campaign");
     let tallies = par_chunks(&opts.parallel, total, |_chunk, range| {
         let mut t = Tally::default();
+        // Reused per block: the stuck cells, then every wrong bit.
+        let (mut stuck, mut errors) = (Vec::new(), Vec::new());
         for block in range {
             let site = block as u64;
-            let stuck = injector.stuck_word(site);
-            let write = injector.write_word(site, 0);
-            let disturb = injector.read_disturb_word(site, 0);
-            let transient = injector.transient_word(site, 0);
-            let mut raw_errors = 0u32;
-            for base in (0..bits).step_by(64) {
-                let n = (bits - base).min(64);
-                let base = u64::from(base);
-                let stuck_cells = stuck.mask_first(base, n);
-                // The stuck value is an independent fair hash bit, so it
-                // doubles as the "written data mismatches the frozen cell"
-                // coin: P(mismatch) = 1/2.
-                let stuck_errors = set_bits(stuck_cells)
-                    .filter(|&i| stuck.stuck_at(base + u64::from(i)) == Some(true))
-                    .fold(0u64, |m, i| m | 1 << i);
-                let healthy = !stuck_cells;
-                let w = write.mask_first(base, n) & healthy;
-                let r = disturb.mask_first(base, n) & healthy;
-                let f = transient.mask_first(base, n) & healthy;
-                let errors = stuck_errors | w | r | f;
-                t.stuck_cells += u64::from(stuck_cells.count_ones());
-                t.stuck_errors += u64::from(stuck_errors.count_ones());
-                t.write_errors += u64::from(w.count_ones());
-                t.read_disturbs += u64::from(r.count_ones());
-                t.transients += u64::from(f.count_ones());
-                raw_errors += errors.count_ones();
+            stuck.clear();
+            stuck.extend(injector.stuck_word(site).stuck_hits(bits));
+            // The stuck value is an independent fair hash bit, so it
+            // doubles as the "written data mismatches the frozen cell"
+            // coin: P(mismatch) = 1/2.
+            errors.clear();
+            errors.extend(
+                stuck
+                    .iter()
+                    .filter(|&&(_, value)| value)
+                    .map(|&(bit, _)| bit),
+            );
+            t.stuck_cells += stuck.len() as u64;
+            t.stuck_errors += errors.len() as u64;
+            let healthy = |bit: &u32| stuck.binary_search_by_key(bit, |&(b, _)| b).is_err();
+            for (count, draw) in [
+                (&mut t.write_errors, injector.write_word(site, 0)),
+                (&mut t.read_disturbs, injector.read_disturb_word(site, 0)),
+                (&mut t.transients, injector.transient_word(site, 0)),
+            ] {
+                let before = errors.len();
+                errors.extend(draw.hits(bits).filter(healthy));
+                *count += (errors.len() - before) as u64;
             }
+            // A bit hit by several mechanisms is one wrong bit.
+            errors.sort_unstable();
+            errors.dedup();
+            let raw_errors = errors.len() as u32;
             t.bit_errors += u64::from(raw_errors);
             match scheme.classify(raw_errors) {
                 EccOutcome::Clean => t.clean += 1,

@@ -1,22 +1,22 @@
 //! Stateless seeded fault decisions.
 //!
 //! Every injection decision is a *pure hash* of
-//! `(seed, fault kind, site, epoch, bit)` — there is no generator state to
-//! share, lock, or split. That is what makes the plane deterministic under
-//! parallelism: the same access produces the same fault no matter which
-//! thread evaluates it, how work is chunked, or in which order sites are
-//! visited.
+//! `(seed, fault kind, site, epoch)` and a counter — there is no generator
+//! state to share, lock, or split. That is what makes the plane
+//! deterministic under parallelism: the same access produces the same fault
+//! no matter which thread evaluates it, how work is chunked, or in which
+//! order sites are visited.
 //!
-//! Decisions are made a word at a time. The hash is a chain of SplitMix64
-//! finalizers, and only its last link depends on the bit, so a [`WordDraw`]
-//! hashes `(seed, kind, site, epoch)` once and each bit costs one finalizer
-//! and an integer compare against the rate's [`coin_threshold`].
-//! [`WordDraw::mask`] makes those decisions 64 bits at a time with an
-//! AVX-512 or AVX2 kernel picked at run time ([`mask_kernel`]); CPUs with
-//! neither decide bit by bit. Every kernel decides every bit alike.
+//! Decisions are made a word at a time, and a word pays per fault, not per
+//! bit. A [`WordDraw`] hashes `(seed, kind, site, epoch)` into a prefix
+//! once; the gaps between its faulty bits are then geometric. Gap `k` is
+//! `⌊ln U / ln(1 − p)⌋`, with `U` the uniform on `(0, 1]` made from the
+//! hash of the prefix and `k`, and `ln(1 − p)` computed once per kind when
+//! the [`FaultInjector`] is built. Since `P(gap ≥ g) = (1 − p)^g`, each bit
+//! still fires independently with probability `p`, and a word costs one
+//! hash per hit plus one.
 
-use mss_units::rng::{coin_threshold, Rng, SplitMix64};
-use mss_units::simd::{Isa, Kernel};
+use mss_units::rng::{Rng, SplitMix64};
 
 use crate::plan::FaultPlan;
 
@@ -34,60 +34,21 @@ fn mix(x: u64) -> u64 {
     SplitMix64::new(x).next_u64()
 }
 
-/// The name of the mask kernel this host runs: `"avx512"`, `"avx2"` or
-/// `"portable"` (the per-bit loop), as [`Kernel::detect`] picks it. Every
-/// variant decides every bit alike.
-pub fn mask_kernel() -> &'static str {
-    Kernel::detect().name()
-}
+/// 2⁻⁵³, the spacing of the uniform grid a gap hash maps onto.
+const UNIT: f64 = 1.0 / (1u64 << 53) as f64;
 
-/// The branch-free block body: hash bits `base..base + 64`, then set bit
-/// `i` of the mask iff `mix(prefix ^ (base + i)) >> 11 < threshold`.
+/// One fault kind's hits over the bits of one word.
 ///
-/// The compare shifts the hash, never the threshold: `threshold << 11`
-/// wraps to 0 at `threshold = 2⁵³` (p = 1).
-#[inline(always)]
-fn block_body(prefix: u64, threshold: u64, base: u64) -> u64 {
-    let mut h = [0u64; 64];
-    for (i, h) in h.iter_mut().enumerate() {
-        *h = mix(prefix ^ base.wrapping_add(i as u64));
-    }
-    let mut mask = 0u64;
-    for (i, &h) in h.iter().enumerate() {
-        mask |= u64::from((h >> 11) < threshold) << i;
-    }
-    mask
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512dq,avx512vl,avx512bw")]
-fn block_avx512(prefix: u64, threshold: u64, base: u64) -> u64 {
-    block_body(prefix, threshold, base)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn block_avx2(prefix: u64, threshold: u64, base: u64) -> u64 {
-    block_body(prefix, threshold, base)
-}
-
-/// Bits `0..n` set, for `n ≤ 64`.
-#[inline]
-fn low_bits(n: u32) -> u64 {
-    u64::MAX.checked_shr(64 - n).unwrap_or(0)
-}
-
-/// One fault kind's Bernoulli draws over the bits of one word.
-///
-/// Holds the hash prefix `mix(mix(mix(seed ^ kind) ^ site) ^ epoch)` and the
-/// integer threshold `⌈p·2⁵³⌉`; bit `b` fires iff
-/// `mix(prefix ^ b) >> 11 < threshold`, which is exactly the uniform test
-/// `u < p` on the 53-bit dyadic grid of [`Rng::next_f64`]. `Self::mask`
-/// decides 64 bits per call with the same test.
+/// Holds the hash prefix `mix(mix(mix(seed ^ kind) ^ site) ^ epoch)` and
+/// `ln(1 − p)`. The hits are one walk: gap `k` hashes `mix(prefix ^ k)`,
+/// takes `U = (h >> 11) + 1` on the 53-bit grid of `(0, 1]`, and skips
+/// `⌊ln U / ln(1 − p)⌋` clean bits before the next hit. Every query reads
+/// that walk, so [`Self::hits`]`(n)` is a prefix of `hits(m)` for `n < m`
+/// and [`Self::fires`]`(b)` holds iff `b ∈ hits(b + 1)`.
 #[derive(Debug, Clone, Copy)]
 pub struct WordDraw {
     prefix: u64,
-    threshold: u64,
+    ln_q: f64,
 }
 
 impl WordDraw {
@@ -95,135 +56,96 @@ impl WordDraw {
     fn new(kind: KindKey, site: u64, epoch: u64) -> Self {
         Self {
             prefix: mix(mix(kind.key ^ site) ^ epoch),
-            threshold: kind.threshold,
+            ln_q: kind.ln_q,
         }
     }
 
-    /// The full decision hash of `bit`, if the rate is not zero.
+    /// The walk over the hits in `0..end`. A zero-rate draw (`ln_q` is
+    /// −0) yields nothing without hashing.
     #[inline]
-    fn hash(&self, bit: u64) -> Option<u64> {
-        (self.threshold != 0).then(|| mix(self.prefix ^ bit))
-    }
-
-    /// Does the draw fire at `bit`?
-    #[inline]
-    pub fn fires(&self, bit: u64) -> bool {
-        self.hash(bit).is_some_and(|h| (h >> 11) < self.threshold)
-    }
-
-    /// The hit mask of bits `base..base + 64`: bit `i` is set iff the draw
-    /// fires at `base + i`. A zero-rate draw returns 0 without hashing.
-    #[cfg(test)]
-    #[inline]
-    pub(crate) fn mask(&self, base: u64) -> u64 {
-        self.mask_first(base, 64)
-    }
-
-    /// The hit mask of bits `base..base + n`, `n ≤ 64`; bits `n..` are
-    /// clear.
-    #[inline]
-    pub(crate) fn mask_first(&self, base: u64, n: u32) -> u64 {
-        self.block(Kernel::detect(), base, n)
-    }
-
-    /// [`Self::mask_first`] on a given kernel.
-    #[inline]
-    fn block(&self, kernel: Kernel, base: u64, n: u32) -> u64 {
-        if self.threshold == 0 {
-            return 0;
+    fn walk(self, end: u64) -> Walk {
+        Walk {
+            draw: self,
+            gap: 0,
+            next: 0,
+            end: if self.ln_q == 0.0 { 0 } else { end },
         }
-        let full = match kernel.isa() {
-            // SAFETY: a `Kernel` names `Isa::Avx512` only when
-            // `mss_units::simd` detected avx512f, avx512dq, avx512vl and
-            // avx512bw, the features `block_avx512` enables.
-            #[cfg(target_arch = "x86_64")]
-            Isa::Avx512 => unsafe { block_avx512(self.prefix, self.threshold, base) },
-            // SAFETY: a `Kernel` names `Isa::Avx2` only when
-            // `mss_units::simd` detected avx2, the feature `block_avx2`
-            // enables.
-            #[cfg(target_arch = "x86_64")]
-            Isa::Avx2 => unsafe { block_avx2(self.prefix, self.threshold, base) },
-            Isa::Portable => return self.mask_per_bit(base, n),
-        };
-        full & low_bits(n)
     }
 
-    /// The per-bit path: [`Self::fires`] on each of bits `base..base + n`.
-    ///
-    /// It searches for one hit at a time, so the compiler keeps the scan
-    /// scalar: a branch-free loop here would be vectorized for the
-    /// baseline target, which has no 64-bit lane multiply and runs slower
-    /// than one finalizer per bit.
+    /// The bits in `0..bits` where the draw fires, in ascending order.
     #[inline]
-    fn mask_per_bit(&self, base: u64, n: u32) -> u64 {
-        let (mut mask, mut next) = (0, 0);
-        while let Some(i) = (next..n).find(|&i| self.fires(base.wrapping_add(u64::from(i)))) {
-            mask |= 1 << i;
-            next = i + 1;
-        }
-        mask
-    }
-
-    /// The bits in `0..bits` where the draw fires, in ascending order: the
-    /// set bits of one mask per 64 bits. A zero-rate draw yields nothing
-    /// without hashing.
     pub fn hits(self, bits: u32) -> impl Iterator<Item = u32> {
-        let end = if self.threshold == 0 { 0 } else { bits };
-        let kernel = Kernel::detect();
-        // `next` is the first bit not yet decided; `pending` holds the
-        // undelivered hits of the block that starts at `base`.
-        let (mut next, mut base, mut pending) = (0u32, 0u32, 0u64);
-        std::iter::from_fn(move || {
-            while pending == 0 && next < end {
-                base = next;
-                let n = (end - next).min(64);
-                next += n;
-                pending = self.block(kernel, u64::from(base), n);
-            }
-            (pending != 0).then(|| {
-                let i = pending.trailing_zeros();
-                pending &= pending - 1;
-                base + i
-            })
-        })
+        self.walk(bits.into()).map(|(bit, _)| bit)
     }
 
-    /// For a stuck-at draw ([`FaultInjector::stuck_word`]): `Some(value)`
-    /// when the cell for `bit` is stuck, with the frozen value taken from
-    /// an independent hash bit so it does not correlate with selection.
+    /// Does the draw fire at `bit`? Walks the hits below it, so a caller
+    /// that asks about many bits of one word reads [`Self::hits`] instead.
+    pub fn fires(self, bit: u32) -> bool {
+        self.walk(u64::from(bit) + 1)
+            .last()
+            .is_some_and(|(hit, _)| hit == bit)
+    }
+
+    /// For a stuck-at draw ([`FaultInjector::stuck_word`]): the stuck
+    /// cells in `0..bits`, in ascending order, each with the value it is
+    /// frozen at. The value is the low bit of a further hash of the gap's
+    /// hash, so it does not correlate with which cells are stuck.
     #[inline]
-    pub fn stuck_at(&self, bit: u64) -> Option<bool> {
-        self.hash(bit)
-            .filter(|&h| (h >> 11) < self.threshold)
-            .map(|h| mix(h) & 1 == 1)
+    pub fn stuck_hits(self, bits: u32) -> impl Iterator<Item = (u32, bool)> {
+        self.walk(bits.into())
+            .map(|(bit, h)| (bit, mix(h) & 1 == 1))
     }
 }
 
-/// The indices of the set bits of `mask`, in ascending order.
-#[inline]
-pub(crate) fn set_bits(mut mask: u64) -> impl Iterator<Item = u32> {
-    std::iter::from_fn(move || {
-        (mask != 0).then(|| {
-            let bit = mask.trailing_zeros();
-            mask &= mask - 1;
-            bit
-        })
-    })
+/// The gap walk of a [`WordDraw`]: yields each hit below `end` with the
+/// hash that placed it.
+struct Walk {
+    draw: WordDraw,
+    /// The counter of the next gap hash.
+    gap: u64,
+    /// The first bit not yet decided.
+    next: u64,
+    end: u64,
+}
+
+impl Iterator for Walk {
+    type Item = (u32, u64);
+
+    #[inline]
+    fn next(&mut self) -> Option<(u32, u64)> {
+        if self.next >= self.end {
+            return None;
+        }
+        let h = mix(self.draw.prefix ^ self.gap);
+        self.gap += 1;
+        // `ln U ≤ 0` and `ln_q < 0`, so the gap is ≥ 0 (−0 at `U = 1` or
+        // `p = 1`), and +∞ when `p` is too small for any `U < 1` to hit.
+        let u = ((h >> 11) + 1) as f64 * UNIT;
+        let gap = u.ln() / self.draw.ln_q;
+        if gap >= (self.end - self.next) as f64 {
+            self.next = self.end;
+            return None;
+        }
+        let bit = self.next + gap as u64;
+        self.next = bit + 1;
+        // `bit < end ≤ 2³²`.
+        Some((bit as u32, h))
+    }
 }
 
 /// A fault kind's per-injector constants: the first hash link
-/// `mix(seed ^ kind)` and the rate's [`coin_threshold`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// `mix(seed ^ kind)` and `ln(1 − p)`, −0 at `p = 0` and −∞ at `p = 1`.
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct KindKey {
     key: u64,
-    threshold: u64,
+    ln_q: f64,
 }
 
 impl KindKey {
     fn new(seed: u64, kind: u64, p: f64) -> Self {
         Self {
             key: mix(seed ^ kind),
-            threshold: coin_threshold(p),
+            ln_q: (-p).ln_1p(),
         }
     }
 }
@@ -234,9 +156,8 @@ impl KindKey {
 /// question identically forever. The per-word draws ([`Self::write_word`],
 /// [`Self::read_disturb_word`], [`Self::transient_word`],
 /// [`Self::stuck_word`]) are the decision path: each hashes its coordinate
-/// prefix once, then costs one 64-bit finalizer and an integer compare per
-/// bit, made 64 bits at a time by `WordDraw::mask`. The per-bit queries
-/// are one-line conveniences over them.
+/// prefix once, then one hash per hit. [`Self::write_fails`] is a one-line
+/// convenience over them.
 /// Sites are caller-defined identifiers (an array base address, a bank
 /// index, a block index in a campaign); epochs distinguish repeated touches
 /// of the same bit (a write attempt counter, an access sequence number).
@@ -257,6 +178,7 @@ impl KindKey {
 /// // A word's draw decides every bit the same way.
 /// let word = inj.write_word(3, 0);
 /// assert_eq!(word.fires(12), inj.write_fails(3, 0, 12));
+/// assert_eq!(word.hits(13).last() == Some(12), word.fires(12));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultInjector {
@@ -268,7 +190,7 @@ pub struct FaultInjector {
 }
 
 impl FaultInjector {
-    /// Wraps a plan, deriving each fault kind's hash key and rate threshold
+    /// Wraps a plan, deriving each fault kind's hash key and `ln(1 − p)`
     /// once. A [`FaultPlan::disabled`] plan yields an injector that never
     /// injects.
     pub fn new(plan: FaultPlan) -> Self {
@@ -313,7 +235,7 @@ impl FaultInjector {
     }
 
     /// Fabrication-time stuck-at defects of the word at `site`; read them
-    /// with [`WordDraw::stuck_at`]. Stuck-at state is a property of the
+    /// with [`WordDraw::stuck_hits`]. Stuck-at state is a property of the
     /// cell, not of an access: it has no epoch.
     #[inline]
     pub fn stuck_word(&self, site: u64) -> WordDraw {
@@ -321,28 +243,32 @@ impl FaultInjector {
     }
 
     /// Does the write of `bit` at `site` fail on attempt `epoch`?
-    pub fn write_fails(&self, site: u64, epoch: u64, bit: u64) -> bool {
+    pub fn write_fails(&self, site: u64, epoch: u64, bit: u32) -> bool {
         self.write_word(site, epoch).fires(bit)
     }
 
     /// Does reading `bit` at `site` during access `epoch` disturb (flip) the
     /// stored state?
     #[cfg(test)]
-    pub(crate) fn read_disturbs(&self, site: u64, epoch: u64, bit: u64) -> bool {
+    pub(crate) fn read_disturbs(&self, site: u64, epoch: u64, bit: u32) -> bool {
         self.read_disturb_word(site, epoch).fires(bit)
     }
 
     /// Does `bit` at `site` suffer a transient flip in access epoch `epoch`?
     #[cfg(test)]
-    pub(crate) fn transient_flips(&self, site: u64, epoch: u64, bit: u64) -> bool {
+    pub(crate) fn transient_flips(&self, site: u64, epoch: u64, bit: u32) -> bool {
         self.transient_word(site, epoch).fires(bit)
     }
 
     /// Is the cell for `bit` at `site` a stuck-at defect, and if so, which
     /// value is it stuck at?
     #[cfg(test)]
-    pub(crate) fn stuck_at(&self, site: u64, bit: u64) -> Option<bool> {
-        self.stuck_word(site).stuck_at(bit)
+    pub(crate) fn stuck_at(&self, site: u64, bit: u32) -> Option<bool> {
+        self.stuck_word(site)
+            .stuck_hits(bit + 1)
+            .last()
+            .filter(|&(hit, _)| hit == bit)
+            .map(|(_, value)| value)
     }
 }
 
@@ -361,56 +287,35 @@ mod tests {
         injector_with_seed(0xDEAD_BEEF, f)
     }
 
-    /// Executable spec: the original per-coordinate decision, kept as the
-    /// reference the per-word draws must reproduce bit for bit — four
-    /// chained finalizers, then an f64 uniform compared with the rate.
-    mod reference {
-        use super::super::mix;
-
-        fn hash_decision(seed: u64, kind: u64, site: u64, epoch: u64, bit: u64) -> u64 {
-            let mut h = mix(seed ^ kind);
-            h = mix(h ^ site);
-            h = mix(h ^ epoch);
-            mix(h ^ bit)
+    /// Which of bits `0..bits` the draw fires at, read from one hit list.
+    fn fired(draw: WordDraw, bits: u32) -> Vec<bool> {
+        let mut out = vec![false; bits as usize];
+        for b in draw.hits(bits) {
+            out[b as usize] = true;
         }
-
-        fn uniform(h: u64) -> f64 {
-            (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-        }
-
-        pub fn draw(seed: u64, kind: u64, site: u64, epoch: u64, bit: u64, p: f64) -> bool {
-            if p <= 0.0 {
-                return false;
-            }
-            if p >= 1.0 {
-                return true;
-            }
-            uniform(hash_decision(seed, kind, site, epoch, bit)) < p
-        }
-
-        pub fn stuck_at(seed: u64, site: u64, bit: u64, p: f64) -> Option<bool> {
-            if p <= 0.0 {
-                return None;
-            }
-            let h = hash_decision(seed, super::super::KIND_STUCK_AT, site, 0, bit);
-            (uniform(h) < p).then(|| mix(h) & 1 == 1)
-        }
+        out
     }
 
-    #[test]
-    fn word_draws_match_the_reference_chain() {
+    /// Every rate edge the gap walk must handle: zero, the smallest
+    /// positive f64, one grid step, ordinary rates, one step below one,
+    /// and one.
+    fn edge_rates() -> [f64; 7] {
         let two53 = (1u64 << 53) as f64;
-        let rates = [
+        [
             0.0,
-            f64::from_bits(1), // 5e-324, the smallest positive f64
+            f64::from_bits(1),
             1.0 / two53,
             1e-3,
             0.5,
             1.0 - 1.0 / two53,
             1.0,
-        ];
+        ]
+    }
+
+    #[test]
+    fn hits_are_prefix_consistent_and_fires_reads_the_same_walk() {
         for seed in [0u64, 0xDEAD_BEEF, u64::MAX] {
-            for &p in &rates {
+            for p in edge_rates() {
                 let inj = injector_with_seed(seed, |m| {
                     m.write_fail_rate = p;
                     m.read_disturb_rate = p;
@@ -418,95 +323,72 @@ mod tests {
                     m.stuck_at_rate = p;
                 });
                 for site in [0u64, 7, 0x1_0000_0040, u64::MAX] {
-                    let stuck = inj.stuck_word(site);
-                    for bit in 0..600u64 {
-                        assert_eq!(
-                            stuck.stuck_at(bit),
-                            reference::stuck_at(seed, site, bit, p),
-                            "stuck-at seed={seed} site={site} bit={bit} p={p:e}"
-                        );
-                    }
-                    for epoch in [0u64, 1, 12_345, u64::MAX] {
+                    for epoch in [0u64, 1, u64::MAX] {
                         let words = [
-                            (KIND_WRITE_FAIL, inj.write_word(site, epoch)),
-                            (KIND_READ_DISTURB, inj.read_disturb_word(site, epoch)),
-                            (KIND_TRANSIENT, inj.transient_word(site, epoch)),
+                            inj.write_word(site, epoch),
+                            inj.read_disturb_word(site, epoch),
+                            inj.transient_word(site, epoch),
+                            inj.stuck_word(site),
                         ];
-                        for (kind, word) in words {
-                            for bit in 0..600u64 {
-                                assert_eq!(
-                                    word.fires(bit),
-                                    reference::draw(seed, kind, site, epoch, bit, p),
-                                    "kind={kind:#x} seed={seed} site={site} epoch={epoch} bit={bit} p={p:e}"
-                                );
+                        for word in words {
+                            let all: Vec<u32> = word.hits(600).collect();
+                            assert!(all.windows(2).all(|w| w[0] < w[1]));
+                            for n in [0u32, 1, 63, 64, 65, 531, 532] {
+                                let prefix: Vec<u32> = word.hits(n).collect();
+                                let expect: Vec<u32> =
+                                    all.iter().copied().filter(|&b| b < n).collect();
+                                assert_eq!(prefix, expect, "seed={seed} p={p:e} site={site} n={n}");
                             }
-                            let hits: Vec<u32> = word.hits(600).collect();
-                            let expect: Vec<u32> =
-                                (0..600).filter(|&b| word.fires(b as u64)).collect();
-                            assert_eq!(hits, expect);
+                            for b in (0..600).step_by(7) {
+                                let in_prefix = word.hits(b + 1).any(|h| h == b);
+                                assert_eq!(word.fires(b), in_prefix, "p={p:e} bit={b}");
+                                assert_eq!(word.fires(b), all.contains(&b));
+                            }
+                            if p == 0.0 {
+                                assert!(all.is_empty());
+                            }
+                            if p == 1.0 {
+                                assert_eq!(all, (0..600).collect::<Vec<u32>>());
+                            }
                         }
+                        for b in (0..600).step_by(11) {
+                            assert_eq!(
+                                inj.write_fails(site, epoch, b),
+                                inj.write_word(site, epoch).fires(b)
+                            );
+                        }
+                    }
+                    let stuck = inj.stuck_word(site);
+                    let cells: Vec<u32> = stuck.stuck_hits(600).map(|(b, _)| b).collect();
+                    assert_eq!(cells, stuck.hits(600).collect::<Vec<u32>>());
+                    for (b, value) in stuck.stuck_hits(600) {
+                        assert_eq!(inj.stuck_at(site, b), Some(value));
                     }
                 }
             }
         }
-    }
-
-    /// The mask of bits `base..base + 64` from the per-bit path and from
-    /// every kernel this host can run.
-    fn masks_by_kernel(draw: &WordDraw, base: u64) -> Vec<(&'static str, u64)> {
-        let mut masks = vec![("per-bit", draw.mask_per_bit(base, 64))];
-        for kernel in Kernel::available() {
-            masks.push((kernel.name(), draw.block(kernel, base, 64)));
-        }
-        masks
     }
 
     #[test]
-    fn every_mask_kernel_matches_the_per_bit_path() {
-        let two53 = 1u64 << 53;
-        let thresholds = [0, 1, 2, 1 << 43, 1 << 52, two53 - 1, two53];
-        let lengths = [1u32, 63, 64, 65, 532, 600];
-        let mut rng = SplitMix64::new(0x5EED_F4A5);
-        for _ in 0..24 {
-            let prefix = rng.next_u64();
-            // Bit 5's own hash as the threshold puts one draw exactly on
-            // the boundary, where `<` and `<=` disagree.
-            let edge = mix(prefix ^ 5) >> 11;
-            for threshold in thresholds.into_iter().chain([edge, edge + 1]) {
-                let draw = WordDraw { prefix, threshold };
-                for base in [0, rng.next_u64(), u64::MAX - 31] {
-                    let masks = masks_by_kernel(&draw, base);
-                    for &(kernel, mask) in &masks[1..] {
-                        assert_eq!(
-                            mask, masks[0].1,
-                            "{kernel} prefix={prefix:#x} threshold={threshold} base={base:#x}"
-                        );
-                    }
-                    assert_eq!(draw.mask(base), masks[0].1);
-                }
-                for bits in lengths {
-                    let hits: Vec<u32> = draw.hits(bits).collect();
-                    let expect: Vec<u32> = (0..bits).filter(|&b| draw.fires(b as u64)).collect();
-                    assert_eq!(
-                        hits, expect,
-                        "prefix={prefix:#x} threshold={threshold} bits={bits}"
-                    );
-                    for base in (0..bits).step_by(64) {
-                        let n = (bits - base).min(64);
-                        assert_eq!(
-                            draw.mask_first(u64::from(base), n),
-                            draw.mask_per_bit(u64::from(base), n),
-                            "prefix={prefix:#x} threshold={threshold} base={base} n={n}"
-                        );
-                    }
-                    if threshold == 0 {
-                        assert!(hits.is_empty());
-                    }
-                }
-                if threshold == 0 {
-                    assert_eq!(draw.mask(0), 0);
-                }
+    fn stuck_polarity_is_fair_and_independent_of_which_cells_are_stuck() {
+        // Split the stuck cells by whether the cell before them is stuck
+        // too (a zero gap): the frozen value must be a fair coin in both
+        // groups. 3σ bands on each group's count of cells stuck at 1.
+        let inj = injector(|m| m.stuck_at_rate = 0.3);
+        let (mut cells, mut ones) = ([0u64; 2], [0u64; 2]);
+        for site in 0..400 {
+            let mut prev = None;
+            for (b, value) in inj.stuck_word(site).stuck_hits(532) {
+                let after_stuck = usize::from(b > 0 && prev == Some(b - 1));
+                cells[after_stuck] += 1;
+                ones[after_stuck] += u64::from(value);
+                prev = Some(b);
             }
+        }
+        for (n, k) in cells.into_iter().zip(ones) {
+            let sigma = (n as f64 * 0.25).sqrt();
+            let z = (k as f64 - 0.5 * n as f64) / sigma;
+            assert!(z.abs() <= 3.0, "{k} of {n} stuck at 1 (z = {z:+.2})");
         }
     }
 
@@ -559,16 +441,11 @@ mod tests {
             m.transient_flip_rate = 0.5;
             m.stuck_at_rate = 0.5;
         });
-        let mut all_same = true;
-        for bit in 0..256 {
-            let w = inj.write_fails(0, 0, bit);
-            let r = inj.read_disturbs(0, 0, bit);
-            let t = inj.transient_flips(0, 0, bit);
-            if w != r || r != t {
-                all_same = false;
-            }
-        }
-        assert!(!all_same, "fault kinds are correlated");
+        let w = fired(inj.write_word(0, 0), 256);
+        let r = fired(inj.read_disturb_word(0, 0), 256);
+        let t = fired(inj.transient_word(0, 0), 256);
+        let s = fired(inj.stuck_word(0), 256);
+        assert!(w != r && r != t && t != s, "fault kinds are correlated");
     }
 
     #[test]
@@ -576,14 +453,11 @@ mod tests {
         // A bit that fails at epoch 0 must eventually succeed at some later
         // epoch when the rate is 0.5 — retries see fresh draws.
         let inj = injector(|m| m.write_fail_rate = 0.5);
-        let mut failing_bit = None;
-        for bit in 0..256 {
-            if inj.write_fails(1, 0, bit) {
-                failing_bit = Some(bit);
-                break;
-            }
-        }
-        let bit = failing_bit.expect("some bit fails at rate 0.5");
+        let bit = inj
+            .write_word(1, 0)
+            .hits(256)
+            .next()
+            .expect("some bit fails at rate 0.5");
         assert!(
             (1..32).any(|epoch| !inj.write_fails(1, epoch, bit)),
             "bit never recovers across 31 retries at rate 0.5"
@@ -593,9 +467,9 @@ mod tests {
     #[test]
     fn empirical_rate_tracks_requested_rate() {
         let inj = injector(|m| m.write_fail_rate = 0.2);
-        let n = 100_000u64;
-        let hits = (0..n).filter(|&bit| inj.write_fails(0, 0, bit)).count();
-        let ratio = hits as f64 / n as f64;
+        let n = 100_000u32;
+        let hits = inj.write_word(0, 0).hits(n).count();
+        let ratio = hits as f64 / f64::from(n);
         // 3σ binomial band around 0.2 for n = 1e5 is ±0.0038.
         assert!((ratio - 0.2).abs() < 0.004, "ratio {ratio}");
     }
@@ -609,9 +483,11 @@ mod tests {
         };
         let a = FaultInjector::new(FaultPlan::new(1, m).expect("valid"));
         let b = FaultInjector::new(FaultPlan::new(2, m).expect("valid"));
-        let agree = (0..512)
-            .filter(|&bit| a.write_fails(0, 0, bit) == b.write_fails(0, 0, bit))
-            .count();
+        let (a, b) = (
+            fired(a.write_word(0, 0), 512),
+            fired(b.write_word(0, 0), 512),
+        );
+        let agree = a.iter().zip(&b).filter(|(x, y)| x == y).count();
         // Independent coins agree ~50% of the time; 512 draws at 3σ is ±68.
         assert!((188..=324).contains(&agree), "agreement {agree}/512");
     }
@@ -620,10 +496,8 @@ mod tests {
     fn stuck_values_take_both_polarities() {
         let inj = injector(|m| m.stuck_at_rate = 0.5);
         let mut saw = [false, false];
-        for bit in 0..512 {
-            if let Some(v) = inj.stuck_at(7, bit) {
-                saw[v as usize] = true;
-            }
+        for (_, v) in inj.stuck_word(7).stuck_hits(512) {
+            saw[v as usize] = true;
         }
         assert!(saw[0] && saw[1], "stuck-at values are single-polarity");
     }

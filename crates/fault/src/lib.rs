@@ -10,10 +10,11 @@
 //!   write failure, read disturb, retention/transient flips, stuck-at cells),
 //!   either given directly or derived from the `mss-mtj` analytical models
 //!   via [`MtjOperatingPoint`],
-//! - `inject` — [`FaultInjector`]: *stateless* seeded Bernoulli draws. Every
-//!   decision is a pure hash of `(seed, site, epoch, bit)`, so injection is
-//!   bit-identical at any `MSS_THREADS`, any chunking, and any access
-//!   interleaving,
+//! - `inject` — [`FaultInjector`]: *stateless* seeded Bernoulli draws, made
+//!   as geometric gaps between the faulty bits of a word. Every decision is
+//!   a pure hash of `(seed, kind, site, epoch)` and a gap counter, so
+//!   injection is bit-identical at any `MSS_THREADS`, any chunking, and any
+//!   access interleaving,
 //! - [`chaos`] — the runtime chaos harness: stateless seeded decisions to
 //!   panic, fail, or stall supervised sweep tasks (attempt-bounded so
 //!   bounded retry provably converges) plus deterministic on-disk cache
@@ -31,7 +32,7 @@
 //!
 //! # Determinism contract
 //!
-//! [`FaultInjector`] draws depend only on `(seed, kind, site, epoch, bit)` —
+//! [`FaultInjector`] draws depend only on `(seed, kind, site, epoch)` —
 //! never on thread count, chunk size, or the order in which sites are
 //! visited. Campaigns fan out over `mss-exec` with per-block stateless draws
 //! and merge counters in block order, so a fixed seed reproduces every
@@ -49,5 +50,5 @@ mod error;
 
 pub use campaign::{run_ecc_campaign, CampaignOptions, CampaignReport};
 pub use error::FaultError;
-pub use inject::{mask_kernel, FaultInjector, WordDraw};
+pub use inject::{FaultInjector, WordDraw};
 pub use plan::{FaultModel, FaultPlan, MtjOperatingPoint};

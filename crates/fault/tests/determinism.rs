@@ -43,9 +43,9 @@ fn campaign_reports_are_bit_identical_across_thread_counts() {
     }
 }
 
-/// Golden counters of the `0xF00D` campaign above, captured from the
-/// per-bit decision chain the per-word draws replaced: a change that moves
-/// any single fault draw fails here, even if it stays deterministic.
+/// Golden counters of the `0xF00D` campaign above under the geometric-gap
+/// draw: a change that moves any single fault draw fails here, even if it
+/// stays deterministic.
 #[test]
 fn campaign_counters_match_pinned_golden() {
     let p = plan(0xF00D, |m| {
@@ -74,7 +74,7 @@ fn campaign_counters_match_pinned_golden() {
     ];
     assert_eq!(
         counters,
-        [24_803, 4_913, 1_636, 844, 395, 31_653, 31, 545, 742, 4_682]
+        [24_798, 5_014, 1_596, 808, 411, 31_712, 32, 589, 733, 4_646]
     );
 }
 

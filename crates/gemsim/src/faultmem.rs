@@ -6,10 +6,12 @@
 //! module models one such array behind an ECC controller:
 //!
 //! - every access runs through the seeded [`FaultInjector`], so a fixed
-//!   [`FaultPlan`] reproduces the exact same fault history forever,
+//!   [`FaultPlan`] reproduces the exact same fault history forever; each
+//!   access reads one hit list per fault kind, so its cost follows the
+//!   faults it draws, not the word's width,
 //! - writes are verified and retried a bounded number of times
-//!   ([`FaultMemConfig::max_write_retries`]); each retry sees a fresh
-//!   (but reproducible) draw per failing bit,
+//!   ([`FaultMemConfig::max_write_retries`]); each retry intersects the
+//!   failing bits with a fresh (but reproducible) hit list,
 //! - reads tally raw bit errors and classify them with
 //!   [`EccScheme::classify`] into clean / corrected / detected /
 //!   uncorrectable — an uncorrectable word is *counted and reported*,
@@ -187,10 +189,11 @@ impl FaultMemStats {
 /// A fault-aware memory array behind an ECC controller.
 ///
 /// State is sparse: only words with at least one wrong stored bit occupy
-/// memory, so the array can span the full address space. All mutation is
-/// sequential and every fault decision is a pure hash of
-/// `(plan, address, epoch, bit)`, so a fixed operation sequence replays
-/// bit-identically.
+/// memory, so the array can span the full address space; a read looks its
+/// word up once and writes the map back only when the word turns clean or
+/// dirty. All mutation is sequential and every fault decision is a pure
+/// hash of `(plan, address, epoch)` and a gap counter, so a fixed
+/// operation sequence replays bit-identically.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultMemory {
     injector: FaultInjector,
@@ -266,26 +269,32 @@ impl FaultMemory {
         // Partition the word: stuck cells err iff their frozen value
         // mismatches the data (an independent fair hash bit, as in
         // `mss-fault` campaigns); healthy cells err per write attempt.
-        let stuck = self.injector.stuck_word(addr);
+        let stuck: Vec<(u32, bool)> = self.injector.stuck_word(addr).stuck_hits(bits).collect();
         let mut residual: Vec<u32> = stuck
-            .hits(bits)
-            .filter(|&bit| stuck.stuck_at(bit as u64) == Some(true))
+            .iter()
+            .filter(|&&(_, value)| value)
+            .map(|&(bit, _)| bit)
             .collect();
         let mut failing: Vec<u32> = self
             .injector
             .write_word(addr, epoch)
             .hits(bits)
-            .filter(|&bit| stuck.stuck_at(bit as u64).is_none())
+            .filter(|bit| stuck.binary_search_by_key(bit, |&(b, _)| b).is_err())
             .collect();
         let injected = (residual.len() + failing.len()) as u64;
         self.stats.injected_bits += injected;
         let mut attempts = 1u32;
-        while !failing.is_empty() && attempts <= self.max_write_retries {
+        while let Some(&last) = failing.last() {
+            if attempts > self.max_write_retries {
+                break;
+            }
             let epoch = self.next_epoch();
-            let retry = self.injector.write_word(addr, epoch);
             attempts += 1;
             self.stats.write_retries += 1;
-            failing.retain(|&bit| retry.fires(bit as u64));
+            // A bit stays failing iff the retry draw hits it too; the
+            // retry's hits are walked only up to the last failing bit.
+            let retry = self.injector.write_word(addr, epoch).hits(last + 1);
+            retain_hits(&mut failing, retry);
         }
         residual.extend_from_slice(&failing);
         residual.sort_unstable();
@@ -314,25 +323,27 @@ impl FaultMemory {
         self.stats.reads += 1;
         let bits = self.bits;
         let epoch = self.next_epoch();
-        let mut stored = self.errors.remove(&addr).unwrap_or_default();
+        // One lookup: a tracked word changes in place; a clean one starts
+        // from an empty list that is inserted only if the read dirties it.
+        let mut fresh = Vec::new();
+        let (stored, tracked) = match self.errors.get_mut(&addr) {
+            Some(stored) => (stored, true),
+            None => (&mut fresh, false),
+        };
         let mut disturbed_bits = 0u32;
         for bit in self.injector.read_disturb_word(addr, epoch).hits(bits) {
-            toggle(&mut stored, bit);
+            toggle(stored, bit);
             disturbed_bits += 1;
         }
-        // Transients corrupt only this observation, never the stored state.
-        let mut observed: Vec<u32> = self
-            .injector
-            .transient_word(addr, epoch)
-            .hits(bits)
-            .collect();
-        let transient_bits = observed.len() as u32;
-        // The sensed word differs from the truth where the stored state is
+        // Transients corrupt only this observation, never the stored state:
+        // the sensed word differs from the truth where the stored state is
         // wrong XOR the sense amp glitched.
-        for &bit in &stored {
-            toggle(&mut observed, bit);
+        let (mut transient_bits, mut both) = (0u32, 0u32);
+        for bit in self.injector.transient_word(addr, epoch).hits(bits) {
+            transient_bits += 1;
+            both += u32::from(stored.binary_search(&bit).is_ok());
         }
-        let raw_errors = observed.len() as u32;
+        let raw_errors = stored.len() as u32 + transient_bits - 2 * both;
         let outcome = self.scheme.classify(raw_errors);
         match outcome {
             EccOutcome::Clean => self.stats.reads_clean += 1,
@@ -346,13 +357,19 @@ impl FaultMemory {
         // stuck-at cells.
         if self.demand_scrub && outcome == EccOutcome::Corrected && !stored.is_empty() {
             let before = stored.len();
-            self.repair(addr, &mut stored);
+            repair(&self.injector, addr, stored);
             if stored.len() < before {
                 self.stats.scrubbed_words += 1;
             }
         }
-        if !stored.is_empty() {
-            self.errors.insert(addr, stored);
+        match (tracked, stored.is_empty()) {
+            (true, true) => {
+                self.errors.remove(&addr);
+            }
+            (false, false) => {
+                self.errors.insert(addr, fresh);
+            }
+            _ => {}
         }
         if mss_obs::enabled() {
             mss_obs::counter_add(
@@ -382,16 +399,13 @@ impl FaultMemory {
     pub fn scrub(&mut self) -> ScrubOutcome {
         self.stats.scrubs += 1;
         let mut out = ScrubOutcome::default();
-        let addrs: Vec<u64> = self.errors.keys().copied().collect();
-        for addr in addrs {
-            let Some(mut bits) = self.errors.remove(&addr) else {
-                continue;
-            };
-            match self.scheme.classify(bits.len() as u32) {
+        let (injector, scheme) = (&self.injector, &self.scheme);
+        self.errors.retain(|&addr, bits| {
+            match scheme.classify(bits.len() as u32) {
                 EccOutcome::Clean => {}
                 EccOutcome::Corrected => {
                     let before = bits.len();
-                    self.repair(addr, &mut bits);
+                    repair(injector, addr, bits);
                     if bits.len() < before {
                         out.repaired += 1;
                     }
@@ -399,10 +413,8 @@ impl FaultMemory {
                 EccOutcome::Detected => out.detected += 1,
                 EccOutcome::Uncorrectable => out.uncorrectable += 1,
             }
-            if !bits.is_empty() {
-                self.errors.insert(addr, bits);
-            }
-        }
+            !bits.is_empty()
+        });
         self.stats.scrubbed_words += out.repaired;
         if mss_obs::enabled() {
             mss_obs::counter_add("gemsim.fault.corrected", out.repaired);
@@ -411,13 +423,30 @@ impl FaultMemory {
         }
         out
     }
+}
 
-    /// Rewrites a corrected word: every wrong bit is fixed except cells
-    /// whose stuck value mismatches the data (rewriting cannot move them).
-    fn repair(&self, addr: u64, bits: &mut Vec<u32>) {
-        let stuck = self.injector.stuck_word(addr);
-        bits.retain(|&bit| stuck.stuck_at(bit as u64) == Some(true));
-    }
+/// Rewrites a corrected word: every wrong bit is fixed except cells whose
+/// stuck value mismatches the data (rewriting cannot move them).
+fn repair(injector: &FaultInjector, addr: u64, bits: &mut Vec<u32>) {
+    let Some(&last) = bits.last() else {
+        return;
+    };
+    let mismatched = injector
+        .stuck_word(addr)
+        .stuck_hits(last + 1)
+        .filter(|&(_, value)| value)
+        .map(|(cell, _)| cell);
+    retain_hits(bits, mismatched);
+}
+
+/// Keeps the bits of the sorted list `bits` that the ascending `hits`
+/// also holds: one merge of the two.
+fn retain_hits(bits: &mut Vec<u32>, hits: impl Iterator<Item = u32>) {
+    let mut hits = hits.peekable();
+    bits.retain(|&bit| {
+        while hits.next_if(|&hit| hit < bit).is_some() {}
+        hits.next_if_eq(&bit).is_some()
+    });
 }
 
 /// Toggles membership of `bit` in a sorted bit list (a flip of an already
@@ -638,10 +667,10 @@ mod tests {
         assert_eq!(run(cfg), run(cfg));
     }
 
-    /// Golden values captured from the per-bit decision chain the per-word
-    /// draws replaced: all four fault kinds through writes, retries, reads,
-    /// demand and background scrub. Unlike the replay test above, a change
-    /// that moves any single fault draw fails here.
+    /// Golden values of the geometric-gap draw: all four fault kinds
+    /// through writes, retries, reads, demand and background scrub. Unlike
+    /// the replay test above, a change that moves any single fault draw
+    /// fails here.
     #[test]
     fn mixed_plan_matches_pinned_golden() {
         let p = plan(33, |m| {
@@ -664,27 +693,27 @@ mod tests {
             fold(r.disturbed_bits);
             fold(r.transient_bits);
         }
-        assert_eq!(log, 0x1f0e_4c82_287a_903d);
+        assert_eq!(log, 0xd170_acba_4edc_715a);
         assert_eq!(
             *m.stats(),
             FaultMemStats {
                 writes: 300,
                 reads: 300,
                 scrubs: 0,
-                injected_bits: 2779,
-                write_retries: 379,
-                write_residual_bits: 22,
-                reads_clean: 26,
-                reads_corrected: 153,
-                reads_detected: 66,
-                reads_uncorrectable: 55,
-                scrubbed_words: 109,
+                injected_bits: 2802,
+                write_retries: 384,
+                write_residual_bits: 24,
+                reads_clean: 28,
+                reads_corrected: 152,
+                reads_detected: 63,
+                reads_uncorrectable: 57,
+                scrubbed_words: 122,
             }
         );
-        assert_eq!(m.residual_bit_errors(), 306);
-        assert_eq!(m.scrub().repaired, 67);
-        assert_eq!(m.residual_bit_errors(), 191);
-        assert_eq!(m.corrupted_words(), 62);
+        assert_eq!(m.residual_bit_errors(), 329);
+        assert_eq!(m.scrub().repaired, 58);
+        assert_eq!(m.residual_bit_errors(), 226);
+        assert_eq!(m.corrupted_words(), 73);
     }
 
     #[test]

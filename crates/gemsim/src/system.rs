@@ -696,8 +696,8 @@ mod tests {
         assert_eq!(r.dram_reads, clean.dram_reads);
     }
 
-    /// Golden fault counters of the bodytrack run above, captured from the
-    /// per-bit decision chain the per-word draws replaced.
+    /// Golden fault counters of the bodytrack run above, under the
+    /// geometric-gap draw.
     #[test]
     fn faulty_run_matches_pinned_golden() {
         let sys = System::new(faulty_config()).unwrap();
@@ -708,14 +708,14 @@ mod tests {
                 writes: 331,
                 reads: 15868,
                 scrubs: 0,
-                injected_bits: 4591,
-                write_retries: 224,
+                injected_bits: 4571,
+                write_retries: 225,
                 write_residual_bits: 0,
-                reads_clean: 12140,
-                reads_corrected: 3694,
-                reads_detected: 31,
-                reads_uncorrectable: 3,
-                scrubbed_words: 3694,
+                reads_clean: 12188,
+                reads_corrected: 3639,
+                reads_detected: 36,
+                reads_uncorrectable: 5,
+                scrubbed_words: 3639,
             }
         );
     }

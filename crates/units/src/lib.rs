@@ -11,8 +11,6 @@
 //! - [`rng`] — an in-tree PRNG stack (SplitMix64 seeding, xoshiro256++
 //!   core, deterministic stream splitting) plus reproducible Gaussian /
 //!   lognormal / truncated sampling on top of any [`rng::Rng`],
-//! - [`simd`] — the run-time choice of a vector kernel (AVX-512, AVX2 or
-//!   portable) that every hand-vectorized loop shares,
 //! - [`fmt`] — engineering-notation formatting for report tables.
 //!
 //! # Examples
@@ -32,7 +30,7 @@ pub mod consts;
 pub mod fmt;
 pub mod math;
 pub mod rng;
-pub mod simd;
+pub(crate) mod simd;
 pub mod stats;
 pub(crate) mod vec3;
 

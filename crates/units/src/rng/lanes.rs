@@ -49,8 +49,8 @@ const JUMP_7168: [u64; 4] = [
 ];
 
 /// The name of the block kernel this host runs: `"avx512"`, `"avx2"` or
-/// `"portable"`, as [`Kernel::name`] gives it. Every build produces the
-/// same draws.
+/// `"portable"`, as the run-time CPU probe picks it. Every build produces
+/// the same draws.
 pub fn lanes_kernel() -> &'static str {
     Kernel::detect().name()
 }

@@ -1,10 +1,8 @@
 //! Run-time choice of a vector kernel.
 //!
-//! Hot loops that ship a hand-vectorized body (the fault plane's mask
-//! kernels, the [`crate::rng::Xoshiro256Lanes`] block generator) build it
-//! once per instruction set and pick one per call with [`Kernel::detect`].
-//! Every crate asks the same question here, so they all agree on what the
-//! host runs.
+//! A hot loop that ships a hand-vectorized body (the
+//! [`crate::rng::Xoshiro256Lanes`] block generator) builds it once per
+//! instruction set and picks one per call with [`Kernel::detect`].
 //!
 //! A [`Kernel`] can only be made by [`Kernel::detect`], [`Kernel::available`]
 //! or `Kernel::PORTABLE`, so one that names an instruction set is proof
@@ -51,6 +49,7 @@ impl Kernel {
     /// Every kernel this host runs, widest first; the last is always
     /// `Kernel::PORTABLE`. Tests use it to compare each build against
     /// the scalar one.
+    #[cfg(test)]
     pub fn available() -> Vec<Self> {
         #[allow(unused_mut)]
         let mut kernels = Vec::new();
