@@ -5,9 +5,9 @@
 //! stage hits on every warm pass — and then times the optimized simulator
 //! against the naive executable specification in `mss_gemsim::reference`,
 //! asserting **bit-identical** [`mss_gemsim::stats::SimReport`]s and a
-//! ≥ 5× throughput win. The win is algorithmic (struct-of-arrays LRU vs
-//! `Vec` shifting, O(1) ring-buffer history vs `remove(0)`), so it must
-//! hold even on a noisy shared runner. When `MSS_METRICS=1` the
+//! ≥ 5× throughput win. The win is algorithmic (one flat slab of LRU
+//! stacks vs a `Vec` per set, O(1) ring-buffer history vs `remove(0)`), so
+//! it must hold even on a noisy shared runner. When `MSS_METRICS=1` the
 //! observability registry (including the `pipe.*` cache counters) is
 //! written as an NDJSON run report CI archives.
 //!
@@ -145,7 +145,7 @@ fn disk_leg(sample_cap: u64) {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Hot-loop perf gate: the optimized simulator (struct-of-arrays cache,
+/// Hot-loop perf gate: the optimized simulator (LRU-stack cache slab,
 /// ring-buffer stream, chunked loop) against the naive executable
 /// specification, on the same kernels the flow legs run. Reports must be
 /// bit-identical and the optimized path ≥ [`MIN_SPEEDUP`]× faster.

@@ -1,5 +1,7 @@
 //! Set-associative LRU cache simulation with full activity counters.
 
+use std::ops::{BitOr, Range};
+
 use crate::GemsimError;
 
 /// Static configuration of one cache.
@@ -68,15 +70,6 @@ impl CacheConfig {
         let sets = self.capacity / ways_bytes;
         if !sets.is_power_of_two() {
             return fail(format!("{sets} sets is not a power of two"));
-        }
-        if self.associativity > u32::from(u16::MAX) {
-            // The struct-of-arrays store keeps LRU ranks and per-set
-            // occupancy in u16.
-            return fail(format!(
-                "associativity {} exceeds the {}-way limit",
-                self.associativity,
-                u16::MAX
-            ));
         }
         if self.read_latency < 0.0 || self.write_latency < 0.0 {
             return fail("latencies must be non-negative".into());
@@ -159,28 +152,77 @@ pub struct AccessOutcome {
     pub victim: Option<u64>,
 }
 
+/// The slab of ways. A way holds `tag << 2 | dirty << 1 | 1`, and 0 when
+/// empty, so an empty way never matches a probe. A tag is
+/// `64 − log2(line_bytes × sets)` bits wide, so a `u64` way holds it
+/// whenever `line_bytes × sets ≥ 4`: every cache the flow builds. Smaller
+/// geometries (say, one set of 1-byte lines, whose tag is the whole
+/// address) store `u128` ways.
+#[derive(Debug, Clone)]
+enum Ways {
+    Narrow(Box<[u64]>),
+    Wide(Box<[u128]>),
+}
+
+/// Looks the line `key` (its clean way word) up in one set, stored most
+/// recently used first, and moves it to the front, dirty if `write`: a hit
+/// at way `p` shifts ways `0..p` down one slot, a miss shifts the whole
+/// set. Returns whether it hit and the way pushed off the LRU end, which is
+/// 0 on a hit or if that way was empty.
+#[inline(always)]
+fn touch<W>(set: &mut [W], key: W, write: bool) -> (bool, W)
+where
+    W: Copy + Eq + BitOr<Output = W> + From<u8>,
+{
+    let dirty = W::from(2);
+    let found = set.iter().position(|&w| w | dirty == key | dirty);
+    let end = found.unwrap_or(set.len() - 1);
+    let (front, out) = match found {
+        Some(_) => (set[end], W::from(0)),
+        None => (key, set[end]),
+    };
+    for i in (0..end).rev() {
+        set[i + 1] = set[i];
+    }
+    set[0] = front | W::from(u8::from(write) << 1);
+    (found.is_some(), out)
+}
+
+/// [`touch`] on `ways[set]`, at a constant length for the flow's shapes,
+/// so that the scan and the shift unroll.
+#[inline(always)]
+fn touch_set<W>(ways: &mut [W], set: Range<usize>, key: W, write: bool) -> (bool, W)
+where
+    W: Copy + Eq + BitOr<Output = W> + From<u8>,
+{
+    let s = set.start;
+    match set.len() {
+        4 => touch(&mut ways[s..s + 4], key, write),
+        8 => touch(&mut ways[s..s + 8], key, write),
+        16 => touch(&mut ways[s..s + 16], key, write),
+        _ => touch(&mut ways[set], key, write),
+    }
+}
+
+/// Empties every way, returning how many were dirty.
+fn clear<W: Copy + From<u8> + Into<u128>>(ways: &mut [W]) -> u64 {
+    let dirty = ways.iter().filter(|&&w| w.into() & 2 != 0).count() as u64;
+    ways.fill(W::from(0));
+    dirty
+}
+
 /// One LRU set-associative cache (write-back, write-allocate).
 ///
-/// Storage is struct-of-arrays: flat `tags` / `dirty` / `rank` slabs indexed
-/// by `set * associativity + way`, plus a per-set occupancy count. The LRU
-/// order lives in `rank` (0 = MRU, associativity − 1 = LRU), so promoting a
-/// line is a handful of `u16` bumps instead of the `Vec::remove`/`insert`
-/// element shifting of the previous representation, and the whole cache is
-/// exactly four allocations made in [`Cache::new`] — the access path never
-/// allocates.
+/// Each set is an LRU stack (Mattson et al., 1970): one contiguous run of
+/// `associativity` ways in one flat slab, ordered most to least recently
+/// used, with the dirty flag in the way and empty ways at the LRU end. A
+/// hit is a short shift, a miss pushes the LRU way off the end as the
+/// victim, and the whole cache is the one slab allocated in
+/// [`Cache::new`] — the access path never allocates.
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
-    /// Line tags, `[set][way]` flattened; valid for `way < live[set]`.
-    tags: Box<[u64]>,
-    /// Dirty bits, same indexing as `tags`.
-    dirty: Box<[bool]>,
-    /// LRU ranks (0 = most recently used), same indexing as `tags`; the
-    /// valid ranks of a set are always a permutation of `0..live[set]`.
-    rank: Box<[u16]>,
-    /// Occupied ways per set (ways fill from 0; only [`Cache::flush`]
-    /// resets them).
-    live: Box<[u16]>,
+    ways: Ways,
     stats: CacheStats,
     set_mask: u64,
     set_bits: u32,
@@ -199,14 +241,17 @@ impl Cache {
         let sets = config.sets();
         let assoc = config.associativity as usize;
         let slots = sets as usize * assoc;
+        let set_bits = (sets - 1).count_ones();
+        let line_shift = config.line_bytes.trailing_zeros();
         Ok(Self {
+            ways: if set_bits + line_shift >= 2 {
+                Ways::Narrow(vec![0; slots].into_boxed_slice())
+            } else {
+                Ways::Wide(vec![0; slots].into_boxed_slice())
+            },
             set_mask: sets - 1,
-            set_bits: (sets - 1).count_ones(),
-            line_shift: config.line_bytes.trailing_zeros(),
-            tags: vec![0; slots].into_boxed_slice(),
-            dirty: vec![false; slots].into_boxed_slice(),
-            rank: vec![0; slots].into_boxed_slice(),
-            live: vec![0; sets as usize].into_boxed_slice(),
+            set_bits,
+            line_shift,
             stats: CacheStats::default(),
             assoc,
             config,
@@ -223,86 +268,36 @@ impl Cache {
         &self.stats
     }
 
-    /// Line-aligned byte address of the line currently held in `slot`.
-    fn slot_address(&self, set_idx: usize, slot: usize) -> u64 {
-        ((self.tags[slot] << self.set_bits) | set_idx as u64) << self.line_shift
-    }
-
     /// Performs one access; `write` marks stores.
-    #[inline]
+    #[inline(always)]
     pub fn access(&mut self, addr: u64, write: bool) -> AccessOutcome {
         let line = addr >> self.line_shift;
         let set_idx = (line & self.set_mask) as usize;
         let tag = line >> self.set_bits;
-        if write {
-            self.stats.writes += 1;
-        } else {
-            self.stats.reads += 1;
-        }
-        let base = set_idx * self.assoc;
-        let n = usize::from(self.live[set_idx]);
-        // Branchless probe: tags are unique within a set, so folding the
-        // matching way without an early exit is equivalent to `position`.
-        let mut hit = usize::MAX;
-        for (way, &t) in self.tags[base..base + n].iter().enumerate() {
-            if t == tag {
-                hit = way;
+        let set = set_idx * self.assoc..(set_idx + 1) * self.assoc;
+        // The way pushed off the LRU end: its tag and its dirty and valid
+        // bits.
+        let (hit, victim_tag, flags) = match &mut self.ways {
+            Ways::Narrow(w) => {
+                let (hit, v) = touch_set(w, set, tag << 2 | 1, write);
+                (hit, v >> 2, v & 3)
             }
-        }
-        if hit < n {
-            // Hit: promote to MRU by ageing every younger line one step.
-            let r = self.rank[base + hit];
-            for x in &mut self.rank[base..base + n] {
-                *x += u16::from(*x < r);
+            Ways::Wide(w) => {
+                let (hit, v) = touch(&mut w[set], u128::from(tag) << 2 | 1, write);
+                (hit, (v >> 2) as u64, v as u64 & 3)
             }
-            self.rank[base + hit] = 0;
-            self.dirty[base + hit] |= write;
-            if write {
-                self.stats.write_hits += 1;
-            } else {
-                self.stats.read_hits += 1;
-            }
-            return AccessOutcome {
-                hit: true,
-                writeback: false,
-                victim: None,
-            };
-        }
-        // Miss: allocate (write-allocate policy), evicting LRU if full.
-        let full = n == self.assoc;
-        let (slot, victim, writeback) = if full {
-            let lru = (self.assoc - 1) as u16;
-            let mut v = base;
-            for (i, &r) in self.rank[base..base + n].iter().enumerate() {
-                if r == lru {
-                    v = base + i;
-                }
-            }
-            let wb = self.dirty[v];
-            if wb {
-                self.stats.writebacks += 1;
-            }
-            (v, Some(self.slot_address(set_idx, v)), wb)
-        } else {
-            self.live[set_idx] = (n + 1) as u16;
-            (base + n, None, false)
         };
-        // Age every survivor; the incoming line becomes MRU.
-        let aged = if full {
-            (self.assoc - 1) as u16
-        } else {
-            n as u16
-        };
-        for x in &mut self.rank[base..base + n] {
-            *x += u16::from(*x < aged);
-        }
-        self.tags[slot] = tag;
-        self.dirty[slot] = write;
-        self.rank[slot] = 0;
+        let writeback = flags & 2 != 0;
+        self.stats.reads += u64::from(!write);
+        self.stats.writes += u64::from(write);
+        self.stats.read_hits += u64::from(hit & !write);
+        self.stats.write_hits += u64::from(hit & write);
+        self.stats.writebacks += u64::from(writeback);
         AccessOutcome {
-            hit: false,
+            hit,
             writeback,
-            victim,
+            victim: (flags != 0)
+                .then_some(((victim_tag << self.set_bits) | set_idx as u64) << self.line_shift),
         }
     }
 
@@ -315,15 +310,10 @@ impl Cache {
     /// flush (say, a power-collapse of the cluster) charges the returned
     /// count as write-back traffic itself.
     pub fn flush(&mut self) -> u64 {
-        let mut dirty_lines = 0u64;
-        for (set_idx, live) in self.live.iter_mut().enumerate() {
-            let base = set_idx * self.assoc;
-            for way in 0..usize::from(*live) {
-                dirty_lines += u64::from(self.dirty[base + way]);
-            }
-            *live = 0;
+        match &mut self.ways {
+            Ways::Narrow(w) => clear(w),
+            Ways::Wide(w) => clear(w),
         }
-        dirty_lines
     }
 }
 
@@ -381,6 +371,12 @@ mod tests {
         let mut bad = small_config();
         bad.capacity = 1000;
         assert!(bad.validate().is_err());
+        // The capacity is the only bound on the ways: a fully associative
+        // cache of 2^17 lines is valid.
+        let mut wide = small_config();
+        wide.associativity = 1 << 17;
+        wide.capacity = 64 << 17;
+        assert!(wide.validate().is_ok());
     }
 
     #[test]

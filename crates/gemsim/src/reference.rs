@@ -1,6 +1,6 @@
 //! Executable specification of the hot-loop semantics.
 //!
-//! The optimized simulator ([`crate::cache::Cache`] struct-of-arrays store,
+//! The optimized simulator ([`crate::cache::Cache`] slab of LRU stacks,
 //! [`crate::workload::AccessStream`] ring buffer, the chunked
 //! [`crate::system::System::run_cancellable`] loop) is required to be
 //! **bit-for-bit identical** to the straightforward implementations kept

@@ -71,17 +71,17 @@ fn hot_paths_never_allocate() {
         write_energy: 1e-12,
         leakage_power: 1e-3,
     };
-    // Construction: the name clone into the struct plus the four flat
-    // slabs (tags/dirty/rank/live) — a small constant, NOT per-set. The
-    // old representation cloned a capacity-carrying Vec per set, which
-    // dropped the reservation and re-grew inside the hot loop.
+    // Construction: the one flat slab of ways (one allocation today) — a
+    // small constant, NOT per-set. The old representation cloned a
+    // capacity-carrying Vec per set, which dropped the reservation and
+    // re-grew inside the hot loop.
     let before_new = allocs();
     let mut cache = Cache::new(cfg).unwrap();
     let ctor_allocs = before_new.abs_diff(allocs());
     assert!(
         ctor_allocs <= 8,
         "Cache::new made {ctor_allocs} allocations; want a small constant \
-         (4 slabs + config moves), not one per set"
+         (one slab of ways), not one per set"
     );
 
     // Demand/flush storm: zero allocations allowed.

@@ -1,8 +1,9 @@
-//! Hot-loop parity: the optimized simulator (struct-of-arrays cache,
+//! Hot-loop parity: the optimized simulator (LRU-stack cache slab,
 //! ring-buffer stream, chunked system loop) must be **bit-for-bit
 //! identical** to the naive executable specification in
-//! `mss_gemsim::reference`. Any drift — a reordered RNG draw, a different f64 accumulation
-//! order, an off-by-one in LRU rank math — fails these tests.
+//! `mss_gemsim::reference`. Any drift — a reordered RNG draw, a different
+//! f64 accumulation order, an off-by-one in the way shifts, a dirty bit or
+//! empty marker aliasing a tag — fails these tests.
 
 use mss_exec::ParallelConfig;
 use mss_gemsim::cache::{Cache, CacheConfig};
@@ -115,52 +116,100 @@ enum Op {
     Flush,
 }
 
+fn prop_config(associativity: u32, capacity: u64, line_bytes: u32) -> CacheConfig {
+    CacheConfig {
+        name: format!("prop-{associativity}w-{line_bytes}B"),
+        capacity,
+        associativity,
+        line_bytes,
+        read_latency: 1e-9,
+        write_latency: 1e-9,
+        read_energy: 1e-12,
+        write_energy: 1e-12,
+        leakage_power: 1e-3,
+    }
+}
+
+/// Drives both cache implementations with the same random mix of demand
+/// accesses (addresses from `address`) and flushes, and requires every
+/// outcome (hit/writeback/victim) and the counters to agree after every
+/// single operation.
+fn assert_matches_naive(
+    cfg: CacheConfig,
+    seed: u64,
+    mut address: impl FnMut(&mut Xoshiro256PlusPlus) -> u64,
+) {
+    let name = cfg.name.clone();
+    let mut fast = Cache::new(cfg.clone()).unwrap();
+    let mut naive = NaiveCache::new(cfg).unwrap();
+    let mut rng = Xoshiro256PlusPlus::seed_from_u64(seed);
+    for step in 0..30_000 {
+        let addr = address(&mut rng);
+        let op = if rng.gen_bool(0.02) {
+            Op::Flush
+        } else {
+            Op::Access {
+                addr,
+                write: rng.gen_bool(0.3),
+            }
+        };
+        match op {
+            Op::Access { addr, write } => {
+                let a = fast.access(addr, write);
+                let b = naive.access(addr, write);
+                assert_eq!(a, b, "{name} step {step}: access {addr:#x}");
+            }
+            Op::Flush => {
+                assert_eq!(fast.flush(), naive.flush(), "{name} step {step}");
+            }
+        }
+        assert_eq!(fast.stats(), naive.stats(), "{name} step {step}");
+    }
+    // The streams must have actually exercised the interesting paths.
+    assert!(fast.stats().writebacks > 0, "{name}: no writebacks");
+    assert!(fast.stats().hits() > 0, "{name}: no hits");
+}
+
 #[test]
 fn lru_cache_property_matches_naive_on_random_streams() {
-    // Exhaustive-ish equivalence: every outcome (hit/writeback/victim) and
-    // the counters must agree after every single operation, across
-    // direct-mapped, 2-way and 4-way shapes, under a mix of demand
-    // accesses and flushes.
-    for (assoc, capacity, seed) in [(1u32, 512u64, 1u64), (2, 1024, 2), (4, 4096, 3)] {
-        let cfg = CacheConfig {
-            name: format!("prop-{assoc}w"),
-            capacity,
-            associativity: assoc,
-            line_bytes: 64,
-            read_latency: 1e-9,
-            write_latency: 1e-9,
-            read_energy: 1e-12,
-            write_energy: 1e-12,
-            leakage_power: 1e-3,
-        };
-        let mut fast = Cache::new(cfg.clone()).unwrap();
-        let mut naive = NaiveCache::new(cfg).unwrap();
-        let mut rng = Xoshiro256PlusPlus::seed_from_u64(seed);
-        for step in 0..30_000 {
-            // Address space ~4x the capacity: plenty of conflicts.
-            let addr = rng.gen_range_u64(0, 4 * capacity);
-            let op = if rng.gen_bool(0.02) {
-                Op::Flush
-            } else {
-                Op::Access {
-                    addr,
-                    write: rng.gen_bool(0.3),
-                }
-            };
-            match op {
-                Op::Access { addr, write } => {
-                    let a = fast.access(addr, write);
-                    let b = naive.access(addr, write);
-                    assert_eq!(a, b, "{assoc}-way step {step}: access {addr:#x}");
-                }
-                Op::Flush => {
-                    assert_eq!(fast.flush(), naive.flush(), "{assoc}-way step {step}");
-                }
-            }
-            assert_eq!(fast.stats(), naive.stats(), "{assoc}-way step {step}");
-        }
-        // The streams must have actually exercised the interesting paths.
-        assert!(fast.stats().writebacks > 0, "{assoc}-way: no writebacks");
-        assert!(fast.stats().hits() > 0, "{assoc}-way: no hits");
+    // Direct-mapped, 2- and 4-way shapes, and the 8- and 16-way sets of the
+    // LITTLE and big L2s (few sets, so that sets fill between flushes).
+    for (assoc, capacity, seed) in [
+        (1u32, 512u64, 1u64),
+        (2, 1024, 2),
+        (4, 4096, 3),
+        (8, 2048, 4),
+        (16, 2048, 5),
+    ] {
+        // Address space ~4x the capacity: plenty of conflicts.
+        assert_matches_naive(prop_config(assoc, capacity, 64), seed, |rng| {
+            rng.gen_range_u64(0, 4 * capacity)
+        });
     }
+}
+
+#[test]
+fn lru_cache_matches_naive_when_the_tag_fills_the_address() {
+    // One set of 1-byte lines: the tag is the whole 64-bit address, so a
+    // dirty bit or an empty marker folded into the tag word would alias a
+    // real line. The pool pairs addresses that differ only in their top or
+    // bottom bits, and spans the range up to `u64::MAX`.
+    let mut pool = vec![
+        0,
+        1,
+        2,
+        3,
+        1 << 62,
+        2 << 62,
+        3 << 62,
+        (1 << 63) - 1,
+        u64::MAX >> 2,
+        u64::MAX - 1,
+        u64::MAX,
+    ];
+    let mut rng = Xoshiro256PlusPlus::seed_from_u64(6);
+    pool.extend((0..5).map(|_| rng.next_u64()));
+    assert_matches_naive(prop_config(4, 4, 1), 7, |rng| {
+        pool[rng.gen_range_u64(0, pool.len() as u64) as usize]
+    });
 }
