@@ -11,8 +11,6 @@
 //! - [`template`] — `{param}` substitution for netlist/stimulus templates,
 //! - [`analysis`] — DC operating point (Newton) and fixed-step transient
 //!   (backward-Euler companion models),
-//! - [`ac`] — small-signal frequency-domain analysis (Bode responses,
-//!   corner frequencies) linearised at the DC operating point,
 //! - [`mdl`] — measurement specs (delay, energy, windowed average,
 //!   crossing time) evaluated against transient results,
 //! - [`solver`] — dense LU with partial pivoting over a reusable
@@ -43,7 +41,6 @@
 
 #![deny(missing_docs)]
 
-pub mod ac;
 pub mod analysis;
 pub mod batch;
 mod error;

@@ -533,14 +533,6 @@ impl Netlist {
             }),
         }
     }
-
-    /// Number of independent voltage sources (extra MNA unknowns).
-    pub(crate) fn vsource_count(&self) -> usize {
-        self.elements
-            .iter()
-            .filter(|e| matches!(e, Element::VSource { .. }))
-            .count()
-    }
 }
 
 #[cfg(test)]
@@ -588,14 +580,5 @@ mod tests {
             nl.find_node("nowhere"),
             Err(SpiceError::UnknownNode(_))
         ));
-    }
-
-    #[test]
-    fn vsource_count_counts_only_vsources() {
-        let mut nl = Netlist::new();
-        nl.add_vsource("v1", "a", "0", Waveform::dc(1.0)).unwrap();
-        nl.add_isource("i1", "a", "0", Waveform::dc(1e-6)).unwrap();
-        nl.add_resistor("r1", "a", "0", 1e3).unwrap();
-        assert_eq!(nl.vsource_count(), 1);
     }
 }

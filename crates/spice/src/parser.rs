@@ -636,6 +636,7 @@ mod tests {
             "X2 b 0 MTJ RA=5p",
             "X3 b c 0 MTJSOT TMR=1.5",
             "X3 b c 0 MTJSOT RA=5p",
+            ".ac dec 10 1k 1g",
         ] {
             let deck = format!("R1 a 0 1k\n{statement}\nR2 a b 1k\n");
             match Deck::parse(&deck) {

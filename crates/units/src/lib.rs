@@ -4,7 +4,6 @@
 //!
 //! - [`consts`] — CODATA physical constants and magnetics conversions,
 //! - `vec3` — a small 3-vector used by the macrospin LLG solver,
-//! - [`complex`] — a minimal complex number for AC circuit analysis,
 //! - [`math`] — special functions (erf/erfc, Gaussian tail `Q`, its inverse),
 //!   root finding and quadrature,
 //! - [`stats`] — streaming statistics (Welford) and percentile helpers,
@@ -25,12 +24,10 @@
 //! assert!((q_function(3.0) - 1.3499e-3).abs() < 1e-6);
 //! ```
 
-pub mod complex;
 pub mod consts;
 pub mod fmt;
 pub mod math;
 pub mod rng;
-pub(crate) mod simd;
 pub mod stats;
 pub(crate) mod vec3;
 

@@ -19,13 +19,12 @@
 //! that bitmap with `trailing_zeros` instead of one draw and compare per
 //! step.
 //!
-//! The AVX-512 and AVX2 builds are chosen at run time
-//! ([`crate::simd::Kernel::detect`]). The portable build steps the scalar
+//! The AVX-512 and AVX2 builds are chosen at run time by a CPU feature
+//! probe (`Engine::detect`). The portable build steps the scalar
 //! generator into the same buffer and bitmap in stream order, so every
 //! build is read by the same consumer code.
 
 use super::{Rng, Xoshiro256PlusPlus};
-use crate::simd::{Isa, Kernel};
 
 /// Lanes stepped at once.
 const LANES: usize = 8;
@@ -52,21 +51,80 @@ const JUMP_7168: [u64; 4] = [
 /// `"portable"`, as the run-time CPU probe picks it. Every build produces
 /// the same draws.
 pub fn lanes_kernel() -> &'static str {
-    Kernel::detect().name()
+    Engine::detect(Xoshiro256PlusPlus::seed_from_u64(0)).name()
 }
 
 /// Where the next block's draws come from.
+///
+/// A vector engine is built only by [`Engine::detect`] (and, in tests,
+/// `Engine::available`) once the CPU was seen to have every feature its
+/// fill enables, so holding one is proof that its `unsafe` fill may run.
 #[derive(Clone)]
 enum Engine {
     /// The scalar generator, stepped [`BLOCK`] times in stream order.
     Portable(Xoshiro256PlusPlus),
-    /// The eight lane states, word `k` of lane `j` at `[k][j]`. Made only
-    /// from a [`Kernel`] whose ISA is [`Isa::Avx512`].
+    /// The eight lane states, word `k` of lane `j` at `[k][j]`, for a CPU
+    /// with avx512f, avx512dq, avx512vl and avx512bw.
     #[cfg(target_arch = "x86_64")]
     Avx512([[u64; LANES]; 4]),
-    /// As `Avx512`, made only from an [`Isa::Avx2`] kernel.
+    /// As `Avx512`, for a CPU with avx2.
     #[cfg(target_arch = "x86_64")]
     Avx2([[u64; LANES]; 4]),
+}
+
+impl Engine {
+    /// The widest engine this host runs, continuing `rng`'s stream.
+    fn detect(rng: Xoshiro256PlusPlus) -> Self {
+        #[cfg(target_arch = "x86_64")]
+        {
+            if has_avx512() {
+                return Engine::Avx512(lane_states(rng));
+            }
+            if is_x86_feature_detected!("avx2") {
+                return Engine::Avx2(lane_states(rng));
+            }
+        }
+        Engine::Portable(rng)
+    }
+
+    /// Every engine this host runs, each continuing `rng`'s stream, widest
+    /// first; the last is always the portable one.
+    #[cfg(test)]
+    fn available(rng: Xoshiro256PlusPlus) -> Vec<Self> {
+        #[allow(unused_mut)]
+        let mut engines = Vec::new();
+        #[cfg(target_arch = "x86_64")]
+        {
+            if has_avx512() {
+                engines.push(Engine::Avx512(lane_states(rng.clone())));
+            }
+            if is_x86_feature_detected!("avx2") {
+                engines.push(Engine::Avx2(lane_states(rng.clone())));
+            }
+        }
+        engines.push(Engine::Portable(rng));
+        engines
+    }
+
+    /// `"avx512"`, `"avx2"` or `"portable"`.
+    fn name(&self) -> &'static str {
+        match self {
+            Engine::Portable(_) => "portable",
+            #[cfg(target_arch = "x86_64")]
+            Engine::Avx512(_) => "avx512",
+            #[cfg(target_arch = "x86_64")]
+            Engine::Avx2(_) => "avx2",
+        }
+    }
+}
+
+/// The four AVX-512 subsets `fill_avx512` enables.
+#[cfg(target_arch = "x86_64")]
+fn has_avx512() -> bool {
+    is_x86_feature_detected!("avx512f")
+        && is_x86_feature_detected!("avx512dq")
+        && is_x86_feature_detected!("avx512vl")
+        && is_x86_feature_detected!("avx512bw")
 }
 
 /// A block generator with exactly the draw sequence of the
@@ -108,18 +166,11 @@ impl Xoshiro256Lanes {
     /// integer bound on `u53 = draw >> 11`, as from
     /// [`super::coin_threshold`]).
     pub fn new(rng: Xoshiro256PlusPlus, threshold: u64) -> Self {
-        Self::with_kernel(rng, threshold, Kernel::detect())
+        Self::with_engine(Engine::detect(rng), threshold)
     }
 
-    /// [`Self::new`] on a given kernel.
-    fn with_kernel(rng: Xoshiro256PlusPlus, threshold: u64, kernel: Kernel) -> Self {
-        let engine = match kernel.isa() {
-            Isa::Portable => Engine::Portable(rng),
-            #[cfg(target_arch = "x86_64")]
-            Isa::Avx512 => Engine::Avx512(lane_states(rng)),
-            #[cfg(target_arch = "x86_64")]
-            Isa::Avx2 => Engine::Avx2(lane_states(rng)),
-        };
+    /// [`Self::new`] on a given engine.
+    fn with_engine(engine: Engine, threshold: u64) -> Self {
         Self {
             engine,
             buf: boxed_zeros(),
@@ -171,15 +222,15 @@ impl Xoshiro256Lanes {
         let (buf, hits, threshold) = (&mut *self.buf, &mut *self.hits, self.threshold);
         match &mut self.engine {
             Engine::Portable(rng) => fill_portable(rng, threshold, buf, hits),
-            // SAFETY: an `Avx512` engine is made only from a `Kernel` whose
-            // ISA is `Isa::Avx512`, which `mss_units::simd` hands out only
-            // after detecting avx512f, avx512dq, avx512vl and avx512bw, the
-            // features `fill_avx512` enables.
+            // SAFETY: only `Engine::detect` and `Engine::available` build
+            // an `Avx512` engine, and only after `has_avx512` saw avx512f,
+            // avx512dq, avx512vl and avx512bw, the features `fill_avx512`
+            // enables.
             #[cfg(target_arch = "x86_64")]
             Engine::Avx512(s) => unsafe { x86::fill_avx512(s, threshold, buf, hits) },
-            // SAFETY: an `Avx2` engine is made only from a `Kernel` whose
-            // ISA is `Isa::Avx2`, which `mss_units::simd` hands out only
-            // after detecting avx2, the feature `fill_avx2` enables.
+            // SAFETY: only `Engine::detect` and `Engine::available` build
+            // an `Avx2` engine, and only after detecting avx2, the feature
+            // `fill_avx2` enables.
             #[cfg(target_arch = "x86_64")]
             Engine::Avx2(s) => unsafe { x86::fill_avx2(s, threshold, buf, hits) },
         }
@@ -202,15 +253,8 @@ impl Rng for Xoshiro256Lanes {
 impl std::fmt::Debug for Xoshiro256Lanes {
     /// The kernel, threshold and block position; not the 64 KiB block.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let kernel = match self.engine {
-            Engine::Portable(_) => "portable",
-            #[cfg(target_arch = "x86_64")]
-            Engine::Avx512(_) => "avx512",
-            #[cfg(target_arch = "x86_64")]
-            Engine::Avx2(_) => "avx2",
-        };
         f.debug_struct("Xoshiro256Lanes")
-            .field("kernel", &kernel)
+            .field("kernel", &self.engine.name())
             .field("threshold", &self.threshold)
             .field("pos", &self.pos)
             .finish_non_exhaustive()
@@ -519,15 +563,10 @@ mod tests {
             for threshold in [1 << 50].into_iter().chain(edges(seed)) {
                 let rng = Xoshiro256PlusPlus::seed_from_u64(seed);
                 let mut portable =
-                    Xoshiro256Lanes::with_kernel(rng.clone(), threshold, Kernel::PORTABLE);
-                let mut others: Vec<_> = Kernel::available()
+                    Xoshiro256Lanes::with_engine(Engine::Portable(rng.clone()), threshold);
+                let mut others: Vec<_> = Engine::available(rng)
                     .into_iter()
-                    .map(|k| {
-                        (
-                            k.name(),
-                            Xoshiro256Lanes::with_kernel(rng.clone(), threshold, k),
-                        )
-                    })
+                    .map(|e| (e.name(), Xoshiro256Lanes::with_engine(e, threshold)))
                     .collect();
                 for block in 0..4 {
                     portable.refill();
@@ -550,12 +589,13 @@ mod tests {
         let caps = [0u32, 1, 63, 64, 65, 4095];
         // 0 never hits, so the cap binds; 2⁵³ and above hit every draw.
         let thresholds = [0, 1, 2, two53 / 40, two53 / 3, two53, two53 + 1];
-        for kernel in Kernel::available() {
-            for (s, seed) in SEEDS.into_iter().enumerate() {
-                for threshold in thresholds.into_iter().chain(edges(seed)) {
-                    let rng = Xoshiro256PlusPlus::seed_from_u64(seed);
-                    let mut lanes = Xoshiro256Lanes::with_kernel(rng.clone(), threshold, kernel);
-                    let mut scalar = Counting(rng, 0);
+        for (s, seed) in SEEDS.into_iter().enumerate() {
+            for threshold in thresholds.into_iter().chain(edges(seed)) {
+                let rng = Xoshiro256PlusPlus::seed_from_u64(seed);
+                for engine in Engine::available(rng.clone()) {
+                    let name = engine.name();
+                    let mut lanes = Xoshiro256Lanes::with_engine(engine, threshold);
+                    let mut scalar = Counting(rng.clone(), 0);
                     let mut op = s;
                     // At least three refills, with runs that cross bitmap
                     // words and block ends.
@@ -573,8 +613,7 @@ mod tests {
                                 assert_eq!(
                                     lanes.run_length(cap),
                                     run_loop(&mut scalar, threshold, cap),
-                                    "{} seed {seed} threshold {threshold} cap {cap} at {}",
-                                    kernel.name(),
+                                    "{name} seed {seed} threshold {threshold} cap {cap} at {}",
                                     scalar.1
                                 );
                             }
@@ -584,6 +623,15 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn detect_is_the_widest_available_kernel() {
+        let rng = Xoshiro256PlusPlus::seed_from_u64(0);
+        let all = Engine::available(rng.clone());
+        assert_eq!(all[0].name(), Engine::detect(rng).name());
+        assert_eq!(all[0].name(), lanes_kernel());
+        assert_eq!(all.last().map(Engine::name), Some("portable"));
     }
 
     #[test]

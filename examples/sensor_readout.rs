@@ -1,7 +1,8 @@
 //! Sensor-mode MSS with its readout chain: sweeps an out-of-plane field,
-//! verifies the linear transfer against the LLG physical model, and
-//! exercises the MSS-based programmable current source the paper proposes
-//! for the sensor feedback loop.
+//! verifies the linear transfer against the LLG physical model, exercises
+//! the MSS-based programmable current source the paper proposes for the
+//! sensor feedback loop, and prints the front-end bandwidth of the sensor
+//! MTJ into its parasitic capacitance, 1 / (2π R C).
 //!
 //! ```sh
 //! cargo run --release --example sensor_readout
@@ -11,10 +12,7 @@ use great_mss::mtj::llg::{LlgOptions, LlgSimulator};
 use great_mss::mtj::{MssDevice, MssStack};
 use great_mss::pdk::cells::current_source_deck;
 use great_mss::pdk::tech::{TechNode, TechParams};
-use great_mss::spice::ac::{ac_analysis, log_sweep};
 use great_mss::spice::analysis::{Transient, TransientOptions};
-use great_mss::spice::netlist::Netlist;
-use great_mss::spice::waveform::Waveform;
 use great_mss::units::consts::{am_to_oe, oe_to_am};
 use great_mss::units::Vec3;
 use mss_mtj::resistance::MtjState;
@@ -59,22 +57,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    // Readout bandwidth: the sensor MTJ driving the interface RC — an AC
-    // small-signal sweep finds the -3 dB corner of the front end.
+    // Readout bandwidth: the sensor MTJ driving the pad and amplifier
+    // input is one R–C pole, whose -3 dB corner is 1 / (2π R C).
     let r_sensor = sensor.sensor_resistance(0.0, 0.05)?;
-    let mut nl = Netlist::new();
-    nl.add_vsource("vsig", "sig", "0", Waveform::dc(0.05))?;
-    nl.add_resistor("rmtj", "sig", "node", r_sensor)?;
-    nl.add_capacitor("cpar", "node", "0", 50e-15)?; // pad + amp input
-    let ac = ac_analysis(&nl, "vsig", &log_sweep(1e5, 100e9, 200))?;
-    let corner = ac
-        .corner_frequency("node")?
-        .expect("front end must roll off");
+    let c_par = 50e-15; // pad + amplifier input
+    let corner = 1.0 / (2.0 * std::f64::consts::PI * r_sensor * c_par);
     println!(
         "
-readout front-end bandwidth: {:.1} MHz (-3 dB, R_mtj = {:.0} ohm, C = 50 fF)",
+readout front-end bandwidth: {:.1} MHz (-3 dB, R_mtj = {:.0} ohm, C = {:.0} fF)",
         corner / 1e6,
-        r_sensor
+        r_sensor,
+        c_par * 1e15
     );
     Ok(())
 }

@@ -12,7 +12,6 @@ use great_mss::mtj::{MssDevice, MssStack};
 use great_mss::spice::analysis::dc_operating_point;
 use great_mss::spice::netlist::Netlist;
 use great_mss::spice::waveform::Waveform;
-use great_mss::units::complex::Complex;
 use great_mss::units::rng::{Rng, Xoshiro256PlusPlus};
 use great_mss::units::Vec3;
 use great_mss::vaet::ecc::EccScheme;
@@ -160,31 +159,6 @@ fn dc_ladder_satisfies_kcl() {
         let v1 = dc.node_voltage("n1").unwrap();
         let i_ladder = (vdd - v1) / r_base;
         assert!((i_src - i_ladder).abs() < 1e-9 + 1e-6 * i_src.abs());
-    });
-}
-
-/// Complex arithmetic satisfies field axioms numerically.
-#[test]
-fn complex_field_axioms() {
-    for_cases(6, |rng| {
-        let a = Complex::new(
-            rng.gen_range_f64(-10.0, 10.0),
-            rng.gen_range_f64(-10.0, 10.0),
-        );
-        let b = Complex::new(
-            rng.gen_range_f64(-10.0, 10.0),
-            rng.gen_range_f64(-10.0, 10.0),
-        );
-        // Commutativity and |ab| = |a||b|.
-        let ab = a * b;
-        let ba = b * a;
-        assert!((ab - ba).abs() < 1e-9);
-        assert!((ab.abs() - a.abs() * b.abs()).abs() < 1e-9 * (1.0 + ab.abs()));
-        // Division inverts multiplication away from zero.
-        if b.abs() > 1e-6 {
-            let q = ab / b;
-            assert!((q - a).abs() < 1e-6 * (1.0 + a.abs()));
-        }
     });
 }
 
