@@ -203,10 +203,6 @@ fn main() {
         .and_then(|v| v.parse().ok())
         .unwrap_or(50_000);
     println!("== cache_smoke: pipeline cache transparency (memory + disk tiers) ==");
-    println!(
-        "kernel   : {} lane generator",
-        mss_units::rng::lanes_kernel()
-    );
     memory_leg(sample_cap);
     disk_leg(sample_cap);
     println!("cache    : warm runs byte-identical with zero recomputation");

@@ -153,10 +153,6 @@ fn main() {
         .and_then(|v| v.parse().ok())
         .unwrap_or(8_000);
     println!("== fault_smoke: seeded fault plane, ECC cross-validation, retry ladder ==");
-    println!(
-        "kernel   : {} lane generator",
-        mss_units::rng::lanes_kernel()
-    );
     campaign_smoke(blocks);
     ladder_smoke();
     gemsim_smoke();

@@ -8,6 +8,7 @@
 //! in `EXPERIMENTS.md`.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 use mss_mtj::{MssStack, SotParams};
 use mss_nvsim::config::MemoryConfig;

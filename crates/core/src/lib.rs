@@ -41,6 +41,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod error;
 pub mod flow;

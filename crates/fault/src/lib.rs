@@ -39,6 +39,7 @@
 //! injected fault exactly.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 #![deny(clippy::unwrap_used)]
 
 pub(crate) mod campaign;

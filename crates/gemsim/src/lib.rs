@@ -38,6 +38,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod cache;
 pub mod core;

@@ -182,11 +182,15 @@ impl NaiveStream {
         }
         let reuse = !self.history.is_empty() && self.rng.gen_bool(self.reuse_probability);
         let line = if reuse {
-            // Geometric stack distance over the recent-history buffer.
-            let mut d = 0usize;
-            while self.rng.next_f64() > self.reuse_p_geom && d + 1 < self.history.len() {
-                d += 1;
-            }
+            // Geometric stack distance over the recent-history buffer:
+            // stop probability p' = (⌊p·2⁵³⌋ + 1)/2⁵³, tail
+            // P(d ≥ k) = (1 − p')^k, inverted at one uniform on (0, 1]
+            // and capped at the oldest entry.
+            let two_53 = 2f64.powi(53);
+            let stop = ((self.reuse_p_geom * two_53).floor() + 1.0) / two_53;
+            let ln_q = (-stop.min(1.0)).ln_1p();
+            let u = ((self.rng.next_u64() >> 11) + 1) as f64 / two_53;
+            let d = (u.ln() / ln_q).min((self.history.len() - 1) as f64) as usize;
             self.history[self.history.len() - 1 - d]
         } else if self.rng.gen_bool(self.stream_probability) {
             self.line = (self.line + 1) % self.working_lines;

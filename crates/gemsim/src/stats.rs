@@ -80,7 +80,10 @@ impl SimReport {
 
 impl mss_pipe::Artifact for SimReport {
     const KIND: &'static str = "sim-report";
-    const VERSION: u32 = 1;
+    /// 2 since the one-draw reuse offset moved every access stream: a
+    /// version-1 entry holds a report of the old streams and loads as a
+    /// miss.
+    const VERSION: u32 = 2;
 
     fn encode(&self) -> String {
         use mss_pipe::hash::hex_of_f64;

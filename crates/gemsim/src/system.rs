@@ -697,7 +697,7 @@ mod tests {
     }
 
     /// Golden fault counters of the bodytrack run above, under the
-    /// geometric-gap draw.
+    /// geometric-gap draw and the one-draw reuse offset.
     #[test]
     fn faulty_run_matches_pinned_golden() {
         let sys = System::new(faulty_config()).unwrap();
@@ -705,17 +705,17 @@ mod tests {
         assert_eq!(
             r.fault.expect("fault stats present"),
             crate::faultmem::FaultMemStats {
-                writes: 331,
-                reads: 15868,
+                writes: 322,
+                reads: 15778,
                 scrubs: 0,
-                injected_bits: 4571,
-                write_retries: 225,
+                injected_bits: 4614,
+                write_retries: 219,
                 write_residual_bits: 0,
-                reads_clean: 12188,
-                reads_corrected: 3639,
-                reads_detected: 36,
-                reads_uncorrectable: 5,
-                scrubbed_words: 3639,
+                reads_clean: 12002,
+                reads_corrected: 3744,
+                reads_detected: 30,
+                reads_uncorrectable: 2,
+                scrubbed_words: 3744,
             }
         );
     }

@@ -8,7 +8,7 @@
 //! class of the original (compute-bound vs memory-bound, streaming vs
 //! reuse-heavy).
 
-use mss_units::rng::{coin_threshold, Rng, Xoshiro256Lanes, Xoshiro256PlusPlus};
+use mss_units::rng::{coin_threshold, Rng, Xoshiro256PlusPlus};
 
 use crate::GemsimError;
 
@@ -251,8 +251,12 @@ impl Kernel {
                 return fail(format!("{name} = {v} outside [0, 1]"));
             }
         }
-        if self.mean_reuse_distance < 1.0 {
-            return fail("mean reuse distance must be >= 1 line".into());
+        // A range test, so NaN fails too.
+        if !(1.0..).contains(&self.mean_reuse_distance) {
+            return fail(format!(
+                "mean reuse distance {} must be >= 1 line",
+                self.mean_reuse_distance
+            ));
         }
         Ok(())
     }
@@ -269,15 +273,13 @@ impl Kernel {
 /// The recent-line history is a fixed-size ring buffer: pushing the
 /// 4097th line overwrites the oldest slot in O(1), where the previous
 /// `Vec` representation paid a 4096-element shift (`remove(0)`) on every
-/// single generated access. The draws come from an [`Xoshiro256Lanes`]
-/// block generator whose hit bitmap answers the geometric reuse distance
-/// a bitmap word at a time. The draw sequence is bit-identical to
-/// [`crate::reference::NaiveStream`].
+/// single generated access. A reuse draws its geometric stack offset
+/// from one uniform by inverse CDF. The draw sequence is bit-identical
+/// to [`crate::reference::NaiveStream`].
 #[derive(Debug, Clone)]
 pub struct AccessStream {
-    /// The thread's xoshiro256++ stream; its hit threshold is the
-    /// geometric continue-test (see [`AccessStream::new`]).
-    rng: Xoshiro256Lanes,
+    /// The thread's xoshiro256++ stream.
+    rng: Xoshiro256PlusPlus,
     /// Ring of the last [`HISTORY`] line numbers; slot `hist_head` is
     /// written next, so the most recent line sits at `hist_head - 1`.
     history: Box<[u64]>,
@@ -295,6 +297,9 @@ pub struct AccessStream {
     reuse_coin: u64,
     stream_coin: u64,
     far_coin: u64,
+    /// `ln(1 − p')` of the reuse offset's stop probability `p'` (see
+    /// [`AccessStream::new`]); −∞ when `p' = 1`.
+    ln_q: f64,
     base: u64,
 }
 
@@ -310,24 +315,22 @@ pub struct MemoryAccess {
 const LINE: u64 = 64;
 const HISTORY: usize = 4096;
 const HISTORY_MASK: u32 = HISTORY as u32 - 1;
+/// 2⁵³, the span of a draw's 53-bit uniform grid.
+const TWO_53: f64 = (1u64 << 53) as f64;
 
 impl AccessStream {
     /// Creates a stream for `kernel`, thread `tid`, with a global seed.
     pub fn new(kernel: &Kernel, tid: u32, seed: u64) -> Self {
         let per_thread = (kernel.working_set / kernel.threads as u64).max(4 * LINE);
-        // The geometric continue-test `next_f64() > p_geom` in integers:
-        // with `u53 = next_u64() >> 11`, `u53 > p·2⁵³` ⟺
-        // `u53 ≥ ⌊p·2⁵³⌋ + 1` (exact: u53 and its 2⁻⁵³ scaling are
-        // lossless in f64, and p·2⁵³ is one f64 product). The run stops
-        // at the first draw below this threshold.
+        // The reuse offset is geometric with stop probability
+        // p' = (⌊p·2⁵³⌋ + 1)/2⁵³ for p = 1/mean: P(d ≥ k) = (1 − p')^k.
+        // p' is the exact f64 image of the integer numerator, which
+        // rounds to 2⁵³ (p' = 1) at mean 1.
         let p_geom = 1.0 / kernel.mean_reuse_distance.max(1.0);
-        let geom_threshold = (p_geom * (1u64 << 53) as f64) as u64 + 1;
+        let stop = ((p_geom * TWO_53) as u64 + 1) as f64 / TWO_53;
         Self {
-            rng: Xoshiro256Lanes::new(
-                Xoshiro256PlusPlus::seed_from_u64(
-                    seed ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(tid as u64 + 1),
-                ),
-                geom_threshold,
+            rng: Xoshiro256PlusPlus::seed_from_u64(
+                seed ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(tid as u64 + 1),
             ),
             history: vec![0; HISTORY].into_boxed_slice(),
             hist_len: 0,
@@ -339,6 +342,7 @@ impl AccessStream {
             reuse_coin: coin_threshold(kernel.reuse_probability),
             stream_coin: coin_threshold(kernel.stream_probability),
             far_coin: coin_threshold(kernel.far_reuse_probability),
+            ln_q: (-stop.min(1.0)).ln_1p(),
             base: (tid as u64) << 32,
         }
     }
@@ -348,6 +352,22 @@ impl AccessStream {
     #[inline]
     fn coin(&mut self, threshold: u64) -> bool {
         (self.rng.next_u64() >> 11) < threshold
+    }
+
+    /// Geometric stack distance over the recent-history ring, at most
+    /// `hist_len - 1` lines back, from one draw: with `U` uniform on the
+    /// grid `(0, 1]`, `⌊ln U / ln(1 − p')⌋ ≥ k` ⟺ `U ≤ (1 − p')^k`.
+    /// The cap is compared in f64, before the cast.
+    #[inline]
+    fn reuse_offset(&mut self) -> u32 {
+        let u = ((self.rng.next_u64() >> 11) + 1) as f64 / TWO_53;
+        let d = u.ln() / self.ln_q;
+        let cap = self.hist_len - 1;
+        if d < f64::from(cap) {
+            d as u32
+        } else {
+            cap
+        }
     }
 
     /// Draws the next access.
@@ -371,9 +391,7 @@ impl AccessStream {
         }
         let reuse = self.hist_len > 0 && self.coin(self.reuse_coin);
         let line = if reuse {
-            // Geometric stack distance over the recent-history ring, at
-            // most `hist_len - 1` lines back (see [`AccessStream::new`]).
-            let d = self.rng.run_length(self.hist_len - 1);
+            let d = self.reuse_offset();
             // d lines back from the most recent entry (at hist_head - 1).
             self.history[((self.hist_head.wrapping_sub(1 + d)) & HISTORY_MASK) as usize]
         } else if self.coin(self.stream_coin) {
@@ -442,6 +460,16 @@ mod tests {
     }
 
     #[test]
+    fn nan_mean_reuse_distance_rejected() {
+        let mut k = Kernel::bodytrack();
+        k.mean_reuse_distance = f64::NAN;
+        let err = k.validate().unwrap_err().to_string();
+        assert!(err.contains("mean reuse distance NaN"), "{err}");
+        k.mean_reuse_distance = 1.0;
+        k.validate().unwrap();
+    }
+
+    #[test]
     fn stream_is_deterministic_per_seed() {
         let k = Kernel::bodytrack();
         let mut a = AccessStream::new(&k, 0, 42);
@@ -470,6 +498,150 @@ mod tests {
         for _ in 0..1000 {
             let a = s.next_access().address;
             assert_eq!(a >> 32, 3);
+        }
+    }
+
+    // Stream-law oracles. Each checks a law the stream claims, whatever
+    // way it draws it, with tolerances fixed in advance. Each test runs
+    // 9 to 18 checks, so each check is held at α ≈ 0.001 / (number of
+    // checks) (Bonferroni): 4σ bands for counts and means (two-sided
+    // 6.3e-5 each) and Kolmogorov–Smirnov at critical 2.30/√n (5e-5,
+    // conservative for the discrete laws here). A 3σ band per check
+    // would fail a correct stream about once in twenty runs of an
+    // 18-check test.
+
+    /// `|observed − n·p| ≤ 4·√(n·p·(1 − p))`.
+    fn assert_binomial(what: &str, observed: u64, n: u64, p: f64) {
+        let mean = n as f64 * p;
+        let sigma = (n as f64 * p * (1.0 - p)).sqrt();
+        let z = (observed as f64 - mean) / sigma;
+        assert!(
+            z.abs() <= 4.0,
+            "{what}: {observed} of {n} at p = {p}, expected {mean:.1} ± {sigma:.1} (z = {z:+.2})"
+        );
+    }
+
+    /// The KS statistic of integer samples against the CDF `cdf(x)` =
+    /// P(X ≤ x), evaluated at both ends of every gap between observed
+    /// values, where the step functions part most.
+    fn ks_statistic(mut samples: Vec<u64>, cdf: impl Fn(u64) -> f64) -> f64 {
+        samples.sort_unstable();
+        let n = samples.len() as f64;
+        let mut d: f64 = 0.0;
+        let mut start = 0;
+        while start < samples.len() {
+            let x = samples[start];
+            let end = start + samples[start..].iter().take_while(|&&v| v == x).count();
+            let below = if x == 0 { 0.0 } else { cdf(x - 1) };
+            d = d
+                .max((start as f64 / n - below).abs())
+                .max((end as f64 / n - cdf(x)).abs());
+            start = end;
+        }
+        d
+    }
+
+    fn assert_ks(what: &str, samples: Vec<u64>, cdf: impl Fn(u64) -> f64) {
+        let critical = 2.30 / (samples.len() as f64).sqrt();
+        let d = ks_statistic(samples, cdf);
+        assert!(d <= critical, "{what}: KS D = {d:.5} > {critical:.5}");
+    }
+
+    /// The parsec kernels plus the two edge means, 1 (every reuse is
+    /// the last line) and 1e9 (every reuse hits the cap).
+    fn law_kernels() -> Vec<Kernel> {
+        let mut ks = Kernel::parsec_extended();
+        for (name, mean) in [("mean-1", 1.0), ("mean-1e9", 1e9)] {
+            let mut k = Kernel::bodytrack();
+            k.name = name.into();
+            k.mean_reuse_distance = mean;
+            ks.push(k);
+        }
+        ks
+    }
+
+    #[test]
+    fn reuse_offsets_follow_the_truncated_geometric() {
+        // The stop probability is p' = (⌊p·2⁵³⌋ + 1)/2⁵³ for p = 1/mean,
+        // so P(d ≥ k) = (1 − p')^k up to the cap, which takes the rest.
+        const N: usize = 50_000;
+        let cap = HISTORY as u32 - 1;
+        for k in law_kernels() {
+            let p = 1.0 / k.mean_reuse_distance;
+            let stop = ((p * (1u64 << 53) as f64) as u64 + 1) as f64 / (1u64 << 53) as f64;
+            let q = (1.0 - stop).max(0.0);
+            let tail = |j: u32| if j > cap { 0.0 } else { q.powi(j as i32) };
+            let mut s = AccessStream::new(&k, 0, 0x0051_ACD1);
+            while s.hist_len < HISTORY as u32 {
+                s.next_access();
+            }
+            let d: Vec<u64> = (0..N).map(|_| u64::from(s.reuse_offset())).collect();
+            assert!(d.iter().all(|&x| x <= u64::from(cap)), "{}", k.name);
+            assert_ks(&k.name, d.clone(), |x| 1.0 - tail(x as u32 + 1));
+            // E[d] = Σ_{j≥1} P(d ≥ j) and E[d²] = Σ_{j≥1} (2j − 1)·P(d ≥ j).
+            let mean: f64 = (1..=cap).map(tail).sum();
+            let second: f64 = (1..=cap).map(|j| f64::from(2 * j - 1) * tail(j)).sum();
+            let sigma = ((second - mean * mean).max(0.0) / N as f64).sqrt();
+            let observed = d.iter().sum::<u64>() as f64 / N as f64;
+            assert!(
+                (observed - mean).abs() <= 4.0 * sigma + 1e-9 * mean,
+                "{}: mean offset {observed} vs {mean} ± {sigma}",
+                k.name
+            );
+        }
+    }
+
+    /// Runs `n` accesses of thread 0 and returns the write count and the
+    /// far-reuse distances. A far access is the one branch that leaves
+    /// the history ring untouched, and its line sits `d mod working_lines`
+    /// behind the unmoved stream line.
+    fn classify(k: &Kernel, n: usize) -> (u64, Vec<u64>) {
+        let mut s = AccessStream::new(k, 0, 0x0051_ACD2);
+        let w = s.working_lines;
+        let (mut writes, mut far) = (0, Vec::new());
+        for _ in 0..n {
+            let (head, line) = (s.hist_head, s.line);
+            let a = s.next_access();
+            writes += u64::from(a.write);
+            if s.hist_head == head {
+                let r = (line + w - (a.address - s.base) / LINE) % w;
+                far.push(if r == 0 { w } else { r });
+            }
+        }
+        (writes, far)
+    }
+
+    #[test]
+    fn write_and_far_reuse_fractions_are_binomial() {
+        const N: usize = 200_000;
+        for k in Kernel::parsec_extended() {
+            let (writes, far) = classify(&k, N);
+            let (n, p) = (N as u64, k.far_reuse_probability);
+            assert_binomial(&format!("{} writes", k.name), writes, n, k.write_ratio);
+            // The first access has nothing behind it to re-reference.
+            assert_binomial(&format!("{} far", k.name), far.len() as u64, n - 1, p);
+        }
+    }
+
+    #[test]
+    fn far_reuse_distance_is_log_uniform() {
+        // d = ⌊64·(W/64)^u⌋ on [64, W] lines for u uniform on [0, 1),
+        // so P(d ≤ x) = ln((x + 1)/64) / ln(W/64) below W.
+        const N: usize = 200_000;
+        for k in Kernel::parsec_extended() {
+            let w = AccessStream::new(&k, 0, 0).working_lines;
+            assert!(w >= 128, "{}: the window is the working set", k.name);
+            let (_, far) = classify(&k, N);
+            let cdf = |x: u64| {
+                if x < 64 {
+                    0.0
+                } else if x >= w {
+                    1.0
+                } else {
+                    ((x + 1) as f64 / 64.0).ln() / (w as f64 / 64.0).ln()
+                }
+            };
+            assert_ks(&format!("{} far distance", k.name), far, cdf);
         }
     }
 

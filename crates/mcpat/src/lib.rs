@@ -15,6 +15,7 @@
 //! STT-MRAM L2 automatically moves the breakdown.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 use mss_gemsim::core::CoreKind;
 use mss_gemsim::stats::SimReport;

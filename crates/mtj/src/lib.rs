@@ -47,6 +47,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod astroid;
 mod error;

@@ -55,6 +55,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod events;
 pub mod json;

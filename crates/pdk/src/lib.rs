@@ -34,6 +34,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod cells;
 pub mod charlib;

@@ -30,6 +30,7 @@
 //! has **zero external dependencies**.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub(crate) mod cache;
 pub mod checkpoint;

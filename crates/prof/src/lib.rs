@@ -37,6 +37,7 @@
 //! network, deterministic output for deterministic input.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod baseline;
 pub mod chrome;

@@ -40,6 +40,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod analysis;
 pub mod batch;

@@ -24,6 +24,8 @@
 //! assert!((q_function(3.0) - 1.3499e-3).abs() < 1e-6);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod consts;
 pub mod fmt;
 pub mod math;

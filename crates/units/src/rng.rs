@@ -8,8 +8,6 @@
 //!   Lea & Flood, *Fast Splittable Pseudorandom Number Generators*, 2014),
 //! - [`Xoshiro256PlusPlus`] — the workhorse generator (Blackman & Vigna,
 //!   *Scrambled Linear Pseudorandom Number Generators*, 2019),
-//! - [`Xoshiro256Lanes`] — the same stream generated a block at a time in
-//!   eight jump-separated SIMD lanes, with a hit bitmap for geometric runs,
 //! - the [`Rng`] trait — the minimal uniform-sampling surface the Gaussian
 //!   helpers below are built on.
 //!
@@ -25,10 +23,6 @@
 //! The Gaussian machinery is Box–Muller based and works with any [`Rng`],
 //! so every crate in the workspace shares seeded, deterministic variation
 //! sampling.
-
-mod lanes;
-
-pub use lanes::{lanes_kernel, Xoshiro256Lanes};
 
 /// Minimal uniform-sampling interface implemented by the in-tree generators.
 ///

@@ -43,6 +43,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod context;
 pub mod ecc;

@@ -22,6 +22,8 @@
 //! See `README.md` for the architecture overview and `DESIGN.md` for the
 //! experiment index.
 
+#![forbid(unsafe_code)]
+
 pub use mss_core as core;
 pub use mss_exec as exec;
 pub use mss_fault as fault;
