@@ -14,9 +14,11 @@
 //! hash of the prefix and `k`, and `ln(1 − p)` computed once per kind when
 //! the [`FaultInjector`] is built. Since `P(gap ≥ g) = (1 − p)^g`, each bit
 //! still fires independently with probability `p`, and a word costs one
-//! hash per hit plus one.
+//! hash per hit plus one. The gap is read from a per-kind
+//! [`GeometricFloor`] threshold table, which returns that expression bit
+//! for bit, so a clean word costs one hash and one integer compare.
 
-use mss_units::rng::{Rng, SplitMix64};
+use mss_units::rng::{GeometricFloor, Rng, SplitMix64};
 
 use crate::plan::FaultPlan;
 
@@ -34,47 +36,49 @@ fn mix(x: u64) -> u64 {
     SplitMix64::new(x).next_u64()
 }
 
-/// 2⁻⁵³, the spacing of the uniform grid a gap hash maps onto.
-const UNIT: f64 = 1.0 / (1u64 << 53) as f64;
+/// Gap caps the per-kind tables reach: every word up to 1 024 bits, so
+/// BCH(2, 512)'s 532. A longer remainder takes the libm expression.
+const GAP_TABLE_CAP: u32 = 1024;
 
 /// One fault kind's hits over the bits of one word.
 ///
 /// Holds the hash prefix `mix(mix(mix(seed ^ kind) ^ site) ^ epoch)` and
-/// `ln(1 − p)`. The hits are one walk: gap `k` hashes `mix(prefix ^ k)`,
-/// takes `U = (h >> 11) + 1` on the 53-bit grid of `(0, 1]`, and skips
-/// `⌊ln U / ln(1 − p)⌋` clean bits before the next hit. Every query reads
-/// that walk, so [`Self::hits`]`(n)` is a prefix of `hits(m)` for `n < m`
-/// and [`Self::fires`]`(b)` holds iff `b ∈ hits(b + 1)`.
+/// the kind's gap sampler. The hits are one walk: gap `k` hashes
+/// `mix(prefix ^ k)`, takes `U = (h >> 11) + 1` on the 53-bit grid of
+/// `(0, 1]`, and skips `⌊ln U / ln(1 − p)⌋` clean bits before the next
+/// hit. Every query reads that walk, so [`Self::hits`]`(n)` is a prefix
+/// of `hits(m)` for `n < m` and [`Self::fires`]`(b)` holds iff
+/// `b ∈ hits(b + 1)`.
 #[derive(Debug, Clone, Copy)]
-pub struct WordDraw {
+pub struct WordDraw<'a> {
     prefix: u64,
-    ln_q: f64,
+    /// `None` at `p = 0`: the walk yields nothing without hashing.
+    gaps: Option<&'a GeometricFloor>,
 }
 
-impl WordDraw {
+impl<'a> WordDraw<'a> {
     #[inline]
-    fn new(kind: KindKey, site: u64, epoch: u64) -> Self {
+    fn new(kind: &'a KindKey, site: u64, epoch: u64) -> Self {
         Self {
             prefix: mix(mix(kind.key ^ site) ^ epoch),
-            ln_q: kind.ln_q,
+            gaps: kind.gaps.as_ref(),
         }
     }
 
-    /// The walk over the hits in `0..end`. A zero-rate draw (`ln_q` is
-    /// −0) yields nothing without hashing.
+    /// The walk over the hits in `0..end`.
     #[inline]
-    fn walk(self, end: u64) -> Walk {
+    fn walk(self, end: u64) -> Walk<'a> {
         Walk {
             draw: self,
             gap: 0,
             next: 0,
-            end: if self.ln_q == 0.0 { 0 } else { end },
+            end,
         }
     }
 
     /// The bits in `0..bits` where the draw fires, in ascending order.
     #[inline]
-    pub fn hits(self, bits: u32) -> impl Iterator<Item = u32> {
+    pub fn hits(self, bits: u32) -> impl Iterator<Item = u32> + 'a {
         self.walk(bits.into()).map(|(bit, _)| bit)
     }
 
@@ -91,7 +95,7 @@ impl WordDraw {
     /// frozen at. The value is the low bit of a further hash of the gap's
     /// hash, so it does not correlate with which cells are stuck.
     #[inline]
-    pub fn stuck_hits(self, bits: u32) -> impl Iterator<Item = (u32, bool)> {
+    pub fn stuck_hits(self, bits: u32) -> impl Iterator<Item = (u32, bool)> + 'a {
         self.walk(bits.into())
             .map(|(bit, h)| (bit, mix(h) & 1 == 1))
     }
@@ -99,8 +103,8 @@ impl WordDraw {
 
 /// The gap walk of a [`WordDraw`]: yields each hit below `end` with the
 /// hash that placed it.
-struct Walk {
-    draw: WordDraw,
+struct Walk<'a> {
+    draw: WordDraw<'a>,
     /// The counter of the next gap hash.
     gap: u64,
     /// The first bit not yet decided.
@@ -108,25 +112,27 @@ struct Walk {
     end: u64,
 }
 
-impl Iterator for Walk {
+impl Iterator for Walk<'_> {
     type Item = (u32, u64);
 
     #[inline]
     fn next(&mut self) -> Option<(u32, u64)> {
+        let gaps = self.draw.gaps?;
         if self.next >= self.end {
             return None;
         }
         let h = mix(self.draw.prefix ^ self.gap);
         self.gap += 1;
-        // `ln U ≤ 0` and `ln_q < 0`, so the gap is ≥ 0 (−0 at `U = 1` or
-        // `p = 1`), and +∞ when `p` is too small for any `U < 1` to hit.
-        let u = ((h >> 11) + 1) as f64 * UNIT;
-        let gap = u.ln() / self.draw.ln_q;
-        if gap >= (self.end - self.next) as f64 {
+        // `min(⌊ln U / ln(1 − p)⌋, left)`: the gap is `left` when the
+        // quotient reaches it (+∞ when `p` is too small for any `U < 1`
+        // to hit), and the word has no further hit.
+        let left = self.end - self.next;
+        let gap = gaps.sample((h >> 11) + 1, left);
+        if gap == left {
             self.next = self.end;
             return None;
         }
-        let bit = self.next + gap as u64;
+        let bit = self.next + gap;
         self.next = bit + 1;
         // `bit < end ≤ 2³²`.
         Some((bit as u32, h))
@@ -134,18 +140,20 @@ impl Iterator for Walk {
 }
 
 /// A fault kind's per-injector constants: the first hash link
-/// `mix(seed ^ kind)` and `ln(1 − p)`, −0 at `p = 0` and −∞ at `p = 1`.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// `mix(seed ^ kind)` and the gap sampler for `ln(1 − p)` (−∞ at
+/// `p = 1`), built only when `p > 0`.
+#[derive(Debug, Clone, PartialEq)]
 struct KindKey {
     key: u64,
-    ln_q: f64,
+    gaps: Option<GeometricFloor>,
 }
 
 impl KindKey {
     fn new(seed: u64, kind: u64, p: f64) -> Self {
+        let ln_q = (-p).ln_1p();
         Self {
             key: mix(seed ^ kind),
-            ln_q: (-p).ln_1p(),
+            gaps: (ln_q != 0.0).then(|| GeometricFloor::new(ln_q, GAP_TABLE_CAP)),
         }
     }
 }
@@ -180,7 +188,7 @@ impl KindKey {
 /// assert_eq!(word.fires(12), inj.write_fails(3, 0, 12));
 /// assert_eq!(word.hits(13).last() == Some(12), word.fires(12));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultInjector {
     plan: FaultPlan,
     write_fail: KindKey,
@@ -190,7 +198,7 @@ pub struct FaultInjector {
 }
 
 impl FaultInjector {
-    /// Wraps a plan, deriving each fault kind's hash key and `ln(1 − p)`
+    /// Wraps a plan, deriving each fault kind's hash key and gap table
     /// once. A [`FaultPlan::disabled`] plan yields an injector that never
     /// injects.
     pub fn new(plan: FaultPlan) -> Self {
@@ -216,30 +224,30 @@ impl FaultInjector {
     /// Distinct epochs are independent draws, so a bounded retry loop sees
     /// fresh (but reproducible) outcomes on each attempt.
     #[inline]
-    pub fn write_word(&self, site: u64, epoch: u64) -> WordDraw {
-        WordDraw::new(self.write_fail, site, epoch)
+    pub fn write_word(&self, site: u64, epoch: u64) -> WordDraw<'_> {
+        WordDraw::new(&self.write_fail, site, epoch)
     }
 
     /// Read disturbs (flips of the stored state) of the word at `site`
     /// during access `epoch`.
     #[inline]
-    pub fn read_disturb_word(&self, site: u64, epoch: u64) -> WordDraw {
-        WordDraw::new(self.read_disturb, site, epoch)
+    pub fn read_disturb_word(&self, site: u64, epoch: u64) -> WordDraw<'_> {
+        WordDraw::new(&self.read_disturb, site, epoch)
     }
 
     /// Transient flips (retention loss / soft upset since the previous
     /// touch) of the word at `site` in access epoch `epoch`.
     #[inline]
-    pub fn transient_word(&self, site: u64, epoch: u64) -> WordDraw {
-        WordDraw::new(self.transient, site, epoch)
+    pub fn transient_word(&self, site: u64, epoch: u64) -> WordDraw<'_> {
+        WordDraw::new(&self.transient, site, epoch)
     }
 
     /// Fabrication-time stuck-at defects of the word at `site`; read them
     /// with [`WordDraw::stuck_hits`]. Stuck-at state is a property of the
     /// cell, not of an access: it has no epoch.
     #[inline]
-    pub fn stuck_word(&self, site: u64) -> WordDraw {
-        WordDraw::new(self.stuck, site, 0)
+    pub fn stuck_word(&self, site: u64) -> WordDraw<'_> {
+        WordDraw::new(&self.stuck, site, 0)
     }
 
     /// Does the write of `bit` at `site` fail on attempt `epoch`?

@@ -36,7 +36,7 @@ const KINDS: [&str; 4] = ["write", "read-disturb", "transient", "stuck"];
 
 /// The four kinds' draws of word `w`: the three access kinds at an epoch
 /// that varies with the word, the stuck-at map of site `w`.
-fn draws(inj: &FaultInjector, w: u64) -> [WordDraw; 4] {
+fn draws(inj: &FaultInjector, w: u64) -> [WordDraw<'_>; 4] {
     let epoch = w % 5;
     [
         inj.write_word(w, epoch),

@@ -347,6 +347,8 @@ impl System {
             DEFAULT_CHUNK
         ];
 
+        // One reuse-offset table for every thread's stream.
+        let reuse = AccessStream::reuse_sampler(kernel);
         let mut global_core_index = 0u32;
         for cluster in &self.config.clusters {
             let weight = cluster.core.frequency / cluster.core.base_cpi;
@@ -372,7 +374,7 @@ impl System {
                 let mut l1 = Cache::new(cluster.l1d.clone())?;
                 let mut stall_seconds_sim = 0.0;
                 for &t in &owned {
-                    let mut stream = AccessStream::new(kernel, t as u32, seed);
+                    let mut stream = AccessStream::with_sampler(kernel, t as u32, seed, &reuse);
                     let mut done = 0u64;
                     while done < sim_per_thread {
                         // Cancellation checkpoint: one poll per synthesis

@@ -8,7 +8,9 @@
 //! class of the original (compute-bound vs memory-bound, streaming vs
 //! reuse-heavy).
 
-use mss_units::rng::{coin_threshold, Rng, Xoshiro256PlusPlus};
+use std::sync::Arc;
+
+use mss_units::rng::{coin_threshold, GeometricFloor, Rng, Xoshiro256PlusPlus};
 
 use crate::GemsimError;
 
@@ -274,8 +276,9 @@ impl Kernel {
 /// 4097th line overwrites the oldest slot in O(1), where the previous
 /// `Vec` representation paid a 4096-element shift (`remove(0)`) on every
 /// single generated access. A reuse draws its geometric stack offset
-/// from one uniform by inverse CDF. The draw sequence is bit-identical
-/// to [`crate::reference::NaiveStream`].
+/// from one uniform by inverse CDF, read from a threshold table rather
+/// than a logarithm. The draw sequence is bit-identical to
+/// [`crate::reference::NaiveStream`].
 #[derive(Debug, Clone)]
 pub struct AccessStream {
     /// The thread's xoshiro256++ stream.
@@ -297,10 +300,25 @@ pub struct AccessStream {
     reuse_coin: u64,
     stream_coin: u64,
     far_coin: u64,
-    /// `ln(1 − p')` of the reuse offset's stop probability `p'` (see
-    /// [`AccessStream::new`]); −∞ when `p' = 1`.
-    ln_q: f64,
+    /// `⌊ln U / ln(1 − p')⌋` for the reuse offset's stop probability
+    /// `p'` (see [`AccessStream::reuse_sampler`]), shared by a run's
+    /// streams.
+    reuse: Arc<GeometricFloor>,
     base: u64,
+    /// The branch of the last access.
+    #[cfg(test)]
+    branch: Branch,
+}
+
+/// The branch that drew an access, tagged so tests can count the
+/// stream's fractions (a reuse and a jump can emit the same address).
+#[cfg(test)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Branch {
+    Far,
+    Reuse,
+    Stream,
+    Jump,
 }
 
 /// One generated memory reference.
@@ -321,13 +339,33 @@ const TWO_53: f64 = (1u64 << 53) as f64;
 impl AccessStream {
     /// Creates a stream for `kernel`, thread `tid`, with a global seed.
     pub fn new(kernel: &Kernel, tid: u32, seed: u64) -> Self {
-        let per_thread = (kernel.working_set / kernel.threads as u64).max(4 * LINE);
-        // The reuse offset is geometric with stop probability
-        // p' = (⌊p·2⁵³⌋ + 1)/2⁵³ for p = 1/mean: P(d ≥ k) = (1 − p')^k.
-        // p' is the exact f64 image of the integer numerator, which
-        // rounds to 2⁵³ (p' = 1) at mean 1.
+        Self::with_sampler(kernel, tid, seed, &Self::reuse_sampler(kernel))
+    }
+
+    /// The reuse offset's sampler for `kernel`, which every thread's
+    /// stream of a run can share. The offset is geometric with stop
+    /// probability p' = (⌊p·2⁵³⌋ + 1)/2⁵³ for p = 1/mean:
+    /// P(d ≥ k) = (1 − p')^k. p' is the exact f64 image of the integer
+    /// numerator, which rounds to 2⁵³ (p' = 1, `ln(1 − p') = −∞`) at
+    /// mean 1.
+    pub(crate) fn reuse_sampler(kernel: &Kernel) -> Arc<GeometricFloor> {
         let p_geom = 1.0 / kernel.mean_reuse_distance.max(1.0);
         let stop = ((p_geom * TWO_53) as u64 + 1) as f64 / TWO_53;
+        Arc::new(GeometricFloor::new(
+            (-stop.min(1.0)).ln_1p(),
+            HISTORY as u32 - 1,
+        ))
+    }
+
+    /// [`AccessStream::new`] with the reuse sampler built for `kernel`
+    /// by [`AccessStream::reuse_sampler`].
+    pub(crate) fn with_sampler(
+        kernel: &Kernel,
+        tid: u32,
+        seed: u64,
+        reuse: &Arc<GeometricFloor>,
+    ) -> Self {
+        let per_thread = (kernel.working_set / kernel.threads as u64).max(4 * LINE);
         Self {
             rng: Xoshiro256PlusPlus::seed_from_u64(
                 seed ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(tid as u64 + 1),
@@ -342,8 +380,10 @@ impl AccessStream {
             reuse_coin: coin_threshold(kernel.reuse_probability),
             stream_coin: coin_threshold(kernel.stream_probability),
             far_coin: coin_threshold(kernel.far_reuse_probability),
-            ln_q: (-stop.min(1.0)).ln_1p(),
+            reuse: Arc::clone(reuse),
             base: (tid as u64) << 32,
+            #[cfg(test)]
+            branch: Branch::Jump,
         }
     }
 
@@ -357,17 +397,12 @@ impl AccessStream {
     /// Geometric stack distance over the recent-history ring, at most
     /// `hist_len - 1` lines back, from one draw: with `U` uniform on the
     /// grid `(0, 1]`, `⌊ln U / ln(1 − p')⌋ ≥ k` ⟺ `U ≤ (1 − p')^k`.
-    /// The cap is compared in f64, before the cast.
+    /// The cap is compared in f64, before the cast; the sampler returns
+    /// that expression's value without evaluating it.
     #[inline]
     fn reuse_offset(&mut self) -> u32 {
-        let u = ((self.rng.next_u64() >> 11) + 1) as f64 / TWO_53;
-        let d = u.ln() / self.ln_q;
-        let cap = self.hist_len - 1;
-        if d < f64::from(cap) {
-            d as u32
-        } else {
-            cap
-        }
+        let x = (self.rng.next_u64() >> 11) + 1;
+        self.reuse.sample(x, (self.hist_len - 1).into()) as u32
     }
 
     /// Draws the next access.
@@ -384,6 +419,10 @@ impl AccessStream {
             let line =
                 (self.line + self.working_lines - d % self.working_lines) % self.working_lines;
             self.cursor += 1;
+            #[cfg(test)]
+            {
+                self.branch = Branch::Far;
+            }
             return MemoryAccess {
                 address: self.base + line * LINE,
                 write,
@@ -391,11 +430,19 @@ impl AccessStream {
         }
         let reuse = self.hist_len > 0 && self.coin(self.reuse_coin);
         let line = if reuse {
+            #[cfg(test)]
+            {
+                self.branch = Branch::Reuse;
+            }
             let d = self.reuse_offset();
             // d lines back from the most recent entry (at hist_head - 1).
             self.history[((self.hist_head.wrapping_sub(1 + d)) & HISTORY_MASK) as usize]
         } else if self.coin(self.stream_coin) {
             // Sequential streaming within the working set.
+            #[cfg(test)]
+            {
+                self.branch = Branch::Stream;
+            }
             self.line += 1;
             if self.line == self.working_lines {
                 self.line = 0;
@@ -403,6 +450,10 @@ impl AccessStream {
             self.line
         } else {
             // Random jump within the working set.
+            #[cfg(test)]
+            {
+                self.branch = Branch::Jump;
+            }
             self.line = self.rng.gen_range_u64(0, self.working_lines);
             self.line
         };
@@ -512,11 +563,16 @@ mod tests {
 
     /// `|observed − n·p| ≤ 4·√(n·p·(1 − p))`.
     fn assert_binomial(what: &str, observed: u64, n: u64, p: f64) {
+        assert_binomial_at(what, observed, n, p, 4.0);
+    }
+
+    /// `|observed − n·p| ≤ z_max·√(n·p·(1 − p))`.
+    fn assert_binomial_at(what: &str, observed: u64, n: u64, p: f64, z_max: f64) {
         let mean = n as f64 * p;
         let sigma = (n as f64 * p * (1.0 - p)).sqrt();
         let z = (observed as f64 - mean) / sigma;
         assert!(
-            z.abs() <= 4.0,
+            z.abs() <= z_max,
             "{what}: {observed} of {n} at p = {p}, expected {mean:.1} ± {sigma:.1} (z = {z:+.2})"
         );
     }
@@ -620,6 +676,36 @@ mod tests {
             assert_binomial(&format!("{} writes", k.name), writes, n, k.write_ratio);
             // The first access has nothing behind it to re-reference.
             assert_binomial(&format!("{} far", k.name), far.len() as u64, n - 1, p);
+        }
+    }
+
+    #[test]
+    fn reuse_stream_and_jump_fractions_are_binomial() {
+        // After the first access, fresh coins pick every access's branch:
+        // far with probability f, else reuse with r, else a stream step
+        // with s, else a random jump. So over the N − 1 later accesses
+        // each branch count is binomial. The family is 27 checks (three
+        // per kernel), so each is held at 4.2σ (two-sided 2.7e-5;
+        // 27 × 2.7e-5 ≈ 7e-4).
+        const N: u64 = 200_000;
+        for k in Kernel::parsec_extended() {
+            let mut s = AccessStream::new(&k, 0, 0x0051_ACD3);
+            s.next_access();
+            let mut counts = [0u64; 4];
+            for _ in 1..N {
+                s.next_access();
+                counts[s.branch as usize] += 1;
+            }
+            let near = 1.0 - k.far_reuse_probability;
+            let fresh = near * (1.0 - k.reuse_probability);
+            for (what, branch, p) in [
+                ("reuse", Branch::Reuse, near * k.reuse_probability),
+                ("stream", Branch::Stream, fresh * k.stream_probability),
+                ("jump", Branch::Jump, fresh * (1.0 - k.stream_probability)),
+            ] {
+                let what = format!("{} {what}", k.name);
+                assert_binomial_at(&what, counts[branch as usize], N - 1, p, 4.2);
+            }
         }
     }
 

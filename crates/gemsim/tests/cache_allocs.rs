@@ -1,6 +1,7 @@
 //! Proof that the gemsim hot path never allocates: a [`Cache`] is exactly
-//! the allocations made in `Cache::new`, and the access/flush and
-//! stream-synthesis paths are allocation-free after construction. This pins
+//! the allocations made in `Cache::new`, `AccessStream::new` makes a
+//! fixed handful, and the access/flush and stream-synthesis paths are
+//! allocation-free after construction. This pins
 //! the fix for the old `Cache::new` bug where a capacity-carrying `Vec` was
 //! cloned per set (losing the reservation and re-growing in the hot loop).
 //!
@@ -97,6 +98,22 @@ fn hot_paths_never_allocate() {
         0,
         "the access/flush path must never allocate"
     );
+
+    // Stream construction: the history ring and the reuse sampler (its
+    // shared handle, threshold table and index), whatever the kernel's
+    // mean reuse distance — a small constant, NOT per access.
+    for kernel in Kernel::parsec_extended() {
+        let before_stream = allocs();
+        let stream = AccessStream::new(&kernel, 0, 7);
+        let stream_allocs = allocs() - before_stream;
+        assert!(
+            stream_allocs <= 4,
+            "AccessStream::new({}) made {stream_allocs} allocations; want at most \
+             the ring and the sampler's three",
+            kernel.name
+        );
+        drop(stream);
+    }
 
     // Stream synthesis storm: after AccessStream::new, batch fills reuse
     // the caller's buffer and the internal ring — zero allocations.

@@ -9,7 +9,8 @@
 //! - [`stats`] — streaming statistics (Welford) and percentile helpers,
 //! - [`rng`] — an in-tree PRNG stack (SplitMix64 seeding, xoshiro256++
 //!   core, deterministic stream splitting) plus reproducible Gaussian /
-//!   lognormal / truncated sampling on top of any [`rng::Rng`],
+//!   lognormal / truncated sampling on top of any [`rng::Rng`], and the
+//!   table-driven geometric count [`rng::GeometricFloor`],
 //! - [`fmt`] — engineering-notation formatting for report tables.
 //!
 //! # Examples

@@ -9,7 +9,9 @@
 //! - [`Xoshiro256PlusPlus`] — the workhorse generator (Blackman & Vigna,
 //!   *Scrambled Linear Pseudorandom Number Generators*, 2019),
 //! - the [`Rng`] trait — the minimal uniform-sampling surface the Gaussian
-//!   helpers below are built on.
+//!   helpers below are built on,
+//! - [`GeometricFloor`] — the capped geometric count `⌊ln U / ln q⌋` read
+//!   from a threshold table, bit-identical to its libm expression.
 //!
 //! # Deterministic stream splitting
 //!
@@ -23,6 +25,10 @@
 //! The Gaussian machinery is Box–Muller based and works with any [`Rng`],
 //! so every crate in the workspace shares seeded, deterministic variation
 //! sampling.
+
+mod geometric;
+
+pub use geometric::GeometricFloor;
 
 /// Minimal uniform-sampling interface implemented by the in-tree generators.
 ///
