@@ -110,21 +110,6 @@ pub fn write_obs_artifacts(name: &str) {
     );
 }
 
-/// Renders a simple two-column series as text rows.
-#[cfg(test)]
-pub(crate) fn series_table(
-    title: &str,
-    x_label: &str,
-    y_label: &str,
-    rows: &[(String, String)],
-) -> String {
-    let mut out = format!("== {title} ==\n{x_label:<24} | {y_label}\n");
-    for (x, y) in rows {
-        out.push_str(&format!("{x:<24} | {y}\n"));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -133,8 +118,5 @@ mod tests {
     fn helpers_are_consistent() {
         assert_eq!(FIG7_TARGETS.len(), 3);
         assert_eq!(fig9_periods().len(), 10);
-        let t = series_table("t", "x", "y", &[("a".into(), "b".into())]);
-        assert!(t.contains("== t =="));
-        assert!(t.contains("a"));
     }
 }

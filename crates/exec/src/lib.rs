@@ -180,8 +180,6 @@ pub struct RunStats {
     pub(crate) tasks: u64,
     /// Number of leaf items (samples) the tasks covered.
     pub(crate) samples: u64,
-    /// Worker threads used.
-    pub(crate) threads: usize,
     /// Wall-clock duration of the whole region, seconds.
     pub(crate) wall_seconds: f64,
     /// Per-thread busy time (seconds spent inside task bodies).
@@ -189,38 +187,6 @@ pub struct RunStats {
 }
 
 impl RunStats {
-    /// Per-thread utilization: busy time / wall time, in `[0, 1]`-ish
-    /// (slightly above 1 is possible from timer granularity).
-    pub(crate) fn utilization(&self) -> Vec<f64> {
-        if self.wall_seconds <= 0.0 {
-            return vec![0.0; self.busy_seconds.len()];
-        }
-        self.busy_seconds
-            .iter()
-            .map(|b| b / self.wall_seconds)
-            .collect()
-    }
-
-    /// Mean utilization across workers.
-    #[cfg(test)]
-    pub(crate) fn mean_utilization(&self) -> f64 {
-        let u = self.utilization();
-        if u.is_empty() {
-            0.0
-        } else {
-            u.iter().sum::<f64>() / u.len() as f64
-        }
-    }
-
-    /// Sample throughput, samples per wall-clock second.
-    pub(crate) fn samples_per_second(&self) -> f64 {
-        if self.wall_seconds <= 0.0 {
-            0.0
-        } else {
-            self.samples as f64 / self.wall_seconds
-        }
-    }
-
     /// Records this run into the global observability registry under
     /// `name` (see `mss_obs::record_run`): `{name}.tasks`/`{name}.samples`
     /// counters plus wall-time and utilization histograms. No-op when
@@ -233,28 +199,6 @@ impl RunStats {
             self.wall_seconds,
             &self.busy_seconds,
         );
-    }
-
-    /// Renders a one-run report block.
-    pub(crate) fn to_table(&self) -> String {
-        let mut out = format!(
-            "tasks {} | samples {} | threads {} | wall {:.3} ms | {:.0} samples/s\n",
-            self.tasks,
-            self.samples,
-            self.threads,
-            self.wall_seconds * 1e3,
-            self.samples_per_second()
-        );
-        for (k, u) in self.utilization().iter().enumerate() {
-            out.push_str(&format!("  worker {k}: {:5.1}% busy\n", u * 100.0));
-        }
-        out
-    }
-}
-
-impl std::fmt::Display for RunStats {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.to_table())
     }
 }
 
@@ -293,7 +237,6 @@ where
         let stats = RunStats {
             tasks: tasks as u64,
             samples,
-            threads: 1,
             wall_seconds: started.elapsed().as_secs_f64(),
             busy_seconds: vec![busy],
         };
@@ -353,7 +296,6 @@ where
     let stats = RunStats {
         tasks: tasks as u64,
         samples,
-        threads,
         wall_seconds: started.elapsed().as_secs_f64(),
         busy_seconds,
     };
@@ -473,11 +415,7 @@ mod tests {
         assert_eq!(stats.tasks, 10);
         assert_eq!(stats.samples, 95);
         assert!(stats.wall_seconds >= 0.0);
-        assert_eq!(stats.busy_seconds.len(), stats.threads);
-        let table = stats.to_table();
-        assert!(table.contains("tasks 10"), "{table}");
-        assert!(stats.samples_per_second() >= 0.0);
-        assert!(stats.mean_utilization() >= 0.0);
+        assert_eq!(stats.busy_seconds.len(), 2);
     }
 
     #[test]
@@ -485,7 +423,8 @@ mod tests {
         let cfg = ParallelConfig::serial();
         let (out, stats) = par_map_stats(&cfg, &[1, 2, 3], |_, &x: &i32| x);
         assert_eq!(out, vec![1, 2, 3]);
-        assert_eq!(stats.threads, 1);
+        assert_eq!((stats.tasks, stats.samples), (3, 3));
+        assert_eq!(stats.busy_seconds.len(), 1);
     }
 
     #[test]

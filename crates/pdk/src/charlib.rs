@@ -4,17 +4,19 @@
 //! output measurement file that is then parsed to extract the required cell
 //! level parameters such as switching current, delay and energy values.
 //! These values are updated into the cell configuration file of the VAET-STT
-//! tool."* [`characterize_with`] produces a [`CellLibrary`]; its
-//! [`CellLibrary::to_report`]/[`CellLibrary::from_report`] pair is the
-//! measurement-file round trip. The three-terminal SOT cell
+//! tool."* [`characterize_with`] produces a [`CellLibrary`], and its
+//! [`Artifact`](mss_pipe::Artifact) encoding is the cell configuration
+//! file: [`characterize_cached`] writes it to the pipe cache's disk tier
+//! and later runs read it back from there. The three-terminal SOT cell
 //! ([`characterize_sot_with`]) runs through the same body, keyed on
-//! [`MechanismConfig`].
+//! [`MechanismConfig`], and its [`SotCellLibrary`] file adds the channel
+//! parameters on a second line.
 
 use mss_mtj::mechanism::MechanismKind;
 use mss_mtj::resistance::MtjState;
 use mss_mtj::{MechanismConfig, MssStack, SotMechanism, SotParams};
 use mss_spice::analysis::{dc_operating_point, Transient, TransientOptions, TransientResult};
-use mss_spice::mdl::{Edge, Measurement, Probe, Report};
+use mss_spice::mdl::{Edge, Measurement, Probe};
 use mss_spice::netlist::Netlist;
 use mss_spice::waveform::Waveform;
 
@@ -165,9 +167,12 @@ impl mss_pipe::Artifact for CellLibrary {
             .finish()
     }
 
+    /// Entries carry no checksum, so a damaged digit can spell NaN or
+    /// ±Inf: a non-finite field rejects the entry, which the cache counts
+    /// as a load failure and recomputes.
     fn decode(payload: &str) -> Option<Self> {
         let v = mss_pipe::json::Value::parse(payload).ok()?;
-        let f = |key: &str| mss_pipe::hash::f64_field(&v, key);
+        let f = |key: &str| finite_field(&v, key);
         let node = match v.get("node")?.as_u64()? {
             45 => TechNode::N45,
             65 => TechNode::N65,
@@ -194,6 +199,11 @@ impl mss_pipe::Artifact for CellLibrary {
             r_antiparallel: f("r_antiparallel")?,
         })
     }
+}
+
+/// An exact-bits field of a cell-library entry, `None` unless finite.
+fn finite_field(v: &mss_pipe::json::Value, key: &str) -> Option<f64> {
+    mss_pipe::hash::f64_field(v, key).filter(|x| x.is_finite())
 }
 
 impl mss_pipe::StableHash for SotCellLibrary {
@@ -236,7 +246,7 @@ impl mss_pipe::Artifact for SotCellLibrary {
         let mut lines = payload.lines();
         let base = CellLibrary::decode(lines.next()?)?;
         let v = mss_pipe::json::Value::parse(lines.next()?).ok()?;
-        let f = |key: &str| mss_pipe::hash::f64_field(&v, key);
+        let f = |key: &str| finite_field(&v, key);
         Some(Self {
             base,
             params: SotParams {
@@ -769,85 +779,6 @@ pub fn characterize_nvff(tech: &TechParams, stack: &MssStack) -> Result<NvffMetr
     })
 }
 
-impl CellLibrary {
-    /// Serialises to the `name = value` measurement-file format (the cell
-    /// configuration file of the VAET-STT tool).
-    pub fn to_report(&self) -> Report {
-        let mut r = Report::new();
-        r.insert(
-            "node_nm",
-            match self.node {
-                TechNode::N45 => 45.0,
-                TechNode::N65 => 65.0,
-            },
-        );
-        r.insert("write_latency", self.write.latency);
-        r.insert("write_energy", self.write.energy);
-        r.insert("write_current", self.write.current);
-        r.insert("read_latency", self.read.latency);
-        r.insert("read_energy", self.read.energy);
-        r.insert("read_current", self.read.current);
-        r.insert("access_width", self.access_width);
-        r.insert("cell_area", self.cell_area);
-        r.insert("leakage", self.leakage);
-        r.insert("critical_current", self.critical_current);
-        r.insert("delta", self.delta);
-        r.insert("r_parallel", self.r_parallel);
-        r.insert("r_antiparallel", self.r_antiparallel);
-        r
-    }
-
-    /// Parses a cell configuration back from a measurement report.
-    ///
-    /// # Errors
-    ///
-    /// [`PdkError::Characterization`] when a required key is missing or not
-    /// finite, or `node_nm` is neither 45 nor 65.
-    pub fn from_report(report: &Report) -> Result<Self, PdkError> {
-        let get = |key: &str| {
-            let reason = match report.get(key) {
-                Some(v) if v.is_finite() => return Ok(v),
-                Some(v) => format!("key '{key}' = {v} is not finite"),
-                None => format!("missing key '{key}'"),
-            };
-            Err(PdkError::Characterization {
-                step: "report parse",
-                reason,
-            })
-        };
-        let node = match get("node_nm")? {
-            45.0 => TechNode::N45,
-            65.0 => TechNode::N65,
-            nm => {
-                return Err(PdkError::Characterization {
-                    step: "report parse",
-                    reason: format!("key 'node_nm' = {nm} is not a supported node (45 or 65)"),
-                })
-            }
-        };
-        Ok(Self {
-            node,
-            write: OpMetrics {
-                latency: get("write_latency")?,
-                energy: get("write_energy")?,
-                current: get("write_current")?,
-            },
-            read: OpMetrics {
-                latency: get("read_latency")?,
-                energy: get("read_energy")?,
-                current: get("read_current")?,
-            },
-            access_width: get("access_width")?,
-            cell_area: get("cell_area")?,
-            leakage: get("leakage")?,
-            critical_current: get("critical_current")?,
-            delta: get("delta")?,
-            r_parallel: get("r_parallel")?,
-            r_antiparallel: get("r_antiparallel")?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1056,73 +987,46 @@ mod tests {
     }
 
     #[test]
-    fn report_round_trip() {
-        let bits = |lib: &CellLibrary| {
-            [
-                lib.write.latency,
-                lib.write.energy,
-                lib.write.current,
-                lib.read.latency,
-                lib.read.energy,
-                lib.read.current,
-                lib.access_width,
-                lib.cell_area,
-                lib.leakage,
-                lib.critical_current,
-                lib.delta,
-                lib.r_parallel,
-                lib.r_antiparallel,
-            ]
-            .map(f64::to_bits)
+    fn decode_rejects_non_finite_fields() {
+        use mss_pipe::hash::hex_of_f64;
+        use mss_pipe::Artifact;
+        let op = |s: f64| OpMetrics {
+            latency: 1e-9 * s,
+            energy: 1e-12 * s,
+            current: 1e-4 * s,
         };
-        for node in [TechNode::N45, TechNode::N65] {
-            let lib = characterize_with(&TechParams::node(node), &stack()).unwrap();
-            let text = lib.to_report().to_text();
-            let back = CellLibrary::from_report(&Report::parse(&text).unwrap()).unwrap();
-            assert_eq!(lib.node, back.node);
-            assert_eq!(bits(&lib), bits(&back), "{node:?}:\n{text}");
-        }
-    }
-
-    #[test]
-    fn from_report_rejects_missing_keys() {
-        let r = Report::parse("node_nm = 45\n").unwrap();
-        assert!(CellLibrary::from_report(&r).is_err());
-        // A complete report at an unsupported node is rejected, not decoded
-        // as 65 nm.
-        let mut r = characterize_with(&TechParams::node(TechNode::N65), &stack())
-            .unwrap()
-            .to_report();
-        for nm in [7.0, 44.5, 64.0, 1e9, f64::NAN] {
-            r.insert("node_nm", nm);
-            let err = CellLibrary::from_report(&r).unwrap_err();
-            assert!(
-                matches!(&err, PdkError::Characterization { reason, .. } if reason.contains("'node_nm'")),
-                "node {nm}: {err}"
-            );
-        }
-        r.insert("node_nm", 65.0);
-        assert_eq!(CellLibrary::from_report(&r).unwrap().node, TechNode::N65);
-    }
-
-    #[test]
-    fn from_report_rejects_non_finite_fields() {
-        let good = characterize_with(&TechParams::node(TechNode::N45), &stack())
-            .unwrap()
-            .to_report();
-        for (key, v) in [
-            ("write_latency", f64::NAN),
-            ("r_parallel", f64::NEG_INFINITY),
-            ("leakage", f64::INFINITY),
-        ] {
-            let mut r = good.clone();
-            r.insert(key, v);
-            let err = CellLibrary::from_report(&r).unwrap_err();
-            assert!(
-                matches!(&err, PdkError::Characterization { reason, .. }
-                    if reason.contains(&format!("'{key}'")) && reason.contains("not finite")),
-                "{key} = {v}: {err}"
-            );
+        let lib = SotCellLibrary {
+            base: CellLibrary {
+                node: TechNode::N65,
+                write: op(2.0),
+                read: op(0.5),
+                access_width: 1.5e-7,
+                cell_area: 4e-14,
+                leakage: 1e-9,
+                critical_current: 5e-5,
+                delta: 60.0,
+                r_parallel: 3000.0,
+                r_antiparallel: 6000.0,
+            },
+            params: SotParams::default(),
+            channel_resistance: 800.0,
+        };
+        let text = lib.encode();
+        assert_eq!(SotCellLibrary::decode(&text).as_ref(), Some(&lib));
+        let stt_len = text.lines().next().unwrap().len();
+        // Every field is a `"key":"<16 hex digits>"` pair: 13 on the STT
+        // line, 7 on the SOT channel line.
+        let fields: Vec<usize> = text.match_indices("\":\"").map(|(at, _)| at + 3).collect();
+        assert_eq!(fields.len(), 20);
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for &at in &fields {
+                let damaged = format!("{}{}{}", &text[..at], hex_of_f64(bad), &text[at + 16..]);
+                assert_eq!(SotCellLibrary::decode(&damaged), None, "{damaged}");
+                if at < stt_len {
+                    let stt = damaged.lines().next().unwrap();
+                    assert_eq!(CellLibrary::decode(stt), None, "{stt}");
+                }
+            }
         }
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! The paper's circuit level (Sec. IV-A) runs template-generated netlists
 //! through SPICE, measures delays/energies/currents with a Measurement
-//! Descriptive Language (MDL) and parses the results into the VAET-STT cell
-//! configuration. This crate is that engine:
+//! Descriptive Language (MDL) and hands the measured values to `mss-pdk`,
+//! which writes the VAET-STT cell configuration. This crate is that engine:
 //!
 //! - [`netlist`] — programmatic netlist construction (R, C, V, I, level-1
 //!   MOSFETs, MTJ devices from `mss-mtj`),

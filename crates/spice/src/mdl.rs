@@ -6,11 +6,10 @@
 //! output measurement file. [`Measurement`] is the spec — a delay between
 //! two crossings, a source's energy, a windowed average or a crossing
 //! time — built in code by the characterisation flow and evaluated against
-//! a [`crate::analysis::TransientResult`], and
-//! [`Report`] is the measurement file — it serialises to the `name = value`
-//! text the downstream "file parser" stage consumes and parses back.
-
-use std::collections::BTreeMap;
+//! a [`crate::analysis::TransientResult`]. No text measurement file sits in
+//! between: the evaluated values go straight into the cell library, and
+//! `mss-pdk` stores that library as the one cell-configuration file (the
+//! `CharacterizeCells` stage artifact).
 
 use crate::analysis::TransientResult;
 use crate::SpiceError;
@@ -244,84 +243,6 @@ fn window_average(times: &[f64], signal: &[f64], from: f64, to: f64) -> Option<f
     (duration != 0.0).then(|| sum / duration)
 }
 
-/// The measurement output "file": name → value pairs.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Report {
-    values: BTreeMap<String, f64>,
-}
-
-impl Report {
-    /// An empty report.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Inserts a value (replacing a previous one with the same key).
-    pub fn insert(&mut self, name: &str, value: f64) {
-        self.values.insert(name.to_string(), value);
-    }
-
-    /// Looks up a measured value.
-    pub fn get(&self, name: &str) -> Option<f64> {
-        self.values.get(name).copied()
-    }
-
-    /// Number of entries.
-    #[cfg(test)]
-    pub(crate) fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// True when no measurement is recorded.
-    #[cfg(test)]
-    pub(crate) fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-
-    /// Serialises to the `name = value` text format the flow's file-parser
-    /// stage consumes. Each value is written in the shortest form that
-    /// parses back to the same `f64`, so [`parse`](Self::parse) recovers
-    /// every bit.
-    pub fn to_text(&self) -> String {
-        let mut out = String::new();
-        for (k, v) in &self.values {
-            out.push_str(&format!("{k} = {v:e}\n"));
-        }
-        out
-    }
-
-    /// Parses the text format back (the "file parser" of the paper's Fig. 10).
-    ///
-    /// # Errors
-    ///
-    /// [`SpiceError::Parse`] on malformed lines and on a key given twice.
-    pub fn parse(text: &str) -> Result<Self, SpiceError> {
-        let mut report = Report::new();
-        for (lineno, line) in text.lines().enumerate() {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') || line.starts_with('*') {
-                continue;
-            }
-            let (name, value) = line.split_once('=').ok_or(SpiceError::Parse {
-                line: lineno + 1,
-                message: "expected 'name = value'".to_string(),
-            })?;
-            let value: f64 = value.trim().parse().map_err(|e| SpiceError::Parse {
-                line: lineno + 1,
-                message: format!("bad number: {e}"),
-            })?;
-            let name = name.trim();
-            if report.values.insert(name.to_string(), value).is_some() {
-                return Err(SpiceError::Parse {
-                    line: lineno + 1,
-                    message: format!("duplicate key '{name}'"),
-                });
-            }
-        }
-        Ok(report)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -437,73 +358,5 @@ mod tests {
             m.evaluate(&res),
             Err(SpiceError::Measurement { .. })
         ));
-    }
-
-    #[test]
-    fn report_round_trips_text() {
-        let values = [
-            ("write_latency", 4.664999999999999e-9),
-            ("write_energy", 159e-12),
-            ("min_positive", f64::MIN_POSITIVE),
-            ("subnormal", 5e-324),
-            ("negative_zero", -0.0),
-            ("pos_inf", f64::INFINITY),
-            ("neg_inf", f64::NEG_INFINITY),
-        ];
-        let mut r = Report::new();
-        for (k, v) in values {
-            r.insert(k, v);
-        }
-        let back = Report::parse(&r.to_text()).unwrap();
-        assert_eq!(back.len(), values.len());
-        for (k, v) in values {
-            assert_eq!(back.get(k).unwrap().to_bits(), v.to_bits(), "{k} = {v:e}");
-        }
-    }
-
-    #[test]
-    fn report_parse_rejects_garbage() {
-        assert!(Report::parse("no equals sign here").is_err());
-        assert!(Report::parse("x = not_a_number").is_err());
-        // Comments and blanks are fine.
-        let r = Report::parse("* comment\n\n# other\nx = 1.0\n").unwrap();
-        assert_eq!(r.get("x"), Some(1.0));
-    }
-
-    #[test]
-    fn report_parse_rejects_a_repeated_key() {
-        let err = Report::parse("x = 1.0\n# note\ny = 2.0\n x = 3.0\n").unwrap_err();
-        assert_eq!(
-            err,
-            SpiceError::Parse {
-                line: 4,
-                message: "duplicate key 'x'".to_string(),
-            }
-        );
-    }
-
-    #[test]
-    fn measurement_set_batch() {
-        // Several measurements of one run, collected into one report.
-        let res = rc_result();
-        let cross = Measurement::CrossTime {
-            name: "a".into(),
-            probe: Probe::NodeVoltage("out".into()),
-            value: 0.5,
-            edge: Edge::Rise,
-            nth: 1,
-        };
-        let average = Measurement::Average {
-            name: "b".into(),
-            probe: Probe::NodeVoltage("in".into()),
-            from: 0.0,
-            to: 8e-9,
-        };
-        let mut report = Report::new();
-        report.insert("a", cross.evaluate(&res).unwrap());
-        report.insert("b", average.evaluate(&res).unwrap());
-        assert_eq!(report.len(), 2);
-        assert!(report.get("a").is_some());
-        assert!(!report.is_empty());
     }
 }

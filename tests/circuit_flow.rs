@@ -1,14 +1,15 @@
-//! Integration: the circuit-level template → simulate → measure → parse
-//! loop across crates (`mss-pdk` templates through `mss-spice`).
+//! Integration: the circuit-level template → simulate → measure → cell
+//! configuration loop across crates (`mss-pdk` templates through
+//! `mss-spice`).
 
-use great_mss::mtj::MssStack;
+use great_mss::mtj::{MssStack, SotParams};
 use great_mss::pdk::cells::{
     bitcell_write_deck, nvff_backup_deck, pcsa_read_deck, write_driver_deck, WriteDirection,
 };
-use great_mss::pdk::charlib::{characterize_with, CellLibrary};
+use great_mss::pdk::charlib::{characterize_sot_with, characterize_with};
 use great_mss::pdk::tech::{TechNode, TechParams};
+use great_mss::pipe::Artifact;
 use great_mss::spice::analysis::{Transient, TransientOptions};
-use great_mss::spice::mdl::Report;
 use mss_mtj::resistance::MtjState;
 
 fn run(deck: &great_mss::spice::parser::Deck) -> great_mss::spice::analysis::TransientResult {
@@ -70,15 +71,24 @@ fn write_driver_drives_realistic_bitline() {
     assert!(max > 0.9 * tech.vdd);
 }
 
+/// Decodes `lib`'s cell-configuration file and checks every field bit for
+/// bit: the encoding holds each field's exact bits, so equal re-encodings
+/// mean equal bits.
+fn assert_round_trips<T: Artifact>(lib: &T) {
+    let text = lib.encode();
+    let back = T::decode(&text).unwrap_or_else(|| panic!("decode failed:\n{text}"));
+    assert_eq!(back.encode(), text);
+}
+
 #[test]
-fn characterisation_round_trips_through_the_report_file() {
+fn characterisation_round_trips_through_the_cell_config_file() {
     let stack = MssStack::builder().build().expect("stack");
-    let lib = characterize_with(&TechParams::node(TechNode::N45), &stack).expect("characterise");
-    let text = lib.to_report().to_text();
-    let parsed = CellLibrary::from_report(&Report::parse(&text).expect("parse")).expect("decode");
-    assert_eq!(parsed.node, lib.node);
-    assert!((parsed.write.latency - lib.write.latency).abs() < 1e-20);
-    assert!((parsed.cell_area - lib.cell_area).abs() < 1e-25);
+    let tech = TechParams::node(TechNode::N45);
+    let stt = characterize_with(&tech, &stack).expect("characterise STT");
+    assert_round_trips(&stt);
+    let sot =
+        characterize_sot_with(&tech, &stack, &SotParams::default()).expect("characterise SOT");
+    assert_round_trips(&sot);
 }
 
 #[test]

@@ -1,6 +1,7 @@
 //! Deterministic fuzzing of the workspace's one JSON grammar.
 //!
-//! Real lines — a run report, event-bus lines, on-disk cache entries and a
+//! Real lines — a run report, event-bus lines, on-disk cache entries of
+//! every artifact kind (the STT and SOT cell libraries among them) and a
 //! sweep journal — are mutated by a seeded PRNG (byte flips, truncations,
 //! splices, duplicated slices and nesting bombs) and fed to every reader:
 //!
@@ -16,11 +17,13 @@
 use std::path::{Path, PathBuf};
 
 use great_mss::gemsim::stats::SimReport;
+use great_mss::mtj::{MssStack, SotParams};
 use great_mss::nvsim::model::ArrayMetrics;
 use great_mss::obs::events::{BusEvent, EventPayload};
 use great_mss::obs::json::Value;
 use great_mss::obs::{Mode, Registry};
-use great_mss::pdk::charlib::CellLibrary;
+use great_mss::pdk::charlib::{characterize_sot_cached, CellLibrary, SotCellLibrary};
+use great_mss::pdk::tech::TechNode;
 use great_mss::pipe::{Artifact, PipeCache, Stage, SweepJournal};
 use great_mss::units::rng::{Rng, SplitMix64};
 use mss_prof::Report;
@@ -29,11 +32,14 @@ const FIXTURES: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/pipe
 const CASES: usize = 24_000;
 const JOURNAL_SWEEP: &str = "5eed5eed5eed5eed";
 
+/// Loads one cache entry of a fixed artifact type; `true` on a disk hit.
+type Loader = fn(&PipeCache, Stage, &str) -> bool;
+
 /// What a corpus document is, and so which readers it goes to.
 #[derive(Clone, Copy, Debug)]
 enum Kind {
     Report,
-    Cache(Stage),
+    Cache(Stage, Loader),
     Journal,
 }
 
@@ -114,7 +120,32 @@ fn event_stream() -> String {
     text
 }
 
-fn corpus() -> Vec<Doc> {
+fn load<T: Artifact>(cache: &PipeCache, stage: Stage, key: &str) -> bool {
+    cache
+        .get_or_compute_artifact::<T, _, _>(stage, key, || Err(()))
+        .is_ok()
+}
+
+/// The loader for an undamaged entry, picked by its header's `kind`.
+fn loader_for(entry: &str) -> Loader {
+    let header = Value::parse(entry.lines().next().unwrap()).unwrap();
+    let kind = header.get("kind").and_then(Value::as_str);
+    let loaders: [(&str, Loader); 4] = [
+        (CellLibrary::KIND, load::<CellLibrary>),
+        (SotCellLibrary::KIND, load::<SotCellLibrary>),
+        (ArrayMetrics::KIND, load::<ArrayMetrics>),
+        (SimReport::KIND, load::<SimReport>),
+    ];
+    loaders
+        .into_iter()
+        .find(|&(k, _)| Some(k) == kind)
+        .unwrap_or_else(|| panic!("no loader for {kind:?}"))
+        .1
+}
+
+/// The committed fixtures, plus a SOT cell-library entry characterised
+/// into `dir` (no fixture holds one).
+fn corpus(dir: &Path) -> Vec<Doc> {
     let mut docs = vec![
         Doc {
             kind: Kind::Report,
@@ -137,16 +168,31 @@ fn corpus() -> Vec<Doc> {
         .map(|e| e.unwrap().path())
         .collect();
     entries.sort();
+    let stack = MssStack::builder().build().unwrap();
+    characterize_sot_cached(
+        TechNode::N45,
+        &stack,
+        &SotParams::default(),
+        &PipeCache::with_disk(dir),
+    )
+    .unwrap();
+    let sot: Vec<PathBuf> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .collect();
+    assert_eq!(sot.len(), 1, "{sot:?}");
+    entries.extend(sot);
     for path in entries {
         let file = path.file_name().unwrap().to_str().unwrap().to_string();
         let stage = Stage::ALL
             .into_iter()
             .find(|s| file.starts_with(s.name()))
             .expect("fixture named after its stage");
+        let text = std::fs::read_to_string(&path).unwrap();
         docs.push(Doc {
-            kind: Kind::Cache(stage),
+            kind: Kind::Cache(stage, loader_for(&text)),
             file,
-            text: std::fs::read_to_string(&path).unwrap(),
+            text,
         });
     }
     docs
@@ -213,21 +259,11 @@ fn assert_parse_is_total(text: &str) {
 
 /// Loads a damaged entry through the disk tier. The stage computation
 /// fails, so `Ok` can only be a disk hit and `Err` only a miss.
-fn load_damaged_entry(dir: &Path, doc: &Doc, stage: Stage, text: &str) {
+fn load_damaged_entry(dir: &Path, doc: &Doc, stage: Stage, loader: Loader, text: &str) {
     std::fs::write(dir.join(&doc.file), text).unwrap();
     let key = doc.file[stage.name().len() + 1..].trim_end_matches(".ndjson");
     let cache = PipeCache::with_disk(dir);
-    fn load<T: Artifact>(cache: &PipeCache, stage: Stage, key: &str) -> bool {
-        cache
-            .get_or_compute_artifact::<T, _, _>(stage, key, || Err(()))
-            .is_ok()
-    }
-    let hit = match stage {
-        Stage::CharacterizeCells => load::<CellLibrary>(&cache, stage, key),
-        Stage::EstimateArray => load::<ArrayMetrics>(&cache, stage, key),
-        Stage::SimulateKernel => load::<SimReport>(&cache, stage, key),
-        other => panic!("no fixture for {other}"),
-    };
+    let hit = loader(&cache, stage, key);
     let s = cache.stats(stage);
     assert_eq!((s.disk_hits, s.misses), (u64::from(hit), u64::from(!hit)));
     // The file exists, so a miss is always a counted load failure.
@@ -236,10 +272,10 @@ fn load_damaged_entry(dir: &Path, doc: &Doc, stage: Stage, text: &str) {
 
 #[test]
 fn mutated_json_lines_never_panic_and_errors_name_a_byte_offset() {
-    let docs = corpus();
     let dir = std::env::temp_dir().join(format!("mss-json-fuzz-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
+    let docs = corpus(&dir);
     let journal = dir.join("journal.ndjson");
     let mut rng = SplitMix64::new(0x6a73_6f6e_6675_7a7a);
     let (mut rejected, mut cache_cases, mut journal_cases) = (0, 0, 0);
@@ -263,8 +299,8 @@ fn mutated_json_lines_never_panic_and_errors_name_a_byte_offset() {
                     );
                 }
             }
-            Kind::Cache(stage) => {
-                load_damaged_entry(&dir, doc, stage, &text);
+            Kind::Cache(stage, loader) => {
+                load_damaged_entry(&dir, doc, stage, loader, &text);
                 cache_cases += 1;
             }
             Kind::Journal => {
