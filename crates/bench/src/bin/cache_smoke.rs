@@ -18,9 +18,7 @@
 //!
 //! The optional argument overrides the per-thread sampling cap (default
 //! 50 000). `MSS_OBS_OUT` overrides the report path (default
-//! `target/cache_smoke.ndjson`). The line after the banner names the
-//! kernel (`avx512`, `avx2` or `portable`) of the lane generator that
-//! feeds gemsim's access streams. Exits non-zero on any cache-transparency
+//! `target/cache_smoke.ndjson`). Exits non-zero on any cache-transparency
 //! violation, hot-loop parity violation, or a sub-5× speedup.
 
 use std::sync::Arc;

@@ -11,9 +11,7 @@
 //!
 //! The optional argument overrides the campaign block count (default 8000).
 //! `MSS_OBS_OUT` overrides the report path (default
-//! `target/fault_smoke.ndjson`). The line after the banner names the
-//! kernel the host selected (`avx512`, `avx2` or `portable`) for gemsim's
-//! lane generator.
+//! `target/fault_smoke.ndjson`).
 //! Exits non-zero if the empirical rates land outside 4σ of the analytical
 //! model or determinism is violated.
 

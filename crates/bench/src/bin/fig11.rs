@@ -8,6 +8,9 @@
 //! historic export), `results/fig11_sot.csv` (the extended grid) and
 //! `results/fig11.meta.csv` (figure metadata, including the
 //! `extrapolated_accesses` fidelity marker — 0 here, the flow is exact).
+//! With `MSS_METRICS=1` it also writes its run report to
+//! `target/fig11.ndjson`, which `mss_report check` gates against
+//! `results/BENCH_fig11.json`.
 
 use mss_bench::write_result;
 use mss_core::flow::{MagpieFlow, MagpieInputs};
@@ -62,4 +65,5 @@ fn main() {
     println!("(extended breakdown written to results/fig11_sot.csv)");
     write_result("results/fig11.meta.csv", &sot_report.metadata_csv("fig11"));
     println!("(figure metadata written to results/fig11.meta.csv)");
+    mss_bench::write_obs_artifacts("fig11");
 }

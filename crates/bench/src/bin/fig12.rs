@@ -6,7 +6,9 @@
 //! Outputs: `results/fig12.csv` (the paper grid, byte-identical to the
 //! historic export), `results/fig12_sot.csv` (the per-replacement
 //! STT-vs-SOT merit pairs) and `results/fig12.meta.csv` (figure metadata,
-//! including the `extrapolated_accesses` fidelity marker).
+//! including the `extrapolated_accesses` fidelity marker). With
+//! `MSS_METRICS=1` it also writes its run report to `target/fig12.ndjson`,
+//! which `mss_report check` gates against `results/BENCH_fig12.json`.
 
 use mss_bench::write_result;
 use mss_core::flow::{MagpieFlow, MagpieInputs};
@@ -83,4 +85,5 @@ fn main() {
         best_gain = best_gain.max(row.edp_gain());
     }
     println!("best SOT-over-STT EDP gain across kernels/replacements: {best_gain:.3}");
+    mss_bench::write_obs_artifacts("fig12");
 }

@@ -6,7 +6,9 @@
 //!
 //! Output: the tables on stdout, and every value in `results/table1.csv`
 //! (one row per mechanism, node and metric; SI units, shortest
-//! round-trip `{:e}` form), identical at any `MSS_THREADS`.
+//! round-trip `{:e}` form), identical at any `MSS_THREADS`. With
+//! `MSS_METRICS=1` it also writes its run report to `target/table1.ndjson`,
+//! which `mss_report check` gates against `results/BENCH_table1.json`.
 
 use mss_bench::{standard_context, standard_sot_context, write_result};
 use mss_exec::ParallelConfig;
@@ -76,4 +78,5 @@ fn main() {
         run("SOT", &standard_sot_context(node));
     }
     write_result("results/table1.csv", &csv);
+    mss_bench::write_obs_artifacts("table1");
 }

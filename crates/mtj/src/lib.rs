@@ -21,7 +21,8 @@
 //!
 //! - an **analytic (behavioural) model** — closed-form switching time,
 //!   write-error rate, retention and read-disturb expressions
-//!   ([`switching`], [`reliability`]),
+//!   ([`switching`], [`reliability`]) over the stack's scalar closed forms
+//!   ([`closed_form`]),
 //! - a **physical model** — a macrospin Landau–Lifshitz–Gilbert–Slonczewski
 //!   integrator with an optional stochastic thermal field ([`llg`]),
 //! - **co-integration analytics** — the Stoner–Wohlfarth astroid and
@@ -50,6 +51,7 @@
 #![forbid(unsafe_code)]
 
 pub mod astroid;
+pub mod closed_form;
 mod error;
 pub mod llg;
 pub mod mechanism;
@@ -63,4 +65,4 @@ pub mod validate;
 pub use error::MtjError;
 pub use mechanism::{MechanismConfig, MechanismKind, SotMechanism, SotParams};
 pub use modes::{BiasMagnet, MssDevice, MssMode};
-pub use stack::{MssStack, MssStackBuilder};
+pub use stack::{MssStack, MssStackBuilder, StackParam};

@@ -38,10 +38,10 @@
 //! ohms against the ~4 kΩ junction), which is where the write-energy win
 //! comes from.
 
+use crate::closed_form;
 use crate::stack::MssStack;
 use crate::switching::SwitchingModel;
 use crate::MtjError;
-use mss_units::consts::{HBAR, MU0, QE};
 
 /// Which write mechanism a device/config uses.
 ///
@@ -268,20 +268,17 @@ impl SotMechanism {
     pub fn new(stack: &MssStack, params: SotParams) -> Result<Self, MtjError> {
         params.validate()?;
         let d = stack.diameter();
-        // Antidamping-SOT critical density for a perpendicular free layer:
-        // J_c0 = (2e/ħ)·μ₀·M_s·t_f·H_k,eff/(2·θ_SH). Note the absence of
-        // the Gilbert-damping factor that scales the STT critical current.
-        let jc0 = (2.0 * QE / HBAR)
-            * MU0
-            * stack.saturation_magnetization()
-            * stack.free_layer_thickness()
-            * stack.hk_eff()
-            / (2.0 * params.spin_hall_angle);
-        let ic0 = jc0 * params.channel_cross_section(d);
-        // The SOT time constant is the bare precession time: the damping
-        // bottleneck α in τ_D cancels because the spin current is injected
-        // transverse to the easy axis.
-        let tau_sot = stack.damping() * stack.tau_d();
+        let hk = stack.hk_eff();
+        // Note the absence of the Gilbert-damping factor that scales the
+        // STT critical current, and the bare precession time α·τ_D.
+        let ic0 = closed_form::sot_critical_current(
+            stack.saturation_magnetization(),
+            stack.free_layer_thickness(),
+            hk,
+            &params,
+            d,
+        );
+        let tau_sot = closed_form::sot_tau(stack.damping(), hk);
         let inner = SwitchingModel::from_parts(stack.thermal_stability(), ic0, tau_sot);
         Ok(Self {
             inner,

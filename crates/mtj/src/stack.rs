@@ -6,8 +6,7 @@
 //! parameters, so variation sampling in `mss-pdk` can perturb the primary
 //! parameters and get self-consistent derived behaviour for free.
 
-use mss_units::consts::{GAMMA, HBAR, KB, MU0, QE};
-
+use crate::closed_form;
 use crate::MtjError;
 
 /// A perpendicular STT-MTJ pillar description (the "standardized stack").
@@ -74,7 +73,7 @@ impl MssStack {
     }
 
     /// Saturation magnetization M_s in A/m.
-    pub(crate) fn saturation_magnetization(&self) -> f64 {
+    pub fn saturation_magnetization(&self) -> f64 {
         self.saturation_magnetization
     }
 
@@ -84,12 +83,12 @@ impl MssStack {
     }
 
     /// Gilbert damping constant α (dimensionless).
-    pub(crate) fn damping(&self) -> f64 {
+    pub fn damping(&self) -> f64 {
         self.damping
     }
 
     /// Effective spin polarisation / STT efficiency η (dimensionless).
-    pub(crate) fn spin_polarization(&self) -> f64 {
+    pub fn spin_polarization(&self) -> f64 {
         self.spin_polarization
     }
 
@@ -109,13 +108,13 @@ impl MssStack {
     }
 
     /// Operating temperature in kelvin.
-    pub(crate) fn temperature(&self) -> f64 {
+    pub fn temperature(&self) -> f64 {
         self.temperature
     }
 
     /// Junction area in m².
     pub(crate) fn area(&self) -> f64 {
-        std::f64::consts::PI * self.diameter * self.diameter / 4.0
+        closed_form::junction_area(self.diameter)
     }
 
     /// Free-layer volume in m³.
@@ -127,42 +126,48 @@ impl MssStack {
     /// `2·K_i/(μ₀·M_s·t_f) − M_s` (interfacial anisotropy minus thin-film
     /// demagnetisation).
     pub fn hk_eff(&self) -> f64 {
-        2.0 * self.interfacial_anisotropy
-            / (MU0 * self.saturation_magnetization * self.free_layer_thickness)
-            - self.saturation_magnetization
+        closed_form::hk_eff(
+            self.interfacial_anisotropy,
+            self.saturation_magnetization,
+            self.free_layer_thickness,
+        )
     }
 
     /// Energy barrier E_b = μ₀·M_s·H_k,eff·V/2 in joules.
     pub(crate) fn energy_barrier(&self) -> f64 {
-        0.5 * MU0 * self.saturation_magnetization * self.hk_eff() * self.volume()
+        closed_form::energy_barrier(self.saturation_magnetization, self.hk_eff(), self.volume())
     }
 
     /// Thermal stability factor Δ = E_b/(k_B·T).
     pub fn thermal_stability(&self) -> f64 {
-        self.energy_barrier() / (KB * self.temperature)
+        closed_form::thermal_stability(self.energy_barrier(), self.temperature)
     }
 
     /// Zero-temperature critical switching current I_c0 in amperes:
     /// `(2e/ħ)·(α/η)·2·E_b`.
     pub fn critical_current(&self) -> f64 {
-        (2.0 * QE / HBAR) * (self.damping / self.spin_polarization) * 2.0 * self.energy_barrier()
+        closed_form::stt_critical_current(
+            self.damping,
+            self.spin_polarization,
+            self.energy_barrier(),
+        )
     }
 
     /// Characteristic precession time constant
     /// τ_D = (1+α²)/(α·γ·μ₀·H_k,eff) in seconds — sets the precessional
     /// switching speed.
     pub(crate) fn tau_d(&self) -> f64 {
-        (1.0 + self.damping * self.damping) / (self.damping * GAMMA * MU0 * self.hk_eff())
+        closed_form::tau_d(self.damping, self.hk_eff())
     }
 
     /// Parallel-state resistance R_P = RA/A in ohms.
     pub fn resistance_parallel(&self) -> f64 {
-        self.resistance_area_product / self.area()
+        closed_form::resistance_parallel(self.resistance_area_product, self.area())
     }
 
     /// Zero-bias antiparallel resistance R_AP = R_P·(1+TMR₀) in ohms.
     pub fn resistance_antiparallel(&self) -> f64 {
-        self.resistance_parallel() * (1.0 + self.tmr_zero_bias)
+        closed_form::resistance_antiparallel(self.resistance_parallel(), self.tmr_zero_bias)
     }
 
     /// Thermal equilibrium RMS polar fluctuation angle
@@ -292,85 +297,27 @@ impl MssStackBuilder {
     /// out of range or the net perpendicular anisotropy is not positive
     /// (the film would not be a perpendicular MTJ).
     pub fn build(self) -> Result<MssStack, MtjError> {
-        fn check(
-            name: &'static str,
-            value: f64,
-            ok: bool,
-            constraint: &'static str,
-        ) -> Result<(), MtjError> {
-            if ok && value.is_finite() {
-                Ok(())
-            } else {
-                Err(MtjError::InvalidParameter {
-                    name,
-                    value,
-                    constraint,
-                })
-            }
+        use StackParam::*;
+        for (param, value) in [
+            (Diameter, self.diameter),
+            (FreeLayerThickness, self.free_layer_thickness),
+            (SaturationMagnetization, self.saturation_magnetization),
+            (InterfacialAnisotropy, self.interfacial_anisotropy),
+            (Damping, self.damping),
+            (SpinPolarization, self.spin_polarization),
+            (ResistanceAreaProduct, self.resistance_area_product),
+            (TmrZeroBias, self.tmr_zero_bias),
+            (BiasHalfVoltage, self.bias_half_voltage),
+            (Temperature, self.temperature),
+        ] {
+            param.check(value)?;
         }
-
-        check(
-            "diameter",
-            self.diameter,
-            self.diameter > 5e-9 && self.diameter < 1e-6,
-            "must be in (5 nm, 1 um)",
-        )?;
-        check(
-            "free_layer_thickness",
-            self.free_layer_thickness,
-            self.free_layer_thickness > 0.3e-9 && self.free_layer_thickness < 10e-9,
-            "must be in (0.3 nm, 10 nm)",
-        )?;
-        check(
-            "saturation_magnetization",
-            self.saturation_magnetization,
-            self.saturation_magnetization > 1e4 && self.saturation_magnetization < 3e6,
-            "must be in (1e4, 3e6) A/m",
-        )?;
-        check(
-            "interfacial_anisotropy",
+        closed_form::perpendicular_hk_eff(
             self.interfacial_anisotropy,
-            self.interfacial_anisotropy > 0.0,
-            "must be positive",
+            self.saturation_magnetization,
+            self.free_layer_thickness,
         )?;
-        check(
-            "damping",
-            self.damping,
-            self.damping > 1e-4 && self.damping < 0.5,
-            "must be in (1e-4, 0.5)",
-        )?;
-        check(
-            "spin_polarization",
-            self.spin_polarization,
-            self.spin_polarization > 0.0 && self.spin_polarization <= 1.0,
-            "must be in (0, 1]",
-        )?;
-        check(
-            "resistance_area_product",
-            self.resistance_area_product,
-            self.resistance_area_product > 0.0,
-            "must be positive",
-        )?;
-        check(
-            "tmr_zero_bias",
-            self.tmr_zero_bias,
-            self.tmr_zero_bias > 0.0 && self.tmr_zero_bias < 10.0,
-            "must be in (0, 10)",
-        )?;
-        check(
-            "bias_half_voltage",
-            self.bias_half_voltage,
-            self.bias_half_voltage > 0.0,
-            "must be positive",
-        )?;
-        check(
-            "temperature",
-            self.temperature,
-            self.temperature > 0.0 && self.temperature < 1000.0,
-            "must be in (0, 1000) K",
-        )?;
-
-        let stack = MssStack {
+        Ok(MssStack {
             diameter: self.diameter,
             free_layer_thickness: self.free_layer_thickness,
             saturation_magnetization: self.saturation_magnetization,
@@ -381,15 +328,95 @@ impl MssStackBuilder {
             tmr_zero_bias: self.tmr_zero_bias,
             bias_half_voltage: self.bias_half_voltage,
             temperature: self.temperature,
+        })
+    }
+}
+
+/// A primary stack parameter, with the range [`MssStackBuilder::build`]
+/// checks it against. The builder checks them in declaration order, then
+/// the perpendicular-anisotropy condition
+/// ([`closed_form::perpendicular_hk_eff`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StackParam {
+    /// Pillar diameter, (5 nm, 1 µm).
+    Diameter,
+    /// Free-layer thickness, (0.3 nm, 10 nm).
+    FreeLayerThickness,
+    /// Saturation magnetization, (1e4, 3e6) A/m.
+    SaturationMagnetization,
+    /// Interfacial anisotropy K_i, positive.
+    InterfacialAnisotropy,
+    /// Gilbert damping, (1e-4, 0.5).
+    Damping,
+    /// Spin polarisation, (0, 1].
+    SpinPolarization,
+    /// RA product, positive.
+    ResistanceAreaProduct,
+    /// Zero-bias TMR, (0, 10).
+    TmrZeroBias,
+    /// TMR half-bias voltage, positive.
+    BiasHalfVoltage,
+    /// Temperature, (0, 1000) K.
+    Temperature,
+}
+
+impl StackParam {
+    /// `value` when it is finite and in range.
+    ///
+    /// # Errors
+    ///
+    /// [`MtjError::InvalidParameter`] naming the parameter otherwise.
+    pub fn check(self, value: f64) -> Result<f64, MtjError> {
+        use StackParam::*;
+        let (name, ok, constraint) = match self {
+            Diameter => (
+                "diameter",
+                value > 5e-9 && value < 1e-6,
+                "must be in (5 nm, 1 um)",
+            ),
+            FreeLayerThickness => (
+                "free_layer_thickness",
+                value > 0.3e-9 && value < 10e-9,
+                "must be in (0.3 nm, 10 nm)",
+            ),
+            SaturationMagnetization => (
+                "saturation_magnetization",
+                value > 1e4 && value < 3e6,
+                "must be in (1e4, 3e6) A/m",
+            ),
+            InterfacialAnisotropy => ("interfacial_anisotropy", value > 0.0, "must be positive"),
+            Damping => (
+                "damping",
+                value > 1e-4 && value < 0.5,
+                "must be in (1e-4, 0.5)",
+            ),
+            SpinPolarization => (
+                "spin_polarization",
+                value > 0.0 && value <= 1.0,
+                "must be in (0, 1]",
+            ),
+            ResistanceAreaProduct => ("resistance_area_product", value > 0.0, "must be positive"),
+            TmrZeroBias => (
+                "tmr_zero_bias",
+                value > 0.0 && value < 10.0,
+                "must be in (0, 10)",
+            ),
+            BiasHalfVoltage => ("bias_half_voltage", value > 0.0, "must be positive"),
+            Temperature => (
+                "temperature",
+                value > 0.0 && value < 1000.0,
+                "must be in (0, 1000) K",
+            ),
         };
-        if stack.hk_eff() <= 0.0 {
-            return Err(MtjError::InvalidParameter {
-                name: "interfacial_anisotropy",
-                value: self.interfacial_anisotropy,
-                constraint: "net perpendicular anisotropy must be positive (Hk_eff > 0)",
-            });
+        if ok && value.is_finite() {
+            Ok(value)
+        } else {
+            Err(MtjError::InvalidParameter {
+                name,
+                value,
+                constraint,
+            })
         }
-        Ok(stack)
     }
 }
 

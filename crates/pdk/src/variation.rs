@@ -7,8 +7,9 @@
 //! magnitude grows as the node shrinks (Pelgrom mismatch scaling, σ ∝
 //! 1/√(W·L) ∝ 1/F for fixed relative geometry).
 
-use mss_mtj::{MssStack, MssStackBuilder, MtjError};
-use mss_units::rng::{Rng, Variation, VariationKind};
+use mss_mtj::closed_form;
+use mss_mtj::{MechanismConfig, MssStack, MssStackBuilder, MtjError, SotParams, StackParam};
+use mss_units::rng::{BoundVariation, Rng, Variation, VariationKind};
 
 use crate::tech::{TechNode, TechParams};
 
@@ -261,6 +262,150 @@ impl VariationCard {
                 nominal.interfacial_anisotropy(),
             ))
             .build()
+    }
+
+    /// VAET's per-bit kernel for `nominal` under `mechanism`: the
+    /// parameter samplers bound once, and the scalar closed forms of the
+    /// stack evaluated per bit without building one.
+    ///
+    /// `nominal` must be a built (so validated) stack: the kernel checks
+    /// only the parameters it draws.
+    pub fn bit_kernel(&self, nominal: &MssStack, mechanism: &MechanismConfig) -> BitKernel {
+        let m = &self.mtj;
+        BitKernel {
+            diameter: m.diameter.bind(nominal.diameter()),
+            thickness: m.thickness.bind(nominal.free_layer_thickness()),
+            ra: m.ra.bind(nominal.resistance_area_product()),
+            tmr: m.tmr.bind(nominal.tmr_zero_bias()),
+            anisotropy: m.anisotropy.bind(nominal.interfacial_anisotropy()),
+            nominal_ra: nominal.resistance_area_product(),
+            ms: nominal.saturation_magnetization(),
+            damping: nominal.damping(),
+            spin_polarization: nominal.spin_polarization(),
+            temperature: nominal.temperature(),
+            sot: match mechanism {
+                MechanismConfig::Stt => None,
+                MechanismConfig::Sot(p) => Some(p.validate().map(|()| p.clone())),
+            },
+        }
+    }
+}
+
+/// One bit of a VAET word access, drawn and evaluated as scalars (see
+/// [`VariationCard::bit_kernel`]).
+///
+/// A bit draws its stack parameters exactly as
+/// [`VariationCard::sample_stack_reading`] does, in the order d, t, RA,
+/// TMR, K_i, skipping the ones it does not read, and evaluates the same
+/// closed forms as `MssStack`, `SwitchingModel` and `SotMechanism`
+/// ([`closed_form`]), so every value and the stream after each bit are
+/// bit-identical to building the stack. A draw the builder would reject
+/// returns the builder's error: the drawn parameters are checked in the
+/// builder's order, then H_k,eff > 0; the rest are the nominal stack's.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BitKernel {
+    diameter: BoundVariation,
+    thickness: BoundVariation,
+    ra: BoundVariation,
+    tmr: BoundVariation,
+    anisotropy: BoundVariation,
+    nominal_ra: f64,
+    ms: f64,
+    damping: f64,
+    spin_polarization: f64,
+    temperature: f64,
+    /// `None` for STT; for SOT the channel, or the error its validation
+    /// gives, which a write bit returns once its stack draw passes (as
+    /// building the mechanism after the stack does).
+    sot: Option<Result<SotParams, MtjError>>,
+}
+
+/// What one write bit reads: the switching constants and the write path.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct WriteBit {
+    /// Thermal stability factor Δ.
+    pub delta: f64,
+    /// Critical current I_c0 of the mechanism, amperes (the channel
+    /// current for SOT).
+    pub critical_current: f64,
+    /// Switching time constant, seconds: τ_D for STT, α·τ_D for SOT.
+    pub tau: f64,
+    /// Write-path resistance, ohms: the junction's R_P for STT, the
+    /// heavy-metal channel for SOT.
+    pub write_resistance: f64,
+}
+
+impl BitKernel {
+    /// Draws one write bit: d, t and K_i, plus RA on STT (the junction is
+    /// its write path); SOT writes through the channel, which depends on
+    /// the diameter only.
+    ///
+    /// # Errors
+    ///
+    /// The [`MtjError`] that building the drawn stack, or for SOT the
+    /// mechanism, would return.
+    #[inline]
+    pub fn write<R: Rng + ?Sized>(&self, rng: &mut R) -> Result<WriteBit, MtjError> {
+        let stt = self.sot.is_none();
+        let d = self.diameter.sample(rng);
+        let t = self.thickness.sample(rng);
+        let ra = if stt {
+            self.ra.sample(rng)
+        } else {
+            self.ra.skip(rng);
+            self.nominal_ra
+        };
+        self.tmr.skip(rng);
+        let ki = self.anisotropy.sample(rng);
+        StackParam::Diameter.check(d)?;
+        StackParam::FreeLayerThickness.check(t)?;
+        StackParam::InterfacialAnisotropy.check(ki)?;
+        if stt {
+            StackParam::ResistanceAreaProduct.check(ra)?;
+        }
+        let hk = closed_form::perpendicular_hk_eff(ki, self.ms, t)?;
+        let area = closed_form::junction_area(d);
+        let eb = closed_form::energy_barrier(self.ms, hk, area * t);
+        let delta = closed_form::thermal_stability(eb, self.temperature);
+        let (critical_current, tau, write_resistance) = match &self.sot {
+            None => (
+                closed_form::stt_critical_current(self.damping, self.spin_polarization, eb),
+                closed_form::tau_d(self.damping, hk),
+                closed_form::resistance_parallel(ra, area),
+            ),
+            Some(Ok(p)) => (
+                closed_form::sot_critical_current(self.ms, t, hk, p, d),
+                closed_form::sot_tau(self.damping, hk),
+                p.channel_resistance(d),
+            ),
+            Some(Err(e)) => return Err(e.clone()),
+        };
+        Ok(WriteBit {
+            delta,
+            critical_current,
+            tau,
+            write_resistance,
+        })
+    }
+
+    /// Draws one read bit (d, RA, TMR) and returns its resistance window
+    /// `R_AP − R_P` in ohms.
+    ///
+    /// # Errors
+    ///
+    /// The [`MtjError`] that building the drawn stack would return.
+    #[inline]
+    pub fn read<R: Rng + ?Sized>(&self, rng: &mut R) -> Result<f64, MtjError> {
+        let d = self.diameter.sample(rng);
+        self.thickness.skip(rng);
+        let ra = self.ra.sample(rng);
+        let tmr = self.tmr.sample(rng);
+        self.anisotropy.skip(rng);
+        StackParam::Diameter.check(d)?;
+        StackParam::ResistanceAreaProduct.check(ra)?;
+        StackParam::TmrZeroBias.check(tmr)?;
+        let r_p = closed_form::resistance_parallel(ra, closed_form::junction_area(d));
+        Ok(closed_form::resistance_antiparallel(r_p, tmr) - r_p)
     }
 }
 

@@ -263,7 +263,7 @@ fn box_muller(u1: f64, u2: f64) -> f64 {
 }
 
 /// Above this `u1`, a Box–Muller draw has `|z| ≤ √(−2 ln u1) < 3.96`, so it
-/// always lands inside a ±4σ window (see [`Variation::skip`]).
+/// always lands inside a ±4σ window (see [`BoundVariation::skip`]).
 const INSIDE_4SD_U1: f64 = 4e-4;
 
 /// Draws a normal sample with the given mean and standard deviation.
@@ -276,30 +276,6 @@ pub fn normal<R: Rng + ?Sized>(rng: &mut R, mean: f64, std_dev: f64) -> f64 {
 #[cfg(test)]
 pub(crate) fn lognormal<R: Rng + ?Sized>(rng: &mut R, mu: f64, sigma: f64) -> f64 {
     normal(rng, mu, sigma).exp()
-}
-
-/// Draws a normal sample truncated to `[lo, hi]` by rejection.
-///
-/// # Panics
-///
-/// Panics if `lo >= hi`. Intended for mild truncation (e.g. ±4σ physical
-/// clamps on geometry); pathological windows fall back to clamping after
-/// 1000 rejections so the call always terminates.
-pub(crate) fn truncated_normal<R: Rng + ?Sized>(
-    rng: &mut R,
-    mean: f64,
-    std_dev: f64,
-    lo: f64,
-    hi: f64,
-) -> f64 {
-    assert!(lo < hi, "invalid truncation window [{lo}, {hi}]");
-    for _ in 0..1000 {
-        let x = normal(rng, mean, std_dev);
-        if (lo..=hi).contains(&x) {
-            return x;
-        }
-    }
-    mean.clamp(lo, hi)
 }
 
 /// A named Gaussian variation source: `value = nominal · (1 + σ_rel·z)` or
@@ -349,45 +325,43 @@ impl Variation {
     /// Samples a varied value around `nominal`, truncated at ±4σ so physical
     /// quantities (lengths, currents) cannot go negative for realistic σ/μ.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R, nominal: f64) -> f64 {
-        if self.sigma == 0.0 {
-            return nominal;
-        }
-        let sd = match self.kind {
-            VariationKind::Relative => self.sigma * nominal.abs(),
-            VariationKind::Absolute => self.sigma,
-        };
-        truncated_normal(rng, nominal, sd, nominal - 4.0 * sd, nominal + 4.0 * sd)
+        self.bind(nominal).sample(rng)
     }
 
     /// Consumes exactly the draws [`sample`](Self::sample) would make for
     /// `nominal`, without computing the value: a caller that does not read
-    /// a parameter keeps the stream of every later draw unchanged.
-    ///
-    /// Each attempt draws `u1` (redrawn while `u1 <= f64::MIN_POSITIVE`)
-    /// and `u2`, as [`standard_normal`] does. When `u1 > 4e-4`, then
-    /// `|z| ≤ √(−2 ln u1) < √(−2 ln 4e-4) ≈ 3.956 < 4`, and because float
-    /// rounding is monotone `nominal + sd·z` lies inside
-    /// `[nominal − 4sd, nominal + 4sd]`: the attempt is accepted, so no
-    /// `ln`, `sqrt` or `cos` is needed. Otherwise the value is computed
-    /// exactly as `sample` computes it and put to the same window test,
-    /// with the same 1000-attempt cap. `sigma == 0` draws nothing. A
-    /// non-finite `nominal` or standard deviation, or a window that rounds
-    /// to empty, defers to `sample` and so panics where it panics.
+    /// a parameter keeps the stream of every later draw unchanged (see
+    /// [`BoundVariation::skip`]).
     pub fn skip<R: Rng + ?Sized>(&self, rng: &mut R, nominal: f64) {
-        if self.sigma == 0.0 {
-            return;
-        }
+        self.bind(nominal).skip(rng);
+    }
+
+    /// This variation around one `nominal`, with its standard deviation and
+    /// ±4σ window computed once: a caller drawing the same parameter many
+    /// times binds it once and draws from the result.
+    ///
+    /// # Panics
+    ///
+    /// Panics where [`sample`](Self::sample) would: a non-zero sigma whose
+    /// ±4σ window around `nominal` is empty or NaN.
+    pub fn bind(&self, nominal: f64) -> BoundVariation {
         let sd = self.std_dev_at(nominal);
         let (lo, hi) = (nominal - 4.0 * sd, nominal + 4.0 * sd);
-        if !(nominal.is_finite() && sd.is_finite() && lo < hi) {
-            self.sample(rng, nominal);
-            return;
-        }
-        for _ in 0..1000 {
-            let (u1, u2) = box_muller_uniforms(rng);
-            if u1 > INSIDE_4SD_U1 || (lo..=hi).contains(&(nominal + sd * box_muller(u1, u2))) {
-                return;
-            }
+        let draws = self.sigma != 0.0;
+        assert!(!draws || lo < hi, "invalid truncation window [{lo}, {hi}]");
+        BoundVariation {
+            nominal,
+            sd,
+            lo,
+            hi,
+            draws,
+            // Past this `u1` an attempt lands inside the window; a
+            // non-finite nominal or σ never takes the shortcut.
+            inside_u1: if nominal.is_finite() && sd.is_finite() {
+                INSIDE_4SD_U1
+            } else {
+                f64::INFINITY
+            },
         }
     }
 
@@ -396,6 +370,66 @@ impl Variation {
         match self.kind {
             VariationKind::Relative => self.sigma * nominal.abs(),
             VariationKind::Absolute => self.sigma,
+        }
+    }
+}
+
+/// A [`Variation`] bound to one nominal value by [`Variation::bind`]: the
+/// ±4σ-truncated normal `nominal + sd·z`, drawn by rejection.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct BoundVariation {
+    nominal: f64,
+    sd: f64,
+    lo: f64,
+    hi: f64,
+    /// False for σ = 0, which draws nothing and returns the nominal value.
+    draws: bool,
+    /// `u1` above which an attempt is accepted without its value.
+    inside_u1: f64,
+}
+
+impl BoundVariation {
+    /// One draw: Box–Muller normals `nominal + sd·z` until one lies in
+    /// `[nominal − 4sd, nominal + 4sd]`, at most 1000 attempts, then the
+    /// nominal value clamped to the window.
+    #[inline]
+    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+        if !self.draws {
+            return self.nominal;
+        }
+        for _ in 0..1000 {
+            let x = self.nominal + self.sd * standard_normal(rng);
+            if (self.lo..=self.hi).contains(&x) {
+                return x;
+            }
+        }
+        self.nominal.clamp(self.lo, self.hi)
+    }
+
+    /// Consumes exactly the draws [`sample`](Self::sample) makes, without
+    /// computing the value.
+    ///
+    /// Each attempt draws `u1` (redrawn while `u1 <= f64::MIN_POSITIVE`)
+    /// and `u2`, as [`standard_normal`] does. When `u1 > 4e-4`, then
+    /// `|z| ≤ √(−2 ln u1) < √(−2 ln 4e-4) ≈ 3.956 < 4`, and because float
+    /// rounding is monotone `nominal + sd·z` lies inside
+    /// `[nominal − 4sd, nominal + 4sd]`: the attempt is accepted, so no
+    /// `ln`, `sqrt` or `cos` is needed. Otherwise the value is computed
+    /// exactly as `sample` computes it and put to the same window test,
+    /// with the same 1000-attempt cap. A non-finite nominal or standard
+    /// deviation never takes the shortcut.
+    #[inline]
+    pub fn skip<R: Rng + ?Sized>(&self, rng: &mut R) {
+        if !self.draws {
+            return;
+        }
+        for _ in 0..1000 {
+            let (u1, u2) = box_muller_uniforms(rng);
+            if u1 > self.inside_u1
+                || (self.lo..=self.hi).contains(&(self.nominal + self.sd * box_muller(u1, u2)))
+            {
+                return;
+            }
         }
     }
 }
@@ -581,10 +615,15 @@ mod tests {
     #[test]
     fn truncated_normal_respects_window() {
         let mut rng = Xoshiro256PlusPlus::seed_from_u64(3);
-        for _ in 0..1000 {
-            let x = truncated_normal(&mut rng, 0.0, 1.0, -0.5, 0.5);
-            assert!((-0.5..=0.5).contains(&x));
+        let v = Variation::relative(0.3).bind(1.0);
+        let (lo, hi) = (1.0 - 4.0 * 0.3, 1.0 + 4.0 * 0.3);
+        let mut outside_3sd = 0;
+        for _ in 0..100_000 {
+            let x = v.sample(&mut rng);
+            assert!((lo..=hi).contains(&x), "{x}");
+            outside_3sd += u32::from((x - 1.0).abs() > 3.0 * 0.3);
         }
+        assert!(outside_3sd > 0, "the window is ±4σ, not ±3σ");
     }
 
     #[test]

@@ -47,7 +47,10 @@ struct Bracket {
 /// and an index on the f64 bits of `x` (its octave and the few bits just
 /// below its leading one). Each index bucket is narrower than one count,
 /// so it straddles at most one threshold, and holds the largest `g` with
-/// `hi[g]` above the whole bucket. A call then does:
+/// `hi[g]` above the whole bucket. The table ends early, at the first `k`
+/// with `lo[k] = 0`: every `x ≥ 1` proves the count below that `k`, so no
+/// later threshold proves anything, and a larger `cap` is read as that
+/// `k`. A call then does:
 ///
 /// - `x ≤ hi[cap]`: the count is at least `cap`, return `cap`;
 /// - one index load for `g`, and the branch-free step
@@ -55,8 +58,8 @@ struct Bracket {
 /// - the bracket check `x > lo[k + 1]`: if it holds, the count is `k`.
 ///
 /// Anything else falls back to the libm expression: `x` in the guard band
-/// of a threshold, a bucket the step cannot resolve, or a `cap` past the
-/// table.
+/// of a threshold, a bucket the step cannot resolve, or a `cap` past a
+/// table that reached `max_cap` without ending.
 ///
 /// # Why ε = 10⁻¹¹ is enough
 ///
@@ -70,12 +73,13 @@ struct Bracket {
 /// (another `4·10⁻¹⁶`). Together that is under `1.8·10⁻¹⁴`, so a band of
 /// relative half-width ε = 10⁻¹¹ is more than 500 times wider than any
 /// disagreement between the table and libm; a libm off by a few ulps is
-/// covered too. Below `T_k < 1` every `hi` is 0 and proves nothing.
+/// covered too. Below `T_k < 1` every `hi` is 0 and proves nothing, which
+/// is why the table ends there.
 ///
 /// # Edges
 ///
 /// - `ln q = −∞` (`q = 0`): every count is 0 (the libm quotient is ±0);
-///   `hi[k] = lo[k] = 0` for `k ≥ 1`.
+///   `hi[1] = lo[1] = 0` ends the table at `k = 1`.
 /// - `ln q = −0` (`q = 1`): every `x < 2⁵³` gives +∞, so `cap`, and
 ///   `x = 2⁵³` gives `0/−0`, NaN, so `cap` too, from the fallback.
 /// - A positive, +0 or NaN `ln q` tables only `cap = 0`; other caps take
@@ -83,15 +87,19 @@ struct Bracket {
 #[derive(Clone)]
 pub struct GeometricFloor {
     ln_q: f64,
-    /// `bounds[k]` for `k` in `0..=max_cap`; `hi` never rises with `k`.
+    /// `bounds[k]` for `k` in `0..=last`, where `last` is `max_cap` or the
+    /// first `k` with `lo[k] = 0`; `hi` never rises with `k`.
     bounds: Box<[Bracket]>,
-    /// Per bucket `key(x) − base`: the largest `g ≤ max_cap` with
+    /// The cap every larger cap is read as: `last` when `lo[last] = 0`,
+    /// else `u64::MAX`, so that a cap past the table falls back.
+    cap_ceiling: u64,
+    /// Per bucket `key(x) − base`: the largest `g ≤ last` with
     /// `hi[g] ≥` every `x` of the bucket.
     index: Box<[u32]>,
     /// `key(x) = (x as f64).to_bits() >> shift`: the octave of `x` and the
     /// `52 − shift` bits below its leading one.
     shift: u32,
-    /// The key of `hi[max_cap] + 1`, the least `x` that reaches the index.
+    /// The key of `hi[last] + 1`, the least `x` that reaches the index.
     base: u64,
 }
 
@@ -101,15 +109,27 @@ impl GeometricFloor {
     pub fn new(ln_q: f64, max_cap: u32) -> Self {
         let negative = ln_q <= 0.0 && ln_q.is_sign_negative();
         let max_cap = if negative { max_cap as usize } else { 0 };
-        let mut bounds = Vec::with_capacity(max_cap + 1);
+        let threshold = |k: usize| TOP as f64 * (k as f64 * ln_q).exp();
+        let lo = |t: f64| (t * (1.0 + GUARD)).floor() as u64;
+        // The table ends at the first count whose `lo` is 0, found before
+        // the table is allocated so that it is allocated once, at size.
+        let ends = max_cap > 0 && lo(threshold(max_cap)) == 0;
+        let last = if ends {
+            (1..=max_cap)
+                .find(|&k| lo(threshold(k)) == 0)
+                .unwrap_or(max_cap)
+        } else {
+            max_cap
+        };
+        let mut bounds = Vec::with_capacity(last + 1);
         // Every count is at least 0; `lo[0]` is never read.
         bounds.push(Bracket { hi: TOP, lo: TOP });
-        for k in 1..=max_cap {
-            let t = TOP as f64 * (k as f64 * ln_q).exp();
+        for k in 1..=last {
+            let t = threshold(k);
             let hi = ((t * (1.0 - GUARD)).floor() as u64).min(bounds[k - 1].hi);
-            let lo = (t * (1.0 + GUARD)).floor() as u64;
-            bounds.push(Bracket { hi, lo });
+            bounds.push(Bracket { hi, lo: lo(t) });
         }
+        let cap_ceiling = if ends { last as u64 } else { u64::MAX };
         // A bucket spans less than 2^-bits in ln x; keep that under one
         // count's width |ln q|, guard bands included.
         let mut bits = 0;
@@ -117,8 +137,8 @@ impl GeometricFloor {
             bits += 1;
         }
         let shift = 52 - bits;
-        let base = key(bounds[max_cap].hi + 1, shift);
-        let mut g = max_cap;
+        let base = key(bounds[last].hi + 1, shift);
+        let mut g = last;
         let index = (base..=key(TOP, shift))
             .map(|bucket| {
                 // The bucket's largest integer: just below the next
@@ -133,6 +153,7 @@ impl GeometricFloor {
         Self {
             ln_q,
             bounds: bounds.into_boxed_slice(),
+            cap_ceiling,
             index,
             shift,
             base,
@@ -150,10 +171,13 @@ impl GeometricFloor {
     /// The table's answer, or `None` where it leaves the call to libm.
     #[inline]
     fn lookup(&self, x: u64, cap: u64) -> Option<u64> {
+        // Past the ceiling `hi[cap] = 0 < x` and the count is below it, so
+        // the ceiling stands in for `cap`: it is never returned itself.
+        let cap = cap.min(self.cap_ceiling);
         if x <= self.bounds.get(usize::try_from(cap).ok()?)?.hi {
             return Some(cap);
         }
-        // `x > hi[cap] ≥ hi[max_cap]`, so the key is at least `base`, and
+        // `x > hi[cap] ≥ hi[last]`, so the key is at least `base`, and
         // `hi[g] ≥ x` gives `g < cap`: every index below is at most `cap`.
         let bucket = key(x, self.shift).wrapping_sub(self.base);
         let g = *self.index.get(usize::try_from(bucket).ok()?)? as usize;
@@ -184,12 +208,12 @@ impl fmt::Debug for GeometricFloor {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("GeometricFloor")
             .field("ln_q", &self.ln_q)
-            .field("max_cap", &(self.bounds.len() - 1))
+            .field("last", &(self.bounds.len() - 1))
             .finish_non_exhaustive()
     }
 }
 
-/// The table is a function of `ln q` and the cap it reaches.
+/// The table is a function of `ln q` and the count it ends at.
 impl PartialEq for GeometricFloor {
     fn eq(&self, other: &Self) -> bool {
         self.ln_q.to_bits() == other.ln_q.to_bits() && self.bounds.len() == other.bounds.len()
@@ -257,11 +281,20 @@ mod tests {
     fn table_matches_libm_at_every_switch_point_and_guard_edge() {
         for (what, ln_q) in ln_qs() {
             let t = GeometricFloor::new(ln_q, MAX_CAP);
-            assert_eq!(t.bounds.len(), MAX_CAP as usize + 1, "{what}");
+            // The table ends at the first `lo = 0`, or reaches the cap.
+            let last = t.bounds.len() - 1;
+            let ended = t.bounds[last].lo == 0;
+            assert!(ended || last == MAX_CAP as usize, "{what}");
+            assert!(t.bounds[..last].iter().all(|b| b.lo > 0), "{what}");
             let past = u64::from(MAX_CAP) + 1;
             for k in 1..=u64::from(MAX_CAP) {
                 let s = switch_point(ln_q, k);
-                let b = t.bounds[k as usize];
+                // Past the end every bracket would be `hi = lo = 0`.
+                let b = t
+                    .bounds
+                    .get(k as usize)
+                    .copied()
+                    .unwrap_or(Bracket { hi: 0, lo: 0 });
                 let xs =
                     (s.saturating_sub(2)..=s + 2).chain([b.hi, b.hi + 1, b.lo, b.lo + 1, 1, TOP]);
                 for x in xs.filter(|x| (1..=TOP).contains(x)) {
@@ -305,6 +338,27 @@ mod tests {
                 fallbacks * 10_000 < n,
                 "{what}: {fallbacks} of {n} fell back"
             );
+        }
+    }
+
+    #[test]
+    fn tables_end_where_thresholds_stop_proving() {
+        // The last tabled count is the first `k` with `2⁵³·q^k·(1 + ε) < 1`,
+        // about `53·ln 2 / |ln q|`. At cap 4095 the reuse tables of the
+        // kernel means 10, 12, 24, 32, 48 and 60 end at counts 349, 423,
+        // 864, 1158, 1745 and 2186 (5.5–34.2 KiB of brackets instead of
+        // 64 KiB); means of 120 and up still fill the cap.
+        for (what, ln_q) in ln_qs() {
+            let t = GeometricFloor::new(ln_q, MAX_CAP);
+            let last = t.bounds.len() - 1;
+            let end = ((-(TOP as f64).ln() / ln_q).floor() as usize).saturating_add(1);
+            if end <= MAX_CAP as usize {
+                assert!(last.abs_diff(end) <= 1, "{what}: {last} vs {end}");
+                assert_eq!(t.cap_ceiling, last as u64, "{what}");
+            } else {
+                assert_eq!(last, MAX_CAP as usize, "{what}");
+                assert_eq!(t.cap_ceiling, u64::MAX, "{what}");
+            }
         }
     }
 

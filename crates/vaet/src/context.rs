@@ -7,7 +7,7 @@ use mss_nvsim::config::MemoryConfig;
 use mss_nvsim::model::{estimate_cached, ArrayMetrics, MemoryTechnology};
 use mss_pdk::charlib::{characterize_cached, characterize_sot_cached, CellLibrary, SotCellLibrary};
 use mss_pdk::tech::{TechNode, TechParams};
-use mss_pdk::variation::{StackReads, VariationCard};
+use mss_pdk::variation::VariationCard;
 
 use crate::VaetError;
 
@@ -187,27 +187,14 @@ impl VaetContext {
         }
     }
 
-    /// The stack parameters a write reads under this context's mechanism:
-    /// the switching set ([`corner_switching_model`](Self::corner_switching_model))
-    /// plus, for STT, the RA product behind the junction's write-path
-    /// resistance ([`write_resistance_ratio`](Self::write_resistance_ratio)).
-    /// The SOT write path is the channel, which depends on the diameter only.
-    pub(crate) fn write_stack_reads(&self) -> StackReads {
+    /// Write-path resistance of the nominal cell: junction R_P for STT, the
+    /// heavy-metal channel for SOT (the SOT write current never crosses
+    /// the barrier). A sampled bit's write dissipation scales with its own
+    /// write-path resistance over this.
+    pub(crate) fn nominal_write_resistance(&self) -> f64 {
         match &self.mechanism {
-            MechanismConfig::Stt => StackReads::SWITCHING.union(StackReads::RA),
-            MechanismConfig::Sot(_) => StackReads::SWITCHING,
-        }
-    }
-
-    /// Relative write-path resistance of a sampled device against the
-    /// nominal cell: junction R_P for STT, the heavy-metal channel for SOT
-    /// (the SOT write current never crosses the barrier).
-    pub(crate) fn write_resistance_ratio(&self, stack: &MssStack) -> f64 {
-        match &self.mechanism {
-            MechanismConfig::Stt => stack.resistance_parallel() / self.cell.r_parallel,
-            MechanismConfig::Sot(p) => {
-                p.channel_resistance(stack.diameter()) / p.channel_resistance(self.stack.diameter())
-            }
+            MechanismConfig::Stt => self.cell.r_parallel,
+            MechanismConfig::Sot(p) => p.channel_resistance(self.stack.diameter()),
         }
     }
 
@@ -325,9 +312,12 @@ mod tests {
             .mean_switching_time(2.0 * sot_model.critical_current())
             .unwrap();
         assert!(t_sot < 0.1 * t_stt, "sot {t_sot:.3e} vs stt {t_stt:.3e}");
-        // STT write-path resistance ratio is the junction ratio, unchanged.
-        assert!((stt.write_resistance_ratio(&stack) - 1.0).abs() < 1e-12);
-        assert!((sot.write_resistance_ratio(&stack) - 1.0).abs() < 1e-12);
+        // The nominal write path: the junction for STT, the channel for SOT.
+        assert!((stt.nominal_write_resistance() / stack.resistance_parallel() - 1.0).abs() < 1e-12);
+        assert_eq!(
+            sot.nominal_write_resistance(),
+            SotParams::default().channel_resistance(stack.diameter())
+        );
     }
 
     #[test]

@@ -5,9 +5,11 @@
 //!
 //! 1. a global (per-die) CMOS sample perturbs the peripheral speed,
 //! 2. each bit of the word gets a local MTJ sample of the parameters the
-//!    access reads (writes: d, t, K_i, plus RA on STT; reads: d, RA, TMR)
-//!    and — for writes — a thermal initial angle drawn from the Rayleigh
-//!    distribution `p(θ₀) = 2Δθ₀·exp(−Δθ₀²)`,
+//!    access reads (writes: d, t, K_i, plus RA on STT; reads: d, RA, TMR),
+//!    drawn and evaluated as scalars by one per-bit kernel
+//!    ([`BitKernel`], built once per run), and — for writes — a thermal
+//!    initial angle drawn from the Rayleigh distribution
+//!    `p(θ₀) = 2Δθ₀·exp(−Δθ₀²)`,
 //! 3. the access completes when its **slowest bit** completes; the write
 //!    current keeps flowing for the whole (per-access) pulse, so energy
 //!    scales with the completion time, not each bit's own switch time.
@@ -17,8 +19,7 @@
 //! the exponential tail of the per-bit switching-time distribution.
 
 use mss_exec::{par_chunks_stats, ParallelConfig};
-use mss_mtj::switching::SwitchingModel;
-use mss_pdk::variation::StackReads;
+use mss_pdk::variation::{BitKernel, StackReads};
 use mss_spice::batch::DcBatch;
 use mss_spice::netlist::Netlist;
 use mss_spice::waveform::Waveform;
@@ -61,20 +62,21 @@ fn thermal_angle<R: Rng + ?Sized>(rng: &mut R, delta: f64) -> f64 {
     (-u.ln() / delta).sqrt().min(std::f64::consts::FRAC_PI_2)
 }
 
-/// Per-bit precessional switching time with an explicit initial angle.
-fn switching_time(sw: &SwitchingModel, i_write: f64, theta0: f64) -> f64 {
-    let i = i_write / sw.critical_current();
+/// Per-bit precessional switching time with an explicit initial angle,
+/// for critical current `ic0` and time constant `tau`.
+fn switching_time(ic0: f64, tau: f64, i_write: f64, theta0: f64) -> f64 {
+    let i = i_write / ic0;
     if i <= 1.0 {
         // Subcritical sample (deep process corner): report a pessimistic
         // 10x the nominal-style time so the tail is visible, bounded to
         // keep statistics finite.
-        return 10.0 * sw.tau_d() * (std::f64::consts::FRAC_PI_2 / theta0.max(1e-6)).ln();
+        return 10.0 * tau * (std::f64::consts::FRAC_PI_2 / theta0.max(1e-6)).ln();
     }
-    sw.tau_d() / (i - 1.0) * (std::f64::consts::FRAC_PI_2 / theta0.max(1e-9)).ln()
+    tau / (i - 1.0) * (std::f64::consts::FRAC_PI_2 / theta0.max(1e-9)).ln()
 }
 
 /// Word-independent quantities shared by every sample.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug)]
 struct SampleConsts {
     periph_wl: f64,
     periph_rl: f64,
@@ -88,8 +90,10 @@ struct SampleConsts {
     /// Power drawn by one nominal cell during its write: the measured cell
     /// energy spread over the measured cell latency.
     cell_power_nom: f64,
-    /// The stack parameters the write loop reads.
-    write_reads: StackReads,
+    /// The nominal cell's write-path resistance.
+    write_resistance_nom: f64,
+    /// The per-bit stack draw.
+    bits: BitKernel,
 }
 
 /// Per-batch accumulators, merged in batch order after the fan-out.
@@ -130,19 +134,15 @@ fn sample_access<R: Rng + ?Sized>(
     let mut t_cell_max: f64 = 0.0;
     let mut power_sum = 0.0;
     for _ in 0..word {
-        let stack = ctx
-            .variation
-            .sample_stack_reading(rng, &ctx.stack, consts.write_reads)
-            .map_err(VaetError::Device)?;
-        let sw = ctx.corner_switching_model(&stack)?;
+        let bit = consts.bits.write(rng).map_err(VaetError::Device)?;
         // Local access-device mismatch perturbs the write current.
         let i_rel = normal(rng, 1.0, 0.04).clamp(0.7, 1.3) / speed_factor;
         let i_bit = consts.i_write_nom * i_rel;
-        let theta0 = thermal_angle(rng, sw.delta());
-        let t_bit = switching_time(&sw, i_bit, theta0);
+        let theta0 = thermal_angle(rng, bit.delta);
+        let t_bit = switching_time(bit.critical_current, bit.tau, i_bit, theta0);
         t_cell_max = t_cell_max.max(t_bit);
         // Dissipation scales as I^2 R relative to the nominal write path.
-        let r_rel = ctx.write_resistance_ratio(&stack);
+        let r_rel = bit.write_resistance / consts.write_resistance_nom;
         power_sum += consts.cell_power_nom * i_rel * i_rel * r_rel;
     }
     let t_write = consts.periph_wl * speed_factor + t_cell_max;
@@ -154,12 +154,8 @@ fn sample_access<R: Rng + ?Sized>(
     let mut t_sense_max: f64 = 0.0;
     let mut e_read_cells = 0.0;
     for _ in 0..word {
-        let stack = ctx
-            .variation
-            .sample_stack_reading(rng, &ctx.stack, StackReads::RESISTANCE)
-            .map_err(VaetError::Device)?;
         // Signal scales with this bit's resistance window.
-        let window = stack.resistance_antiparallel() - stack.resistance_parallel();
+        let window = consts.bits.read(rng).map_err(VaetError::Device)?;
         let offset = normal(rng, 0.0, SENSE_OFFSET_SIGMA);
         let signal = (consts.signal_nom * window / consts.window_nom - offset.abs())
             .max(0.05 * consts.signal_nom);
@@ -229,7 +225,8 @@ pub fn run_with(
         signal_nom: ctx.sense_signal(),
         window_nom: ctx.cell.r_antiparallel - ctx.cell.r_parallel,
         cell_power_nom: ctx.cell.write.energy / ctx.cell.write.latency.max(1e-12),
-        write_reads: ctx.write_stack_reads(),
+        write_resistance_nom: ctx.nominal_write_resistance(),
+        bits: ctx.variation.bit_kernel(&ctx.stack, &ctx.mechanism),
     };
 
     let _span = mss_obs::span("vaet.mc.run");
@@ -432,12 +429,199 @@ pub fn sense_margin_batch_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mss_mtj::{MechanismConfig, MssStack, MtjError, SotParams};
     use mss_pdk::tech::TechNode;
     use std::sync::OnceLock;
 
     fn ctx45() -> &'static VaetContext {
         static CTX: OnceLock<VaetContext> = OnceLock::new();
         CTX.get_or_init(|| VaetContext::standard(TechNode::N45).unwrap())
+    }
+
+    fn sot_context(node: TechNode) -> VaetContext {
+        let stack = MssStack::builder().build().unwrap();
+        VaetContext::build_sot(node, stack, ctx45().config, SotParams::default()).unwrap()
+    }
+
+    /// Table 1's four contexts: STT and SOT at 45 and 65 nm.
+    fn table1_contexts() -> &'static [VaetContext; 4] {
+        static CTXS: OnceLock<[VaetContext; 4]> = OnceLock::new();
+        CTXS.get_or_init(|| {
+            [
+                ctx45().clone(),
+                VaetContext::standard(TechNode::N65).unwrap(),
+                sot_context(TechNode::N45),
+                sot_context(TechNode::N65),
+            ]
+        })
+    }
+
+    /// The per-bit write path the kernel replaced, kept as its reference:
+    /// build the bit's stack, then its switching model and write path.
+    /// Returns `(Δ, I_c0, τ, r_rel)`.
+    fn reference_write_bit<R: Rng + ?Sized>(
+        ctx: &VaetContext,
+        rng: &mut R,
+    ) -> Result<[f64; 4], VaetError> {
+        let reads = match &ctx.mechanism {
+            MechanismConfig::Stt => StackReads::SWITCHING.union(StackReads::RA),
+            MechanismConfig::Sot(_) => StackReads::SWITCHING,
+        };
+        let stack = ctx
+            .variation
+            .sample_stack_reading(rng, &ctx.stack, reads)
+            .map_err(VaetError::Device)?;
+        let sw = ctx.corner_switching_model(&stack)?;
+        let r_rel = match &ctx.mechanism {
+            MechanismConfig::Stt => stack.resistance_parallel() / ctx.cell.r_parallel,
+            MechanismConfig::Sot(p) => {
+                p.channel_resistance(stack.diameter()) / p.channel_resistance(ctx.stack.diameter())
+            }
+        };
+        Ok([sw.delta(), sw.critical_current(), sw.tau_d(), r_rel])
+    }
+
+    /// The per-bit read path the kernel replaced: the built stack's window.
+    fn reference_read_bit<R: Rng + ?Sized>(
+        ctx: &VaetContext,
+        rng: &mut R,
+    ) -> Result<f64, VaetError> {
+        let stack = ctx
+            .variation
+            .sample_stack_reading(rng, &ctx.stack, StackReads::RESISTANCE)
+            .map_err(VaetError::Device)?;
+        Ok(stack.resistance_antiparallel() - stack.resistance_parallel())
+    }
+
+    /// The kernel's write bit in the reference's shape.
+    fn kernel_write_bit<R: Rng + ?Sized>(
+        ctx: &VaetContext,
+        kernel: &BitKernel,
+        rng: &mut R,
+    ) -> Result<[f64; 4], VaetError> {
+        let bit = kernel.write(rng).map_err(VaetError::Device)?;
+        let r_rel = bit.write_resistance / ctx.nominal_write_resistance();
+        Ok([bit.delta, bit.critical_current, bit.tau, r_rel])
+    }
+
+    /// Draws `bits` write bits, then `bits` read bits, through the kernel
+    /// and through the reference from the same stream, and asserts that
+    /// each result, every value by bit pattern, and the stream after each
+    /// bit are equal. Stops at the first error, which must match too, and
+    /// returns it.
+    fn assert_kernel_matches_reference(
+        ctx: &VaetContext,
+        bits: usize,
+        seed: u64,
+    ) -> Option<VaetError> {
+        let kernel = ctx.variation.bit_kernel(&ctx.stack, &ctx.mechanism);
+        let mut a = Xoshiro256PlusPlus::stream(seed, 0);
+        let mut b = a.clone();
+        let as_bits = |r: Result<[f64; 4], VaetError>| r.map(|v| v.map(f64::to_bits));
+        for i in 0..bits {
+            let got = as_bits(kernel_write_bit(ctx, &kernel, &mut a));
+            let want = as_bits(reference_write_bit(ctx, &mut b));
+            assert_eq!(got, want, "write bit {i}");
+            assert_eq!(a, b, "stream after write bit {i}");
+            if let Err(e) = got {
+                return Some(e);
+            }
+        }
+        for i in 0..bits {
+            let got = kernel
+                .read(&mut a)
+                .map_err(VaetError::Device)
+                .map(f64::to_bits);
+            let want = reference_read_bit(ctx, &mut b).map(f64::to_bits);
+            assert_eq!(got, want, "read bit {i}");
+            assert_eq!(a, b, "stream after read bit {i}");
+            if let Err(e) = got {
+                return Some(e);
+            }
+        }
+        None
+    }
+
+    #[test]
+    fn the_bit_kernel_matches_the_reference_path_bit_for_bit() {
+        for (i, ctx) in table1_contexts().iter().enumerate() {
+            assert_eq!(
+                assert_kernel_matches_reference(ctx, 100_000, 0x7AB1_E000 + i as u64),
+                None
+            );
+        }
+    }
+
+    /// `(name, value bits, constraint)` of a device parameter error.
+    fn invalid_parameter(err: VaetError) -> (&'static str, u64, &'static str) {
+        match err {
+            VaetError::Device(MtjError::InvalidParameter {
+                name,
+                value,
+                constraint,
+            }) => (name, value.to_bits(), constraint),
+            other => panic!("not a parameter error: {other:?}"),
+        }
+    }
+
+    fn parity_opts() -> MonteCarloOptions {
+        MonteCarloOptions {
+            samples: 64,
+            seed: 0xE440_0B17,
+            word_bits: None,
+        }
+    }
+
+    /// The error a context's Monte Carlo returns, after checking that the
+    /// kernel and the reference path fail alike on the bit level.
+    fn run_error(ctx: &VaetContext) -> (&'static str, u64, &'static str) {
+        let bit_err = assert_kernel_matches_reference(ctx, 100_000, 0xE440_0B18);
+        assert!(bit_err.is_some(), "no bit failed");
+        invalid_parameter(run_with(ctx, &parity_opts(), &ParallelConfig::serial()).unwrap_err())
+    }
+
+    // Each pinned error below is the one the reference path (building every
+    // bit's stack) returns for that run.
+
+    #[test]
+    fn a_write_bit_past_the_perpendicular_edge_fails_as_the_builder_does() {
+        // K_i 1 % above the demagnetisation edge: a low K_i or high t_f
+        // draw leaves H_k,eff <= 0.
+        let mut ctx = ctx45().clone();
+        ctx.stack = MssStack::builder()
+            .interfacial_anisotropy(0.91e-3)
+            .build()
+            .unwrap();
+        assert!(ctx.stack.hk_eff() > 0.0);
+        assert_eq!(
+            run_error(&ctx),
+            (
+                "interfacial_anisotropy",
+                0x3f4d_cc7f_b095_65c0,
+                "net perpendicular anisotropy must be positive (Hk_eff > 0)"
+            )
+        );
+    }
+
+    #[test]
+    fn a_read_bit_drawing_tmr_at_or_below_zero_fails_as_the_builder_does() {
+        // ±4σ at σ = 30 % reaches TMR = -0.3.
+        let mut ctx = ctx45().clone();
+        ctx.variation.mtj.tmr = mss_units::rng::Variation::relative(0.3);
+        assert_eq!(
+            run_error(&ctx),
+            ("tmr_zero_bias", 0xbfb8_65a7_73a5_4500, "must be in (0, 10)")
+        );
+    }
+
+    #[test]
+    fn invalid_sot_params_fail_as_the_mechanism_does() {
+        let mut ctx = table1_contexts()[2].clone();
+        ctx.mechanism = MechanismConfig::Sot(SotParams {
+            spin_hall_angle: 0.0,
+            ..SotParams::default()
+        });
+        assert_eq!(run_error(&ctx), ("spin_hall_angle", 0, "must be in (0, 1]"));
     }
 
     fn small_opts(seed: u64) -> MonteCarloOptions {

@@ -1,14 +1,17 @@
 //! Deterministic fuzzing of the workspace's one JSON grammar.
 //!
 //! Real lines — a run report, event-bus lines, on-disk cache entries of
-//! every artifact kind (the STT and SOT cell libraries among them) and a
-//! sweep journal — are mutated by a seeded PRNG (byte flips, truncations,
-//! splices, duplicated slices and nesting bombs) and fed to every reader:
+//! every artifact kind (the STT and SOT cell libraries and a current
+//! sim-report among them) and a sweep journal — are mutated by a seeded
+//! PRNG (byte flips, truncations, splices, duplicated slices and nesting
+//! bombs) and fed to every reader:
 //!
 //! - `Value::parse` must return a value or an error naming a byte offset;
 //! - `Report::parse_ndjson` must return a report or an error, naming the
 //!   line of any syntax error;
-//! - a damaged cache entry must be a disk hit or a counted miss;
+//! - a damaged cache entry must be a disk hit or a counted miss, and each
+//!   artifact's decoder must see a stated number of damaged payloads
+//!   behind an intact header;
 //! - a damaged journal must replay, skipping what it cannot read.
 //!
 //! Nothing may panic. The run is the same on every machine: the seed, the
@@ -31,6 +34,8 @@ use mss_prof::Report;
 const FIXTURES: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/pipe_v1");
 const CASES: usize = 24_000;
 const JOURNAL_SWEEP: &str = "5eed5eed5eed5eed";
+/// Key of the current-version sim-report entry the test writes.
+const SIM_REPORT_KEY: &str = "5143f2a1b0c0ffee";
 
 /// Loads one cache entry of a fixed artifact type; `true` on a disk hit.
 type Loader = fn(&PipeCache, Stage, &str) -> bool;
@@ -39,7 +44,7 @@ type Loader = fn(&PipeCache, Stage, &str) -> bool;
 #[derive(Clone, Copy, Debug)]
 enum Kind {
     Report,
-    Cache(Stage, Loader),
+    Cache(Stage, &'static str, Loader),
     Journal,
 }
 
@@ -48,6 +53,10 @@ struct Doc {
     /// Cache entries: the file name the entry must be written under.
     file: String,
     text: String,
+    /// Cache entries: the header a damaged copy must keep for its payload
+    /// to reach the decoder; `None` when even the undamaged entry stops at
+    /// the header (an old artifact version).
+    header: Option<Vec<String>>,
 }
 
 fn run_report() -> String {
@@ -126,41 +135,71 @@ fn load<T: Artifact>(cache: &PipeCache, stage: Stage, key: &str) -> bool {
         .is_ok()
 }
 
-/// The loader for an undamaged entry, picked by its header's `kind`.
-fn loader_for(entry: &str) -> Loader {
+/// The artifact kinds and their loaders.
+const LOADERS: [(&str, Loader); 4] = [
+    (CellLibrary::KIND, load::<CellLibrary>),
+    (SotCellLibrary::KIND, load::<SotCellLibrary>),
+    (ArrayMetrics::KIND, load::<ArrayMetrics>),
+    (SimReport::KIND, load::<SimReport>),
+];
+
+/// Per loader, the fewest damaged entries whose payload must reach its
+/// decoder. The schedule reaches the four decoders 1 195, 1 344, 6 438
+/// (five entries) and 1 647 times; a decoder the fuzz stops reaching fails
+/// the test instead of passing unexercised.
+const DECODED_FLOOR: [usize; LOADERS.len()] = [900, 1_000, 5_000, 1_200];
+
+/// The kind and loader for an undamaged entry, picked by its header's
+/// `kind`.
+fn loader_for(entry: &str) -> (&'static str, Loader) {
     let header = Value::parse(entry.lines().next().unwrap()).unwrap();
     let kind = header.get("kind").and_then(Value::as_str);
-    let loaders: [(&str, Loader); 4] = [
-        (CellLibrary::KIND, load::<CellLibrary>),
-        (SotCellLibrary::KIND, load::<SotCellLibrary>),
-        (ArrayMetrics::KIND, load::<ArrayMetrics>),
-        (SimReport::KIND, load::<SimReport>),
-    ];
-    loaders
+    LOADERS
         .into_iter()
         .find(|&(k, _)| Some(k) == kind)
         .unwrap_or_else(|| panic!("no loader for {kind:?}"))
-        .1
+}
+
+/// The header fields the disk tier checks before it decodes a payload:
+/// `type`, `schema`, `stage`, `kind`, `version` and `key`. `None` when the
+/// first line is not a JSON object holding all six.
+fn header_fields(entry: &str) -> Option<Vec<String>> {
+    let header = Value::parse(entry.split_once('\n')?.0).ok()?;
+    let text = |k: &str| header.get(k).and_then(Value::as_str).map(str::to_string);
+    let number = |k: &str| header.get(k).and_then(Value::as_u64).map(|n| n.to_string());
+    Some(vec![
+        text("type")?,
+        number("schema")?,
+        text("stage")?,
+        text("kind")?,
+        number("version")?,
+        text("key")?,
+    ])
 }
 
 /// The committed fixtures, plus a SOT cell-library entry characterised
-/// into `dir` (no fixture holds one).
+/// into `dir` and a current-version sim-report entry written there (no
+/// fixture holds either: the fixtures' sim-reports are version 1, which
+/// the disk tier rejects at the header).
 fn corpus(dir: &Path) -> Vec<Doc> {
     let mut docs = vec![
         Doc {
             kind: Kind::Report,
             file: String::new(),
             text: run_report(),
+            header: None,
         },
         Doc {
             kind: Kind::Report,
             file: String::new(),
             text: event_stream(),
+            header: None,
         },
         Doc {
             kind: Kind::Journal,
             file: String::new(),
             text: std::fs::read_to_string(format!("{FIXTURES}/journal.ndjson")).unwrap(),
+            header: None,
         },
     ];
     let mut entries: Vec<PathBuf> = std::fs::read_dir(format!("{FIXTURES}/cache"))
@@ -169,19 +208,31 @@ fn corpus(dir: &Path) -> Vec<Doc> {
         .collect();
     entries.sort();
     let stack = MssStack::builder().build().unwrap();
-    characterize_sot_cached(
-        TechNode::N45,
-        &stack,
-        &SotParams::default(),
-        &PipeCache::with_disk(dir),
-    )
+    let disk = PipeCache::with_disk(dir);
+    characterize_sot_cached(TechNode::N45, &stack, &SotParams::default(), &disk).unwrap();
+    // A fixture's sim-report payload, stored again at the current version.
+    let v1 = entries
+        .iter()
+        .find(|p| {
+            p.file_name()
+                .unwrap()
+                .to_str()
+                .unwrap()
+                .starts_with("simulate-kernel")
+        })
+        .unwrap();
+    let v1 = std::fs::read_to_string(v1).unwrap();
+    let report = SimReport::decode(v1.split_once('\n').unwrap().1).unwrap();
+    disk.get_or_compute_artifact(Stage::SimulateKernel, SIM_REPORT_KEY, || {
+        Ok::<_, ()>(report)
+    })
     .unwrap();
-    let sot: Vec<PathBuf> = std::fs::read_dir(dir)
+    let written: Vec<PathBuf> = std::fs::read_dir(dir)
         .unwrap()
         .map(|e| e.unwrap().path())
         .collect();
-    assert_eq!(sot.len(), 1, "{sot:?}");
-    entries.extend(sot);
+    assert_eq!(written.len(), 2, "{written:?}");
+    entries.extend(written);
     for path in entries {
         let file = path.file_name().unwrap().to_str().unwrap().to_string();
         let stage = Stage::ALL
@@ -189,11 +240,17 @@ fn corpus(dir: &Path) -> Vec<Doc> {
             .find(|s| file.starts_with(s.name()))
             .expect("fixture named after its stage");
         let text = std::fs::read_to_string(&path).unwrap();
-        docs.push(Doc {
-            kind: Kind::Cache(stage, loader_for(&text)),
+        let (kind, loader) = loader_for(&text);
+        let mut doc = Doc {
+            kind: Kind::Cache(stage, kind, loader),
             file,
             text,
-        });
+            header: None,
+        };
+        if load_damaged_entry(dir, &doc, stage, loader, &doc.text) {
+            doc.header = header_fields(&doc.text);
+        }
+        docs.push(doc);
     }
     docs
 }
@@ -257,9 +314,10 @@ fn assert_parse_is_total(text: &str) {
     }
 }
 
-/// Loads a damaged entry through the disk tier. The stage computation
-/// fails, so `Ok` can only be a disk hit and `Err` only a miss.
-fn load_damaged_entry(dir: &Path, doc: &Doc, stage: Stage, loader: Loader, text: &str) {
+/// Loads a damaged entry through the disk tier; `true` on a disk hit. The
+/// stage computation fails, so `Ok` can only be a disk hit and `Err` only
+/// a miss.
+fn load_damaged_entry(dir: &Path, doc: &Doc, stage: Stage, loader: Loader, text: &str) -> bool {
     std::fs::write(dir.join(&doc.file), text).unwrap();
     let key = doc.file[stage.name().len() + 1..].trim_end_matches(".ndjson");
     let cache = PipeCache::with_disk(dir);
@@ -268,6 +326,7 @@ fn load_damaged_entry(dir: &Path, doc: &Doc, stage: Stage, loader: Loader, text:
     assert_eq!((s.disk_hits, s.misses), (u64::from(hit), u64::from(!hit)));
     // The file exists, so a miss is always a counted load failure.
     assert_eq!(s.load_failures, s.misses, "{s:?}");
+    hit
 }
 
 #[test]
@@ -279,6 +338,9 @@ fn mutated_json_lines_never_panic_and_errors_name_a_byte_offset() {
     let journal = dir.join("journal.ndjson");
     let mut rng = SplitMix64::new(0x6a73_6f6e_6675_7a7a);
     let (mut rejected, mut cache_cases, mut journal_cases) = (0, 0, 0);
+    // Per artifact kind: damaged entries whose header still passed, so the
+    // payload reached the kind's decoder.
+    let mut decoded = [0usize; LOADERS.len()];
     for case in 0..CASES {
         let doc = &docs[case % docs.len()];
         let other = &docs[below(&mut rng, docs.len())].text;
@@ -299,9 +361,14 @@ fn mutated_json_lines_never_panic_and_errors_name_a_byte_offset() {
                     );
                 }
             }
-            Kind::Cache(stage, loader) => {
-                load_damaged_entry(&dir, doc, stage, loader, &text);
+            Kind::Cache(stage, kind, loader) => {
+                let hit = load_damaged_entry(&dir, doc, stage, loader, &text);
                 cache_cases += 1;
+                let reached = doc.header.is_some() && header_fields(&text) == doc.header;
+                assert!(reached || !hit, "a disk hit past a failed header");
+                if reached {
+                    decoded[LOADERS.iter().position(|&(k, _)| k == kind).unwrap()] += 1;
+                }
             }
             Kind::Journal => {
                 std::fs::write(&journal, &text).unwrap();
@@ -315,5 +382,11 @@ fn mutated_json_lines_never_panic_and_errors_name_a_byte_offset() {
     // The schedule really exercised every reader and the error paths.
     assert!(cache_cases > CASES / 2 && journal_cases > CASES / 20);
     assert!(rejected > CASES / 2, "only {rejected} lines rejected");
+    for ((kind, _), (n, floor)) in LOADERS.iter().zip(decoded.iter().zip(DECODED_FLOOR)) {
+        assert!(
+            *n >= floor,
+            "{kind}: {n} damaged payloads decoded, floor {floor}"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
