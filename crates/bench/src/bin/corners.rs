@@ -27,4 +27,5 @@ fn main() {
         }
         println!();
     }
+    mss_bench::write_obs_artifacts("corners");
 }

@@ -34,7 +34,6 @@ fn main() {
         .expect("flow run");
     println!("{}", report.fig11_table("bodytrack"));
     println!("{}", report.fig10_summary("bodytrack"));
-    std::fs::create_dir_all("results").ok();
     write_result("results/fig11.csv", &report.fig11_csv("bodytrack"));
     println!("(breakdown written to results/fig11.csv)");
     // Overall savings vs the reference.

@@ -31,7 +31,6 @@ fn main() {
         .run_with(&ParallelConfig::from_env())
         .expect("flow run");
     println!("{}", report.fig12_table());
-    std::fs::create_dir_all("results").ok();
     write_result("results/fig12.csv", &report.fig12_csv());
     println!("(series written to results/fig12.csv)");
 

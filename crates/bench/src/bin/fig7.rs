@@ -28,4 +28,5 @@ fn main() {
         Eng(ctx.nominal.write_latency, "s"),
         Eng(ctx.nominal.read_latency, "s")
     );
+    mss_bench::write_obs_artifacts("fig7");
 }

@@ -31,4 +31,5 @@ fn main() {
         Eng(drop0to1, "s"),
         Eng(drop1to2.max(0.0), "s")
     );
+    mss_bench::write_obs_artifacts("fig8");
 }

@@ -30,4 +30,5 @@ fn main() {
         best.read_error_rate,
         best.disturb_probability
     );
+    mss_bench::write_obs_artifacts("fig9");
 }

@@ -70,4 +70,5 @@ fn main() {
         "  ({} feasible organisations evaluated)",
         exp.candidates.len()
     );
+    mss_bench::write_obs_artifacts("iot_reliability");
 }

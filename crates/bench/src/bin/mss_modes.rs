@@ -86,4 +86,5 @@ fn main() {
         Some(f) => println!("LLG ring-down frequency: {}", Eng(f, "Hz")),
         None => println!("LLG ring-down frequency: (no oscillation detected)"),
     }
+    mss_bench::write_obs_artifacts("mss_modes");
 }

@@ -62,20 +62,23 @@ pub fn fig9_periods() -> Vec<f64> {
     ]
 }
 
-/// Writes one regenerated result file, exiting non-zero with the path and
-/// the error when the write fails: a silently failed write would leave a
-/// stale committed file looking freshly regenerated.
+/// Writes one regenerated result file, creating its parent directory, and
+/// exits non-zero with the path and the error when either step fails: a
+/// silently failed write would leave a stale committed file looking freshly
+/// regenerated.
 pub fn write_result(path: &str, content: &str) {
-    if let Err(e) = std::fs::write(path, content) {
+    let dir = std::path::Path::new(path).parent();
+    let written = dir.map_or(Ok(()), std::fs::create_dir_all);
+    if let Err(e) = written.and_then(|()| std::fs::write(path, content)) {
         eprintln!("error: cannot write {path}: {e}");
         std::process::exit(1);
     }
 }
 
-/// Writes the enabled observability registry as this bench's NDJSON run
+/// Writes the enabled observability registry as this binary's NDJSON run
 /// report (`MSS_OBS_OUT`, default `target/<name>.ndjson`), round-tripped
 /// through the `mss-prof` schema validator before it is trusted — an
-/// emitter regression fails the smoke run, not a later consumer — and
+/// emitter regression fails the run, not a later consumer — and
 /// prints one status line.
 ///
 /// Baselines are cut from and checked against this file after the run:
@@ -89,7 +92,7 @@ pub fn write_result(path: &str, content: &str) {
 /// # Panics
 ///
 /// When the emitted report fails schema validation or cannot be written —
-/// both are fatal infrastructure bugs for a smoke bench.
+/// both are fatal infrastructure bugs for a figure or smoke binary.
 pub fn write_obs_artifacts(name: &str) {
     if !mss_obs::enabled() {
         println!("obs      : disabled (set MSS_METRICS=1 for an NDJSON run report)");

@@ -335,6 +335,7 @@ impl System {
             None => None,
         };
         let mut runtime: f64 = 0.0;
+        let mut simulated_accesses = 0u64;
 
         // One reusable synthesis buffer for the whole run: streams are
         // drained in chunks so the generator and the consuming loop each
@@ -371,6 +372,7 @@ impl System {
                 let owned: Vec<u64> = (0..threads)
                     .filter(|t| t % total_cores == core_id as u64)
                     .collect();
+                simulated_accesses += sim_per_thread * owned.len() as u64;
                 let mut l1 = Cache::new(cluster.l1d.clone())?;
                 let mut stall_seconds_sim = 0.0;
                 for &t in &owned {
@@ -489,6 +491,9 @@ impl System {
         if mss_obs::enabled() {
             mss_obs::counter_add("gemsim.runs", 1);
             mss_obs::counter_add("gemsim.instructions", report.total_instructions());
+            // The accesses the hot loop ran, unscaled: a span divided by this
+            // is a real cost per simulated access.
+            mss_obs::counter_add("gemsim.accesses.simulated", simulated_accesses);
             mss_obs::counter_add("gemsim.dram.reads", report.dram_reads);
             mss_obs::counter_add("gemsim.dram.writes", report.dram_writes);
             for cache in &report.caches {

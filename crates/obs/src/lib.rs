@@ -636,10 +636,10 @@ impl Registry {
     ///
     /// ```text
     /// {"type":"meta","schema":3,"mode":"metrics","dropped_events":0}
-    /// {"type":"counter","name":"vaet.mc.samples","value":20000}
-    /// {"type":"gauge","name":"pipe.mem.occupancy","value":1.2e1}
-    /// {"type":"histogram","name":"vaet.mc.wall_seconds","count":2,...,"p50":...,"p90":...,"p99":...}
-    /// {"type":"span","path":"mc_smoke/vaet.mc.run","count":2,...,"self_seconds":...,"by_thread":[[0,2,1.5e-3]]}
+    /// {"type":"counter","name":"vaet.mc.samples","value":8000}
+    /// {"type":"gauge","name":"pipe.mem_occupancy","value":7.8125e-3}
+    /// {"type":"histogram","name":"vaet.mc.wall_seconds","count":4,...,"p50":...,"p90":...,"p99":...}
+    /// {"type":"span","path":"vaet.mc.run/vaet.mc.batch","count":32,...,"self_seconds":...,"by_thread":[[1,16,2.1e0],[2,16,2.0e0]]}
     /// ```
     ///
     /// See [`SCHEMA_VERSION`] for the v1→v2→v3 field additions; `mss-prof`

@@ -32,7 +32,8 @@ pub struct BaselineSpan {
 /// A committed benchmark baseline.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Baseline {
-    /// Bench name (`cache_smoke`, `mc_smoke`, …).
+    /// Name of the binary whose run report it was cut from (`table1`,
+    /// `cache_smoke`, …); the file is `results/BENCH_<name>.json`.
     pub name: String,
     /// Counter name → expected value.
     pub counters: BTreeMap<String, u64>,

@@ -1408,35 +1408,39 @@ mod tests {
         let stack = MssStack::builder().build().unwrap();
         let params = SotParams::default();
         let sot = SotMechanism::new(&stack, params.clone()).unwrap();
-        // ~2.5x overdrive through the heavy-metal channel.
-        let v_write = 2.5 * sot.switching_model().critical_current() * sot.channel_resistance();
-        let mut nl = Netlist::new();
-        nl.add_vsource(
-            "vw",
-            "sh",
-            "0",
-            Waveform::pulse(0.0, v_write, 1e-9, 0.05e-9, 0.05e-9, 2e-9, 0.0),
-        )
-        .unwrap();
-        nl.add_mtj_sot(
-            "x1",
-            "rd",
-            "sh",
-            "0",
-            &stack,
-            &params,
-            MtjState::Antiparallel,
-        )
-        .unwrap();
-        let res = Transient::new(&nl)
-            .run(&TransientOptions::new(0.005e-9, 4e-9))
+        // 2.5x and 1.5x overdrive through the heavy-metal channel.
+        for overdrive in [2.5, 1.5] {
+            let v_write =
+                overdrive * sot.switching_model().critical_current() * sot.channel_resistance();
+            let mut nl = Netlist::new();
+            nl.add_vsource(
+                "vw",
+                "sh",
+                "0",
+                Waveform::pulse(0.0, v_write, 1e-9, 0.05e-9, 0.05e-9, 2e-9, 0.0),
+            )
             .unwrap();
-        assert_eq!(res.events().len(), 1, "expected exactly one switch event");
-        let trace = res.mtj_state("x1").unwrap();
-        assert_eq!(trace[0], -1.0);
-        assert_eq!(*trace.last().unwrap(), 1.0);
-        // SOT switches fast: well inside the 2 ns pulse.
-        assert!(res.events()[0].time > 1e-9 && res.events()[0].time < 2e-9);
+            nl.add_mtj_sot(
+                "x1",
+                "rd",
+                "sh",
+                "0",
+                &stack,
+                &params,
+                MtjState::Antiparallel,
+            )
+            .unwrap();
+            let res = Transient::new(&nl)
+                .run(&TransientOptions::new(0.005e-9, 4e-9))
+                .unwrap();
+            assert_eq!(res.events().len(), 1, "{overdrive}x: one switch event");
+            let trace = res.mtj_state("x1").unwrap();
+            assert_eq!(trace[0], -1.0);
+            assert_eq!(*trace.last().unwrap(), 1.0);
+            // SOT switches fast: well inside the 2 ns pulse.
+            let t = res.events()[0].time;
+            assert!(t > 1e-9 && t < 2e-9, "{overdrive}x: switched at {t:.3e} s");
+        }
     }
 
     #[test]
